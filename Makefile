@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
+.PHONY: all build vet test race stress check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
 
 all: check
 
@@ -15,6 +15,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress hunts flakes in the serving layer's concurrent tests: the whole
+# package under the race detector, 20 times over, on one and on two
+# CPUs (an ordering bug such as TestBackpressure's old three-way submit
+# race shows up only on some interleavings). About a quarter of an hour
+# on a 2-core box, hence the explicit timeout.
+stress:
+	$(GO) test -race -count=20 -cpu 1,2 -timeout 60m ./internal/serve/
 
 # check is the pre-commit gate: build, vet, the deprecation gate, the
 # full suite under the race detector, the pipelining matrix smoke
@@ -205,7 +213,7 @@ profile: build
 # -benchtime=1x (harness correctness, not timing).
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
-	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCorePooledSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
+	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCorePooledSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs' -short -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .

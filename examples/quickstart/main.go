@@ -33,8 +33,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("wrote 8 blocks in %d ORAM accesses (%d simulated cycles)\n",
-		store.Accesses(), store.Cycles())
+	c := store.Counters()
+	fmt.Printf("wrote 8 blocks in %d ORAM accesses (%d NVM block reads, %d writes)\n",
+		store.Accesses(), c["nvm.reads"], c["nvm.writes"])
 
 	// Power failure. The volatile stash, temporary PosMap and write
 	// buffer are gone; the WPQs drained.

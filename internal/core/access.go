@@ -91,7 +91,7 @@ func (c *Controller) Prefetch(addr oram.Addr) {
 	}
 	pf.leaf = l
 	pf.valid = true
-	c.counters.Inc("core.prefetches")
+	*c.hPrefetches++
 }
 
 // Result reports what one access did, for the timing and traffic layers.
@@ -150,7 +150,7 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 		}
 	}
 	c.accessN++
-	c.counters.Inc("oram.accesses")
+	*c.hAccesses++
 	return res, nil
 }
 
@@ -249,7 +249,7 @@ func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result
 			bak.OriginSlot = blk.OriginSlot
 		}
 		c.ORAM.Stash.PutBackup(bak)
-		c.counters.Inc("psoram.backups")
+		*c.hBackups++
 	}
 	if c.maybeCrash(4, -1) {
 		return Result{}, ErrCrashed
@@ -314,11 +314,8 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 	var done mem.Cycle
 	c.scratch.loaded = c.scratch.loaded[:0]
 	for i, bucket := range path {
-		for z := 0; z < c.Cfg.Z; z++ {
-			loc := c.Mem.TreeBlockLocation(bucket, z)
-			if d := c.Mem.ReadBlock(loc, earliest); d > done {
-				done = d
-			}
+		if d := c.Mem.ReadBucket(c.Mem.TreeBlockLocation(bucket, 0), earliest); d > done {
+			done = d
 		}
 		// Functional load of this bucket.
 		before := len(c.scratch.loaded)

@@ -15,10 +15,20 @@ import (
 // incidental runtime noise (a map rehash, a histogram bucket) without
 // letting a per-access allocation regress back in.
 func TestCoreSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, Options{NumBlocks: 512, Levels: 8})
+}
+
+// TestCoreUntimedSteadyStateAllocs pins the same budget over the untimed
+// memory model — the controller every Store and pool shard runs.
+func TestCoreUntimedSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, Options{NumBlocks: 512, Levels: 8, Untimed: true})
+}
+
+func steadyStateAllocs(t *testing.T, opts Options) {
 	const budget = 2.0
 
 	cfg := config.Default()
-	ctl, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 512, Levels: 8})
+	ctl, err := New(config.SchemePSORAM, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,10 @@
 //   - function: blocks move exactly as the protocol dictates, over real
 //     AES-CTR sealed data, so a crash at any protocol point followed by
 //     recovery can be checked value-by-value;
-//   - timing: every NVM command is scheduled on internal/mem's device
-//     model, so the same run yields execution cycles and traffic.
+//   - timing: every NVM command is priced by internal/mem's timing model,
+//     so the same run yields execution cycles and traffic — or, under
+//     Options.Untimed, by no model at all: the serving path keeps the
+//     function and the persistence domain and drops the clock.
 package core
 
 import (
@@ -55,7 +57,7 @@ type Controller struct {
 	Cfg    config.Config
 
 	ORAM *oram.Controller // stash, tree image, engine, working PosMap
-	Mem  *mem.Controller  // NVM timing + durability
+	Mem  *mem.Controller  // persistence domain over a timing model
 
 	// pathIdx is the precomputed path-index table for the data tree,
 	// shared by the eviction planners (on-path tests and slot->level
@@ -77,7 +79,7 @@ type Controller struct {
 	durableTop *oram.PosMap
 
 	// onchipNVM models the stash/PosMap built from NVM in the FullNVM
-	// schemes; nil otherwise.
+	// schemes; nil otherwise, and nil under Options.Untimed.
 	onchipNVM *nvm.Device
 
 	// Merkle is the integrity tree (cfg.Integrity); nil when disabled.
@@ -160,10 +162,10 @@ type Controller struct {
 	// the group still waits for that group's barrier. onGroupCommit, if
 	// set, observes every flushed group (ops covered, barrier wall time);
 	// it runs on the storage backend's persist worker.
-	group        GroupCommit
-	ticket       *CommitTicket
-	lastTicket   *CommitTicket
-	groupOps     int
+	group         GroupCommit
+	ticket        *CommitTicket
+	lastTicket    *CommitTicket
+	groupOps      int
 	onGroupCommit func(ops int, persistNanos int64)
 
 	// prefetch caches the decoded headers of the next expected access's
@@ -178,7 +180,13 @@ type Controller struct {
 		seqs  []uint64
 		hdrs  []prefetchedHdr
 	}
-	hPfHit *int64 // counter handle: core.prefetch_hits
+	// Handles of the counters bumped on every access (a string-keyed
+	// Inc is a map lookup each).
+	hPfHit      *int64 // core.prefetch_hits
+	hPrefetches *int64 // core.prefetches
+	hAccesses   *int64 // oram.accesses
+	hBackups    *int64 // psoram.backups
+	hDirty      *int64 // psoram.dirty_entries
 	// recycle gates buffer reuse during commit: true only on the
 	// single-batch eviction path, where an overwritten image slot's
 	// buffers and an evicted block's StashBlock are provably dead. The
@@ -232,6 +240,11 @@ type Options struct {
 	// GroupCommit batches the durable persist barrier across accesses
 	// (ignored without a durable backend).
 	GroupCommit GroupCommit
+	// Untimed builds the controller over mem's untimed model: the same
+	// protocol, persistence domain, IV/version streams and traffic
+	// counters, with no NVM device scheduled and Now() meaningless. The
+	// zero value is the paper's timed NVM model.
+	Untimed bool
 }
 
 // GroupCommit tunes durable group commit: instead of one persist
@@ -317,11 +330,15 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 	if err != nil {
 		return nil, err
 	}
+	newMem := mem.New
+	if opts.Untimed {
+		newMem = mem.NewUntimed
+	}
 	c := &Controller{
 		Scheme:  scheme,
 		Cfg:     cfg,
 		ORAM:    oc,
-		Mem:     mem.New(cfg),
+		Mem:     newMem(cfg),
 		pathIdx: oram.NewPathIndex(oc.Tree),
 		durable: oc.PosMap.Clone(),
 		Temp:    oram.NewTempPosMap(cfg.TempPosMapSize),
@@ -365,6 +382,9 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		c.Rec = rec
 		c.durableTop = rec.Top.Clone()
 	}
+	if opts.Untimed {
+		c.onchipNVM = nil // an untimed controller schedules on no device
+	}
 	if cfg.Integrity {
 		if !c.wpqPersistent() {
 			return nil, fmt.Errorf("core: integrity requires a WPQ-persistent scheme (got %v): the hash and root updates need atomic batches", scheme)
@@ -391,6 +411,10 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 	c.pool = cryptoeng.NewPool(oc.Engine, workers)
 	c.sealRangeFn = c.sealRange
 	c.hPfHit = c.counters.Handle("core.prefetch_hits")
+	c.hPrefetches = c.counters.Handle("core.prefetches")
+	c.hAccesses = c.counters.Handle("oram.accesses")
+	c.hBackups = c.counters.Handle("psoram.backups")
+	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	c.group = opts.GroupCommit
 	if c.Merkle == nil {
 		// Non-integrity image: arm the lazy-seal overlay. The controller
@@ -417,7 +441,9 @@ func (c *Controller) bucketSlots(bucket uint64) []oram.Slot {
 	return out
 }
 
-// Now returns the current simulated time in core cycles.
+// Now returns the current simulated time in core cycles. Under
+// Options.Untimed it only accumulates the fixed crypto latencies and
+// means nothing.
 func (c *Controller) Now() mem.Cycle { return c.now }
 
 // Accesses returns the number of completed ORAM accesses.

@@ -333,6 +333,6 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 	if err := flush(); err != nil {
 		return 0, 0, err
 	}
-	c.counters.Add("psoram.dirty_entries", int64(dirty))
+	*c.hDirty += int64(dirty)
 	return real, dirty, nil
 }

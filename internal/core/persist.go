@@ -212,7 +212,7 @@ func (c *Controller) evictPersistent(l oram.Leaf, plan [][]*oram.StashBlock) (in
 	c.now = done
 	c.finishEvicted(slots)
 	c.stageAdd(StageSeal)
-	c.counters.Add("psoram.dirty_entries", int64(dirty))
+	*c.hDirty += int64(dirty)
 	return real, dirty, nil
 }
 

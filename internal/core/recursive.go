@@ -113,11 +113,8 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 		lvl := c.Rec.Levels[level]
 		var done mem.Cycle
 		for _, bucket := range lvl.Tree.Path(leafI) {
-			for z := 0; z < c.Cfg.Z; z++ {
-				loc := c.Mem.RegionTreeLocation(level+1, bucket, z)
-				if d := c.Mem.ReadBlock(loc, start); d > done {
-					done = d
-				}
+			if d := c.Mem.ReadBucket(c.Mem.RegionTreeLocation(level+1, bucket, 0), start); d > done {
+				done = d
 			}
 		}
 		if done > c.now {
@@ -165,7 +162,7 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 			Data:   append([]byte(nil), blk.Data...),
 			Backup: true, BackupLeaf: l,
 		})
-		c.counters.Inc("psoram.backups")
+		*c.hBackups++
 	}
 	if c.maybeCrash(4, -1) {
 		return Result{}, ErrCrashed

@@ -118,13 +118,14 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 }
 
 // LoadDurable reconstructs a controller from a durable snapshot. cfg
-// supplies the run-time parameters (NVM timing, WPQ sizes, stash size);
-// the geometry and contents come from the snapshot. Loading performs
-// the §4.3 recovery: volatile state starts empty and the on-chip map is
-// the durable one. With cfg.Integrity set, the image is re-hashed and
-// checked against the snapshot's trusted root — tampering with the
-// stored image fails the load.
-func LoadDurable(r io.Reader, cfg config.Config) (*Controller, error) {
+// supplies the run-time parameters (NVM timing, WPQ sizes, stash size)
+// and runtime the execution-only options (memory model, crypto
+// fan-out); the geometry and contents come from the snapshot. Loading
+// performs the §4.3 recovery: volatile state starts empty and the
+// on-chip map is the durable one. With cfg.Integrity set, the image is
+// re-hashed and checked against the snapshot's trusted root — tampering
+// with the stored image fails the load.
+func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -154,7 +155,8 @@ func LoadDurable(r io.Reader, cfg config.Config) (*Controller, error) {
 	cfg.BlockBytes = blockBytes
 	cfg.Z = z
 
-	c, err := New(scheme, cfg, Options{NumBlocks: numBlocks, Levels: levels})
+	runtime.NumBlocks, runtime.Levels, runtime.Storage = numBlocks, levels, nil
+	c, err := New(scheme, cfg, runtime)
 	if err != nil {
 		return nil, err
 	}

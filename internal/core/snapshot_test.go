@@ -33,7 +33,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Loading IS recovery: volatile state (including any pending values
 	// not yet merged) is gone; the durable state must be complete.
-	loaded, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg)
+	loaded, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestSnapshotWithIntegrityDetectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clean load verifies.
-	if _, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg); err != nil {
+	if _, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg, Options{}); err != nil {
 		t.Fatalf("clean load failed: %v", err)
 	}
 	// Flip one byte inside the image region: the load must fail the
 	// trusted-root check.
 	tampered := append([]byte(nil), buf.Bytes()...)
 	tampered[len(tampered)/2] ^= 0x40
-	if _, err := LoadDurable(bytes.NewReader(tampered), cfg); err == nil {
+	if _, err := LoadDurable(bytes.NewReader(tampered), cfg, Options{}); err == nil {
 		t.Fatal("tampered snapshot loaded cleanly")
 	}
 }
@@ -130,7 +130,7 @@ func TestSnapshotVersionCursorSurvives(t *testing.T) {
 	if err := c.SaveDurable(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg)
+	loaded, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		[]byte("PSOR"),
 		append([]byte("PSOR"), make([]byte, 20)...),
 	} {
-		if _, err := LoadDurable(bytes.NewReader(data), cfg); err == nil {
+		if _, err := LoadDurable(bytes.NewReader(data), cfg, Options{}); err == nil {
 			t.Fatalf("garbage snapshot %q accepted", data)
 		}
 	}
@@ -220,7 +220,7 @@ func TestSnapshotRoundTripAllFlatSchemes(t *testing.T) {
 			if err := c.SaveDurable(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg)
+			loaded, err := LoadDurable(bytes.NewReader(buf.Bytes()), cfg, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +294,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	if _, err := LoadDurable(bytes.NewReader(snap), cfg); err != nil {
+	if _, err := LoadDurable(bytes.NewReader(snap), cfg, Options{}); err != nil {
 		t.Fatalf("pristine snapshot failed to load: %v", err)
 	}
 
@@ -305,7 +305,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	)
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{0, 2, hdrOff, hdrOff + 13, posmapOff + 5, slotsOff + 7, len(snap) - 1} {
-			if _, err := LoadDurable(bytes.NewReader(snap[:cut]), cfg); !errors.Is(err, ErrSnapshotTruncated) {
+			if _, err := LoadDurable(bytes.NewReader(snap[:cut]), cfg, Options{}); !errors.Is(err, ErrSnapshotTruncated) {
 				t.Errorf("cut at %d: err = %v, want ErrSnapshotTruncated", cut, err)
 			}
 		}
@@ -324,7 +324,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 			"leaf-out-of-range": patch(posmapOff, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
 		}
 		for name, data := range cases {
-			if _, err := LoadDurable(bytes.NewReader(data), cfg); !errors.Is(err, ErrSnapshotCorrupted) {
+			if _, err := LoadDurable(bytes.NewReader(data), cfg, Options{}); !errors.Is(err, ErrSnapshotCorrupted) {
 				t.Errorf("%s: err = %v, want ErrSnapshotCorrupted", name, err)
 			}
 		}
@@ -348,7 +348,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		}
 		tampered := append([]byte(nil), b2.Bytes()...)
 		tampered[len(tampered)/2] ^= 0x01
-		if _, err := LoadDurable(bytes.NewReader(tampered), cfg); !errors.Is(err, ErrSnapshotCorrupted) {
+		if _, err := LoadDurable(bytes.NewReader(tampered), cfg, Options{}); !errors.Is(err, ErrSnapshotCorrupted) {
 			t.Errorf("tampered integrity snapshot: err = %v, want ErrSnapshotCorrupted", err)
 		}
 	})

@@ -1,27 +1,31 @@
 // Package mem implements the memory controller that sits between the
-// ORAM controller and the NVM devices: multi-channel address mapping over
-// the ORAM tree, a volatile posted-write buffer (used by non-persistent
-// schemes), and the ADR persistence domain of PS-ORAM — the Data-block
-// WPQ and PosMap WPQ fed by the Drainer with atomic start/end batch
-// semantics (paper §4.1, §4.2.2).
+// ORAM controller and the NVM devices. It is two things joined at a
+// seam, because crash behaviour needs only one of them:
 //
-// Two concerns are deliberately coupled here, because crash behaviour
-// couples them in hardware:
-//
-//   - timing: when does each read/write complete on the device;
-//   - durability: which functional mutations survive a power failure.
+//   - the persistence domain (this file): which functional mutations
+//     survive a power failure. Atomic WPQ batches fed by the Drainer
+//     with start/end signals (paper §4.1, §4.2.2), the undo journal of
+//     posted writes still in flight, and the Crash/DrainAll semantics;
+//   - a timing model (the model interface): when each read, write and
+//     queue admission completes. The domain consults it and never looks
+//     inside. New builds the paper's NVM model — multi-channel address
+//     mapping over the ORAM tree, nvm.Device bank scheduling, write
+//     buffer and WPQ occupancy (nvmmodel.go); NewUntimed builds one in
+//     which every completion equals its issue cycle and nothing is
+//     mapped or scheduled (untimed.go).
 //
 // Functional mutations are injected as apply/undo closures. Posted writes
 // apply immediately (the controller forwards from its write buffer) but
 // are undone if a crash strikes before their device completion. Batch
 // writes apply at commit (the "end" signal) and are durable from that
 // instant, matching the ADR guarantee that WPQ contents drain on power
-// fail; a batch never committed is discarded whole.
+// fail; a batch never committed is discarded whole. Atomicity and
+// ordering of batches do not depend on the model; only how long a posted
+// write stays exposed does (under the untimed model: not at all).
 package mem
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/config"
 	"repro/internal/nvm"
@@ -31,35 +35,51 @@ import (
 // Cycle is a point in time in core clock cycles.
 type Cycle uint64
 
-// Location is a fully resolved NVM location.
+// Location names a block-sized home in NVM in the ORAM's own
+// coordinates: a bucket of one of the trees sharing the devices, or an
+// entry of the trusted PosMap region. Mapping it to a channel, bank and
+// row is the timing model's business.
 type Location struct {
-	Channel int
-	Bank    int
-	Row     int64
+	region int32  // tree region (0 = data tree, 1..k = recursive PosMap trees) or posMapRegion
+	index  uint64 // bucket, or PosMap entry index
 }
 
-// Controller is the multi-channel NVM memory controller.
+const posMapRegion = -1
+
+// model is the timing side of the controller: it answers "when" and
+// holds no functional state. Every method takes the earliest cycle the
+// operation may issue and returns completion cycles.
+type model interface {
+	// read schedules n back-to-back reads of `bytes` bytes each at loc
+	// (the Z slots of a bucket share a location) and returns the last
+	// completion.
+	read(loc Location, n, bytes int, t Cycle) Cycle
+	// write schedules one device write and returns its completion.
+	write(loc Location, bytes int, t Cycle) Cycle
+	// post admits a block write to the volatile write buffer: the caller
+	// may continue at proceed (later than t only when the buffer is
+	// full); the device completes the write at done.
+	post(loc Location, t Cycle) (proceed, done Cycle)
+	// enqueue admits a committed batch's entries to their WPQs in order,
+	// scheduling the background drains, and returns the cycle by which
+	// all of them have entered.
+	enqueue(entries []batchEntry, t Cycle) Cycle
+	// powerFail forgets write-buffer and WPQ occupancy.
+	powerFail()
+	deviceStats() nvm.Stats
+}
+
+// Controller is the memory controller: the persistence domain over a
+// timing model.
 type Controller struct {
 	cfg      config.Config
-	devices  []*nvm.Device
-	ratio    Cycle // core cycles per NVM cycle
+	model    model
 	counters stats.Counters
 
-	// Volatile posted-write buffer (non-persistent path writes).
-	posted     postedHeap
-	postedCap  int
-	inFlight   []inFlightWrite // journal for crash undo
+	inFlight   []inFlightWrite // journal of posted writes, for crash undo
 	openBatch  *Batch
 	batchPool  Batch // reused by BeginBatch: one batch open at a time
 	numBatches uint64
-
-	// WPQ occupancy model: completion cycles of entries still draining.
-	dataWPQ   postedHeap
-	posMapWPQ postedHeap
-
-	// treeLoc memoizes TreeBlockLocation per bucket (location is a pure
-	// function of the bucket; grown on demand, capped at treeLocCacheMax).
-	treeLoc []Location
 
 	// Pre-resolved counter handles: these counters are bumped up to
 	// Z*(L+1) times per access, so the per-event map lookup matters.
@@ -75,91 +95,16 @@ type inFlightWrite struct {
 	undo func()
 }
 
-// postedHeap is a typed min-heap of completion cycles. container/heap
-// would box every Cycle into an interface value on Push/Pop — an
-// allocation per queue operation on the hot path — so the sift
-// primitives are implemented directly on the slice.
-type postedHeap []Cycle
+// New creates a controller over the timed NVM model, with cfg.Channels
+// devices.
+func New(cfg config.Config) *Controller { return newController(cfg, newNVMModel(cfg)) }
 
-func (h postedHeap) Len() int { return len(h) }
+// NewUntimed creates a controller over the untimed model: the same
+// persistence domain and traffic counters, no devices and no clock.
+func NewUntimed(cfg config.Config) *Controller { return newController(cfg, untimed{}) }
 
-func (h *postedHeap) push(x Cycle) {
-	q := append(*h, x)
-	*h = q
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent] <= q[i] {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-}
-
-func (h *postedHeap) pop() Cycle {
-	q := *h
-	n := len(q) - 1
-	x := q[0]
-	q[0] = q[n]
-	*h = q[:n]
-	q[:n].siftDown(0)
-	return x
-}
-
-func (h postedHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// reap removes every entry with completion <= now: a linear partition
-// of the survivors followed by an O(n) heapify, instead of popping the
-// expired entries one at a time (O(k log n)). The surviving multiset —
-// and therefore every later pop — is identical either way.
-func (h *postedHeap) reap(now Cycle) {
-	q := *h
-	if len(q) == 0 || q[0] > now {
-		return
-	}
-	kept := q[:0]
-	for _, x := range q {
-		if x > now {
-			kept = append(kept, x)
-		}
-	}
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		kept.siftDown(i)
-	}
-	*h = kept
-}
-
-// New creates a controller with cfg.Channels devices.
-func New(cfg config.Config) *Controller {
-	c := &Controller{
-		cfg:       cfg,
-		ratio:     Cycle(cfg.CoreCyclesPerNVMCycle()),
-		postedCap: cfg.WriteBufferEntries,
-		posted:    make(postedHeap, 0, cfg.WriteBufferEntries),
-		dataWPQ:   make(postedHeap, 0, cfg.DataWPQEntries),
-		posMapWPQ: make(postedHeap, 0, cfg.PosMapWPQEntries),
-	}
-	for i := 0; i < cfg.Channels; i++ {
-		c.devices = append(c.devices, nvm.NewDevice(cfg.NVM, cfg.BanksPerChannel, cfg.BlockBytes))
-	}
+func newController(cfg config.Config, m model) *Controller {
+	c := &Controller{cfg: cfg, model: m}
 	c.hNVMReads = c.counters.Handle("nvm.reads")
 	c.hNVMWrites = c.counters.Handle("nvm.writes")
 	c.hWPQData = c.counters.Handle("wpq.data.entries")
@@ -171,128 +116,47 @@ func New(cfg config.Config) *Controller {
 // Counters exposes the controller's metric registry.
 func (c *Controller) Counters() *stats.Counters { return &c.counters }
 
-// DeviceStats returns aggregate device statistics across channels.
-func (c *Controller) DeviceStats() nvm.Stats {
-	var agg nvm.Stats
-	for i, d := range c.devices {
-		s := d.Stats()
-		agg.Reads += s.Reads
-		agg.Writes += s.Writes
-		agg.BytesRead += s.BytesRead
-		agg.BytesWritten += s.BytesWritten
-		agg.EnergyReadPJ += s.EnergyReadPJ
-		agg.EnergyWritePJ += s.EnergyWritePJ
-		agg.RowBufferHits += s.RowBufferHits
-		agg.RowBufferMisses += s.RowBufferMisses
-		if s.LastCompletion > agg.LastCompletion {
-			agg.LastCompletion = s.LastCompletion
-		}
-		if i == 0 {
-			agg.MinBankWrites = s.MinBankWrites
-		}
-		if s.MaxBankWrites > agg.MaxBankWrites {
-			agg.MaxBankWrites = s.MaxBankWrites
-		}
-		if s.MinBankWrites < agg.MinBankWrites {
-			agg.MinBankWrites = s.MinBankWrites
-		}
-	}
-	return agg
-}
+// DeviceStats returns aggregate device statistics across channels (all
+// zero under the untimed model, which has no devices).
+func (c *Controller) DeviceStats() nvm.Stats { return c.model.deviceStats() }
 
-// toNVM converts core cycles to NVM cycles (floor).
-func (c *Controller) toNVM(t Cycle) nvm.Cycle { return nvm.Cycle(t / c.ratio) }
-
-// toCore converts NVM cycles to core cycles (ceiling to be conservative).
-func (c *Controller) toCore(t nvm.Cycle) Cycle { return Cycle(t) * c.ratio }
-
-// subtreeLevel is the tree level below which buckets are allocated by
-// subtree rather than round-robin: each level-8 subtree lives in one
-// channel's address region (contiguous allocations improve row locality,
-// which is how real ORAM memory allocators behave). The consequence —
-// the deep tail of every path lands on a single channel — is exactly the
-// "hard to allocate the memory accesses to each channel equally" effect
-// that saturates the paper's multi-channel scaling (§5.2.3).
-const subtreeLevel = 8
-
-// treeLocCacheMax bounds the memoized bucket→Location table: every data
-// tree in practice has far fewer buckets; anything beyond falls through
-// to the arithmetic path.
-const treeLocCacheMax = 1 << 20
-
-// TreeBlockLocation maps (bucket, slot) of the ORAM tree to a device
-// location. Shallow buckets interleave across channels round-robin; deep
-// buckets map by their level-8 subtree. The Z slots of one bucket share
-// a row, so reading a bucket enjoys row-buffer hits.
-//
-// The location depends only on the bucket, and the hot paths resolve it
-// Z times per bucket per access, so results memoize in a dense table
-// (the controller is single-threaded, like the rest of the model).
+// TreeBlockLocation names (bucket, slot) of the data ORAM tree. The Z
+// slots of one bucket share a location (and, on the device, a row).
 func (c *Controller) TreeBlockLocation(bucket uint64, slot int) Location {
-	if bucket < uint64(len(c.treeLoc)) {
-		return c.treeLoc[bucket]
-	}
-	loc := c.treeBlockLocationSlow(bucket)
-	if bucket < treeLocCacheMax {
-		for i := uint64(len(c.treeLoc)); i <= bucket; i++ {
-			c.treeLoc = append(c.treeLoc, c.treeBlockLocationSlow(i))
-		}
-	}
-	return loc
-}
-
-func (c *Controller) treeBlockLocationSlow(bucket uint64) Location {
-	channels := uint64(len(c.devices))
-	var ch uint64
-	if lvl := bits.Len64(bucket+1) - 1; lvl < subtreeLevel {
-		ch = bucket % channels
-	} else {
-		ancestor := (bucket+1)>>(uint(lvl-subtreeLevel)) - 1
-		ch = ancestor % channels
-	}
-	perCh := bucket / channels
-	bank := int(perCh % uint64(c.cfg.BanksPerChannel))
-	row := int64(perCh / uint64(c.cfg.BanksPerChannel))
-	return Location{Channel: int(ch), Bank: bank, Row: row}
+	return Location{index: bucket}
 }
 
 // RegionTreeLocation is TreeBlockLocation for one of several ORAM trees
 // sharing the devices: region 0 is the data tree, regions 1..k hold the
-// recursive PosMap trees. Regions are separated in the row address space
-// (they are distinct NVM allocations).
+// recursive PosMap trees.
 func (c *Controller) RegionTreeLocation(region int, bucket uint64, slot int) Location {
-	loc := c.TreeBlockLocation(bucket, slot)
-	loc.Row += int64(region) << 44
-	return loc
+	return Location{region: int32(region), index: bucket}
 }
 
-// PosMapLocation maps a PosMap entry index to its home in the trusted
-// PosMap region of NVM. The region lives past the tree rows (row offset
-// 1<<40) and packs entries so that one block row holds BlockBytes /
-// PosMapEntryBytes entries.
+// PosMapLocation names a PosMap entry's home in the trusted PosMap
+// region of NVM.
 func (c *Controller) PosMapLocation(entry uint64) Location {
-	perRow := uint64(c.cfg.BlockBytes / c.cfg.PosMapEntryBytes)
-	rowIdx := entry / perRow
-	ch := int(rowIdx % uint64(len(c.devices)))
-	perCh := rowIdx / uint64(len(c.devices))
-	bank := int(perCh % uint64(c.cfg.BanksPerChannel))
-	row := int64(perCh/uint64(c.cfg.BanksPerChannel)) + (1 << 40)
-	return Location{Channel: ch, Bank: bank, Row: row}
+	return Location{region: posMapRegion, index: entry}
 }
 
-// ReadBlock performs a timed block read at loc, no earlier than earliest,
-// and returns its completion in core cycles.
+// ReadBlock performs a block read at loc, no earlier than earliest, and
+// returns its completion in core cycles.
 func (c *Controller) ReadBlock(loc Location, earliest Cycle) Cycle {
-	comp := c.devices[loc.Channel].Schedule(nvm.Read, loc.Bank, loc.Row, c.toNVM(earliest))
 	*c.hNVMReads++
-	return c.toCore(comp.Done)
+	return c.model.read(loc, 1, c.cfg.BlockBytes, earliest)
 }
 
-// ReadBytes performs a timed partial read (e.g. one PosMap entry).
+// ReadBucket reads all Z slots of the bucket at loc and returns the last
+// completion.
+func (c *Controller) ReadBucket(loc Location, earliest Cycle) Cycle {
+	*c.hNVMReads += int64(c.cfg.Z)
+	return c.model.read(loc, c.cfg.Z, c.cfg.BlockBytes, earliest)
+}
+
+// ReadBytes performs a partial read (e.g. one PosMap entry).
 func (c *Controller) ReadBytes(loc Location, earliest Cycle, bytes int) Cycle {
-	comp := c.devices[loc.Channel].ScheduleBytes(nvm.Read, loc.Bank, loc.Row, c.toNVM(earliest), bytes)
 	*c.hNVMReads++
-	return c.toCore(comp.Done)
+	return c.model.read(loc, 1, bytes, earliest)
 }
 
 // WriteBlockPosted issues a block write through the volatile write
@@ -301,24 +165,9 @@ func (c *Controller) ReadBytes(loc Location, earliest Cycle, bytes int) Cycle {
 // immediately (write-buffer forwarding) and must return an undo closure.
 // Returns the cycle at which the caller may proceed.
 func (c *Controller) WriteBlockPosted(loc Location, earliest Cycle, apply func() (undo func())) Cycle {
-	proceed := earliest
-	// Stall if the volatile buffer is full of writes that are still
-	// draining at `earliest`.
-	c.reapPosted(earliest)
-	for c.posted.Len() >= c.postedCap {
-		oldest := c.posted.pop()
-		if oldest > proceed {
-			proceed = oldest
-		}
-	}
-	comp := c.devices[loc.Channel].Schedule(nvm.Write, loc.Bank, loc.Row, c.toNVM(proceed))
-	done := c.toCore(comp.Done)
-	c.posted.push(done)
-	*c.hNVMWrites++
-	if apply != nil {
-		undo := apply()
-		c.inFlight = append(c.inFlight, inFlightWrite{done: done, undo: undo})
-	}
+	c.reapJournal(earliest)
+	proceed, done := c.model.post(loc, earliest)
+	c.journal(done, apply)
 	return proceed
 }
 
@@ -326,31 +175,28 @@ func (c *Controller) WriteBlockPosted(loc Location, earliest Cycle, apply func()
 // device completes it. apply (optional) is run immediately and is durable
 // at the returned cycle; it is undone on a crash before then.
 func (c *Controller) WriteBlockSync(loc Location, earliest Cycle, apply func() (undo func())) Cycle {
-	comp := c.devices[loc.Channel].Schedule(nvm.Write, loc.Bank, loc.Row, c.toNVM(earliest))
-	done := c.toCore(comp.Done)
-	*c.hNVMWrites++
-	if apply != nil {
-		undo := apply()
-		c.inFlight = append(c.inFlight, inFlightWrite{done: done, undo: undo})
-	}
-	return done
+	return c.WriteBytesSync(loc, earliest, c.cfg.BlockBytes, apply)
 }
 
 // WriteBytesSync is WriteBlockSync for a partial write (PosMap entry).
 func (c *Controller) WriteBytesSync(loc Location, earliest Cycle, bytes int, apply func() (undo func())) Cycle {
-	comp := c.devices[loc.Channel].ScheduleBytes(nvm.Write, loc.Bank, loc.Row, c.toNVM(earliest), bytes)
-	done := c.toCore(comp.Done)
-	*c.hNVMWrites++
-	if apply != nil {
-		undo := apply()
-		c.inFlight = append(c.inFlight, inFlightWrite{done: done, undo: undo})
-	}
+	done := c.model.write(loc, bytes, earliest)
+	c.journal(done, apply)
 	return done
 }
 
-func (c *Controller) reapPosted(now Cycle) {
-	c.posted.reap(now)
-	// Drop journal entries whose writes have completed; they are durable.
+// journal counts one device write completing at done and, when it
+// carries a functional mutation, applies it and records its undo.
+func (c *Controller) journal(done Cycle, apply func() (undo func())) {
+	*c.hNVMWrites++
+	if apply != nil {
+		c.inFlight = append(c.inFlight, inFlightWrite{done: done, undo: apply()})
+	}
+}
+
+// reapJournal drops journal entries whose writes have completed; they
+// are durable.
+func (c *Controller) reapJournal(now Cycle) {
 	kept := c.inFlight[:0]
 	for _, w := range c.inFlight {
 		if w.done > now {
@@ -361,7 +207,7 @@ func (c *Controller) reapPosted(now Cycle) {
 }
 
 // ---------------------------------------------------------------------
-// Persistence domain: Drainer + WPQs (§4.1, §4.2.2)
+// Drainer + WPQs (§4.1, §4.2.2)
 // ---------------------------------------------------------------------
 
 // EntryKind distinguishes the two WPQs.
@@ -406,6 +252,7 @@ type Applier interface {
 type Batch struct {
 	c       *Controller
 	entries []batchEntry
+	nData   int // entries bound for the data WPQ (the rest are PosMap)
 	applier Applier
 	done    bool
 }
@@ -427,30 +274,37 @@ func (c *Controller) BeginBatch() *Batch {
 	b := &c.batchPool
 	b.c = c
 	b.entries = b.entries[:0]
+	b.nData = 0
 	b.applier = nil
 	b.done = false
 	c.openBatch = b
 	return b
 }
 
+// add stages one entry, keeping the per-WPQ tally Commit checks.
+func (b *Batch) add(e batchEntry) {
+	b.mustOpen()
+	if e.kind == DataEntry {
+		b.nData++
+	}
+	b.entries = append(b.entries, e)
+}
+
 // AddData stages a data-block write into the batch.
 func (b *Batch) AddData(loc Location, apply func()) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, apply: apply})
+	b.add(batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, apply: apply})
 }
 
 // AddDataTagged stages a data-block write applied at commit by the
 // batch's Applier (closure-free AddData).
 func (b *Batch) AddDataTagged(loc Location, tag int) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, tagged: true, tag: tag})
+	b.add(batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, tagged: true, tag: tag})
 }
 
 // AddPosMapTagged stages a PosMap-entry write applied at commit by the
 // batch's Applier (closure-free AddPosMap).
 func (b *Batch) AddPosMapTagged(loc Location, tag int) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.PosMapEntryBytes, tagged: true, tag: tag})
+	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.PosMapEntryBytes, tagged: true, tag: tag})
 }
 
 // AddDataApplied stages a data-block write whose functional mutation has
@@ -459,29 +313,25 @@ func (b *Batch) AddPosMapTagged(loc Location, tag int) {
 // lost to a crash. Atomicity is unchanged: either the whole batch
 // commits, or every immediate mutation is undone.
 func (b *Batch) AddDataApplied(loc Location, undo func()) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, undo: undo})
+	b.add(batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, undo: undo})
 }
 
 // AddPosMapBlockApplied is AddDataApplied for the PosMap WPQ (recursive
 // posmap-tree path blocks).
 func (b *Batch) AddPosMapBlockApplied(loc Location, undo func()) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.BlockBytes, undo: undo})
+	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.BlockBytes, undo: undo})
 }
 
 // AddPosMap stages a PosMap-entry write into the batch.
 func (b *Batch) AddPosMap(loc Location, apply func()) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.PosMapEntryBytes, apply: apply})
+	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.PosMapEntryBytes, apply: apply})
 }
 
 // AddPosMapBlock stages a full posmap-ORAM block write into the PosMap
 // WPQ (recursive schemes write the PosMap back "in a tree organization",
 // so the queue carries whole path blocks rather than single entries).
 func (b *Batch) AddPosMapBlock(loc Location, apply func()) {
-	b.mustOpen()
-	b.entries = append(b.entries, batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.BlockBytes, apply: apply})
+	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.BlockBytes, apply: apply})
 }
 
 func (b *Batch) mustOpen() {
@@ -490,19 +340,11 @@ func (b *Batch) mustOpen() {
 	}
 }
 
-// DataCount and PosMapCount report staged entries per WPQ.
-func (b *Batch) DataCount() int {
-	n := 0
-	for _, e := range b.entries {
-		if e.kind == DataEntry {
-			n++
-		}
-	}
-	return n
-}
+// DataCount reports staged data-WPQ entries.
+func (b *Batch) DataCount() int { return b.nData }
 
-// PosMapCount reports staged PosMap entries.
-func (b *Batch) PosMapCount() int { return len(b.entries) - b.DataCount() }
+// PosMapCount reports staged PosMap-WPQ entries.
+func (b *Batch) PosMapCount() int { return len(b.entries) - b.nData }
 
 // ErrWPQOverflow reports a batch exceeding a WPQ's capacity; the caller
 // (the ORAM controller) must use the ordered small-WPQ eviction instead.
@@ -524,43 +366,34 @@ func (e ErrWPQOverflow) Error() string {
 // applies run immediately. The returned cycle is when the ORAM controller
 // may proceed: entries must have *entered* the WPQs by then, which stalls
 // on WPQ free slots (drains to NVM continue in the background and are
-// accounted on the devices).
+// accounted on the devices). A batch that cannot fit a WPQ is refused
+// whatever the model: that is the domain's capacity, not its timing.
 func (b *Batch) Commit(earliest Cycle) (Cycle, error) {
 	b.mustOpen()
-	if n := b.DataCount(); n > b.c.cfg.DataWPQEntries {
-		return 0, ErrWPQOverflow{Kind: DataEntry, Need: n, Cap: b.c.cfg.DataWPQEntries}
+	c := b.c
+	nData, nPosMap := b.DataCount(), b.PosMapCount()
+	if nData > c.cfg.DataWPQEntries {
+		return 0, ErrWPQOverflow{Kind: DataEntry, Need: nData, Cap: c.cfg.DataWPQEntries}
 	}
-	if n := b.PosMapCount(); n > b.c.cfg.PosMapWPQEntries {
-		return 0, ErrWPQOverflow{Kind: PosMapEntry, Need: n, Cap: b.c.cfg.PosMapWPQEntries}
+	if nPosMap > c.cfg.PosMapWPQEntries {
+		return 0, ErrWPQOverflow{Kind: PosMapEntry, Need: nPosMap, Cap: c.cfg.PosMapWPQEntries}
 	}
-	proceed := earliest
-	for _, e := range b.entries {
-		var q *postedHeap
-		var capacity int
-		if e.kind == DataEntry {
-			q, capacity = &b.c.dataWPQ, b.c.cfg.DataWPQEntries
-			*b.c.hWPQData++
-		} else {
-			q, capacity = &b.c.posMapWPQ, b.c.cfg.PosMapWPQEntries
-			*b.c.hWPQPosMap++
-		}
-		// Reap entries already drained, then free a slot if the queue
-		// is still full: wait for the oldest drain.
-		q.reap(proceed)
-		for q.Len() >= capacity {
-			oldest := q.pop()
-			if oldest > proceed {
-				proceed = oldest
-			}
-		}
-		// Schedule the background drain to NVM.
-		var comp nvm.Completion
-		dev := b.c.devices[e.loc.Channel]
-		comp = dev.ScheduleBytes(nvm.Write, e.loc.Bank, e.loc.Row, b.c.toNVM(proceed), e.bytes)
-		q.push(b.c.toCore(comp.Done))
-		*b.c.hNVMWrites++
-	}
+	proceed := c.model.enqueue(b.entries, earliest)
+	*c.hWPQData += int64(nData)
+	*c.hWPQPosMap += int64(nPosMap)
+	*c.hNVMWrites += int64(len(b.entries))
 	// Durability point: "end" signal received by both WPQs.
+	b.applyAll()
+	b.done = true
+	b.applier = nil
+	c.openBatch = nil
+	c.numBatches++
+	*c.hWPQBatches++
+	return proceed, nil
+}
+
+// applyAll runs every staged entry's functional mutation, in order.
+func (b *Batch) applyAll() {
 	for i := range b.entries {
 		e := &b.entries[i]
 		if e.tagged {
@@ -569,12 +402,6 @@ func (b *Batch) Commit(earliest Cycle) (Cycle, error) {
 			e.apply()
 		}
 	}
-	b.done = true
-	b.applier = nil
-	b.c.openBatch = nil
-	b.c.numBatches++
-	*b.c.hWPQBatches++
-	return proceed, nil
 }
 
 // Abandon drops an uncommitted batch (used on simulated crash),
@@ -605,21 +432,12 @@ func (b *Batch) Abandon() {
 // staged entries are likewise flushed and applied. Contrast with Crash.
 func (c *Controller) DrainAll() {
 	c.inFlight = c.inFlight[:0]
-	c.posted = c.posted[:0]
 	if c.openBatch != nil {
-		for i := range c.openBatch.entries {
-			e := &c.openBatch.entries[i]
-			if e.tagged {
-				c.openBatch.applier.ApplyEntry(e.tag)
-			} else if e.apply != nil {
-				e.apply()
-			}
-		}
+		c.openBatch.applyAll()
 		c.openBatch.Abandon()
 		c.counters.Inc("crash.drained_batches")
 	}
-	c.dataWPQ = c.dataWPQ[:0]
-	c.posMapWPQ = c.posMapWPQ[:0]
+	c.model.powerFail()
 }
 
 // Crash simulates a power failure at cycle `now`: posted writes whose
@@ -638,11 +456,9 @@ func (c *Controller) Crash(now Cycle) {
 		}
 	}
 	c.inFlight = c.inFlight[:0]
-	c.posted = c.posted[:0]
 	if c.openBatch != nil {
 		c.openBatch.Abandon()
 		c.counters.Inc("crash.discarded_batches")
 	}
-	c.dataWPQ = c.dataWPQ[:0]
-	c.posMapWPQ = c.posMapWPQ[:0]
+	c.model.powerFail()
 }

@@ -13,15 +13,20 @@ func testCfg(channels int) config.Config {
 	return c
 }
 
+// resolved maps loc the way c's NVM model does.
+func resolved(c *Controller, loc Location) address {
+	return c.model.(*nvmModel).resolve(loc)
+}
+
 func TestTreeBlockLocationInterleaving(t *testing.T) {
 	c := New(testCfg(4))
 	seen := map[int]bool{}
 	for b := uint64(0); b < 16; b++ {
-		loc := c.TreeBlockLocation(b, 0)
-		if loc.Channel != int(b%4) {
-			t.Errorf("bucket %d on channel %d, want %d", b, loc.Channel, b%4)
+		a := resolved(c, c.TreeBlockLocation(b, 0))
+		if a.channel != int(b%4) {
+			t.Errorf("bucket %d on channel %d, want %d", b, a.channel, b%4)
 		}
-		seen[loc.Channel] = true
+		seen[a.channel] = true
 	}
 	if len(seen) != 4 {
 		t.Errorf("buckets only touched %d channels", len(seen))
@@ -43,13 +48,13 @@ func TestBucketSlotsShareRow(t *testing.T) {
 
 func TestPosMapRegionDistinctFromTree(t *testing.T) {
 	c := New(testCfg(2))
-	tree := c.TreeBlockLocation(0, 0)
-	pm := c.PosMapLocation(0)
-	if tree.Channel == pm.Channel && tree.Bank == pm.Bank && tree.Row == pm.Row {
+	tree := resolved(c, c.TreeBlockLocation(0, 0))
+	pm := resolved(c, c.PosMapLocation(0))
+	if tree == pm {
 		t.Errorf("posmap region overlaps tree region")
 	}
-	if pm.Row < 1<<40 {
-		t.Errorf("posmap rows should live in the high region, got %d", pm.Row)
+	if pm.row < 1<<40 {
+		t.Errorf("posmap rows should live in the high region, got %d", pm.row)
 	}
 }
 
@@ -57,10 +62,10 @@ func TestPosMapEntriesPacked(t *testing.T) {
 	cfg := testCfg(1)
 	c := New(cfg)
 	perRow := uint64(cfg.BlockBytes / cfg.PosMapEntryBytes)
-	if c.PosMapLocation(0) != c.PosMapLocation(perRow-1) {
-		t.Errorf("entries within one row should share a location")
+	if resolved(c, c.PosMapLocation(0)) != resolved(c, c.PosMapLocation(perRow-1)) {
+		t.Errorf("entries within one row should share an address")
 	}
-	if c.PosMapLocation(0) == c.PosMapLocation(perRow) {
+	if resolved(c, c.PosMapLocation(0)) == resolved(c, c.PosMapLocation(perRow)) {
 		t.Errorf("entries across rows should differ")
 	}
 }
@@ -316,13 +321,13 @@ func TestDeviceStatsAggregation(t *testing.T) {
 
 func TestRegionTreeLocationsDisjoint(t *testing.T) {
 	c := New(testCfg(2))
-	a := c.RegionTreeLocation(0, 5, 1)
-	b := c.RegionTreeLocation(1, 5, 1)
-	d := c.RegionTreeLocation(2, 5, 1)
-	if a.Row == b.Row || b.Row == d.Row {
+	a := resolved(c, c.RegionTreeLocation(0, 5, 1))
+	b := resolved(c, c.RegionTreeLocation(1, 5, 1))
+	d := resolved(c, c.RegionTreeLocation(2, 5, 1))
+	if a.row == b.row || b.row == d.row {
 		t.Fatal("tree regions overlap in the row space")
 	}
-	if a.Channel != b.Channel || a.Bank != b.Bank {
+	if a.channel != b.channel || a.bank != b.bank {
 		t.Fatal("region offset should only move rows")
 	}
 }
@@ -336,11 +341,11 @@ func TestSubtreeChannelMapping(t *testing.T) {
 	deep = 1<<11 - 1          // first bucket of level 10 (cap at level>=8 rule)
 	left := 2*deep + 1
 	right := 2*deep + 2
-	if c.TreeBlockLocation(left, 0).Channel != c.TreeBlockLocation(right, 0).Channel {
+	if resolved(c, c.TreeBlockLocation(left, 0)).channel != resolved(c, c.TreeBlockLocation(right, 0)).channel {
 		t.Fatal("children of a deep bucket should share their subtree's channel")
 	}
 	// Shallow buckets interleave.
-	if c.TreeBlockLocation(1, 0).Channel == c.TreeBlockLocation(2, 0).Channel {
+	if resolved(c, c.TreeBlockLocation(1, 0)).channel == resolved(c, c.TreeBlockLocation(2, 0)).channel {
 		t.Fatal("shallow buckets should round-robin channels")
 	}
 }
@@ -408,5 +413,90 @@ func TestCrashIsolation(t *testing.T) {
 	}
 	if v2 != "old" {
 		t.Fatal("in-flight write survived")
+	}
+}
+
+// The untimed model keeps the persistence domain and drops the clock:
+// every completion is the issue cycle, traffic is still counted, and no
+// device exists to schedule on.
+func TestUntimedCompletesAtIssue(t *testing.T) {
+	cfg := testCfg(2)
+	cfg.WriteBufferEntries = 1
+	c := NewUntimed(cfg)
+	if _, ok := c.model.(untimed); !ok {
+		t.Fatalf("NewUntimed built a %T", c.model)
+	}
+	loc := c.TreeBlockLocation(3, 0)
+	if d := c.ReadBlock(loc, 70); d != 70 {
+		t.Errorf("read completed at %d, want the issue cycle 70", d)
+	}
+	if d := c.ReadBucket(loc, 71); d != 71 {
+		t.Errorf("bucket read completed at %d, want 71", d)
+	}
+	if d := c.WriteBlockSync(loc, 72, nil); d != 72 {
+		t.Errorf("sync write completed at %d, want 72", d)
+	}
+	for i := 0; i < 3; i++ { // a one-entry write buffer that never fills
+		if p := c.WriteBlockPosted(loc, 73, nil); p != 73 {
+			t.Errorf("posted write %d let the caller proceed at %d, want 73", i, p)
+		}
+	}
+	b := c.BeginBatch()
+	b.AddData(loc, nil)
+	b.AddPosMap(c.PosMapLocation(9), nil)
+	if d, err := b.Commit(74); err != nil || d != 74 {
+		t.Errorf("commit returned %d, %v; want 74, nil", d, err)
+	}
+	want := map[string]int64{"nvm.reads": int64(1 + cfg.Z), "nvm.writes": 6,
+		"wpq.data.entries": 1, "wpq.posmap.entries": 1, "wpq.batches": 1}
+	for name, n := range want {
+		if got := c.Counters().Get(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+	if s := c.DeviceStats(); s.Reads != 0 || s.Writes != 0 {
+		t.Errorf("the untimed model reports device traffic: %+v", s)
+	}
+}
+
+// With a zero-latency device a posted write is durable the cycle it
+// issues; batch atomicity and the WPQ capacity check are the domain's
+// and hold as under the timed model.
+func TestUntimedPersistenceDomain(t *testing.T) {
+	cfg := testCfg(1)
+	cfg.DataWPQEntries = 2
+	c := NewUntimed(cfg)
+	loc := c.TreeBlockLocation(0, 0)
+
+	posted, staged := "old", 0
+	c.WriteBlockPosted(loc, 5, func() func() { posted = "new"; return func() { posted = "old" } })
+	open := c.BeginBatch()
+	open.AddData(loc, func() { staged = 1 })
+	c.Crash(5)
+	if posted != "new" {
+		t.Error("a crash rolled back a posted write that had completed")
+	}
+	if staged != 0 || c.Counters().Get("crash.discarded_batches") != 1 {
+		t.Error("a crash must discard the open batch whole")
+	}
+
+	over := c.BeginBatch()
+	for i := uint64(0); i < 3; i++ {
+		over.AddData(c.TreeBlockLocation(i, 0), nil)
+	}
+	var overflow ErrWPQOverflow
+	if _, err := over.Commit(6); !errors.As(err, &overflow) || overflow.Need != 3 || overflow.Cap != 2 {
+		t.Errorf("a 3-entry batch into a 2-entry WPQ returned %v", err)
+	}
+	over.Abandon()
+
+	b := c.BeginBatch()
+	b.AddData(loc, func() { staged = 2 })
+	if _, err := b.Commit(7); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(7)
+	if staged != 2 {
+		t.Error("a committed batch must survive a crash")
 	}
 }

@@ -145,11 +145,15 @@ func NewTarget(p Params) (Target, error) {
 				cfg.DataWPQEntries = need
 			}
 		}
+		// Targets are judged on values, leaves, durable state and
+		// counters, none of which depend on device timing: build the
+		// controller over the untimed memory model.
 		copts := core.Options{
 			NumBlocks:     p.NumBlocks,
 			Levels:        p.Levels,
 			CryptoWorkers: p.CryptoWorkers,
 			GroupCommit:   core.GroupCommit{MaxOps: p.GroupCommitOps, MaxDelay: p.GroupCommitDelay},
+			Untimed:       true,
 		}
 		if p.StoreDir != "" {
 			ctl, _, err := core.NewDurable(p.Scheme, cfg, copts, p.StoreDir)
@@ -212,8 +216,10 @@ func (t *coreTarget) Recover() error { return t.ctl.Recover() }
 // the serving layer closes file-backed shards through this).
 func (t *coreTarget) Close() error { return t.ctl.Close() }
 
-// Cycles reports the controller's simulated clock, letting callers (the
-// serving layer's latency histograms) price accesses in simulated cycles.
+// Cycles reports the controller's cycle cursor. Targets run over the
+// untimed memory model, so it starts at 0, advances only by the fixed
+// crypto latencies and measures nothing; it stays because the
+// benchmark's backend wrapper forwards it.
 func (t *coreTarget) Cycles() uint64 { return uint64(t.ctl.Now()) }
 
 // SaveDurable serializes the controller's durable NVM image — exactly
@@ -291,10 +297,6 @@ func (t *ringTarget) Arm(fire func(CrashSpec) bool) {
 
 func (t *ringTarget) Recover() error { return t.ctl.Recover() }
 
-// Cycles: the functional Ring controller has no timing model; report 0
-// so cycle-based latency stats degrade gracefully.
-func (t *ringTarget) Cycles() uint64 { return 0 }
-
 // --- NonORAM adapter: a plain store, no tree, no crash model ---
 
 type plainTarget struct {
@@ -338,6 +340,3 @@ func (t *plainTarget) Invariants() []error { return nil }
 // Recover is a no-op: the plain store has no crash model, but providing
 // it lets NonORAM satisfy the serving layer's recoverable-backend shape.
 func (t *plainTarget) Recover() error { return nil }
-
-// Cycles: no timing model.
-func (t *plainTarget) Cycles() uint64 { return 0 }

@@ -171,3 +171,42 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 		t.Fatalf("placed %d blocks, want 3", n)
 	}
 }
+
+// wrappedStorage stands in for a durable backend: anything that is not
+// the in-memory default.
+type wrappedStorage struct{ Storage }
+
+// Deferred seals are queued for the persist-time barrier only when a
+// durable backend will run it: an in-memory image's pending list stays
+// empty however many slots are written lazily, while a durable one
+// queues each slot once and drains at MaterializePending.
+func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
+	e := testEngine()
+	tree := NewTree(3, 2)
+	writeAll := func(img *Image) {
+		for round := 0; round < 3; round++ {
+			for b := uint64(0); b < tree.Buckets(); b++ {
+				img.PutLazyDummy(b, 0, 1, 2)
+				img.PutLazyBlock(b, 1, 3, 4, Block{Addr: Addr(b), Data: make([]byte, 64)})
+			}
+		}
+	}
+
+	mem := NewImage(tree, e, 64, testIVs())
+	mem.EnableLazySeal(e)
+	writeAll(mem)
+	if len(mem.pending) != 0 {
+		t.Fatalf("in-memory image queued %d deferred seals nobody drains", len(mem.pending))
+	}
+
+	dur := NewImageInto(wrappedStorage{newMemStorage(tree)}, tree, e, 64, testIVs())
+	dur.EnableLazySeal(e)
+	writeAll(dur)
+	if want := int(tree.Buckets()) * 2; len(dur.pending) != want {
+		t.Fatalf("durable image queued %d deferred seals, want one per written slot (%d)", len(dur.pending), want)
+	}
+	dur.MaterializePending()
+	if len(dur.pending) != 0 {
+		t.Fatalf("barrier left %d deferred seals queued", len(dur.pending))
+	}
+}

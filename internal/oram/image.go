@@ -29,11 +29,17 @@ type Image struct {
 	// (snapshots, integrity checks, equivalence tests). The protocol's
 	// IV/version streams, and therefore every observable ciphertext, are
 	// unchanged.
-	lazy    bool
-	engine  *cryptoeng.Engine
-	plain   []plainSlot // bucket*Z+z; live entries shadow the store
-	seq     []uint64    // per-bucket write sequence (prefetch invalidation)
-	pending []uint64    // slot indices with a queued deferred seal (see MaterializePending)
+	lazy   bool
+	engine *cryptoeng.Engine
+	plain  []plainSlot // bucket*Z+z; live entries shadow the store
+	seq    []uint64    // per-bucket write sequence (prefetch invalidation)
+	// pending lists the slots with a queued deferred seal for the
+	// persist-time barrier (MaterializePending). Only a durable backend
+	// runs that barrier, so slots are queued only when barrier is set:
+	// an in-memory image would add every slot's first lazy write to the
+	// list and never drain it.
+	barrier bool
+	pending []uint64
 }
 
 // plainSlot is one deferred seal: what the slot's ciphertext WILL be.
@@ -91,6 +97,8 @@ func (img *Image) Storage() Storage { return img.store }
 func (img *Image) EnableLazySeal(e *cryptoeng.Engine) {
 	img.lazy = true
 	img.engine = e
+	_, inMemory := img.store.(*memStorage)
+	img.barrier = !inMemory
 	img.plain = make([]plainSlot, img.Tree.Buckets()*uint64(img.Tree.Z))
 	img.seq = make([]uint64, img.Tree.Buckets())
 }
@@ -159,7 +167,7 @@ func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
 }
 
 func (img *Image) enqueue(ps *plainSlot, bucket uint64, z int) {
-	if !ps.queued {
+	if img.barrier && !ps.queued {
 		ps.queued = true
 		img.pending = append(img.pending, bucket*uint64(img.Tree.Z)+uint64(z))
 	}

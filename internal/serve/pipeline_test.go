@@ -466,6 +466,22 @@ func TestStageHistogramsPopulated(t *testing.T) {
 	if total == 0 {
 		t.Error("stage histograms observed nothing across 64 accesses")
 	}
+	// An access's service time is the sum of its stage times, in wall
+	// nanoseconds; the mean is additive, so the two must agree.
+	for s, sh := range st.Shards {
+		var stages float64
+		for _, stage := range sh.Stages {
+			stages += stage.MeanNs
+		}
+		if sh.ServiceMeanNs == 0 || sh.ServiceP50Ns == 0 || sh.ServiceP99Ns < sh.ServiceP50Ns || sh.ServiceMaxNs < sh.ServiceP99Ns {
+			t.Errorf("shard %d service time not populated: %+v", s, sh)
+		}
+		// A stage that took 0 ns in some access is left out of its
+		// histogram, which can only raise that stage's mean.
+		if sh.ServiceMeanNs > stages*1.001 {
+			t.Errorf("shard %d: mean service time %.0f ns exceeds the summed stage means %.0f ns", s, sh.ServiceMeanNs, stages)
+		}
+	}
 	if st.StageTable() == nil {
 		t.Error("StageTable returned nil for a pool with stage data")
 	}

@@ -179,7 +179,7 @@ func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]
 			if err := sn.SaveDurable(&buf); err != nil {
 				return fmt.Errorf("snapshot: %w", err)
 			}
-			ctl, err := core.LoadDurable(&buf, sn.SnapshotConfig())
+			ctl, err := core.LoadDurable(&buf, sn.SnapshotConfig(), core.Options{Untimed: true})
 			if err != nil {
 				return fmt.Errorf("snapshot load: %w", err)
 			}

@@ -81,11 +81,6 @@ type Backend interface {
 	Recover() error
 }
 
-// clocked is the optional backend facet pricing accesses in simulated
-// cycles (the core controllers implement it; the functional Ring and
-// plain stores do not, and their latencies record as zero).
-type clocked interface{ Cycles() uint64 }
-
 // prefetcher is the optional backend facet for protocol pipelining: the
 // worker calls Prefetch for the next queued request while the current
 // one is still in its eviction/seal tail, so the next access starts
@@ -96,7 +91,9 @@ type prefetcher interface{ Prefetch(addr oram.Addr) }
 // staged is the optional backend facet exposing cumulative per-stage
 // wall time (load / crypto / evict / seal / persist); the worker
 // differences snapshots around each access to feed the stage
-// histograms.
+// histograms, and the sum of one access's differences is its service
+// time (the core controllers implement it; the functional Ring and
+// plain stores do not, and their service times record nothing).
 type staged interface{ StageNanos() [5]int64 }
 
 // stageNames labels the staged facet's indices (mirrors core.StageNames
@@ -344,7 +341,6 @@ type shard struct {
 	id       int
 	blocks   uint64 // local block count (stats)
 	backend  Backend
-	clock    clocked    // nil when the backend has no cycle clock
 	prefetch prefetcher // nil when pipelining is off or unsupported
 	stages   staged     // nil when the backend has no stage clock
 	grouped  grouped    // nil when group commit is off or unsupported
@@ -380,7 +376,7 @@ type shard struct {
 	flushes    stats.PaddedUint64 // group persist barriers run (group commit)
 
 	mu        sync.Mutex
-	latency   stats.Histogram    // per-access service time, simulated cycles
+	serviceNs stats.Histogram    // per-access wall ns inside the backend (sum of the stages)
 	batch     stats.Histogram    // requests coalesced per protocol round
 	stageHist [5]stats.Histogram // per-access wall ns per protocol stage
 	groupHist stats.Histogram    // accesses covered per group persist barrier
@@ -511,7 +507,6 @@ func (p *Pool) newShard(id int, b Backend) *shard {
 		queue:   make(chan *request, p.opts.QueueDepth),
 		done:    make(chan struct{}),
 	}
-	sh.clock, _ = b.(clocked)
 	sh.stages, _ = b.(staged)
 	if p.opts.PipelineDepth > 1 {
 		sh.prefetch, _ = b.(prefetcher)
@@ -701,10 +696,6 @@ func (p *Pool) execute(sh *shard, r *request, cc *combineCap) {
 	var resp response
 	switch r.kind {
 	case kindAccess:
-		start := uint64(0)
-		if sh.clock != nil {
-			start = sh.clock.Cycles()
-		}
 		v, leaf, err := sh.backend.Access(r.op, r.addr, r.data)
 		if errors.Is(err, oracle.ErrCrashed) {
 			sh.crashes.Add(1)
@@ -730,20 +721,18 @@ func (p *Pool) execute(sh *shard, r *request, cc *combineCap) {
 				cc.leaf = leaf
 				cc.ok = true
 			}
-			if sh.clock != nil || sh.stages != nil {
+			if sh.stages != nil {
+				now := sh.stages.StageNanos()
+				var service int64
 				sh.mu.Lock()
-				if sh.clock != nil {
-					sh.latency.Observe(sh.clock.Cycles() - start)
-				}
-				if sh.stages != nil {
-					now := sh.stages.StageNanos()
-					for k := range now {
-						if d := now[k] - sh.stageLast[k]; d > 0 {
-							sh.stageHist[k].Observe(uint64(d))
-						}
-						sh.stageLast[k] = now[k]
+				for k := range now {
+					if d := now[k] - sh.stageLast[k]; d > 0 {
+						sh.stageHist[k].Observe(uint64(d))
+						service += d
 					}
+					sh.stageLast[k] = now[k]
 				}
+				sh.serviceNs.Observe(uint64(service))
 				sh.mu.Unlock()
 			}
 		}

@@ -352,10 +352,13 @@ func TestShardRoutingDeterminism(t *testing.T) {
 
 // blockingBackend is a test backend whose accesses park on a gate, so
 // tests can hold a shard's worker busy and fill its queue at will.
+// parked, when set (buffered), is signalled as an access parks: the
+// worker has dequeued that request and is inside Access.
 type blockingBackend struct {
-	n    uint64
-	bb   int
-	gate chan struct{}
+	n      uint64
+	bb     int
+	gate   chan struct{}
+	parked chan struct{}
 }
 
 func (b *blockingBackend) Scheme() config.Scheme { return config.SchemeNonORAM }
@@ -363,6 +366,10 @@ func (b *blockingBackend) NumBlocks() uint64     { return b.n }
 func (b *blockingBackend) BlockBytes() int       { return b.bb }
 func (b *blockingBackend) Leaves() uint64        { return 0 }
 func (b *blockingBackend) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, oram.Leaf, error) {
+	select {
+	case b.parked <- struct{}{}:
+	default:
+	}
 	<-b.gate
 	return make([]byte, b.bb), 0, nil
 }
@@ -373,23 +380,35 @@ func (b *blockingBackend) Recover() error                      { return nil }
 // TestBackpressure: with the worker parked and the queue full, a submit
 // fails fast with ErrOverloaded — it must never block.
 func TestBackpressure(t *testing.T) {
-	gate := make(chan struct{})
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
 	const depth = 2
 	p := mustPool(t, Options{
 		Shards: 1, NumBlocks: 8, QueueDepth: depth, MaxBatch: 1,
 		Factory: func(int, uint64) (Backend, error) {
-			return &blockingBackend{n: 8, bb: 16, gate: gate}, nil
+			return &blockingBackend{n: 8, bb: 16, gate: gate, parked: parked}, nil
 		},
 	})
 
-	// One request parks the worker; `depth` more fill the queue.
+	// One request parks the worker; only once it is inside Access — out
+	// of the queue — do `depth` more go in. Submitted all at once, the
+	// three could fill the queue before the worker dequeued any: one is
+	// rejected and the queue can never reach depth again.
 	var wg sync.WaitGroup
-	for i := 0; i < depth+1; i++ {
+	read := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			p.Read(context.Background(), 0)
 		}()
+	}
+	read()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never picked up the parking request")
+	}
+	for i := 0; i < depth; i++ {
+		read()
 	}
 	// Wait until the queue is actually full (worker holds one, queue holds depth).
 	deadline := time.Now().Add(5 * time.Second)

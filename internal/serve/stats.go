@@ -29,13 +29,13 @@ type ShardStats struct {
 	Combined   uint64  `json:"combined"`    // reads served from a round-mate's physical access
 	QueueDepth int     `json:"queue_depth"` // queued requests at snapshot time
 
-	// Service latency per access, in simulated cycles. Zero for
-	// backends without a cycle clock (Ring, NonORAM).
-	LatencyMean float64 `json:"latency_mean"`
-	LatencyP50  uint64  `json:"latency_p50"`
-	LatencyP99  uint64  `json:"latency_p99"`
-	LatencyMax  uint64  `json:"latency_max"`
-	Cycles      uint64  `json:"cycles"` // shard clock at snapshot time
+	// Service time per access: wall nanoseconds inside the backend, the
+	// sum of the access's stage times below (queueing and reply hand-off
+	// excluded). Zero for backends without a stage clock (Ring, NonORAM).
+	ServiceMeanNs float64 `json:"service_ns_mean"`
+	ServiceP50Ns  uint64  `json:"service_ns_p50"`
+	ServiceP99Ns  uint64  `json:"service_ns_p99"`
+	ServiceMaxNs  uint64  `json:"service_ns_max"`
 
 	// Per-stage wall time per access (load / crypto / evict / seal /
 	// persist), nanoseconds. Empty for backends without a stage clock.
@@ -112,10 +112,10 @@ func (p *Pool) Stats() PoolStats {
 		sh.mu.Lock()
 		s.BatchMean = sh.batch.Mean()
 		s.BatchMax = sh.batch.Max()
-		s.LatencyMean = sh.latency.Mean()
-		s.LatencyP50 = sh.latency.Quantile(0.50)
-		s.LatencyP99 = sh.latency.Quantile(0.99)
-		s.LatencyMax = sh.latency.Max()
+		s.ServiceMeanNs = sh.serviceNs.Mean()
+		s.ServiceP50Ns = sh.serviceNs.Quantile(0.50)
+		s.ServiceP99Ns = sh.serviceNs.Quantile(0.99)
+		s.ServiceMaxNs = sh.serviceNs.Max()
 		if sh.stages != nil {
 			s.Stages = make([]StageStats, len(sh.stageHist))
 			for k := range sh.stageHist {
@@ -138,9 +138,6 @@ func (p *Pool) Stats() PoolStats {
 			s.PersistMaxNs = sh.persistNs.Max()
 		}
 		sh.mu.Unlock()
-		if sh.clock != nil {
-			s.Cycles = sh.clock.Cycles()
-		}
 		ps.Shards[i] = s
 	}
 	return ps
@@ -149,9 +146,9 @@ func (p *Pool) Stats() PoolStats {
 // Table renders the snapshot as a per-shard text table (the psoram-serve
 // CLI's report).
 func (ps PoolStats) Table() *stats.Table {
-	tab := stats.NewTable("Per-shard serving stats (latency in simulated cycles)",
+	tab := stats.NewTable("Per-shard serving stats (service time: wall ns inside the backend)",
 		"Shard", "Blocks", "Done", "Rejected", "Expired", "Crash/Rec",
-		"Rounds", "Batch avg", "Combined", "LatP50", "LatP99", "LatMax")
+		"Rounds", "Batch avg", "Combined", "SvcP50", "SvcP99", "SvcMax")
 	for _, s := range ps.Shards {
 		tab.AddRow(
 			fmt.Sprintf("%d", s.Shard),
@@ -163,9 +160,9 @@ func (ps PoolStats) Table() *stats.Table {
 			fmt.Sprintf("%d", s.Batches),
 			fmt.Sprintf("%.2f", s.BatchMean),
 			fmt.Sprintf("%d", s.Combined),
-			fmt.Sprintf("%d", s.LatencyP50),
-			fmt.Sprintf("%d", s.LatencyP99),
-			fmt.Sprintf("%d", s.LatencyMax),
+			fmt.Sprintf("%d", s.ServiceP50Ns),
+			fmt.Sprintf("%d", s.ServiceP99Ns),
+			fmt.Sprintf("%d", s.ServiceMaxNs),
 		)
 	}
 	return tab

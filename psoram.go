@@ -223,7 +223,9 @@ func New(numBlocks uint64, opts ...StoreOption) (*Store, error) {
 	if sc.storeDir != "" && sc.storage != nil {
 		return nil, errors.New("psoram: WithStorePath and WithStorage are mutually exclusive")
 	}
-	copts := core.Options{NumBlocks: numBlocks, Levels: sc.levels, CryptoWorkers: sc.cryptoWorkers, GroupCommit: sc.group}
+	// A Store serves values; simulated time is Simulate's business, so the
+	// controller runs over the untimed memory model.
+	copts := core.Options{NumBlocks: numBlocks, Levels: sc.levels, CryptoWorkers: sc.cryptoWorkers, GroupCommit: sc.group, Untimed: true}
 	var ctl *core.Controller
 	var err error
 	switch {
@@ -327,9 +329,6 @@ func (s *Store) Close() error { return s.ctl.Close() }
 // Accesses returns the number of completed ORAM accesses.
 func (s *Store) Accesses() uint64 { return s.ctl.Accesses() }
 
-// Cycles returns the simulated time spent so far, in core cycles.
-func (s *Store) Cycles() uint64 { return uint64(s.ctl.Now()) }
-
 // Counters returns a copy of the controller and memory metrics.
 func (s *Store) Counters() map[string]int64 {
 	out := s.ctl.Counters().Snapshot()
@@ -346,12 +345,12 @@ func (s *Store) Counters() map[string]int64 {
 func (s *Store) Save(w io.Writer) error { return s.ctl.SaveDurable(w) }
 
 // LoadStore reconstructs a Store from a snapshot written by Save. cfg
-// supplies run-time parameters (NVM timing, stash and WPQ sizes); the
+// supplies run-time parameters (stash and WPQ sizes); the
 // geometry and contents come from the snapshot. With cfg.Integrity set,
 // the image is verified against the snapshot's trusted root and a
 // tampered snapshot fails to load.
 func LoadStore(r io.Reader, cfg Config) (*Store, error) {
-	ctl, err := core.LoadDurable(r, cfg)
+	ctl, err := core.LoadDurable(r, cfg, core.Options{Untimed: true})
 	if err != nil {
 		return nil, err
 	}

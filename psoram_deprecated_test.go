@@ -9,6 +9,7 @@ package psoram
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -39,8 +40,8 @@ func TestDeprecatedNewStoreWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) || old.Cycles() != neu.Cycles() {
-		t.Fatalf("NewStore and New diverged: %q/%d vs %q/%d", a, old.Cycles(), b, neu.Cycles())
+	if !bytes.Equal(a, b) || !reflect.DeepEqual(old.Counters(), neu.Counters()) {
+		t.Fatalf("NewStore and New diverged: %q/%v vs %q/%v", a, old.Counters(), b, neu.Counters())
 	}
 
 	// Defaults flow through the wrapper unchanged.
