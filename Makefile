@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race stress check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
+.PHONY: all build vet fmt test race stress check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
 
 all: check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt -l lists any file.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -24,13 +28,13 @@ race:
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -timeout 60m ./internal/serve/
 
-# check is the pre-commit gate: build, vet, the deprecation gate, the
-# full suite under the race detector, the pipelining matrix smoke
-# (workers x depth through the serving oracle plus a crashing CLI run),
-# and the resharding smoke. -short shrinks the sweep grid cells (see
+# check is the pre-commit gate: build, vet, the gofmt gate, the
+# deprecation gate, the full suite under the race detector, the
+# pipelining matrix smoke (workers x depth through the serving oracle
+# plus a crashing CLI run), and the resharding smoke. -short shrinks the sweep grid cells (see
 # internal/sweep.testGrid) so the parallel engine is still exercised
 # end-to-end without multi-minute cells.
-check: build vet depgate
+check: build vet fmt depgate
 	$(GO) test -short -race ./...
 	$(MAKE) pipeline-smoke
 	$(MAKE) reshard-smoke
@@ -135,6 +139,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOracleAccessSequence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzStashEviction$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzStashTable$$' -fuzztime $(FUZZTIME) ./internal/oram
 	$(GO) test -run '^$$' -fuzz '^FuzzFilestoreRecovery$$' -fuzztime $(FUZZTIME) ./internal/storage/filestore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/netserve
 
@@ -208,11 +213,12 @@ profile: build
 		-profile $(PROFILE_DIR)
 
 # perf-smoke is the CI perf job: the zero-allocation guards (simulator,
-# core controller, and serving layer), the golden determinism
-# regression, and one pass of the sim and serve benchmarks with
+# stash table, core controller, and serving layer), the golden
+# determinism regression, and one pass of the sim and serve benchmarks with
 # -benchtime=1x (harness correctness, not timing).
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
+	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCorePooledSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs' -short -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/config"
@@ -454,7 +453,6 @@ func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
 		// plain greedy Path ORAM eviction.
 		return c.ORAM.DefaultEvictionOrder(l)
 	}
-	t := c.ORAM.Tree
 	must := append(c.scratch.must[:0], c.ORAM.Stash.Backups()...)
 	pending := c.scratch.pending[:0]
 	rest := c.scratch.rest[:0]
@@ -468,15 +466,9 @@ func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
 			rest = append(rest, b)
 		}
 	}
-	c.depthS.t, c.depthS.l = t, l
-	c.depthS.b = must
-	c.depthS.prepare()
-	sort.Sort(&c.depthS)
-	c.seqS.b = pending
-	sort.Sort(&c.seqS)
-	c.depthS.b = rest
-	c.depthS.prepare()
-	sort.Sort(&c.depthS)
+	c.sortByDepth(l, must)
+	c.sortByKey(pending, remapSeqKey)
+	c.sortByDepth(l, rest)
 	c.scratch.must, c.scratch.pending, c.scratch.rest = must, pending, rest
 	order := append(c.scratch.order[:0], must...)
 	order = append(order, pending...)
@@ -604,8 +596,7 @@ func (c *Controller) planIdentity(l oram.Leaf) ([][]*oram.StashBlock, []*oram.St
 	// Remaining backups first (must evict), then pending by age, then
 	// the rest.
 	order := append(c.scratch.order[:0], looseBackups...)
-	c.moverS.b = movers
-	sort.Sort(&c.moverS)
+	c.sortByKey(movers, moverKey)
 	order = append(order, movers...)
 	c.scratch.movers, c.scratch.loose, c.scratch.order = movers, looseBackups, order
 	unplaced := c.scratch.unplaced[:0]
@@ -679,7 +670,8 @@ func (c *Controller) accessEndDurability(plan [][]*oram.StashBlock) {
 				}
 			}
 		}
-		for _, b := range c.ORAM.Stash.Live() {
+		c.scratch.order = c.ORAM.Stash.AppendLive(c.scratch.order[:0])
+		for _, b := range c.scratch.order {
 			c.markDurable(b.Addr, b.Data)
 		}
 	}

@@ -127,6 +127,7 @@ type Controller struct {
 		pending  []*oram.StashBlock
 		rest     []*oram.StashBlock
 		order    []*oram.StashBlock // concatenated candidate order
+		keyed    []keyedBlock       // sortByKey's (key, block) pairs
 		movers   []*oram.StashBlock // planIdentity working sets
 		loose    []*oram.StashBlock
 		plan     [][]*oram.StashBlock // L+1 rows of Z plan slots
@@ -198,12 +199,6 @@ type Controller struct {
 	freeBlocks []*oram.StashBlock
 	freeHdr    [][]byte
 	freeData   [][]byte
-
-	// Reusable sorters for the eviction order (sort.Sort on a pointer
-	// receiver allocates nothing, unlike sort.Slice's closure).
-	depthS depthSorter
-	seqS   seqSorter
-	moverS moverSorter
 
 	// CrashAt, when non-nil, is consulted at every crash point; returning
 	// true triggers the simulated power failure there.
@@ -316,6 +311,10 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		StashEntries: stash,
 		NumBlocks:    opts.NumBlocks,
 		Seed:         cfg.Seed,
+		// A fresh in-memory image without an integrity tree is born with
+		// the lazy-seal overlay armed (see the EnableLazySeal arm below,
+		// which covers the images that are not).
+		LazySeal: !cfg.Integrity,
 	}
 	if opts.Storage != nil {
 		op.Storage = opts.Storage
@@ -416,7 +415,7 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 	c.hBackups = c.counters.Handle("psoram.backups")
 	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	c.group = opts.GroupCommit
-	if c.Merkle == nil {
+	if c.Merkle == nil && !oc.Image.LazySeal() {
 		// Non-integrity image: arm the lazy-seal overlay. The controller
 		// is the only writer and re-reads its own plaintext, so
 		// steady-state evictions commit descriptors and skip the AES; any

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/config"
@@ -197,5 +198,46 @@ func TestStageNanosAccumulate(t *testing.T) {
 		if t.Failed() {
 			t.Log(fmt.Sprint(ns))
 		}
+	}
+}
+
+// TestBornLazySnapshotIdentity: an in-memory controller is built born
+// lazy — nothing sealed at construction — while a durable one is built
+// the old way, every slot sealed eagerly into its backend. For the same
+// seed and op stream the two must hold the same durable state byte for
+// byte, right after construction and after 2000 accesses: "born lazy"
+// defers work, it does not change a single observable bit.
+func TestBornLazySnapshotIdentity(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := testCfg()
+			opts := Options{NumBlocks: 100, Levels: 5}
+			born, err := New(scheme, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.GroupCommit = GroupCommit{MaxOps: 64} // keeps the eager twin's fsyncs off the test's clock
+			eager, _, err := NewDurable(scheme, cfg, opts, filepath.Join(t.TempDir(), "store"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eager.Close()
+			snapshots := func(when string) {
+				t.Helper()
+				var a, b bytes.Buffer
+				if err := born.SaveDurable(&a); err != nil {
+					t.Fatal(err)
+				}
+				if err := eager.SaveDurable(&b); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("%s: SaveDurable of the born-lazy and the eagerly built controller differ", when)
+				}
+			}
+			snapshots("after construction")
+			runTwin(t, eager, born, 2000, nil)
+			snapshots("after 2000 accesses")
+		})
 	}
 }

@@ -276,8 +276,8 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 // return to the freelist (their only remaining reference is the plan
 // scratch, which the next access overwrites).
 func (c *Controller) finishEvicted(slots []plannedSlot) {
-	for _, s := range slots {
-		b := s.block
+	for i := range slots {
+		b := slots[i].block // by index: a plannedSlot is ~120 bytes to copy
 		if b == nil {
 			continue
 		}

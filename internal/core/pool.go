@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/oram"
 )
 
@@ -97,63 +100,46 @@ func (c *Controller) ApplyEntry(tag int) {
 	c.Temp.Delete(b.Addr)
 }
 
-// Eviction-order sorters. sort.Sort on these pointer receivers is
-// allocation-free, unlike sort.Slice whose comparator closure escapes.
-// Comparator semantics match the originals in evictionOrder /
-// planIdentity exactly; all orders are total (ties broken by Addr, and
-// no partition holds two blocks of one address), so the sort choice
-// cannot change the result.
-
-// depthSorter orders deepest intersection level first, then by address.
-// prepare folds each block's sort rank into one integer key — (L - depth)
-// in the high bits, the address below — so Less never recomputes
-// IntersectLevel/TargetLeaf per comparison (O(n) leaf walks instead of
-// O(n log n) on the eviction hot path). Ascending key order is exactly
-// the old comparator's order.
-type depthSorter struct {
-	t    oram.Tree
-	l    oram.Leaf
-	b    []*oram.StashBlock
-	keys []uint64
+// Eviction-order sorting. Each order is a single ascending uint64 key
+// per block, so the sort runs over (key, block) pairs in a reused scratch
+// slice with an inlined integer compare — no interface Less/Swap per
+// comparison, no allocation. The orders are total: ties are broken by
+// address, and no partition holds two live blocks of one address.
+type keyedBlock struct {
+	key uint64
+	b   *oram.StashBlock
 }
 
-func (s *depthSorter) prepare() {
-	s.keys = s.keys[:0]
-	for _, b := range s.b {
-		d := s.t.IntersectLevel(s.l, b.TargetLeaf())
-		s.keys = append(s.keys, uint64(s.t.L-d)<<48|uint64(b.Addr))
+// sortByKey sorts blocks in place, ascending by key(b).
+func (c *Controller) sortByKey(blocks []*oram.StashBlock, key func(*oram.StashBlock) uint64) {
+	ks := c.scratch.keyed[:0]
+	for _, b := range blocks {
+		ks = append(ks, keyedBlock{key(b), b})
 	}
-}
-
-func (s *depthSorter) Len() int { return len(s.b) }
-func (s *depthSorter) Swap(i, j int) {
-	s.b[i], s.b[j] = s.b[j], s.b[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-func (s *depthSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-
-// seqSorter orders pending remaps oldest first.
-type seqSorter struct{ b []*oram.StashBlock }
-
-func (s *seqSorter) Len() int      { return len(s.b) }
-func (s *seqSorter) Swap(i, j int) { s.b[i], s.b[j] = s.b[j], s.b[i] }
-func (s *seqSorter) Less(i, j int) bool {
-	return s.b[i].RemapSeq < s.b[j].RemapSeq
-}
-
-// moverSorter is planIdentity's displaced-block order: pending remaps
-// first (oldest first), then by address.
-type moverSorter struct{ b []*oram.StashBlock }
-
-func (s *moverSorter) Len() int      { return len(s.b) }
-func (s *moverSorter) Swap(i, j int) { s.b[i], s.b[j] = s.b[j], s.b[i] }
-func (s *moverSorter) Less(i, j int) bool {
-	a, b := s.b[i], s.b[j]
-	if a.PendingRemap != b.PendingRemap {
-		return a.PendingRemap
+	slices.SortFunc(ks, func(x, y keyedBlock) int { return cmp.Compare(x.key, y.key) })
+	for i := range ks {
+		blocks[i] = ks[i].b
 	}
-	if a.PendingRemap && a.RemapSeq != b.RemapSeq {
-		return a.RemapSeq < b.RemapSeq
+	c.scratch.keyed = ks
+}
+
+// sortByDepth orders deepest intersection with path l first, then by
+// address: (L - depth) in the high bits, the address below.
+func (c *Controller) sortByDepth(l oram.Leaf, blocks []*oram.StashBlock) {
+	t := c.ORAM.Tree
+	c.sortByKey(blocks, func(b *oram.StashBlock) uint64 {
+		return uint64(t.L-t.IntersectLevel(l, b.TargetLeaf()))<<48 | uint64(b.Addr)
+	})
+}
+
+// remapSeqKey orders pending remaps oldest first.
+func remapSeqKey(b *oram.StashBlock) uint64 { return b.RemapSeq }
+
+// moverKey is planIdentity's displaced-block order: pending remaps first
+// (oldest first), then the rest by address.
+func moverKey(b *oram.StashBlock) uint64 {
+	if b.PendingRemap {
+		return b.RemapSeq
 	}
-	return a.Addr < b.Addr
+	return 1<<63 | uint64(b.Addr)
 }

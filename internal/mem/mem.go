@@ -211,7 +211,7 @@ func (c *Controller) reapJournal(now Cycle) {
 // ---------------------------------------------------------------------
 
 // EntryKind distinguishes the two WPQs.
-type EntryKind int
+type EntryKind uint8
 
 const (
 	// DataEntry goes to the data-block WPQ.
@@ -220,23 +220,38 @@ const (
 	PosMapEntry
 )
 
+// batchEntry is one staged WPQ entry: 32 bytes, no pointers — an
+// eviction appends Z*(L+1) of them plus one per dirty PosMap entry, so
+// the append must stay a plain copy the collector never scans. What the
+// entry does at commit or abandon is its form; the closure forms keep
+// their func in Batch.fns, at index ref.
 type batchEntry struct {
-	kind  EntryKind
 	loc   Location
-	bytes int
-	apply func()
-	// undo, when non-nil, marks an immediate-apply entry: its mutation
-	// already ran (so later protocol steps inside the same batch read
-	// coherent state) and must be rolled back if the batch never
-	// commits.
-	undo func()
-	// tagged entries carry an integer the batch's Applier interprets at
-	// commit instead of an apply closure — the hot path stages dozens of
-	// entries per eviction, and a closure each would be dozens of
-	// allocations.
-	tagged bool
-	tag    int
+	bytes uint32
+	// ref is the Applier's tag (formTagged) or an index into Batch.fns
+	// (formApply, formUndo).
+	ref  int32
+	kind EntryKind
+	form entryForm
 }
+
+type entryForm uint8
+
+const (
+	// formNone carries no functional mutation (a timing-only entry).
+	formNone entryForm = iota
+	// formTagged entries carry an integer the batch's Applier interprets
+	// at commit instead of an apply closure — the hot path stages dozens
+	// of entries per eviction, and a closure each would be dozens of
+	// allocations.
+	formTagged
+	// formApply runs its func at commit.
+	formApply
+	// formUndo marks an immediate-apply entry: its mutation already ran
+	// (so later protocol steps inside the same batch read coherent state)
+	// and its func rolls it back if the batch never commits.
+	formUndo
+)
 
 // Applier applies a tagged batch entry's functional mutation at commit
 // time. The tag's meaning is the caller's own encoding (the PS-ORAM
@@ -252,7 +267,8 @@ type Applier interface {
 type Batch struct {
 	c       *Controller
 	entries []batchEntry
-	nData   int // entries bound for the data WPQ (the rest are PosMap)
+	fns     []func() // apply/undo closures of the formApply/formUndo entries
+	nData   int      // entries bound for the data WPQ (the rest are PosMap)
 	applier Applier
 	done    bool
 }
@@ -274,6 +290,7 @@ func (c *Controller) BeginBatch() *Batch {
 	b := &c.batchPool
 	b.c = c
 	b.entries = b.entries[:0]
+	b.fns = b.fns[:0]
 	b.nData = 0
 	b.applier = nil
 	b.done = false
@@ -281,30 +298,50 @@ func (c *Controller) BeginBatch() *Batch {
 	return b
 }
 
-// add stages one entry, keeping the per-WPQ tally Commit checks.
-func (b *Batch) add(e batchEntry) {
+// add stages one entry of the given kind, size and form, keeping the
+// per-WPQ tally Commit checks.
+func (b *Batch) add(kind EntryKind, loc Location, bytes int, form entryForm, ref int) {
 	b.mustOpen()
-	if e.kind == DataEntry {
+	if kind == DataEntry {
 		b.nData++
 	}
-	b.entries = append(b.entries, e)
+	if int(int32(ref)) != ref {
+		panic(fmt.Sprintf("mem: batch entry tag %d does not fit 32 bits", ref))
+	}
+	// Filled in place: a composite literal is assembled on the stack with
+	// narrow stores and copied out with wide loads, which stalls on
+	// store forwarding once per entry.
+	b.entries = append(b.entries, batchEntry{})
+	e := &b.entries[len(b.entries)-1]
+	e.loc, e.bytes, e.ref, e.kind, e.form = loc, uint32(bytes), int32(ref), kind, form
+}
+
+// addFunc stages an entry whose mutation is a closure: fn runs at commit
+// (formApply) or on abandon (formUndo); a nil fn is a timing-only entry.
+func (b *Batch) addFunc(kind EntryKind, loc Location, bytes int, form entryForm, fn func()) {
+	if fn == nil {
+		b.add(kind, loc, bytes, formNone, 0)
+		return
+	}
+	b.fns = append(b.fns, fn)
+	b.add(kind, loc, bytes, form, len(b.fns)-1)
 }
 
 // AddData stages a data-block write into the batch.
 func (b *Batch) AddData(loc Location, apply func()) {
-	b.add(batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, apply: apply})
+	b.addFunc(DataEntry, loc, b.c.cfg.BlockBytes, formApply, apply)
 }
 
 // AddDataTagged stages a data-block write applied at commit by the
 // batch's Applier (closure-free AddData).
 func (b *Batch) AddDataTagged(loc Location, tag int) {
-	b.add(batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, tagged: true, tag: tag})
+	b.add(DataEntry, loc, b.c.cfg.BlockBytes, formTagged, tag)
 }
 
 // AddPosMapTagged stages a PosMap-entry write applied at commit by the
 // batch's Applier (closure-free AddPosMap).
 func (b *Batch) AddPosMapTagged(loc Location, tag int) {
-	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.PosMapEntryBytes, tagged: true, tag: tag})
+	b.add(PosMapEntry, loc, b.c.cfg.PosMapEntryBytes, formTagged, tag)
 }
 
 // AddDataApplied stages a data-block write whose functional mutation has
@@ -313,25 +350,25 @@ func (b *Batch) AddPosMapTagged(loc Location, tag int) {
 // lost to a crash. Atomicity is unchanged: either the whole batch
 // commits, or every immediate mutation is undone.
 func (b *Batch) AddDataApplied(loc Location, undo func()) {
-	b.add(batchEntry{kind: DataEntry, loc: loc, bytes: b.c.cfg.BlockBytes, undo: undo})
+	b.addFunc(DataEntry, loc, b.c.cfg.BlockBytes, formUndo, undo)
 }
 
 // AddPosMapBlockApplied is AddDataApplied for the PosMap WPQ (recursive
 // posmap-tree path blocks).
 func (b *Batch) AddPosMapBlockApplied(loc Location, undo func()) {
-	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.BlockBytes, undo: undo})
+	b.addFunc(PosMapEntry, loc, b.c.cfg.BlockBytes, formUndo, undo)
 }
 
 // AddPosMap stages a PosMap-entry write into the batch.
 func (b *Batch) AddPosMap(loc Location, apply func()) {
-	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.PosMapEntryBytes, apply: apply})
+	b.addFunc(PosMapEntry, loc, b.c.cfg.PosMapEntryBytes, formApply, apply)
 }
 
 // AddPosMapBlock stages a full posmap-ORAM block write into the PosMap
 // WPQ (recursive schemes write the PosMap back "in a tree organization",
 // so the queue carries whole path blocks rather than single entries).
 func (b *Batch) AddPosMapBlock(loc Location, apply func()) {
-	b.add(batchEntry{kind: PosMapEntry, loc: loc, bytes: b.c.cfg.BlockBytes, apply: apply})
+	b.addFunc(PosMapEntry, loc, b.c.cfg.BlockBytes, formApply, apply)
 }
 
 func (b *Batch) mustOpen() {
@@ -395,11 +432,11 @@ func (b *Batch) Commit(earliest Cycle) (Cycle, error) {
 // applyAll runs every staged entry's functional mutation, in order.
 func (b *Batch) applyAll() {
 	for i := range b.entries {
-		e := &b.entries[i]
-		if e.tagged {
-			b.applier.ApplyEntry(e.tag)
-		} else if e.apply != nil {
-			e.apply()
+		switch e := &b.entries[i]; e.form {
+		case formTagged:
+			b.applier.ApplyEntry(int(e.ref))
+		case formApply:
+			b.fns[e.ref]()
 		}
 	}
 }
@@ -412,8 +449,8 @@ func (b *Batch) Abandon() {
 	}
 	b.done = true
 	for i := len(b.entries) - 1; i >= 0; i-- {
-		if b.entries[i].undo != nil {
-			b.entries[i].undo()
+		if e := &b.entries[i]; e.form == formUndo {
+			b.fns[e.ref]()
 		}
 	}
 	b.applier = nil

@@ -2,7 +2,10 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 )
@@ -498,5 +501,61 @@ func TestUntimedPersistenceDomain(t *testing.T) {
 	c.Crash(7)
 	if staged != 2 {
 		t.Error("a committed batch must survive a crash")
+	}
+}
+
+// The eviction appends Z*(L+1) entries per access: the entry must stay a
+// small pointer-free value (closures live in Batch.fns).
+func TestBatchEntryIsSmallAndPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(batchEntry{}); size > 32 {
+		t.Fatalf("batchEntry is %d bytes, want <= 32", size)
+	}
+	typ := reflect.TypeOf(batchEntry{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Ptr, reflect.Func, reflect.Slice, reflect.Map, reflect.Interface, reflect.Chan, reflect.String, reflect.UnsafePointer:
+			t.Errorf("batchEntry.%s is a %v: the entry must hold no pointers", typ.Field(i).Name, k)
+		}
+	}
+}
+
+type recordingApplier struct{ log *[]string }
+
+func (a recordingApplier) ApplyEntry(tag int) { *a.log = append(*a.log, fmt.Sprintf("tag%d", tag)) }
+
+// One batch may mix every entry form. Commit runs tagged and closure
+// applies in staging order and no undo; Abandon runs only the undos,
+// newest first.
+func TestBatchMixedEntryForms(t *testing.T) {
+	stage := func(c *Controller, log *[]string) *Batch {
+		note := func(s string) func() { return func() { *log = append(*log, s) } }
+		b := c.BeginBatch()
+		b.SetApplier(recordingApplier{log})
+		b.AddDataTagged(c.TreeBlockLocation(1, 0), 7)
+		b.AddData(c.TreeBlockLocation(2, 0), note("apply-a"))
+		b.AddDataApplied(c.TreeBlockLocation(3, 0), note("undo-a"))
+		b.AddPosMap(c.PosMapLocation(4), nil)
+		b.AddPosMapTagged(c.PosMapLocation(5), -3)
+		b.AddPosMapBlockApplied(c.PosMapLocation(6), note("undo-b"))
+		b.AddPosMapBlock(c.PosMapLocation(7), note("apply-b"))
+		return b
+	}
+	for _, c := range []*Controller{New(testCfg(1)), NewUntimed(testCfg(1))} {
+		var log []string
+		b := stage(c, &log)
+		if b.DataCount() != 3 || b.PosMapCount() != 4 {
+			t.Fatalf("counts = %d data, %d posmap; want 3, 4", b.DataCount(), b.PosMapCount())
+		}
+		if _, err := b.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(log), "[tag7 apply-a tag-3 apply-b]"; got != want {
+			t.Fatalf("commit ran %s, want %s", got, want)
+		}
+		log = nil
+		stage(c, &log).Abandon()
+		if got, want := fmt.Sprint(log), "[undo-b undo-a]"; got != want {
+			t.Fatalf("abandon ran %s, want %s", got, want)
+		}
 	}
 }

@@ -260,7 +260,7 @@ func (m *nvmModel) enqueue(entries []batchEntry, t Cycle) Cycle {
 			}
 		}
 		// Schedule the background drain to NVM.
-		q.push(m.schedule(nvm.Write, m.resolve(e.loc), e.bytes, proceed))
+		q.push(m.schedule(nvm.Write, m.resolve(e.loc), int(e.bytes), proceed))
 	}
 	return proceed
 }

@@ -18,21 +18,31 @@ type Image struct {
 	store  Storage
 	blockB int
 
-	// Lazy-seal overlay (in-memory backend only). The controller that
-	// writes a slot is the only party that later reads it, and it wrote
-	// the plaintext itself — so in steady state the ciphertext is dead
-	// work: sealed at eviction, decrypted back at the next load of the
-	// bucket, overwritten again. With the overlay enabled, eviction
-	// stores the plaintext descriptor (plus the pre-drawn IVs and seal
-	// version, so the ciphertext is pinned), and Slot() materializes the
-	// byte-identical sealed form only when someone actually observes it
-	// (snapshots, integrity checks, equivalence tests). The protocol's
-	// IV/version streams, and therefore every observable ciphertext, are
-	// unchanged.
+	// Lazy-seal overlay. The controller that writes a slot is the only
+	// party that later reads it, and it wrote the plaintext itself — so in
+	// steady state the ciphertext is dead work: sealed at eviction,
+	// decrypted back at the next load of the bucket, overwritten again.
+	// With the overlay enabled, eviction stores the plaintext descriptor
+	// (plus the pre-drawn IVs and seal version, so the ciphertext is
+	// pinned), and Slot() materializes the byte-identical sealed form only
+	// when someone actually observes it (snapshots, integrity checks,
+	// equivalence tests, a durable backend's persist barrier). The
+	// protocol's IV/version streams, and therefore every observable
+	// ciphertext, are unchanged.
+	//
+	// The overlay is three flat tables indexed by slot = bucket*Z+z, so a
+	// bucket's Z headers are one contiguous run and its Z payloads another
+	// — the shape of the controller's bucket-wide burst: plain holds the
+	// fixed-size headers, arena the payloads (slot*blockB), and memo the
+	// materialized ciphertext buffers. memo is allocated on the first
+	// materialization: in-memory serving never materializes, and a durable
+	// barrier does so for every slot it persists.
 	lazy   bool
 	engine *cryptoeng.Engine
-	plain  []plainSlot // bucket*Z+z; live entries shadow the store
-	seq    []uint64    // per-bucket write sequence (prefetch invalidation)
+	plain  []plainSlot
+	arena  []byte
+	memo   []sealedBuf
+	seq    []uint64 // per-bucket write sequence (prefetch invalidation)
 	// pending lists the slots with a queued deferred seal for the
 	// persist-time barrier (MaterializePending). Only a durable backend
 	// runs that barrier, so slots are queued only when barrier is set:
@@ -43,21 +53,28 @@ type Image struct {
 }
 
 // plainSlot is one deferred seal: what the slot's ciphertext WILL be.
-// memo buffers hold the materialized form once some reader asks.
+// 40 bytes, no pointers.
 type plainSlot struct {
-	live     bool
-	sealed   bool // memoHdr/memoData hold the materialized ciphertext
-	dummy    bool
-	queued   bool // on the pending list (dedupes MaterializePending work)
-	iv1      uint64
-	iv2      uint64
+	iv1, iv2 uint64
 	addr     Addr
 	leaf     Leaf
 	ver      uint32
-	data     []byte // overlay-owned plaintext payload (real blocks)
-	memoHdr  []byte
-	memoData []byte
+	state    uint8
 }
+
+// plainSlot.state bits.
+const (
+	psLive   = 1 << iota // the entry shadows the store
+	psSealed             // memo holds the entry's materialized ciphertext
+	psDummy
+	psQueued // on the pending list (dedupes MaterializePending work)
+)
+
+// sealedBuf is one slot's materialized ciphertext. The buffers are
+// overlay-owned, never the store's: ordered evictions can alias one
+// sealed buffer at two positions, so the overlay must not write through
+// store buffers.
+type sealedBuf struct{ hdr, data []byte }
 
 // NewImage allocates an in-memory image with every slot sealed as a
 // dummy.
@@ -75,6 +92,24 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 		for z := 0; z < t.Z; z++ {
 			st.SetSlot(i, z, DummySlot(e, blockBytes, nextIV))
 		}
+	}
+	return img
+}
+
+// newLazyImage is NewImage born lazy: the overlay is armed from the
+// start and the initial dummy fill is recorded as deferred seals under
+// the IVs NewImage would have drawn, in the same order. Whatever an
+// observer later materializes is therefore byte-identical to the eager
+// image, but construction runs no AES and allocates nothing per slot,
+// and the in-memory store stays empty until something is observed.
+func newLazyImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
+	img := &Image{Tree: t, store: newMemStorage(t), blockB: blockBytes}
+	img.EnableLazySeal(e)
+	for i := range img.plain {
+		ps := &img.plain[i]
+		ps.iv1 = nextIV()
+		ps.iv2 = nextIV()
+		ps.state = psLive | psDummy
 	}
 	return img
 }
@@ -99,7 +134,9 @@ func (img *Image) EnableLazySeal(e *cryptoeng.Engine) {
 	img.engine = e
 	_, inMemory := img.store.(*memStorage)
 	img.barrier = !inMemory
-	img.plain = make([]plainSlot, img.Tree.Buckets()*uint64(img.Tree.Z))
+	slots := img.Tree.Slots()
+	img.plain = make([]plainSlot, slots)
+	img.arena = make([]byte, slots*uint64(img.blockB))
 	img.seq = make([]uint64, img.Tree.Buckets())
 }
 
@@ -115,15 +152,13 @@ func (img *Image) DisableLazySeal() {
 	if !img.lazy {
 		return
 	}
-	for bucket := uint64(0); bucket < img.Tree.Buckets(); bucket++ {
-		for z := 0; z < img.Tree.Z; z++ {
-			if ps := img.plainAt(bucket, z); ps.live {
-				ps.materialize(img, bucket, z)
-			}
+	for idx := range img.plain {
+		if img.plain[idx].state&psLive != 0 {
+			img.materialize(uint64(idx))
 		}
 	}
 	img.lazy = false
-	img.plain, img.seq, img.engine = nil, nil, nil
+	img.plain, img.arena, img.memo, img.seq, img.engine = nil, nil, nil, nil, nil
 }
 
 // BucketSeq returns the bucket's write sequence number; any write to any
@@ -136,40 +171,50 @@ func (img *Image) BucketSeq(bucket uint64) uint64 {
 	return img.seq[bucket]
 }
 
-func (img *Image) plainAt(bucket uint64, z int) *plainSlot {
-	return &img.plain[bucket*uint64(img.Tree.Z)+uint64(z)]
+func (img *Image) slotIndex(bucket uint64, z int) uint64 {
+	return bucket*uint64(img.Tree.Z) + uint64(z)
+}
+
+// payload is slot idx's arena cell, capped so that an append through the
+// view can never reach the neighbouring slot.
+func (img *Image) payload(idx uint64) []byte {
+	off := idx * uint64(img.blockB)
+	end := off + uint64(img.blockB)
+	return img.arena[off:end:end]
 }
 
 // PutLazyBlock records a deferred seal of b at (bucket, z) under the
-// pre-drawn IVs and the version already baked into b.Ver. The payload is
-// copied into an overlay-owned buffer — callers recycle b.Data freely.
+// pre-drawn IVs and the version already baked into b.Ver. The payload
+// (exactly BlockBytes) is copied into the arena — callers recycle b.Data
+// freely.
 func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
-	ps := img.plainAt(bucket, z)
-	ps.live, ps.sealed, ps.dummy = true, false, false
+	if len(b.Data) != img.blockB {
+		panic(fmt.Sprintf("oram: lazy seal of a %d-byte payload into %d-byte slots", len(b.Data), img.blockB))
+	}
+	idx := img.slotIndex(bucket, z)
+	ps := &img.plain[idx]
+	ps.state = ps.state&psQueued | psLive
 	ps.iv1, ps.iv2 = iv1, iv2
 	ps.addr, ps.leaf, ps.ver = b.Addr, b.Leaf, b.Ver
-	if cap(ps.data) < len(b.Data) {
-		ps.data = make([]byte, len(b.Data))
-	}
-	ps.data = ps.data[:len(b.Data)]
-	copy(ps.data, b.Data)
-	img.enqueue(ps, bucket, z)
+	copy(img.payload(idx), b.Data)
+	img.enqueue(ps, idx)
 	img.seq[bucket]++
 }
 
 // PutLazyDummy records a deferred dummy seal at (bucket, z).
 func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
-	ps := img.plainAt(bucket, z)
-	ps.live, ps.sealed, ps.dummy = true, false, true
+	idx := img.slotIndex(bucket, z)
+	ps := &img.plain[idx]
+	ps.state = ps.state&psQueued | psLive | psDummy
 	ps.iv1, ps.iv2 = iv1, iv2
-	img.enqueue(ps, bucket, z)
+	img.enqueue(ps, idx)
 	img.seq[bucket]++
 }
 
-func (img *Image) enqueue(ps *plainSlot, bucket uint64, z int) {
-	if img.barrier && !ps.queued {
-		ps.queued = true
-		img.pending = append(img.pending, bucket*uint64(img.Tree.Z)+uint64(z))
+func (img *Image) enqueue(ps *plainSlot, idx uint64) {
+	if img.barrier && ps.state&psQueued == 0 {
+		ps.state |= psQueued
+		img.pending = append(img.pending, idx)
 	}
 }
 
@@ -186,12 +231,11 @@ func (img *Image) MaterializePending() {
 	if !img.lazy {
 		return
 	}
-	zz := uint64(img.Tree.Z)
 	for _, idx := range img.pending {
 		ps := &img.plain[idx]
-		ps.queued = false
-		if ps.live && !ps.sealed {
-			ps.materialize(img, idx/zz, int(idx%zz))
+		ps.state &^= psQueued
+		if ps.state&(psLive|psSealed) == psLive {
+			img.materialize(idx)
 		}
 	}
 	img.pending = img.pending[:0]
@@ -204,63 +248,66 @@ func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver u
 	if !img.lazy {
 		return 0, 0, 0, false, false
 	}
-	ps := img.plainAt(bucket, z)
-	if !ps.live {
+	ps := &img.plain[img.slotIndex(bucket, z)]
+	if ps.state&psLive == 0 {
 		return 0, 0, 0, false, false
 	}
-	if ps.dummy {
+	if ps.state&psDummy != 0 {
 		return DummyAddr, 0, 0, true, true
 	}
 	return ps.addr, ps.leaf, ps.ver, false, true
 }
 
 // PlainData returns the overlay's plaintext payload for a live real
-// entry (nil otherwise). The buffer is overlay-owned: read, then copy.
+// entry (nil otherwise). The view is overlay-owned: read, then copy.
 func (img *Image) PlainData(bucket uint64, z int) []byte {
 	if !img.lazy {
 		return nil
 	}
-	ps := img.plainAt(bucket, z)
-	if !ps.live || ps.dummy {
+	idx := img.slotIndex(bucket, z)
+	if img.plain[idx].state&(psLive|psDummy) != psLive {
 		return nil
 	}
-	return ps.data
+	return img.payload(idx)
 }
 
-// materialize runs the deferred seal into the entry's own memo buffers
-// and mirrors the result into the store, so Slot() observers — snapshots,
+// materialize runs slot idx's deferred seal into its memo buffers and
+// mirrors the result into the store, so Slot() observers — snapshots,
 // integrity readers, equivalence tests — see exactly the bytes the eager
-// path would have produced. Memo buffers are entry-owned, never the
-// store's: ordered evictions can alias one sealed buffer at two
-// positions, so the overlay must not write through store buffers.
-func (ps *plainSlot) materialize(img *Image, bucket uint64, z int) Slot {
-	if !ps.sealed {
-		if cap(ps.memoHdr) < headerBytes {
-			ps.memoHdr = make([]byte, headerBytes)
+// path would have produced.
+func (img *Image) materialize(idx uint64) Slot {
+	if img.memo == nil {
+		img.memo = make([]sealedBuf, len(img.plain))
+	}
+	ps, m := &img.plain[idx], &img.memo[idx]
+	if ps.state&psSealed == 0 {
+		if cap(m.hdr) < headerBytes {
+			m.hdr = make([]byte, headerBytes)
 		}
-		if cap(ps.memoData) < img.blockB {
-			ps.memoData = make([]byte, img.blockB)
+		if cap(m.data) < img.blockB {
+			m.data = make([]byte, img.blockB)
 		}
 		var s Slot
-		if ps.dummy {
-			s = DummySlotIVs(img.engine, img.blockB, ps.iv1, ps.iv2, ps.memoHdr, ps.memoData)
+		if ps.state&psDummy != 0 {
+			s = DummySlotIVs(img.engine, img.blockB, ps.iv1, ps.iv2, m.hdr, m.data)
 		} else {
-			b := Block{Addr: ps.addr, Leaf: ps.leaf, Ver: ps.ver, Data: ps.data}
-			s = SealBlockIVs(img.engine, b, ps.iv1, ps.iv2, ps.memoHdr, ps.memoData)
+			b := Block{Addr: ps.addr, Leaf: ps.leaf, Ver: ps.ver, Data: img.payload(idx)}
+			s = SealBlockIVs(img.engine, b, ps.iv1, ps.iv2, m.hdr, m.data)
 		}
-		ps.memoHdr, ps.memoData = s.SealedHeader, s.SealedData
-		ps.sealed = true
-		img.store.SetSlot(bucket, z, s)
+		m.hdr, m.data = s.SealedHeader, s.SealedData
+		ps.state |= psSealed
+		zz := uint64(img.Tree.Z)
+		img.store.SetSlot(idx/zz, int(idx%zz), s)
 	}
-	return Slot{IV1: ps.iv1, IV2: ps.iv2, SealedHeader: ps.memoHdr, SealedData: ps.memoData}
+	return Slot{IV1: ps.iv1, IV2: ps.iv2, SealedHeader: m.hdr, SealedData: m.data}
 }
 
 // Slot returns the sealed slot at (bucket, z), materializing a deferred
 // seal on first observation.
 func (img *Image) Slot(bucket uint64, z int) Slot {
 	if img.lazy {
-		if ps := img.plainAt(bucket, z); ps.live {
-			return ps.materialize(img, bucket, z)
+		if idx := img.slotIndex(bucket, z); img.plain[idx].state&psLive != 0 {
+			return img.materialize(idx)
 		}
 	}
 	return img.store.Slot(bucket, z)
@@ -272,13 +319,14 @@ func (img *Image) Slot(bucket uint64, z int) Slot {
 func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	var prev Slot
 	if img.lazy {
-		if ps := img.plainAt(bucket, z); ps.live {
+		idx := img.slotIndex(bucket, z)
+		if ps := &img.plain[idx]; ps.state&psLive != 0 {
 			// The undo closure must capture stable bytes; materialize
 			// into memo buffers, then detach them from the entry so a
 			// later reuse of the slot can't scribble over the capture.
-			prev = ps.materialize(img, bucket, z)
-			ps.live = false
-			ps.memoHdr, ps.memoData = nil, nil
+			prev = img.materialize(idx)
+			ps.state &^= psLive
+			img.memo[idx] = sealedBuf{}
 		} else {
 			prev = img.store.Slot(bucket, z)
 		}
@@ -289,7 +337,7 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	img.store.SetSlot(bucket, z, s)
 	return func() {
 		if img.lazy {
-			img.plainAt(bucket, z).live = false
+			img.plain[img.slotIndex(bucket, z)].state &^= psLive
 			img.seq[bucket]++
 		}
 		img.store.SetSlot(bucket, z, prev)
@@ -306,7 +354,7 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 // with buffer recycling off, so it is never reused.
 func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 	if img.lazy {
-		img.plainAt(bucket, z).live = false
+		img.plain[img.slotIndex(bucket, z)].state &^= psLive
 		img.seq[bucket]++
 	}
 	old = img.store.Slot(bucket, z)
@@ -322,18 +370,25 @@ func (img *Image) BlockBytes() int { return img.blockB }
 // initial ORAM state with real resident blocks (plus the already-sealed
 // dummies everywhere else). Blocks whose paths are already full are
 // returned unplaced — at high utilization the controller starts them in
-// the stash, exactly as a real warm-up would.
+// the stash, exactly as a real warm-up would. On a lazy image the seals
+// are deferred like any other write, under the same IV draws.
 func (img *Image) InitBlocks(e *cryptoeng.Engine, blocks []Block, nextIV func() uint64) []Block {
 	t := img.Tree
-	used := make(map[uint64]int) // bucket -> slots consumed
+	used := make([]int32, t.Buckets()) // bucket -> slots consumed
+	path := make([]uint64, 0, t.Levels())
 	var unplaced []Block
 	for _, b := range blocks {
 		placed := false
-		path := t.Path(b.Leaf)
+		path = t.PathInto(path[:0], b.Leaf)
 		for k := t.L; k >= 0 && !placed; k-- {
 			bucket := path[k]
-			if used[bucket] < t.Z {
-				img.store.SetSlot(bucket, used[bucket], SealBlock(e, b, nextIV))
+			if z := int(used[bucket]); z < t.Z {
+				if img.lazy {
+					iv1, iv2 := nextIV(), nextIV()
+					img.PutLazyBlock(bucket, z, iv1, iv2, b)
+				} else {
+					img.store.SetSlot(bucket, z, SealBlock(e, b, nextIV))
+				}
 				used[bucket]++
 				placed = true
 			}
@@ -345,11 +400,22 @@ func (img *Image) InitBlocks(e *cryptoeng.Engine, blocks []Block, nextIV func() 
 	return unplaced
 }
 
-// ReadBucket opens every slot of a bucket.
+// ReadBucket opens every slot of a bucket. A live overlay entry is read
+// where it lies — sealing it only to decrypt it again would materialize
+// the whole tree under a full scan (Pool.Invariants) for nothing; the
+// result is what OpenSlot(Slot()) returns either way, in fresh buffers.
 func (img *Image) ReadBucket(e *cryptoeng.Engine, bucket uint64) ([]Block, error) {
 	out := make([]Block, 0, img.Tree.Z)
 	for z := 0; z < img.Tree.Z; z++ {
-		b, err := OpenSlot(e, img.Slot(bucket, z))
+		if addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z); ok {
+			b := Block{Addr: addr, Leaf: leaf, Ver: ver, Data: make([]byte, img.blockB)}
+			if !dummy {
+				copy(b.Data, img.PlainData(bucket, z))
+			}
+			out = append(out, b)
+			continue
+		}
+		b, err := OpenSlot(e, img.store.Slot(bucket, z))
 		if err != nil {
 			return nil, fmt.Errorf("oram: bucket %d slot %d: %w", bucket, z, err)
 		}
@@ -359,16 +425,19 @@ func (img *Image) ReadBucket(e *cryptoeng.Engine, bucket uint64) ([]Block, error
 }
 
 // CountReal returns the number of non-dummy blocks in the whole tree
-// (slow; for tests and consistency checks).
+// (slow; for tests and consistency checks). Only headers are opened.
 func (img *Image) CountReal(e *cryptoeng.Engine) (int, error) {
 	n := 0
-	for b := uint64(0); b < img.Tree.Buckets(); b++ {
-		blocks, err := img.ReadBucket(e, b)
-		if err != nil {
-			return 0, err
-		}
-		for _, blk := range blocks {
-			if !blk.Dummy() {
+	for bucket := uint64(0); bucket < img.Tree.Buckets(); bucket++ {
+		for z := 0; z < img.Tree.Z; z++ {
+			addr, _, _, _, ok := img.PlainHeader(bucket, z)
+			if !ok {
+				var err error
+				if addr, _, _, err = OpenSlotHeader(e, img.store.Slot(bucket, z)); err != nil {
+					return 0, fmt.Errorf("oram: bucket %d slot %d: %w", bucket, z, err)
+				}
+			}
+			if addr != DummyAddr {
 				n++
 			}
 		}

@@ -46,8 +46,11 @@ type Controller struct {
 	PosMap *PosMap
 	Engine *cryptoeng.Engine
 
-	rng    *rng.Rand
-	nextIV func() uint64
+	rng *rng.Rand
+	// iv is the IV counter (see NewIVSource). It is a field, not a
+	// closure over a heap cell: the eviction draws 2*Z*(L+1) IVs per
+	// access and NextIV must inline.
+	iv     uint64
 	nReal  uint64
 	verSeq uint32
 
@@ -72,6 +75,12 @@ type Params struct {
 	// memory. New seals the initial image into it; NewAttached expects
 	// it to already hold a recovered image.
 	Storage Storage
+	// LazySeal builds a fresh in-memory image born lazy: the overlay is
+	// armed from the start and the initial dummy fill and block placement
+	// are recorded as deferred seals instead of being run (see
+	// newLazyImage). Ignored with Storage set or on NewAttached; the zero
+	// value is the eagerly sealed image.
+	LazySeal bool
 }
 
 // DefaultKey is the AES key used when Params.Key is nil.
@@ -130,38 +139,39 @@ func build(p Params, attach bool) (*Controller, error) {
 	}
 	r := rng.New(p.Seed)
 	t := NewTree(p.Levels, p.Z)
-	nextIV := NewIVSource(r.Split())
+	iv := r.Split().Uint64() // the seed draw NewIVSource makes
 	c := &Controller{
 		Tree:   t,
 		Stash:  NewStash(p.StashEntries),
 		PosMap: NewPosMap(p.NumBlocks, t, r.Split()),
 		Engine: eng,
 		rng:    r.Split(),
-		nextIV: nextIV,
+		iv:     iv,
 		nReal:  p.NumBlocks,
 	}
 	if attach {
 		c.Image = NewImageOn(p.Storage, t, p.BlockBytes)
 		return c, nil
 	}
-	if p.Storage != nil {
-		c.Image = NewImageInto(p.Storage, t, eng, p.BlockBytes, nextIV)
-	} else {
-		c.Image = NewImage(t, eng, p.BlockBytes, nextIV)
+	switch {
+	case p.Storage != nil:
+		c.Image = NewImageInto(p.Storage, t, eng, p.BlockBytes, c.NextIV)
+	case p.LazySeal:
+		c.Image = newLazyImage(t, eng, p.BlockBytes, c.NextIV)
+	default:
+		c.Image = NewImage(t, eng, p.BlockBytes, c.NextIV)
 	}
-	// Materialize the initial blocks on their mapped paths.
+	// Materialize the initial blocks on their mapped paths. Sealing (or
+	// the overlay) copies the payload, so they share one zero block.
+	zero := make([]byte, p.BlockBytes)
 	blocks := make([]Block, p.NumBlocks)
 	for i := range blocks {
-		blocks[i] = Block{
-			Addr: Addr(i),
-			Leaf: c.PosMap.Lookup(Addr(i)),
-			Data: make([]byte, p.BlockBytes),
-		}
+		blocks[i] = Block{Addr: Addr(i), Leaf: c.PosMap.Lookup(Addr(i)), Data: zero}
 	}
-	for _, b := range c.Image.InitBlocks(eng, blocks, nextIV) {
+	for _, b := range c.Image.InitBlocks(eng, blocks, c.NextIV) {
 		// Oversubscribed paths (possible above ~50% utilization): the
 		// leftover blocks start life in the stash.
-		c.Stash.Put(&StashBlock{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data, Dirty: true})
+		c.Stash.Put(&StashBlock{Addr: b.Addr, Leaf: b.Leaf, Data: make([]byte, p.BlockBytes), Dirty: true})
 	}
 	if c.Stash.Overflowed() {
 		return nil, fmt.Errorf("oram: initial placement overflowed the stash (%d blocks; utilization too high): %w", c.Stash.Len(), ErrStashOverflow)
@@ -175,8 +185,12 @@ func (c *Controller) NumBlocks() uint64 { return c.nReal }
 // RandomLeaf draws a fresh uniform leaf.
 func (c *Controller) RandomLeaf() Leaf { return Leaf(c.rng.Uint64n(c.Tree.Leaves())) }
 
-// NextIV exposes the IV source for persistent controllers layered on top.
-func (c *Controller) NextIV() uint64 { return c.nextIV() }
+// NextIV draws the next IV: monotonically unique under the controller's
+// key, the same stream NewIVSource yields for the same seed.
+func (c *Controller) NextIV() uint64 {
+	c.iv++
+	return c.iv
+}
 
 // NextVer returns a fresh seal version (monotonically increasing).
 func (c *Controller) NextVer() uint32 {
@@ -470,13 +484,13 @@ func (c *Controller) ApplyEviction(l Leaf, plan [][]*StashBlock, onWrite func(bu
 			b := plan[k][z]
 			var slot Slot
 			if b == nil {
-				slot = DummySlot(c.Engine, c.Image.BlockBytes(), c.nextIV)
+				slot = DummySlot(c.Engine, c.Image.BlockBytes(), c.NextIV)
 			} else {
 				leaf := b.Leaf
 				if b.Backup {
 					leaf = b.BackupLeaf
 				}
-				slot = SealBlock(c.Engine, Block{Addr: b.Addr, Leaf: leaf, Ver: c.NextVer(), Data: b.Data}, c.nextIV)
+				slot = SealBlock(c.Engine, Block{Addr: b.Addr, Leaf: leaf, Ver: c.NextVer(), Data: b.Data}, c.NextIV)
 				real++
 			}
 			if onWrite != nil {

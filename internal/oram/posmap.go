@@ -70,7 +70,8 @@ func (p *PosMap) Clone() *PosMap {
 // the durable PosMap consistent with the durable tree.
 type TempPosMap struct {
 	cap     int
-	entries map[Addr]tempEntry
+	idx     addrIndex
+	entries []tempEntry // entries[p] belongs to the address at position p of idx
 	seq     uint64
 }
 
@@ -85,7 +86,7 @@ func NewTempPosMap(capacity int) *TempPosMap {
 	if capacity < 1 {
 		panic(fmt.Sprintf("oram: temp posmap capacity %d must be positive", capacity))
 	}
-	return &TempPosMap{cap: capacity, entries: make(map[Addr]tempEntry)}
+	return &TempPosMap{cap: capacity, idx: newAddrIndex(capacity), entries: make([]tempEntry, 0, capacity)}
 }
 
 // Len returns the number of pending entries.
@@ -99,40 +100,53 @@ func (t *TempPosMap) Full() bool { return len(t.entries) >= t.cap }
 
 // Lookup returns the pending leaf for addr, if any.
 func (t *TempPosMap) Lookup(addr Addr) (Leaf, bool) {
-	e, ok := t.entries[addr]
-	return e.leaf, ok
+	if p := t.idx.find(addr); p >= 0 {
+		return t.entries[p].leaf, true
+	}
+	return 0, false
 }
 
 // Set records a pending remap. Overwriting an existing entry is allowed
 // (the block was accessed again before its eviction); inserting a new
 // entry into a full map panics — the controller must drain first.
 func (t *TempPosMap) Set(addr Addr, leaf Leaf) (seq uint64) {
-	if _, ok := t.entries[addr]; !ok && t.Full() {
-		panic("oram: temporary posmap overflow; controller must drain before remapping")
+	p := t.idx.find(addr)
+	if p < 0 {
+		if t.Full() {
+			panic("oram: temporary posmap overflow; controller must drain before remapping")
+		}
+		p = t.idx.add(addr)
+		t.entries = append(t.entries, tempEntry{})
 	}
 	t.seq++
-	t.entries[addr] = tempEntry{leaf: leaf, seq: t.seq}
+	t.entries[p] = tempEntry{leaf: leaf, seq: t.seq}
 	return t.seq
 }
 
 // Delete drops the entry for addr (after the merge into the durable
 // PosMap committed).
-func (t *TempPosMap) Delete(addr Addr) { delete(t.entries, addr) }
+func (t *TempPosMap) Delete(addr Addr) {
+	p := t.idx.find(addr)
+	if p < 0 {
+		return
+	}
+	t.idx.remove(p)
+	t.entries = swapRemove(t.entries, p)
+}
 
 // Oldest returns the address of the oldest pending entry, or false when
 // empty. Used to prioritize draining when the map runs full.
 func (t *TempPosMap) Oldest() (Addr, bool) {
-	var (
-		best    Addr
-		bestSeq uint64
-		found   bool
-	)
-	for a, e := range t.entries {
-		if !found || e.seq < bestSeq {
-			best, bestSeq, found = a, e.seq, true
+	if len(t.entries) == 0 {
+		return 0, false
+	}
+	best := 0
+	for p, e := range t.entries {
+		if e.seq < t.entries[best].seq {
+			best = p
 		}
 	}
-	return best, found
+	return t.idx.keys[best], true
 }
 
 // Clear empties the map (crash: it is volatile).
@@ -141,5 +155,6 @@ func (t *TempPosMap) Clear() { t.Reset() }
 // Reset empties the map while keeping its backing storage for reuse,
 // so a steady-state clear/refill cycle does not allocate.
 func (t *TempPosMap) Reset() {
-	clear(t.entries)
+	t.idx.reset()
+	t.entries = t.entries[:0]
 }

@@ -50,9 +50,16 @@ type StashBlock struct {
 // Stash is the on-chip block buffer. Real blocks are keyed by address;
 // backup blocks live alongside (a backup may share an address with the
 // live block, so backups are stored separately).
+//
+// The live set is a dense slice under an addrIndex — the fixed-size
+// associative table of the paper's controller (200 entries in Table 3),
+// not a general-purpose map: a lookup is one multiply and one or two
+// probes of a table that stays in L1. live[p] is the block whose address
+// is at position p of idx.
 type Stash struct {
 	cap     int
-	blocks  map[Addr]*StashBlock
+	idx     addrIndex
+	live    []*StashBlock
 	backups []*StashBlock
 }
 
@@ -61,14 +68,14 @@ func NewStash(capacity int) *Stash {
 	if capacity < 1 {
 		panic(fmt.Sprintf("oram: stash capacity %d must be positive", capacity))
 	}
-	return &Stash{cap: capacity, blocks: make(map[Addr]*StashBlock)}
+	return &Stash{cap: capacity, idx: newAddrIndex(capacity), live: make([]*StashBlock, 0, capacity)}
 }
 
 // Capacity returns the configured entry limit.
 func (s *Stash) Capacity() int { return s.cap }
 
 // Len returns the current occupancy including backups.
-func (s *Stash) Len() int { return len(s.blocks) + len(s.backups) }
+func (s *Stash) Len() int { return len(s.live) + len(s.backups) }
 
 // Overflowed reports whether occupancy exceeds capacity. The protocols
 // check this after each access; overflow aborts the simulation (it would
@@ -76,7 +83,12 @@ func (s *Stash) Len() int { return len(s.blocks) + len(s.backups) }
 func (s *Stash) Overflowed() bool { return s.Len() > s.cap }
 
 // Get returns the live (non-backup) block at addr, or nil.
-func (s *Stash) Get(addr Addr) *StashBlock { return s.blocks[addr] }
+func (s *Stash) Get(addr Addr) *StashBlock {
+	if p := s.idx.find(addr); p >= 0 {
+		return s.live[p]
+	}
+	return nil
+}
 
 // Put inserts or replaces the live block at b.Addr.
 func (s *Stash) Put(b *StashBlock) {
@@ -86,7 +98,12 @@ func (s *Stash) Put(b *StashBlock) {
 	if b.Addr == DummyAddr {
 		panic("oram: dummy block inserted into stash")
 	}
-	s.blocks[b.Addr] = b
+	if p := s.idx.find(b.Addr); p >= 0 {
+		s.live[p] = b
+		return
+	}
+	s.idx.add(b.Addr)
+	s.live = append(s.live, b)
 }
 
 // PutBackup inserts a backup block.
@@ -98,7 +115,14 @@ func (s *Stash) PutBackup(b *StashBlock) {
 }
 
 // Remove deletes the live block at addr (no-op if absent).
-func (s *Stash) Remove(addr Addr) { delete(s.blocks, addr) }
+func (s *Stash) Remove(addr Addr) {
+	p := s.idx.find(addr)
+	if p < 0 {
+		return
+	}
+	s.idx.remove(p)
+	s.live = swapRemove(s.live, p)
+}
 
 // RemoveBackup deletes the given backup block.
 func (s *Stash) RemoveBackup(b *StashBlock) {
@@ -110,23 +134,12 @@ func (s *Stash) RemoveBackup(b *StashBlock) {
 	}
 }
 
-// Live returns all live blocks (iteration order unspecified).
-func (s *Stash) Live() []*StashBlock {
-	out := make([]*StashBlock, 0, len(s.blocks))
-	for _, b := range s.blocks {
-		out = append(out, b)
-	}
-	return out
-}
+// Live returns all live blocks (in no order callers may rely on).
+func (s *Stash) Live() []*StashBlock { return s.AppendLive(nil) }
 
-// AppendLive appends all live blocks to dst and returns it (iteration
-// order unspecified) — Live without the per-call allocation.
-func (s *Stash) AppendLive(dst []*StashBlock) []*StashBlock {
-	for _, b := range s.blocks {
-		dst = append(dst, b)
-	}
-	return dst
-}
+// AppendLive appends all live blocks to dst and returns it — Live
+// without the per-call allocation.
+func (s *Stash) AppendLive(dst []*StashBlock) []*StashBlock { return append(dst, s.live...) }
 
 // Backups returns all backup blocks.
 func (s *Stash) Backups() []*StashBlock { return s.backups }
@@ -135,9 +148,11 @@ func (s *Stash) Backups() []*StashBlock { return s.backups }
 func (s *Stash) Clear() { s.Reset() }
 
 // Reset empties the stash while keeping the backing storage of the
-// block map and the backup slice for reuse, so a steady-state
-// clear/refill cycle does not allocate.
+// table, the live slice and the backup slice for reuse, so a
+// steady-state clear/refill cycle does not allocate.
 func (s *Stash) Reset() {
-	clear(s.blocks)
+	s.idx.reset()
+	clear(s.live)
+	s.live = s.live[:0]
 	s.backups = s.backups[:0]
 }

@@ -9,9 +9,9 @@ package oram
 // paper's §4.3 recovery against durable state.
 //
 // Implementations hold Slot values as given: the sealed buffers are
-// shared with the controller's recycling discipline, exactly like the
-// former in-Image [][]Slot. Slot reads return the stored value; they
-// must not copy (the hot path depends on zero-allocation reads).
+// shared with the controller's recycling discipline. Slot reads return
+// the stored value; they must not copy (the hot path depends on
+// zero-allocation reads).
 type Storage interface {
 	// Slot returns the sealed slot at (bucket, z).
 	Slot(bucket uint64, z int) Slot
@@ -29,20 +29,31 @@ type StoreGeometry struct {
 	NumBlocks  uint64
 }
 
-// memStorage is the default backend: the tree image as a slice-of-slices
-// in process memory, byte-for-byte the representation Image used before
-// the Storage split.
+// memStorage is the default backend: the sealed tree image in process
+// memory, one []Slot row per bucket. A row is allocated on the first
+// write to its bucket: an image born lazy (newLazyImage) shadows every
+// slot with an overlay entry and writes here only what some observer
+// materializes, which in-memory serving never does. A slot never written
+// reads as the zero Slot.
 type memStorage struct {
+	z       int
 	buckets [][]Slot
 }
 
 func newMemStorage(t Tree) *memStorage {
-	m := &memStorage{buckets: make([][]Slot, t.Buckets())}
-	for i := range m.buckets {
-		m.buckets[i] = make([]Slot, t.Z)
-	}
-	return m
+	return &memStorage{z: t.Z, buckets: make([][]Slot, t.Buckets())}
 }
 
-func (m *memStorage) Slot(bucket uint64, z int) Slot      { return m.buckets[bucket][z] }
-func (m *memStorage) SetSlot(bucket uint64, z int, s Slot) { m.buckets[bucket][z] = s }
+func (m *memStorage) Slot(bucket uint64, z int) Slot {
+	if row := m.buckets[bucket]; row != nil {
+		return row[z]
+	}
+	return Slot{}
+}
+
+func (m *memStorage) SetSlot(bucket uint64, z int, s Slot) {
+	if m.buckets[bucket] == nil {
+		m.buckets[bucket] = make([]Slot, m.z)
+	}
+	m.buckets[bucket][z] = s
+}

@@ -113,9 +113,9 @@ type Store struct {
 	chunkEpoch []uint64 // on-disk epoch per data chunk (0 = none yet)
 	stateEpoch uint64
 
-	nChunks   int
-	dirty     []bool
-	dirtyList []int
+	nChunks    int
+	dirty      []bool
+	dirtyList  []int
 	stateDirty bool
 
 	buf  []byte // reusable chunk serialization buffer

@@ -36,10 +36,10 @@ var fuzzTargets = []string{
 func FuzzFilestoreRecovery(f *testing.F) {
 	tmpl := buildFuzzTemplate(f)
 
-	f.Add(uint8(1), uint8(0), uint32(70), []byte{0xff})        // patch the version file
-	f.Add(uint8(3), uint8(1), uint32(9), []byte(nil))          // truncate a committed chunk
-	f.Add(uint8(7), uint8(2), uint32(0), []byte(nil))          // delete the committed state chunk
-	f.Add(uint8(0), uint8(0), uint32(5), []byte{1, 2, 3, 4})   // patch meta
+	f.Add(uint8(1), uint8(0), uint32(70), []byte{0xff})         // patch the version file
+	f.Add(uint8(3), uint8(1), uint32(9), []byte(nil))           // truncate a committed chunk
+	f.Add(uint8(7), uint8(2), uint32(0), []byte(nil))           // delete the committed state chunk
+	f.Add(uint8(0), uint8(0), uint32(5), []byte{1, 2, 3, 4})    // patch meta
 	f.Add(uint8(5), uint8(3), uint32(0), []byte("replacement")) // rewrite a chunk wholesale
 
 	f.Fuzz(func(t *testing.T, fileSel, op uint8, off uint32, patch []byte) {
