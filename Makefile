@@ -20,13 +20,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress hunts flakes in the serving layer's concurrent tests: the whole
-# package under the race detector, 20 times over, on one and on two
-# CPUs (an ordering bug such as TestBackpressure's old three-way submit
-# race shows up only on some interleavings). About a quarter of an hour
-# on a 2-core box, hence the explicit timeout.
+# stress hunts flakes in the serving layer's and the network front-end's
+# concurrent tests: each package under the race detector, 20 times
+# over, on one and on two CPUs (an ordering bug such as
+# TestBackpressure's old three-way submit race shows up only on some
+# interleavings; the connection data path is mutex-plus-callback
+# concurrency across reader, writer and shard workers). netserve runs
+# -short, so the kill -9 tortures stay in net-smoke. About a quarter of
+# an hour on a 2-core box, hence the explicit timeout.
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -timeout 60m ./internal/serve/
+	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/netserve/
 
 # check is the pre-commit gate: build, vet, the gofmt gate, the
 # deprecation gate, the full suite under the race detector, the
@@ -213,7 +217,8 @@ profile: build
 		-profile $(PROFILE_DIR)
 
 # perf-smoke is the CI perf job: the zero-allocation guards (simulator,
-# stash table, core controller, and serving layer), the golden
+# stash table, core controller, serving layer, and a loopback round
+# trip through the network front-end), the golden
 # determinism regression, and one pass of the sim and serve benchmarks with
 # -benchtime=1x (harness correctness, not timing).
 perf-smoke:
@@ -221,6 +226,7 @@ perf-smoke:
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCorePooledSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs' -short -v
+	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .
 

@@ -146,8 +146,25 @@ func main() {
 				fatal(err)
 			}
 		}
-		fmt.Println(pool.Stats().Table())
+		st := srv.Stats()
+		fmt.Println(st.Pool.Table())
+		fmt.Println(wireLine(st))
 	}
+}
+
+// wireLine reports how many reply frames shared each socket write (and
+// request frames each read): above 1, the connection writers are
+// coalescing replies into fewer syscalls.
+func wireLine(st netserve.ServerStats) string {
+	per := func(frames, calls uint64) float64 {
+		if calls == 0 {
+			return 0
+		}
+		return float64(frames) / float64(calls)
+	}
+	return fmt.Sprintf("wire: %d frames out in %d writes (%.2f frames/write), %d frames in over %d reads (%.2f frames/read)",
+		st.FramesOut, st.WritesOut, per(st.FramesOut, st.WritesOut),
+		st.FramesIn, st.ReadsIn, per(st.FramesIn, st.ReadsIn))
 }
 
 // startServer builds the pool and front-end and binds the listener.

@@ -7,28 +7,15 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/serve"
 )
 
-// gatedServer builds a server whose single shard worker blocks until
-// the returned release func is called (safe to call many times; the
-// final t.Cleanup unblocks everything left so teardown can't hang).
+// gatedServer is gatedPool for tests that need only the address: a
+// server whose single shard worker blocks until the returned release
+// func is called (safe to call many times; also a cleanup, so teardown
+// can't hang on parked workers).
 func gatedServer(t *testing.T, maxInFlight int) (string, func()) {
 	t.Helper()
-	gate := make(chan struct{})
-	popts := serve.Options{
-		Shards:     1,
-		NumBlocks:  64,
-		QueueDepth: 64,
-		Factory:    slowFactory(0, gate),
-	}
-	_, _, addr := startTestServer(t, popts, ServerOptions{MaxInFlight: maxInFlight})
-	var once sync.Once
-	release := func() { once.Do(func() { close(gate) }) }
-	// LIFO: this runs before the server teardown registered above, so
-	// parked shard workers always drain.
-	t.Cleanup(release)
+	_, _, addr, _, release := gatedPool(t, maxInFlight)
 	return addr, release
 }
 
@@ -77,9 +64,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	}()
 	// Wait for the first call to own the sole token (it is parked on
 	// the gated backend, so it holds it until release).
-	for c.Inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, func() bool { return c.Inflight() == 1 }, "the first call never took the token")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -183,7 +168,7 @@ func TestCancelManyWaiters(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitUntil(t, func() bool { return c.Inflight() == n }, "the waiters never all got in flight")
 	cancel()
 	wg.Wait()
 	close(errs)
@@ -213,7 +198,7 @@ func TestClientCloseInterruptsCalls(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitUntil(t, func() bool { return c.Inflight() == n }, "the calls never all got in flight")
 	c.Close()
 	for i := 0; i < n; i++ {
 		if err := <-errs; !errors.Is(err, ErrClientClosed) {

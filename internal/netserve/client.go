@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -18,8 +19,13 @@ var ErrClientClosed = errors.New("netserve: client closed")
 // ClientOptions tunes Dial. The zero value is usable.
 type ClientOptions struct {
 	// MaxInFlight caps outstanding requests on the connection (default
-	// 128). Acquiring a slot is the first cancellation point: a context
-	// that dies while the request is still queued returns immediately.
+	// 64, the server's default per-connection budget). Acquiring a slot
+	// is the first cancellation point: a context that dies while the
+	// request is still waiting for one returns immediately. Set above the
+	// server's ServerOptions.MaxInFlight, the excess requests are not
+	// refused: they sit unread in the socket until the server has written
+	// a reply — TCP pushback on the whole connection, which the status
+	// frame protocol otherwise avoids.
 	MaxInFlight int
 	// MaxPayload caps response frame payloads (default DefaultMaxPayload).
 	MaxPayload uint32
@@ -29,7 +35,7 @@ type ClientOptions struct {
 
 func (o *ClientOptions) normalize() {
 	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 128
+		o.MaxInFlight = 64
 	}
 	if o.MaxPayload == 0 {
 		o.MaxPayload = DefaultMaxPayload
@@ -39,14 +45,8 @@ func (o *ClientOptions) normalize() {
 	}
 }
 
-// call is one in-flight request: its encoded frame, and the buffered
-// channel its response (or failure) is delivered on.
-type call struct {
-	id   uint64
-	buf  []byte
-	done chan callResult
-}
-
+// callResult is what a waiting call receives: the response frame, or
+// the connection's failure.
 type callResult struct {
 	f   Frame
 	err error
@@ -56,18 +56,32 @@ type callResult struct {
 // number of goroutines are pipelined onto a single TCP stream, matched
 // back to callers by request id, and may complete out of order. All
 // methods are safe for concurrent use.
+//
+// The data path mirrors the server's (DESIGN.md §7, "Connection data
+// path"). A caller encodes its own frame into the out buffer under the
+// mu it already holds to register the request id; the writer goroutine
+// swaps the buffer out and hands it to the socket in one Write per
+// wake-up; the reader goroutine matches replies to the waiting callers'
+// channels. No goroutine or channel carries a request between caller
+// and socket.
 type Client struct {
 	nc   net.Conn
 	opts ClientOptions
 
-	tokens  chan struct{} // in-flight budget
-	writeCh chan *call
+	tokens chan struct{} // in-flight budget
+	wake   chan struct{} // the writer's doorbell: rung when out turns non-empty, and by fail
 
 	mu       sync.Mutex
-	pending  map[uint64]*call
+	pending  map[uint64]chan callResult // reply channels of in-flight calls, by request id
+	out      []byte                     // encoded request frames not yet handed to the socket
 	nextID   uint64
 	closed   bool
 	closeErr error
+
+	// replies recycles the buffered(1) reply channels. One goes back only
+	// after its result has been received, so a recycled channel is always
+	// empty; an abandoned call's channel is left to the GC.
+	replies sync.Pool
 
 	dead chan struct{} // closed when the reader exits (conn unusable)
 	wg   sync.WaitGroup
@@ -91,10 +105,11 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		nc:      nc,
 		opts:    opts,
 		tokens:  make(chan struct{}, opts.MaxInFlight),
-		writeCh: make(chan *call, opts.MaxInFlight),
-		pending: make(map[uint64]*call),
+		wake:    make(chan struct{}, 1),
+		pending: make(map[uint64]chan callResult),
 		dead:    make(chan struct{}),
 	}
+	c.replies.New = func() any { return make(chan callResult, 1) }
 	c.wg.Add(2)
 	go c.writeLoop()
 	go c.readLoop()
@@ -102,7 +117,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 }
 
 // Inflight reports how many calls currently hold an in-flight token —
-// queued at the writer, on the wire, or awaiting a reply.
+// encoded for the writer, on the wire, or awaiting a reply.
 func (c *Client) Inflight() int { return len(c.tokens) }
 
 // Close tears the connection down and fails every in-flight call with
@@ -123,51 +138,69 @@ func (c *Client) fail(cause error) {
 	}
 	c.closed = true
 	c.closeErr = cause
-	calls := make([]*call, 0, len(c.pending))
-	for _, cl := range c.pending {
-		calls = append(calls, cl)
+	calls := make([]chan callResult, 0, len(c.pending))
+	for _, ch := range c.pending {
+		calls = append(calls, ch)
 	}
-	c.pending = make(map[uint64]*call)
+	c.pending = make(map[uint64]chan callResult)
 	c.mu.Unlock()
 	c.nc.Close()
-	for _, cl := range calls {
-		cl.done <- callResult{err: cause}
+	c.ring() // the writer exits on seeing closed
+	for _, ch := range calls {
+		ch <- callResult{err: cause}
 		<-c.tokens
+	}
+}
+
+// ring wakes the writer; a doorbell already rung is enough.
+func (c *Client) ring() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
 	}
 }
 
 // take removes id from the pending map, transferring ownership of its
 // in-flight token to the caller. Exactly one of the reader, the waiter,
 // or fail wins.
-func (c *Client) take(id uint64) (*call, bool) {
+func (c *Client) take(id uint64) (chan callResult, bool) {
 	c.mu.Lock()
-	cl, ok := c.pending[id]
+	ch, ok := c.pending[id]
 	if ok {
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
-	return cl, ok
+	return ch, ok
 }
 
+// writeLoop is the connection's only writer: one swap of the out buffer
+// and one socket write per wake-up, repeated until a swap comes back
+// empty. It yields once after waking so that callers that are already
+// runnable — typically the ones the reader just handed replies to — get
+// their next frames into the same write (the flush policy is stated on
+// srvConn.writeLoop).
 func (c *Client) writeLoop() {
 	defer c.wg.Done()
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	for {
-		select {
-		case cl := <-c.writeCh:
-			if _, err := bw.Write(cl.buf); err != nil {
+	var spare []byte
+	for range c.wake {
+		runtime.Gosched()
+		for {
+			c.mu.Lock()
+			if c.closed {
+				c.mu.Unlock()
+				return
+			}
+			buf := c.out
+			c.out = spare[:0]
+			c.mu.Unlock()
+			spare = buf
+			if len(buf) == 0 {
+				break
+			}
+			if _, err := c.nc.Write(buf); err != nil {
 				c.fail(fmt.Errorf("%w: write: %v", ErrClientClosed, err))
 				return
 			}
-			// Coalesce pipelined requests into one flush.
-			if len(c.writeCh) == 0 {
-				if err := bw.Flush(); err != nil {
-					c.fail(fmt.Errorf("%w: flush: %v", ErrClientClosed, err))
-					return
-				}
-			}
-		case <-c.dead:
-			return
 		}
 	}
 }
@@ -189,8 +222,8 @@ func (c *Client) readLoop() {
 			}
 			return
 		}
-		if cl, ok := c.take(f.ID); ok {
-			cl.done <- callResult{f: f}
+		if ch, ok := c.take(f.ID); ok {
+			ch <- callResult{f: f}
 			<-c.tokens
 		}
 		// Unknown id: the waiter gave up (context canceled) — drop the
@@ -199,10 +232,9 @@ func (c *Client) readLoop() {
 }
 
 // do runs one request/response exchange. Cancellation is honoured at
-// every stage: while waiting for an in-flight slot, while the frame is
-// queued for the writer, and while awaiting the reply. A call abandoned
-// after its frame was (or may have been) sent leaves its id registered
-// until the reply arrives, which is then discarded.
+// both places a call can wait: for an in-flight slot, and for the
+// reply. A call abandoned after its frame was encoded (it may be on the
+// wire) disowns its id, and the reply, when it arrives, is discarded.
 func (c *Client) do(ctx context.Context, t Type, payload []byte) (Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return Frame{}, err
@@ -216,44 +248,32 @@ func (c *Client) do(ctx context.Context, t Type, payload []byte) (Frame, error) 
 		return Frame{}, c.closedErr()
 	}
 
-	// Register under the id lock; re-check closed so a racing fail
-	// cannot strand the call.
+	// Stage 2: register the id and encode the frame behind whatever is
+	// already waiting for the writer, under one lock; re-check closed so
+	// a racing fail cannot strand the call.
+	ch := c.replies.Get().(chan callResult)
 	c.mu.Lock()
 	if c.closed {
 		err := c.closeErr
 		c.mu.Unlock()
+		c.replies.Put(ch)
 		<-c.tokens
 		return Frame{}, err
 	}
 	c.nextID++
 	id := c.nextID
-	cl := &call{id: id, done: make(chan callResult, 1)}
-	cl.buf = AppendFrame(nil, Frame{Type: t, ID: id, Payload: payload})
-	c.pending[id] = cl
+	c.pending[id] = ch
+	first := len(c.out) == 0
+	c.out = AppendFrame(c.out, Frame{Type: t, ID: id, Payload: payload})
 	c.mu.Unlock()
-
-	// Stage 2: hand to the writer.
-	select {
-	case c.writeCh <- cl:
-	case <-ctx.Done():
-		if _, ok := c.take(id); ok {
-			<-c.tokens
-		}
-		return Frame{}, ctx.Err()
-	case <-c.dead:
-		if _, ok := c.take(id); ok {
-			<-c.tokens
-		}
-		return Frame{}, c.closedErr()
+	if first {
+		c.ring()
 	}
 
 	// Stage 3: await the reply.
+	var res callResult
 	select {
-	case res := <-cl.done:
-		if res.err != nil {
-			return Frame{}, res.err
-		}
-		return res.f, nil
+	case res = <-ch:
 	case <-ctx.Done():
 		// The frame may be on the wire; disown the id so the eventual
 		// reply is dropped, and release the slot.
@@ -263,12 +283,10 @@ func (c *Client) do(ctx context.Context, t Type, payload []byte) (Frame, error) 
 		}
 		// The reader (or fail) beat us to it and a result is en route;
 		// it owns the token release.
-		res := <-cl.done
-		if res.err != nil {
-			return Frame{}, res.err
-		}
-		return res.f, nil
+		res = <-ch
 	}
+	c.replies.Put(ch)
+	return res.f, res.err
 }
 
 func (c *Client) closedErr() error {

@@ -158,13 +158,10 @@ func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
 		maxPayload = DefaultMaxPayload
 	}
 	var h [HeaderLen]byte
-	if _, err := io.ReadFull(r, h[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Frame{}, io.EOF
+	if n, err := io.ReadFull(r, h[:]); err != nil {
+		if n == 0 && err == io.EOF {
+			return Frame{}, io.EOF // the stream ended between frames
 		}
-		return Frame{}, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	if _, err := io.ReadFull(r, h[1:]); err != nil {
 		return Frame{}, fmt.Errorf("%w: header: %v", ErrTruncated, err)
 	}
 	if h[0] != magic[0] || h[1] != magic[1] {

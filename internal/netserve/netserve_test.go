@@ -60,6 +60,43 @@ func dialTest(t testing.TB, addr string, opts ClientOptions) *Client {
 	return c
 }
 
+// waitUntil polls cond (every millisecond, for up to ten seconds): tests
+// wait on the state a step stands for, not for a fixed time.
+func waitUntil(t testing.TB, cond func() bool, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// soleConn waits for the server's one open connection and returns it,
+// for tests that watch its budget and pending buffer from inside.
+func soleConn(t testing.TB, srv *Server) *srvConn {
+	t.Helper()
+	var sc *srvConn
+	waitUntil(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for c := range srv.conns {
+			sc = c
+		}
+		return len(srv.conns) == 1
+	}, "server never registered the connection")
+	return sc
+}
+
+// pendingState reports how many encoded replies sit in the pending
+// buffer and whether the writer has given up.
+func (c *srvConn) pendingState() (frames int, dead bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.frames, c.dead
+}
+
 func smallPoolOpts() serve.Options {
 	return serve.Options{
 		Shards:    4,
@@ -277,23 +314,30 @@ func TestNetConcurrentOracle(t *testing.T) {
 	}
 }
 
-// TestNetSlowReaderIsolation: one connection that floods requests and
-// never reads a byte of its replies must not delay another connection's
-// round-trips. This is the per-connection backpressure argument made
-// concrete: the stalled pipeline fills its own in-flight budget and its
-// own reply channel, and stops there.
+// TestNetSlowReaderIsolation: one connection that pipelines requests
+// and never reads a byte of its replies must wedge only itself. Its
+// budget fills and the server stops reading it; the replies buffered
+// for it never exceed MaxInFlight; another connection's round trips go
+// on undisturbed; and a Shutdown with a deadline still returns. This is
+// the per-connection backpressure argument made concrete.
 func TestNetSlowReaderIsolation(t *testing.T) {
+	const maxInFlight = 8
 	popts := smallPoolOpts()
 	popts.QueueDepth = 1024
-	_, _, addr := startTestServer(t, popts, ServerOptions{MaxInFlight: 8})
+	_, srv, addr := startTestServer(t, popts, ServerOptions{MaxInFlight: maxInFlight})
 
 	// The slow reader: a raw TCP conn spraying read requests, never
-	// consuming replies.
+	// consuming replies. Minimal socket buffers on both ends of its reply
+	// direction, so a few dozen unread replies fill them (the defaults
+	// take ~50k).
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
+	sc := soleConn(t, srv)
+	raw.(*net.TCPConn).SetReadBuffer(1)
+	sc.nc.(*net.TCPConn).SetWriteBuffer(1)
 	var flood []byte
 	for i := uint64(0); i < 512; i++ {
 		flood = AppendFrame(flood, Frame{Type: TRead, ID: i, Payload: appendAddr(nil, i%256)})
@@ -301,12 +345,31 @@ func TestNetSlowReaderIsolation(t *testing.T) {
 	floodDone := make(chan struct{})
 	go func() {
 		defer close(floodDone)
-		raw.Write(flood) // blocks once the server stops draining it; fine
+		for {
+			// Blocks once the server stops draining it; ends when the
+			// connection is torn down.
+			if _, err := raw.Write(flood); err != nil {
+				return
+			}
+		}
 	}()
+	checkPending := func() {
+		t.Helper()
+		if n, _ := sc.pendingState(); n > maxInFlight {
+			t.Fatalf("%d replies pending for the slow reader, budget is %d", n, maxInFlight)
+		}
+	}
 
-	// Give the flood a head start so the victim conn competes against a
-	// fully wedged pipeline.
-	time.Sleep(50 * time.Millisecond)
+	// Wedged: every budget unit is out and the reader has stopped taking
+	// frames.
+	last := uint64(0)
+	waitUntil(t, func() bool {
+		checkPending()
+		in := srv.Stats().FramesIn
+		stalled := len(sc.budget) == maxInFlight && in == last
+		last = in
+		return stalled
+	}, "the slow reader never wedged its own pipeline")
 
 	c := dialTest(t, addr, ClientOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -315,8 +378,25 @@ func TestNetSlowReaderIsolation(t *testing.T) {
 		if _, err := c.Read(ctx, uint64(i%256)); err != nil {
 			t.Fatalf("victim conn read %d stalled behind the slow reader: %v", i, err)
 		}
+		checkPending()
 	}
-	raw.Close()
+
+	// The wedged connection cannot drain gracefully; the deadline tears it
+	// down, and every budget unit still comes back (run cannot return, and
+	// the connection count cannot reach zero, otherwise).
+	sctx, scancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer scancel()
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(sctx) }()
+	select {
+	case err := <-shut:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Shutdown = %v, want DeadlineExceeded (the slow reader never drains)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown with a deadline hung on the slow reader")
+	}
+	waitUntil(t, func() bool { return srv.Stats().Conns == 0 }, "connections outlived the forced shutdown")
 	<-floodDone
 }
 
@@ -365,7 +445,7 @@ func TestNetOverloadRetryAfter(t *testing.T) {
 		Factory:    slowFactory(0, gate),
 	}
 	hint := 3 * time.Millisecond
-	_, _, addr := startTestServer(t, popts, ServerOptions{MaxInFlight: 64, RetryAfter: hint})
+	pool, _, addr := startTestServer(t, popts, ServerOptions{MaxInFlight: 64, RetryAfter: hint})
 	c := dialTest(t, addr, ClientOptions{MaxInFlight: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -383,9 +463,12 @@ func TestNetOverloadRetryAfter(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	// Let every request reach the server before releasing the worker,
-	// then tick it until the flood drains.
-	time.Sleep(100 * time.Millisecond)
+	// Let every request reach the pool — admitted or shed — before
+	// releasing the worker, then tick it until the flood drains.
+	waitUntil(t, func() bool {
+		st := pool.Stats().Shards[0]
+		return st.Submitted+st.Rejected == n
+	}, "the flood never reached the pool")
 	drain := make(chan struct{})
 	go func() {
 		for {
@@ -451,7 +534,8 @@ func TestNetGracefulDrain(t *testing.T) {
 			results <- err
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
+	waitUntil(t, func() bool { return pool.Stats().Shards[0].Submitted == n },
+		"the requests never reached the pool")
 
 	shutdownDone := make(chan error, 1)
 	go func() {

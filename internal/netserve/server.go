@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"repro/internal/oram"
 	"repro/internal/serve"
 )
 
@@ -23,8 +25,12 @@ var ErrServerClosed = errors.New("netserve: server closed")
 // ServerOptions tunes the front-end. The zero value is usable.
 type ServerOptions struct {
 	// MaxInFlight caps how many requests one connection may have in
-	// flight at once (default 64). The cap is per connection, so one
-	// greedy or stalled client can exhaust only its own budget.
+	// flight at once (default 64): read off the socket and not yet
+	// answered on it. The cap is per connection, so one greedy or stalled
+	// client can exhaust only its own budget. Past it the server stops
+	// reading that connection until a reply has been written, so further
+	// requests wait in the socket; a client that keeps its own in-flight
+	// cap (ClientOptions.MaxInFlight) at or below this never gets there.
 	MaxInFlight int
 	// MaxPayload caps request frame payloads (default DefaultMaxPayload).
 	MaxPayload uint32
@@ -58,15 +64,17 @@ type ServerStats struct {
 	TotalConns uint64          `json:"total_conns"` // accepted since start
 	FramesIn   uint64          `json:"frames_in"`
 	FramesOut  uint64          `json:"frames_out"`
-	Errors     uint64          `json:"errors"` // TError frames sent
+	ReadsIn    uint64          `json:"reads_in"`   // socket read calls, all connections
+	WritesOut  uint64          `json:"writes_out"` // socket write calls; frames_out/writes_out = replies per syscall
+	Errors     uint64          `json:"errors"`     // TError frames sent
 	Draining   bool            `json:"draining"`
 	Pool       serve.PoolStats `json:"pool"`
 }
 
 // Server speaks the frame protocol over a serve.Pool. One Server serves
 // one pool; connections are independent (per-connection reader and
-// writer goroutines, per-connection in-flight budget), so a slow or
-// dead connection never blocks another's replies.
+// writer goroutines, per-connection in-flight budget and reply buffer),
+// so a slow or dead connection never blocks another's replies.
 type Server struct {
 	pool *serve.Pool
 	opts ServerOptions
@@ -81,6 +89,8 @@ type Server struct {
 	totalConns atomic.Uint64
 	framesIn   atomic.Uint64
 	framesOut  atomic.Uint64
+	readsIn    atomic.Uint64
+	writesOut  atomic.Uint64
 	errFrames  atomic.Uint64
 }
 
@@ -114,7 +124,13 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		c := &srvConn{srv: s, nc: nc}
+		c := &srvConn{
+			srv:    s,
+			nc:     nc,
+			sock:   countedConn{Conn: nc, srv: s},
+			budget: make(chan struct{}, s.opts.MaxInFlight),
+			wake:   make(chan struct{}, 1),
+		}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -161,6 +177,8 @@ func (s *Server) Stats() ServerStats {
 		TotalConns: s.totalConns.Load(),
 		FramesIn:   s.framesIn.Load(),
 		FramesOut:  s.framesOut.Load(),
+		ReadsIn:    s.readsIn.Load(),
+		WritesOut:  s.writesOut.Load(),
 		Errors:     s.errFrames.Load(),
 		Draining:   draining,
 		Pool:       s.pool.Stats(),
@@ -214,51 +232,90 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// srvConn is one accepted connection: a reader goroutine decoding and
-// dispatching request frames, handler goroutines (bounded by the
-// in-flight budget) running pool operations, and a writer goroutine
-// serializing response frames. Responses flow through a bounded channel
-// sized to the in-flight budget, so the pipeline backpressures a client
-// that stops reading without touching any shared state.
+// srvConn is one accepted connection, and its data path has one owner
+// per stage (DESIGN.md §7, "Connection data path"). The reader
+// goroutine decodes request frames, takes one budget unit per frame and
+// submits data requests to the pool without waiting (serve.Pool.Go).
+// Whoever produces a reply encodes it — the shard worker running the
+// request's completion, the reader for frames it answers itself, the
+// reshard goroutine — by appending the frame to pending under mu. The
+// writer goroutine swaps pending out and hands it to the socket in one
+// Write per wake-up. There is no goroutine per request and no channel a
+// reply travels through.
+//
+// A budget unit is held from the moment a frame is read until its
+// reply has reached the socket, or has been dropped because the writer
+// is dead. At most MaxInFlight units exist, so pending never holds more
+// than MaxInFlight replies however slowly the client reads; the reader
+// blocks on the budget, and the client's unread requests back up in its
+// own socket.
 type srvConn struct {
-	srv *Server
-	nc  net.Conn
+	srv  *Server
+	nc   net.Conn    // the accepted conn; closeRead needs its concrete type
+	sock countedConn // nc behind the read/write call counters; all traffic goes through it
 
-	out        chan []byte   // encoded response frames
-	inflight   chan struct{} // per-connection budget
-	writerDead chan struct{} // closed when the writer gives up (write error)
-	handlers   sync.WaitGroup
+	budget chan struct{}      // per-connection in-flight budget, one unit per request frame
+	cancel context.CancelFunc // abandons queued pool requests once the writer is dead
+
+	// wake is the writer's doorbell: rung, under mu, by the reply that
+	// turns pending non-empty. Ringing under mu orders the ring before the
+	// writer's swap of that same frame, so once a frame's unit is back in
+	// the budget nobody is still touching wake — which is what lets run
+	// close it after reclaiming every unit.
+	wake chan struct{}
+
+	mu      sync.Mutex
+	pending []byte // encoded replies not yet handed to the socket
+	frames  int    // how many frames pending holds (budget units to return)
+	dead    bool   // the writer gave up: replies are dropped on arrival
 
 	readClosed atomic.Bool
 }
 
+// countedConn counts the socket calls a connection makes, where they
+// are made: frames per write is what says whether replies share
+// syscalls (ServerStats.WritesOut, ReadsIn).
+type countedConn struct {
+	net.Conn
+	srv *Server
+}
+
+func (c countedConn) Read(p []byte) (int, error) {
+	c.srv.readsIn.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.srv.writesOut.Add(1)
+	return c.Conn.Write(p)
+}
+
 func (c *srvConn) run() {
 	defer c.srv.wg.Done()
-	max := c.srv.opts.MaxInFlight
-	c.out = make(chan []byte, max)
-	c.inflight = make(chan struct{}, max)
-	c.writerDead = make(chan struct{})
-
 	// The connection context covers pool submissions: when the writer
-	// dies (client gone mid-reply) pending pool requests are abandoned
-	// instead of finishing work nobody will read.
+	// dies (client gone mid-reply) queued pool requests are answered with
+	// the context error at dequeue instead of running accesses nobody
+	// will read.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	c.cancel = cancel
 
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
+	writerDone := make(chan struct{})
 	go func() {
-		defer writerWG.Done()
+		defer close(writerDone)
 		c.writeLoop()
 	}()
 
 	c.readLoop(ctx)
 
-	// Reader is done (EOF, protocol error, or drain): let in-flight
-	// handlers finish and flush, then wind the writer down and close.
-	c.handlers.Wait()
-	close(c.out)
-	writerWG.Wait()
+	// Reader is done (EOF, protocol error, or drain). Reclaiming the
+	// whole budget waits for every accepted request's reply to reach the
+	// socket (or be dropped); only then may the writer go.
+	for i := 0; i < cap(c.budget); i++ {
+		c.budget <- struct{}{}
+	}
+	close(c.wake)
+	<-writerDone
 	c.nc.Close()
 	c.srv.mu.Lock()
 	delete(c.srv.conns, c)
@@ -278,12 +335,17 @@ func (c *srvConn) closeRead() {
 		return
 	}
 	// Non-TCP transports (tests with pipes): a hard close still drains
-	// handlers, only the final replies are lost.
+	// in-flight requests, only the final replies are lost.
 	c.nc.Close()
 }
 
+// readLoop decodes and dispatches request frames until the stream ends.
+// Data requests go to the pool asynchronously; everything cheap is
+// answered in place; only a reshard, which blocks for a whole
+// migration, gets a goroutine.
 func (c *srvConn) readLoop(ctx context.Context) {
-	br := bufio.NewReaderSize(c.nc, 32<<10)
+	br := bufio.NewReaderSize(c.sock, 32<<10)
+	pool := c.srv.pool
 	for {
 		f, err := ReadFrame(br, c.srv.opts.MaxPayload)
 		if err != nil {
@@ -293,157 +355,186 @@ func (c *srvConn) readLoop(ctx context.Context) {
 			return
 		}
 		c.srv.framesIn.Add(1)
-		if !f.Type.Request() {
-			// Well-formed but nonsensical: answer in-band and keep the
-			// stream (the framing is still intact).
-			c.respond(c.errorFrame(f.ID, StatusBadRequest, 0, "response-typed frame sent as request"))
-			continue
-		}
-		select {
-		case c.inflight <- struct{}{}:
-		case <-c.writerDead:
+		// Blocks while MaxInFlight replies are outstanding; a dead writer
+		// returns units as it drops replies, so this never strands.
+		c.budget <- struct{}{}
+		if ctx.Err() != nil {
+			// Writer dead: frames still buffered are not worth a trip
+			// through the pool.
+			<-c.budget
 			return
 		}
-		c.handlers.Add(1)
-		go c.handle(ctx, f)
-	}
-}
-
-func (c *srvConn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	dead := false
-	for buf := range c.out {
-		if dead {
-			continue // keep draining so handlers never block
-		}
-		if _, err := bw.Write(buf); err == nil {
-			// Flush only when no more responses are queued: pipelined
-			// replies coalesce into one syscall.
-			if len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					dead = true
-				}
+		switch f.Type {
+		case TRead, TWrite:
+			c.access(ctx, f)
+		case TPing:
+			c.reply(Frame{Type: TPong, ID: f.ID})
+		case TInfo:
+			c.reply(Frame{Type: TInfoReply, ID: f.ID, Payload: appendInfo(nil, Info{
+				NumBlocks:  pool.NumBlocks(),
+				BlockBytes: uint32(pool.BlockBytes()),
+				Shards:     uint32(pool.Shards()),
+				Scheme:     uint32(pool.Scheme()),
+			})})
+		case TStats:
+			js, err := json.Marshal(c.srv.Stats())
+			if err != nil {
+				c.reply(c.errorFrame(f.ID, StatusInternal, 0, err.Error()))
+				break
 			}
-		} else {
-			dead = true
+			c.reply(Frame{Type: TStatsReply, ID: f.ID, Payload: js})
+		case TReshard:
+			n, err := decodeReshard(f.Payload)
+			if err != nil {
+				c.reply(c.errorFrame(f.ID, StatusBadRequest, 0, err.Error()))
+				break
+			}
+			// Admin operation: holds its budget unit for the whole
+			// migration; data traffic on this and every other connection
+			// keeps flowing, with migrating-stripe requests answered
+			// StatusResharding. run's budget reclaim waits for it.
+			go func(id uint64) {
+				if err := pool.Reshard(ctx, int(n)); err != nil {
+					c.reply(c.poolErrorFrame(id, err))
+					return
+				}
+				c.reply(Frame{Type: TResharded, ID: id,
+					Payload: appendResharded(nil, uint32(pool.Shards()), pool.Epoch())})
+			}(f.ID)
+		default:
+			// Well-formed but nonsensical (a response type sent as a
+			// request): answer in-band and keep the stream, the framing is
+			// still intact.
+			c.reply(c.errorFrame(f.ID, StatusBadRequest, 0, "response-typed frame sent as request"))
 		}
-		if dead {
-			close(c.writerDead)
-		}
-	}
-	if !dead {
-		bw.Flush()
 	}
 }
 
-// respond queues one encoded frame, giving up if the writer is gone.
-func (c *srvConn) respond(buf []byte) {
-	select {
-	case c.out <- buf:
-		c.srv.framesOut.Add(1)
-	case <-c.writerDead:
+// access validates one TRead/TWrite frame and submits it to the pool.
+// The completion runs on the replying goroutine — the shard's worker,
+// or its persist worker under group commit — and encodes the reply
+// there; nothing on this connection waits for it.
+func (c *srvConn) access(ctx context.Context, f Frame) {
+	pool := c.srv.pool
+	addr, err := decodeAddr(f.Payload)
+	if err != nil {
+		c.reply(c.errorFrame(f.ID, StatusBadRequest, 0, err.Error()))
+		return
 	}
-}
-
-func (c *srvConn) errorFrame(id uint64, code Status, retryAfter time.Duration, msg string) []byte {
-	c.srv.errFrames.Add(1)
-	return AppendFrame(nil, Frame{
-		Type:    TError,
-		ID:      id,
-		Payload: appendStatus(nil, code, retryAfter, msg),
+	if addr >= pool.NumBlocks() {
+		c.reply(c.errorFrame(f.ID, StatusBadRequest, 0,
+			fmt.Sprintf("addr %d outside [0,%d)", addr, pool.NumBlocks())))
+		return
+	}
+	op, data := oram.OpRead, []byte(nil)
+	if f.Type == TWrite {
+		op, data = oram.OpWrite, f.Payload[8:]
+		if len(data) != pool.BlockBytes() {
+			c.reply(c.errorFrame(f.ID, StatusBadRequest, 0,
+				fmt.Sprintf("write of %d bytes, block size %d", len(data), pool.BlockBytes())))
+			return
+		}
+	}
+	id, write := f.ID, f.Type == TWrite // captured by value: assigned once
+	pool.Go(ctx, op, addr, data, func(v []byte, err error) {
+		switch {
+		case err != nil:
+			c.reply(c.poolErrorFrame(id, err))
+		case write:
+			c.reply(Frame{Type: TWrote, ID: id})
+		default:
+			c.reply(Frame{Type: TValue, ID: id, Payload: v})
+		}
 	})
 }
 
-// handle runs one request against the pool and queues the response.
-func (c *srvConn) handle(ctx context.Context, f Frame) {
-	defer func() {
-		<-c.inflight
-		c.handlers.Done()
-	}()
-	pool := c.srv.pool
-	var buf []byte
-	switch f.Type {
-	case TRead:
-		addr, err := decodeAddr(f.Payload)
-		if err != nil {
-			buf = c.errorFrame(f.ID, StatusBadRequest, 0, err.Error())
-			break
+// reply encodes one response frame into the pending buffer, ringing the
+// writer when the buffer was empty. The caller's request holds a budget
+// unit; the writer returns it once the frame has reached the socket,
+// and a dead writer's replies return it here.
+func (c *srvConn) reply(f Frame) {
+	c.mu.Lock()
+	if c.dead {
+		c.mu.Unlock()
+		<-c.budget
+		return
+	}
+	if c.frames == 0 {
+		select {
+		case c.wake <- struct{}{}:
+		default: // already rung; the writer has not swapped yet
 		}
-		if addr >= pool.NumBlocks() {
-			buf = c.errorFrame(f.ID, StatusBadRequest, 0,
-				fmt.Sprintf("addr %d outside [0,%d)", addr, pool.NumBlocks()))
-			break
-		}
-		v, err := pool.Read(ctx, addr)
-		if err != nil {
-			buf = c.poolErrorFrame(f.ID, err)
-			break
-		}
-		buf = AppendFrame(nil, Frame{Type: TValue, ID: f.ID, Payload: v})
-	case TWrite:
-		addr, err := decodeAddr(f.Payload)
-		if err != nil {
-			buf = c.errorFrame(f.ID, StatusBadRequest, 0, err.Error())
-			break
-		}
-		data := f.Payload[8:]
-		switch {
-		case addr >= pool.NumBlocks():
-			buf = c.errorFrame(f.ID, StatusBadRequest, 0,
-				fmt.Sprintf("addr %d outside [0,%d)", addr, pool.NumBlocks()))
-		case len(data) != pool.BlockBytes():
-			buf = c.errorFrame(f.ID, StatusBadRequest, 0,
-				fmt.Sprintf("write of %d bytes, block size %d", len(data), pool.BlockBytes()))
-		default:
-			if err := pool.Write(ctx, addr, data); err != nil {
-				buf = c.poolErrorFrame(f.ID, err)
-			} else {
-				buf = AppendFrame(nil, Frame{Type: TWrote, ID: f.ID})
+	}
+	c.pending = AppendFrame(c.pending, f)
+	c.frames++
+	c.mu.Unlock()
+	c.srv.framesOut.Add(1)
+}
+
+// writeLoop is the connection's only writer: one swap of the pending
+// buffer and one socket write per wake-up, repeated until a swap comes
+// back empty.
+//
+// Flush policy (the same on Client.writeLoop): no timer, no frame-count
+// threshold, no option. After a wake-up the writer yields once, so that
+// goroutines that are already runnable — the other shard's worker
+// finishing its round, a persist worker releasing a commit group — get
+// their frames into the same write. On an idle process Gosched returns
+// at once, so an unloaded round trip pays a scheduler check, not a
+// delay.
+func (c *srvConn) writeLoop() {
+	var spare []byte
+	for range c.wake {
+		runtime.Gosched()
+		for {
+			c.mu.Lock()
+			buf, n := c.pending, c.frames
+			c.pending, c.frames = spare[:0], 0
+			c.mu.Unlock()
+			spare = buf
+			if n == 0 {
+				break
+			}
+			if _, err := c.sock.Write(buf); err != nil {
+				c.die(n)
+				return
+			}
+			for ; n > 0; n-- {
+				<-c.budget
 			}
 		}
-	case TStats:
-		js, err := json.Marshal(c.srv.Stats())
-		if err != nil {
-			buf = c.errorFrame(f.ID, StatusInternal, 0, err.Error())
-			break
-		}
-		buf = AppendFrame(nil, Frame{Type: TStatsReply, ID: f.ID, Payload: js})
-	case TPing:
-		buf = AppendFrame(nil, Frame{Type: TPong, ID: f.ID})
-	case TReshard:
-		n, err := decodeReshard(f.Payload)
-		if err != nil {
-			buf = c.errorFrame(f.ID, StatusBadRequest, 0, err.Error())
-			break
-		}
-		// Admin operation: blocks this handler (within the connection's
-		// in-flight budget) for the whole migration; data traffic on this
-		// and every other connection keeps flowing, with migrating-stripe
-		// requests answered StatusResharding in poolErrorFrame below.
-		if err := pool.Reshard(ctx, int(n)); err != nil {
-			buf = c.poolErrorFrame(f.ID, err)
-			break
-		}
-		buf = AppendFrame(nil, Frame{Type: TResharded, ID: f.ID,
-			Payload: appendResharded(nil, uint32(pool.Shards()), pool.Epoch())})
-	case TInfo:
-		buf = AppendFrame(nil, Frame{Type: TInfoReply, ID: f.ID, Payload: appendInfo(nil, Info{
-			NumBlocks:  pool.NumBlocks(),
-			BlockBytes: uint32(pool.BlockBytes()),
-			Shards:     uint32(pool.Shards()),
-			Scheme:     uint32(pool.Scheme()),
-		})})
-	default:
-		buf = c.errorFrame(f.ID, StatusBadRequest, 0, "unhandled request type "+f.Type.String())
 	}
-	c.respond(buf)
+}
+
+// die is the writer giving up after a write error with n frames in
+// hand: from here on replies are dropped on arrival, every unit held by
+// a frame that will never be written goes back, queued pool requests
+// are abandoned through the connection context, and the socket is
+// closed so the reader stops too.
+func (c *srvConn) die(n int) {
+	c.mu.Lock()
+	c.dead = true
+	n += c.frames
+	c.pending, c.frames = nil, 0
+	c.mu.Unlock()
+	c.cancel()
+	c.nc.Close()
+	for ; n > 0; n-- {
+		<-c.budget
+	}
+}
+
+func (c *srvConn) errorFrame(id uint64, code Status, retryAfter time.Duration, msg string) Frame {
+	c.srv.errFrames.Add(1)
+	return Frame{Type: TError, ID: id, Payload: appendStatus(nil, code, retryAfter, msg)}
 }
 
 // poolErrorFrame maps a serving-layer error to its wire status. This is
 // the admission-control boundary: ErrOverloaded becomes a RETRY_AFTER
 // status frame the client backs off on, instead of TCP pushback that
-// would stall the whole connection (DESIGN.md, "Backpressure as data").
-func (c *srvConn) poolErrorFrame(id uint64, err error) []byte {
+// would stall the whole connection (DESIGN.md §7, "Backpressure is a
+// status frame, not TCP pushback").
+func (c *srvConn) poolErrorFrame(id uint64, err error) Frame {
 	switch {
 	case errors.Is(err, serve.ErrOverloaded):
 		return c.errorFrame(id, StatusOverloaded, c.srv.opts.RetryAfter, "shard queue full")

@@ -9,7 +9,9 @@
 // is precisely the regime the §4 crash-consistency protocol was proved
 // in. Clients submit requests into bounded per-shard queues; the worker
 // coalesces queued requests into protocol rounds (batches), executes
-// them back-to-back, and replies through per-request channels.
+// them back-to-back, and replies through per-request channels (Access)
+// or per-request completion callbacks run on the replying goroutine
+// (Go, the asynchronous form the network front-end submits through).
 //
 // Routing goes through an immutable, epoch-stamped table swapped
 // atomically (copy-on-write): the stable fast path costs one atomic
@@ -323,7 +325,9 @@ type response struct {
 // never blocks on it; the object cycles through Pool.reqPool and is
 // reused only after its reply has been received (an abandoned request —
 // client context died first — is left to the GC, because its late
-// reply would otherwise leak into the next user of the channel).
+// reply would otherwise leak into the next user of the channel). A
+// request submitted through Go carries done instead of a waiter: finish
+// recycles the envelope and calls it on the replying goroutine.
 type request struct {
 	kind  kind
 	op    oram.Op
@@ -332,6 +336,7 @@ type request struct {
 	fire  func(oracle.CrashSpec) bool
 	fn    func(b Backend) error // kindExec body
 	ctx   context.Context
+	done  func(value []byte, err error) // Go's completion; nil = reply on the channel
 	reply chan response
 }
 
@@ -595,7 +600,7 @@ func (p *Pool) work(sh *shard) {
 					sh.combined.Add(1)
 					sh.completed.Add(1)
 					resp := response{value: append([]byte(nil), c.value...), leaf: c.leaf}
-					sh.deliver(r, resp)
+					p.deliver(sh, r, resp)
 					continue
 				}
 				if sh.caps[i].want {
@@ -623,23 +628,36 @@ func (p *Pool) work(sh *shard) {
 	}
 }
 
-// deliver sends a successful access reply — immediately, or held on the
+// finish answers r, exactly once per request: a Go request's envelope
+// is recycled and its completion runs here, on the replying goroutine
+// (the shard worker, or the backend's persist worker for a reply held
+// on a commit ticket); an Access request's reply goes to its channel,
+// which is buffered(1), so the send never blocks either.
+func (p *Pool) finish(r *request, resp response) {
+	if r.done == nil {
+		r.reply <- resp
+		return
+	}
+	done := r.done
+	p.putRequest(r)
+	done(resp.value, resp.err)
+}
+
+// deliver finishes a successful access — immediately, or held on the
 // covering commit group's ticket under group commit, so the ack is only
 // observable once the access is durable. A barrier failure replaces the
-// held reply with the error. The reply channel is buffered(1), so the
-// eventual send (possibly from the backend's persist worker) never
-// blocks.
-func (sh *shard) deliver(r *request, resp response) {
+// held reply with the error.
+func (p *Pool) deliver(sh *shard, r *request, resp response) {
 	if sh.grouped == nil {
-		r.reply <- resp
+		p.finish(r, resp)
 		return
 	}
 	sh.grouped.OnCommit(func(perr error) {
 		if perr != nil {
-			r.reply <- response{err: fmt.Errorf("serve: shard %d: %w", sh.id, perr)}
+			p.finish(r, response{err: fmt.Errorf("serve: shard %d: %w", sh.id, perr)})
 			return
 		}
-		r.reply <- resp
+		p.finish(r, resp)
 	})
 }
 
@@ -690,7 +708,7 @@ func (p *Pool) execute(sh *shard, r *request, cc *combineCap) {
 	// spending a protocol access on it.
 	if r.ctx != nil && r.ctx.Err() != nil && r.kind != kindArm {
 		sh.expired.Add(1)
-		r.reply <- response{err: r.ctx.Err()}
+		p.finish(r, response{err: r.ctx.Err()})
 		return
 	}
 	var resp response
@@ -757,16 +775,17 @@ func (p *Pool) execute(sh *shard, r *request, cc *combineCap) {
 		// mutation is durable; under group commit they are held on their
 		// commit ticket. Errors (including ErrInterrupted — the access
 		// never happened) and non-access kinds reply immediately.
-		sh.deliver(r, resp)
+		p.deliver(sh, r, resp)
 		return
 	}
-	r.reply <- resp
+	p.finish(r, resp)
 }
 
 // getRequest takes a request envelope from the pool; putRequest resets
 // it (keeping its reply channel) and returns it. Only requests whose
-// reply has been received — or that were never enqueued — may be put
-// back; the channel must be empty on reuse.
+// reply has been received — or that were never enqueued, or that carry
+// a completion and so never use the channel — may be put back; the
+// channel must be empty on reuse.
 func (p *Pool) getRequest() *request {
 	return p.reqPool.Get().(*request)
 }
@@ -777,47 +796,53 @@ func (p *Pool) putRequest(r *request) {
 	p.reqPool.Put(r)
 }
 
-// submit routes r to shard sh without ever blocking on a full queue.
-// It consumes r: the envelope is recycled (or, on abandonment, leaked
-// to the GC) before submit returns, so the caller must not touch it
-// again.
+// enqueue is the admission half of every submission: it puts r on shard
+// sh's queue without ever blocking on a full one. On any error r was
+// not enqueued and has been recycled; on nil r belongs to the worker
+// until it is answered.
 //
 // When rt is non-nil, the routing table is revalidated under the
 // shard's closeMu read lock: if it changed since the caller resolved
-// the route, submit backs out with errRouteChanged and the caller
+// the route, enqueue backs out with errRouteChanged and the caller
 // re-routes. This is the reshard freeze handshake — a stripe
 // transition swaps the table and then takes the old shard's closeMu
 // write lock as a barrier, so every enqueue that slipped past the old
 // table has landed (and will drain) before migration reads the shard.
-func (p *Pool) submit(ctx context.Context, sh *shard, r *request, rt *routeTable) (response, error) {
+func (p *Pool) enqueue(ctx context.Context, sh *shard, r *request, rt *routeTable) error {
 	r.ctx = ctx
 	sh.closeMu.RLock()
-	if p.closed.Load() {
-		sh.closeMu.RUnlock()
-		p.putRequest(r)
-		return response{}, ErrPoolClosed
-	}
-	if sh.closed {
+	var err error
+	switch {
+	case p.closed.Load():
+		err = ErrPoolClosed
+	case sh.closed:
 		// The shard's queue is gone (its set was retired by a completed
 		// or aborted reshard); the current table routes elsewhere.
-		sh.closeMu.RUnlock()
-		p.putRequest(r)
-		return response{}, errRouteChanged
-	}
-	if rt != nil && p.router.Load() != rt {
-		sh.closeMu.RUnlock()
-		p.putRequest(r)
-		return response{}, errRouteChanged
-	}
-	select {
-	case sh.queue <- r:
-		sh.submitted.Add(1)
-		sh.closeMu.RUnlock()
+		err = errRouteChanged
+	case rt != nil && p.router.Load() != rt:
+		err = errRouteChanged
 	default:
-		sh.rejected.Add(1)
-		sh.closeMu.RUnlock()
+		select {
+		case sh.queue <- r:
+			sh.submitted.Add(1)
+		default:
+			sh.rejected.Add(1)
+			err = ErrOverloaded
+		}
+	}
+	sh.closeMu.RUnlock()
+	if err != nil {
 		p.putRequest(r)
-		return response{}, ErrOverloaded
+	}
+	return err
+}
+
+// submit enqueues r on shard sh and waits for its reply. It consumes r:
+// the envelope is recycled (or, on abandonment, leaked to the GC)
+// before submit returns, so the caller must not touch it again.
+func (p *Pool) submit(ctx context.Context, sh *shard, r *request, rt *routeTable) (response, error) {
+	if err := p.enqueue(ctx, sh, r, rt); err != nil {
+		return response{}, err
 	}
 	if ctx == nil {
 		resp := <-r.reply
@@ -834,6 +859,54 @@ func (p *Pool) submit(ctx context.Context, sh *shard, r *request, rt *routeTable
 		// waiting. The envelope is NOT recycled — the late reply sitting
 		// in its channel would surface as the next user's answer.
 		return response{}, ctx.Err()
+	}
+}
+
+// Go is Access without the wait: it validates, routes and enqueues the
+// request exactly as Access does and returns; done is called exactly
+// once with what Access would have returned (less the leaf). A request
+// that cannot be enqueued — out-of-range address, ErrOverloaded,
+// ErrPoolClosed, ErrResharding — completes inline, before Go returns.
+// An enqueued one completes on the replying goroutine: the shard's
+// worker, or the backend's persist worker when the reply is held on a
+// group-commit ticket. done therefore must not block and must not call
+// back into the pool's waiting methods; data must stay untouched until
+// it runs. ctx is consulted when the worker dequeues the request (a
+// dead context is answered with its error, no access spent); nobody
+// waits on it in between.
+//
+// While a reshard is migrating, writes may need mirroring into the old
+// shard set and retrying across table swaps; that bookkeeping lives in
+// Access, so Go runs Access on a goroutine for the duration.
+func (p *Pool) Go(ctx context.Context, op oram.Op, addr uint64, data []byte, done func(value []byte, err error)) {
+	if addr >= p.opts.NumBlocks {
+		done(nil, fmt.Errorf("serve: access to addr %d outside [0,%d)", addr, p.opts.NumBlocks))
+		return
+	}
+	for {
+		rt := p.router.Load()
+		sh, local, _, _, rerr := rt.route(addr)
+		if rerr != nil {
+			done(nil, rerr)
+			return
+		}
+		if rt.next != nil {
+			go func() {
+				v, _, err := p.Access(ctx, op, addr, data)
+				done(v, err)
+			}()
+			return
+		}
+		r := p.getRequest()
+		r.kind, r.op, r.addr, r.data, r.done = kindAccess, op, local, data, done
+		err := p.enqueue(ctx, sh, r, rt)
+		if err == errRouteChanged {
+			continue
+		}
+		if err != nil {
+			done(nil, err)
+		}
+		return
 	}
 }
 

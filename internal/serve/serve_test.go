@@ -84,6 +84,28 @@ func TestPoolOracle(t *testing.T) {
 // Peek sweep and the structural invariants must agree with the merged
 // references.
 func TestPoolConcurrentOracle(t *testing.T) {
+	concurrentOracle(t, func(ctx context.Context, p *Pool, _ int, op oram.Op, addr uint64, data []byte) ([]byte, error) {
+		v, _, err := p.Access(ctx, op, addr, data)
+		return v, err
+	})
+}
+
+// TestPoolConcurrentOracleMixedGo runs the same proof with every other
+// operation submitted through Go, so waited and completion-callback
+// requests share queues, protocol rounds and read-combining.
+func TestPoolConcurrentOracleMixedGo(t *testing.T) {
+	concurrentOracle(t, func(ctx context.Context, p *Pool, i int, op oram.Op, addr uint64, data []byte) ([]byte, error) {
+		if i%2 == 0 {
+			return goAccess(ctx, p, op, addr, data)
+		}
+		v, _, err := p.Access(ctx, op, addr, data)
+		return v, err
+	})
+}
+
+// concurrentOracle drives the pool from 4 clients, each issuing its
+// i-th operation through access.
+func concurrentOracle(t *testing.T, access func(ctx context.Context, p *Pool, i int, op oram.Op, addr uint64, data []byte) ([]byte, error)) {
 	const (
 		shards  = 4
 		clients = 4
@@ -113,7 +135,7 @@ func TestPoolConcurrentOracle(t *testing.T) {
 				if op.Write {
 					kind, data = oram.OpWrite, op.Data
 				}
-				got, _, err := p.Access(ctx, kind, addr, data)
+				got, err := access(ctx, p, i, kind, addr, data)
 				if err != nil {
 					errc <- fmt.Errorf("client %d op %d: %v", c, i, err)
 					return
