@@ -99,12 +99,14 @@ kill9-smoke: build
 # pipeline-smoke sweeps the intra-shard pipelining matrix — crypto
 # workers {1,4} x pipeline depth {1,4} — through the serving-layer
 # differential oracle, the Depth(1)+Workers(1) byte-equivalence check
-# against the bare serial controller, and the read-combining suite,
+# against the bare serial controller, the read-combining suite, and the
+# worker's round formation (TestRoundsForm: rounds, combined reads and
+# per-caller fairness by exact counters at GOMAXPROCS 1 and 2),
 # all under the race detector; then the kill -9 recovery torture
 # (-short slice) and a crash-torture CLI run with the whole machinery
 # armed.
 pipeline-smoke: build
-	$(GO) test -race -count=1 -run 'TestPipelineMatrixOracle|TestDepthOneByteIdenticalToSerial|TestReadCombining|TestWritesNeverCombine|TestPipelined' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestPipelineMatrixOracle|TestDepthOneByteIdenticalToSerial|TestReadCombining|TestWritesNeverCombine|TestPipelined|TestRoundsForm' ./internal/serve
 	$(GO) test -race -short -count=1 -run 'TestKill9' ./internal/storage/filestore
 	$(GO) run -race ./cmd/psoram-serve -shards 2 -clients 4 -ops 150 -blocks 256 -levels 6 \
 		-check -crash-every 250 -crypto-workers 4 -pipeline-depth 4
@@ -225,7 +227,7 @@ perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCorePooledSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
-	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs' -short -v
+	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .

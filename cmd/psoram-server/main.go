@@ -58,7 +58,7 @@ func main() {
 		crashEvery = flag.Int("crash-every", 0, "fire a simulated power failure every Nth crash point (0 = off)")
 		reshardTo  = flag.Int("reshard", 0, "admin: with -addr, reshard the remote server to N shards and exit; when serving, SIGHUP reshards the live pool to N")
 		cryptoW    = flag.Int("crypto-workers", 0, "per-shard seal fan-out workers (0/1 = inline serial sealing)")
-		pipeline   = flag.Int("pipeline-depth", 0, "intra-shard pipelining depth (1 = strict serial protocol, 0 = default 4)")
+		pipeline   = flag.Int("pipeline-depth", 0, "read-combining switch: 1 = off, the strict serial protocol; above 1 = duplicate reads in a round share one access (all such depths behave alike); 0 = default 4")
 		groupOps   = flag.Int("group-commit", 0, "batch each durable shard's persist barrier across up to N accesses (0/1 = serial per-access barrier)")
 		groupDelay = flag.Duration("group-delay", 0, "max time an idle shard holds an open commit group (0 = small default; needs -group-commit > 1)")
 		drainWait  = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGTERM")

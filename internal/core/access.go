@@ -30,16 +30,22 @@ var StageNames = [NumStages]string{"load", "crypto", "evict", "seal", "persist"}
 // stage histograms.
 func (c *Controller) StageNanos() [NumStages]int64 { return c.stageNanos }
 
-// stageMark/stageAdd maintain a single wall-clock cursor across the
-// stage boundaries of one access: each stageAdd charges the time since
-// the previous mark (or add) to one stage and advances the cursor, so a
-// chain of adjacent stages costs one clock read per boundary instead of
-// a start/stop pair per stage.
-func (c *Controller) stageMark() { c.tMark = time.Now() }
+// stageEpoch anchors the stage clock: time.Since on a Time that carries
+// a monotonic reading reads the monotonic clock alone, where time.Now
+// reads the wall clock as well — and a stage boundary wants only a
+// difference.
+var stageEpoch = time.Now()
+
+// stageMark/stageAdd maintain a single cursor (nanoseconds since
+// stageEpoch) across the stage boundaries of one access: each stageAdd
+// charges the time since the previous mark (or add) to one stage and
+// advances the cursor, so a chain of adjacent stages costs one clock
+// read per boundary instead of a start/stop pair per stage.
+func (c *Controller) stageMark() { c.tMark = int64(time.Since(stageEpoch)) }
 
 func (c *Controller) stageAdd(stage int) {
-	now := time.Now()
-	c.stageNanos[stage] += int64(now.Sub(c.tMark))
+	now := int64(time.Since(stageEpoch))
+	c.stageNanos[stage] += now - c.tMark
 	c.tMark = now
 }
 

@@ -153,7 +153,7 @@ type Controller struct {
 	// stage* constants): the serving layer turns deltas into per-stage
 	// latency histograms. tMark is the stage cursor (stageMark/stageAdd).
 	stageNanos [NumStages]int64
-	tMark      time.Time
+	tMark      int64
 
 	// Group commit (see GroupCommit in Options): group is the configured
 	// thresholds; ticket is the open group's CommitTicket (nil when no
@@ -170,10 +170,11 @@ type Controller struct {
 	onGroupCommit func(ops int, persistNanos int64)
 
 	// prefetch caches the decoded headers of the next expected access's
-	// path, validated per bucket against the image's write sequence. A
-	// serving worker calls Prefetch(addr) for a queued request while the
-	// current one is still evicting; loadBucket then skips the header
-	// decodes that are still valid.
+	// path, validated per bucket against the image's write sequence: after
+	// a Prefetch(addr), loadBucket skips the header decodes that are still
+	// valid. The serving worker does not call it — one goroutine runs the
+	// shard, so the walk would overlap with nothing (DESIGN.md §5.2); the
+	// benchmark's ladder and the transparency tests are its callers.
 	prefetch struct {
 		valid bool
 		leaf  oram.Leaf

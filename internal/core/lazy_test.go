@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/oram"
@@ -198,6 +199,46 @@ func TestStageNanosAccumulate(t *testing.T) {
 		if t.Failed() {
 			t.Log(fmt.Sprint(ns))
 		}
+	}
+}
+
+// TestStageClockCoversTheAccess: the stage cursor is a monotonic-clock
+// offset from a package epoch, so no stage may ever run backwards, and
+// the five stages together must account for most of the wall time of
+// the accesses and never more than all of it — a cursor left stale
+// across accesses would overshoot, a dropped stageAdd undershoot.
+func TestStageClockCoversTheAccess(t *testing.T) {
+	cfg := config.Default()
+	ctl, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 2048, Levels: 10, Untimed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, cfg.BlockBytes)
+	last := ctl.StageNanos()
+	var sum int64
+	start := time.Now()
+	for i := 0; i < 2000; i++ {
+		op, data := oram.OpRead, []byte(nil)
+		if i%2 == 0 {
+			op, data = oram.OpWrite, buf
+		}
+		if _, err := ctl.Access(op, oram.Addr((i*7)%2048), data); err != nil {
+			t.Fatal(err)
+		}
+		now := ctl.StageNanos()
+		for s := range now {
+			d := now[s] - last[s]
+			if d < 0 {
+				t.Fatalf("access %d: stage %s ran backwards by %dns", i, StageNames[s], -d)
+			}
+			sum += d
+		}
+		last = now
+	}
+	wall := int64(time.Since(start))
+	t.Logf("stages sum to %dns of %dns wall (%.2f)", sum, wall, float64(sum)/float64(wall))
+	if sum < wall/2 || sum > wall {
+		t.Errorf("stage sum outside [0.50, 1.00] of the wall time")
 	}
 }
 

@@ -232,8 +232,9 @@ func (t *coreTarget) SaveDurable(w io.Writer) error { return t.ctl.SaveDurable(w
 // cfg a core.LoadDurable of this target's snapshot requires.
 func (t *coreTarget) SnapshotConfig() config.Config { return t.ctl.Cfg }
 
-// Prefetch decodes addr's path headers ahead of its Access — the serving
-// layer's pipelining hook. Protocol-free: no state or traffic changes.
+// Prefetch decodes addr's path headers ahead of its Access.
+// Protocol-free: no state or traffic changes. The serving worker does
+// not call it; the benchmark's stockBackend interface names it.
 func (t *coreTarget) Prefetch(addr oram.Addr) { t.ctl.Prefetch(addr) }
 
 // StageNanos exposes the controller's cumulative per-stage wall time

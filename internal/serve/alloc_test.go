@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/oram"
@@ -57,10 +58,10 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestServePipelinedSteadyStateAllocs pins the same budget with the
-// whole PR 8 machinery armed: a seal fan-out pool (CryptoWorkers 4),
-// prefetch + read-combining (PipelineDepth 4). The pipeline may add
-// zero steady-state allocations — combine capture buffers, prefetch
-// slots, and stage cursors are all pre-sized at construction.
+// whole PR 8 machinery armed: a seal fan-out pool (CryptoWorkers 4)
+// and read-combining (PipelineDepth 4). The pipeline may add zero
+// steady-state allocations — combine capture buffers and stage cursors
+// are all pre-sized at construction.
 func TestServePipelinedSteadyStateAllocs(t *testing.T) {
 	const budget = 4.0
 
@@ -152,4 +153,39 @@ func TestServeFileStoreSteadyStateAllocs(t *testing.T) {
 		t.Errorf("file-backed serve access allocates %.2f/op, budget %.1f", allocs, budget)
 	}
 	t.Logf("file-backed serve allocs/op: %.2f (budget %.1f)", allocs, budget)
+}
+
+// TestServeGroupCommitRoundAllocs pins what a round costs when it ends
+// in the worker's idle wait — acks held on an open commit group, queue
+// empty — which is every round of a lone caller on a group-commit
+// shard. The fake backend accounts for four allocations per access (the
+// previous value, the ownership copy, the held reply's closure, the
+// ticket list); the wait itself must add none: the worker re-arms one
+// timer, where a time.After per wait would cost a timer and its channel
+// each round.
+func TestServeGroupCommitRoundAllocs(t *testing.T) {
+	const budget = 5.0
+
+	b := &ticketBackend{gatedBackend: newGatedBackend(8, 16, nil)}
+	p := mustPool(t, Options{
+		Shards: 1, NumBlocks: 8,
+		// The group never fills: only the idle flush releases an ack.
+		GroupCommitOps: 64, GroupCommitDelay: 20 * time.Microsecond,
+		Factory: func(int, uint64) (Backend, error) { return b, nil },
+	})
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		if _, err := p.Read(ctx, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := p.Read(ctx, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("group-commit round allocates %.2f/op, budget %.1f", allocs, budget)
+	}
+	t.Logf("group-commit round allocs/op: %.2f (budget %.1f)", allocs, budget)
 }

@@ -8,10 +8,13 @@
 // drives it — so the controllers themselves never see concurrency, which
 // is precisely the regime the §4 crash-consistency protocol was proved
 // in. Clients submit requests into bounded per-shard queues; the worker
-// coalesces queued requests into protocol rounds (batches), executes
-// them back-to-back, and replies through per-request channels (Access)
-// or per-request completion callbacks run on the replying goroutine
-// (Go, the asynchronous form the network front-end submits through).
+// takes what is queued as one protocol round (a batch) — yielding once
+// before it parks on an empty queue, so the callers it just answered
+// join the next round — executes the round back-to-back, serving
+// duplicate reads in it from one physical access, and replies through
+// per-request channels (Access) or per-request completion callbacks run
+// on the replying goroutine (Go, the asynchronous form the network
+// front-end submits through).
 //
 // Routing goes through an immutable, epoch-stamped table swapped
 // atomically (copy-on-write): the stable fast path costs one atomic
@@ -36,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,13 +86,6 @@ type Backend interface {
 	oracle.Target
 	Recover() error
 }
-
-// prefetcher is the optional backend facet for protocol pipelining: the
-// worker calls Prefetch for the next queued request while the current
-// one is still in its eviction/seal tail, so the next access starts
-// with its path headers already decoded. Prefetch must be protocol-free
-// (no state mutation, no simulated traffic).
-type prefetcher interface{ Prefetch(addr oram.Addr) }
 
 // staged is the optional backend facet exposing cumulative per-stage
 // wall time (load / crypto / evict / seal / persist); the worker
@@ -178,13 +175,12 @@ type Options struct {
 	// 0 or 1 keeps sealing inline on the shard worker (byte-identical to
 	// the serial path).
 	CryptoWorkers int
-	// PipelineDepth controls intra-shard protocol pipelining. 1 disables
-	// it entirely — every request runs the strict serial protocol with no
-	// lookahead and no read-combining, matching the pre-pipelining
-	// behavior exactly. Depths above 1 let the worker prefetch the next
-	// queued request's path while the current one finishes, and collapse
-	// duplicate-address reads within one coalesced round into a single
-	// physical access. 0 defaults to 4.
+	// PipelineDepth switches read-combining, and nothing else (there is
+	// no lookahead: one goroutine runs the shard, so a prefetch of the
+	// next path would overlap with nothing). 1 gives every request its
+	// own physical access — the strict serial protocol, byte for byte.
+	// Any depth above 1 collapses duplicate-address reads within one
+	// coalesced round into a single physical access. 0 defaults to 4.
 	PipelineDepth int
 	// GroupCommitOps batches each durable shard's persist barrier across
 	// up to this many accesses: replies are held until the covering
@@ -343,14 +339,13 @@ type request struct {
 // shard is one keyspace stripe: a single-threaded backend plus the one
 // goroutine allowed to touch it.
 type shard struct {
-	id       int
-	blocks   uint64 // local block count (stats)
-	backend  Backend
-	prefetch prefetcher // nil when pipelining is off or unsupported
-	stages   staged     // nil when the backend has no stage clock
-	grouped  grouped    // nil when group commit is off or unsupported
-	queue    chan *request
-	done     chan struct{} // closed when the worker exits (per-shard join)
+	id      int
+	blocks  uint64 // local block count (stats)
+	backend Backend
+	stages  staged  // nil when the backend has no stage clock
+	grouped grouped // nil when group commit is off or unsupported
+	queue   chan *request
+	done    chan struct{} // closed when the worker exits (per-shard join)
 
 	// Worker-owned pipelining scratch (no locks: one worker per shard).
 	stageLast [5]int64     // last StageNanos snapshot
@@ -513,9 +508,6 @@ func (p *Pool) newShard(id int, b Backend) *shard {
 		done:    make(chan struct{}),
 	}
 	sh.stages, _ = b.(staged)
-	if p.opts.PipelineDepth > 1 {
-		sh.prefetch, _ = b.(prefetcher)
-	}
 	if p.opts.GroupCommitOps > 1 {
 		sh.grouped, _ = b.(grouped)
 		if sh.grouped != nil {
@@ -537,37 +529,56 @@ func (p *Pool) newShard(id int, b Backend) *shard {
 	return sh
 }
 
-// work is a shard's worker loop: block for one request, coalesce up to
+// work is a shard's worker loop: take one request, coalesce up to
 // MaxBatch-1 more that are already queued, and run them as one protocol
-// round. With pipelining on (PipelineDepth > 1), the round is planned
-// before execution: duplicate-address reads combine with the latest
-// preceding access to their address (one physical round, value fanned
-// out), and after each access the worker prefetches the next request's
-// path so its header decodes overlap the current access's tail. Under
-// group commit, an idle queue with held acks flushes the open group
-// after GroupCommitDelay. Exits when the queue is closed and drained —
-// flushing any open group on the way out, so every request accepted
-// before Close is answered.
+// round. With PipelineDepth > 1 the round is planned before execution:
+// duplicate-address reads combine with the latest preceding access to
+// their address (one physical round, value fanned out).
+//
+// Rounds form on purpose: when the queue is empty the worker yields once
+// before it parks. The callers the round just answered are runnable by
+// then, so they submit before the worker looks again and share the next
+// round; a caller that arrives later wakes the worker through the
+// channel, the yield already spent. One yield, no timer, no
+// threshold, and never a look at an address (DESIGN.md §7 "Worker
+// rounds"). Under group commit, an idle queue with held acks flushes the
+// open group after GroupCommitDelay. Exits when the queue is closed and
+// drained — flushing any open group on the way out, so every request
+// accepted before Close is answered.
 func (p *Pool) work(sh *shard) {
 	defer close(sh.done)
 	defer p.wg.Done()
 	batch := make([]*request, 0, p.opts.MaxBatch)
 	combining := p.opts.PipelineDepth > 1
+	var idle *time.Timer // bounds held acks' wait; one per worker, re-armed
 	for {
 		var first *request
 		var ok bool
-		if sh.grouped != nil && sh.grouped.CommitPending() {
-			// Acks are held on an open commit group and no request is
-			// ready: bound their wait. The flush error (if any) reaches
-			// the held replies through their tickets.
-			select {
-			case first, ok = <-sh.queue:
-			case <-time.After(p.opts.GroupCommitDelay):
-				sh.grouped.FlushCommits()
-				continue
+		select {
+		case first, ok = <-sh.queue:
+		default:
+			runtime.Gosched()
+			if sh.grouped != nil && sh.grouped.CommitPending() {
+				// Acks are held on an open commit group and no request is
+				// ready: bound their wait. The flush error (if any) reaches
+				// the held replies through their tickets.
+				if idle == nil {
+					idle = time.NewTimer(p.opts.GroupCommitDelay)
+				} else {
+					idle.Reset(p.opts.GroupCommitDelay)
+				}
+				select {
+				case first, ok = <-sh.queue:
+					if !idle.Stop() {
+						<-idle.C // fired meanwhile: drained for the next Reset
+					}
+				case <-idle.C:
+					sh.grouped.FlushCommits()
+					continue
+				}
+			} else {
+				first, ok = <-sh.queue
 			}
-		} else {
-			first, ok = <-sh.queue
 		}
 		if !ok {
 			break
@@ -608,14 +619,6 @@ func (p *Pool) work(sh *shard) {
 				}
 			}
 			p.execute(sh, r, cc)
-			// Pipelining: the current request's protocol round is done (or
-			// in its seal tail on a parallel crypto pool) — start decoding
-			// the next queued access's path.
-			if sh.prefetch != nil && i+1 < len(batch) {
-				if nxt := batch[i+1]; nxt.kind == kindAccess && sh.combine[i+1] < 0 {
-					sh.prefetch.Prefetch(nxt.addr)
-				}
-			}
 		}
 		sh.mu.Lock()
 		sh.batch.Observe(occ)
@@ -844,7 +847,7 @@ func (p *Pool) submit(ctx context.Context, sh *shard, r *request, rt *routeTable
 	if err := p.enqueue(ctx, sh, r, rt); err != nil {
 		return response{}, err
 	}
-	if ctx == nil {
+	if ctx == nil || ctx.Done() == nil {
 		resp := <-r.reply
 		p.putRequest(r)
 		return resp, resp.err

@@ -177,13 +177,15 @@ func WithCryptoWorkers(n int) StoreOption {
 	return func(c *storeConfig) { c.cryptoWorkers = n }
 }
 
-// WithPipelineDepth controls protocol pipelining when this store's
+// WithPipelineDepth switches read-combining when this store's
 // configuration is used by a serving pool (see PoolOptions.PipelineDepth
-// — pipelining lives in the serving layer, which owns the request
-// stream; a lone Store has nothing to look ahead into). Depth 1 disables
-// lookahead and read-combining entirely; 0 defaults to 4. On a Store
-// built directly, the value is recorded and surfaced via PipelineDepth
-// for wrappers that construct pools from store options.
+// — combining lives in the serving layer, which owns the request
+// stream; a lone Store has no round to find a duplicate read in). Depth
+// 1 turns it off; any larger depth collapses duplicate-address reads in
+// one round into one physical access (the depth buys no lookahead, so
+// all depths above 1 behave alike); 0 defaults to 4. On a Store built
+// directly, the value is recorded and surfaced via PipelineDepth for
+// wrappers that construct pools from store options.
 func WithPipelineDepth(d int) StoreOption {
 	return func(c *storeConfig) { c.pipelineDepth = d }
 }
@@ -477,8 +479,10 @@ func WithPoolCryptoWorkers(n int) PoolOption {
 	return func(o *serve.Options) { o.CryptoWorkers = n }
 }
 
-// WithPoolPipelineDepth controls intra-shard protocol pipelining
-// (default 4; 1 disables lookahead and read-combining entirely).
+// WithPoolPipelineDepth switches intra-shard read-combining (default 4;
+// 1 turns it off: every request is its own physical access, the strict
+// serial protocol). The depth buys no lookahead, so all depths above 1
+// behave alike.
 func WithPoolPipelineDepth(d int) PoolOption {
 	return func(o *serve.Options) { o.PipelineDepth = d }
 }
