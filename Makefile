@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race stress check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
+.PHONY: all build vet fmt test race stress check sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke profile perf-smoke bless-golden clean
 
 all: check
 
@@ -32,23 +32,17 @@ stress:
 	$(GO) test -race -count=20 -cpu 1,2 -timeout 60m ./internal/serve/
 	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/netserve/
 
-# check is the pre-commit gate: build, vet, the gofmt gate, the
-# deprecation gate, the full suite under the race detector, the
-# pipelining matrix smoke (workers x depth through the serving oracle
-# plus a crashing CLI run), and the resharding smoke. -short shrinks the sweep grid cells (see
-# internal/sweep.testGrid) so the parallel engine is still exercised
-# end-to-end without multi-minute cells.
-check: build vet fmt depgate
+# check is the pre-commit gate: build, vet, the gofmt gate, the full
+# suite under the race detector, the pipelining smoke (depth {1,4}
+# through the serving oracle plus a crashing CLI run), the resharding
+# smoke and the group-commit smoke. -short shrinks the sweep grid cells
+# (see internal/sweep.testGrid) so the parallel engine is still
+# exercised end-to-end without multi-minute cells.
+check: build vet fmt
 	$(GO) test -short -race ./...
 	$(MAKE) pipeline-smoke
 	$(MAKE) reshard-smoke
 	$(MAKE) group-smoke
-
-# depgate refuses references to Deprecated: symbols outside their
-# declaring file and *deprecated_test.go wrapper tests — the old
-# NewStore/Serve/sim.Run surfaces stay wrappers, never call sites.
-depgate:
-	$(GO) run ./cmd/psoram-depgate
 
 # sweep-smoke regenerates the acceptance grid (3 schemes x 2 workloads x
 # 2 channel counts) through the CLI on 4 workers, printing the summary
@@ -96,10 +90,9 @@ net-smoke: build
 kill9-smoke: build
 	$(GO) test -race -short -count=1 -run 'TestKill9|TestCorruptionTable|TestFreshDirIsNoStore' ./internal/storage/filestore
 
-# pipeline-smoke sweeps the intra-shard pipelining matrix — crypto
-# workers {1,4} x pipeline depth {1,4} — through the serving-layer
-# differential oracle, the Depth(1)+Workers(1) byte-equivalence check
-# against the bare serial controller, the read-combining suite, and the
+# pipeline-smoke sweeps pipeline depth {1,4} through the serving-layer
+# differential oracle, the Depth(1) byte-equivalence check against the
+# bare serial controller, the read-combining suite, and the
 # worker's round formation (TestRoundsForm: rounds, combined reads and
 # per-caller fairness by exact counters at GOMAXPROCS 1 and 2),
 # all under the race detector; then the kill -9 recovery torture
@@ -109,7 +102,7 @@ pipeline-smoke: build
 	$(GO) test -race -count=1 -run 'TestPipelineMatrixOracle|TestDepthOneByteIdenticalToSerial|TestReadCombining|TestWritesNeverCombine|TestPipelined|TestRoundsForm' ./internal/serve
 	$(GO) test -race -short -count=1 -run 'TestKill9' ./internal/storage/filestore
 	$(GO) run -race ./cmd/psoram-serve -shards 2 -clients 4 -ops 150 -blocks 256 -levels 6 \
-		-check -crash-every 250 -crypto-workers 4 -pipeline-depth 4
+		-check -crash-every 250 -pipeline-depth 4
 
 # reshard-smoke proves elastic resharding under the race detector: the
 # oracle-validated split-then-merge under concurrent load, durable
@@ -149,66 +142,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFilestoreRecovery$$' -fuzztime $(FUZZTIME) ./internal/storage/filestore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/netserve
 
-# bench-oracle measures the per-cell cost of oracle validation and pins
-# it into BENCH_oracle.json (tracked; regenerate when the oracle or the
-# sweep engine changes).
-bench-oracle:
-	$(GO) test -run '^$$' -bench BenchmarkOracleOverhead -benchmem -json ./internal/sweep > BENCH_oracle.json
-	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_oracle.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
-
-# bench-sim measures steady-state cost per simulated access for the
-# headline schemes and pins it into BENCH_sim.json (tracked; regenerate
-# when sim/mem/oram hot paths change). Compare two checkouts with
-# benchstat: see EXPERIMENTS.md, "Profiling the simulator".
-bench-sim:
-	$(GO) test -run '^$$' -bench BenchmarkSim -benchmem -benchtime=2s -json ./internal/sim > BENCH_sim.json
-	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_sim.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
-
-# bench-serve measures end-to-end serving throughput across shard counts
-# plus the bare functional store on the same tree shape (no pool — the
-# gap is the serving layer's own overhead) and pins both into
-# BENCH_serve.json (tracked; regenerate when the serving layer or the
-# core access path changes). Compare against the pinned baseline with
-# benchstat: see EXPERIMENTS.md, "Profiling the serving data path".
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$' -benchmem -benchtime=1s -json ./internal/serve . > BENCH_serve.json
-	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_serve.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
-
-# bench-store measures the per-access price of crash consistency: the
-# durable file backend (chunk writes + fsyncs + version flip per access)
-# against the in-memory BenchmarkStoreAccess on the identical tree
-# shape, pinned into BENCH_store.json (tracked; regenerate when the
-# filestore persist barrier or chunk layout changes). Numbers are
-# storage-stack dependent — compare within one machine with benchstat.
-bench-store:
-	$(GO) test -run '^$$' -bench '^BenchmarkFileStoreAccess$$|^BenchmarkStoreAccess$$' -benchmem -benchtime=1s -json . > BENCH_store.json
-	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_store.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
-
-# bench-net measures loopback serving capacity through the whole
-# network stack — framing, TCP, pipelining, the sharded pool, real
-# PS-ORAM accesses — from 64 concurrent connections, and pins ns/op
-# plus the client-observed p50/p99 into BENCH_net.json (tracked;
-# regenerate when the protocol, client, or serving layer changes).
-# Loopback numbers are machine dependent — compare within one machine
-# with benchstat.
-bench-net:
-	$(GO) test -run '^$$' -bench '^BenchmarkNetThroughput$$' -benchmem -benchtime=1s -json ./internal/netserve > BENCH_net.json
-	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_net.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
-
-# bench-compare re-runs the serving benchmarks into a scratch file and
-# diffs them against the tracked pin with the local comparer (benchstat
-# is not assumed installed; psoram-benchcmp parses the -json pins and
-# exits 1 on a >15% ns/op regression — above this machine's observed
-# run-to-run noise). Compare any two pins directly with
-# `go run ./cmd/psoram-benchcmp OLD.json NEW.json`.
-BENCH_NEW ?= /tmp/BENCH_serve.new.json
-BENCH_STORE_NEW ?= /tmp/BENCH_store.new.json
-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$' -benchmem -benchtime=1s -json ./internal/serve . > $(BENCH_NEW)
-	$(GO) run ./cmd/psoram-benchcmp -threshold 15 BENCH_serve.json $(BENCH_NEW)
-	$(GO) test -run '^$$' -bench '^BenchmarkFileStoreAccess$$|^BenchmarkStoreAccess$$' -benchmem -benchtime=1s -json . > $(BENCH_STORE_NEW)
-	$(GO) run ./cmd/psoram-benchcmp -threshold 40 BENCH_store.json $(BENCH_STORE_NEW)
-
 # profile captures CPU + heap pprof for a representative sweep via the
 # psoram-sweep -profile flag; inspect with `go tool pprof profiles/cpu.pprof`.
 PROFILE_DIR ?= profiles
@@ -226,7 +159,7 @@ profile: build
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs' -v
-	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCorePooledSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
+	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreEagerSealSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim

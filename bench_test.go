@@ -165,7 +165,6 @@ func BenchmarkStoreAccess(b *testing.B) {
 // machine's storage stack. group=4/16 amortize that barrier across a
 // commit group (one barrier per G accesses, run on the background
 // persist worker); the trailing FlushCommits keeps the op count honest.
-// `make bench-store` pins all three into BENCH_store.json.
 func BenchmarkFileStoreAccess(b *testing.B) {
 	for _, g := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("group=%d", g), func(b *testing.B) {
@@ -219,28 +218,6 @@ func BenchmarkAccessRingPS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- Per-access microbenchmarks: the timing simulator ---
-
-func benchSimAccess(b *testing.B, scheme Scheme) {
-	cfg := config.Default()
-	sys, err := sim.NewSystem(scheme, cfg, 14)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Serve(uint64(i)*2654435761, i%3 == 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimBaseline(b *testing.B) { benchSimAccess(b, Baseline) }
-func BenchmarkSimPSORAM(b *testing.B)   { benchSimAccess(b, PSORAM) }
-func BenchmarkSimRcrPSORAM(b *testing.B) {
-	benchSimAccess(b, RcrPSORAM)
 }
 
 // --- Ablations (DESIGN.md §6) ---

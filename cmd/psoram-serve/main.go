@@ -47,7 +47,6 @@ func main() {
 		crashEvery = flag.Int("crash-every", 0, "fire a power failure every Nth crash point (0 = off)")
 		check      = flag.Bool("check", false, "diff every value against a reference and sweep the keyspace at the end")
 		storeDir   = flag.String("store", "", "back every shard with a durable on-disk store under DIR (create-or-recover; flat schemes only)")
-		cryptoW    = flag.Int("crypto-workers", 0, "per-shard seal fan-out workers (0/1 = inline serial sealing)")
 		pipeline   = flag.Int("pipeline-depth", 0, "read-combining switch: 1 = off, the strict serial protocol; above 1 = duplicate reads in a round share one access (all such depths behave alike); 0 = default 4")
 		groupOps   = flag.Int("group-commit", 0, "batch each durable shard's persist barrier across up to N accesses (0/1 = serial per-access barrier)")
 		groupDelay = flag.Duration("group-delay", 0, "max time an idle shard holds an open commit group (0 = small default; needs -group-commit > 1)")
@@ -70,7 +69,6 @@ func main() {
 		psoram.WithQueueDepth(*queue),
 		psoram.WithMaxBatch(*batch),
 		psoram.WithPoolStorePath(*storeDir),
-		psoram.WithPoolCryptoWorkers(*cryptoW),
 		psoram.WithPoolPipelineDepth(*pipeline),
 		psoram.WithPoolGroupCommit(*groupOps, *groupDelay),
 	)

@@ -57,7 +57,6 @@ func main() {
 		retryAfter = flag.Duration("retry-after", time.Millisecond, "backoff hint in overload frames")
 		crashEvery = flag.Int("crash-every", 0, "fire a simulated power failure every Nth crash point (0 = off)")
 		reshardTo  = flag.Int("reshard", 0, "admin: with -addr, reshard the remote server to N shards and exit; when serving, SIGHUP reshards the live pool to N")
-		cryptoW    = flag.Int("crypto-workers", 0, "per-shard seal fan-out workers (0/1 = inline serial sealing)")
 		pipeline   = flag.Int("pipeline-depth", 0, "read-combining switch: 1 = off, the strict serial protocol; above 1 = duplicate reads in a round share one access (all such depths behave alike); 0 = default 4")
 		groupOps   = flag.Int("group-commit", 0, "batch each durable shard's persist barrier across up to N accesses (0/1 = serial per-access barrier)")
 		groupDelay = flag.Duration("group-delay", 0, "max time an idle shard holds an open commit group (0 = small default; needs -group-commit > 1)")
@@ -92,7 +91,7 @@ func main() {
 		fmt.Printf("psoram-server: resharded to %d shards (epoch %d)\n", newShards, epoch)
 	case *self:
 		pool, srv, ln := startServer(*listen, *shards, *blocks, *levels, *schemeName, *seed,
-			*queue, *batch, *storeDir, *inflight, *retryAfter, *crashEvery, *cryptoW, *pipeline, *groupOps, *groupDelay)
+			*queue, *batch, *storeDir, *inflight, *retryAfter, *crashEvery, *pipeline, *groupOps, *groupDelay)
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- srv.Serve(ln) }()
 		ok := runLoad(ln.Addr().String(), *conns, *rate, *duration, *writeRatio, *slo, *strictSLO, *check, *jsonOut, *seed)
@@ -113,7 +112,7 @@ func main() {
 		}
 	default:
 		pool, srv, ln := startServer(*listen, *shards, *blocks, *levels, *schemeName, *seed,
-			*queue, *batch, *storeDir, *inflight, *retryAfter, *crashEvery, *cryptoW, *pipeline, *groupOps, *groupDelay)
+			*queue, *batch, *storeDir, *inflight, *retryAfter, *crashEvery, *pipeline, *groupOps, *groupDelay)
 		fmt.Printf("psoram-server: serving %d blocks on %d shards (%s) at %s\n",
 			*blocks, *shards, *schemeName, ln.Addr())
 		sig := make(chan os.Signal, 1)
@@ -170,7 +169,7 @@ func wireLine(st netserve.ServerStats) string {
 // startServer builds the pool and front-end and binds the listener.
 func startServer(listen string, shards int, blocks uint64, levels int, schemeName string,
 	seed uint64, queue, batch int, storeDir string, inflight int,
-	retryAfter time.Duration, crashEvery, cryptoWorkers, pipelineDepth, groupOps int,
+	retryAfter time.Duration, crashEvery, pipelineDepth, groupOps int,
 	groupDelay time.Duration) (*serve.Pool, *netserve.Server, net.Listener) {
 	scheme, err := parseScheme(schemeName)
 	if err != nil {
@@ -184,7 +183,6 @@ func startServer(listen string, shards int, blocks uint64, levels int, schemeNam
 		psoram.WithQueueDepth(queue),
 		psoram.WithMaxBatch(batch),
 		psoram.WithPoolStorePath(storeDir),
-		psoram.WithPoolCryptoWorkers(cryptoWorkers),
 		psoram.WithPoolPipelineDepth(pipelineDepth),
 		psoram.WithPoolGroupCommit(groupOps, groupDelay),
 	)

@@ -49,56 +49,6 @@ func (c *Controller) stageAdd(stage int) {
 	c.tMark = now
 }
 
-// prefetchedHdr is one decoded slot header from a Prefetch pass.
-type prefetchedHdr struct {
-	addr oram.Addr
-	leaf oram.Leaf
-	ver  uint32
-	ok   bool
-}
-
-// Prefetch decodes the slot headers of addr's current path into the
-// controller's prefetch cache, so a subsequent Access(addr) skips those
-// header opens. It performs no protocol step: no PosMap mutation, no
-// stash change, no simulated NVM traffic — the physical access sequence
-// of the following Access is exactly what it would have been. Validity
-// is tracked per bucket via the image write sequence, so an intervening
-// access that rewrites part of the path only invalidates the buckets it
-// touched. Only armed for in-memory lazy-seal images (durable backends
-// do not track write sequences).
-func (c *Controller) Prefetch(addr oram.Addr) {
-	if c.crashed || uint64(addr) >= c.ORAM.NumBlocks() || !c.ORAM.Image.LazySeal() {
-		return
-	}
-	img := c.ORAM.Image
-	eng := c.ORAM.Engine
-	t := c.ORAM.Tree
-	pf := &c.prefetch
-	l := c.currentLeaf(addr)
-	pf.path = t.PathInto(pf.path[:0], l)
-	pf.seqs = pf.seqs[:0]
-	pf.hdrs = pf.hdrs[:0]
-	for _, bucket := range pf.path {
-		pf.seqs = append(pf.seqs, img.BucketSeq(bucket))
-		for z := 0; z < t.Z; z++ {
-			var h prefetchedHdr
-			if a, lf, v, dummy, ok := img.PlainHeader(bucket, z); ok {
-				if dummy {
-					h = prefetchedHdr{addr: oram.DummyAddr, ok: true}
-				} else {
-					h = prefetchedHdr{addr: a, leaf: lf, ver: v, ok: true}
-				}
-			} else if a, lf, v, err := oram.OpenSlotHeader(eng, img.Slot(bucket, z)); err == nil {
-				h = prefetchedHdr{addr: a, leaf: lf, ver: v, ok: true}
-			}
-			pf.hdrs = append(pf.hdrs, h)
-		}
-	}
-	pf.leaf = l
-	pf.valid = true
-	*c.hPrefetches++
-}
-
 // Result reports what one access did, for the timing and traffic layers.
 //
 // Value aliases a controller-owned buffer that the next Access on the
@@ -324,7 +274,7 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 		}
 		// Functional load of this bucket.
 		before := len(c.scratch.loaded)
-		if err := c.loadBucket(i, bucket, oracle); err != nil {
+		if err := c.loadBucket(bucket, oracle); err != nil {
 			return nil, 0, err
 		}
 		if c.onchipNVM != nil {
@@ -341,52 +291,30 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 }
 
 // loadBucket is the functional half of loading one bucket: blocks it
-// brings into the stash are appended to c.scratch.loaded. Headers come
-// from the cheapest valid source — a still-valid prefetch entry, the
-// lazy-seal overlay's plaintext descriptor, or a real header open —
-// and a payload is only decrypted for blocks that actually enter (or
-// refresh) the stash. Overlay-resident payloads copy plaintext directly:
-// the steady-state bucket load runs without any AES at all. pi is the
-// bucket's index on the current path (for prefetch matching).
-func (c *Controller) loadBucket(pi int, bucket uint64, oracle func(oram.Addr) oram.Leaf) error {
+// brings into the stash are appended to c.scratch.loaded. A header comes
+// from the lazy-seal overlay's plaintext descriptor, else from a real
+// header open, and a payload is only decrypted for blocks that actually
+// enter (or refresh) the stash. Overlay-resident payloads copy plaintext
+// directly: the steady-state bucket load runs without any AES at all.
+func (c *Controller) loadBucket(bucket uint64, oracle func(oram.Addr) oram.Leaf) error {
 	eng := c.ORAM.Engine
 	img := c.ORAM.Image
-	pf := &c.prefetch
-	usePf := pf.valid && pi < len(pf.seqs) && pi < len(pf.path) &&
-		pf.path[pi] == bucket && pf.seqs[pi] == img.BucketSeq(bucket)
 	for z := 0; z < c.ORAM.Tree.Z; z++ {
-		var (
-			addr  oram.Addr
-			leaf  oram.Leaf
-			ver   uint32
-			plain []byte // overlay plaintext payload, nil if sealed-only
-			have  bool
-		)
-		if usePf {
-			if h := pf.hdrs[pi*c.ORAM.Tree.Z+z]; h.ok {
-				addr, leaf, ver, have = h.addr, h.leaf, h.ver, true
-				*c.hPfHit++
-			}
+		addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z)
+		if dummy {
+			continue
 		}
-		if !have {
-			if a, lf, v, dummy, ok := img.PlainHeader(bucket, z); ok {
-				if dummy {
-					continue
-				}
-				addr, leaf, ver, have = a, lf, v, true
-			}
-		}
-		if !have {
-			a, lf, v, err := oram.OpenSlotHeader(eng, img.Slot(bucket, z))
+		if !ok {
+			var err error
+			addr, leaf, ver, err = oram.OpenSlotHeader(eng, img.Slot(bucket, z))
 			if err != nil {
 				return fmt.Errorf("core: bucket %d slot %d: %w", bucket, z, err)
 			}
-			addr, leaf, ver = a, lf, v
 		}
 		if addr == oram.DummyAddr {
 			continue
 		}
-		plain = img.PlainData(bucket, z)
+		plain := img.PlainData(bucket, z) // overlay plaintext payload, nil if sealed-only
 		if uint64(addr) >= c.ORAM.NumBlocks() {
 			return fmt.Errorf("core: tree contains out-of-range addr %d", addr)
 		}

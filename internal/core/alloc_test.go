@@ -63,17 +63,14 @@ func steadyStateAllocs(t *testing.T, opts Options) {
 	t.Logf("steady-state allocs/op: write %.2f, read %.2f (budget %.1f)", writes, reads, budget)
 }
 
-// TestCorePooledSteadyStateAllocs pins the same budget with the seal
-// fan-out pool armed (CryptoWorkers 4) on an eager-sealing controller,
-// so every eviction actually dispatches through the pool. The chunked
-// Run hands workers pre-forked engines and caller-owned slot ranges;
-// the only steady-state costs allowed over the serial path are the
-// pool's task sends, which stay within the shared 2-alloc budget.
-func TestCorePooledSteadyStateAllocs(t *testing.T) {
-	const budget = 2.0
+// TestCoreEagerSealSteadyStateAllocs is the allocation guard on an
+// eager-sealing controller: every eviction runs sealSlots, whose seal
+// buffers must all come from the freelists.
+func TestCoreEagerSealSteadyStateAllocs(t *testing.T) {
+	const budget = 0.0
 
 	cfg := config.Default()
-	ctl, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 512, Levels: 8, CryptoWorkers: 4})
+	ctl, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 512, Levels: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +91,9 @@ func TestCorePooledSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if writes > budget {
-		t.Errorf("pooled steady-state write access allocates %.2f/op, budget %.1f", writes, budget)
+		t.Errorf("eager-seal steady-state write access allocates %.2f/op, budget %.1f", writes, budget)
 	}
-	t.Logf("pooled steady-state allocs/op: write %.2f (budget %.1f)", writes, budget)
+	t.Logf("eager-seal steady-state allocs/op: write %.2f (budget %.1f)", writes, budget)
 }
 
 // TestCoreFileStoreSteadyStateAllocs pins the file-backed controller's

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/cryptoeng"
 	"repro/internal/integrity"
 	"repro/internal/mem"
 	"repro/internal/nvm"
@@ -142,12 +141,6 @@ type Controller struct {
 	// applySlots is the slot set the currently committing batch's tagged
 	// entries index into (see ApplyEntry).
 	applySlots []plannedSlot
-	// pool fans the eviction's per-slot seals across forked engines;
-	// sealing is the slot set a pool Run is working on, and sealRangeFn
-	// the bound method value (created once so Run costs no closure).
-	pool        *cryptoeng.Pool
-	sealing     []plannedSlot
-	sealRangeFn func(e *cryptoeng.Engine, lo, hi int)
 
 	// stageNanos accumulates wall time per protocol stage (see the
 	// stage* constants): the serving layer turns deltas into per-stage
@@ -169,26 +162,11 @@ type Controller struct {
 	groupOps      int
 	onGroupCommit func(ops int, persistNanos int64)
 
-	// prefetch caches the decoded headers of the next expected access's
-	// path, validated per bucket against the image's write sequence: after
-	// a Prefetch(addr), loadBucket skips the header decodes that are still
-	// valid. The serving worker does not call it — one goroutine runs the
-	// shard, so the walk would overlap with nothing (DESIGN.md §5.2); the
-	// benchmark's ladder and the transparency tests are its callers.
-	prefetch struct {
-		valid bool
-		leaf  oram.Leaf
-		path  []uint64
-		seqs  []uint64
-		hdrs  []prefetchedHdr
-	}
 	// Handles of the counters bumped on every access (a string-keyed
 	// Inc is a map lookup each).
-	hPfHit      *int64 // core.prefetch_hits
-	hPrefetches *int64 // core.prefetches
-	hAccesses   *int64 // oram.accesses
-	hBackups    *int64 // psoram.backups
-	hDirty      *int64 // psoram.dirty_entries
+	hAccesses *int64 // oram.accesses
+	hBackups  *int64 // psoram.backups
+	hDirty    *int64 // psoram.dirty_entries
 	// recycle gates buffer reuse during commit: true only on the
 	// single-batch eviction path, where an overwritten image slot's
 	// buffers and an evicted block's StashBlock are provably dead. The
@@ -228,11 +206,6 @@ type Options struct {
 	// controller builds its initial image into (flat schemes only). Use
 	// Open/NewDurable to reattach to an existing one.
 	Storage DurableStorage
-	// CryptoWorkers sizes the seal fan-out pool. 0 or 1 keeps every seal
-	// inline on the controller's engine (byte- and allocation-identical
-	// to the serial path); N > 1 forks N engines and chunks eviction
-	// seals across them.
-	CryptoWorkers int
 	// GroupCommit batches the durable persist barrier across accesses
 	// (ignored without a durable backend).
 	GroupCommit GroupCommit
@@ -404,14 +377,6 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		}
 		c.Merkle = integrity.New(c.ORAM.Tree, c.bucketSlots)
 	}
-	workers := opts.CryptoWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	c.pool = cryptoeng.NewPool(oc.Engine, workers)
-	c.sealRangeFn = c.sealRange
-	c.hPfHit = c.counters.Handle("core.prefetch_hits")
-	c.hPrefetches = c.counters.Handle("core.prefetches")
 	c.hAccesses = c.counters.Handle("oram.accesses")
 	c.hBackups = c.counters.Handle("psoram.backups")
 	c.hDirty = c.counters.Handle("psoram.dirty_entries")
@@ -512,7 +477,6 @@ func (c *Controller) maybeCrash(step, sub int) bool {
 // persistence domain.
 func (c *Controller) powerFail() {
 	c.crashed = true
-	c.prefetch.valid = false
 	c.counters.Inc("crash.count")
 	if c.Scheme == config.SchemeEADRORAM {
 		// eADR's persistence domain covers the buffers: drain, not drop.

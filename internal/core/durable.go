@@ -23,8 +23,8 @@ func Open(cfg config.Config, st DurableStorage) (*Controller, error) {
 }
 
 // openWith is Open plus runtime tuning knobs: geometry always comes
-// from the backend, but execution-only options (crypto fan-out, group
-// commit) are the caller's — they are not durable state.
+// from the backend, but execution-only options (group commit) are the
+// caller's — they are not durable state.
 func openWith(cfg config.Config, st DurableStorage, runtime Options) (*Controller, error) {
 	g := st.Geometry()
 	scheme := config.Scheme(g.Scheme)

@@ -12,9 +12,8 @@ import (
 )
 
 // runTwin drives two controllers through the same op mix and fails on
-// the first divergence in returned value or path leaf. before(b, addr)
-// runs on the second controller ahead of each access (prefetch hooks).
-func runTwin(t *testing.T, a, b *Controller, nOps int, before func(b *Controller, addr oram.Addr)) {
+// the first divergence in returned value or path leaf.
+func runTwin(t *testing.T, a, b *Controller, nOps int) {
 	t.Helper()
 	n := a.ORAM.NumBlocks()
 	bb := a.Cfg.BlockBytes
@@ -25,9 +24,6 @@ func runTwin(t *testing.T, a, b *Controller, nOps int, before func(b *Controller
 		if r.n(2) == 0 {
 			op = oram.OpWrite
 			data = blockVal(addr, i, bb)
-		}
-		if before != nil {
-			before(b, addr)
 		}
 		ra, errA := a.Access(op, addr, data)
 		rb, errB := b.Access(op, addr, data)
@@ -92,77 +88,10 @@ func TestLazySealByteEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			eager.ORAM.Image.DisableLazySeal() // strict pre-overlay eager path
-			runTwin(t, eager, lazy, 300, nil)
+			runTwin(t, eager, lazy, 300)
 			compareImages(t, eager, lazy)
 		})
 	}
-}
-
-// TestPrefetchTransparent proves Prefetch is protocol-free: a controller
-// that prefetches every upcoming address behaves identically — values,
-// leaves, final sealed image — to one that never prefetches, while its
-// hit counter shows the prefetched headers were actually consumed.
-func TestPrefetchTransparent(t *testing.T) {
-	cfg := testCfg()
-	plain, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 128, Levels: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 128, Levels: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTwin(t, plain, pf, 300, func(b *Controller, addr oram.Addr) {
-		b.Prefetch(addr)
-	})
-	hits := pf.Counters().Snapshot()["core.prefetch_hits"]
-	if hits == 0 {
-		t.Error("prefetched headers were never consumed (core.prefetch_hits == 0)")
-	}
-	t.Logf("prefetch hits: %d", hits)
-	compareImages(t, plain, pf)
-}
-
-// TestPrefetchStaleInvalidation: a prefetch for one address must not
-// poison an access to a different path — the per-bucket sequence check
-// falls back to real header opens wherever the cached decode is stale.
-func TestPrefetchStaleInvalidation(t *testing.T) {
-	cfg := testCfg()
-	plain, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 128, Levels: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 128, Levels: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := lcg{s: 7}
-	runTwin(t, plain, pf, 300, func(b *Controller, addr oram.Addr) {
-		// Prefetch a (usually wrong) address: the following access must
-		// still be exactly right.
-		b.Prefetch(oram.Addr(r.n(128)))
-	})
-	compareImages(t, plain, pf)
-}
-
-// TestCryptoWorkersByteIdentical: the seal fan-out pool must produce the
-// same ciphertext stream at every width. Runs on eager controllers so
-// sealSlots actually executes each eviction.
-func TestCryptoWorkersByteIdentical(t *testing.T) {
-	cfg := testCfg()
-	mk := func(workers int) *Controller {
-		ctl, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 128, Levels: 6, CryptoWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctl.ORAM.Image.DisableLazySeal()
-		t.Cleanup(func() { ctl.Close() })
-		return ctl
-	}
-	serial := mk(1)
-	pooled := mk(4)
-	runTwin(t, serial, pooled, 300, nil)
-	compareImages(t, serial, pooled)
 }
 
 // TestStageNanosAccumulate: every protocol stage must account some wall
@@ -277,7 +206,7 @@ func TestBornLazySnapshotIdentity(t *testing.T) {
 				}
 			}
 			snapshots("after construction")
-			runTwin(t, eager, born, 2000, nil)
+			runTwin(t, eager, born, 2000)
 			snapshots("after 2000 accesses")
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/cryptoeng"
 	"repro/internal/mem"
 	"repro/internal/oram"
 )
@@ -69,25 +68,22 @@ func (c *Controller) planSlots(l oram.Leaf, plan [][]*oram.StashBlock) []planned
 }
 
 // sealSlots materializes every planned seal eagerly (step 5-A's AES
-// half) into freelist buffers, fanning the per-slot work across the
-// crypto pool. Buffer acquisition stays on the caller's goroutine — the
-// freelists are not thread-safe — and only the data-independent AES
-// fans out. With a one-worker pool this runs inline on the controller's
-// engine, byte- and allocation-identical to the fused loop it replaced.
+// half) into freelist buffers, in plan order on the controller's
+// engine. slots comes straight from planSlots, so every entry is still
+// deferred.
 func (c *Controller) sealSlots(slots []plannedSlot) {
+	e := c.ORAM.Engine
 	for i := range slots {
 		s := &slots[i]
-		if !s.lazy {
-			continue
-		}
 		hdr, data := c.getSealBuf()
-		s.sealed = oram.Slot{SealedHeader: hdr, SealedData: data}
-	}
-	c.sealing = slots
-	c.pool.Run(len(slots), c.sealRangeFn)
-	c.sealing = nil
-	for i := range slots {
-		slots[i].lazy = false
+		if s.block == nil {
+			s.sealed = oram.DummySlotIVs(e, c.Cfg.BlockBytes, s.iv1, s.iv2, hdr, data)
+		} else {
+			s.sealed = oram.SealBlockIVs(e, oram.Block{
+				Addr: s.block.Addr, Leaf: s.leaf, Ver: s.ver, Data: s.block.Data,
+			}, s.iv1, s.iv2, hdr, data)
+		}
+		s.lazy = false
 	}
 }
 
@@ -98,24 +94,6 @@ func (c *Controller) sealPlan(l oram.Leaf, plan [][]*oram.StashBlock) []plannedS
 	slots := c.planSlots(l, plan)
 	c.sealSlots(slots)
 	return slots
-}
-
-// sealRange seals c.sealing[lo:hi] on the given engine (one pool chunk).
-func (c *Controller) sealRange(e *cryptoeng.Engine, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := &c.sealing[i]
-		if !s.lazy {
-			continue
-		}
-		hdr, data := s.sealed.SealedHeader, s.sealed.SealedData
-		if s.block == nil {
-			s.sealed = oram.DummySlotIVs(e, c.Cfg.BlockBytes, s.iv1, s.iv2, hdr, data)
-		} else {
-			s.sealed = oram.SealBlockIVs(e, oram.Block{
-				Addr: s.block.Addr, Leaf: s.leaf, Ver: s.ver, Data: s.block.Data,
-			}, s.iv1, s.iv2, hdr, data)
-		}
-	}
 }
 
 // evictPersistent implements PS-ORAM eviction (§4.2.2): seal the path,

@@ -119,8 +119,8 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 
 // LoadDurable reconstructs a controller from a durable snapshot. cfg
 // supplies the run-time parameters (NVM timing, WPQ sizes, stash size)
-// and runtime the execution-only options (memory model, crypto
-// fan-out); the geometry and contents come from the snapshot. Loading
+// and runtime the execution-only options (memory model, group
+// commit); the geometry and contents come from the snapshot. Loading
 // performs the §4.3 recovery: volatile state starts empty and the
 // on-chip map is the durable one. With cfg.Integrity set, the image is
 // re-hashed and checked against the snapshot's trusted root — tampering

@@ -84,13 +84,10 @@ func (t *CommitTicket) resolve(err error) {
 // in-memory image.
 func (c *Controller) Storage() DurableStorage { return c.storage }
 
-// Close releases the crypto worker pool (a no-op for the default inline
-// pool) and, for durable controllers, persists any remaining state and
-// releases the backend. The controller must be idle.
+// Close persists any remaining state of a durable controller and
+// releases its backend; an in-memory controller has nothing to release.
+// The controller must be idle.
 func (c *Controller) Close() error {
-	if c.pool != nil {
-		c.pool.Close()
-	}
 	if c.storage == nil {
 		return nil
 	}

@@ -17,9 +17,8 @@ import (
 // BenchmarkNetThroughput drives the full network stack — framing, TCP,
 // request pipelining, the sharded pool, and real PS-ORAM accesses —
 // from 64 concurrent client connections against a 4-shard pool, and
-// reports the client-observed p99 alongside ns/op. This is the number
-// make bench-net pins in BENCH_net.json: the loopback serving capacity
-// of the whole front-end, not of any single layer.
+// reports the client-observed p99 alongside ns/op: the loopback serving
+// capacity of the whole front-end, not of any single layer.
 func BenchmarkNetThroughput(b *testing.B) {
 	const (
 		conns   = 64

@@ -69,9 +69,6 @@ type Params struct {
 	// store (create-or-recover via core.NewDurable). Flat Path ORAM
 	// schemes only; the target then also implements io.Closer.
 	StoreDir string
-	// CryptoWorkers sizes the controller's seal fan-out pool (core
-	// schemes only; 0 or 1 = inline serial sealing).
-	CryptoWorkers int
 	// GroupCommitOps batches the durable persist barrier across this
 	// many accesses (core schemes with StoreDir only; <= 1 keeps the
 	// per-access serial barrier). Acks must then wait on OnCommit.
@@ -149,11 +146,10 @@ func NewTarget(p Params) (Target, error) {
 		// counters, none of which depend on device timing: build the
 		// controller over the untimed memory model.
 		copts := core.Options{
-			NumBlocks:     p.NumBlocks,
-			Levels:        p.Levels,
-			CryptoWorkers: p.CryptoWorkers,
-			GroupCommit:   core.GroupCommit{MaxOps: p.GroupCommitOps, MaxDelay: p.GroupCommitDelay},
-			Untimed:       true,
+			NumBlocks:   p.NumBlocks,
+			Levels:      p.Levels,
+			GroupCommit: core.GroupCommit{MaxOps: p.GroupCommitOps, MaxDelay: p.GroupCommitDelay},
+			Untimed:     true,
 		}
 		if p.StoreDir != "" {
 			ctl, _, err := core.NewDurable(p.Scheme, cfg, copts, p.StoreDir)
@@ -232,10 +228,8 @@ func (t *coreTarget) SaveDurable(w io.Writer) error { return t.ctl.SaveDurable(w
 // cfg a core.LoadDurable of this target's snapshot requires.
 func (t *coreTarget) SnapshotConfig() config.Config { return t.ctl.Cfg }
 
-// Prefetch decodes addr's path headers ahead of its Access.
-// Protocol-free: no state or traffic changes. The serving worker does
-// not call it; the benchmark's stockBackend interface names it.
-func (t *coreTarget) Prefetch(addr oram.Addr) { t.ctl.Prefetch(addr) }
+// Prefetch does nothing: benchmark/trace.go's stockBackend names it.
+func (t *coreTarget) Prefetch(oram.Addr) {}
 
 // StageNanos exposes the controller's cumulative per-stage wall time
 // (load / crypto / evict / seal / persist) for the serving layer's

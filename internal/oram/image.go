@@ -42,7 +42,6 @@ type Image struct {
 	plain  []plainSlot
 	arena  []byte
 	memo   []sealedBuf
-	seq    []uint64 // per-bucket write sequence (prefetch invalidation)
 	// pending lists the slots with a queued deferred seal for the
 	// persist-time barrier (MaterializePending). Only a durable backend
 	// runs that barrier, so slots are queued only when barrier is set:
@@ -137,7 +136,6 @@ func (img *Image) EnableLazySeal(e *cryptoeng.Engine) {
 	slots := img.Tree.Slots()
 	img.plain = make([]plainSlot, slots)
 	img.arena = make([]byte, slots*uint64(img.blockB))
-	img.seq = make([]uint64, img.Tree.Buckets())
 }
 
 // LazySeal reports whether the overlay is armed.
@@ -158,17 +156,7 @@ func (img *Image) DisableLazySeal() {
 		}
 	}
 	img.lazy = false
-	img.plain, img.arena, img.memo, img.seq, img.engine = nil, nil, nil, nil, nil
-}
-
-// BucketSeq returns the bucket's write sequence number; any write to any
-// slot of the bucket bumps it. Prefetched header decodes are valid only
-// while the sequence they were taken under is unchanged.
-func (img *Image) BucketSeq(bucket uint64) uint64 {
-	if img.seq == nil {
-		return 0
-	}
-	return img.seq[bucket]
+	img.plain, img.arena, img.memo, img.engine = nil, nil, nil, nil
 }
 
 func (img *Image) slotIndex(bucket uint64, z int) uint64 {
@@ -198,7 +186,6 @@ func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	ps.addr, ps.leaf, ps.ver = b.Addr, b.Leaf, b.Ver
 	copy(img.payload(idx), b.Data)
 	img.enqueue(ps, idx)
-	img.seq[bucket]++
 }
 
 // PutLazyDummy records a deferred dummy seal at (bucket, z).
@@ -208,7 +195,6 @@ func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
 	ps.state = ps.state&psQueued | psLive | psDummy
 	ps.iv1, ps.iv2 = iv1, iv2
 	img.enqueue(ps, idx)
-	img.seq[bucket]++
 }
 
 func (img *Image) enqueue(ps *plainSlot, idx uint64) {
@@ -330,7 +316,6 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 		} else {
 			prev = img.store.Slot(bucket, z)
 		}
-		img.seq[bucket]++
 	} else {
 		prev = img.store.Slot(bucket, z)
 	}
@@ -338,7 +323,6 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	return func() {
 		if img.lazy {
 			img.plain[img.slotIndex(bucket, z)].state &^= psLive
-			img.seq[bucket]++
 		}
 		img.store.SetSlot(bucket, z, prev)
 	}
@@ -355,7 +339,6 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 	if img.lazy {
 		img.plain[img.slotIndex(bucket, z)].state &^= psLive
-		img.seq[bucket]++
 	}
 	old = img.store.Slot(bucket, z)
 	img.store.SetSlot(bucket, z, s)

@@ -57,9 +57,8 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state serve allocs/op: %.2f (budget %.1f)", allocs, budget)
 }
 
-// TestServePipelinedSteadyStateAllocs pins the same budget with the
-// whole PR 8 machinery armed: a seal fan-out pool (CryptoWorkers 4)
-// and read-combining (PipelineDepth 4). The pipeline may add zero
+// TestServePipelinedSteadyStateAllocs pins the same budget with
+// read-combining armed (PipelineDepth 4). The pipeline may add zero
 // steady-state allocations — combine capture buffers and stage cursors
 // are all pre-sized at construction.
 func TestServePipelinedSteadyStateAllocs(t *testing.T) {
@@ -72,7 +71,6 @@ func TestServePipelinedSteadyStateAllocs(t *testing.T) {
 		Levels:        8,
 		Seed:          1,
 		QueueDepth:    64,
-		CryptoWorkers: 4,
 		PipelineDepth: 4,
 	})
 	if err != nil {

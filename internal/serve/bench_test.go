@@ -13,7 +13,6 @@ import (
 // BenchmarkPoolThroughput measures end-to-end serving throughput —
 // submit, queue, batch, protocol access, reply — with concurrent
 // clients (b.RunParallel) over a PS-ORAM pool, across shard counts.
-// The baseline lives in BENCH_serve.json (make bench-serve).
 //
 // Offered load scales with the shard count: 2*shards client goroutines
 // per GOMAXPROCS, each with a private address stream (no shared counter

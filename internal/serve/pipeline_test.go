@@ -254,16 +254,16 @@ func TestWritesNeverCombine(t *testing.T) {
 	}
 }
 
-// TestDepthOneByteIdenticalToSerial is the ISSUE's degenerate-config
-// acceptance check: Workers(1) + Depth(1) on a single shard must be
-// byte-identical — values AND leaves — to a bare serial controller built
-// with the pool's own derived seed, under GOMAXPROCS(1).
+// TestDepthOneByteIdenticalToSerial is the degenerate-config acceptance
+// check: Depth(1) on a single shard must be byte-identical — values AND
+// leaves — to a bare serial controller built with the pool's own
+// derived seed, under GOMAXPROCS(1).
 func TestDepthOneByteIdenticalToSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const blocks, nOps = 128, 400
 	p := mustPool(t, Options{
 		Shards: 1, NumBlocks: blocks, Scheme: config.SchemePSORAM, Levels: 6, Seed: 11,
-		CryptoWorkers: 1, PipelineDepth: 1,
+		PipelineDepth: 1,
 	})
 	ref, err := oracle.NewTarget(oracle.Params{
 		Scheme:    config.SchemePSORAM,
@@ -301,32 +301,30 @@ func TestDepthOneByteIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestPipelineMatrixOracle sweeps workers {1,4} x depth {1,4} through
-// the full differential oracle: every cell must pass value checks, deep
-// sweeps, and structural invariants.
+// TestPipelineMatrixOracle sweeps depth {1,4} through the full
+// differential oracle: every cell must pass value checks, deep sweeps,
+// and structural invariants.
 func TestPipelineMatrixOracle(t *testing.T) {
 	const blocks, nOps = 256, 96
 	bb := config.Default().BlockBytes
-	for _, workers := range []int{1, 4} {
-		for _, depth := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d/depth=%d", workers, depth), func(t *testing.T) {
-				p := mustPool(t, Options{
-					Shards: 4, NumBlocks: blocks, Scheme: config.SchemePSORAM, Levels: 6, Seed: 1,
-					CryptoWorkers: workers, PipelineDepth: depth,
-				})
-				ops := oracle.GenOps(oracle.Workload{Name: "uniform"}, blocks, bb, nOps, 1)
-				rep, err := oracle.Check(poolTarget{p}, ops, oracle.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, v := range rep.Violations {
-					t.Errorf("%s", v)
-				}
-				if rep.DeepChecks == 0 {
-					t.Error("no deep checks ran")
-				}
+	for _, depth := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			p := mustPool(t, Options{
+				Shards: 4, NumBlocks: blocks, Scheme: config.SchemePSORAM, Levels: 6, Seed: 1,
+				PipelineDepth: depth,
 			})
-		}
+			ops := oracle.GenOps(oracle.Workload{Name: "uniform"}, blocks, bb, nOps, 1)
+			rep, err := oracle.Check(poolTarget{p}, ops, oracle.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("%s", v)
+			}
+			if rep.DeepChecks == 0 {
+				t.Error("no deep checks ran")
+			}
+		})
 	}
 }
 
@@ -336,7 +334,7 @@ func TestPipelinedBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	const depth = 2
 	p := mustPool(t, Options{
-		Shards: 1, NumBlocks: 8, QueueDepth: depth, MaxBatch: 1, PipelineDepth: 4, CryptoWorkers: 4,
+		Shards: 1, NumBlocks: 8, QueueDepth: depth, MaxBatch: 1, PipelineDepth: 4,
 		Factory: func(int, uint64) (Backend, error) {
 			return &blockingBackend{n: 8, bb: 16, gate: gate}, nil
 		},
@@ -422,8 +420,8 @@ func TestPipelinedCancellation(t *testing.T) {
 			t.Fatalf("drain: %v", err)
 		}
 	}()
-	// Goroutine-leak guard: workers, crypto pools, and client goroutines
-	// must all be gone once the pool is closed.
+	// Goroutine-leak guard: workers and client goroutines must all be
+	// gone once the pool is closed.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

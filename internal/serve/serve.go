@@ -171,10 +171,6 @@ type Options struct {
 	// Factory overrides backend construction (tests, custom schemes).
 	// Nil means oracle.NewTarget with per-shard derived seeds.
 	Factory Factory
-	// CryptoWorkers sizes each shard controller's seal fan-out pool.
-	// 0 or 1 keeps sealing inline on the shard worker (byte-identical to
-	// the serial path).
-	CryptoWorkers int
 	// PipelineDepth switches read-combining, and nothing else (there is
 	// no lookahead: one goroutine runs the shard, so a prefetch of the
 	// next path would overlap with nothing). 1 gives every request its
@@ -450,6 +446,9 @@ func New(opts Options) (*Pool, error) {
 		}
 		b, err := p.buildBackend(s, localBlocks(opts.NumBlocks, opts.Shards, s), dir)
 		if err != nil {
+			// The shards already built have running workers and open
+			// backends; stop and close them.
+			p.retire(shards[:s])
 			return nil, fmt.Errorf("serve: shard %d: %w", s, err)
 		}
 		shards[s] = p.newShard(s, b)
@@ -484,7 +483,6 @@ func (p *Pool) buildBackend(s int, local uint64, dir string) (Backend, error) {
 		Seed:             rng.DeriveSeed(p.opts.Seed, 0x5e4e, uint64(s)),
 		Cfg:              p.opts.Cfg,
 		StoreDir:         dir,
-		CryptoWorkers:    p.opts.CryptoWorkers,
 		GroupCommitOps:   p.opts.GroupCommitOps,
 		GroupCommitDelay: p.opts.GroupCommitDelay,
 	})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -649,6 +650,48 @@ func TestOptionsValidation(t *testing.T) {
 	if err := p.ArmCrash(context.Background(), 7, nil); err == nil {
 		t.Error("ArmCrash on missing shard accepted")
 	}
+}
+
+// closingBackend counts its Close calls.
+type closingBackend struct {
+	blockingBackend
+	closes atomic.Int32
+}
+
+func (b *closingBackend) Close() error {
+	b.closes.Add(1)
+	return nil
+}
+
+// TestNewFailureReleasesBuiltShards: when a later shard fails to build,
+// New stops the workers of the shards it had already started and closes
+// their backends before returning the error.
+func TestNewFailureReleasesBuiltShards(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var built []*closingBackend
+	_, err := New(Options{
+		Shards: 4, NumBlocks: 32,
+		Factory: func(s int, local uint64) (Backend, error) {
+			if s == 2 {
+				return nil, errors.New("shard 2 refuses to build")
+			}
+			b := &closingBackend{blockingBackend: blockingBackend{n: local, bb: 16}}
+			built = append(built, b)
+			return b, nil
+		},
+	})
+	if err == nil {
+		t.Fatal("New succeeded with a failing factory")
+	}
+	if len(built) != 2 {
+		t.Fatalf("factory built %d backends before failing, want 2", len(built))
+	}
+	for i, b := range built {
+		if n := b.closes.Load(); n != 1 {
+			t.Errorf("backend %d closed %d times, want 1", i, n)
+		}
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before }, "the failed New left shard workers running")
 }
 
 // TestDerivedLevels builds pools with Levels unset: the default factory

@@ -10,16 +10,15 @@
 //
 // Concurrency: a System is single-threaded (it models one memory
 // controller), but independent Systems share no mutable state —
-// Simulate (and the deprecated Run* wrappers) constructs every stateful
-// component (tree maps, memory controller, NVM devices, RNG, trace
-// generator) per call, and the packages below (mem, nvm, cache, rng,
-// trace) keep all state per instance. internal/sweep relies on this to
-// fan grids of runs across goroutines; the determinism tests there and
-// `go test -race` guard the property.
+// Simulate constructs every stateful component (tree maps, memory
+// controller, NVM devices, RNG, trace generator) per call, and the
+// packages below (mem, nvm, cache, rng, trace) keep all state per
+// instance. internal/sweep relies on this to fan grids of runs across
+// goroutines; the determinism tests there and `go test -race` guard the
+// property.
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/oram"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Result aggregates one run.
@@ -939,53 +937,6 @@ func (s *System) onchipOp(op nvm.Op) {
 		s.onchipWrites++
 	}
 	s.now += mem.Cycle(nvmCycles) * ratio
-}
-
-// RunThroughCaches drives the system with RAW memory references filtered
-// through the Table 3a cache hierarchy (L1D + L2): the LLC miss stream —
-// and therefore the effective MPKI — emerges from cache behaviour
-// instead of being taken from Table 4. n counts raw references.
-//
-// Deprecated: use Simulate with Request.ThroughCaches.
-func RunThroughCaches(scheme config.Scheme, cfg config.Config, w trace.Workload, n int, levels int) (Result, error) {
-	return Simulate(context.Background(), Request{
-		Scheme: scheme, Config: cfg, Workload: w, N: n, Levels: levels, ThroughCaches: true,
-	})
-}
-
-// RunTrace drives the system with a pre-recorded LLC-miss trace (the
-// psoram-trace file format) instead of a synthetic generator.
-//
-// Deprecated: use Simulate with Request.Records.
-func RunTrace(scheme config.Scheme, cfg config.Config, name string, recs []trace.Record, levels int) (Result, error) {
-	if recs == nil {
-		recs = []trace.Record{} // non-nil selects the trace-replay mode
-	}
-	return Simulate(context.Background(), Request{
-		Scheme: scheme, Config: cfg, TraceName: name, Records: recs, Levels: levels,
-	})
-}
-
-// Run drives the system with a workload for n LLC misses and returns
-// aggregated results.
-//
-// Deprecated: use Simulate.
-func Run(scheme config.Scheme, cfg config.Config, w trace.Workload, n int, levels int) (Result, error) {
-	return Simulate(context.Background(), Request{
-		Scheme: scheme, Config: cfg, Workload: w, N: n, Levels: levels,
-	})
-}
-
-// RunObserved is Run with an Observer attached for the duration of the
-// run. The observer only reads values already computed, so a run is
-// byte-identical with and without one (the golden-metrics suite pins
-// this indirectly).
-//
-// Deprecated: use Simulate with Request.Observer.
-func RunObserved(scheme config.Scheme, cfg config.Config, w trace.Workload, n int, levels int, obs *Observer) (Result, error) {
-	return Simulate(context.Background(), Request{
-		Scheme: scheme, Config: cfg, Workload: w, N: n, Levels: levels, Observer: obs,
-	})
 }
 
 // finishResult folds the device and on-chip statistics into a result.

@@ -10,11 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Request describes one timing-simulation run. It is the single,
-// option-struct entry point that subsumes the historical Run / RunTrace /
-// RunObserved / RunThroughCaches variants: pick the drive mode by filling
-// either Workload (synthetic generator) or Records (trace replay), and
-// set ThroughCaches to interpose the Table 3a L1D/L2 hierarchy.
+// Request describes one timing-simulation run: pick the drive mode by
+// filling either Workload (synthetic generator) or Records (trace
+// replay), and set ThroughCaches to interpose the Table 3a L1D/L2
+// hierarchy.
 type Request struct {
 	// Scheme selects the persistence protocol under test.
 	Scheme config.Scheme

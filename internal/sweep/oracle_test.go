@@ -97,7 +97,6 @@ func TestOracleObserverKeepsResultsIdentical(t *testing.T) {
 
 // BenchmarkOracleOverhead measures the per-cell cost of the functional
 // validator: the same single-cell sweep with the oracle off and on.
-// `make bench-oracle` emits the comparison to BENCH_oracle.json.
 func BenchmarkOracleOverhead(b *testing.B) {
 	w, err := trace.ByName("429.mcf")
 	if err != nil {

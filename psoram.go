@@ -77,47 +77,24 @@ type CrashPoint = core.CrashPoint
 // internal/storage/filestore for the on-disk implementation).
 type DurableStorage = core.DurableStorage
 
-// StoreOptions configures a Store.
-//
-// Deprecated: use New with functional options (WithScheme, WithConfig,
-// WithLevels, WithRNGSeed, WithCrashInjector) instead.
-type StoreOptions struct {
-	// Scheme defaults to PSORAM.
-	Scheme Scheme
-	// NumBlocks is the logical block count (required).
-	NumBlocks uint64
-	// Config defaults to DefaultConfig. BlockBytes, Z, stash and WPQ
-	// sizes, and NVM timing come from here.
-	Config *Config
-	// Seed overrides Config.Seed when non-zero.
-	Seed uint64
-}
-
 // Store is a crash-consistent oblivious block store: the paper's ORAM
 // controller exposed as a library. All methods are single-threaded by
 // design — the hardware it models is one memory controller. For
-// concurrent clients, front a pool of Stores with Serve.
+// concurrent clients, front a pool of Stores with NewPool.
 type Store struct {
-	ctl           *core.Controller
-	pipelineDepth int
+	ctl *core.Controller
 }
-
-// PipelineDepth reports the pipeline depth recorded by WithPipelineDepth
-// (0 when unset — pool wrappers apply their own default).
-func (s *Store) PipelineDepth() int { return s.pipelineDepth }
 
 // storeConfig collects what the functional options set before the
 // controller is built.
 type storeConfig struct {
-	scheme        Scheme
-	cfg           Config
-	levels        int
-	crashAt       func(CrashPoint) bool
-	storeDir      string
-	storage       DurableStorage
-	cryptoWorkers int
-	pipelineDepth int
-	group         core.GroupCommit
+	scheme   Scheme
+	cfg      Config
+	levels   int
+	crashAt  func(CrashPoint) bool
+	storeDir string
+	storage  DurableStorage
+	group    core.GroupCommit
 }
 
 // StoreOption customizes New.
@@ -169,27 +146,6 @@ func WithStorage(st DurableStorage) StoreOption {
 	return func(c *storeConfig) { c.storage = st }
 }
 
-// WithCryptoWorkers sizes the store's seal fan-out pool: eviction seals
-// spread across n crypto workers. 0 or 1 keeps sealing inline on the
-// calling goroutine, byte-identical to the serial protocol; the
-// ciphertext stream is identical at every width.
-func WithCryptoWorkers(n int) StoreOption {
-	return func(c *storeConfig) { c.cryptoWorkers = n }
-}
-
-// WithPipelineDepth switches read-combining when this store's
-// configuration is used by a serving pool (see PoolOptions.PipelineDepth
-// — combining lives in the serving layer, which owns the request
-// stream; a lone Store has no round to find a duplicate read in). Depth
-// 1 turns it off; any larger depth collapses duplicate-address reads in
-// one round into one physical access (the depth buys no lookahead, so
-// all depths above 1 behave alike); 0 defaults to 4. On a Store built
-// directly, the value is recorded and surfaced via PipelineDepth for
-// wrappers that construct pools from store options.
-func WithPipelineDepth(d int) StoreOption {
-	return func(c *storeConfig) { c.pipelineDepth = d }
-}
-
 // WithGroupCommit batches the durable persist barrier across up to n
 // accesses (PS-ORAM §4.3 runs one ordered commit point per access; the
 // fsync floor under that barrier dominates file-backed stores). Under
@@ -227,7 +183,7 @@ func New(numBlocks uint64, opts ...StoreOption) (*Store, error) {
 	}
 	// A Store serves values; simulated time is Simulate's business, so the
 	// controller runs over the untimed memory model.
-	copts := core.Options{NumBlocks: numBlocks, Levels: sc.levels, CryptoWorkers: sc.cryptoWorkers, GroupCommit: sc.group, Untimed: true}
+	copts := core.Options{NumBlocks: numBlocks, Levels: sc.levels, GroupCommit: sc.group, Untimed: true}
 	var ctl *core.Controller
 	var err error
 	switch {
@@ -241,24 +197,7 @@ func New(numBlocks uint64, opts ...StoreOption) (*Store, error) {
 		return nil, err
 	}
 	ctl.CrashAt = sc.crashAt
-	return &Store{ctl: ctl, pipelineDepth: sc.pipelineDepth}, nil
-}
-
-// NewStore builds a store holding opts.NumBlocks zero-initialized blocks.
-//
-// Deprecated: use New with functional options.
-func NewStore(opts StoreOptions) (*Store, error) {
-	if opts.NumBlocks == 0 {
-		return nil, errors.New("psoram: StoreOptions.NumBlocks is required")
-	}
-	sos := []StoreOption{WithScheme(opts.Scheme)}
-	if opts.Config != nil {
-		sos = append(sos, WithConfig(*opts.Config))
-	}
-	if opts.Seed != 0 {
-		sos = append(sos, WithRNGSeed(opts.Seed))
-	}
-	return New(opts.NumBlocks, sos...)
+	return &Store{ctl: ctl}, nil
 }
 
 // BlockSize returns the block payload size in bytes.
@@ -380,13 +319,6 @@ func (s *Store) OnDurable(f func(addr uint64, value []byte)) {
 // internal/serve for the concurrency model.
 type Pool = serve.Pool
 
-// PoolOptions sizes a Pool (shard count, total blocks, scheme, queue
-// depth, batch cap).
-//
-// Deprecated: use NewPool with functional options (WithShards,
-// WithQueueDepth, ...), which covers every field here.
-type PoolOptions = serve.Options
-
 // PoolStats and ShardStats snapshot a serving pool's counters.
 type (
 	PoolStats  = serve.PoolStats
@@ -473,12 +405,6 @@ func WithPoolFactory(f serve.Factory) PoolOption {
 	return func(o *serve.Options) { o.Factory = f }
 }
 
-// WithPoolCryptoWorkers sizes each shard controller's seal fan-out
-// pool; 0 or 1 keeps sealing inline on the shard worker.
-func WithPoolCryptoWorkers(n int) PoolOption {
-	return func(o *serve.Options) { o.CryptoWorkers = n }
-}
-
 // WithPoolPipelineDepth switches intra-shard read-combining (default 4;
 // 1 turns it off: every request is its own physical access, the strict
 // serial protocol). The depth buys no lookahead, so all depths above 1
@@ -519,11 +445,6 @@ func NewPool(numBlocks uint64, opts ...PoolOption) (*Pool, error) {
 	}
 	return serve.New(o)
 }
-
-// Serve builds and starts a concurrent serving pool.
-//
-// Deprecated: use NewPool with functional options.
-func Serve(opts PoolOptions) (*Pool, error) { return serve.New(opts) }
 
 // ---------------------------------------------------------------------
 // Network front-end
