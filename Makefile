@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOracleAccessSequence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzStashEviction$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzStashTable$$' -fuzztime $(FUZZTIME) ./internal/oram
+	$(GO) test -run '^$$' -fuzz '^FuzzImageOverlay$$' -fuzztime $(FUZZTIME) ./internal/oram
 	$(GO) test -run '^$$' -fuzz '^FuzzFilestoreRecovery$$' -fuzztime $(FUZZTIME) ./internal/storage/filestore
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/netserve
 
@@ -152,13 +153,17 @@ profile: build
 		-profile $(PROFILE_DIR)
 
 # perf-smoke is the CI perf job: the zero-allocation guards (simulator,
-# stash table, core controller, serving layer, and a loopback round
-# trip through the network front-end), the golden
+# stash table, persistence domain, core controller, serving layer, and a
+# loopback round trip through the network front-end), the checks that the
+# write-back's work follows the occupied slots (a whole-bucket image
+# write touches no dummy's entry; an untimed batch stores no
+# function-less entry), the golden
 # determinism regression, and one pass of the sim and serve benchmarks with
 # -benchtime=1x (harness correctness, not timing).
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
-	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs' -v
+	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot' -v
+	$(GO) test ./internal/mem -run 'TestFunctionlessEntriesAreCountedNotStoredWhenUntimed|TestAddDataRunTimesLikeSingleEntries' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreEagerSealSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v

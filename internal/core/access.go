@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/config"
@@ -78,6 +79,9 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 	if op == oram.OpWrite && len(data) != c.Cfg.BlockBytes {
 		return Result{}, fmt.Errorf("core: write of %d bytes, block size %d", len(data), c.Cfg.BlockBytes)
 	}
+	if err := c.checkSealVersions(); err != nil {
+		return Result{}, err
+	}
 	var (
 		res Result
 		err error
@@ -107,6 +111,23 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 	c.accessN++
 	*c.hAccesses++
 	return res, nil
+}
+
+// checkSealVersions fails the access closed, before it mutates anything,
+// when a seal-version cursor it may draw from — the data tree's, or a
+// recursive PosMap tree's — is about to wrap.
+func (c *Controller) checkSealVersions() error {
+	if err := c.ORAM.CheckSealVersions(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if c.Rec != nil {
+		for i, lvl := range c.Rec.Levels {
+			if err := lvl.CheckSealVersions(); err != nil {
+				return fmt.Errorf("core: PosMap tree %d: %w", i+1, err)
+			}
+		}
+	}
+	return nil
 }
 
 // accessFlat runs the 5-step protocol for the non-recursive schemes.
@@ -244,12 +265,6 @@ func (c *Controller) markOrigin(loaded []*oram.StashBlock) {
 // carries the pre-remap leaf (relevant to FullNVM, which remaps before
 // the load). Crash points fire after each bucket.
 func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.Cycle) ([]*oram.StashBlock, mem.Cycle, error) {
-	oracle := func(a oram.Addr) oram.Leaf {
-		if a == target {
-			return l
-		}
-		return c.currentLeaf(a)
-	}
 	clear(c.endangered)
 	c.scratch.path = c.ORAM.Tree.PathInto(c.scratch.path[:0], l)
 	path := c.scratch.path
@@ -274,7 +289,7 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 		}
 		// Functional load of this bucket.
 		before := len(c.scratch.loaded)
-		if err := c.loadBucket(bucket, oracle); err != nil {
+		if err := c.loadBucket(bucket, l, target); err != nil {
 			return nil, 0, err
 		}
 		if c.onchipNVM != nil {
@@ -290,72 +305,88 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 	return c.scratch.loaded, done, nil
 }
 
-// loadBucket is the functional half of loading one bucket: blocks it
-// brings into the stash are appended to c.scratch.loaded. A header comes
+// loadBucket is the functional half of loading one bucket of the path to
+// l. A bucket the overlay holds in its dense form names its real slots
+// and only those are visited; any other bucket is walked slot by slot.
+func (c *Controller) loadBucket(bucket uint64, l oram.Leaf, target oram.Addr) error {
+	if real, dense := c.ORAM.Image.RealSlots(bucket); dense {
+		for ; real != 0; real &= real - 1 {
+			if err := c.loadSlot(bucket, bits.TrailingZeros32(real), l, target); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for z := 0; z < c.ORAM.Tree.Z; z++ {
+		if err := c.loadSlot(bucket, z, l, target); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadSlot loads one slot of a bucket on the path to l: a block it
+// brings into the stash is appended to c.scratch.loaded. A header comes
 // from the lazy-seal overlay's plaintext descriptor, else from a real
 // header open, and a payload is only decrypted for blocks that actually
 // enter (or refresh) the stash. Overlay-resident payloads copy plaintext
 // directly: the steady-state bucket load runs without any AES at all.
-func (c *Controller) loadBucket(bucket uint64, oracle func(oram.Addr) oram.Leaf) error {
+func (c *Controller) loadSlot(bucket uint64, z int, l oram.Leaf, target oram.Addr) error {
 	eng := c.ORAM.Engine
 	img := c.ORAM.Image
-	for z := 0; z < c.ORAM.Tree.Z; z++ {
-		addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z)
-		if dummy {
-			continue
+	addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z)
+	if dummy {
+		return nil
+	}
+	if !ok {
+		var err error
+		addr, leaf, ver, err = oram.OpenSlotHeader(eng, img.Slot(bucket, z))
+		if err != nil {
+			return fmt.Errorf("core: bucket %d slot %d: %w", bucket, z, err)
 		}
-		if !ok {
-			var err error
-			addr, leaf, ver, err = oram.OpenSlotHeader(eng, img.Slot(bucket, z))
-			if err != nil {
-				return fmt.Errorf("core: bucket %d slot %d: %w", bucket, z, err)
-			}
-		}
-		if addr == oram.DummyAddr {
-			continue
-		}
-		plain := img.PlainData(bucket, z) // overlay plaintext payload, nil if sealed-only
-		if uint64(addr) >= c.ORAM.NumBlocks() {
-			return fmt.Errorf("core: tree contains out-of-range addr %d", addr)
-		}
-		// A copy on this path whose header leaf matches the *durable*
-		// PosMap while a fresher pending copy sits in the stash is the
-		// block's durable continuation (typically a backup from an
-		// earlier access). Overwriting the path destroys it, so record
-		// it: the eviction will write a replacement backup.
-		if c.wpqPersistent() {
-			if sb := c.ORAM.Stash.Get(addr); sb != nil && sb.PendingRemap &&
-				c.durable.Lookup(addr) == leaf {
-				c.endangered[addr] = endangeredCopy{leaf: leaf, bucket: bucket, slot: z}
-			}
-		}
-		if oracle(addr) != leaf {
-			continue // stale copy (superseded backup): reads as dummy
-		}
-		if existing := c.ORAM.Stash.Get(addr); existing != nil {
-			// A copy resident from an earlier access is always fresher.
-			// Between copies loaded this access (leaf collision between
-			// a block and its backup), the higher seal version wins.
-			if existing.OriginEpoch == c.epoch && ver > existing.Ver {
-				existing.Ver = ver
-				if plain != nil {
-					existing.Data = append(existing.Data[:0], plain...)
-				} else {
-					existing.Data = oram.OpenSlotDataInto(eng, img.Slot(bucket, z), existing.Data[:0])
-				}
-			}
-			continue
-		}
-		sb := c.getStashBlock()
-		sb.Addr, sb.Leaf, sb.Ver = addr, leaf, ver
-		if plain != nil {
-			sb.Data = append(sb.Data, plain...)
-		} else {
-			sb.Data = oram.OpenSlotDataInto(eng, img.Slot(bucket, z), sb.Data)
-		}
+	}
+	if addr == oram.DummyAddr {
+		return nil
+	}
+	if uint64(addr) >= c.ORAM.NumBlocks() {
+		return fmt.Errorf("core: tree contains out-of-range addr %d", addr)
+	}
+	existing := c.ORAM.Stash.Get(addr)
+	// A copy on this path whose header leaf matches the *durable* PosMap
+	// while a fresher pending copy sits in the stash is the block's
+	// durable continuation (typically a backup from an earlier access).
+	// Overwriting the path destroys it, so record it: the eviction will
+	// write a replacement backup.
+	if existing != nil && existing.PendingRemap && c.wpqPersistent() &&
+		c.durable.Lookup(addr) == leaf {
+		c.endangered[addr] = endangeredCopy{leaf: leaf, bucket: bucket, slot: z}
+	}
+	// The in-flight target's header still carries the pre-remap leaf.
+	current := l
+	if addr != target {
+		current = c.currentLeaf(addr)
+	}
+	if current != leaf {
+		return nil // stale copy (superseded backup): reads as dummy
+	}
+	sb := existing
+	if sb == nil {
+		sb = c.getStashBlock()
+		sb.Addr, sb.Leaf = addr, leaf
 		sb.OriginBucket, sb.OriginSlot = bucket, z
 		c.ORAM.Stash.Put(sb)
 		c.scratch.loaded = append(c.scratch.loaded, sb)
+	} else if sb.OriginEpoch != c.epoch || ver <= sb.Ver {
+		// A copy resident from an earlier access is always fresher.
+		// Between copies loaded this access (leaf collision between a
+		// block and its backup), the higher seal version wins.
+		return nil
+	}
+	sb.Ver = ver
+	if plain := img.PlainData(bucket, z); plain != nil {
+		sb.Data = append(sb.Data[:0], plain...)
+	} else {
+		sb.Data = oram.OpenSlotDataInto(eng, img.Slot(bucket, z), sb.Data[:0])
 	}
 	return nil
 }
@@ -451,15 +482,14 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 	c.stageMark()
 	smallWPQ := c.ORAM.Tree.PathBlocks() > c.Cfg.DataWPQEntries ||
 		(c.Scheme == config.SchemeNaivePSORAM && c.ORAM.Tree.PathBlocks() > c.Cfg.PosMapWPQEntries)
-	var plan [][]*oram.StashBlock
+	// Either planner fills c.scratch.plan.
 	var unplaced []*oram.StashBlock
 	if c.wpqPersistent() && smallWPQ {
 		// Ordered multi-batch mode: identity placement kills the
 		// displacement cycles that small WPQs cannot commit atomically.
-		plan, unplaced = c.planIdentity(l)
+		unplaced = c.planIdentity(l)
 	} else {
-		plan = c.scratch.plan
-		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), plan, c.scratch.planUsed, c.scratch.unplaced)
+		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan, c.scratch.planUsed, c.scratch.unplaced)
 		unplaced = c.scratch.unplaced
 	}
 	// Crash-consistency check: every must-evict candidate placed
@@ -476,17 +506,17 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 
 	switch c.Scheme {
 	case config.SchemeNaivePSORAM, config.SchemePSORAM:
-		return c.evictPersistent(l, plan)
+		return c.evictPersistent(l)
 	default:
-		return c.evictPosted(l, plan)
+		return c.evictPosted(l, c.scratch.plan)
 	}
 }
 
-// planIdentity builds an eviction plan for the ordered small-WPQ mode:
+// planIdentity fills c.scratch.plan for the ordered small-WPQ mode:
 // clean path-origin blocks return to their exact original slots (no
 // displacement, hence no write-order cycles); backups, pending blocks,
 // and any other stash blocks fill the remaining slots greedily.
-func (c *Controller) planIdentity(l oram.Leaf) ([][]*oram.StashBlock, []*oram.StashBlock) {
+func (c *Controller) planIdentity(l oram.Leaf) (unplaced []*oram.StashBlock) {
 	t := c.ORAM.Tree
 	// On-path test via the shared path-index table: a bucket is on the
 	// path to l iff the level-of-bucket lookup maps back to it.
@@ -533,7 +563,7 @@ func (c *Controller) planIdentity(l oram.Leaf) ([][]*oram.StashBlock, []*oram.St
 	c.sortByKey(movers, moverKey)
 	order = append(order, movers...)
 	c.scratch.movers, c.scratch.loose, c.scratch.order = movers, looseBackups, order
-	unplaced := c.scratch.unplaced[:0]
+	unplaced = c.scratch.unplaced[:0]
 	for _, b := range order {
 		deepest := t.IntersectLevel(l, b.TargetLeaf())
 		placed := false
@@ -551,7 +581,7 @@ func (c *Controller) planIdentity(l oram.Leaf) ([][]*oram.StashBlock, []*oram.St
 		}
 	}
 	c.scratch.unplaced = unplaced
-	return plan, unplaced
+	return unplaced
 }
 
 // evictPosted writes the plan through the volatile write buffer

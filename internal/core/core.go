@@ -129,18 +129,16 @@ type Controller struct {
 		keyed    []keyedBlock       // sortByKey's (key, block) pairs
 		movers   []*oram.StashBlock // planIdentity working sets
 		loose    []*oram.StashBlock
-		plan     [][]*oram.StashBlock // L+1 rows of Z plan slots
+		plan     [][]*oram.StashBlock // L+1 rows of Z plan slots...
+		planFlat []*oram.StashBlock   // ...laid out root first in one array
+		every    []int32              // 0..Z(L+1)-1: every slot of planFlat
+		real     []int32              // its occupied slots, ascending (evictPersistent)
+		dirty    []int32              // ...whose blocks carry a pending remap
 		planUsed []int
 		unplaced []*oram.StashBlock
-		slots    []plannedSlot // sealed eviction plan
-		// planDirty is the dirty-PosMap-entry tally of the last planSlots
-		// pass (folded into the plan loop; posMapEntriesFor reads it).
-		planDirty int
+		slots    []plannedSlot // the eviction plan (planSlots)
+		ivBase   uint64        // IV cursor before the last planSlots' draws
 	}
-
-	// applySlots is the slot set the currently committing batch's tagged
-	// entries index into (see ApplyEntry).
-	applySlots []plannedSlot
 
 	// stageNanos accumulates wall time per protocol stage (see the
 	// stage* constants): the serving layer turns deltas into per-stage
@@ -317,10 +315,19 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		Temp:    oram.NewTempPosMap(cfg.TempPosMapSize),
 	}
 	c.endangered = make(map[oram.Addr]endangeredCopy)
+	// The plan's rows are views of one flat array, slot i of the path at
+	// index i, so that the write-back's passes over it are one loop each.
+	z := oc.Tree.Z
+	c.scratch.planFlat = make([]*oram.StashBlock, (oc.Tree.L+1)*z)
 	c.scratch.plan = make([][]*oram.StashBlock, oc.Tree.L+1)
 	for k := range c.scratch.plan {
-		c.scratch.plan[k] = make([]*oram.StashBlock, oc.Tree.Z)
+		c.scratch.plan[k] = c.scratch.planFlat[k*z : (k+1)*z : (k+1)*z]
 	}
+	c.scratch.every = make([]int32, len(c.scratch.planFlat))
+	for i := range c.scratch.every {
+		c.scratch.every[i] = int32(i)
+	}
+	c.scratch.real = make([]int32, len(c.scratch.planFlat))
 	c.scratch.planUsed = make([]int, oc.Tree.L+1)
 	switch scheme {
 	case config.SchemeFullNVM:

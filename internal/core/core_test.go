@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -696,5 +698,88 @@ func TestRcrPSFlushResidentCovered(t *testing.T) {
 				t.Fatalf("access %d: posmap level %d stash not empty (%d)", i, li+1, n)
 			}
 		}
+	}
+}
+
+// TestSealVersionsExhaustedFailsClosed: seal versions are 32 bits in a
+// header format the goldens pin, and freshness between two tree copies
+// of a block is decided by comparing them, so the cursor must never
+// wrap. One access's worth of draws short of wrapping, every access
+// still succeeds with the right value; from there on Access returns
+// oram.ErrSealVersionsExhausted before it touches anything.
+func TestSealVersionsExhaustedFailsClosed(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline, config.SchemeRcrPSORAM} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			ctl := newCtl(t, scheme)
+			bb := ctl.Cfg.BlockBytes
+			ref := map[oram.Addr][]byte{}
+			r := lcg{s: 5}
+			write := func(i int) error {
+				addr := oram.Addr(r.n(100))
+				v := blockVal(addr, i, bb)
+				res, err := ctl.Access(oram.OpWrite, addr, v)
+				if err != nil {
+					return err
+				}
+				if want, ok := ref[addr]; ok && !bytes.Equal(res.Value, want) {
+					t.Fatalf("access %d: block %d read %q, want %q", i, addr, res.Value, want)
+				}
+				ref[addr] = v
+				return nil
+			}
+			for i := 0; i < 200; i++ {
+				if err := write(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The last cursor value from which an access is still admitted.
+			last := uint32(math.MaxUint32 - 8*ctl.ORAM.Tree.PathBlocks())
+			ctl.ORAM.SetVerSeq(last - 60)
+			var err error
+			admitted := 0
+			for i := 200; err == nil; i++ {
+				before := ctl.ORAM.VerSeq()
+				if err = write(i); err == nil {
+					admitted++
+					if before > last || ctl.ORAM.VerSeq() <= before {
+						t.Fatalf("access %d admitted at cursor %d and left it at %d", i, before, ctl.ORAM.VerSeq())
+					}
+				}
+			}
+			if !errors.Is(err, oram.ErrSealVersionsExhausted) {
+				t.Fatalf("after %d accesses near the end of the version space: %v", admitted, err)
+			}
+			if admitted == 0 || ctl.ORAM.VerSeq() <= last {
+				t.Fatalf("refused at cursor %d after %d accesses; accesses are admitted up to %d", ctl.ORAM.VerSeq(), admitted, last)
+			}
+			// Refused means untouched: same cursor, same access count, same
+			// stash, and every block still reads its last written value.
+			cursor, accesses, stash := ctl.ORAM.VerSeq(), ctl.Accesses(), ctl.ORAM.Stash.Len()
+			if _, err := ctl.Access(oram.OpRead, 3, nil); !errors.Is(err, oram.ErrSealVersionsExhausted) {
+				t.Fatalf("second refused access: %v", err)
+			}
+			if ctl.ORAM.VerSeq() != cursor || ctl.Accesses() != accesses || ctl.ORAM.Stash.Len() != stash {
+				t.Fatal("a refused access changed the controller")
+			}
+			for addr, want := range ref {
+				if got, err := ctl.Peek(addr); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("block %d reads %q (%v) after the refusal, want %q", addr, got, err, want)
+				}
+			}
+		})
+	}
+	// A recursive PosMap tree draws from its own cursor; the access is
+	// refused before the chain walk touches any level.
+	ctl := newCtl(t, config.SchemeRcrPSORAM)
+	if len(ctl.Rec.Levels) == 0 {
+		t.Fatal("the test configuration has no recursive PosMap level")
+	}
+	lvl := ctl.Rec.Levels[len(ctl.Rec.Levels)-1]
+	lvl.SetVerSeq(math.MaxUint32 - 5)
+	if _, err := ctl.Access(oram.OpRead, 1, nil); !errors.Is(err, oram.ErrSealVersionsExhausted) {
+		t.Fatalf("access with an exhausted PosMap tree: %v", err)
+	}
+	if lvl.VerSeq() != math.MaxUint32-5 || ctl.Accesses() != 0 {
+		t.Fatal("the refused access ran part of the chain walk")
 	}
 }

@@ -204,6 +204,7 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 			return err
 		}
 		c.now = done
+		c.applyCommitted(pending)
 		c.finishEvicted(pending)
 		real += r
 		dirty += d

@@ -67,56 +67,43 @@ func (c *Controller) putSealBuf(s oram.Slot) {
 	}
 }
 
-// ApplyEntry is the mem.Applier hook: it applies one tagged batch entry
-// at commit. Non-negative tags index c.applySlots (a data-slot write);
-// negative tags encode a PosMap merge for slot index -tag-1.
-func (c *Controller) ApplyEntry(tag int) {
-	if tag >= 0 {
-		s := &c.applySlots[tag]
-		if s.lazy {
-			// Deferred seal: the image overlay records the plaintext
-			// descriptor under the pre-drawn IVs (copying the payload, so
-			// the stash block below recycles as usual). AES runs only if
-			// some reader later observes the sealed slot.
-			if s.block == nil {
-				c.ORAM.Image.PutLazyDummy(s.bucket, s.z, s.iv1, s.iv2)
-			} else {
-				c.ORAM.Image.PutLazyBlock(s.bucket, s.z, s.iv1, s.iv2, oram.Block{
-					Addr: s.block.Addr, Leaf: s.leaf, Ver: s.ver, Data: s.block.Data,
-				})
-			}
-			return
-		}
-		old := c.ORAM.Image.PutSlot(s.bucket, s.z, s.sealed)
-		if c.recycle {
-			c.putSealBuf(old)
-		}
-		return
-	}
-	b := c.applySlots[-tag-1].block
-	c.durable.Put(b.Addr, b.Leaf)
-	c.mirrorLeaf(b.Addr, b.Leaf)
-	c.ORAM.PosMap.Put(b.Addr, b.Leaf)
-	c.Temp.Delete(b.Addr)
-}
-
 // Eviction-order sorting. Each order is a single ascending uint64 key
 // per block, so the sort runs over (key, block) pairs in a reused scratch
 // slice with an inlined integer compare — no interface Less/Swap per
 // comparison, no allocation. The orders are total: ties are broken by
-// address, and no partition holds two live blocks of one address.
+// address, and no partition holds two blocks of one address at one
+// depth — not two live blocks; not a live block and its backup (a block
+// has a backup only while its own remap is pending, which puts it in
+// another partition); not two backups (the step-4 one targets the path
+// itself, a rescue one a leaf that left it higher up).
 type keyedBlock struct {
 	key uint64
 	b   *oram.StashBlock
 }
 
-// sortByKey sorts blocks in place, ascending by key(b).
+const insertionSortMax = 32
+
+// sortByKey sorts blocks in place, ascending by key(b). A partition
+// holds about a path's worth of real blocks at most, a dozen or so, so
+// up to insertionSortMax pairs are sorted by insertion, inline; the
+// orders being total, the algorithm does not show in the result.
 func (c *Controller) sortByKey(blocks []*oram.StashBlock, key func(*oram.StashBlock) uint64) {
 	ks := c.scratch.keyed[:0]
 	for _, b := range blocks {
 		ks = append(ks, keyedBlock{key(b), b})
 	}
-	slices.SortFunc(ks, func(x, y keyedBlock) int { return cmp.Compare(x.key, y.key) })
+	if len(ks) <= insertionSortMax {
+		for i := 1; i < len(ks); i++ {
+			x := ks[i]
+			j := i
+			for ; j > 0 && ks[j-1].key > x.key; j-- {
+				ks[j] = ks[j-1]
+			}
+			ks[j] = x
+		}
+	} else {
+		slices.SortFunc(ks, func(x, y keyedBlock) int { return cmp.Compare(x.key, y.key) })
+	}
 	for i := range ks {
 		blocks[i] = ks[i].b
 	}

@@ -169,8 +169,9 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 	}
 
 	// Evict the data path.
-	order := c.evictionOrder(l)
-	plan, unplaced := c.ORAM.PlanEviction(l, order)
+	plan := c.scratch.plan
+	unplaced := c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), plan, c.scratch.planUsed, c.scratch.unplaced)
+	c.scratch.unplaced = unplaced
 	if c.wpqPersistent() {
 		for _, b := range unplaced {
 			if b.Backup || (b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap) {
@@ -182,7 +183,7 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 
 	var evicted int
 	if st.batch != nil {
-		slots := c.sealPlan(l, plan)
+		slots := c.planSlots(l, true)
 		img := c.ORAM.Image
 		for _, s := range slots {
 			// Immediate apply with batch undo: a force-evict pass later
@@ -281,9 +282,8 @@ func (c *Controller) flushResidentData(addr oram.Addr, newLeaf oram.Leaf, st *re
 		}
 		c.markOrigin(loaded)
 		c.now = done
-		order := c.evictionOrder(newLeaf)
-		plan, _ := c.ORAM.PlanEviction(newLeaf, order)
-		slots := c.sealPlan(newLeaf, plan)
+		c.scratch.unplaced = c.ORAM.PlanEvictionInto(newLeaf, c.evictionOrder(newLeaf), c.scratch.plan, c.scratch.planUsed, c.scratch.unplaced)
+		slots := c.planSlots(newLeaf, true)
 		img := c.ORAM.Image
 		for _, s := range slots {
 			st.batch.AddDataApplied(c.Mem.TreeBlockLocation(s.bucket, s.z),

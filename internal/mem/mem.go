@@ -75,6 +75,10 @@ type Controller struct {
 	cfg      config.Config
 	model    model
 	counters stats.Counters
+	// timed says the model's enqueue reads the entries it is handed. When
+	// it does not, a batch counts an entry that carries no functional
+	// mutation and stores nothing for it.
+	timed bool
 
 	inFlight   []inFlightWrite // journal of posted writes, for crash undo
 	openBatch  *Batch
@@ -97,14 +101,14 @@ type inFlightWrite struct {
 
 // New creates a controller over the timed NVM model, with cfg.Channels
 // devices.
-func New(cfg config.Config) *Controller { return newController(cfg, newNVMModel(cfg)) }
+func New(cfg config.Config) *Controller { return newController(cfg, newNVMModel(cfg), true) }
 
 // NewUntimed creates a controller over the untimed model: the same
 // persistence domain and traffic counters, no devices and no clock.
-func NewUntimed(cfg config.Config) *Controller { return newController(cfg, untimed{}) }
+func NewUntimed(cfg config.Config) *Controller { return newController(cfg, untimed{}, false) }
 
-func newController(cfg config.Config, m model) *Controller {
-	c := &Controller{cfg: cfg, model: m}
+func newController(cfg config.Config, m model, timed bool) *Controller {
+	c := &Controller{cfg: cfg, model: m, timed: timed}
 	c.hNVMReads = c.counters.Handle("nvm.reads")
 	c.hNVMWrites = c.counters.Handle("nvm.writes")
 	c.hWPQData = c.counters.Handle("wpq.data.entries")
@@ -268,9 +272,12 @@ type Batch struct {
 	c       *Controller
 	entries []batchEntry
 	fns     []func() // apply/undo closures of the formApply/formUndo entries
-	nData   int      // entries bound for the data WPQ (the rest are PosMap)
-	applier Applier
-	done    bool
+	// nData and nPosMap count the staged entries per WPQ. They can exceed
+	// len(entries): under a model that times nothing, a function-less
+	// entry is counted here and not stored.
+	nData, nPosMap int
+	applier        Applier
+	done           bool
 }
 
 // SetApplier installs the Applier that interprets tagged entries. Must
@@ -291,7 +298,7 @@ func (c *Controller) BeginBatch() *Batch {
 	b.c = c
 	b.entries = b.entries[:0]
 	b.fns = b.fns[:0]
-	b.nData = 0
+	b.nData, b.nPosMap = 0, 0
 	b.applier = nil
 	b.done = false
 	c.openBatch = b
@@ -299,11 +306,17 @@ func (c *Controller) BeginBatch() *Batch {
 }
 
 // add stages one entry of the given kind, size and form, keeping the
-// per-WPQ tally Commit checks.
+// per-WPQ tally Commit checks. A formNone entry exists for the timing
+// model alone, so a model that times nothing gets the tally and no entry.
 func (b *Batch) add(kind EntryKind, loc Location, bytes int, form entryForm, ref int) {
 	b.mustOpen()
 	if kind == DataEntry {
 		b.nData++
+	} else {
+		b.nPosMap++
+	}
+	if form == formNone && !b.c.timed {
+		return
 	}
 	if int(int32(ref)) != ref {
 		panic(fmt.Sprintf("mem: batch entry tag %d does not fit 32 bits", ref))
@@ -330,6 +343,20 @@ func (b *Batch) addFunc(kind EntryKind, loc Location, bytes int, form entryForm,
 // AddData stages a data-block write into the batch.
 func (b *Batch) AddData(loc Location, apply func()) {
 	b.addFunc(DataEntry, loc, b.c.cfg.BlockBytes, formApply, apply)
+}
+
+// AddDataRun is n AddData(loc, nil) calls: the Z slots of a bucket share
+// a Location, so a bucket's function-less slot writes stage as one run.
+// The timed model sees the same n entries in the same order.
+func (b *Batch) AddDataRun(loc Location, n int) {
+	if !b.c.timed {
+		b.mustOpen()
+		b.nData += n
+		return
+	}
+	for ; n > 0; n-- {
+		b.add(DataEntry, loc, b.c.cfg.BlockBytes, formNone, 0)
+	}
 }
 
 // AddDataTagged stages a data-block write applied at commit by the
@@ -381,7 +408,7 @@ func (b *Batch) mustOpen() {
 func (b *Batch) DataCount() int { return b.nData }
 
 // PosMapCount reports staged PosMap-WPQ entries.
-func (b *Batch) PosMapCount() int { return len(b.entries) - b.nData }
+func (b *Batch) PosMapCount() int { return b.nPosMap }
 
 // ErrWPQOverflow reports a batch exceeding a WPQ's capacity; the caller
 // (the ORAM controller) must use the ordered small-WPQ eviction instead.
@@ -418,7 +445,7 @@ func (b *Batch) Commit(earliest Cycle) (Cycle, error) {
 	proceed := c.model.enqueue(b.entries, earliest)
 	*c.hWPQData += int64(nData)
 	*c.hWPQPosMap += int64(nPosMap)
-	*c.hNVMWrites += int64(len(b.entries))
+	*c.hNVMWrites += int64(nData + nPosMap)
 	// Durability point: "end" signal received by both WPQs.
 	b.applyAll()
 	b.done = true

@@ -559,3 +559,117 @@ func TestBatchMixedEntryForms(t *testing.T) {
 		}
 	}
 }
+
+// An entry with no functional mutation exists for the timing model
+// alone. The persistence domain is the same over either model — per-WPQ
+// counts, traffic counters, the refusal at capacity plus one — but over
+// the untimed one such an entry is counted and not stored, and staging
+// it allocates nothing.
+func TestFunctionlessEntriesAreCountedNotStoredWhenUntimed(t *testing.T) {
+	cfg := testCfg(1)
+	stage := func(c *Controller, applied *int, extraData int) *Batch {
+		b := c.BeginBatch()
+		b.AddData(c.TreeBlockLocation(1, 0), nil)
+		b.AddPosMap(c.PosMapLocation(9), nil)
+		b.AddDataRun(c.TreeBlockLocation(2, 0), cfg.Z)
+		b.AddDataRun(c.TreeBlockLocation(3, 0), 0)
+		b.AddPosMapBlock(c.PosMapLocation(4), func() { *applied++ })
+		b.AddDataRun(c.TreeBlockLocation(5, 0), extraData)
+		return b
+	}
+	timed, untimed := New(cfg), NewUntimed(cfg)
+	var ranTimed, ranUntimed int
+	bt, bu := stage(timed, &ranTimed, 0), stage(untimed, &ranUntimed, 0)
+	if bt.DataCount() != 1+cfg.Z || bt.PosMapCount() != 2 {
+		t.Fatalf("timed counts = %d data, %d posmap; want %d, 2", bt.DataCount(), bt.PosMapCount(), 1+cfg.Z)
+	}
+	if bu.DataCount() != bt.DataCount() || bu.PosMapCount() != bt.PosMapCount() {
+		t.Fatalf("untimed counts = %d data, %d posmap; timed %d, %d", bu.DataCount(), bu.PosMapCount(), bt.DataCount(), bt.PosMapCount())
+	}
+	if len(bt.entries) != 3+cfg.Z {
+		t.Fatalf("the timed batch stored %d entries, want every one (%d)", len(bt.entries), 3+cfg.Z)
+	}
+	if len(bu.entries) != 1 {
+		t.Fatalf("the untimed batch stored %d entries, want the closure entry alone", len(bu.entries))
+	}
+	for _, b := range []*Batch{bt, bu} {
+		if _, err := b.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ranTimed != 1 || ranUntimed != 1 {
+		t.Fatalf("closure entry applied %d times timed, %d untimed; want once each", ranTimed, ranUntimed)
+	}
+	if a, b := timed.Counters().Snapshot(), untimed.Counters().Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("counters diverged:\ntimed   %v\nuntimed %v", a, b)
+	}
+	if got := untimed.Counters().Get("nvm.writes"); got != int64(3+cfg.Z) {
+		t.Fatalf("nvm.writes = %d, want one per staged entry (%d)", got, 3+cfg.Z)
+	}
+
+	// One data entry past the WPQ's capacity: the same refusal from both.
+	over := cfg.DataWPQEntries - (1 + cfg.Z) + 1
+	_, errT := stage(timed, &ranTimed, over).Commit(0)
+	_, errU := stage(untimed, &ranUntimed, over).Commit(0)
+	var ovT, ovU ErrWPQOverflow
+	if !errors.As(errT, &ovT) || !errors.As(errU, &ovU) || ovT != ovU ||
+		ovT.Kind != DataEntry || ovT.Need != cfg.DataWPQEntries+1 {
+		t.Fatalf("at capacity+1: timed %v, untimed %v", errT, errU)
+	}
+	timed.openBatch.Abandon()
+	untimed.openBatch.Abandon()
+
+	loc, pm := untimed.TreeBlockLocation(7, 0), untimed.PosMapLocation(7)
+	allocs := testing.AllocsPerRun(200, func() {
+		b := untimed.BeginBatch()
+		b.AddDataRun(loc, cfg.Z)
+		b.AddData(loc, nil)
+		b.AddPosMap(pm, nil)
+		if len(b.entries) != 0 {
+			t.Fatal("a function-less entry was stored")
+		}
+		if _, err := b.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("staging function-less entries on the untimed model allocates %.2f/batch", allocs)
+	}
+}
+
+// AddDataRun(loc, n) is n AddData(loc, nil): on the timed model, where
+// the entries are what enqueue schedules, both forms commit at the same
+// cycle and leave the devices in the same state.
+func TestAddDataRunTimesLikeSingleEntries(t *testing.T) {
+	cfg := testCfg(2)
+	runs, singles := New(cfg), New(cfg)
+	var tr, ts Cycle
+	for round := 0; round < 50; round++ {
+		br, bs := runs.BeginBatch(), singles.BeginBatch()
+		for bucket := uint64(round); bucket < uint64(round)+12; bucket++ {
+			n := int(bucket % uint64(cfg.Z+1))
+			br.AddDataRun(runs.TreeBlockLocation(bucket, 0), n)
+			for z := 0; z < n; z++ {
+				bs.AddData(singles.TreeBlockLocation(bucket, z), nil)
+			}
+			br.AddPosMap(runs.PosMapLocation(bucket), nil)
+			bs.AddPosMap(singles.PosMapLocation(bucket), nil)
+		}
+		var err error
+		if tr, err = br.Commit(tr); err != nil {
+			t.Fatal(err)
+		}
+		if ts, err = bs.Commit(ts); err != nil {
+			t.Fatal(err)
+		}
+		if tr != ts {
+			t.Fatalf("round %d: runs commit at cycle %d, single entries at %d", round, tr, ts)
+		}
+	}
+	if tr == 0 {
+		t.Fatal("the timed model's clock never moved")
+	}
+	if a, b := runs.DeviceStats(), singles.DeviceStats(); a != b {
+		t.Fatalf("device statistics diverged:\nruns    %+v\nsingles %+v", a, b)
+	}
+}

@@ -173,21 +173,31 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 }
 
 // wrappedStorage stands in for a durable backend: anything that is not
-// the in-memory default.
-type wrappedStorage struct{ Storage }
+// the in-memory default. It counts the slot writes that reach it.
+type wrappedStorage struct {
+	Storage
+	sets *int
+}
+
+func (w wrappedStorage) SetSlot(bucket uint64, z int, s Slot) {
+	*w.sets++
+	w.Storage.SetSlot(bucket, z, s)
+}
 
 // Deferred seals are queued for the persist-time barrier only when a
 // durable backend will run it: an in-memory image's pending list stays
 // empty however many slots are written lazily, while a durable one
-// queues each slot once and drains at MaterializePending.
+// queues each slot once and drains at MaterializePending — sealing each
+// queued slot once, whole-bucket writes included, because an image over
+// a store that is not process memory never takes the dense form.
 func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(3, 2)
 	writeAll := func(img *Image) {
 		for round := 0; round < 3; round++ {
 			for b := uint64(0); b < tree.Buckets(); b++ {
-				img.PutLazyDummy(b, 0, 1, 2)
-				img.PutLazyBlock(b, 1, 3, 4, Block{Addr: Addr(b), Data: make([]byte, 64)})
+				img.PutLazyDummies(b, 10*b)
+				img.PutLazyBlock(b, 1, 10*b+3, 10*b+4, Block{Addr: Addr(b), Data: make([]byte, 64)})
 			}
 		}
 	}
@@ -198,15 +208,30 @@ func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	if len(mem.pending) != 0 {
 		t.Fatalf("in-memory image queued %d deferred seals nobody drains", len(mem.pending))
 	}
+	if _, dense := mem.RealSlots(0); !dense {
+		t.Fatal("a whole-bucket write on an in-memory image did not leave the bucket dense")
+	}
 
-	dur := NewImageInto(wrappedStorage{newMemStorage(tree)}, tree, e, 64, testIVs())
+	sets := 0
+	dur := NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs())
 	dur.EnableLazySeal(e)
 	writeAll(dur)
-	if want := int(tree.Buckets()) * 2; len(dur.pending) != want {
+	if _, dense := dur.RealSlots(0); dense || dur.dense != nil {
+		t.Fatal("an image over a durable store went dense")
+	}
+	want := int(tree.Slots())
+	if len(dur.pending) != want {
 		t.Fatalf("durable image queued %d deferred seals, want one per written slot (%d)", len(dur.pending), want)
 	}
+	sets = 0
 	dur.MaterializePending()
 	if len(dur.pending) != 0 {
 		t.Fatalf("barrier left %d deferred seals queued", len(dur.pending))
+	}
+	if sets != want {
+		t.Fatalf("barrier wrote %d sealed slots to the store, want each queued slot once (%d)", sets, want)
+	}
+	if blk, err := OpenSlot(e, dur.store.Slot(3, 1)); err != nil || blk.Addr != 3 {
+		t.Fatalf("the barrier stored %+v (%v) for a real slot", blk, err)
 	}
 }

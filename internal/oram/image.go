@@ -37,11 +37,16 @@ type Image struct {
 	// materialized ciphertext buffers. memo is allocated on the first
 	// materialization: in-memory serving never materializes, and a durable
 	// barrier does so for every slot it persists.
+	//
+	// A path write-back rewrites all Z slots of a bucket at once, most of
+	// them with dummies, under 2Z consecutive IVs. dense records such a
+	// write once per bucket (see denseBucket) instead of once per slot.
 	lazy   bool
 	engine *cryptoeng.Engine
 	plain  []plainSlot
 	arena  []byte
 	memo   []sealedBuf
+	dense  []denseBucket
 	// pending lists the slots with a queued deferred seal for the
 	// persist-time barrier (MaterializePending). Only a durable backend
 	// runs that barrier, so slots are queued only when barrier is set:
@@ -60,6 +65,24 @@ type plainSlot struct {
 	ver      uint32
 	state    uint8
 }
+
+// denseBucket is the dense form of one bucket's overlay entries: what a
+// whole-bucket write (PutLazyDummies, then PutLazyBlock per real slot)
+// leaves behind. While on is set every slot of the bucket is live; slot
+// z is a real block iff bit z of real is set, and only then is its
+// plainSlot entry meaningful. A clear bit is a dummy under the IVs
+// ivBase+2z+1 and ivBase+2z+2 whose plainSlot entry is stale and must
+// not be read. Anything else that touches a slot of the bucket first
+// expands it back into per-slot entries. 16 bytes, no pointers.
+type denseBucket struct {
+	ivBase uint64
+	real   uint32
+	on     bool
+}
+
+// maxDenseZ is the width of denseBucket.real: images with more slots per
+// bucket keep per-slot entries throughout.
+const maxDenseZ = 32
 
 // plainSlot.state bits.
 const (
@@ -104,11 +127,23 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 func newLazyImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
 	img := &Image{Tree: t, store: newMemStorage(t), blockB: blockBytes}
 	img.EnableLazySeal(e)
-	for i := range img.plain {
-		ps := &img.plain[i]
-		ps.iv1 = nextIV()
-		ps.iv2 = nextIV()
-		ps.state = psLive | psDummy
+	// A bucket's 2Z draws, in slot order, are what a path write-back
+	// draws for it: when they come out consecutive (NextIV is a counter)
+	// the bucket is born dense, one record instead of Z.
+	ivs := make([]uint64, 2*t.Z)
+	for bucket := uint64(0); bucket < t.Buckets(); bucket++ {
+		consecutive := true
+		for j := range ivs {
+			ivs[j] = nextIV()
+			consecutive = consecutive && ivs[j] == ivs[0]+uint64(j)
+		}
+		if consecutive {
+			img.PutLazyDummies(bucket, ivs[0]-1)
+			continue
+		}
+		for z := 0; z < t.Z; z++ {
+			img.PutLazyDummy(bucket, z, ivs[2*z], ivs[2*z+1])
+		}
 	}
 	return img
 }
@@ -136,6 +171,11 @@ func (img *Image) EnableLazySeal(e *cryptoeng.Engine) {
 	slots := img.Tree.Slots()
 	img.plain = make([]plainSlot, slots)
 	img.arena = make([]byte, slots*uint64(img.blockB))
+	// The dense form is for in-memory stores only: a durable barrier
+	// queues and seals slot by slot, so its image keeps per-slot entries.
+	if inMemory && img.Tree.Z <= maxDenseZ {
+		img.dense = make([]denseBucket, img.Tree.Buckets())
+	}
 }
 
 // LazySeal reports whether the overlay is armed.
@@ -150,13 +190,16 @@ func (img *Image) DisableLazySeal() {
 	if !img.lazy {
 		return
 	}
+	for bucket := range img.dense {
+		img.expand(uint64(bucket))
+	}
 	for idx := range img.plain {
 		if img.plain[idx].state&psLive != 0 {
 			img.materialize(uint64(idx))
 		}
 	}
 	img.lazy = false
-	img.plain, img.arena, img.memo, img.engine = nil, nil, nil, nil
+	img.plain, img.arena, img.memo, img.dense, img.engine = nil, nil, nil, nil, nil
 }
 
 func (img *Image) slotIndex(bucket uint64, z int) uint64 {
@@ -171,10 +214,63 @@ func (img *Image) payload(idx uint64) []byte {
 	return img.arena[off:end:end]
 }
 
+// impliedDummy reports whether (bucket, z) is a dummy that exists only
+// in its bucket's dense record: its per-slot entry is stale.
+func (img *Image) impliedDummy(bucket uint64, z int) bool {
+	return img.dense != nil && img.dense[bucket].on && img.dense[bucket].real>>uint(z)&1 == 0
+}
+
+// expand turns a dense bucket back into per-slot entries, writing out
+// the dummies its record implied. Every per-slot operation that cannot
+// keep the dense form calls it first, so the per-slot API means what it
+// always did.
+func (img *Image) expand(bucket uint64) {
+	if img.dense == nil || !img.dense[bucket].on {
+		return
+	}
+	d := &img.dense[bucket]
+	d.on = false
+	for z := 0; z < img.Tree.Z; z++ {
+		if d.real>>uint(z)&1 == 0 {
+			iv := d.ivBase + 2*uint64(z)
+			img.plain[img.slotIndex(bucket, z)] = plainSlot{iv1: iv + 1, iv2: iv + 2, state: psLive | psDummy}
+		}
+	}
+}
+
+// RealSlots is the bucket-granular read: for a dense bucket it returns
+// the mask of slots holding real blocks (bit z = slot z) and true —
+// every other slot is a dummy and its entry must not be consulted. For
+// any other bucket it returns false and the caller walks all Z slots.
+func (img *Image) RealSlots(bucket uint64) (mask uint32, dense bool) {
+	if img.dense == nil || !img.dense[bucket].on {
+		return 0, false
+	}
+	return img.dense[bucket].real, true
+}
+
+// PutLazyDummies records a whole-bucket write: every slot of bucket a
+// deferred dummy seal, slot z under ivBase+2z+1 and ivBase+2z+2 — the
+// 2Z consecutive IVs a path write-back draws for the bucket in slot
+// order. The bucket's real blocks follow through PutLazyBlock. Where the
+// image keeps the dense form this is one 16-byte record and no per-slot
+// entry is touched; elsewhere it is Z PutLazyDummy calls.
+func (img *Image) PutLazyDummies(bucket uint64, ivBase uint64) {
+	if img.dense != nil {
+		img.dense[bucket] = denseBucket{ivBase: ivBase, on: true}
+		return
+	}
+	for z := 0; z < img.Tree.Z; z++ {
+		iv := ivBase + 2*uint64(z)
+		img.PutLazyDummy(bucket, z, iv+1, iv+2)
+	}
+}
+
 // PutLazyBlock records a deferred seal of b at (bucket, z) under the
 // pre-drawn IVs and the version already baked into b.Ver. The payload
 // (exactly BlockBytes) is copied into the arena — callers recycle b.Data
-// freely.
+// freely. A dense bucket stays dense: the slot's bit is set and its
+// entry becomes the authoritative one.
 func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	if len(b.Data) != img.blockB {
 		panic(fmt.Sprintf("oram: lazy seal of a %d-byte payload into %d-byte slots", len(b.Data), img.blockB))
@@ -185,11 +281,15 @@ func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	ps.iv1, ps.iv2 = iv1, iv2
 	ps.addr, ps.leaf, ps.ver = b.Addr, b.Leaf, b.Ver
 	copy(img.payload(idx), b.Data)
+	if img.dense != nil {
+		img.dense[bucket].real |= 1 << uint(z) // read only while the bucket is dense
+	}
 	img.enqueue(ps, idx)
 }
 
 // PutLazyDummy records a deferred dummy seal at (bucket, z).
 func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
+	img.expand(bucket)
 	idx := img.slotIndex(bucket, z)
 	ps := &img.plain[idx]
 	ps.state = ps.state&psQueued | psLive | psDummy
@@ -234,6 +334,9 @@ func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver u
 	if !img.lazy {
 		return 0, 0, 0, false, false
 	}
+	if img.impliedDummy(bucket, z) {
+		return DummyAddr, 0, 0, true, true
+	}
 	ps := &img.plain[img.slotIndex(bucket, z)]
 	if ps.state&psLive == 0 {
 		return 0, 0, 0, false, false
@@ -247,7 +350,7 @@ func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver u
 // PlainData returns the overlay's plaintext payload for a live real
 // entry (nil otherwise). The view is overlay-owned: read, then copy.
 func (img *Image) PlainData(bucket uint64, z int) []byte {
-	if !img.lazy {
+	if !img.lazy || img.impliedDummy(bucket, z) {
 		return nil
 	}
 	idx := img.slotIndex(bucket, z)
@@ -292,6 +395,7 @@ func (img *Image) materialize(idx uint64) Slot {
 // seal on first observation.
 func (img *Image) Slot(bucket uint64, z int) Slot {
 	if img.lazy {
+		img.expand(bucket)
 		if idx := img.slotIndex(bucket, z); img.plain[idx].state&psLive != 0 {
 			return img.materialize(idx)
 		}
@@ -305,6 +409,7 @@ func (img *Image) Slot(bucket uint64, z int) Slot {
 func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	var prev Slot
 	if img.lazy {
+		img.expand(bucket)
 		idx := img.slotIndex(bucket, z)
 		if ps := &img.plain[idx]; ps.state&psLive != 0 {
 			// The undo closure must capture stable bytes; materialize
@@ -322,6 +427,7 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	img.store.SetSlot(bucket, z, s)
 	return func() {
 		if img.lazy {
+			img.expand(bucket) // a whole-bucket write may have come in between
 			img.plain[img.slotIndex(bucket, z)].state &^= psLive
 		}
 		img.store.SetSlot(bucket, z, prev)
@@ -338,6 +444,7 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 // with buffer recycling off, so it is never reused.
 func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 	if img.lazy {
+		img.expand(bucket)
 		img.plain[img.slotIndex(bucket, z)].state &^= psLive
 	}
 	old = img.store.Slot(bucket, z)

@@ -8,15 +8,19 @@ import (
 	"repro/internal/rng"
 )
 
+// sameSlot reports whether two sealed slots are the same bytes under the
+// same IVs.
+func sameSlot(a, b Slot) bool {
+	return a.IV1 == b.IV1 && a.IV2 == b.IV2 &&
+		bytes.Equal(a.SealedHeader, b.SealedHeader) && bytes.Equal(a.SealedData, b.SealedData)
+}
+
 // diffSlots reports the first slot in which two images' sealed forms
 // differ ("" = identical: IVs, sealed header, sealed payload).
 func diffSlots(a, b *Image) string {
 	for bucket := uint64(0); bucket < a.Tree.Buckets(); bucket++ {
 		for z := 0; z < a.Tree.Z; z++ {
-			sa, sb := a.Slot(bucket, z), b.Slot(bucket, z)
-			if sa.IV1 != sb.IV1 || sa.IV2 != sb.IV2 ||
-				!bytes.Equal(sa.SealedHeader, sb.SealedHeader) ||
-				!bytes.Equal(sa.SealedData, sb.SealedData) {
+			if !sameSlot(a.Slot(bucket, z), b.Slot(bucket, z)) {
 				return fmt.Sprintf("bucket %d slot %d", bucket, z)
 			}
 		}
@@ -65,6 +69,9 @@ func TestBornLazyImageIdentity(t *testing.T) {
 		if eager.NextIV() != lazy.NextIV() || eager.VerSeq() != lazy.VerSeq() {
 			t.Fatalf("after %d accesses: IV or version streams diverge", accesses)
 		}
+		// Then every overlay write path, whole-bucket writes included, on
+		// the lazy image and its sealed equivalent on the eager one.
+		churn(t, lazy.Image, eager.Image, 1500)
 		lazy.Image.DisableLazySeal()
 		if d := diffSlots(eager.Image, lazy.Image); d != "" {
 			t.Fatalf("after %d accesses: born-lazy image differs from the eager one at %s", accesses, d)
@@ -72,30 +79,168 @@ func TestBornLazyImageIdentity(t *testing.T) {
 	}
 }
 
-// churn rewrites a lazy image's slots through every write path, leaving
-// a mix of live real entries, live dummies, materialized entries, and
-// slots whose overlay entry died under a sealed write.
-func churn(img *Image, rounds int) {
-	e, iv := img.engine, testIVs()
-	r := rng.New(3)
-	t := img.Tree
-	for i := 0; i < rounds; i++ {
-		bucket, z := r.Uint64n(t.Buckets()), int(r.Uint64n(uint64(t.Z)))
-		data := bytes.Repeat([]byte{byte(i)}, img.blockB)
-		blk := Block{Addr: Addr(i % 50), Leaf: Leaf(r.Uint64n(t.Leaves())), Ver: uint32(i), Data: data}
-		switch r.Uint64n(6) {
-		case 0, 1:
-			img.PutLazyBlock(bucket, z, iv(), iv(), blk)
-		case 2:
-			img.PutLazyDummy(bucket, z, iv(), iv())
-		case 3:
-			img.SetSlot(bucket, z, SealBlock(e, blk, iv))
-		case 4:
-			img.PutSlot(bucket, z, DummySlot(e, img.blockB, iv))
-		case 5:
-			img.Slot(bucket, z) // an observer materializes the entry
+// overlayModel drives a lazy image through every write path of the
+// overlay and, when ref is set, an eagerly sealed reference image through
+// the sealed equivalent of each write under the same IVs: whatever an
+// observer then reads from the lazy image must be the reference's bytes.
+type overlayModel struct {
+	t         *testing.T
+	lazy, ref *Image
+	iv        func() uint64
+	undo      []func() // the last SetSlot's undo closures, one per image
+	step      int
+}
+
+// sealed seals b (nil = a dummy) under the given IVs into fresh buffers.
+func (m *overlayModel) sealed(b *Block, iv1, iv2 uint64) Slot {
+	hdr, data := make([]byte, HeaderBytes), make([]byte, m.lazy.blockB)
+	if b == nil {
+		return DummySlotIVs(m.lazy.engine, m.lazy.blockB, iv1, iv2, hdr, data)
+	}
+	return SealBlockIVs(m.lazy.engine, *b, iv1, iv2, hdr, data)
+}
+
+// apply runs one operation: op selects it, sel the slot (or bucket) and
+// arg its variable part.
+func (m *overlayModel) apply(op, sel, arg byte) {
+	m.step++
+	t := m.lazy.Tree
+	idx := uint64(sel) % t.Slots()
+	bucket, z := idx/uint64(t.Z), int(idx%uint64(t.Z))
+	blk := Block{Addr: Addr(arg % 50), Leaf: Leaf(uint64(arg) % t.Leaves()), Ver: uint32(m.step),
+		Data: bytes.Repeat([]byte{arg}, m.lazy.blockB)}
+	toRef := func(z int, s Slot) {
+		if m.ref != nil {
+			m.ref.SetSlot(bucket, z, s)
 		}
 	}
+	switch op % 9 {
+	case 0, 1:
+		iv1, iv2 := m.iv(), m.iv()
+		m.lazy.PutLazyBlock(bucket, z, iv1, iv2, blk)
+		toRef(z, m.sealed(&blk, iv1, iv2))
+	case 2:
+		iv1, iv2 := m.iv(), m.iv()
+		m.lazy.PutLazyDummy(bucket, z, iv1, iv2)
+		toRef(z, m.sealed(nil, iv1, iv2))
+	case 3, 4:
+		// A path write-back's write of one bucket: 2Z consecutive IVs in
+		// slot order, dummies everywhere but the slots arg picks.
+		base := m.iv() - 1
+		for i := 1; i < 2*t.Z; i++ {
+			m.iv()
+		}
+		m.lazy.PutLazyDummies(bucket, base)
+		for z := 0; z < t.Z; z++ {
+			iv1, iv2 := base+2*uint64(z)+1, base+2*uint64(z)+2
+			if arg>>uint(z%8)&1 == 0 {
+				toRef(z, m.sealed(nil, iv1, iv2))
+				continue
+			}
+			b := blk
+			b.Addr += Addr(z)
+			m.lazy.PutLazyBlock(bucket, z, iv1, iv2, b)
+			toRef(z, m.sealed(&b, iv1, iv2))
+		}
+	case 5:
+		iv1, iv2 := m.iv(), m.iv()
+		m.undo = m.undo[:0]
+		for _, img := range []*Image{m.lazy, m.ref} {
+			if img != nil {
+				m.undo = append(m.undo, img.SetSlot(bucket, z, m.sealed(&blk, iv1, iv2)))
+			}
+		}
+	case 6:
+		for _, undo := range m.undo {
+			undo()
+		}
+		m.undo = m.undo[:0]
+	case 7:
+		iv1, iv2 := m.iv(), m.iv()
+		m.lazy.PutSlot(bucket, z, m.sealed(nil, iv1, iv2))
+		if m.ref != nil {
+			m.ref.PutSlot(bucket, z, m.sealed(nil, iv1, iv2))
+		}
+	case 8:
+		got := m.lazy.Slot(bucket, z) // an observer materializes the entry
+		if m.ref != nil && !sameSlot(got, m.ref.Slot(bucket, z)) {
+			m.t.Fatalf("step %d: bucket %d slot %d: the lazy image's sealed bytes differ from the reference", m.step, bucket, z)
+		}
+	}
+}
+
+// check compares what the lazy image holds — read in place, without
+// materializing — with the reference's bucket by bucket.
+func (m *overlayModel) check() {
+	m.t.Helper()
+	e := m.lazy.engine
+	for bucket := uint64(0); bucket < m.lazy.Tree.Buckets(); bucket++ {
+		got, err := m.lazy.ReadBucket(e, bucket)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		want, err := m.ref.ReadBucket(e, bucket)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		for z := range want {
+			g, w := got[z], want[z]
+			if g.Addr != w.Addr || g.Leaf != w.Leaf || g.Ver != w.Ver || !bytes.Equal(g.Data, w.Data) {
+				m.t.Fatalf("step %d: bucket %d slot %d reads %+v, the reference %+v", m.step, bucket, z, g, w)
+			}
+		}
+	}
+	got, err := m.lazy.CountReal(e)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	if want, _ := m.ref.CountReal(e); got != want {
+		m.t.Fatalf("step %d: CountReal = %d, the reference holds %d", m.step, got, want)
+	}
+}
+
+// churn rewrites a lazy image's slots through every write path, leaving
+// a mix of dense buckets, live real entries, live dummies, materialized
+// entries, and slots whose overlay entry died under a sealed write; ref,
+// if not nil, follows it eagerly sealed.
+func churn(t *testing.T, img, ref *Image, rounds int) {
+	m := &overlayModel{t: t, lazy: img, ref: ref, iv: testIVs()}
+	r := rng.New(3)
+	for i := 0; i < rounds; i++ {
+		x := r.Uint64()
+		m.apply(byte(x), byte(x>>8), byte(x>>16))
+	}
+}
+
+// FuzzImageOverlay feeds the model coverage-guided operation sequences:
+// a born-lazy image against an eager one built from the same IVs. After
+// every observer call, and bucket by bucket at the end, the two agree.
+func FuzzImageOverlay(f *testing.F) {
+	f.Add([]byte{3, 5, 0x05, 8, 5, 0, 2, 6, 0, 8, 6, 0})                // whole-bucket write, observe, expand by a per-slot dummy
+	f.Add([]byte{4, 9, 0x0f, 5, 9, 7, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // SetSlot on a dense bucket, rewritten whole, then undone
+	f.Add([]byte{0, 2, 1, 3, 2, 0, 7, 2, 0, 8, 2, 0, 3, 2, 0xff, 8, 3}) // trailing partial op ignored
+	r := rng.New(11)
+	seed := make([]byte, 3*200)
+	for i := range seed {
+		seed[i] = byte(r.Uint64())
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		e := testEngine()
+		tree := NewTree(3, 4)
+		m := &overlayModel{t: t, lazy: newLazyImage(tree, e, 32, testIVs()), ref: NewImage(tree, e, 32, testIVs()), iv: NewIVSource(rng.New(2))}
+		for i := 0; i+2 < len(ops); i += 3 {
+			m.apply(ops[i], ops[i+1], ops[i+2])
+			if i%48 == 0 {
+				m.check()
+			}
+		}
+		m.check()
+		m.lazy.DisableLazySeal()
+		if d := diffSlots(m.lazy, m.ref); d != "" {
+			t.Fatalf("materialized image differs from the reference at %s", d)
+		}
+	})
 }
 
 // TestReadBucketOverlayMatchesSealed: ReadBucket and CountReal read live
@@ -105,7 +250,7 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(4, 4)
 	img := newLazyImage(tree, e, 64, testIVs())
-	churn(img, 3000)
+	churn(t, img, nil, 3000)
 
 	var direct [][]Block
 	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
@@ -155,6 +300,109 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 	}
 }
 
+// TestDenseBucketMatchesPerSlot: a whole-bucket write leaves the bucket
+// in its dense form, which must be indistinguishable from the Z per-slot
+// writes it stands for — read in place, and sealed — before and after
+// every per-slot operation that makes the bucket expand. The white-box
+// half pins what the form is for: the write touches no per-slot entry of
+// a dummy.
+func TestDenseBucketMatchesPerSlot(t *testing.T) {
+	e := testEngine()
+	tree := NewTree(3, 4)
+	const bucket, base = 5, 1000
+	old := Block{Addr: 40, Leaf: 1, Ver: 1, Data: bytes.Repeat([]byte{0xEE}, 64)}
+	blk := Block{Addr: 7, Leaf: 3, Ver: 9, Data: bytes.Repeat([]byte{0x11}, 64)}
+	ivs := func(z int) (uint64, uint64) { return base + 2*uint64(z) + 1, base + 2*uint64(z) + 2 }
+	// twins returns two lazy images holding the same bucket — real blocks
+	// in slots 0 and 2, dummies in 1 and 3 — written whole on one and
+	// slot by slot on the other, over older real blocks in every slot.
+	twins := func() (whole, perSlot *Image) {
+		whole, perSlot = newLazyImage(tree, e, 64, testIVs()), newLazyImage(tree, e, 64, testIVs())
+		for _, img := range []*Image{whole, perSlot} {
+			for z := 0; z < tree.Z; z++ {
+				img.PutLazyBlock(bucket, z, 1, 2, old)
+			}
+		}
+		whole.PutLazyDummies(bucket, base)
+		for z := 0; z < tree.Z; z++ {
+			iv1, iv2 := ivs(z)
+			if z%2 == 0 {
+				whole.PutLazyBlock(bucket, z, iv1, iv2, blk)
+				perSlot.PutLazyBlock(bucket, z, iv1, iv2, blk)
+			} else {
+				perSlot.PutLazyDummy(bucket, z, iv1, iv2)
+			}
+		}
+		return whole, perSlot
+	}
+	same := func(when string, whole, perSlot *Image) {
+		t.Helper()
+		m := &overlayModel{t: t, lazy: whole, ref: perSlot}
+		m.check() // ReadBucket and CountReal, in place
+		if d := diffSlots(whole, perSlot); d != "" {
+			t.Fatalf("%s: sealed images differ at %s", when, d)
+		}
+	}
+
+	whole, perSlot := twins()
+	if mask, dense := whole.RealSlots(bucket); !dense || mask != 0b0101 {
+		t.Fatalf("after a whole-bucket write RealSlots = %04b, %v; want 0101, dense", mask, dense)
+	}
+	if _, dense := perSlot.RealSlots(bucket); dense {
+		t.Fatal("per-slot dummy writes left the bucket dense")
+	}
+	for z := 1; z < tree.Z; z += 2 {
+		if ps := whole.plain[whole.slotIndex(bucket, z)]; ps.addr != old.Addr || ps.state&psDummy != 0 || ps.iv1 != 1 {
+			t.Fatalf("the whole-bucket write touched dummy slot %d's entry: %+v", z, ps)
+		}
+	}
+	same("after the write", whole, perSlot)
+
+	iv := testIVs()
+	sealed := SealBlock(e, old, iv)
+	mutators := []struct {
+		name   string
+		mutate func(img *Image, z int)
+	}{
+		{"PutLazyBlock", func(img *Image, z int) { img.PutLazyBlock(bucket, z, 77, 78, old) }}, // the one that keeps the form
+		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }},
+		{"SetSlot", func(img *Image, z int) { img.SetSlot(bucket, z, sealed) }},
+		{"SetSlot and undo", func(img *Image, z int) { img.SetSlot(bucket, z, sealed)() }},
+		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }},
+		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }},
+		// The undo of a SetSlot that a whole-bucket write has overwritten
+		// in the meantime: the restored slot survives the expansion.
+		{"undo over a dense bucket", func(img *Image, z int) {
+			undo := img.SetSlot(bucket, z, sealed)
+			img.PutLazyDummies(bucket, base)
+			undo()
+		}},
+	}
+	for i, m := range mutators {
+		for z := 0; z < 2; z++ { // a real slot and an implied dummy
+			whole, perSlot := twins()
+			m.mutate(whole, z)
+			m.mutate(perSlot, z)
+			if _, dense := whole.RealSlots(bucket); dense != (i == 0) {
+				t.Fatalf("%s on slot %d: bucket dense = %v", m.name, z, dense)
+			}
+			same(m.name, whole, perSlot)
+		}
+	}
+
+	// An initial placement into a born-dense bucket keeps it dense.
+	img := newLazyImage(tree, e, 64, testIVs())
+	img.InitBlocks(e, []Block{{Addr: 1, Leaf: 2, Data: make([]byte, 64)}}, iv)
+	leafBucket := tree.Path(2)[tree.L]
+	if mask, dense := img.RealSlots(leafBucket); !dense || mask != 1 {
+		t.Fatalf("InitBlocks into a born-dense bucket left RealSlots = %b, %v", mask, dense)
+	}
+	// Wider buckets than the mask keep per-slot entries.
+	if wide := newLazyImage(NewTree(1, maxDenseZ+1), e, 8, testIVs()); wide.dense != nil {
+		t.Fatal("an image with Z beyond the mask width has a dense table")
+	}
+}
+
 // TestPlainDataViewIsCapped: the payload arena packs slots back to back,
 // so a PlainData view must not be appendable into its neighbour.
 func TestPlainDataViewIsCapped(t *testing.T) {
@@ -197,8 +445,7 @@ func TestSetSlotUndoSurvivesLazyRewrites(t *testing.T) {
 	undo()
 
 	got := img.Slot(6, 1)
-	if got.IV1 != want.IV1 || got.IV2 != want.IV2 ||
-		!bytes.Equal(got.SealedHeader, want.SealedHeader) || !bytes.Equal(got.SealedData, want.SealedData) {
+	if !sameSlot(got, want) {
 		t.Fatal("undo did not restore the pre-write ciphertext")
 	}
 	if blk, err := OpenSlot(e, got); err != nil || blk.Addr != 9 || blk.Ver != 7 {

@@ -1,7 +1,9 @@
 package oram
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cryptoeng"
@@ -192,11 +194,47 @@ func (c *Controller) NextIV() uint64 {
 	return c.iv
 }
 
+// DrawIVs advances the IV counter by n and returns its value before the
+// advance: the i-th (0-based) of those n draws is base+i+1, what the
+// i-th of n NextIV calls would have returned.
+func (c *Controller) DrawIVs(n int) (base uint64) {
+	base = c.iv
+	c.iv += uint64(n)
+	return base
+}
+
 // NextVer returns a fresh seal version (monotonically increasing).
 func (c *Controller) NextVer() uint32 {
 	c.verSeq++
 	return c.verSeq
 }
+
+// ErrSealVersionsExhausted reports a controller whose 32-bit seal-version
+// cursor is about to wrap. Freshness between two tree copies of one
+// block is decided by comparing versions, so past a wrap a superseded
+// backup could beat the fresh copy: the controller refuses further
+// accesses instead (wrapped; test with errors.Is).
+var ErrSealVersionsExhausted = errors.New("seal versions exhausted")
+
+// sealVersionEvictions bounds the evictions one access can run, each
+// drawing at most a path's worth of versions: the access's own, a
+// temporary-PosMap drain ahead of it, the recursive schemes' three
+// force-evict passes, Ring ORAM's forced evictions and reshuffles — and
+// slack.
+const sealVersionEvictions = 8
+
+// CheckSealVersions returns ErrSealVersionsExhausted once a version
+// cursor over tree t is within one access's worth of draws of wrapping.
+// Access paths call it on entry, before anything is mutated.
+func CheckSealVersions(cursor uint32, t Tree) error {
+	if math.MaxUint32-cursor < uint32(sealVersionEvictions*t.PathBlocks()) {
+		return fmt.Errorf("oram: %w (cursor %d)", ErrSealVersionsExhausted, cursor)
+	}
+	return nil
+}
+
+// CheckSealVersions is the package-level check on c's own cursor.
+func (c *Controller) CheckSealVersions() error { return CheckSealVersions(c.verSeq, c.Tree) }
 
 // VerSeq returns the current seal-version cursor (snapshot support).
 func (c *Controller) VerSeq() uint32 { return c.verSeq }
@@ -222,6 +260,9 @@ func (c *Controller) SetVerSeq(v uint32) {
 func (c *Controller) Access(op Op, addr Addr, data []byte) ([]byte, AccessTrace, error) {
 	if uint64(addr) >= c.nReal {
 		return nil, AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
+	}
+	if err := c.CheckSealVersions(); err != nil {
+		return nil, AccessTrace{}, err
 	}
 	// Step 2: PosMap lookup + remap. (Step 1's stash check cannot skip
 	// the path access: obliviousness requires the full sequence either
@@ -275,6 +316,9 @@ func (c *Controller) Access(op Op, addr Addr, data []byte) ([]byte, AccessTrace,
 func (c *Controller) AccessRMW(addr Addr, mutate func(data []byte) bool) (AccessTrace, error) {
 	if uint64(addr) >= c.nReal {
 		return AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
+	}
+	if err := c.CheckSealVersions(); err != nil {
+		return AccessTrace{}, err
 	}
 	l := c.PosMap.Lookup(addr)
 	lNew := c.RandomLeaf()

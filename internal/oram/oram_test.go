@@ -2,7 +2,9 @@ package oram
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -304,4 +306,31 @@ func (r *testRand) Intn(n int) int {
 	r.s ^= r.s >> 7
 	r.s ^= r.s << 17
 	return int(r.s % uint64(n))
+}
+
+// The baseline controller compares seal versions too (LoadPathWith,
+// PeekWith): its access paths refuse to run the cursor into a wrap.
+func TestSealVersionsExhausted(t *testing.T) {
+	c := mustNew(t, smallParams(3))
+	last := uint32(math.MaxUint32 - sealVersionEvictions*c.Tree.PathBlocks())
+	c.SetVerSeq(last)
+	if _, _, err := c.Access(OpWrite, 1, val(1, 1, 64)); err != nil {
+		t.Fatalf("access at the last admitted cursor value: %v", err)
+	}
+	cursor := c.VerSeq()
+	if cursor <= last {
+		t.Fatal("the admitted access drew no version")
+	}
+	if _, _, err := c.Access(OpRead, 1, nil); !errors.Is(err, ErrSealVersionsExhausted) {
+		t.Fatalf("Access past the margin: %v", err)
+	}
+	if _, err := c.AccessRMW(1, nil); !errors.Is(err, ErrSealVersionsExhausted) {
+		t.Fatalf("AccessRMW past the margin: %v", err)
+	}
+	if c.VerSeq() != cursor {
+		t.Fatal("a refused access moved the cursor")
+	}
+	if got, err := c.Peek(1); err != nil || !bytes.Equal(got, val(1, 1, 64)) {
+		t.Fatalf("block 1 reads %q (%v) after the refusals", got, err)
+	}
 }

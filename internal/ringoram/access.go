@@ -21,6 +21,9 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, er
 	if op == oram.OpWrite && len(data) != c.P.BlockBytes {
 		return nil, fmt.Errorf("ringoram: write of %d bytes, block size %d", len(data), c.P.BlockBytes)
 	}
+	if err := oram.CheckSealVersions(c.verSeq, c.Tree); err != nil {
+		return nil, fmt.Errorf("ringoram: %w", err)
+	}
 	// Persist mode: make room in the journal and the temp posmap first.
 	if c.P.Persist {
 		for c.liveJournal() >= c.P.JournalEntries || c.Temp.Full() {

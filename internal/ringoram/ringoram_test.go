@@ -2,7 +2,9 @@ package ringoram
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/config"
@@ -235,5 +237,42 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("same seed diverged")
+	}
+}
+
+// Ring ORAM resolves freshness by seal version too (Peek's bestVer), and
+// draws from its own 32-bit cursor: within an access's worth of draws of
+// wrapping, Access fails closed with the shared sentinel and leaves the
+// controller as it was.
+func TestSealVersionsExhaustedFailsClosed(t *testing.T) {
+	for _, persist := range []bool{false, true} {
+		c := newRing(t, persist)
+		for i := 0; i < 50; i++ {
+			if _, err := c.Access(oram.OpWrite, oram.Addr(i%20), val(oram.Addr(i%20), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.verSeq = math.MaxUint32 - uint32(8*c.Tree.PathBlocks())
+		admitted := 0
+		var err error
+		for i := 50; err == nil && i < 200; i++ {
+			before := c.verSeq
+			if _, err = c.Access(oram.OpWrite, oram.Addr(i%20), val(oram.Addr(i%20), i)); err == nil {
+				admitted++
+				if c.verSeq < before {
+					t.Fatalf("persist=%v: the cursor wrapped from %d to %d", persist, before, c.verSeq)
+				}
+			}
+		}
+		if !errors.Is(err, oram.ErrSealVersionsExhausted) || admitted == 0 {
+			t.Fatalf("persist=%v: %d accesses admitted at the margin, then %v", persist, admitted, err)
+		}
+		cursor, accesses := c.verSeq, c.Accesses()
+		if _, err := c.Access(oram.OpRead, 1, nil); !errors.Is(err, oram.ErrSealVersionsExhausted) {
+			t.Fatalf("persist=%v: second refused access: %v", persist, err)
+		}
+		if c.verSeq != cursor || c.Accesses() != accesses {
+			t.Fatalf("persist=%v: a refused access changed the controller", persist)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/oram"
 )
@@ -712,5 +714,53 @@ func TestDerivedLevels(t *testing.T) {
 		if string(got[:7]) != "derived" {
 			t.Fatalf("%v: read back %q", sc, got[:7])
 		}
+	}
+}
+
+// coreBackend is a shard over a bare core controller the test can reach
+// into.
+type coreBackend struct{ ctl *core.Controller }
+
+func (b coreBackend) Scheme() config.Scheme { return b.ctl.Scheme }
+func (b coreBackend) NumBlocks() uint64     { return b.ctl.ORAM.NumBlocks() }
+func (b coreBackend) BlockBytes() int       { return b.ctl.Cfg.BlockBytes }
+func (b coreBackend) Leaves() uint64        { return b.ctl.ORAM.Tree.Leaves() }
+func (b coreBackend) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, oram.Leaf, error) {
+	res, err := b.ctl.Access(op, addr, data)
+	return res.Value, res.PathLeaf, err
+}
+func (b coreBackend) Peek(addr oram.Addr) ([]byte, error) { return b.ctl.Peek(addr) }
+func (b coreBackend) Invariants() []error                 { return nil }
+func (b coreBackend) Recover() error                      { return b.ctl.Recover() }
+
+// A shard whose seal-version cursor is about to wrap refuses its
+// accesses, and the caller can tell why through the pool's wrapping, as
+// it can for a stash overflow; the other shards keep serving.
+func TestSealVersionsExhaustedThroughPool(t *testing.T) {
+	cfg := config.Default()
+	var shard0 *core.Controller
+	p := mustPool(t, Options{Shards: 2, NumBlocks: 64, Factory: func(s int, local uint64) (Backend, error) {
+		ctl, err := core.New(config.SchemePSORAM, cfg, core.Options{NumBlocks: local, Levels: 5, Untimed: true})
+		if s == 0 {
+			shard0 = ctl
+		}
+		return coreBackend{ctl}, err
+	}})
+	ctx := context.Background()
+	buf := make([]byte, cfg.BlockBytes)
+	for addr := uint64(0); addr < 64; addr++ {
+		if err := p.Write(ctx, addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every Write above has been answered, so the worker is parked: its
+	// replies order its accesses before this store, the next request's
+	// hand-off orders the store before the next access.
+	shard0.ORAM.SetVerSeq(math.MaxUint32)
+	if _, err := p.Read(ctx, 2); !errors.Is(err, oram.ErrSealVersionsExhausted) {
+		t.Fatalf("read on the exhausted shard: %v", err)
+	}
+	if _, err := p.Read(ctx, 3); err != nil {
+		t.Fatalf("read on the other shard: %v", err)
 	}
 }
