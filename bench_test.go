@@ -3,7 +3,7 @@ package psoram
 // The benchmark harness: one benchmark per table and figure of the
 // paper, plus per-access microbenchmarks and the ablations DESIGN.md
 // calls out. `go test -bench . -benchmem` runs everything at a reduced
-// scale; cmd/psoram-bench prints the full tables.
+// scale; `psoram experiments` prints the full tables.
 
 import (
 	"context"

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Scheme selects which persistent-ORAM protocol the system runs.
@@ -94,6 +95,35 @@ func Schemes() []Scheme {
 		SchemeNaivePSORAM, SchemePSORAM, SchemeRcrBaseline, SchemeRcrPSORAM,
 		SchemeEADRORAM, SchemeRingBaseline, SchemeRingPSORAM,
 	}
+}
+
+// ParseScheme resolves a scheme by the name its String method prints.
+func ParseScheme(name string) (Scheme, error) {
+	var known []string
+	for _, s := range Schemes() {
+		if s.String() == name {
+			return s, nil
+		}
+		known = append(known, s.String())
+	}
+	return 0, fmt.Errorf("unknown scheme %q (have %s)", name, strings.Join(known, ", "))
+}
+
+// ParseSchemes resolves a comma-separated list of scheme names; "all"
+// is every scheme in presentation order.
+func ParseSchemes(list string) ([]Scheme, error) {
+	if list == "all" {
+		return Schemes(), nil
+	}
+	var out []Scheme
+	for _, name := range strings.Split(list, ",") {
+		s, err := ParseScheme(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // NVMTiming holds device timing parameters in NVM clock cycles (Table 3c).

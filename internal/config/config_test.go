@@ -59,6 +59,29 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
+func TestParseSchemes(t *testing.T) {
+	for _, s := range Schemes() {
+		got, err := ParseScheme(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	if _, err := ParseScheme("Bogus"); err == nil {
+		t.Error("ParseScheme accepted an unknown name")
+	}
+	all, err := ParseSchemes("all")
+	if err != nil || len(all) != len(Schemes()) {
+		t.Errorf("ParseSchemes(all) = %v, %v", all, err)
+	}
+	got, err := ParseSchemes("PS-ORAM, Baseline")
+	if err != nil || len(got) != 2 || got[0] != SchemePSORAM || got[1] != SchemeBaseline {
+		t.Errorf("ParseSchemes list = %v, %v", got, err)
+	}
+	if _, err := ParseSchemes("PS-ORAM,Bogus"); err == nil {
+		t.Error("ParseSchemes accepted an unknown name")
+	}
+}
+
 func TestSchemePredicates(t *testing.T) {
 	cases := []struct {
 		s          Scheme

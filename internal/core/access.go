@@ -329,7 +329,7 @@ func (c *Controller) loadBucket(bucket uint64, l oram.Leaf, target oram.Addr) er
 // brings into the stash is appended to c.scratch.loaded. A header comes
 // from the lazy-seal overlay's plaintext descriptor, else from a real
 // header open, and a payload is only decrypted for blocks that actually
-// enter (or refresh) the stash. Overlay-resident payloads copy plaintext
+// enter the stash. Overlay-resident payloads copy plaintext
 // directly: the steady-state bucket load runs without any AES at all.
 func (c *Controller) loadSlot(bucket uint64, z int, l oram.Leaf, target oram.Addr) error {
 	eng := c.ORAM.Engine
@@ -369,19 +369,18 @@ func (c *Controller) loadSlot(bucket uint64, z int, l oram.Leaf, target oram.Add
 	if current != leaf {
 		return nil // stale copy (superseded backup): reads as dummy
 	}
-	sb := existing
-	if sb == nil {
-		sb = c.getStashBlock()
-		sb.Addr, sb.Leaf = addr, leaf
-		sb.OriginBucket, sb.OriginSlot = bucket, z
-		c.ORAM.Stash.Put(sb)
-		c.scratch.loaded = append(c.scratch.loaded, sb)
-	} else if sb.OriginEpoch != c.epoch || ver <= sb.Ver {
-		// A copy resident from an earlier access is always fresher.
-		// Between copies loaded this access (leaf collision between a
-		// block and its backup), the higher seal version wins.
+	if existing != nil {
+		// The resident copy wins: markOrigin stamps the epoch only after
+		// the whole path is loaded, so a copy already in the stash is
+		// either from an earlier access, and always fresher, or this
+		// block's own backup met earlier on this path, and identical.
 		return nil
 	}
+	sb := c.getStashBlock()
+	sb.Addr, sb.Leaf = addr, leaf
+	sb.OriginBucket, sb.OriginSlot = bucket, z
+	c.ORAM.Stash.Put(sb)
+	c.scratch.loaded = append(c.scratch.loaded, sb)
 	sb.Ver = ver
 	if plain := img.PlainData(bucket, z); plain != nil {
 		sb.Data = append(sb.Data[:0], plain...)

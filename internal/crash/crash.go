@@ -23,7 +23,9 @@ package crash
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/config"
@@ -113,6 +115,34 @@ type Runner struct {
 	Levels int
 }
 
+// Matrix is the §3.3 recoverability study at functional scale, the one
+// small-tree configuration every crash table in the repository runs on:
+// an L=5 tree of 80 blocks with a 150-entry stash, a 16-entry temporary
+// PosMap and write buffer, and the on-chip PosMap budget cut to match,
+// driven by a half-writes workload of the given length and swept over
+// SweepPoints. Small on purpose: every point builds a fresh controller.
+func Matrix(accesses int, seed uint64) (Runner, Workload, []core.CrashPoint) {
+	const blocks, levels = 80, 5
+	cfg := config.Default()
+	cfg.StashEntries = 150
+	cfg.TempPosMapSize = 16
+	cfg.WriteBufferEntries = 16
+	cfg.OnChipPosMapBytes = 4 * 64 * 8
+	return Runner{Cfg: cfg, Blocks: blocks, Levels: levels},
+		Workload{NumBlocks: blocks, Accesses: accesses, Seed: seed, WriteRatio: 0.5},
+		SweepPoints(accesses, levels)
+}
+
+// MatrixSchemes lists the schemes the published crash table grades, in
+// its row order.
+func MatrixSchemes() []config.Scheme {
+	return []config.Scheme{
+		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
+		config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
+		config.SchemeEADRORAM,
+	}
+}
+
 // value deterministically derives the payload for (addr, version).
 func value(addr oram.Addr, version int, n int) []byte {
 	b := make([]byte, n)
@@ -139,33 +169,9 @@ func (r Runner) RunOnce(scheme config.Scheme, w Workload, point core.CrashPoint)
 		return false
 	}
 
-	rng := w.Seed*2862933555777941757 + 3037000493
-	next := func(n int) int {
-		rng = rng*2862933555777941757 + 3037000493
-		return int((rng >> 33) % uint64(n))
-	}
-	version := 0
-	crashed := false
-	for i := 0; i < w.Accesses; i++ {
-		addr := oram.Addr(next(int(w.NumBlocks)))
-		var op oram.Op
-		var data []byte
-		if float64(next(1000))/1000 < w.WriteRatio {
-			op = oram.OpWrite
-			version++
-			data = value(addr, version, r.Cfg.BlockBytes)
-			o.recordWrite(addr, data)
-		} else {
-			op = oram.OpRead
-		}
-		_, err := ctl.Access(op, addr, data)
-		if err == core.ErrCrashed {
-			crashed = true
-			break
-		}
-		if err != nil {
-			return Report{}, fmt.Errorf("access %d: %w", i, err)
-		}
+	crashed, err := r.drive(ctl, w, o.recordWrite)
+	if err != nil {
+		return Report{}, err
 	}
 	rep := Report{Scheme: scheme, Point: point, Fired: fired, AccessesBefore: ctl.Accesses()}
 	if !crashed {
@@ -178,6 +184,33 @@ func (r Runner) RunOnce(scheme config.Scheme, w Workload, point core.CrashPoint)
 	}
 	rep.Violations = r.check(ctl, o)
 	return rep, nil
+}
+
+// drive runs the workload's accesses against ctl, handing each write's
+// address and payload to onWrite before it is issued. It reports whether
+// an injected crash cut the run short.
+func (r Runner) drive(ctl *core.Controller, w Workload, onWrite func(oram.Addr, []byte)) (crashed bool, err error) {
+	rng := w.Seed*2862933555777941757 + 3037000493
+	next := func(n int) int {
+		rng = rng*2862933555777941757 + 3037000493
+		return int((rng >> 33) % uint64(n))
+	}
+	version := 0
+	for i := 0; i < w.Accesses; i++ {
+		addr := oram.Addr(next(int(w.NumBlocks)))
+		op, data := oram.OpRead, []byte(nil)
+		if float64(next(1000))/1000 < w.WriteRatio {
+			version++
+			op, data = oram.OpWrite, value(addr, version, r.Cfg.BlockBytes)
+			onWrite(addr, data)
+		}
+		if _, err := ctl.Access(op, addr, data); err == core.ErrCrashed {
+			return true, nil
+		} else if err != nil {
+			return false, fmt.Errorf("access %d: %w", i, err)
+		}
+	}
+	return false, nil
 }
 
 // check compares post-recovery reads against the oracle.
@@ -284,26 +317,8 @@ func (r Runner) ObservePoints(scheme config.Scheme, w Workload) (map[int]int, er
 		counts[p.Step]++
 		return false
 	}
-	rng := w.Seed*2862933555777941757 + 3037000493
-	next := func(n int) int {
-		rng = rng*2862933555777941757 + 3037000493
-		return int((rng >> 33) % uint64(n))
-	}
-	version := 0
-	for i := 0; i < w.Accesses; i++ {
-		addr := oram.Addr(next(int(w.NumBlocks)))
-		var op oram.Op
-		var data []byte
-		if float64(next(1000))/1000 < w.WriteRatio {
-			op = oram.OpWrite
-			version++
-			data = value(addr, version, r.Cfg.BlockBytes)
-		} else {
-			op = oram.OpRead
-		}
-		if _, err := ctl.Access(op, addr, data); err != nil {
-			return nil, fmt.Errorf("access %d: %w", i, err)
-		}
+	if _, err := r.drive(ctl, w, func(oram.Addr, []byte) {}); err != nil {
+		return nil, err
 	}
 	return counts, nil
 }
@@ -338,43 +353,110 @@ type SweepResult struct {
 	Failures   []Report
 }
 
-// Sweep executes RunOnce for each point. Points are independent (each
-// builds a fresh controller), so they run concurrently; results are
-// aggregated in point order for determinism.
+// Sweep runs the workload against every point for one scheme.
 func (r Runner) Sweep(scheme config.Scheme, w Workload, points []core.CrashPoint) (SweepResult, error) {
-	res := SweepResult{Scheme: scheme}
+	res, err := r.SweepAll(context.Background(), []config.Scheme{scheme}, w, points, 0, nil)
+	if err != nil {
+		return SweepResult{Scheme: scheme}, err
+	}
+	return res[0], nil
+}
+
+// SweepAll runs RunOnce for every (scheme, point) pair on at most
+// workers goroutines (0 means GOMAXPROCS) and aggregates per scheme, in
+// scheme order. Each pair builds a fresh controller, so the order they
+// run in cannot affect the outcome. onCell, when non-nil, is told of
+// each finished pair, one call at a time.
+func (r Runner) SweepAll(ctx context.Context, schemes []config.Scheme, w Workload, points []core.CrashPoint,
+	workers int, onCell func(done, total int, s config.Scheme, err error)) ([]SweepResult, error) {
+	type cell struct{ si, pi int }
+	var cells []cell
+	for si := range schemes {
+		for pi := range points {
+			cells = append(cells, cell{si, pi})
+		}
+	}
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("crash: empty sweep")
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(cells))
+
 	type outcome struct {
 		rep Report
 		err error
 	}
-	outcomes := make([]outcome, len(points))
-	sem := make(chan struct{}, 8)
-	var wg sync.WaitGroup
-	for i, p := range points {
-		i, p := i, p
+	outcomes := make([]outcome, len(cells))
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		done int
+	)
+	idx := make(chan int)
+	for n := 0; n < workers; n++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rep, err := r.RunOnce(scheme, w, p)
-			outcomes[i] = outcome{rep: rep, err: err}
+			for i := range idx {
+				c := cells[i]
+				rep, err := r.RunOnce(schemes[c.si], w, points[c.pi])
+				outcomes[i] = outcome{rep, err}
+				if onCell != nil {
+					mu.Lock()
+					done++
+					onCell(done, len(cells), schemes[c.si], err)
+					mu.Unlock()
+				}
+			}
 		}()
 	}
-	wg.Wait()
-	for i, o := range outcomes {
-		if o.err != nil {
-			return res, fmt.Errorf("%v at %v: %w", scheme, points[i], o.err)
-		}
-		if !o.rep.Fired {
-			continue
-		}
-		res.Fired++
-		if o.rep.Consistent() {
-			res.Consistent++
-		} else {
-			res.Failures = append(res.Failures, o.rep)
+feed:
+	for i := range cells {
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+			break feed
 		}
 	}
-	return res, nil
+	close(idx)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err // the feed may have stopped short
+	}
+
+	results := make([]SweepResult, len(schemes))
+	for si, s := range schemes {
+		results[si].Scheme = s
+	}
+	for i, c := range cells {
+		if err := outcomes[i].err; err != nil {
+			return nil, fmt.Errorf("crash: %v at %v: %w", schemes[c.si], points[c.pi], err)
+		}
+		results[c.si].Add(outcomes[i].rep)
+	}
+	return results, nil
+}
+
+// Add folds one injected crash into the tally; a point the workload
+// never reached counts for nothing.
+func (res *SweepResult) Add(rep Report) {
+	if !rep.Fired {
+		return
+	}
+	res.Fired++
+	if rep.Consistent() {
+		res.Consistent++
+	} else {
+		res.Failures = append(res.Failures, rep)
+	}
+}
+
+// Verdict is the table cell: did every fired point recover consistently.
+func (res SweepResult) Verdict() string {
+	if res.Consistent < res.Fired {
+		return "CORRUPTS"
+	}
+	return "CRASH CONSISTENT"
 }

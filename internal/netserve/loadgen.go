@@ -17,11 +17,25 @@ import (
 	"repro/internal/stats"
 )
 
-// LoadOptions shapes one open-loop load run against a running server.
+// Target is what the load generator drives: one block store reached by
+// address. *Client (over the wire) and *serve.Pool (in process) both
+// satisfy it, and a test substitutes a fake.
+type Target interface {
+	Read(ctx context.Context, addr uint64) ([]byte, error)
+	Write(ctx context.Context, addr uint64, data []byte) error
+}
+
+// MaxOutstanding caps concurrently in-flight requests across all of a
+// run's streams; arrivals past the cap are recorded as dropped rather
+// than stalling the arrival clock. A caller that dials the connections
+// sizes each one's ClientOptions.MaxInFlight from it.
+const MaxOutstanding = 4096
+
+// LoadOptions shapes one open-loop load run.
 type LoadOptions struct {
-	// Addr is the server's "host:port".
-	Addr string
-	// Conns is how many client connections to multiplex over (default 8).
+	// Conns is how many concurrent request streams to run (default 8).
+	// Stream i drives targets[i%len(targets)]: one connection each over
+	// the wire, or one shared in-process pool.
 	Conns int
 	// Rate is the offered load in requests/second, Poisson arrivals
 	// (default 1000). Open loop: arrivals do not wait for completions,
@@ -32,27 +46,21 @@ type LoadOptions struct {
 	Duration time.Duration
 	// WriteRatio is the fraction of requests that are writes (default 0.5).
 	WriteRatio float64
-	// MaxOutstanding caps concurrently in-flight requests across all
-	// connections (default 4096); arrivals past the cap are recorded as
-	// dropped rather than stalling the arrival clock.
-	MaxOutstanding int
 	// SLO, when non-zero, is the latency objective the report grades
 	// p99 against.
 	SLO time.Duration
 	// Seed drives arrivals, address choice, and payloads (default 1).
 	Seed uint64
-	// Check runs the differential oracle through the wire: each
-	// connection owns a disjoint address stripe, its requests execute
-	// sequentially (arrivals still open-loop, queueing counted in
-	// latency), every read is diffed against a reference map, and the
-	// run ends with a full sweep of the stripe.
+	// Check runs the differential oracle through the target: each stream
+	// owns a disjoint address stripe, reads what the stripe holds before
+	// the run (so a recovered or already-written store checks as well as
+	// a fresh one), executes its requests sequentially (arrivals still
+	// open-loop, queueing counted in latency), diffs every read against
+	// its reference map, and ends with a full sweep of the stripe.
 	Check bool
 }
 
 func (o *LoadOptions) normalize() error {
-	if o.Addr == "" {
-		return errors.New("netserve: LoadOptions.Addr is required")
-	}
 	if o.Conns <= 0 {
 		o.Conns = 8
 	}
@@ -67,9 +75,6 @@ func (o *LoadOptions) normalize() error {
 	}
 	if o.WriteRatio == 0 {
 		o.WriteRatio = 0.5
-	}
-	if o.MaxOutstanding <= 0 {
-		o.MaxOutstanding = 4096
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -86,7 +91,7 @@ type LoadReport struct {
 	Duration  time.Duration `json:"duration_ns"`
 	Offered   uint64        `json:"offered"`
 	Completed uint64        `json:"completed"`
-	Overload  uint64        `json:"overload_retries"`
+	Backoff   uint64        `json:"backoff_retries"` // full queue or migrating stripe
 	Interrupt uint64        `json:"crash_interrupts"`
 	Dropped   uint64        `json:"dropped"`
 	Errors    uint64        `json:"errors"`
@@ -112,7 +117,7 @@ func (r LoadReport) String() string {
 		"Metric", "Value")
 	tab.AddRow("offered", fmt.Sprintf("%d", r.Offered))
 	tab.AddRow("completed", fmt.Sprintf("%d (%.0f req/s)", r.Completed, r.Throughput))
-	tab.AddRow("overload retries", fmt.Sprintf("%d", r.Overload))
+	tab.AddRow("backoff retries", fmt.Sprintf("%d", r.Backoff))
 	tab.AddRow("crash interrupts", fmt.Sprintf("%d", r.Interrupt))
 	tab.AddRow("dropped", fmt.Sprintf("%d", r.Dropped))
 	tab.AddRow("errors", fmt.Sprintf("%d", r.Errors))
@@ -139,18 +144,12 @@ type loadState struct {
 
 	offered   atomic.Uint64
 	completed atomic.Uint64
-	overload  atomic.Uint64
+	backoff   atomic.Uint64
 	interrupt atomic.Uint64
 	dropped   atomic.Uint64
 	errs      atomic.Uint64
 	checkFail atomic.Uint64
 	firstErr  atomic.Pointer[string]
-}
-
-func (st *loadState) observe(d time.Duration) {
-	st.mu.Lock()
-	st.latencies = append(st.latencies, d)
-	st.mu.Unlock()
 }
 
 func (st *loadState) fail(err error) {
@@ -159,46 +158,97 @@ func (st *loadState) fail(err error) {
 	st.firstErr.CompareAndSwap(nil, &msg)
 }
 
-// RunLoad drives one open-loop Poisson load run. The generator draws
-// exponential inter-arrival gaps at opts.Rate; each arrival is stamped
-// with its scheduled time, dispatched to one of opts.Conns multiplexed
-// connections, retried on StatusOverloaded frames (honouring the
-// server's retry-after hint) and on crash interruptions, and its
-// completion latency recorded against the scheduled arrival.
-func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
+func (st *loadState) mismatch(where string, addr uint64, got, want []byte) {
+	st.checkFail.Add(1)
+	st.fail(fmt.Errorf("%s: addr %d got %.16q want %.16q", where, addr, got, want))
+}
+
+// retry runs op until serve.Classify says stop, and returns what op
+// last returned. This is the client half of the serving contract: an
+// interrupted access re-issues at once (it never happened), a refused
+// one — full queue, migrating stripe — waits first, for the server's
+// RetryAfter hint when the error came off the wire with one, else 1ms.
+func (st *loadState) retry(ctx context.Context, op func() error) error {
+	for {
+		err := op()
+		switch serve.Classify(err) {
+		case serve.RetryNow:
+			st.interrupt.Add(1)
+		case serve.RetryAfterBackoff:
+			st.backoff.Add(1)
+			wait := time.Millisecond
+			var se *StatusError
+			if errors.As(err, &se) && se.RetryAfter > 0 {
+				wait = se.RetryAfter
+			}
+			select {
+			case <-time.After(wait):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		default:
+			return err
+		}
+	}
+}
+
+// read is one read through retry.
+func (st *loadState) read(ctx context.Context, t Target, addr uint64) (v []byte, err error) {
+	err = st.retry(ctx, func() error {
+		v, err = t.Read(ctx, addr)
+		return err
+	})
+	return v, err
+}
+
+// do runs one arrival (a write when data is non-nil) through retry and
+// accounts for it, measuring from the scheduled arrival time.
+func (st *loadState) do(ctx context.Context, t Target, scheduled time.Time, addr uint64, data []byte) (v []byte, err error) {
+	if data != nil {
+		err = st.retry(ctx, func() error { return t.Write(ctx, addr, data) })
+	} else {
+		v, err = st.read(ctx, t, addr)
+	}
+	switch {
+	case err == nil:
+		st.completed.Add(1)
+		d := time.Since(scheduled)
+		st.mu.Lock()
+		st.latencies = append(st.latencies, d)
+		st.mu.Unlock()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		st.dropped.Add(1)
+	default:
+		st.fail(err)
+	}
+	return v, err
+}
+
+// RunLoad drives one open-loop Poisson load run against targets, which
+// together serve info.NumBlocks blocks of info.BlockBytes bytes. The
+// generator draws exponential inter-arrival gaps at opts.Rate; each
+// arrival is stamped with its scheduled time, dispatched to one of
+// opts.Conns streams, re-issued as the serving contract allows (see
+// retry), and its completion latency recorded against the scheduled
+// arrival.
+func RunLoad(ctx context.Context, targets []Target, info Info, opts LoadOptions) (LoadReport, error) {
 	if err := opts.normalize(); err != nil {
 		return LoadReport{}, err
 	}
-	clients := make([]*Client, opts.Conns)
-	for i := range clients {
-		c, err := Dial(opts.Addr, ClientOptions{MaxInFlight: 2 * opts.MaxOutstanding / opts.Conns})
-		if err != nil {
-			for _, prev := range clients[:i] {
-				prev.Close()
-			}
-			return LoadReport{}, err
-		}
-		clients[i] = c
-	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	info, err := clients[0].Info(ctx)
-	if err != nil {
-		return LoadReport{}, fmt.Errorf("netserve: info handshake: %w", err)
+	if len(targets) == 0 {
+		return LoadReport{}, errors.New("netserve: RunLoad needs a target")
 	}
 	if info.NumBlocks == 0 || info.BlockBytes == 0 {
-		return LoadReport{}, fmt.Errorf("netserve: server reports empty store (%+v)", info)
+		return LoadReport{}, fmt.Errorf("netserve: target reports an empty store (%+v)", info)
 	}
 
 	st := &loadState{latencies: make([]time.Duration, 0, int(opts.Rate*opts.Duration.Seconds())+16)}
 	start := time.Now()
+	var err error
 	if opts.Check {
-		err = runLoadChecked(ctx, opts, clients, info, st)
+		err = runLoadChecked(ctx, opts, targets, info, st)
 	} else {
-		err = runLoadOpen(ctx, opts, clients, info, st)
+		runLoadOpen(ctx, opts, targets, info, st)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
@@ -211,7 +261,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 		Duration:  elapsed,
 		Offered:   st.offered.Load(),
 		Completed: st.completed.Load(),
-		Overload:  st.overload.Load(),
+		Backoff:   st.backoff.Load(),
 		Interrupt: st.interrupt.Load(),
 		Dropped:   st.dropped.Load(),
 		Errors:    st.errs.Load(),
@@ -259,56 +309,10 @@ func quantIdx(n int, q float64) int {
 	return i
 }
 
-// doOne runs one request with overload/interrupt retries, measuring
-// from the scheduled arrival time.
-func doOne(ctx context.Context, c *Client, st *loadState, scheduled time.Time,
-	write bool, addr uint64, data []byte) {
-	for {
-		var err error
-		if write {
-			err = c.Write(ctx, addr, data)
-		} else {
-			_, err = c.Read(ctx, addr)
-		}
-		switch {
-		case err == nil:
-			st.completed.Add(1)
-			st.observe(time.Since(scheduled))
-			return
-		case errors.Is(err, serve.ErrOverloaded):
-			st.overload.Add(1)
-			var se *StatusError
-			backoff := time.Millisecond
-			if errors.As(err, &se) && se.RetryAfter > 0 {
-				backoff = se.RetryAfter
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				st.dropped.Add(1)
-				return
-			}
-		case errors.Is(err, serve.ErrInterrupted):
-			st.interrupt.Add(1) // §4.3 recovered; the op is re-issuable
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			st.dropped.Add(1)
-			return
-		default:
-			st.fail(err)
-			return
-		}
-	}
-}
-
-// runLoadOpen is the throughput mode: arrivals dispatch to goroutines
-// round-robin across connections, fully concurrent.
-func runLoadOpen(ctx context.Context, opts LoadOptions, clients []*Client, info Info, st *loadState) error {
-	ctx, cancel := context.WithTimeout(ctx, opts.Duration)
-	defer cancel()
-	r := rng.New(rng.DeriveSeed(opts.Seed, rng.HashString("netserve.load")))
-	sem := make(chan struct{}, opts.MaxOutstanding)
-	var wg sync.WaitGroup
-	version := 0
+// arrivals runs the Poisson arrival clock at opts.Rate for
+// opts.Duration (or until ctx ends), calling emit with each arrival's
+// index and scheduled time.
+func arrivals(ctx context.Context, opts LoadOptions, r *rng.Rand, emit func(i int, scheduled time.Time)) {
 	next := time.Now()
 	deadline := next.Add(opts.Duration)
 	for i := 0; next.Before(deadline); i++ {
@@ -322,202 +326,127 @@ func runLoadOpen(ctx context.Context, opts LoadOptions, clients []*Client, info 
 			}
 		}
 		if ctx.Err() != nil {
-			break
+			return
 		}
+		emit(i, next)
+	}
+}
+
+// runLoadOpen is the throughput mode: arrivals dispatch to goroutines
+// round-robin across targets, fully concurrent.
+func runLoadOpen(ctx context.Context, opts LoadOptions, targets []Target, info Info, st *loadState) {
+	ctx, cancel := context.WithTimeout(ctx, opts.Duration)
+	defer cancel()
+	r := rng.New(rng.DeriveSeed(opts.Seed, rng.HashString("netserve.load")))
+	sem := make(chan struct{}, MaxOutstanding)
+	var wg sync.WaitGroup
+	version := 0
+	arrivals(ctx, opts, r, func(i int, scheduled time.Time) {
 		st.offered.Add(1)
 		addr := r.Uint64n(info.NumBlocks)
-		write := r.Float64() < opts.WriteRatio
 		var data []byte
-		if write {
+		if r.Float64() < opts.WriteRatio {
 			version++
 			data = oracle.Value(addr, version, int(info.BlockBytes))
 		}
-		scheduled := next
 		select {
 		case sem <- struct{}{}:
 		default:
 			st.dropped.Add(1)
-			continue
+			return
 		}
 		wg.Add(1)
-		go func(c *Client) {
+		go func(t Target) {
 			defer func() { <-sem; wg.Done() }()
-			doOne(ctx, c, st, scheduled, write, addr, data)
-		}(clients[i%len(clients)])
-	}
+			st.do(ctx, t, scheduled, addr, data)
+		}(targets[i%len(targets)])
+	})
 	wg.Wait()
-	return nil
 }
 
-// runLoadChecked is the differential-oracle mode: each connection owns
-// a disjoint address stripe and executes its arrivals sequentially
+// runLoadChecked is the differential-oracle mode: each stream owns a
+// disjoint address stripe and executes its arrivals sequentially
 // against a private reference map, so every returned value is exactly
 // checkable; arrivals are still scheduled open-loop and queue time is
-// charged to latency. Ends with a full read sweep of every stripe.
-func runLoadChecked(ctx context.Context, opts LoadOptions, clients []*Client, info Info, st *loadState) error {
+// charged to latency. Each stream reads its stripe before the run (the
+// reference starts from what the store holds) and again after it.
+func runLoadChecked(ctx context.Context, opts LoadOptions, targets []Target, info Info, st *loadState) error {
 	perConn := info.NumBlocks / uint64(opts.Conns)
 	if perConn == 0 {
-		return fmt.Errorf("netserve: %d blocks cannot stripe over %d checked connections", info.NumBlocks, opts.Conns)
+		return fmt.Errorf("netserve: %d blocks cannot stripe over %d checked streams", info.NumBlocks, opts.Conns)
 	}
-	runCtx, cancel := context.WithTimeout(ctx, opts.Duration)
-	defer cancel()
-
 	type arrival struct {
 		scheduled time.Time
-		op        oracle.Op
+		addr      uint64
+		data      []byte // nil = read
 	}
 	queues := make([]chan arrival, opts.Conns)
 	for i := range queues {
-		queues[i] = make(chan arrival, 4*opts.MaxOutstanding/opts.Conns+1)
+		// Deep enough that a stream stalled behind a retry absorbs its
+		// share of a few thousand arrivals before any is dropped.
+		queues[i] = make(chan arrival, 4*MaxOutstanding/opts.Conns+1)
 	}
-	var wg sync.WaitGroup
-	bb := int(info.BlockBytes)
-	for i, c := range clients {
+	var wg, primed sync.WaitGroup
+	for i := range queues {
 		wg.Add(1)
-		go func(i int, c *Client) {
+		primed.Add(1)
+		go func(i int, t Target) {
 			defer wg.Done()
 			base := uint64(i) * perConn
-			ref := make(map[uint64][]byte)
-			zero := make([]byte, bb)
 			// Ops run under the outer ctx, not the run deadline: a write
 			// canceled mid-flight may still land server-side, which would
 			// silently poison the reference map. The deadline stops the
 			// arrival generator; workers drain their queues to the end.
-			for a := range queues[i] {
-				addr := base + a.op.Addr
-				if a.op.Write {
-					if err := writeChecked(ctx, c, st, a.scheduled, addr, a.op.Data); err == nil {
-						ref[addr] = a.op.Data
-					}
-				} else {
-					got, ok := readChecked(ctx, c, st, a.scheduled, addr)
-					if ok {
-						want, has := ref[addr]
-						if !has {
-							want = zero
-						}
-						if !bytes.Equal(got, want) {
-							st.checkFail.Add(1)
-							st.fail(fmt.Errorf("check: addr %d got %.16q want %.16q", addr, got, want))
-						}
-					}
-				}
-			}
-			// Final sweep: every stripe address must read back as the
-			// reference (outside the run deadline — use the outer ctx).
-			for addr := base; addr < base+perConn; addr++ {
-				got, err := readRetry(ctx, c, st, addr)
+			ref := make([][]byte, perConn)
+			for a := range ref {
+				v, err := st.read(ctx, t, base+uint64(a))
 				if err != nil {
-					st.fail(fmt.Errorf("check sweep: addr %d: %w", addr, err))
-					continue
+					st.fail(fmt.Errorf("check prime: addr %d: %w", base+uint64(a), err))
 				}
-				want, has := ref[addr]
-				if !has {
-					want = zero
-				}
-				if !bytes.Equal(got, want) {
-					st.checkFail.Add(1)
-					st.fail(fmt.Errorf("check sweep: addr %d got %.16q want %.16q", addr, got, want))
+				ref[a] = v
+			}
+			primed.Done()
+			for a := range queues[i] {
+				got, err := st.do(ctx, t, a.scheduled, a.addr, a.data)
+				switch {
+				case err != nil:
+				case a.data != nil:
+					ref[a.addr-base] = a.data
+				case !bytes.Equal(got, ref[a.addr-base]):
+					st.mismatch("check", a.addr, got, ref[a.addr-base])
 				}
 			}
-		}(i, c)
+			for a := range ref {
+				got, err := st.read(ctx, t, base+uint64(a))
+				if err != nil {
+					st.fail(fmt.Errorf("check sweep: addr %d: %w", base+uint64(a), err))
+				} else if !bytes.Equal(got, ref[a]) {
+					st.mismatch("check sweep", base+uint64(a), got, ref[a])
+				}
+			}
+		}(i, targets[i%len(targets)])
 	}
+	primed.Wait()
 
 	r := rng.New(rng.DeriveSeed(opts.Seed, rng.HashString("netserve.load.checked")))
 	version := 0
-	next := time.Now()
-	deadline := next.Add(opts.Duration)
-	for i := 0; next.Before(deadline) && runCtx.Err() == nil; i++ {
-		gap := time.Duration(-math.Log(1-r.Float64()) / opts.Rate * float64(time.Second))
-		next = next.Add(gap)
-		if d := time.Until(next); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-runCtx.Done():
-			}
-		}
-		if runCtx.Err() != nil {
-			break
-		}
+	arrivals(ctx, opts, r, func(i int, scheduled time.Time) {
 		conn := i % opts.Conns
-		local := r.Uint64n(perConn)
-		op := oracle.Op{Addr: local}
+		a := arrival{scheduled: scheduled, addr: uint64(conn)*perConn + r.Uint64n(perConn)}
 		if r.Float64() < opts.WriteRatio {
 			version++
-			op.Write = true
-			op.Data = oracle.Value(uint64(conn)*perConn+local, version, bb)
+			a.data = oracle.Value(a.addr, version, int(info.BlockBytes))
 		}
 		st.offered.Add(1)
 		select {
-		case queues[conn] <- arrival{scheduled: next, op: op}:
+		case queues[conn] <- a:
 		default:
 			st.dropped.Add(1)
 		}
-	}
+	})
 	for _, q := range queues {
 		close(q)
 	}
 	wg.Wait()
 	return nil
-}
-
-func writeChecked(ctx context.Context, c *Client, st *loadState, scheduled time.Time, addr uint64, data []byte) error {
-	for {
-		err := c.Write(ctx, addr, data)
-		switch {
-		case err == nil:
-			st.completed.Add(1)
-			st.observe(time.Since(scheduled))
-			return nil
-		case errors.Is(err, serve.ErrOverloaded):
-			st.overload.Add(1)
-		case errors.Is(err, serve.ErrInterrupted):
-			st.interrupt.Add(1)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			st.dropped.Add(1)
-			return err
-		default:
-			st.fail(err)
-			return err
-		}
-	}
-}
-
-func readChecked(ctx context.Context, c *Client, st *loadState, scheduled time.Time, addr uint64) ([]byte, bool) {
-	for {
-		v, err := c.Read(ctx, addr)
-		switch {
-		case err == nil:
-			st.completed.Add(1)
-			st.observe(time.Since(scheduled))
-			return v, true
-		case errors.Is(err, serve.ErrOverloaded):
-			st.overload.Add(1)
-		case errors.Is(err, serve.ErrInterrupted):
-			st.interrupt.Add(1)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			st.dropped.Add(1)
-			return nil, false
-		default:
-			st.fail(err)
-			return nil, false
-		}
-	}
-}
-
-// readRetry reads with overload/interrupt retries (the sweep path).
-func readRetry(ctx context.Context, c *Client, st *loadState, addr uint64) ([]byte, error) {
-	for {
-		v, err := c.Read(ctx, addr)
-		switch {
-		case err == nil:
-			return v, nil
-		case errors.Is(err, serve.ErrOverloaded):
-			st.overload.Add(1)
-		case errors.Is(err, serve.ErrInterrupted):
-			st.interrupt.Add(1)
-		default:
-			return nil, err
-		}
-	}
 }

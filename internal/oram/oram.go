@@ -258,11 +258,48 @@ func (c *Controller) SetVerSeq(v uint32) {
 // the volatile PosMap deltas — exactly the failure the paper's §3.3 case
 // studies dissect.
 func (c *Controller) Access(op Op, addr Addr, data []byte) ([]byte, AccessTrace, error) {
-	if uint64(addr) >= c.nReal {
-		return nil, AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
-	}
 	if err := c.CheckSealVersions(); err != nil {
 		return nil, AccessTrace{}, err
+	}
+	// A bad write is refused before the access touches anything.
+	if op == OpWrite && len(data) != c.Image.BlockBytes() {
+		return nil, AccessTrace{}, fmt.Errorf("oram: write of %d bytes, block size %d", len(data), c.Image.BlockBytes())
+	}
+	var prev []byte
+	tr, err := c.access(addr, c.RandomLeaf, func(blk []byte) bool {
+		prev = append([]byte(nil), blk...)
+		if op == OpWrite {
+			copy(blk, data)
+		}
+		return op == OpWrite
+	})
+	if err != nil {
+		return nil, AccessTrace{}, err
+	}
+	return prev, tr, nil
+}
+
+// AccessRMW performs one ORAM access that atomically (with respect to
+// the protocol) reads block addr, applies mutate to its payload, and
+// marks it dirty if mutate reports a change. Recursive position-map
+// updates use this to splice a child's fresh leaf into its parent block
+// during the parent's own access.
+func (c *Controller) AccessRMW(addr Addr, mutate func(data []byte) bool) (AccessTrace, error) {
+	if err := c.CheckSealVersions(); err != nil {
+		return AccessTrace{}, err
+	}
+	return c.access(addr, c.RandomLeaf, mutate)
+}
+
+// access is the one body of a baseline access. newLeaf supplies the
+// block's next leaf — a fresh draw, or the leaf a recursive parent has
+// already recorded for it — and is called once, after the range check
+// and before the path load, so the RNG advances exactly where it always
+// has. mutate sees the block's payload in the stash and reports whether
+// it changed it.
+func (c *Controller) access(addr Addr, newLeaf func() Leaf, mutate func(data []byte) bool) (AccessTrace, error) {
+	if uint64(addr) >= c.nReal {
+		return AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
 	}
 	// Step 2: PosMap lookup + remap. (Step 1's stash check cannot skip
 	// the path access: obliviousness requires the full sequence either
@@ -271,25 +308,20 @@ func (c *Controller) Access(op Op, addr Addr, data []byte) ([]byte, AccessTrace,
 	// to tell live copies from stale ones, and the target's tree copy is
 	// live precisely under its old leaf.
 	l := c.PosMap.Lookup(addr)
-	lNew := c.RandomLeaf()
+	lNew := newLeaf()
 
 	// Step 3: load path l into the stash.
-	if err := c.loadPath(l); err != nil {
-		return nil, AccessTrace{}, err
+	if _, err := c.LoadPathWith(l, c.PosMap.Lookup); err != nil {
+		return AccessTrace{}, err
 	}
 	c.PosMap.Set(addr, lNew)
 
 	// Serve the request from the stash; the block must exist now.
 	blk := c.Stash.Get(addr)
 	if blk == nil {
-		return nil, AccessTrace{}, fmt.Errorf("oram: block %d not found on path %d nor in stash (corrupt state)", addr, l)
+		return AccessTrace{}, fmt.Errorf("oram: block %d not found on path %d nor in stash (corrupt state)", addr, l)
 	}
-	prev := append([]byte(nil), blk.Data...)
-	if op == OpWrite {
-		if len(data) != c.Image.BlockBytes() {
-			return nil, AccessTrace{}, fmt.Errorf("oram: write of %d bytes, block size %d", len(data), c.Image.BlockBytes())
-		}
-		copy(blk.Data, data)
+	if mutate != nil && mutate(blk.Data) {
 		blk.Dirty = true
 	}
 	// Step 4: update the stash copy's leaf.
@@ -299,59 +331,16 @@ func (c *Controller) Access(op Op, addr Addr, data []byte) ([]byte, AccessTrace,
 	evicted := c.evictPath(l, nil)
 
 	if c.Stash.Overflowed() {
-		return nil, AccessTrace{}, fmt.Errorf("oram: %w (%d > %d)", ErrStashOverflow, c.Stash.Len(), c.Stash.Capacity())
-	}
-	return prev, AccessTrace{
-		PathLeaf:   l,
-		Evicted:    evicted,
-		StashAfter: c.Stash.Len(),
-	}, nil
-}
-
-// AccessRMW performs one ORAM access that atomically (with respect to
-// the protocol) reads block addr, applies mutate to its payload, and
-// marks it dirty if mutate reports a change. Recursive position-map
-// updates use this to splice a child's fresh leaf into its parent block
-// during the parent's own access.
-func (c *Controller) AccessRMW(addr Addr, mutate func(data []byte) bool) (AccessTrace, error) {
-	if uint64(addr) >= c.nReal {
-		return AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
-	}
-	if err := c.CheckSealVersions(); err != nil {
-		return AccessTrace{}, err
-	}
-	l := c.PosMap.Lookup(addr)
-	lNew := c.RandomLeaf()
-	if err := c.loadPath(l); err != nil {
-		return AccessTrace{}, err
-	}
-	c.PosMap.Set(addr, lNew)
-	blk := c.Stash.Get(addr)
-	if blk == nil {
-		return AccessTrace{}, fmt.Errorf("oram: block %d not found on path %d nor in stash (corrupt state)", addr, l)
-	}
-	if mutate != nil && mutate(blk.Data) {
-		blk.Dirty = true
-	}
-	blk.Leaf = lNew
-	evicted := c.evictPath(l, nil)
-	if c.Stash.Overflowed() {
 		return AccessTrace{}, fmt.Errorf("oram: %w (%d > %d)", ErrStashOverflow, c.Stash.Len(), c.Stash.Capacity())
 	}
 	return AccessTrace{PathLeaf: l, Evicted: evicted, StashAfter: c.Stash.Len()}, nil
 }
 
-// loadPath decrypts every slot on the path to l into the stash. Blocks
-// whose header leaf disagrees with the controller's current mapping are
-// stale copies (PS-ORAM backups superseded later) and are dropped as
-// dummies, per footnote 1 of the paper.
-func (c *Controller) loadPath(l Leaf) error {
-	_, err := c.LoadPathWith(l, func(addr Addr) Leaf { return c.PosMap.Lookup(addr) })
-	return err
-}
-
-// LoadPathWith is loadPath with an injectable current-leaf oracle, so the
-// PS-ORAM controller can overlay its temporary PosMap. It returns the
+// LoadPathWith decrypts every slot on the path to l into the stash.
+// Blocks whose header leaf disagrees with currentLeaf are stale copies
+// (PS-ORAM backups superseded later) and are dropped as dummies, per
+// footnote 1 of the paper; the oracle is injectable so the PS-ORAM
+// controller can overlay its temporary PosMap. It returns the
 // blocks newly brought into the stash by this load (the "path-origin"
 // blocks, which a crash-consistent eviction must return to this path).
 func (c *Controller) LoadPathWith(l Leaf, currentLeaf func(Addr) Leaf) ([]*StashBlock, error) {
@@ -420,27 +409,11 @@ func (b *StashBlock) TargetLeaf() Leaf {
 // must return to this path or a partial write-back loses them — Fig. 3),
 // then blocks with pending PosMap remaps, then the rest.
 func (c *Controller) PlanEviction(l Leaf, ordered []*StashBlock) (plan [][]*StashBlock, unplaced []*StashBlock) {
-	t := c.Tree
-	plan = make([][]*StashBlock, t.L+1)
+	plan = make([][]*StashBlock, c.Tree.L+1)
 	for k := range plan {
-		plan[k] = make([]*StashBlock, t.Z)
+		plan[k] = make([]*StashBlock, c.Tree.Z)
 	}
-	used := make([]int, t.L+1)
-	for _, b := range ordered {
-		deepest := t.IntersectLevel(l, b.TargetLeaf())
-		placed := false
-		for k := deepest; k >= 0 && !placed; k-- {
-			if used[k] < t.Z {
-				plan[k][used[k]] = b
-				used[k]++
-				placed = true
-			}
-		}
-		if !placed {
-			unplaced = append(unplaced, b)
-		}
-	}
-	return plan, unplaced
+	return plan, c.PlanEvictionInto(l, ordered, plan, make([]int, c.Tree.L+1), nil)
 }
 
 // PlanEvictionInto is PlanEviction writing into caller-provided plan

@@ -186,10 +186,26 @@ func TestAccessOutOfRange(t *testing.T) {
 	}
 }
 
+// A wrong-size write is refused before the access touches anything: the
+// controller goes on exactly as a twin that never saw it (same leaves,
+// so neither the PosMap nor the RNG moved).
 func TestWriteWrongSizeRejected(t *testing.T) {
-	c := mustNew(t, smallParams(10))
+	c, twin := mustNew(t, smallParams(10)), mustNew(t, smallParams(10))
 	if _, _, err := c.Access(OpWrite, 0, []byte("short")); err == nil {
 		t.Fatal("expected error for wrong-size write")
+	}
+	for a := Addr(0); a < 20; a++ {
+		_, got, err := c.Access(OpWrite, a%5, val(a, 1, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := twin.Access(OpWrite, a%5, val(a, 1, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("access %d after the refused write: trace %+v, twin %+v", a, got, want)
+		}
 	}
 }
 

@@ -250,7 +250,9 @@ func (m *RecursiveMap) Translate(addr Addr, newLeaf Leaf) (Leaf, RecursiveTrace,
 			m.OnTopUpdate(blockIdx, lvl.PosMap.Lookup(blockIdx), forced[i])
 		}
 		var got Leaf
-		trace, err := lvl.accessRMWForcedLeaf(blockIdx, forced[i], func(data []byte) bool {
+		// The level's next leaf was drawn above and its parent has already
+		// recorded it, so the access takes it instead of drawing.
+		trace, err := lvl.access(blockIdx, func() Leaf { return forced[i] }, func(data []byte) bool {
 			got = Leaf(binary.LittleEndian.Uint32(data[off*4:]))
 			binary.LittleEndian.PutUint32(data[off*4:], uint32(next))
 			return true
@@ -279,33 +281,6 @@ func (m *RecursiveMap) Translate(addr Addr, newLeaf Leaf) (Leaf, RecursiveTrace,
 		}
 	}
 	return old, tr, nil
-}
-
-// accessRMWForcedLeaf is AccessRMW with an externally chosen new leaf,
-// used by the recursion so parents can record children leaves before the
-// children's accesses run.
-func (c *Controller) accessRMWForcedLeaf(addr Addr, forced Leaf, mutate func([]byte) bool) (AccessTrace, error) {
-	if uint64(addr) >= c.nReal {
-		return AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
-	}
-	l := c.PosMap.Lookup(addr)
-	if err := c.loadPath(l); err != nil {
-		return AccessTrace{}, err
-	}
-	c.PosMap.Set(addr, forced)
-	blk := c.Stash.Get(addr)
-	if blk == nil {
-		return AccessTrace{}, fmt.Errorf("oram: block %d not found on path %d nor in stash (corrupt state)", addr, l)
-	}
-	if mutate != nil && mutate(blk.Data) {
-		blk.Dirty = true
-	}
-	blk.Leaf = forced
-	evicted := c.evictPath(l, nil)
-	if c.Stash.Overflowed() {
-		return AccessTrace{}, fmt.Errorf("oram: %w (%d > %d)", ErrStashOverflow, c.Stash.Len(), c.Stash.Capacity())
-	}
-	return AccessTrace{PathLeaf: l, Evicted: evicted, StashAfter: c.Stash.Len()}, nil
 }
 
 func maxInt(a, b int) int {

@@ -1,8 +1,8 @@
 // Package report runs the paper's experiments and renders their tables
 // and figure series. Each Figure*/Table* function regenerates one
 // artifact of §5.2 (or §4.2.4) and returns a text table whose rows match
-// what the paper plots; cmd/psoram-bench and the repository's benchmark
-// harness are thin wrappers around these.
+// what the paper plots; `psoram experiments` and the repository's
+// benchmark harness are thin wrappers around these.
 package report
 
 import (
@@ -532,30 +532,15 @@ func Ring() (*stats.Table, error) {
 // inject a crash at every swept protocol point, recover, and report how
 // many points recovered consistently.
 func CrashMatrix() (*stats.Table, error) {
-	cfg := config.Default()
-	cfg.StashEntries = 150
-	cfg.TempPosMapSize = 16
-	cfg.WriteBufferEntries = 16
-	cfg.OnChipPosMapBytes = 4 * 64 * 8
-	r := crash.Runner{Cfg: cfg, Blocks: 80, Levels: 5}
-	w := crash.Workload{NumBlocks: 80, Accesses: 50, Seed: 11, WriteRatio: 0.5}
-	pts := crash.SweepPoints(50, 5)
+	r, w, pts := crash.Matrix(50, 11)
 	tab := stats.NewTable("Crash recoverability (injected power failures, recovered state checked value-by-value)",
 		"Scheme", "Crash points fired", "Consistent recoveries", "Verdict")
-	for _, s := range []config.Scheme{
-		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
-		config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-		config.SchemeEADRORAM,
-	} {
+	for _, s := range crash.MatrixSchemes() {
 		res, err := r.Sweep(s, w, pts)
 		if err != nil {
 			return nil, err
 		}
-		verdict := "CRASH CONSISTENT"
-		if res.Consistent < res.Fired {
-			verdict = "CORRUPTS"
-		}
-		tab.AddRow(s.String(), fmt.Sprintf("%d", res.Fired), fmt.Sprintf("%d", res.Consistent), verdict)
+		tab.AddRow(s.String(), fmt.Sprintf("%d", res.Fired), fmt.Sprintf("%d", res.Consistent), res.Verdict())
 	}
 	// The Ring ORAM extension rows.
 	for _, persist := range []bool{false, true} {
@@ -567,11 +552,8 @@ func CrashMatrix() (*stats.Table, error) {
 		if persist {
 			name = "Ring-PS (ext)"
 		}
-		verdict := "CRASH CONSISTENT"
-		if consistent < fired {
-			verdict = "CORRUPTS"
-		}
-		tab.AddRow(name, fmt.Sprintf("%d", fired), fmt.Sprintf("%d", consistent), verdict)
+		tab.AddRow(name, fmt.Sprintf("%d", fired), fmt.Sprintf("%d", consistent),
+			crash.SweepResult{Fired: fired, Consistent: consistent}.Verdict())
 	}
 	return tab, nil
 }

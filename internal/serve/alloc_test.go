@@ -27,6 +27,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		Levels:     8,
 		Seed:       1,
 		QueueDepth: 64,
+		Serial:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,20 +59,19 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestServePipelinedSteadyStateAllocs pins the same budget with
-// read-combining armed (PipelineDepth 4). The pipeline may add zero
+// read-combining armed (the default). The pipeline may add zero
 // steady-state allocations — combine capture buffers and stage cursors
 // are all pre-sized at construction.
 func TestServePipelinedSteadyStateAllocs(t *testing.T) {
 	const budget = 4.0
 
 	p, err := New(Options{
-		Shards:        2,
-		NumBlocks:     512,
-		Scheme:        config.SchemePSORAM,
-		Levels:        8,
-		Seed:          1,
-		QueueDepth:    64,
-		PipelineDepth: 4,
+		Shards:     2,
+		NumBlocks:  512,
+		Scheme:     config.SchemePSORAM,
+		Levels:     8,
+		Seed:       1,
+		QueueDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func TestReadCombining(t *testing.T) {
 	gate := make(chan struct{})
 	be := newCountingBackend(128, 16, gate)
 	p := mustPool(t, Options{
-		Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8, PipelineDepth: 4,
+		Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8,
 		Factory: func(int, uint64) (Backend, error) { return be, nil },
 	})
 	v1 := bytes.Repeat([]byte{0xAB}, 16)
@@ -192,7 +192,7 @@ func TestReadCombiningLeaderCrash(t *testing.T) {
 	be := newCountingBackend(128, 16, gate)
 	be.crashOnce[5] = true
 	p := mustPool(t, Options{
-		Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8, PipelineDepth: 4,
+		Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8,
 		Factory: func(int, uint64) (Backend, error) { return be, nil },
 	})
 	v1 := bytes.Repeat([]byte{0xCD}, 16)
@@ -224,7 +224,7 @@ func TestWritesNeverCombine(t *testing.T) {
 	gate := make(chan struct{})
 	be := newCountingBackend(128, 16, gate)
 	p := mustPool(t, Options{
-		Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8, PipelineDepth: 4,
+		Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8,
 		Factory: func(int, uint64) (Backend, error) { return be, nil },
 	})
 	va := bytes.Repeat([]byte{0x01}, 16)
@@ -255,7 +255,7 @@ func TestWritesNeverCombine(t *testing.T) {
 }
 
 // TestDepthOneByteIdenticalToSerial is the degenerate-config acceptance
-// check: Depth(1) on a single shard must be byte-identical — values AND
+// check: a Serial pool on a single shard must be byte-identical — values AND
 // leaves — to a bare serial controller built with the pool's own
 // derived seed, under GOMAXPROCS(1).
 func TestDepthOneByteIdenticalToSerial(t *testing.T) {
@@ -263,7 +263,7 @@ func TestDepthOneByteIdenticalToSerial(t *testing.T) {
 	const blocks, nOps = 128, 400
 	p := mustPool(t, Options{
 		Shards: 1, NumBlocks: blocks, Scheme: config.SchemePSORAM, Levels: 6, Seed: 11,
-		PipelineDepth: 1,
+		Serial: true,
 	})
 	ref, err := oracle.NewTarget(oracle.Params{
 		Scheme:    config.SchemePSORAM,
@@ -293,25 +293,29 @@ func TestDepthOneByteIdenticalToSerial(t *testing.T) {
 			t.Fatalf("op %d addr %d: value diverged from serial reference", i, op.Addr)
 		}
 		if gotL != wantL {
-			t.Fatalf("op %d addr %d: leaf diverged: pool %d serial %d — Depth(1) is not the serial protocol", i, op.Addr, gotL, wantL)
+			t.Fatalf("op %d addr %d: leaf diverged: pool %d serial %d — a Serial pool is not the serial protocol", i, op.Addr, gotL, wantL)
 		}
 	}
 	if c := p.Stats().Shards[0].Combined; c != 0 {
-		t.Errorf("Depth(1) combined %d reads; combining must be fully disabled", c)
+		t.Errorf("Serial pool combined %d reads; combining must be fully disabled", c)
 	}
 }
 
-// TestPipelineMatrixOracle sweeps depth {1,4} through the full
+// TestPipelineMatrixOracle sweeps {serial, combining} through the full
 // differential oracle: every cell must pass value checks, deep sweeps,
 // and structural invariants.
 func TestPipelineMatrixOracle(t *testing.T) {
 	const blocks, nOps = 256, 96
 	bb := config.Default().BlockBytes
-	for _, depth := range []int{1, 4} {
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+	for _, serial := range []bool{true, false} {
+		name := "combining"
+		if serial {
+			name = "serial"
+		}
+		t.Run(name, func(t *testing.T) {
 			p := mustPool(t, Options{
 				Shards: 4, NumBlocks: blocks, Scheme: config.SchemePSORAM, Levels: 6, Seed: 1,
-				PipelineDepth: depth,
+				Serial: serial,
 			})
 			ops := oracle.GenOps(oracle.Workload{Name: "uniform"}, blocks, bb, nOps, 1)
 			rep, err := oracle.Check(poolTarget{p}, ops, oracle.Options{})
@@ -334,7 +338,7 @@ func TestPipelinedBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	const depth = 2
 	p := mustPool(t, Options{
-		Shards: 1, NumBlocks: 8, QueueDepth: depth, MaxBatch: 1, PipelineDepth: 4,
+		Shards: 1, NumBlocks: 8, QueueDepth: depth, MaxBatch: 1,
 		Factory: func(int, uint64) (Backend, error) {
 			return &blockingBackend{n: 8, bb: 16, gate: gate}, nil
 		},
@@ -391,7 +395,7 @@ func TestPipelinedCancellation(t *testing.T) {
 		gate := make(chan struct{})
 		be := newCountingBackend(128, 16, gate)
 		p := mustPool(t, Options{
-			Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8, PipelineDepth: 4,
+			Shards: 1, NumBlocks: 128, QueueDepth: 16, MaxBatch: 8,
 			Factory: func(int, uint64) (Backend, error) { return be, nil },
 		})
 		// Park the worker, then queue a write and a same-address read whose

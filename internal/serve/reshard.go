@@ -3,9 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -116,7 +114,7 @@ func (p *Pool) Reshard(ctx context.Context, newShards int) error {
 				continue // never-written block; new stores zero-fill
 			}
 			g := uint64(i)*uint64(oldS) + uint64(o)
-			if err := p.replayWrite(ctx, next[g%uint64(newShards)], oram.Addr(g/uint64(newShards)), v); err != nil {
+			if err := p.retrySubmit(ctx, next[g%uint64(newShards)], nil, writeRequest(oram.Addr(g/uint64(newShards)), v)); err != nil {
 				return fail(fmt.Errorf("serve: reshard: replay block %d: %w", g, err))
 			}
 		}
@@ -205,48 +203,10 @@ func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]
 		}
 		return nil
 	}
-	for {
-		r := p.getRequest()
-		r.kind, r.fn = kindExec, fn
-		_, err := p.submit(ctx, sh, r, nil)
-		switch {
-		case err == nil:
-			return blocks, nil
-		case errors.Is(err, ErrOverloaded):
-			select {
-			case <-time.After(50 * time.Microsecond):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		default:
-			return nil, err
-		}
+	if err := p.retrySubmit(ctx, sh, nil, func(r *request) { r.kind, r.fn = kindExec, fn }); err != nil {
+		return nil, err
 	}
-}
-
-// replayWrite lands one migrated block in its new shard, retrying the
-// transient serving errors (full queue, injected-crash recovery — the
-// write is idempotent).
-func (p *Pool) replayWrite(ctx context.Context, sh *shard, addr oram.Addr, data []byte) error {
-	for {
-		r := p.getRequest()
-		r.kind, r.op, r.addr, r.data = kindAccess, oram.OpWrite, addr, data
-		_, err := p.submit(ctx, sh, r, nil)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrOverloaded):
-			select {
-			case <-time.After(50 * time.Microsecond):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		case errors.Is(err, ErrInterrupted):
-			// The shard recovered; re-issue (writes are idempotent).
-		default:
-			return err
-		}
-	}
+	return blocks, nil
 }
 
 // abortReshard reverts to the old topology: the stable old table is

@@ -18,7 +18,7 @@ func roundsPool(t *testing.T, addrs uint64) *Pool {
 	t.Helper()
 	p := mustPool(t, Options{
 		Shards: 1, NumBlocks: 64, Scheme: config.SchemePSORAM, Levels: 6, Seed: 18,
-		MaxBatch: 8, PipelineDepth: 4,
+		MaxBatch: 8,
 	})
 	for a := uint64(0); a < addrs; a++ {
 		if err := p.Write(context.Background(), a, bytes.Repeat([]byte{byte(a + 1)}, p.BlockBytes())); err != nil {

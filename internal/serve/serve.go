@@ -79,6 +79,39 @@ var (
 // re-routed against the new table. Never escapes the package.
 var errRouteChanged = errors.New("serve: routing table changed mid-submit")
 
+// Retry is what a serving error lets the caller do next. It is the
+// client contract (DESIGN.md §7), stated once: retrySubmit in this
+// package and the load generator in internal/netserve both act on
+// Classify and on nothing else.
+type Retry uint8
+
+const (
+	// Stop covers nil, context errors and every error the contract does
+	// not name: the caller reports it and does not re-issue the request.
+	Stop Retry = iota
+	// RetryNow is ErrInterrupted: the access never happened and the
+	// shard has already recovered, so the same request may go again at
+	// once.
+	RetryNow
+	// RetryAfterBackoff is ErrOverloaded and ErrResharding: the request
+	// was refused before it touched a backend, and the condition clears
+	// on its own (the queue drains, the stripe unfreezes), so the caller
+	// waits before it re-issues.
+	RetryAfterBackoff
+)
+
+// Classify maps a serving error, in-process or decoded from the wire
+// (netserve.StatusError unwraps to the same sentinels), to its Retry.
+func Classify(err error) Retry {
+	switch {
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrResharding):
+		return RetryAfterBackoff
+	case errors.Is(err, ErrInterrupted):
+		return RetryNow
+	}
+	return Stop
+}
+
 // Backend is one shard's underlying store: the oracle's uniform target
 // shape plus the recovery hook. The adapters oracle.NewTarget builds
 // satisfy it for every scheme.
@@ -171,13 +204,13 @@ type Options struct {
 	// Factory overrides backend construction (tests, custom schemes).
 	// Nil means oracle.NewTarget with per-shard derived seeds.
 	Factory Factory
-	// PipelineDepth switches read-combining, and nothing else (there is
-	// no lookahead: one goroutine runs the shard, so a prefetch of the
-	// next path would overlap with nothing). 1 gives every request its
-	// own physical access — the strict serial protocol, byte for byte.
-	// Any depth above 1 collapses duplicate-address reads within one
-	// coalesced round into a single physical access. 0 defaults to 4.
-	PipelineDepth int
+	// Serial turns read-combining off: every request gets its own
+	// physical access, the strict serial protocol byte for byte. The
+	// zero value collapses duplicate-address reads within one coalesced
+	// round into a single physical access (there is no lookahead: one
+	// goroutine runs the shard, so a prefetch of the next path would
+	// overlap with nothing).
+	Serial bool
 	// GroupCommitOps batches each durable shard's persist barrier across
 	// up to this many accesses: replies are held until the covering
 	// group flushes, so acks still imply durability, but the fsync floor
@@ -211,9 +244,6 @@ func (o *Options) normalize() error {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.PipelineDepth <= 0 {
-		o.PipelineDepth = 4
 	}
 	if o.GroupCommitOps > 1 && o.GroupCommitDelay <= 0 {
 		o.GroupCommitDelay = 2 * time.Millisecond
@@ -529,7 +559,7 @@ func (p *Pool) newShard(id int, b Backend) *shard {
 
 // work is a shard's worker loop: take one request, coalesce up to
 // MaxBatch-1 more that are already queued, and run them as one protocol
-// round. With PipelineDepth > 1 the round is planned before execution:
+// round. Unless Options.Serial is set the round is planned before execution:
 // duplicate-address reads combine with the latest preceding access to
 // their address (one physical round, value fanned out).
 //
@@ -547,7 +577,7 @@ func (p *Pool) work(sh *shard) {
 	defer close(sh.done)
 	defer p.wg.Done()
 	batch := make([]*request, 0, p.opts.MaxBatch)
-	combining := p.opts.PipelineDepth > 1
+	combining := !p.opts.Serial
 	var idle *time.Timer // bounds held acks' wait; one per worker, re-armed
 	for {
 		var first *request
@@ -950,7 +980,7 @@ func (p *Pool) Access(ctx context.Context, op oram.Op, addr uint64, data []byte)
 			cp := resp
 			first = &cp
 		}
-		if merr := p.mirrorWrite(ctx, rt, mirror, mirrorLocal, data); merr != nil {
+		if merr := p.retrySubmit(ctx, mirror, rt, writeRequest(mirrorLocal, data)); merr != nil {
 			if merr == errRouteChanged {
 				// The table moved between the primary and the mirror
 				// (reshard committed, aborted, or advanced a stripe).
@@ -963,31 +993,37 @@ func (p *Pool) Access(ctx context.Context, op oram.Op, addr uint64, data []byte)
 	}
 }
 
-// mirrorWrite replicates an acked write into the stripe's old shard
-// during a reshard. Replication is an internal duty, so transient
-// serving errors (full queue, injected-crash recovery) retry in place
-// rather than surfacing a spurious failure for an access whose primary
-// copy already landed; only errRouteChanged (caller re-routes) and hard
-// errors escape.
-func (p *Pool) mirrorWrite(ctx context.Context, rt *routeTable, sh *shard, local oram.Addr, data []byte) error {
+// retrySubmit submits one request to shard sh, re-issuing it as Classify
+// allows (a fresh envelope each time; fill sets its kind and operands).
+// The pool's internal duties run through it — mirroring an acked write
+// into a stripe's old shard, extracting a frozen stripe, replaying a
+// migrated block — because a full queue or an injected-crash recovery
+// must not fail an operation whose client-visible half already landed;
+// every write it carries is an idempotent overwrite. errRouteChanged
+// (with rt non-nil: the caller re-routes) and hard errors escape.
+func (p *Pool) retrySubmit(ctx context.Context, sh *shard, rt *routeTable, fill func(*request)) error {
 	for {
-		m := p.getRequest()
-		m.kind, m.op, m.addr, m.data = kindAccess, oram.OpWrite, local, data
-		_, err := p.submit(ctx, sh, m, rt)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrOverloaded):
+		r := p.getRequest()
+		fill(r)
+		_, err := p.submit(ctx, sh, r, rt)
+		switch Classify(err) {
+		case RetryNow:
+		case RetryAfterBackoff:
 			select {
 			case <-time.After(50 * time.Microsecond):
 			case <-ctxDone(ctx):
 				return ctx.Err()
 			}
-		case errors.Is(err, ErrInterrupted):
-			// The mirror shard recovered; the write is idempotent.
 		default:
 			return err
 		}
+	}
+}
+
+// writeRequest fills an envelope with a shard-local write.
+func writeRequest(addr oram.Addr, data []byte) func(*request) {
+	return func(r *request) {
+		r.kind, r.op, r.addr, r.data = kindAccess, oram.OpWrite, addr, data
 	}
 }
 

@@ -143,8 +143,8 @@ func (p *Pool) Stats() PoolStats {
 	return ps
 }
 
-// Table renders the snapshot as a per-shard text table (the psoram-serve
-// CLI's report).
+// Table renders the snapshot as a per-shard text table (what
+// `psoram serve` and `psoram load` print).
 func (ps PoolStats) Table() *stats.Table {
 	tab := stats.NewTable("Per-shard serving stats (service time: wall ns inside the backend)",
 		"Shard", "Blocks", "Done", "Rejected", "Expired", "Crash/Rec",

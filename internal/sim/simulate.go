@@ -24,7 +24,7 @@ type Request struct {
 	// Ignored when Records is set.
 	Workload trace.Workload
 	// Records, when non-nil, replays a pre-recorded LLC-miss trace (the
-	// psoram-trace format) instead of the synthetic generator. N is then
+	// `psoram trace` format) instead of the synthetic generator. N is then
 	// ignored: every record is replayed.
 	Records []trace.Record
 	// TraceName labels a Records run in results and errors (defaults to

@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -22,116 +20,23 @@ type CrashMatrix struct {
 	Points   []core.CrashPoint
 }
 
-// DefaultCrashMatrix returns the §3.3 recoverability study at functional
-// scale: the seven core schemes against the representative sweep points.
+// DefaultCrashMatrix returns the published study (crash.Matrix at 50
+// accesses under seed 11) over crash.MatrixSchemes.
 func DefaultCrashMatrix() CrashMatrix {
-	cfg := config.Default()
-	cfg.StashEntries = 150
-	cfg.TempPosMapSize = 16
-	cfg.WriteBufferEntries = 16
-	cfg.OnChipPosMapBytes = 4 * 64 * 8
-	return CrashMatrix{
-		Runner:   crash.Runner{Cfg: cfg, Blocks: 80, Levels: 5},
-		Workload: crash.Workload{NumBlocks: 80, Accesses: 50, Seed: 11, WriteRatio: 0.5},
-		Schemes: []config.Scheme{
-			config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
-			config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-			config.SchemeEADRORAM,
-		},
-		Points: crash.SweepPoints(50, 5),
-	}
+	r, w, pts := crash.Matrix(50, 11)
+	return CrashMatrix{Runner: r, Workload: w, Schemes: crash.MatrixSchemes(), Points: pts}
 }
 
 // RunCrashMatrix fans the (scheme × point) grid across the worker pool
-// and aggregates per-scheme sweep results in scheme order. Each cell is
-// independent (fresh controller), so ordering cannot affect outcomes.
+// (crash.Runner.SweepAll) and returns per-scheme results in scheme order.
 func RunCrashMatrix(ctx context.Context, m CrashMatrix, opt Options) ([]crash.SweepResult, error) {
-	type cell struct{ si, pi int }
-	var cells []cell
-	for si := range m.Schemes {
-		for pi := range m.Points {
-			cells = append(cells, cell{si, pi})
+	var onCell func(done, total int, s config.Scheme, err error)
+	if opt.OnResult != nil {
+		onCell = func(done, total int, s config.Scheme, err error) {
+			opt.OnResult(done, total, CellResult{Cell: Cell{Scheme: s}, Err: err})
 		}
 	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("sweep: empty crash matrix")
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	type outcome struct {
-		rep crash.Report
-		err error
-	}
-	outcomes := make([]outcome, len(cells))
-	started := make([]bool, len(cells))
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := cells[i]
-				rep, err := m.Runner.RunOnce(m.Schemes[c.si], m.Workload, m.Points[c.pi])
-				outcomes[i] = outcome{rep, err}
-				if opt.OnResult != nil {
-					mu.Lock()
-					done++
-					opt.OnResult(done, len(cells), CellResult{Cell: Cell{Scheme: m.Schemes[c.si]}, Err: err})
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for i := range cells {
-		select {
-		case idx <- i:
-			started[i] = true
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	results := make([]crash.SweepResult, len(m.Schemes))
-	for si, s := range m.Schemes {
-		results[si].Scheme = s
-	}
-	for i, c := range cells {
-		if !started[i] {
-			continue
-		}
-		o := outcomes[i]
-		if o.err != nil {
-			return nil, fmt.Errorf("sweep: %v at %v: %w", m.Schemes[c.si], m.Points[c.pi], o.err)
-		}
-		if !o.rep.Fired {
-			continue
-		}
-		res := &results[c.si]
-		res.Fired++
-		if o.rep.Consistent() {
-			res.Consistent++
-		} else {
-			res.Failures = append(res.Failures, o.rep)
-		}
-	}
-	return results, nil
+	return m.Runner.SweepAll(ctx, m.Schemes, m.Workload, m.Points, opt.Workers, onCell)
 }
 
 // CrashTable renders the per-scheme recoverability verdicts.
@@ -139,11 +44,7 @@ func CrashTable(results []crash.SweepResult) *stats.Table {
 	tab := stats.NewTable("Crash recoverability matrix (parallel sweep)",
 		"Scheme", "Crash points fired", "Consistent recoveries", "Verdict")
 	for _, r := range results {
-		verdict := "CRASH CONSISTENT"
-		if r.Consistent < r.Fired {
-			verdict = "CORRUPTS"
-		}
-		tab.AddRow(r.Scheme.String(), fmt.Sprintf("%d", r.Fired), fmt.Sprintf("%d", r.Consistent), verdict)
+		tab.AddRow(r.Scheme.String(), fmt.Sprintf("%d", r.Fired), fmt.Sprintf("%d", r.Consistent), r.Verdict())
 	}
 	return tab
 }

@@ -256,7 +256,7 @@ func TestMidCellCancellation(t *testing.T) {
 	}
 }
 
-// TestValidationErrors covers the messages psoram-sweep surfaces for bad
+// TestValidationErrors covers the messages psoram sweep surfaces for bad
 // grids.
 func TestValidationErrors(t *testing.T) {
 	base := testGrid()

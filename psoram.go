@@ -405,12 +405,11 @@ func WithPoolFactory(f serve.Factory) PoolOption {
 	return func(o *serve.Options) { o.Factory = f }
 }
 
-// WithPoolPipelineDepth switches intra-shard read-combining (default 4;
-// 1 turns it off: every request is its own physical access, the strict
-// serial protocol). The depth buys no lookahead, so all depths above 1
-// behave alike.
-func WithPoolPipelineDepth(d int) PoolOption {
-	return func(o *serve.Options) { o.PipelineDepth = d }
+// WithPoolSerial turns intra-shard read-combining off: every request is
+// its own physical access, the strict serial protocol. Without it,
+// duplicate reads in one round share an access.
+func WithPoolSerial() PoolOption {
+	return func(o *serve.Options) { o.Serial = true }
 }
 
 // WithPoolGroupCommit batches each durable shard's persist barrier
@@ -514,7 +513,7 @@ func Simulate(scheme Scheme, cfg Config, workload string, accesses, levels int) 
 	})
 }
 
-// SimulateTrace replays a recorded trace file (the psoram-trace format)
+// SimulateTrace replays a recorded trace file (the `psoram trace` format)
 // through the timing model.
 func SimulateTrace(scheme Scheme, cfg Config, path string, levels int) (SimResult, error) {
 	recs, err := trace.Load(path)
@@ -628,12 +627,6 @@ type CrashSweepResult = crash.SweepResult
 // recovered to a consistent state. PS-ORAM schemes recover from all of
 // them; the baselines do not — which is the paper's point.
 func VerifyCrashConsistency(scheme Scheme, accesses int, seed uint64) (CrashSweepResult, error) {
-	cfg := config.Default()
-	cfg.StashEntries = 150
-	cfg.TempPosMapSize = 16
-	cfg.WriteBufferEntries = 16
-	cfg.OnChipPosMapBytes = 4 * 64 * 8
-	r := crash.Runner{Cfg: cfg, Blocks: 80, Levels: 5}
-	w := crash.Workload{NumBlocks: 80, Accesses: accesses, Seed: seed, WriteRatio: 0.5}
-	return r.Sweep(scheme, w, crash.SweepPoints(accesses, 5))
+	r, w, pts := crash.Matrix(accesses, seed)
+	return r.Sweep(scheme, w, pts)
 }
