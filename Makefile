@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke bless-golden clean
+.PHONY: all build vet fmt test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden clean
 
 all: check
 
@@ -105,8 +105,8 @@ profile: build
 # write-back's work follows the occupied slots (a whole-bucket image
 # write touches no dummy's entry; an untimed batch stores no
 # function-less entry), the golden
-# determinism regression, and one pass of the sim and serve benchmarks with
-# -benchtime=1x (harness correctness, not timing).
+# determinism regression, one pass of the sim and serve benchmarks with
+# -benchtime=1x (harness correctness, not timing), and experiments-check.
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot' -v
@@ -116,6 +116,16 @@ perf-smoke:
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .
+	$(MAKE) experiments-check
+
+# experiments-check reruns `psoram experiments` and diffs its stdout
+# against the recorded experiments_output.txt, ignoring the `==>` lines
+# (they carry wall times). The run is deterministic, so any other
+# difference is a behaviour change: regenerate the file in the commit
+# that makes it, with `go run ./cmd/psoram experiments > experiments_output.txt`.
+experiments-check:
+	@out="$$(mktemp)"; $(GO) run ./cmd/psoram experiments > "$$out" && \
+		diff -I '^==> ' experiments_output.txt "$$out"; rc=$$?; rm -f "$$out"; exit $$rc
 
 # bless-golden re-pins the golden metrics after a deliberate behaviour
 # change. Justify the new numbers in the commit that re-blesses.

@@ -145,7 +145,7 @@ func fuzzDurableReopen(t *testing.T, sel uint8, raw []byte, ops []oracle.Op) {
 	}
 }
 
-// FuzzStashEviction drives a small functional ORAM through
+// FuzzStashEviction drives a small Baseline controller through
 // fuzzer-chosen accesses, then checks the eviction planner on a
 // fuzzer-chosen leaf: the plan plus the unplaced remainder must be
 // exactly the ordered input (nothing dropped, nothing duplicated), and
@@ -156,24 +156,30 @@ func FuzzStashEviction(f *testing.F) {
 	f.Add(uint16(7), []byte{20, 0, 20, 1, 20, 2})
 	f.Add(uint16(512), bytes.Repeat([]byte{5, 13, 21}, 10))
 
+	cfg := config.Default()
+	cfg.BlockBytes, cfg.StashEntries, cfg.Seed = 16, 64, 5
+	cfg.CapacityBytes = oram.NewTree(4, cfg.Z).Slots() * 16 // a stash of 64 exceeds its path
 	f.Fuzz(func(t *testing.T, leafSel uint16, raw []byte) {
 		if len(raw) > 96 {
 			raw = raw[:96]
 		}
-		c, err := oram.New(oram.Params{
-			Levels: 4, Z: 4, BlockBytes: 16, StashEntries: 64, NumBlocks: 24, Seed: 5,
-		})
+		ctl, err := core.New(config.SchemeBaseline, cfg, core.Options{NumBlocks: 24, Levels: 4, Untimed: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := ctl.ORAM
 		for _, b := range raw {
-			if _, _, err := c.Access(oram.OpRead, oram.Addr(uint64(b)%c.NumBlocks()), nil); err != nil {
+			if _, err := ctl.Access(oram.OpRead, oram.Addr(uint64(b)%c.NumBlocks()), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		l := oram.Leaf(uint64(leafSel) % c.Tree.Leaves())
 		ordered := c.DefaultEvictionOrder(l)
-		plan, unplaced := c.PlanEviction(l, ordered)
+		plan := make([][]*oram.StashBlock, c.Tree.L+1)
+		for k := range plan {
+			plan[k] = make([]*oram.StashBlock, c.Tree.Z)
+		}
+		unplaced := c.PlanEvictionInto(l, ordered, plan, make([]int, c.Tree.L+1), nil)
 
 		// Multiset equality via pointer counts: plan ∪ unplaced == ordered.
 		want := make(map[*oram.StashBlock]int, len(ordered))

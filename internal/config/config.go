@@ -160,25 +160,22 @@ func (t NVMTiming) WriteLatency() int { return t.TRCD + t.TCWD + t.TWP }
 // Config is the full experimental configuration (Table 3).
 type Config struct {
 	// ---- On-chip processor and cache (Table 3a) ----
-	CoreFreqMHz  int // 3200 (3.2 GHz)
-	L1SizeBytes  int
-	L1Ways       int
-	L1ReadCycle  int
-	L1WriteCycle int
-	L2SizeBytes  int
-	L2Ways       int
-	L2ReadCycle  int
-	L2WriteCycle int
-	LineBytes    int
+	CoreFreqMHz int // 3200 (3.2 GHz)
+	L1SizeBytes int
+	L1Ways      int
+	L1ReadCycle int
+	L2SizeBytes int
+	L2Ways      int
+	L2ReadCycle int
+	LineBytes   int
 
 	// ---- ORAM controller (Table 3b) ----
-	BlockBytes       int     // data block size (64B, cache-line)
-	CapacityBytes    uint64  // data ORAM capacity (4GB => L=23)
-	Z                int     // block slots per bucket
-	StashEntries     int     // stash size C
-	TempPosMapSize   int     // temporary PosMap size C_TPos
-	AESLatencyCycles int     // AES-128 latency (core cycles)
-	Utilization      float64 // fraction of tree slots holding real blocks (0.5)
+	BlockBytes     int     // data block size (64B, cache-line)
+	CapacityBytes  uint64  // data ORAM capacity (4GB => L=23)
+	Z              int     // block slots per bucket
+	StashEntries   int     // stash size C
+	TempPosMapSize int     // temporary PosMap size C_TPos
+	Utilization    float64 // fraction of tree slots holding real blocks (0.5)
 
 	// ---- Persistence domain (Table 3c) ----
 	NVM              NVMTiming
@@ -229,24 +226,21 @@ type Config struct {
 // Default returns the Table 3 configuration.
 func Default() Config {
 	return Config{
-		CoreFreqMHz:  3200,
-		L1SizeBytes:  32 * 1024,
-		L1Ways:       2,
-		L1ReadCycle:  2,
-		L1WriteCycle: 2,
-		L2SizeBytes:  1024 * 1024,
-		L2Ways:       8,
-		L2ReadCycle:  20,
-		L2WriteCycle: 20,
-		LineBytes:    64,
+		CoreFreqMHz: 3200,
+		L1SizeBytes: 32 * 1024,
+		L1Ways:      2,
+		L1ReadCycle: 2,
+		L2SizeBytes: 1024 * 1024,
+		L2Ways:      8,
+		L2ReadCycle: 20,
+		LineBytes:   64,
 
-		BlockBytes:       64,
-		CapacityBytes:    4 << 30,
-		Z:                4,
-		StashEntries:     200,
-		TempPosMapSize:   96,
-		AESLatencyCycles: 32,
-		Utilization:      0.5,
+		BlockBytes:     64,
+		CapacityBytes:  4 << 30,
+		Z:              4,
+		StashEntries:   200,
+		TempPosMapSize: 96,
+		Utilization:    0.5,
 
 		NVM:                PCM(),
 		Channels:           1,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/config"
@@ -181,32 +182,15 @@ func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result
 		return Result{}, ErrCrashed
 	}
 
-	// -- Step 3: load path l.
-	c.stageMark()
-	loaded, loadDone, err := c.loadPathTimed(l, addr, start)
-	c.stageAdd(StageLoad)
+	// -- Step 3: load path l, and serve the request from the stash.
+	blk, err := c.loadAndServe(op, addr, data, l, lNew, start)
 	if err != nil {
 		return Result{}, err
-	}
-	c.markOrigin(loaded)
-	c.now = maxCycle(c.now, loadDone) + mem.Cycle(c.ORAM.Engine.DecryptLatency(len(loaded)))
-
-	// Serve the request from the stash.
-	blk := c.ORAM.Stash.Get(addr)
-	if blk == nil {
-		return Result{}, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", addr, l)
-	}
-	c.scratch.prev = append(c.scratch.prev[:0], blk.Data...)
-	prev := c.scratch.prev
-	if op == oram.OpWrite {
-		copy(blk.Data, data)
-		blk.Dirty = true
 	}
 
 	// -- Step 4: update stash and back up the data block. From here the
 	// stash copy carries the new leaf, so the remap is no longer
 	// cancellable (eADR's drain now preserves stash + map coherently).
-	blk.Leaf = lNew
 	c.inflight.active = false
 	if persistent {
 		blk.PendingRemap = true
@@ -243,13 +227,40 @@ func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result
 		return Result{}, ErrCrashed
 	}
 	return Result{
-		Value:         prev,
+		Value:         c.scratch.prev,
 		Start:         start,
 		End:           c.now,
 		PathLeaf:      l,
 		DirtyEntries:  dirty,
 		EvictedBlocks: evicted,
 	}, nil
+}
+
+// loadAndServe is the data path's step 3 and the serving half of step 4:
+// load path l (no earlier than earliest), serve op on addr from the
+// stash — its previous value lands in c.scratch.prev — and give the
+// block its new leaf lNew.
+func (c *Controller) loadAndServe(op oram.Op, addr oram.Addr, data []byte, l, lNew oram.Leaf, earliest mem.Cycle) (*oram.StashBlock, error) {
+	c.stageMark()
+	loaded, loadDone, err := c.loadPathTimed(l, addr, earliest)
+	c.stageAdd(StageLoad)
+	if err != nil {
+		return nil, err
+	}
+	c.markOrigin(loaded)
+	c.now = maxCycle(c.now, loadDone) + mem.Cycle(c.ORAM.Engine.DecryptLatency(len(loaded)))
+
+	blk := c.ORAM.Stash.Get(addr)
+	if blk == nil {
+		return nil, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", addr, l)
+	}
+	c.scratch.prev = append(c.scratch.prev[:0], blk.Data...)
+	if op == oram.OpWrite {
+		copy(blk.Data, data)
+		blk.Dirty = true
+	}
+	blk.Leaf = lNew
+	return blk, nil
 }
 
 // markOrigin tags freshly loaded blocks with the current epoch so the
@@ -289,7 +300,7 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 		}
 		// Functional load of this bucket.
 		before := len(c.scratch.loaded)
-		if err := c.loadBucket(bucket, l, target); err != nil {
+		if err := c.loadBucket(c.ORAM, bucket, l, target); err != nil {
 			return nil, 0, err
 		}
 		if c.onchipNVM != nil {
@@ -306,34 +317,36 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 }
 
 // loadBucket is the functional half of loading one bucket of the path to
-// l. A bucket the overlay holds in its dense form names its real slots
-// and only those are visited; any other bucket is walked slot by slot.
-func (c *Controller) loadBucket(bucket uint64, l oram.Leaf, target oram.Addr) error {
-	if real, dense := c.ORAM.Image.RealSlots(bucket); dense {
+// l of tree ctl — the data tree or a recursive PosMap tree. A bucket the
+// overlay holds in its dense form names its real slots and only those
+// are visited; any other bucket is walked slot by slot.
+func (c *Controller) loadBucket(ctl *oram.Controller, bucket uint64, l oram.Leaf, target oram.Addr) error {
+	if real, dense := ctl.Image.RealSlots(bucket); dense {
 		for ; real != 0; real &= real - 1 {
-			if err := c.loadSlot(bucket, bits.TrailingZeros32(real), l, target); err != nil {
+			if err := c.loadSlot(ctl, bucket, bits.TrailingZeros32(real), l, target); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for z := 0; z < c.ORAM.Tree.Z; z++ {
-		if err := c.loadSlot(bucket, z, l, target); err != nil {
+	for z := 0; z < ctl.Tree.Z; z++ {
+		if err := c.loadSlot(ctl, bucket, z, l, target); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadSlot loads one slot of a bucket on the path to l: a block it
-// brings into the stash is appended to c.scratch.loaded. A header comes
-// from the lazy-seal overlay's plaintext descriptor, else from a real
-// header open, and a payload is only decrypted for blocks that actually
-// enter the stash. Overlay-resident payloads copy plaintext
-// directly: the steady-state bucket load runs without any AES at all.
-func (c *Controller) loadSlot(bucket uint64, z int, l oram.Leaf, target oram.Addr) error {
-	eng := c.ORAM.Engine
-	img := c.ORAM.Image
+// loadSlot loads one slot of a bucket on the path to l of tree ctl: a
+// block it brings into ctl's stash is appended to c.scratch.loaded. A
+// header comes from the lazy-seal overlay's plaintext descriptor, else
+// from a real header open, and a payload is only decrypted for blocks
+// that actually enter the stash. Overlay-resident payloads copy
+// plaintext directly: the steady-state bucket load runs without any AES
+// at all.
+func (c *Controller) loadSlot(ctl *oram.Controller, bucket uint64, z int, l oram.Leaf, target oram.Addr) error {
+	eng := ctl.Engine
+	img := ctl.Image
 	addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z)
 	if dummy {
 		return nil
@@ -348,39 +361,50 @@ func (c *Controller) loadSlot(bucket uint64, z int, l oram.Leaf, target oram.Add
 	if addr == oram.DummyAddr {
 		return nil
 	}
-	if uint64(addr) >= c.ORAM.NumBlocks() {
+	if uint64(addr) >= ctl.NumBlocks() {
 		return fmt.Errorf("core: tree contains out-of-range addr %d", addr)
 	}
-	existing := c.ORAM.Stash.Get(addr)
+	dataTree := ctl == c.ORAM
+	existing := ctl.Stash.Get(addr)
 	// A copy on this path whose header leaf matches the *durable* PosMap
 	// while a fresher pending copy sits in the stash is the block's
 	// durable continuation (typically a backup from an earlier access).
 	// Overwriting the path destroys it, so record it: the eviction will
 	// write a replacement backup.
-	if existing != nil && existing.PendingRemap && c.wpqPersistent() &&
+	if dataTree && existing != nil && existing.PendingRemap && c.wpqPersistent() &&
 		c.durable.Lookup(addr) == leaf {
 		c.endangered[addr] = endangeredCopy{leaf: leaf, bucket: bucket, slot: z}
 	}
 	// The in-flight target's header still carries the pre-remap leaf.
 	current := l
-	if addr != target {
+	switch {
+	case addr == target:
+	case dataTree:
 		current = c.currentLeaf(addr)
+	default:
+		current = ctl.PosMap.Lookup(addr)
 	}
 	if current != leaf {
 		return nil // stale copy (superseded backup): reads as dummy
 	}
-	if existing != nil {
-		// The resident copy wins: markOrigin stamps the epoch only after
-		// the whole path is loaded, so a copy already in the stash is
-		// either from an earlier access, and always fresher, or this
-		// block's own backup met earlier on this path, and identical.
-		return nil
+	sb := existing
+	if sb != nil {
+		// On the data tree the resident copy wins: markOrigin stamps the
+		// epoch only after the whole path is loaded, so a copy already in
+		// the stash is either from an earlier access, and always fresher,
+		// or this block's own backup met earlier on this path, and
+		// identical. On a PosMap tree, between two copies this walk loaded
+		// the higher seal version wins (see ROADMAP item 6).
+		if dataTree || ver <= sb.Ver || !slices.Contains(c.scratch.loaded, sb) {
+			return nil
+		}
+	} else {
+		sb = c.getStashBlock()
+		sb.Addr, sb.Leaf = addr, leaf
+		sb.OriginBucket, sb.OriginSlot = bucket, z
+		ctl.Stash.Put(sb)
+		c.scratch.loaded = append(c.scratch.loaded, sb)
 	}
-	sb := c.getStashBlock()
-	sb.Addr, sb.Leaf = addr, leaf
-	sb.OriginBucket, sb.OriginSlot = bucket, z
-	c.ORAM.Stash.Put(sb)
-	c.scratch.loaded = append(c.scratch.loaded, sb)
 	sb.Ver = ver
 	if plain := img.PlainData(bucket, z); plain != nil {
 		sb.Data = append(sb.Data[:0], plain...)
@@ -488,7 +512,7 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 		// displacement cycles that small WPQs cannot commit atomically.
 		unplaced = c.planIdentity(l)
 	} else {
-		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan, c.scratch.planUsed, c.scratch.unplaced)
+		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
 		unplaced = c.scratch.unplaced
 	}
 	// Crash-consistency check: every must-evict candidate placed
@@ -507,7 +531,7 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 	case config.SchemeNaivePSORAM, config.SchemePSORAM:
 		return c.evictPersistent(l)
 	default:
-		return c.evictPosted(l, c.scratch.plan)
+		return c.evictPosted(l)
 	}
 }
 
@@ -523,7 +547,7 @@ func (c *Controller) planIdentity(l oram.Leaf) (unplaced []*oram.StashBlock) {
 		k := c.pathIdx.LevelOf(bucket)
 		return k, k <= t.L && c.pathIdx.Bucket(l, k) == bucket
 	}
-	plan := c.scratch.plan
+	plan := c.scratch.plan.rows
 	for k := range plan {
 		row := plan[k]
 		for z := range row {
@@ -583,54 +607,90 @@ func (c *Controller) planIdentity(l oram.Leaf) (unplaced []*oram.StashBlock) {
 	return unplaced
 }
 
-// evictPosted writes the plan through the volatile write buffer
-// (Baseline, FullNVM, eADR): fast, coalesced, and lost on crash before
-// completion.
-func (c *Controller) evictPosted(l oram.Leaf, plan [][]*oram.StashBlock) (int, int, error) {
-	img := c.ORAM.Image
-	proceed := c.now
-	slotIdx := 0
-	crashedMid := false
-	real := c.ORAM.ApplyEviction(l, plan, func(bucket uint64, z int, s oram.Slot, b *oram.StashBlock) {
-		if crashedMid {
-			return
-		}
-		loc := c.Mem.TreeBlockLocation(bucket, z)
-		p := c.Mem.WriteBlockPosted(loc, c.now, func() func() {
-			return img.SetSlot(bucket, z, s)
-		})
-		if p > proceed {
-			proceed = p
-		}
-		if c.onchipNVM != nil && b != nil {
-			c.timeOnChipNVM(nvm.Read) // read the block out of the NVM stash
-		}
-		crashedMid = c.maybeCrash(5, slotIdx)
-		slotIdx++
-	})
-	if crashedMid {
-		return 0, 0, ErrCrashed
+// evictPosted writes the data tree's plan through the volatile write
+// buffer (Baseline, FullNVM, eADR, Rcr-Baseline): fast, coalesced, and
+// lost on crash before completion.
+func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
+	real, err := c.writeBack(0, c.planSlots(0, l, true), nil)
+	if err != nil {
+		return 0, 0, err
 	}
-	c.now = proceed
 	// Volatile PosMap schemes persist nothing here. The durable events of
 	// the always-durable schemes (FullNVM: NVM stash; eADR: flush-on-
-	// crash) are emitted at access end by the caller via markDurable —
-	// see accessEndDurability.
-	c.accessEndDurability(plan)
+	// crash) are emitted at access end.
+	c.accessEndDurability()
 	return real, 0, nil
+}
+
+// writeBack writes the sealed plan slots of the tree in region and
+// removes the placed blocks from its stash. It returns the number of
+// real blocks written; its only error is ErrCrashed, from a posted
+// data-tree write-back.
+//
+// Into an open batch (Rcr-PS-ORAM) every write is applied at once, so
+// later steps of the same access read the path as written, and undone if
+// the batch never commits: a data-tree slot is a data WPQ entry, a
+// PosMap-tree slot a PosMap WPQ entry. Without a batch the writes are
+// posted. On the data tree they all issue at the current cycle, the
+// caller proceeds at the latest admission, and a crash point follows
+// every slot: a power failure there loses what is still buffered, and
+// ErrCrashed is returned once the plan's blocks have left the stash. On
+// a PosMap tree each write issues once the previous one was admitted,
+// with no crash point (see ROADMAP item 6 for both differences).
+func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch) (real int, err error) {
+	ctl, _ := c.tree(region)
+	img := ctl.Image
+	proceed := c.now
+	crashed := false
+	for i := range slots {
+		s := &slots[i]
+		loc := c.Mem.RegionTreeLocation(region, s.bucket, s.z)
+		switch {
+		case batch != nil && region == 0:
+			batch.AddDataApplied(loc, img.SetSlot(s.bucket, s.z, s.sealed))
+		case batch != nil:
+			batch.AddPosMapBlockApplied(loc, img.SetSlot(s.bucket, s.z, s.sealed))
+		case !crashed: // after a power failure the rest is never written
+			p := c.Mem.WriteBlockPosted(loc, c.now, func() func() {
+				return img.SetSlot(s.bucket, s.z, s.sealed)
+			})
+			if region != 0 {
+				c.now = maxCycle(c.now, p)
+			} else {
+				proceed = maxCycle(proceed, p)
+				if c.onchipNVM != nil && s.block != nil {
+					c.timeOnChipNVM(nvm.Read) // read the block out of the NVM stash
+				}
+				crashed = c.maybeCrash(5, i)
+			}
+		}
+		if b := s.block; b != nil {
+			if b.Backup {
+				ctl.Stash.RemoveBackup(b)
+			} else {
+				ctl.Stash.Remove(b.Addr)
+			}
+			real++
+		}
+	}
+	if crashed {
+		return real, ErrCrashed
+	}
+	if batch == nil && region == 0 {
+		c.now = proceed
+	}
+	return real, nil
 }
 
 // accessEndDurability emits durability events for schemes whose stash
 // survives power failure (FullNVM, eADR): once the access completes, the
 // target's value is durable wherever it sits.
-func (c *Controller) accessEndDurability(plan [][]*oram.StashBlock) {
+func (c *Controller) accessEndDurability() {
 	switch c.Scheme {
 	case config.SchemeFullNVM, config.SchemeFullNVMSTT, config.SchemeEADRORAM:
-		for _, row := range plan {
-			for _, b := range row {
-				if b != nil && !b.Backup {
-					c.markDurable(b.Addr, b.Data)
-				}
+		for _, b := range c.scratch.plan.flat {
+			if b != nil && !b.Backup {
+				c.markDurable(b.Addr, b.Data)
 			}
 		}
 		c.scratch.order = c.ORAM.Stash.AppendLive(c.scratch.order[:0])

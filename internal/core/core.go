@@ -7,6 +7,10 @@
 // (Baseline, FullNVM, FullNVM(STT), Naïve-PS-ORAM, Rcr-Baseline,
 // Rcr-PS-ORAM, eADR-ORAM), selected by config.Scheme, so every evaluated
 // system shares one code path and differs only in its persistence rules.
+// It is the only Path ORAM access engine: the data tree and every
+// recursive PosMap tree are loaded by the same walk (loadSlot) and
+// written back by the same write-back (planSlots, writeBack);
+// internal/oram holds the trees' state and the placement rule.
 //
 // Two coupled aspects are simulated together:
 //
@@ -129,12 +133,10 @@ type Controller struct {
 		keyed    []keyedBlock       // sortByKey's (key, block) pairs
 		movers   []*oram.StashBlock // planIdentity working sets
 		loose    []*oram.StashBlock
-		plan     [][]*oram.StashBlock // L+1 rows of Z plan slots...
-		planFlat []*oram.StashBlock   // ...laid out root first in one array
-		every    []int32              // 0..Z(L+1)-1: every slot of planFlat
-		real     []int32              // its occupied slots, ascending (evictPersistent)
-		dirty    []int32              // ...whose blocks carry a pending remap
-		planUsed []int
+		plan     planRows // the data tree's eviction plan
+		every    []int32  // 0..Z(L+1)-1: every slot of plan.flat
+		real     []int32  // its occupied slots, ascending (evictPersistent)
+		dirty    []int32  // ...whose blocks carry a pending remap
 		unplaced []*oram.StashBlock
 		slots    []plannedSlot // the eviction plan (planSlots)
 		ivBase   uint64        // IV cursor before the last planSlots' draws
@@ -191,6 +193,11 @@ type Controller struct {
 	// tree image lives in it, durable PosMap mutations are mirrored
 	// into it, and persistDurable commits at access boundaries.
 	storage DurableStorage
+
+	// levelPlans is the eviction-plan scratch of the recursive PosMap
+	// trees, c.Rec.Levels[i]'s at index i (the data tree's is
+	// scratch.plan).
+	levelPlans []planRows
 }
 
 // Options tunes construction beyond the scheme and config.
@@ -315,20 +322,8 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		Temp:    oram.NewTempPosMap(cfg.TempPosMapSize),
 	}
 	c.endangered = make(map[oram.Addr]endangeredCopy)
-	// The plan's rows are views of one flat array, slot i of the path at
-	// index i, so that the write-back's passes over it are one loop each.
-	z := oc.Tree.Z
-	c.scratch.planFlat = make([]*oram.StashBlock, (oc.Tree.L+1)*z)
-	c.scratch.plan = make([][]*oram.StashBlock, oc.Tree.L+1)
-	for k := range c.scratch.plan {
-		c.scratch.plan[k] = c.scratch.planFlat[k*z : (k+1)*z : (k+1)*z]
-	}
-	c.scratch.every = make([]int32, len(c.scratch.planFlat))
-	for i := range c.scratch.every {
-		c.scratch.every[i] = int32(i)
-	}
-	c.scratch.real = make([]int32, len(c.scratch.planFlat))
-	c.scratch.planUsed = make([]int, oc.Tree.L+1)
+	c.scratch.plan = newPlanRows(oc.Tree)
+	c.scratch.real = make([]int32, len(c.scratch.plan.flat))
 	switch scheme {
 	case config.SchemeFullNVM:
 		c.onchipNVM = nvm.NewDevice(config.PCM(), 8, cfg.BlockBytes)
@@ -361,6 +356,18 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		}
 		c.Rec = rec
 		c.durableTop = rec.Top.Clone()
+		for _, lvl := range rec.Levels {
+			c.levelPlans = append(c.levelPlans, newPlanRows(lvl.Tree))
+		}
+	}
+	// every lists the slots of the longest path of any tree.
+	longest := len(c.scratch.plan.flat)
+	for _, p := range c.levelPlans {
+		longest = max(longest, len(p.flat))
+	}
+	c.scratch.every = make([]int32, longest)
+	for i := range c.scratch.every {
+		c.scratch.every[i] = int32(i)
 	}
 	if opts.Untimed {
 		c.onchipNVM = nil // an untimed controller schedules on no device

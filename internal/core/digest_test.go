@@ -1,0 +1,298 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"hash"
+	"os"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/crash"
+	"repro/internal/oram"
+	"repro/internal/rng"
+)
+
+var updateDigest = flag.Bool("update", false, "re-bless the protocol digests in testdata/digest.json")
+
+// TestProtocolDigest pins the whole observable protocol of every Path
+// ORAM scheme — every Result, every slot of every tree, the stashes, the
+// position maps, both counter registries, the clock, the seal-version
+// cursors and the device statistics — as one SHA-256 per configuration,
+// over a seeded stream and, for four schemes, across a crash at every
+// declared crash point. A refactor of the engine must leave every digest
+// unchanged; re-bless only for a deliberate behaviour change, with
+// `go test ./internal/core -run TestProtocolDigest -update`, and justify
+// it in the commit.
+func TestProtocolDigest(t *testing.T) {
+	const path = "testdata/digest.json"
+	want := map[string]string{}
+	if !*updateDigest {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing digest file (run with -update to bless): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("corrupt digest file: %v", err)
+		}
+	}
+	var mu sync.Mutex
+	got := map[string]string{}
+	check := func(t *testing.T, name, sum string) {
+		mu.Lock()
+		defer mu.Unlock()
+		got[name] = sum
+		if !*updateDigest && want[name] != sum {
+			t.Errorf("%s: digest %s, pinned %q", name, sum, want[name])
+		}
+	}
+	t.Cleanup(func() {
+		if !*updateDigest {
+			if len(got) != len(want) && !t.Failed() {
+				t.Errorf("ran %d configurations, %d pinned (re-bless with -update)", len(got), len(want))
+			}
+			return
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("re-blessed %s with %d digests", path, len(got))
+	})
+
+	ops := digestStream(0xd16e57, digestOps+digestAfter)
+	for _, v := range digestVariants() {
+		for _, untimed := range []bool{false, true} {
+			v, untimed := v, untimed
+			model := "timed"
+			if untimed {
+				model = "untimed"
+			}
+			name := v.name + "/" + model
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				c := v.build(t, untimed)
+				h := sha256.New()
+				failed := 0
+				for i, o := range ops[:digestOps] {
+					if hashAccess(h, i, o, c) != nil {
+						failed++
+					}
+				}
+				if failed != 0 {
+					t.Errorf("%d of %d accesses failed", failed, digestOps)
+				}
+				hashState(h, c)
+				check(t, name, hex.EncodeToString(h.Sum(nil)))
+			})
+			if !v.crash {
+				continue
+			}
+			t.Run(name+"/crash", func(t *testing.T) {
+				t.Parallel()
+				for _, pt := range digestCrashPoints(t, v, untimed, ops) {
+					c := v.build(t, untimed)
+					seen := 0
+					c.CrashAt = func(p core.CrashPoint) bool {
+						if p.Access != digestCrashAccess || p.Step != pt.step {
+							return false
+						}
+						seen++
+						return seen == pt.k+1
+					}
+					h := sha256.New()
+					for i, o := range ops[:digestCrashAccess] {
+						hashAccess(h, i, o, c)
+					}
+					if err := hashAccess(h, digestCrashAccess, ops[digestCrashAccess], c); !errors.Is(err, core.ErrCrashed) {
+						t.Fatalf("step %d offering %d never fired (%v)", pt.step, pt.k, err)
+					}
+					c.CrashAt = nil
+					if err := c.Recover(); err != nil {
+						t.Fatal(err)
+					}
+					failed := 0
+					for i, o := range ops[digestCrashAccess+1 : digestCrashAccess+1+digestAfter] {
+						if hashAccess(h, digestCrashAccess+1+i, o, c) != nil {
+							failed++
+						}
+					}
+					t.Logf("step %d offering %d: %d of %d accesses after recovery failed", pt.step, pt.k, failed, digestAfter)
+					hashState(h, c)
+					check(t, fmt.Sprintf("%s/crash/step%d.%d", name, pt.step, pt.k), hex.EncodeToString(h.Sum(nil)))
+				}
+			})
+		}
+	}
+}
+
+const (
+	digestBlocks, digestLevels = 256, 7
+	digestOps, digestAfter     = 3000, 200
+	digestCrashAccess          = 120
+)
+
+// digestVariant is one pinned configuration.
+type digestVariant struct {
+	name   string
+	scheme config.Scheme
+	tune   func(*config.Config)
+	crash  bool // also run the crash leg
+}
+
+func digestVariants() []digestVariant {
+	return []digestVariant{
+		{name: "Baseline", scheme: config.SchemeBaseline, crash: true},
+		{name: "FullNVM", scheme: config.SchemeFullNVM},
+		{name: "FullNVM(STT)", scheme: config.SchemeFullNVMSTT},
+		{name: "Naive-PS-ORAM", scheme: config.SchemeNaivePSORAM},
+		{name: "PS-ORAM", scheme: config.SchemePSORAM, crash: true},
+		{name: "PS-ORAM/wpq4", scheme: config.SchemePSORAM, tune: func(c *config.Config) { c.DataWPQEntries = 4 }},
+		{name: "PS-ORAM/integrity", scheme: config.SchemePSORAM, tune: func(c *config.Config) { c.Integrity = true }},
+		{name: "eADR-ORAM", scheme: config.SchemeEADRORAM},
+		{name: "Rcr-Baseline", scheme: config.SchemeRcrBaseline, crash: true},
+		{name: "Rcr-PS-ORAM", scheme: config.SchemeRcrPSORAM, crash: true},
+	}
+}
+
+func (v digestVariant) build(t *testing.T, untimed bool) *core.Controller {
+	t.Helper()
+	cfg := config.Default()
+	cfg.Seed = 0xd16e
+	cfg.StashEntries = 150
+	cfg.TempPosMapSize = 16
+	cfg.WriteBufferEntries = 16
+	cfg.OnChipPosMapBytes = 4 * 64 * 8 // two PosMap trees over 256 blocks
+	if v.scheme.Recursive() {
+		// The Rcr-PS-ORAM batch spans the whole access, flushes included.
+		cfg.DataWPQEntries = 4 * (digestLevels + 1) * cfg.Z
+	}
+	if v.tune != nil {
+		v.tune(&cfg)
+	}
+	c, err := core.New(v.scheme, cfg, core.Options{NumBlocks: digestBlocks, Levels: digestLevels, Untimed: untimed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.scheme.Recursive() && len(c.Rec.Levels) != 2 {
+		t.Fatalf("%s: %d PosMap trees, want 2", v.name, len(c.Rec.Levels))
+	}
+	return c
+}
+
+// digestStream is a seeded stream of n operations, half of them writes,
+// each on a uniform address or, half the time, one of 8 hot addresses.
+func digestStream(seed uint64, n int) []seamOp {
+	r := rng.New(seed)
+	ops := make([]seamOp, n)
+	for i := range ops {
+		addr := r.Uint64() % digestBlocks
+		if r.Uint64()&1 == 1 {
+			addr = (addr % 8) * 31
+		}
+		ops[i] = seamOp{op: oram.OpRead, addr: oram.Addr(addr)}
+		if r.Uint64()&1 == 1 {
+			data := make([]byte, config.Default().BlockBytes)
+			copy(data, fmt.Sprintf("a%d.op%d", addr, i))
+			ops[i].op, ops[i].data = oram.OpWrite, data
+		}
+	}
+	return ops
+}
+
+type digestPoint struct{ step, k int }
+
+// digestCrashPoints lists, for every declared step of the scheme, the
+// first, a middle and the last crash point the access digestCrashAccess
+// offers there.
+func digestCrashPoints(t *testing.T, v digestVariant, untimed bool, ops []seamOp) []digestPoint {
+	t.Helper()
+	probe := v.build(t, untimed)
+	offered := map[int]int{}
+	probe.CrashAt = func(p core.CrashPoint) bool {
+		if p.Access == digestCrashAccess {
+			offered[p.Step]++
+		}
+		return false
+	}
+	for _, o := range ops[:digestCrashAccess+1] {
+		probe.Access(o.op, o.addr, o.data) // errors are part of the run, not of the probe
+	}
+	var pts []digestPoint
+	for _, step := range crash.DeclaredStepsFor(v.scheme) {
+		n := offered[step]
+		if n == 0 {
+			t.Fatalf("%s: declared step %d offered no crash point", v.name, step)
+		}
+		for _, k := range uniqueInts(0, n/2, n-1) {
+			pts = append(pts, digestPoint{step, k})
+		}
+	}
+	return pts
+}
+
+// hashAccess runs one operation and hashes its outcome: whether it
+// failed (and whether as a crash), and every Result field.
+func hashAccess(h hash.Hash, i int, o seamOp, c *core.Controller) error {
+	res, err := c.Access(o.op, o.addr, o.data)
+	fmt.Fprintf(h, "op%d err=%v crashed=%v overflow=%v|", i, err != nil,
+		errors.Is(err, core.ErrCrashed), errors.Is(err, oram.ErrStashOverflow))
+	fmt.Fprintf(h, "%d.%d.%d.%d.%d.%d|", res.Start, res.End, res.PathLeaf, res.DirtyEntries, res.EvictedBlocks, res.ChainBlocks)
+	h.Write(res.Value)
+	return err
+}
+
+// hashState hashes everything a controller can be observed by: every
+// tree's slots, stash, position map and seal-version cursor, the
+// durable and temporary position maps, both counter registries, the
+// clock and the device statistics.
+func hashState(h hash.Hash, c *core.Controller) {
+	trees := []*oram.Controller{c.ORAM}
+	if c.Rec != nil {
+		trees = append(trees, c.Rec.Levels...)
+	}
+	for i, tr := range trees {
+		fmt.Fprintf(h, "tree%d ver=%d|", i, tr.VerSeq())
+		h.Write(imageBytes(tr.Image))
+		fmt.Fprintf(h, "%+v|", stashRows(tr.Stash))
+		hashPosMap(h, tr.PosMap)
+	}
+	hashPosMap(h, c.DurablePosMap())
+	for a := oram.Addr(0); a < digestBlocks; a++ {
+		l, ok := c.Temp.Lookup(a)
+		fmt.Fprintf(h, "%d.%v,", l, ok)
+	}
+	hashCounters(h, c.Counters().Snapshot())
+	hashCounters(h, c.Mem.Counters().Snapshot())
+	fmt.Fprintf(h, "now=%d|%+v", c.Now(), c.Mem.DeviceStats())
+}
+
+func hashPosMap(h hash.Hash, p *oram.PosMap) {
+	var b [4]byte
+	for a := uint64(0); a < p.Len(); a++ {
+		binary.LittleEndian.PutUint32(b[:], uint32(p.Lookup(oram.Addr(a))))
+		h.Write(b[:])
+	}
+}
+
+func hashCounters(h hash.Hash, m map[string]int64) {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(h, "%s=%d,", n, m[n])
+	}
+}

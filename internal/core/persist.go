@@ -25,51 +25,85 @@ type plannedSlot struct {
 	sealed oram.Slot
 }
 
-// planSlots lays out the eviction of c.scratch.plan onto path l (step
-// 5-A): which block lands in which slot, under which IVs and version.
+// planRows is one tree's eviction plan: L+1 rows of Z slots laid out
+// root first in one flat array, slot i of the path at index i, so that
+// the write-back's passes over it are one loop each; used is the
+// per-level fill count PlanEvictionInto keeps.
+type planRows struct {
+	rows [][]*oram.StashBlock
+	flat []*oram.StashBlock
+	used []int
+}
+
+func newPlanRows(t oram.Tree) planRows {
+	p := planRows{
+		rows: make([][]*oram.StashBlock, t.L+1),
+		flat: make([]*oram.StashBlock, t.PathBlocks()),
+		used: make([]int, t.L+1),
+	}
+	for k := range p.rows {
+		p.rows[k] = p.flat[k*t.Z : (k+1)*t.Z : (k+1)*t.Z]
+	}
+	return p
+}
+
+// tree returns the tree the engine keeps in memory region region — 0
+// the data tree, i the i-th recursive PosMap tree — and its eviction
+// plan.
+func (c *Controller) tree(region int) (*oram.Controller, *planRows) {
+	if region == 0 {
+		return c.ORAM, &c.scratch.plan
+	}
+	return c.Rec.Levels[region-1], &c.levelPlans[region-1]
+}
+
+// planSlots lays out the eviction of the plan of the tree in region
+// onto its path l (step 5-A): which block lands in which slot, under
+// which IVs and version.
 // Slot i of the path (root first, Z per bucket) is written under IVs
-// base+2i+1 and base+2i+2, base being the IV cursor on entry (kept in
-// c.scratch.ivBase), and every real block takes the next seal version in
-// slot order — the streams that drawing a version and two IVs slot by
-// slot produces, so every ciphertext is unchanged.
+// base+2i+1 and base+2i+2, base being the tree's IV cursor on entry
+// (kept in c.scratch.ivBase), and every real block takes the tree's next
+// seal version in slot order — the streams that drawing a version and
+// two IVs slot by slot produces, so every ciphertext is unchanged.
 //
 // Sealed, the plan has an entry per slot of the path, each sealed now
-// into freelist buffers on the controller's engine. That is the form for
-// the three consumers that need a ciphertext per dummy: the integrity
-// batch (it hashes whole sealed buckets), evictOrdered (bounce writes
-// move sealed bytes between slots) and the recursive schemes (sealed
-// bytes go through access-spanning batches). Otherwise the plan holds
-// the occupied slots only (c.scratch.real, which the caller has filled),
-// deferred, and no AES runs: the dummies reach the image as one
-// PutLazyDummies per bucket. The returned slice is c.scratch.slots (valid
-// until the next planSlots call).
-func (c *Controller) planSlots(l oram.Leaf, sealed bool) []plannedSlot {
-	t := c.ORAM.Tree
-	e := c.ORAM.Engine
+// into freelist buffers on the tree's engine. That is the form for the
+// consumers that need a ciphertext per dummy: the integrity batch (it
+// hashes whole sealed buckets), evictOrdered (bounce writes move sealed
+// bytes between slots) and writeBack (posted writes and access-spanning
+// batches store sealed bytes). Otherwise the plan holds the occupied
+// slots only (c.scratch.real, which the caller has filled from the data
+// tree's plan), deferred, and no AES runs: the dummies reach the image
+// as one PutLazyDummies per bucket. The returned slice is
+// c.scratch.slots (valid until the next planSlots call).
+func (c *Controller) planSlots(region int, l oram.Leaf, sealed bool) []plannedSlot {
+	ctl, plan := c.tree(region)
+	t := ctl.Tree
+	e := ctl.Engine
 	c.scratch.path = t.PathInto(c.scratch.path[:0], l)
-	plan := c.scratch.planFlat
+	flat := plan.flat
 	which := c.scratch.real
 	if sealed {
-		which = c.scratch.every
+		which = c.scratch.every[:len(flat)]
 	}
-	if cap(c.scratch.slots) < len(plan) {
-		c.scratch.slots = make([]plannedSlot, len(plan))
+	if cap(c.scratch.slots) < len(flat) {
+		c.scratch.slots = make([]plannedSlot, len(flat))
 	}
 	out := c.scratch.slots[:len(which)]
-	base := c.ORAM.DrawIVs(2 * len(plan))
+	base := ctl.DrawIVs(2 * len(flat))
 	c.scratch.ivBase = base
 	for n, i := range which {
 		// Filled in place through the pointer: plannedSlot is large
 		// enough that building it as a local and appending would copy
 		// ~100B per slot (runtime.duffcopy on the eviction hot path).
 		ps := &out[n]
-		b := plan[i]
+		b := flat[i]
 		k := int(i) / t.Z
 		ps.bucket, ps.z, ps.block, ps.lazy = c.scratch.path[k], int(i)-k*t.Z, b, !sealed
 		ps.iv1, ps.iv2 = base+2*uint64(i)+1, base+2*uint64(i)+2
 		ps.leaf, ps.ver = 0, 0
 		if b != nil {
-			ps.leaf, ps.ver = b.TargetLeaf(), c.ORAM.NextVer()
+			ps.leaf, ps.ver = b.TargetLeaf(), ctl.NextVer()
 		}
 		if !sealed {
 			continue // a deferred entry's sealed field is stale and never read
@@ -86,7 +120,7 @@ func (c *Controller) planSlots(l oram.Leaf, sealed bool) []plannedSlot {
 	return out
 }
 
-// occupiedSlots compacts c.scratch.plan into the ascending list of its
+// occupiedSlots compacts the data tree's plan into the ascending list of its
 // occupied slots and, within it, the list of those whose block carries a
 // pending remap into the durable PosMap (both in scratch). Which slots
 // are occupied is random and four in five are not, so a pass that tests
@@ -97,7 +131,7 @@ func (c *Controller) planSlots(l oram.Leaf, sealed bool) []plannedSlot {
 // ordered fallback is made from these lists before the version stream
 // moves.
 func (c *Controller) occupiedSlots() (real, dirty []int32) {
-	plan := c.scratch.planFlat
+	plan := c.scratch.plan.flat
 	real = c.scratch.real[:len(plan)]
 	n := 0
 	for i, b := range plan {
@@ -124,7 +158,7 @@ func (c *Controller) occupiedSlots() (real, dirty []int32) {
 // carry no functional mutation (see stageBatch).
 func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 	z := c.ORAM.Tree.Z
-	plan := c.scratch.planFlat
+	plan := c.scratch.plan.flat
 	next := 0
 	for k, bucket := range c.scratch.path {
 		loc := c.Mem.TreeBlockLocation(bucket, 0)
@@ -139,7 +173,7 @@ func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 	}
 }
 
-// evictPersistent implements PS-ORAM eviction (§4.2.2) of c.scratch.plan
+// evictPersistent implements PS-ORAM eviction (§4.2.2) of the data plan
 // onto path l: seal the path, identify the dirty PosMap entries, push
 // both into the WPQs between the drainer's start/end signals, and flush.
 // Naïve-PS-ORAM differs only in flushing a PosMap entry for every slot on
@@ -169,7 +203,7 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	// entirely; every other configuration (integrity, ordered fallback)
 	// needs the sealed bytes of every slot now.
 	lazySeal := oneBatch && c.ORAM.Image.LazySeal() && c.Merkle == nil
-	slots := c.planSlots(l, !lazySeal)
+	slots := c.planSlots(0, l, !lazySeal)
 	c.stageAdd(StageCrypto)
 	if !oneBatch {
 		if c.Merkle != nil {

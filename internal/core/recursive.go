@@ -8,72 +8,6 @@ import (
 	"repro/internal/oram"
 )
 
-// recState carries the per-access wiring of the recursive schemes.
-type recState struct {
-	batch       *mem.Batch // open for Rcr-PS-ORAM, nil for Rcr-Baseline
-	chainBlocks int
-}
-
-// setupRecursiveHooks wires each posmap-level controller's eviction
-// writes into the memory controller. Called once, lazily, because the
-// hooks close over the per-access recState.
-func (c *Controller) setupRecursiveHooks(st *recState) {
-	for i, lvl := range c.Rec.Levels {
-		region := i + 1
-		lvl := lvl
-		lvl.OnSlotWrite = func(bucket uint64, z int, s oram.Slot, b *oram.StashBlock) {
-			loc := c.Mem.RegionTreeLocation(region, bucket, z)
-			img := lvl.Image
-			if st.batch != nil {
-				// Immediate apply: later steps of the same access (the
-				// data load, a flush pass) must read coherent state;
-				// the batch undoes it if the access never commits.
-				st.batch.AddPosMapBlockApplied(loc, img.SetSlot(bucket, z, s))
-			} else {
-				c.now = maxCycle(c.now, c.Mem.WriteBlockPosted(loc, c.now, func() func() {
-					return img.SetSlot(bucket, z, s)
-				}))
-			}
-			st.chainBlocks++
-		}
-	}
-	c.Rec.OnTopUpdate = func(idx oram.Addr, old, new oram.Leaf) {
-		// The on-chip Top map is trusted SRAM; Rcr-PS-ORAM persists its
-		// updates through the PosMap WPQ so recovery can rebuild the
-		// chain root. durableTop tracks the NVM copy.
-		if st.batch != nil {
-			top := c.durableTop
-			st.batch.AddPosMap(c.Mem.PosMapLocation(uint64(idx)), func() {
-				top.Set(idx, new)
-			})
-		}
-	}
-	if c.Scheme == config.SchemeRcrPSORAM {
-		c.Rec.PostAccess = func(level int, ctl *oram.Controller, addr oram.Addr, newLeaf oram.Leaf) error {
-			return c.flushResident(ctl, addr, newLeaf)
-		}
-	}
-}
-
-// flushResident guarantees the accessed block left ctl's stash: when
-// greedy placement failed, read the block's new path and evict again
-// (the block's leaf equals that path, so it places at worst at the
-// leaf). Needed because the parent level durably recorded the new leaf.
-func (c *Controller) flushResident(ctl *oram.Controller, addr oram.Addr, newLeaf oram.Leaf) error {
-	for try := 0; ctl.Stash.Get(addr) != nil; try++ {
-		if try >= 3 {
-			return fmt.Errorf("core: block %d refuses to leave the stash after %d flushes", addr, try)
-		}
-		if _, err := ctl.LoadPathWith(newLeaf, func(a oram.Addr) oram.Leaf { return ctl.PosMap.Lookup(a) }); err != nil {
-			return err
-		}
-		plan, _ := ctl.PlanEviction(newLeaf, ctl.DefaultEvictionOrder(newLeaf))
-		ctl.ApplyEviction(newLeaf, plan, nil)
-		c.counters.Inc("psoram.rcr_flushes")
-	}
-	return nil
-}
-
 // accessRecursive implements Rcr-Baseline and Rcr-PS-ORAM: the position
 // lookup walks the recursive PosMap (each level a real ORAM access whose
 // path is written back to NVM every time), then the data path access
@@ -84,42 +18,21 @@ func (c *Controller) flushResident(ctl *oram.Controller, addr oram.Addr, newLeaf
 // whole access or discards it whole.
 func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
 	start := c.now
-	st := &recState{}
+	var batch *mem.Batch // open for Rcr-PS-ORAM, nil for Rcr-Baseline
 	if c.Scheme == config.SchemeRcrPSORAM {
-		st.batch = c.Mem.BeginBatch()
+		batch = c.Mem.BeginBatch()
+		defer func() {
+			if batch != nil {
+				batch.Abandon()
+			}
+		}()
 	}
-	c.setupRecursiveHooks(st)
-	defer func() {
-		// Hooks must not outlive the access (they close over st).
-		for _, lvl := range c.Rec.Levels {
-			lvl.OnSlotWrite = nil
-		}
-		if st.batch != nil {
-			st.batch.Abandon()
-		}
-	}()
 
 	// Position chain: translate addr and install the fresh data leaf.
 	lNew := c.ORAM.RandomLeaf()
-	l, chainTr, err := c.Rec.Translate(addr, lNew)
+	l, chainBlocks, err := c.walkChain(addr, lNew, batch)
 	if err != nil {
 		return Result{}, err
-	}
-	// Timing of the chain: each level's path was read and written.
-	for i, leafI := range chainTr.LevelLeaves {
-		// Translate walks top-down; LevelLeaves is appended in walk
-		// order, so recover the level index.
-		level := len(c.Rec.Levels) - 1 - i
-		lvl := c.Rec.Levels[level]
-		var done mem.Cycle
-		for _, bucket := range lvl.Tree.Path(leafI) {
-			if d := c.Mem.ReadBucket(c.Mem.RegionTreeLocation(level+1, bucket, 0), start); d > done {
-				done = d
-			}
-		}
-		if done > c.now {
-			c.now = done
-		}
 	}
 	if c.maybeCrash(2, -1) {
 		return Result{}, ErrCrashed
@@ -131,25 +44,11 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 
 	// Data path access.
 	c.epoch++
-	loaded, loadDone, err := c.loadPathTimed(l, addr, c.now)
+	blk, err := c.loadAndServe(op, addr, data, l, lNew, c.now)
 	if err != nil {
 		return Result{}, err
 	}
-	c.markOrigin(loaded)
-	c.now = maxCycle(c.now, loadDone) + mem.Cycle(c.ORAM.Engine.DecryptLatency(len(loaded)))
-
-	blk := c.ORAM.Stash.Get(addr)
-	if blk == nil {
-		return Result{}, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", addr, l)
-	}
-	prev := append([]byte(nil), blk.Data...)
-	if op == oram.OpWrite {
-		copy(blk.Data, data)
-		blk.Dirty = true
-	}
-	blk.Leaf = lNew
-
-	if c.Scheme == config.SchemeRcrPSORAM {
+	if batch != nil {
 		// Backup block (paper: Rcr-PS-ORAM "backs up the accessed target
 		// data blocks every time"), and force-evict the target so the
 		// durably recorded leaf always points at a resident copy. The
@@ -169,46 +68,26 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 	}
 
 	// Evict the data path.
-	plan := c.scratch.plan
-	unplaced := c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), plan, c.scratch.planUsed, c.scratch.unplaced)
-	c.scratch.unplaced = unplaced
-	if c.wpqPersistent() {
-		for _, b := range unplaced {
+	var evicted int
+	if batch == nil {
+		// Rcr-Baseline: posted writes, no atomicity, the flat baselines'
+		// eviction.
+		if evicted, _, err = c.evictTimed(l); err != nil {
+			return Result{}, err
+		}
+	} else {
+		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
+		for _, b := range c.scratch.unplaced {
 			if b.Backup || (b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap) {
 				return Result{}, fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)
 			}
 		}
-	}
-	c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
-
-	var evicted int
-	if st.batch != nil {
-		slots := c.planSlots(l, true)
-		img := c.ORAM.Image
-		for _, s := range slots {
-			// Immediate apply with batch undo: a force-evict pass later
-			// in this same access must read the path as written.
-			st.batch.AddDataApplied(c.Mem.TreeBlockLocation(s.bucket, s.z),
-				img.SetSlot(s.bucket, s.z, s.sealed))
-			if s.block != nil {
-				evicted++
-			}
-		}
-		for _, s := range slots {
-			if s.block == nil {
-				continue
-			}
-			if s.block.Backup {
-				c.ORAM.Stash.RemoveBackup(s.block)
-			} else {
-				c.ORAM.Stash.Remove(s.block.Addr)
-			}
-		}
+		c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
+		slots := c.planSlots(0, l, true)
+		evicted, _ = c.writeBack(0, slots, batch) // batched: no crash point
 		// Force-evict the data target too.
-		if c.ORAM.Stash.Get(addr) != nil {
-			if err := c.flushResidentData(addr, lNew, st); err != nil {
-				return Result{}, err
-			}
+		if _, err := c.forceEvict(0, addr, lNew, batch); err != nil {
+			return Result{}, err
 		}
 		// Crash points while the WPQs fill, before the "end" signal:
 		// the access-spanning batch is discarded whole.
@@ -217,40 +96,15 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 				return Result{}, ErrCrashed
 			}
 		}
-		done, err := st.batch.Commit(c.now)
+		done, err := batch.Commit(c.now)
 		if err != nil {
 			return Result{}, fmt.Errorf("core: recursive eviction batch: %w", err)
 		}
-		st.batch = nil
+		batch = nil
 		c.now = done
 		// Durable: the whole access committed; the target's value is
 		// reachable through the durable chain.
 		c.markDurable(addr, blk.Data)
-	} else {
-		// Rcr-Baseline: posted writes, no atomicity. Crash points between
-		// slot writes model a power failure mid-write-back, losing whatever
-		// still sits in the volatile buffer (same exposure as evictPosted).
-		proceed := c.now
-		slotIdx := 0
-		crashedMid := false
-		evicted = c.ORAM.ApplyEviction(l, plan, func(bucket uint64, z int, s oram.Slot, b *oram.StashBlock) {
-			if crashedMid {
-				return
-			}
-			img := c.ORAM.Image
-			p := c.Mem.WriteBlockPosted(c.Mem.TreeBlockLocation(bucket, z), c.now, func() func() {
-				return img.SetSlot(bucket, z, s)
-			})
-			if p > proceed {
-				proceed = p
-			}
-			crashedMid = c.maybeCrash(5, slotIdx)
-			slotIdx++
-		})
-		if crashedMid {
-			return Result{}, ErrCrashed
-		}
-		c.now = proceed
 	}
 	if c.ORAM.Stash.Overflowed() {
 		return Result{}, fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, c.ORAM.Stash.Len(), c.ORAM.Stash.Capacity())
@@ -259,47 +113,187 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 		return Result{}, ErrCrashed
 	}
 	return Result{
-		Value:         prev,
+		Value:         c.scratch.prev,
 		Start:         start,
 		End:           c.now,
 		PathLeaf:      l,
 		EvictedBlocks: evicted,
-		ChainBlocks:   st.chainBlocks + chainTr.BlocksRead,
+		ChainBlocks:   chainBlocks,
 	}, nil
 }
 
-// flushResidentData force-evicts the data target onto its new path,
-// staging the writes into the open batch.
-func (c *Controller) flushResidentData(addr oram.Addr, newLeaf oram.Leaf, st *recState) error {
-	for try := 0; c.ORAM.Stash.Get(addr) != nil; try++ {
-		if try >= 3 {
-			return fmt.Errorf("core: data block %d refuses to leave the stash after %d flushes", addr, try)
+// walkChain resolves addr's current leaf through the recursive PosMap
+// and records lNew as its next one. It walks the PosMap trees top-down:
+// at each one it accesses the block holding the child's entry, reading
+// the child's current leaf and splicing in the child's next leaf — drawn
+// up front from the child tree's own RNG, since the parent records it
+// before the child's access runs. Rcr-PS-ORAM stages the walk's writes
+// and the Top-map update into batch and force-evicts every accessed
+// block. The chain's path reads are timed after the walk, all from the
+// access's start (see ROADMAP item 6). chainBlocks counts the PosMap
+// blocks read and written.
+func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch) (l oram.Leaf, chainBlocks int, err error) {
+	rec := c.Rec
+	n := len(rec.Levels)
+	if n == 0 {
+		l = rec.Top.Lookup(addr)
+		rec.Top.Set(addr, lNew)
+		c.stageTopUpdate(addr, lNew, batch)
+		return l, 0, nil
+	}
+	start := c.now
+	k := uint64(rec.EntriesPerBlock)
+	// idx[i] is the block of PosMap tree i+1 on addr's chain, next[i] the
+	// leaf it moves to, paths[i] the leaf of the path read in it.
+	idx := make([]oram.Addr, n)
+	next := make([]oram.Leaf, n)
+	paths := make([]oram.Leaf, n)
+	cur := uint64(addr)
+	for i := range idx {
+		cur /= k
+		idx[i] = oram.Addr(cur)
+	}
+	for i, lvl := range rec.Levels {
+		next[i] = lvl.RandomLeaf()
+	}
+	for i := n - 1; i >= 0; i-- {
+		lvl := rec.Levels[i]
+		// The entry this tree's block holds: the data address's leaf, or
+		// the leaf of the child tree's block.
+		off, childNext := uint64(addr)%k, lNew
+		if i > 0 {
+			off, childNext = uint64(idx[i-1])%k, next[i-1]
 		}
-		c.epoch++
-		loaded, done, err := c.loadPathTimed(newLeaf, addr, c.now)
+		if i == n-1 {
+			// The top tree's own leaf lives in the on-chip Top map (aliased
+			// to its flat PosMap).
+			c.stageTopUpdate(idx[i], next[i], batch)
+		}
+		paths[i] = lvl.PosMap.Lookup(idx[i])
+		got, writes, err := c.accessLevel(i, idx[i], off, childNext, next[i], batch)
 		if err != nil {
+			return 0, 0, fmt.Errorf("core: PosMap tree %d: %w", i+1, err)
+		}
+		chainBlocks += writes + lvl.Tree.PathBlocks()
+		if i == 0 {
+			l = got
+		} else if want := rec.Levels[i-1].PosMap.Lookup(idx[i-1]); want != got {
+			// got is the child's current leaf; the child's own PosMap is
+			// authoritative in this simulation — verify coherence.
+			return 0, 0, fmt.Errorf("core: recursive map incoherent at PosMap tree %d: packed %d, posmap %d", i, got, want)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		var done mem.Cycle
+		c.scratch.path = rec.Levels[i].Tree.PathInto(c.scratch.path[:0], paths[i])
+		for _, bucket := range c.scratch.path {
+			done = maxCycle(done, c.Mem.ReadBucket(c.Mem.RegionTreeLocation(i+1, bucket, 0), start))
+		}
+		c.now = maxCycle(c.now, done)
+	}
+	return l, chainBlocks, nil
+}
+
+// stageTopUpdate persists an update of the on-chip Top map: Rcr-PS-ORAM
+// stages it into the access's batch so recovery can rebuild the chain
+// root (durableTop tracks the NVM copy); Rcr-Baseline's Top updates are
+// volatile.
+func (c *Controller) stageTopUpdate(idx oram.Addr, leaf oram.Leaf, batch *mem.Batch) {
+	if batch != nil {
+		top := c.durableTop
+		batch.AddPosMap(c.Mem.PosMapLocation(uint64(idx)), func() {
+			top.Set(idx, leaf)
+		})
+	}
+}
+
+// accessLevel is one PosMap tree's access of the chain walk: load the
+// path of block idx of tree i+1, move the block to lNew, swap the
+// entry at off for next (returning the entry it held), and write the
+// path back; Rcr-PS-ORAM then force-evicts the block. It returns the
+// entry and the number of slots written.
+func (c *Controller) accessLevel(i int, idx oram.Addr, off uint64, next, lNew oram.Leaf, batch *mem.Batch) (got oram.Leaf, writes int, err error) {
+	lvl, plan := c.tree(i + 1)
+	l := lvl.PosMap.Lookup(idx)
+	if err := c.loadLevelPath(lvl, l, idx); err != nil {
+		return 0, 0, err
+	}
+	lvl.PosMap.Set(idx, lNew)
+	blk := lvl.Stash.Get(idx)
+	if blk == nil {
+		return 0, 0, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", idx, l)
+	}
+	got = oram.PackedLeaf(blk.Data, off)
+	oram.PackLeaf(blk.Data, off, next)
+	blk.Dirty = true
+	blk.Leaf = lNew
+
+	c.scratch.unplaced = lvl.PlanEvictionInto(l, lvl.DefaultEvictionOrder(l), plan.rows, plan.used, c.scratch.unplaced)
+	slots := c.planSlots(i+1, l, true)
+	c.writeBack(i+1, slots, batch) // a PosMap tree's write-back has no crash point
+	writes = len(slots)
+	if lvl.Stash.Overflowed() {
+		return 0, 0, fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, lvl.Stash.Len(), lvl.Stash.Capacity())
+	}
+	if batch != nil {
+		// The parent durably recorded lNew: the block must not linger in
+		// the stash.
+		n, err := c.forceEvict(i+1, idx, lNew, batch)
+		if err != nil {
+			return 0, 0, err
+		}
+		writes += n
+	}
+	return got, writes, nil
+}
+
+// loadLevelPath is the functional load of the path to l of PosMap tree
+// lvl (walkChain times the chain's reads once the walk is done).
+func (c *Controller) loadLevelPath(lvl *oram.Controller, l oram.Leaf, target oram.Addr) error {
+	c.scratch.loaded = c.scratch.loaded[:0]
+	c.scratch.path = lvl.Tree.PathInto(c.scratch.path[:0], l)
+	for _, bucket := range c.scratch.path {
+		if err := c.loadBucket(lvl, bucket, l, target); err != nil {
 			return err
 		}
-		c.markOrigin(loaded)
-		c.now = done
-		c.scratch.unplaced = c.ORAM.PlanEvictionInto(newLeaf, c.evictionOrder(newLeaf), c.scratch.plan, c.scratch.planUsed, c.scratch.unplaced)
-		slots := c.planSlots(newLeaf, true)
-		img := c.ORAM.Image
-		for _, s := range slots {
-			st.batch.AddDataApplied(c.Mem.TreeBlockLocation(s.bucket, s.z),
-				img.SetSlot(s.bucket, s.z, s.sealed))
-			if s.block == nil {
-				continue
-			}
-			if s.block.Backup {
-				c.ORAM.Stash.RemoveBackup(s.block)
-			} else {
-				c.ORAM.Stash.Remove(s.block.Addr)
-			}
-		}
-		c.counters.Inc("psoram.rcr_flushes")
 	}
 	return nil
+}
+
+// forceEvict makes sure block addr left the stash of the tree in region
+// once the parent durably recorded leaf as its position: while it is
+// still resident, the path to leaf is loaded and evicted again into the
+// open batch. The block's leaf is that path's, so it places at worst at
+// the leaf. It returns the number of slots written.
+func (c *Controller) forceEvict(region int, addr oram.Addr, leaf oram.Leaf, batch *mem.Batch) (writes int, err error) {
+	ctl, plan := c.tree(region)
+	for try := 0; ctl.Stash.Get(addr) != nil; try++ {
+		if try >= 3 {
+			return writes, fmt.Errorf("core: block %d refuses to leave the stash after %d flushes", addr, try)
+		}
+		var order []*oram.StashBlock
+		if region == 0 {
+			c.epoch++
+			loaded, done, err := c.loadPathTimed(leaf, addr, c.now)
+			if err != nil {
+				return writes, err
+			}
+			c.markOrigin(loaded)
+			c.now = done
+			order = c.evictionOrder(leaf)
+		} else {
+			if err := c.loadLevelPath(ctl, leaf, addr); err != nil {
+				return writes, err
+			}
+			order = ctl.DefaultEvictionOrder(leaf)
+		}
+		c.scratch.unplaced = ctl.PlanEvictionInto(leaf, order, plan.rows, plan.used, c.scratch.unplaced)
+		slots := c.planSlots(region, leaf, true)
+		c.writeBack(region, slots, batch) // batched: no crash point
+		writes += len(slots)
+		c.counters.Inc("psoram.rcr_flushes")
+	}
+	return writes, nil
 }
 
 func maxCycle(a, b mem.Cycle) mem.Cycle {
@@ -332,12 +326,12 @@ func (c *Controller) recoverRecursive() error {
 			} else {
 				parent := c.Rec.Levels[i+1]
 				pIdx := oram.Addr(uint64(idx) / k)
-				data, err := parent.PeekWith(pIdx, func(a oram.Addr) oram.Leaf { return parent.PosMap.Lookup(a) })
+				data, err := parent.Peek(pIdx)
 				if err != nil {
 					c.counters.Inc("crash.unrecoverable_posmap_blocks")
 					continue
 				}
-				leaf = unpackLeaf(data, uint64(idx)%k)
+				leaf = oram.PackedLeaf(data, uint64(idx)%k)
 			}
 			lvl.PosMap.Set(idx, leaf)
 		}
@@ -348,20 +342,14 @@ func (c *Controller) recoverRecursive() error {
 		if len(c.Rec.Levels) == 0 {
 			leaf = c.Rec.Top.Lookup(addr)
 		} else {
-			l1 := c.Rec.Levels[0]
-			data, err := l1.PeekWith(oram.Addr(uint64(addr)/k), func(a oram.Addr) oram.Leaf { return l1.PosMap.Lookup(a) })
+			data, err := c.Rec.Levels[0].Peek(oram.Addr(uint64(addr) / k))
 			if err != nil {
 				c.counters.Inc("crash.unrecoverable_posmap_blocks")
 				continue
 			}
-			leaf = unpackLeaf(data, uint64(addr)%k)
+			leaf = oram.PackedLeaf(data, uint64(addr)%k)
 		}
 		c.ORAM.PosMap.Set(addr, leaf)
 	}
 	return nil
-}
-
-func unpackLeaf(data []byte, off uint64) oram.Leaf {
-	return oram.Leaf(uint32(data[off*4]) | uint32(data[off*4+1])<<8 |
-		uint32(data[off*4+2])<<16 | uint32(data[off*4+3])<<24)
 }

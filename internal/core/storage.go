@@ -31,16 +31,11 @@ type DurableStorage interface {
 	// Persist runs the backend's ordered persist barrier: on return the
 	// current state is the committed on-disk version.
 	Persist() error
-	Close() error
-}
-
-// AsyncStorage is the optional backend facet group commit prefers: the
-// barrier runs on a background worker while the controller keeps
-// executing accesses, and onDone fires exactly once when the enqueued
-// epoch is durable (or failed). A backend without it still works under
-// GroupCommit — the flush just blocks the controller's thread.
-type AsyncStorage interface {
+	// PersistAsync runs the same barrier on a background worker while
+	// the controller keeps executing accesses (group commit): onDone
+	// fires exactly once when the enqueued epoch is durable (or failed).
 	PersistAsync(onDone func(error)) error
+	Close() error
 }
 
 // CommitTicket resolves when the persist barrier covering a commit
@@ -192,13 +187,12 @@ func (c *Controller) commitDurable() error {
 }
 
 // FlushCommits closes the open commit group and starts its persist
-// barrier. With an AsyncStorage backend the barrier runs on the
-// backend's worker and the group's CommitTicket resolves when it
-// completes; otherwise the barrier runs inline. The returned error
-// covers starting the barrier (including a previous barrier's sticky
-// failure) — an asynchronous barrier's own failure reaches callers
-// through the ticket and fails the next flush. No-op when no group is
-// open. Must be called from the controller's owning thread.
+// barrier on the backend's worker; the group's CommitTicket resolves
+// when it completes. The returned error covers starting the barrier
+// (including a previous barrier's sticky failure) — the barrier's own
+// failure reaches callers through the ticket and fails the next flush.
+// No-op when no group is open. Must be called from the controller's
+// owning thread.
 func (c *Controller) FlushCommits() error {
 	if c.storage == nil || c.ticket == nil {
 		return nil
@@ -214,23 +208,13 @@ func (c *Controller) FlushCommits() error {
 		}
 		t.resolve(err)
 	}
-	if as, ok := c.storage.(AsyncStorage); ok {
-		if err := as.PersistAsync(done); err != nil {
-			err = fmt.Errorf("core: persist barrier: %w", err)
-			t.resolve(err)
-			return err
-		}
-		c.counters.Inc("storage.persists")
-		return nil
-	}
-	err := c.storage.Persist()
-	if err != nil {
+	if err := c.storage.PersistAsync(done); err != nil {
 		err = fmt.Errorf("core: persist barrier: %w", err)
-	} else {
-		c.counters.Inc("storage.persists")
+		t.resolve(err)
+		return err
 	}
-	done(err)
-	return err
+	c.counters.Inc("storage.persists")
+	return nil
 }
 
 // OnCommit registers fn to run once the most recently completed

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/oram"
 )
@@ -244,17 +245,19 @@ func TestOracleRecursiveDepth(t *testing.T) {
 	}
 }
 
-// TestOracleStashOverflowTyped drives initialization into an
-// over-subscribed tree and asserts the typed error is reachable through
-// errors.Is across the wrap chain.
+// TestOracleStashOverflowTyped drives a Baseline controller into a
+// hopelessly crowded stash and asserts the typed error is reachable
+// through errors.Is across the wrap chain.
 func TestOracleStashOverflowTyped(t *testing.T) {
 	const bb = 32
-	c, err := oram.New(oram.Params{
-		Levels: 4, Z: 4, BlockBytes: bb, StashEntries: 25, NumBlocks: 50, Seed: 3,
-	})
+	cfg := config.Default()
+	cfg.BlockBytes, cfg.StashEntries, cfg.Seed = bb, 25, 3
+	cfg.CapacityBytes = oram.NewTree(4, cfg.Z).Slots() * bb // a stash of 25 exceeds its path
+	ctl, err := core.New(config.SchemeBaseline, cfg, core.Options{NumBlocks: 50, Levels: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := ctl.ORAM
 	// Crowd the stash with rescue backups all targeting leaf 0: a single
 	// eviction path can absorb at most Z*(L+1)=20 of them, so the next
 	// access must leave the stash over capacity and surface the typed
@@ -265,7 +268,7 @@ func TestOracleStashOverflowTyped(t *testing.T) {
 			Data: make([]byte, bb),
 		})
 	}
-	_, _, err = c.Access(oram.OpRead, 0, nil)
+	_, err = ctl.Access(oram.OpRead, 0, nil)
 	if err == nil {
 		t.Fatal("access with a hopelessly crowded stash did not fail")
 	}

@@ -27,20 +27,12 @@ func (o Op) String() string {
 	return "write"
 }
 
-// AccessTrace records what a single ORAM access touched, for the timing
-// layer and the tests: which path was read, which slots changed, how many
-// PosMap entries became dirty.
-type AccessTrace struct {
-	PathLeaf     Leaf
-	Evicted      int // real blocks (incl. backups) written back
-	DirtyPosMap  int // posmap entries persisted (PS-ORAM variants)
-	StashAfter   int
-	BackupsAdded int
-}
-
-// Controller is the baseline Path ORAM controller: volatile stash and
-// PosMap, no crash consistency. It is the reference against which the
-// persistent controllers in internal/core are built and compared.
+// Controller holds one Path ORAM tree's state — geometry, sealed image,
+// stash, position map, crypto engine, leaf RNG and the IV and
+// seal-version cursors — and the greedy placement rule
+// (PlanEvictionInto, DefaultEvictionOrder). It runs no accesses:
+// internal/core is the one access engine, over the data tree and every
+// recursive PosMap tree alike.
 type Controller struct {
 	Tree   Tree
 	Image  *Image
@@ -55,13 +47,6 @@ type Controller struct {
 	iv     uint64
 	nReal  uint64
 	verSeq uint32
-
-	// OnSlotWrite, when non-nil, intercepts every eviction slot write in
-	// place of the direct image update. The persistent controllers use
-	// it to route posmap-ORAM write-backs through the memory
-	// controller's write buffer or WPQ batches; the hook owns applying
-	// (or staging) the image mutation.
-	OnSlotWrite func(bucket uint64, z int, s Slot, b *StashBlock)
 }
 
 // Params bundles the knobs for constructing a functional ORAM.
@@ -248,147 +233,6 @@ func (c *Controller) SetVerSeq(v uint32) {
 	}
 }
 
-// Access performs one baseline Path ORAM access (§2.2.2): check stash,
-// look up and remap the leaf, load the path into the stash, serve the
-// request, evict greedily back onto the same path. It returns the value
-// read (for OpRead) or the previous value (for OpWrite), plus a trace.
-//
-// This baseline applies stash and PosMap updates to volatile state and
-// writes the path back without any atomicity. A crash loses the stash and
-// the volatile PosMap deltas — exactly the failure the paper's §3.3 case
-// studies dissect.
-func (c *Controller) Access(op Op, addr Addr, data []byte) ([]byte, AccessTrace, error) {
-	if err := c.CheckSealVersions(); err != nil {
-		return nil, AccessTrace{}, err
-	}
-	// A bad write is refused before the access touches anything.
-	if op == OpWrite && len(data) != c.Image.BlockBytes() {
-		return nil, AccessTrace{}, fmt.Errorf("oram: write of %d bytes, block size %d", len(data), c.Image.BlockBytes())
-	}
-	var prev []byte
-	tr, err := c.access(addr, c.RandomLeaf, func(blk []byte) bool {
-		prev = append([]byte(nil), blk...)
-		if op == OpWrite {
-			copy(blk, data)
-		}
-		return op == OpWrite
-	})
-	if err != nil {
-		return nil, AccessTrace{}, err
-	}
-	return prev, tr, nil
-}
-
-// AccessRMW performs one ORAM access that atomically (with respect to
-// the protocol) reads block addr, applies mutate to its payload, and
-// marks it dirty if mutate reports a change. Recursive position-map
-// updates use this to splice a child's fresh leaf into its parent block
-// during the parent's own access.
-func (c *Controller) AccessRMW(addr Addr, mutate func(data []byte) bool) (AccessTrace, error) {
-	if err := c.CheckSealVersions(); err != nil {
-		return AccessTrace{}, err
-	}
-	return c.access(addr, c.RandomLeaf, mutate)
-}
-
-// access is the one body of a baseline access. newLeaf supplies the
-// block's next leaf — a fresh draw, or the leaf a recursive parent has
-// already recorded for it — and is called once, after the range check
-// and before the path load, so the RNG advances exactly where it always
-// has. mutate sees the block's payload in the stash and reports whether
-// it changed it.
-func (c *Controller) access(addr Addr, newLeaf func() Leaf, mutate func(data []byte) bool) (AccessTrace, error) {
-	if uint64(addr) >= c.nReal {
-		return AccessTrace{}, fmt.Errorf("oram: access to addr %d outside [0,%d)", addr, c.nReal)
-	}
-	// Step 2: PosMap lookup + remap. (Step 1's stash check cannot skip
-	// the path access: obliviousness requires the full sequence either
-	// way, so we always read the mapped path.) The PosMap entry is
-	// overwritten only after the path load: the loader uses the mapping
-	// to tell live copies from stale ones, and the target's tree copy is
-	// live precisely under its old leaf.
-	l := c.PosMap.Lookup(addr)
-	lNew := newLeaf()
-
-	// Step 3: load path l into the stash.
-	if _, err := c.LoadPathWith(l, c.PosMap.Lookup); err != nil {
-		return AccessTrace{}, err
-	}
-	c.PosMap.Set(addr, lNew)
-
-	// Serve the request from the stash; the block must exist now.
-	blk := c.Stash.Get(addr)
-	if blk == nil {
-		return AccessTrace{}, fmt.Errorf("oram: block %d not found on path %d nor in stash (corrupt state)", addr, l)
-	}
-	if mutate != nil && mutate(blk.Data) {
-		blk.Dirty = true
-	}
-	// Step 4: update the stash copy's leaf.
-	blk.Leaf = lNew
-
-	// Step 5: evict path l.
-	evicted := c.evictPath(l, nil)
-
-	if c.Stash.Overflowed() {
-		return AccessTrace{}, fmt.Errorf("oram: %w (%d > %d)", ErrStashOverflow, c.Stash.Len(), c.Stash.Capacity())
-	}
-	return AccessTrace{PathLeaf: l, Evicted: evicted, StashAfter: c.Stash.Len()}, nil
-}
-
-// LoadPathWith decrypts every slot on the path to l into the stash.
-// Blocks whose header leaf disagrees with currentLeaf are stale copies
-// (PS-ORAM backups superseded later) and are dropped as dummies, per
-// footnote 1 of the paper; the oracle is injectable so the PS-ORAM
-// controller can overlay its temporary PosMap. It returns the
-// blocks newly brought into the stash by this load (the "path-origin"
-// blocks, which a crash-consistent eviction must return to this path).
-func (c *Controller) LoadPathWith(l Leaf, currentLeaf func(Addr) Leaf) ([]*StashBlock, error) {
-	var loaded []*StashBlock
-	for _, bucket := range c.Tree.Path(l) {
-		blocks, err := c.Image.ReadBucket(c.Engine, bucket)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range blocks {
-			if b.Dummy() {
-				continue
-			}
-			if uint64(b.Addr) >= c.nReal {
-				return nil, fmt.Errorf("oram: tree contains out-of-range addr %d", b.Addr)
-			}
-			if currentLeaf(b.Addr) != b.Leaf {
-				// Stale copy: treat as dummy.
-				continue
-			}
-			if existing := c.Stash.Get(b.Addr); existing != nil {
-				// A stash-resident copy from an earlier access is always
-				// fresher. Between two copies loaded from THIS path (a
-				// leaf collision between a block and its backup), the
-				// higher seal version wins.
-				if loadedThisCall(loaded, existing) && b.Ver > existing.Ver {
-					existing.Ver = b.Ver
-					existing.Data = b.Data
-				}
-				continue
-			}
-			sb := &StashBlock{Addr: b.Addr, Leaf: b.Leaf, Ver: b.Ver, Data: b.Data}
-			c.Stash.Put(sb)
-			loaded = append(loaded, sb)
-		}
-	}
-	return loaded, nil
-}
-
-func loadedThisCall(loaded []*StashBlock, b *StashBlock) bool {
-	for _, x := range loaded {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
 // TargetLeaf returns the leaf a stash block is evicted toward: backups
 // go to their recorded backup leaf, live blocks to their current leaf.
 func (b *StashBlock) TargetLeaf() Leaf {
@@ -398,29 +242,19 @@ func (b *StashBlock) TargetLeaf() Leaf {
 	return b.Leaf
 }
 
-// PlanEviction computes the greedy Path ORAM eviction onto path l for an
-// explicitly ordered candidate list: each candidate is placed at the
-// deepest level of the path its target leaf allows, earlier candidates
-// first. It returns the plan ((level, slot) -> block; nil means dummy)
-// and the candidates that did not fit (they stay in the stash).
+// PlanEvictionInto computes the greedy Path ORAM eviction onto path l
+// for an explicitly ordered candidate list: each candidate is placed at
+// the deepest level of the path its target leaf allows, earlier
+// candidates first. It writes the plan into caller-provided rows ((level,
+// slot) -> block; nil means dummy) and used counters: plan must have L+1
+// rows of Z slots each, and used must have L+1 entries; both are fully
+// overwritten. The candidates that did not fit (they stay in the stash)
+// are appended to the (emptied) unplaced slice and returned.
 //
 // The order is the crash-consistency policy knob: the PS-ORAM controller
 // in internal/core orders path-origin blocks and backups first (they
 // must return to this path or a partial write-back loses them — Fig. 3),
 // then blocks with pending PosMap remaps, then the rest.
-func (c *Controller) PlanEviction(l Leaf, ordered []*StashBlock) (plan [][]*StashBlock, unplaced []*StashBlock) {
-	plan = make([][]*StashBlock, c.Tree.L+1)
-	for k := range plan {
-		plan[k] = make([]*StashBlock, c.Tree.Z)
-	}
-	return plan, c.PlanEvictionInto(l, ordered, plan, make([]int, c.Tree.L+1), nil)
-}
-
-// PlanEvictionInto is PlanEviction writing into caller-provided plan
-// rows and used counters: plan must have L+1 rows of Z slots each, and
-// used must have L+1 entries; both are fully overwritten. unplaced is
-// appended to the (emptied) caller slice and returned. Placement
-// semantics are identical to PlanEviction.
 func (c *Controller) PlanEvictionInto(l Leaf, ordered []*StashBlock, plan [][]*StashBlock, used []int, unplaced []*StashBlock) []*StashBlock {
 	t := c.Tree
 	for k := 0; k <= t.L; k++ {
@@ -474,80 +308,6 @@ func (c *Controller) DefaultEvictionOrder(l Leaf) []*StashBlock {
 		return a.Addr < b.Addr
 	})
 	return append(backups, live...)
-}
-
-// evictPath writes the eviction plan back to the NVM image and removes
-// evicted blocks from the stash. onWrite, if non-nil, intercepts each
-// slot write (the persistent controllers route writes through WPQ
-// batches); when nil the write is applied to the image directly.
-// It returns the number of real blocks written.
-func (c *Controller) evictPath(l Leaf, onWrite func(bucket uint64, z int, s Slot, b *StashBlock)) int {
-	plan, _ := c.PlanEviction(l, c.DefaultEvictionOrder(l))
-	return c.ApplyEviction(l, plan, onWrite)
-}
-
-// ApplyEviction seals and writes a previously computed plan. Exposed so
-// the PS-ORAM controller can wrap plan computation and write-out
-// separately.
-func (c *Controller) ApplyEviction(l Leaf, plan [][]*StashBlock, onWrite func(bucket uint64, z int, s Slot, b *StashBlock)) int {
-	if onWrite == nil {
-		onWrite = c.OnSlotWrite
-	}
-	t := c.Tree
-	path := t.Path(l)
-	real := 0
-	for k, bucket := range path {
-		for z := 0; z < t.Z; z++ {
-			b := plan[k][z]
-			var slot Slot
-			if b == nil {
-				slot = DummySlot(c.Engine, c.Image.BlockBytes(), c.NextIV)
-			} else {
-				leaf := b.Leaf
-				if b.Backup {
-					leaf = b.BackupLeaf
-				}
-				slot = SealBlock(c.Engine, Block{Addr: b.Addr, Leaf: leaf, Ver: c.NextVer(), Data: b.Data}, c.NextIV)
-				real++
-			}
-			if onWrite != nil {
-				onWrite(bucket, z, slot, b)
-			} else {
-				c.Image.SetSlot(bucket, z, slot)
-			}
-			if b != nil {
-				if b.Backup {
-					c.Stash.RemoveBackup(b)
-				} else {
-					c.Stash.Remove(b.Addr)
-				}
-			}
-		}
-	}
-	return real
-}
-
-// CrashVolatile models the power failure's effect on the baseline
-// controller's volatile state: stash gone. (The volatile PosMap deltas
-// are handled by the caller, which knows which mem-layer writes
-// survived.)
-func (c *Controller) CrashVolatile() {
-	c.Stash.Clear()
-}
-
-// ReadAll sweeps every logical address and returns the values; used by
-// the consistency checker. Unlike Access it does not mutate any state: it
-// peeks the stash, then scans the block's mapped path in the image.
-func (c *Controller) ReadAll() (map[Addr][]byte, error) {
-	out := make(map[Addr][]byte, c.nReal)
-	for a := Addr(0); uint64(a) < c.nReal; a++ {
-		v, err := c.Peek(a)
-		if err != nil {
-			return nil, err
-		}
-		out[a] = v
-	}
-	return out, nil
 }
 
 // Peek returns addr's current value without performing an ORAM access

@@ -1,9 +1,6 @@
 package oram
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func newRecursive(t *testing.T, dataBlocks uint64) (*Controller, *RecursiveMap) {
 	t.Helper()
@@ -38,115 +35,6 @@ func TestRecursiveMapDepth(t *testing.T) {
 	}
 	if m.Levels[0].NumBlocks() != 25 || m.Levels[1].NumBlocks() != 7 {
 		t.Fatalf("level sizes = %d,%d want 25,7", m.Levels[0].NumBlocks(), m.Levels[1].NumBlocks())
-	}
-}
-
-func TestTranslateReturnsCurrentLeafAndRemaps(t *testing.T) {
-	data, m := newRecursive(t, 100)
-	for i := 0; i < 300; i++ {
-		addr := Addr(i % 100)
-		want := data.PosMap.Lookup(addr)
-		next := data.RandomLeaf()
-		got, _, err := m.Translate(addr, next)
-		if err != nil {
-			t.Fatalf("translate %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("translate %d: leaf %d, data posmap says %d", i, got, want)
-		}
-		// Mirror the remap into the data posmap (the Rcr controller does
-		// this as part of its access).
-		data.PosMap.Set(addr, next)
-		// A second translate must now see the new value.
-		got2, _, err := m.Translate(addr, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got2 != next {
-			t.Fatalf("translate %d: updated leaf %d not visible, got %d", i, next, got2)
-		}
-		data.PosMap.Set(addr, want)
-	}
-}
-
-func TestTranslateTraceCountsChainWork(t *testing.T) {
-	_, m := newRecursive(t, 100)
-	_, tr, err := m.Translate(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.LevelLeaves) != 2 {
-		t.Fatalf("chain touched %d levels, want 2", len(tr.LevelLeaves))
-	}
-	wantBlocks := m.Levels[0].Tree.PathBlocks() + m.Levels[1].Tree.PathBlocks()
-	if tr.BlocksRead != wantBlocks || tr.BlocksWritten != wantBlocks {
-		t.Fatalf("trace blocks = %d/%d, want %d", tr.BlocksRead, tr.BlocksWritten, wantBlocks)
-	}
-}
-
-func TestDegenerateRecursion(t *testing.T) {
-	tree := NewTree(5, 4)
-	m, err := NewRecursiveMap(RecursiveParams{
-		DataBlocks:      10,
-		DataTree:        tree,
-		BlockBytes:      64,
-		EntriesPerBlock: 4,
-		OnChipEntries:   100, // everything fits on chip
-		StashEntries:    120,
-		Seed:            5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Levels) != 0 {
-		t.Fatalf("expected degenerate hierarchy, got %d levels", len(m.Levels))
-	}
-	old := m.Top.Lookup(3)
-	got, _, err := m.Translate(3, old+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != old || m.Top.Lookup(3) != old+1 {
-		t.Fatal("degenerate translate did not behave like a flat map")
-	}
-}
-
-func TestRecursiveEndToEndDataAccess(t *testing.T) {
-	// Drive a full recursive ORAM by hand: translate, then access the
-	// data ORAM on the old leaf with the translated new leaf. Values must
-	// round-trip across hundreds of accesses.
-	data, m := newRecursive(t, 100)
-	ref := make(map[Addr][]byte)
-	r := newTestRand(31)
-	for i := 0; i < 600; i++ {
-		addr := Addr(r.Intn(100))
-		next := data.RandomLeaf()
-		oldLeaf, _, err := m.Translate(addr, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := data.LoadPathWith(oldLeaf, func(a Addr) Leaf { return data.PosMap.Lookup(a) }); err != nil {
-			t.Fatal(err)
-		}
-		data.PosMap.Set(addr, next)
-		blk := data.Stash.Get(addr)
-		if blk == nil {
-			t.Fatalf("access %d: block %d missing", i, addr)
-		}
-		if want, ok := ref[addr]; ok && !bytes.Equal(blk.Data, want) {
-			t.Fatalf("access %d: addr %d = %q want %q", i, addr, blk.Data, want)
-		}
-		if r.Intn(2) == 0 {
-			v := val(addr, i, 64)
-			copy(blk.Data, v)
-			blk.Dirty = true
-			ref[addr] = append([]byte(nil), v...)
-		}
-		blk.Leaf = next
-		data.evictPath(oldLeaf, nil)
-		if data.Stash.Overflowed() {
-			t.Fatalf("access %d: stash overflow", i)
-		}
 	}
 }
 

@@ -27,7 +27,7 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, er
 	// Persist mode: make room in the journal and the temp posmap first.
 	if c.P.Persist {
 		for c.liveJournal() >= c.P.JournalEntries || c.Temp.Full() {
-			if err := c.evictPath(); err != nil {
+			if err := c.evictScheduled(); err != nil {
 				return nil, err
 			}
 			c.inc("ring.forced_evictions", 1)
@@ -72,7 +72,7 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, er
 
 	// --- Scheduled EvictPath every A accesses ---
 	if c.accesses%uint64(c.P.A) == 0 {
-		if err := c.evictPath(); err != nil {
+		if err := c.evictScheduled(); err != nil {
 			return nil, err
 		}
 	}
@@ -168,12 +168,12 @@ func (c *Controller) reverseLexLeaf(g uint64) oram.Leaf {
 	return oram.Leaf(rev % c.Tree.Leaves())
 }
 
-// evictPath is Ring ORAM's scheduled write-back: pull every valid real
+// evictScheduled is Ring ORAM's scheduled write-back: pull every valid real
 // block on the reverse-lexicographic path into the stash, then rewrite
 // the whole path greedily (Z real slots + S fresh dummies per bucket).
 // In Persist mode the rewrite plus the dirty PosMap entries plus journal
 // retirements commit as one atomic batch.
-func (c *Controller) evictPath() error {
+func (c *Controller) evictScheduled() error {
 	g := c.evictG
 	c.evictG++
 	l := c.reverseLexLeaf(g)
