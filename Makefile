@@ -103,19 +103,23 @@ profile: build
 # stash table, persistence domain, core controller, serving layer, and a
 # loopback round trip through the network front-end), the checks that the
 # write-back's work follows the occupied slots (a whole-bucket image
-# write touches no dummy's entry; an untimed batch stores no
-# function-less entry), the golden
-# determinism regression, one pass of the sim and serve benchmarks with
-# -benchtime=1x (harness correctness, not timing), and experiments-check.
+# write touches no cold per-slot entry; an untimed batch stores no
+# function-less entry), the image layout the load walk relies on (one
+# cache-line record per bucket) and the gather ahead of it (reads only,
+# allocates nothing), the golden
+# determinism regression, one pass of the sim, serve and store benchmarks
+# with -benchtime=1x (harness correctness, not timing; the deep store
+# benchmark is the in-repo reproducer of the cache-missing L=16 access),
+# and experiments-check.
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
-	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot' -v
+	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestRecordLayout' -v
 	$(GO) test ./internal/mem -run 'TestFunctionlessEntriesAreCountedNotStoredWhenUntimed|TestAddDataRunTimesLikeSingleEntries' -v
-	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreEagerSealSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs' -short -v
+	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreEagerSealSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs|TestGatherChangesNothing' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkStoreAccessDeep$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .
 	$(MAKE) experiments-check
 
 # experiments-check reruns `psoram experiments` and diffs its stdout

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/oram"
 	"repro/internal/report"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -147,6 +148,38 @@ func BenchmarkStoreAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := (uint64(i) * 2654435761) % 512
+		if i%2 == 0 {
+			if err := s.Write(addr, buf); err != nil {
+				b.Fatal(err)
+			}
+		} else if _, err := s.Read(addr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreAccessDeep is BenchmarkStoreAccess at the height of a
+// mem-deep shard (65536 blocks, 16 levels, PS-ORAM), where the image is
+// far beyond the CPU caches and the load walk waits on memory; at 8
+// levels everything it reads is an L2 hit. Every block is written once
+// before timing, then the addresses are uniform and half of them writes.
+func BenchmarkStoreAccessDeep(b *testing.B) {
+	const blocks = 65536
+	s, err := New(blocks, WithScheme(PSORAM), WithLevels(16), WithRNGSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, s.BlockSize())
+	for addr := uint64(0); addr < blocks; addr++ {
+		if err := s.Write(addr, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rng.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := r.Uint64n(blocks)
 		if i%2 == 0 {
 			if err := s.Write(addr, buf); err != nil {
 				b.Fatal(err)

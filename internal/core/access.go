@@ -279,6 +279,8 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 	clear(c.endangered)
 	c.scratch.path = c.ORAM.Tree.PathInto(c.scratch.path[:0], l)
 	path := c.scratch.path
+	// Start the path's cache misses before the walk below consumes them.
+	c.gathered += c.ORAM.Image.Gather(path, c.ORAM.PosMap)
 	// Integrity: verify the path against the trusted root before any of
 	// it is consumed. The sibling hashes come from NVM (one per level).
 	if c.Merkle != nil {
@@ -318,7 +320,7 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 
 // loadBucket is the functional half of loading one bucket of the path to
 // l of tree ctl — the data tree or a recursive PosMap tree. A bucket the
-// overlay holds in its dense form names its real slots and only those
+// overlay holds in its record form names its real slots and only those
 // are visited; any other bucket is walked slot by slot.
 func (c *Controller) loadBucket(ctl *oram.Controller, bucket uint64, l oram.Leaf, target oram.Addr) error {
 	if real, dense := ctl.Image.RealSlots(bucket); dense {

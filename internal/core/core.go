@@ -142,6 +142,10 @@ type Controller struct {
 		ivBase   uint64        // IV cursor before the last planSlots' draws
 	}
 
+	// gathered folds what oram.Image.Gather read ahead of each load walk;
+	// it is kept only so that those loads are not discarded.
+	gathered uint64
+
 	// stageNanos accumulates wall time per protocol stage (see the
 	// stage* constants): the serving layer turns deltas into per-stage
 	// latency histograms. tMark is the stage cursor (stageMark/stageAdd).

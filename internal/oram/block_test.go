@@ -189,7 +189,7 @@ func (w wrappedStorage) SetSlot(bucket uint64, z int, s Slot) {
 // empty however many slots are written lazily, while a durable one
 // queues each slot once and drains at MaterializePending — sealing each
 // queued slot once, whole-bucket writes included, because an image over
-// a store that is not process memory never takes the dense form.
+// a store that is not process memory never takes the record form.
 func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(3, 2)
@@ -208,16 +208,16 @@ func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	if len(mem.pending) != 0 {
 		t.Fatalf("in-memory image queued %d deferred seals nobody drains", len(mem.pending))
 	}
-	if _, dense := mem.RealSlots(0); !dense {
-		t.Fatal("a whole-bucket write on an in-memory image did not leave the bucket dense")
+	if _, ok := mem.RealSlots(0); !ok {
+		t.Fatal("a whole-bucket write on an in-memory image did not leave the bucket in record form")
 	}
 
 	sets := 0
 	dur := NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs())
 	dur.EnableLazySeal(e)
 	writeAll(dur)
-	if _, dense := dur.RealSlots(0); dense || dur.dense != nil {
-		t.Fatal("an image over a durable store went dense")
+	if _, ok := dur.RealSlots(0); ok || dur.recordForm {
+		t.Fatal("an image over a durable store took the record form")
 	}
 	want := int(tree.Slots())
 	if len(dur.pending) != want {

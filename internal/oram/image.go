@@ -2,6 +2,9 @@ package oram
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/cryptoeng"
 	"repro/internal/rng"
@@ -30,23 +33,28 @@ type Image struct {
 	// protocol's IV/version streams, and therefore every observable
 	// ciphertext, are unchanged.
 	//
-	// The overlay is three flat tables indexed by slot = bucket*Z+z, so a
-	// bucket's Z headers are one contiguous run and its Z payloads another
-	// — the shape of the controller's bucket-wide burst: plain holds the
-	// fixed-size headers, arena the payloads (slot*blockB), and memo the
+	// The overlay is laid out the way the controller fetches a bucket, as
+	// one burst. recs holds one record per bucket (see the rec* constants):
+	// the bucket's state and every slot's header, one 64-byte cache line
+	// at Z = 4. cold holds, per slot = bucket*Z+z, what a path write-back
+	// never needs: IVs that are not the bucket's implied pair, and the
+	// state bits. arena holds the payloads (slot*blockB), and memo the
 	// materialized ciphertext buffers. memo is allocated on the first
 	// materialization: in-memory serving never materializes, and a durable
 	// barrier does so for every slot it persists.
 	//
 	// A path write-back rewrites all Z slots of a bucket at once, most of
-	// them with dummies, under 2Z consecutive IVs. dense records such a
-	// write once per bucket (see denseBucket) instead of once per slot.
-	lazy   bool
-	engine *cryptoeng.Engine
-	plain  []plainSlot
-	arena  []byte
-	memo   []sealedBuf
-	dense  []denseBucket
+	// them with dummies, under 2Z consecutive IVs. While recordForm is set
+	// a bucket records such a write in its record alone (the record form,
+	// recOn) instead of slot by slot in cold.
+	lazy       bool
+	recordForm bool
+	engine     *cryptoeng.Engine
+	recW       uint64 // words per record: recHdr + 3Z
+	recs       []uint32
+	cold       []coldSlot
+	arena      []byte
+	memo       []sealedBuf
 	// pending lists the slots with a queued deferred seal for the
 	// persist-time barrier (MaterializePending). Only a durable backend
 	// runs that barrier, so slots are queued only when barrier is set:
@@ -56,41 +64,60 @@ type Image struct {
 	pending []uint64
 }
 
-// plainSlot is one deferred seal: what the slot's ciphertext WILL be.
-// 40 bytes, no pointers.
-type plainSlot struct {
+// A bucket's record is recHdr+3Z 32-bit words, 16+12Z bytes, and the
+// records start on a cache line:
+//
+//	words 0-1  ivBase (low word first)
+//	word  2    real: bit z set = slot z holds a real block
+//	word  3    explicit: bit z set = real slot z's IVs are in cold; recOn
+//	recHdr+3z  slot z's header: addr, leaf, ver
+//
+// The headers are the overlay's headers in either form. While recOn is
+// set the bucket is in record form, what a whole-bucket write
+// (PutLazyDummies, then PutLazyBlock per real slot) leaves behind: every
+// slot is live, a clear real bit is a dummy, every dummy and every real
+// slot without its explicit bit is sealed under the implied IVs
+// ivBase+2z+1 and ivBase+2z+2, and the cold state bits are stale and not
+// read. Anything else that touches a slot of the bucket first expands it
+// back into per-slot cold entries. Without recOn, real, explicit and
+// ivBase mean nothing and cold is authoritative.
+const (
+	recIVBase   = 0
+	recReal     = 2
+	recExplicit = 3
+	recHdr      = 4
+	recOn       = 1 << 31
+	// maxRecordZ is the width of the masks: images with more slots per
+	// bucket keep per-slot entries throughout.
+	maxRecordZ = 31
+)
+
+// coldSlot is the part of a deferred seal that the record does not hold.
+// 24 bytes, no pointers.
+type coldSlot struct {
 	iv1, iv2 uint64
-	addr     Addr
-	leaf     Leaf
-	ver      uint32
 	state    uint8
 }
 
-// denseBucket is the dense form of one bucket's overlay entries: what a
-// whole-bucket write (PutLazyDummies, then PutLazyBlock per real slot)
-// leaves behind. While on is set every slot of the bucket is live; slot
-// z is a real block iff bit z of real is set, and only then is its
-// plainSlot entry meaningful. A clear bit is a dummy under the IVs
-// ivBase+2z+1 and ivBase+2z+2 whose plainSlot entry is stale and must
-// not be read. Anything else that touches a slot of the bucket first
-// expands it back into per-slot entries. 16 bytes, no pointers.
-type denseBucket struct {
-	ivBase uint64
-	real   uint32
-	on     bool
-}
-
-// maxDenseZ is the width of denseBucket.real: images with more slots per
-// bucket keep per-slot entries throughout.
-const maxDenseZ = 32
-
-// plainSlot.state bits.
+// coldSlot.state bits.
 const (
 	psLive   = 1 << iota // the entry shadows the store
 	psSealed             // memo holds the entry's materialized ciphertext
 	psDummy
 	psQueued // on the pending list (dedupes MaterializePending work)
 )
+
+// lineBytes is the cache-line size the records are aligned to.
+const lineBytes = 64
+
+// lineAligned returns n zeroed words, the first of them at the start of
+// a cache line. The Go heap does not move objects, so the alignment
+// holds for the slice's lifetime.
+func lineAligned(n uint64) []uint32 {
+	buf := make([]uint32, n+lineBytes/4-1)
+	skip := uint64(lineBytes-uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%lineBytes) % lineBytes / 4
+	return buf[skip : skip+n : skip+n]
+}
 
 // sealedBuf is one slot's materialized ciphertext. The buffers are
 // overlay-owned, never the store's: ordered evictions can alias one
@@ -129,7 +156,8 @@ func newLazyImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uin
 	img.EnableLazySeal(e)
 	// A bucket's 2Z draws, in slot order, are what a path write-back
 	// draws for it: when they come out consecutive (NextIV is a counter)
-	// the bucket is born dense, one record instead of Z.
+	// the bucket is born in record form, one record write instead of Z
+	// cold ones.
 	ivs := make([]uint64, 2*t.Z)
 	for bucket := uint64(0); bucket < t.Buckets(); bucket++ {
 		consecutive := true
@@ -168,14 +196,14 @@ func (img *Image) EnableLazySeal(e *cryptoeng.Engine) {
 	img.engine = e
 	_, inMemory := img.store.(*memStorage)
 	img.barrier = !inMemory
-	slots := img.Tree.Slots()
-	img.plain = make([]plainSlot, slots)
-	img.arena = make([]byte, slots*uint64(img.blockB))
-	// The dense form is for in-memory stores only: a durable barrier
+	// The record form is for in-memory stores only: a durable barrier
 	// queues and seals slot by slot, so its image keeps per-slot entries.
-	if inMemory && img.Tree.Z <= maxDenseZ {
-		img.dense = make([]denseBucket, img.Tree.Buckets())
-	}
+	img.recordForm = inMemory && img.Tree.Z <= maxRecordZ
+	slots := img.Tree.Slots()
+	img.recW = recHdr + 3*uint64(img.Tree.Z)
+	img.recs = lineAligned(img.Tree.Buckets() * img.recW)
+	img.cold = make([]coldSlot, slots)
+	img.arena = make([]byte, slots*uint64(img.blockB))
 }
 
 // LazySeal reports whether the overlay is armed.
@@ -190,20 +218,33 @@ func (img *Image) DisableLazySeal() {
 	if !img.lazy {
 		return
 	}
-	for bucket := range img.dense {
-		img.expand(uint64(bucket))
+	for bucket := uint64(0); bucket < img.Tree.Buckets(); bucket++ {
+		img.expand(bucket)
 	}
-	for idx := range img.plain {
-		if img.plain[idx].state&psLive != 0 {
+	for idx := range img.cold {
+		if img.cold[idx].state&psLive != 0 {
 			img.materialize(uint64(idx))
 		}
 	}
-	img.lazy = false
-	img.plain, img.arena, img.memo, img.dense, img.engine = nil, nil, nil, nil, nil
+	img.lazy, img.recordForm = false, false
+	img.recs, img.cold, img.arena, img.memo, img.engine = nil, nil, nil, nil, nil
 }
 
 func (img *Image) slotIndex(bucket uint64, z int) uint64 {
 	return bucket*uint64(img.Tree.Z) + uint64(z)
+}
+
+// record is bucket's record (recW words).
+func (img *Image) record(bucket uint64) []uint32 {
+	o := bucket * img.recW
+	return img.recs[o : o+img.recW : o+img.recW]
+}
+
+// impliedIVs is the IV pair slot z of a record-form bucket is sealed
+// under unless its explicit bit says otherwise.
+func impliedIVs(r []uint32, z int) (iv1, iv2 uint64) {
+	base := (uint64(r[recIVBase]) | uint64(r[recIVBase+1])<<32) + 2*uint64(z)
+	return base + 1, base + 2
 }
 
 // payload is slot idx's arena cell, capped so that an append through the
@@ -214,50 +255,103 @@ func (img *Image) payload(idx uint64) []byte {
 	return img.arena[off:end:end]
 }
 
-// impliedDummy reports whether (bucket, z) is a dummy that exists only
-// in its bucket's dense record: its per-slot entry is stale.
-func (img *Image) impliedDummy(bucket uint64, z int) bool {
-	return img.dense != nil && img.dense[bucket].on && img.dense[bucket].real>>uint(z)&1 == 0
+// state is the state bits of slot z of the bucket with record r: the
+// record answers while the bucket is in record form, cold otherwise.
+func (img *Image) state(r []uint32, idx uint64, z int) uint8 {
+	if r[recExplicit]&recOn == 0 {
+		return img.cold[idx].state
+	}
+	if r[recReal]>>uint(z)&1 == 0 {
+		return psLive | psDummy
+	}
+	return psLive
 }
 
-// expand turns a dense bucket back into per-slot entries, writing out
-// the dummies its record implied. Every per-slot operation that cannot
-// keep the dense form calls it first, so the per-slot API means what it
-// always did.
+// expand turns a record-form bucket back into per-slot cold entries:
+// every slot's IVs and state bits are written out. Every per-slot
+// operation that cannot keep the record form calls it first, so the
+// per-slot API means what it always did.
 func (img *Image) expand(bucket uint64) {
-	if img.dense == nil || !img.dense[bucket].on {
+	if !img.recordForm {
 		return
 	}
-	d := &img.dense[bucket]
-	d.on = false
-	for z := 0; z < img.Tree.Z; z++ {
-		if d.real>>uint(z)&1 == 0 {
-			iv := d.ivBase + 2*uint64(z)
-			img.plain[img.slotIndex(bucket, z)] = plainSlot{iv1: iv + 1, iv2: iv + 2, state: psLive | psDummy}
-		}
+	r := img.record(bucket)
+	if r[recExplicit]&recOn == 0 {
+		return
 	}
+	for z := 0; z < img.Tree.Z; z++ {
+		idx := img.slotIndex(bucket, z)
+		cs := &img.cold[idx]
+		if r[recExplicit]>>uint(z)&1 == 0 {
+			cs.iv1, cs.iv2 = impliedIVs(r, z)
+		}
+		// The slot was rewritten since any earlier materialization, and
+		// an image that keeps the record form never queues.
+		cs.state = img.state(r, idx, z)
+	}
+	r[recExplicit] = 0
 }
 
-// RealSlots is the bucket-granular read: for a dense bucket it returns
-// the mask of slots holding real blocks (bit z = slot z) and true —
-// every other slot is a dummy and its entry must not be consulted. For
-// any other bucket it returns false and the caller walks all Z slots.
-func (img *Image) RealSlots(bucket uint64) (mask uint32, dense bool) {
-	if img.dense == nil || !img.dense[bucket].on {
+// RealSlots is the bucket-granular read: for a record-form bucket it
+// returns the mask of slots holding real blocks (bit z = slot z) and
+// true — every other slot is a dummy and its entry must not be
+// consulted. For any other bucket it returns false and the caller walks
+// all Z slots.
+func (img *Image) RealSlots(bucket uint64) (mask uint32, ok bool) {
+	if !img.recordForm {
 		return 0, false
 	}
-	return img.dense[bucket].real, true
+	r := img.record(bucket)
+	if r[recExplicit]&recOn == 0 {
+		return 0, false
+	}
+	return r[recReal], true
+}
+
+// Gather reads, ahead of a load walk over path, the lines that walk is
+// about to read, so that their cache misses overlap instead of arriving
+// one after another: first every bucket's record, whose addresses follow
+// from path alone, then for every real slot of a record-form bucket its
+// payload's first byte and pm's entry for its address. It changes
+// nothing and allocates nothing; the returned value is a fold of what it
+// read, for the caller to keep so the loads are not discarded. It is a
+// no-op, returning 0, on an image without the record form.
+func (img *Image) Gather(path []uint64, pm *PosMap) (fold uint64) {
+	if !img.recordForm {
+		return 0
+	}
+	w := img.recW
+	for _, bucket := range path {
+		fold += uint64(img.recs[bucket*w+recExplicit]) + uint64(img.recs[bucket*w+w-1])
+	}
+	z := uint64(img.Tree.Z)
+	for _, bucket := range path {
+		r := img.record(bucket)
+		if r[recExplicit]&recOn == 0 {
+			continue
+		}
+		for m := r[recReal]; m != 0; m &= m - 1 {
+			s := uint64(bits.TrailingZeros32(m))
+			fold += uint64(img.arena[(bucket*z+s)*uint64(img.blockB)])
+			if addr := uint64(r[recHdr+3*s]); addr < uint64(len(pm.leaves)) {
+				fold += uint64(pm.leaves[addr])
+			}
+		}
+	}
+	return fold
 }
 
 // PutLazyDummies records a whole-bucket write: every slot of bucket a
 // deferred dummy seal, slot z under ivBase+2z+1 and ivBase+2z+2 — the
 // 2Z consecutive IVs a path write-back draws for the bucket in slot
 // order. The bucket's real blocks follow through PutLazyBlock. Where the
-// image keeps the dense form this is one 16-byte record and no per-slot
-// entry is touched; elsewhere it is Z PutLazyDummy calls.
+// image keeps the record form this is a write of the bucket's record and
+// no cold entry is touched; elsewhere it is Z PutLazyDummy calls.
 func (img *Image) PutLazyDummies(bucket uint64, ivBase uint64) {
-	if img.dense != nil {
-		img.dense[bucket] = denseBucket{ivBase: ivBase, on: true}
+	if img.recordForm {
+		r := img.record(bucket)
+		r[recIVBase], r[recIVBase+1] = uint32(ivBase), uint32(ivBase>>32)
+		r[recReal], r[recExplicit] = 0, recOn
 		return
 	}
 	for z := 0; z < img.Tree.Z; z++ {
@@ -269,37 +363,51 @@ func (img *Image) PutLazyDummies(bucket uint64, ivBase uint64) {
 // PutLazyBlock records a deferred seal of b at (bucket, z) under the
 // pre-drawn IVs and the version already baked into b.Ver. The payload
 // (exactly BlockBytes) is copied into the arena — callers recycle b.Data
-// freely. A dense bucket stays dense: the slot's bit is set and its
-// entry becomes the authoritative one.
+// freely. A record-form bucket keeps its form: the slot's real bit is
+// set, and unless the IVs are the slot's implied pair, so is its
+// explicit bit, with the IVs in cold.
 func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	if len(b.Data) != img.blockB {
 		panic(fmt.Sprintf("oram: lazy seal of a %d-byte payload into %d-byte slots", len(b.Data), img.blockB))
 	}
-	idx := img.slotIndex(bucket, z)
-	ps := &img.plain[idx]
-	ps.state = ps.state&psQueued | psLive
-	ps.iv1, ps.iv2 = iv1, iv2
-	ps.addr, ps.leaf, ps.ver = b.Addr, b.Leaf, b.Ver
-	copy(img.payload(idx), b.Data)
-	if img.dense != nil {
-		img.dense[bucket].real |= 1 << uint(z) // read only while the bucket is dense
+	if b.Addr > math.MaxUint32 {
+		panic(fmt.Sprintf("oram: lazy seal of addr %d, beyond the record's 32 bits", b.Addr))
 	}
-	img.enqueue(ps, idx)
+	idx := img.slotIndex(bucket, z)
+	r := img.record(bucket)
+	h := recHdr + 3*z
+	r[h], r[h+1], r[h+2] = uint32(b.Addr), uint32(b.Leaf), b.Ver
+	copy(img.payload(idx), b.Data)
+	cs := &img.cold[idx]
+	if r[recExplicit]&recOn != 0 {
+		bit := uint32(1) << uint(z)
+		r[recReal] |= bit
+		if i1, i2 := impliedIVs(r, z); iv1 == i1 && iv2 == i2 {
+			r[recExplicit] &^= bit
+		} else {
+			r[recExplicit] |= bit
+			cs.iv1, cs.iv2 = iv1, iv2
+		}
+		return
+	}
+	cs.state = cs.state&psQueued | psLive
+	cs.iv1, cs.iv2 = iv1, iv2
+	img.enqueue(cs, idx)
 }
 
 // PutLazyDummy records a deferred dummy seal at (bucket, z).
 func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
 	img.expand(bucket)
 	idx := img.slotIndex(bucket, z)
-	ps := &img.plain[idx]
-	ps.state = ps.state&psQueued | psLive | psDummy
-	ps.iv1, ps.iv2 = iv1, iv2
-	img.enqueue(ps, idx)
+	cs := &img.cold[idx]
+	cs.state = cs.state&psQueued | psLive | psDummy
+	cs.iv1, cs.iv2 = iv1, iv2
+	img.enqueue(cs, idx)
 }
 
-func (img *Image) enqueue(ps *plainSlot, idx uint64) {
-	if img.barrier && ps.state&psQueued == 0 {
-		ps.state |= psQueued
+func (img *Image) enqueue(cs *coldSlot, idx uint64) {
+	if img.barrier && cs.state&psQueued == 0 {
+		cs.state |= psQueued
 		img.pending = append(img.pending, idx)
 	}
 }
@@ -318,9 +426,9 @@ func (img *Image) MaterializePending() {
 		return
 	}
 	for _, idx := range img.pending {
-		ps := &img.plain[idx]
-		ps.state &^= psQueued
-		if ps.state&(psLive|psSealed) == psLive {
+		cs := &img.cold[idx]
+		cs.state &^= psQueued
+		if cs.state&(psLive|psSealed) == psLive {
 			img.materialize(idx)
 		}
 	}
@@ -334,27 +442,26 @@ func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver u
 	if !img.lazy {
 		return 0, 0, 0, false, false
 	}
-	if img.impliedDummy(bucket, z) {
-		return DummyAddr, 0, 0, true, true
-	}
-	ps := &img.plain[img.slotIndex(bucket, z)]
-	if ps.state&psLive == 0 {
+	r := img.record(bucket)
+	st := img.state(r, img.slotIndex(bucket, z), z)
+	if st&psLive == 0 {
 		return 0, 0, 0, false, false
 	}
-	if ps.state&psDummy != 0 {
+	if st&psDummy != 0 {
 		return DummyAddr, 0, 0, true, true
 	}
-	return ps.addr, ps.leaf, ps.ver, false, true
+	h := recHdr + 3*z
+	return Addr(r[h]), Leaf(r[h+1]), r[h+2], false, true
 }
 
 // PlainData returns the overlay's plaintext payload for a live real
 // entry (nil otherwise). The view is overlay-owned: read, then copy.
 func (img *Image) PlainData(bucket uint64, z int) []byte {
-	if !img.lazy || img.impliedDummy(bucket, z) {
+	if !img.lazy {
 		return nil
 	}
 	idx := img.slotIndex(bucket, z)
-	if img.plain[idx].state&(psLive|psDummy) != psLive {
+	if img.state(img.record(bucket), idx, z)&(psLive|psDummy) != psLive {
 		return nil
 	}
 	return img.payload(idx)
@@ -363,32 +470,34 @@ func (img *Image) PlainData(bucket uint64, z int) []byte {
 // materialize runs slot idx's deferred seal into its memo buffers and
 // mirrors the result into the store, so Slot() observers — snapshots,
 // integrity readers, equivalence tests — see exactly the bytes the eager
-// path would have produced.
+// path would have produced. The slot's bucket is not in record form.
 func (img *Image) materialize(idx uint64) Slot {
 	if img.memo == nil {
-		img.memo = make([]sealedBuf, len(img.plain))
+		img.memo = make([]sealedBuf, len(img.cold))
 	}
-	ps, m := &img.plain[idx], &img.memo[idx]
-	if ps.state&psSealed == 0 {
+	cs, m := &img.cold[idx], &img.memo[idx]
+	if cs.state&psSealed == 0 {
 		if cap(m.hdr) < headerBytes {
 			m.hdr = make([]byte, headerBytes)
 		}
 		if cap(m.data) < img.blockB {
 			m.data = make([]byte, img.blockB)
 		}
+		zz := uint64(img.Tree.Z)
+		bucket, z := idx/zz, int(idx%zz)
 		var s Slot
-		if ps.state&psDummy != 0 {
-			s = DummySlotIVs(img.engine, img.blockB, ps.iv1, ps.iv2, m.hdr, m.data)
+		if cs.state&psDummy != 0 {
+			s = DummySlotIVs(img.engine, img.blockB, cs.iv1, cs.iv2, m.hdr, m.data)
 		} else {
-			b := Block{Addr: ps.addr, Leaf: ps.leaf, Ver: ps.ver, Data: img.payload(idx)}
-			s = SealBlockIVs(img.engine, b, ps.iv1, ps.iv2, m.hdr, m.data)
+			r, h := img.record(bucket), recHdr+3*z
+			b := Block{Addr: Addr(r[h]), Leaf: Leaf(r[h+1]), Ver: r[h+2], Data: img.payload(idx)}
+			s = SealBlockIVs(img.engine, b, cs.iv1, cs.iv2, m.hdr, m.data)
 		}
 		m.hdr, m.data = s.SealedHeader, s.SealedData
-		ps.state |= psSealed
-		zz := uint64(img.Tree.Z)
-		img.store.SetSlot(idx/zz, int(idx%zz), s)
+		cs.state |= psSealed
+		img.store.SetSlot(bucket, z, s)
 	}
-	return Slot{IV1: ps.iv1, IV2: ps.iv2, SealedHeader: m.hdr, SealedData: m.data}
+	return Slot{IV1: cs.iv1, IV2: cs.iv2, SealedHeader: m.hdr, SealedData: m.data}
 }
 
 // Slot returns the sealed slot at (bucket, z), materializing a deferred
@@ -396,7 +505,7 @@ func (img *Image) materialize(idx uint64) Slot {
 func (img *Image) Slot(bucket uint64, z int) Slot {
 	if img.lazy {
 		img.expand(bucket)
-		if idx := img.slotIndex(bucket, z); img.plain[idx].state&psLive != 0 {
+		if idx := img.slotIndex(bucket, z); img.cold[idx].state&psLive != 0 {
 			return img.materialize(idx)
 		}
 	}
@@ -411,12 +520,12 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	if img.lazy {
 		img.expand(bucket)
 		idx := img.slotIndex(bucket, z)
-		if ps := &img.plain[idx]; ps.state&psLive != 0 {
+		if cs := &img.cold[idx]; cs.state&psLive != 0 {
 			// The undo closure must capture stable bytes; materialize
 			// into memo buffers, then detach them from the entry so a
 			// later reuse of the slot can't scribble over the capture.
 			prev = img.materialize(idx)
-			ps.state &^= psLive
+			cs.state &^= psLive
 			img.memo[idx] = sealedBuf{}
 		} else {
 			prev = img.store.Slot(bucket, z)
@@ -428,7 +537,7 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 	return func() {
 		if img.lazy {
 			img.expand(bucket) // a whole-bucket write may have come in between
-			img.plain[img.slotIndex(bucket, z)].state &^= psLive
+			img.cold[img.slotIndex(bucket, z)].state &^= psLive
 		}
 		img.store.SetSlot(bucket, z, prev)
 	}
@@ -445,7 +554,7 @@ func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
 func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 	if img.lazy {
 		img.expand(bucket)
-		img.plain[img.slotIndex(bucket, z)].state &^= psLive
+		img.cold[img.slotIndex(bucket, z)].state &^= psLive
 	}
 	old = img.store.Slot(bucket, z)
 	img.store.SetSlot(bucket, z, s)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -186,7 +187,7 @@ func (m *overlayModel) check() {
 }
 
 // churn rewrites a lazy image's slots through every write path, leaving
-// a mix of dense buckets, live real entries, live dummies, materialized
+// a mix of record-form buckets, live real entries, live dummies, materialized
 // entries, and slots whose overlay entry died under a sealed write; ref,
 // if not nil, follows it eagerly sealed.
 func churn(t *testing.T, img, ref *Image, rounds int) {
@@ -199,11 +200,12 @@ func churn(t *testing.T, img, ref *Image, rounds int) {
 }
 
 // FuzzImageOverlay feeds the model coverage-guided operation sequences:
-// a born-lazy image against an eager one built from the same IVs. After
-// every observer call, and bucket by bucket at the end, the two agree.
+// a born-lazy image against an eager one built from the same IVs, at
+// Z = 4 (one record per cache line) and at Z = 2. After every observer
+// call, and bucket by bucket at the end, the two agree.
 func FuzzImageOverlay(f *testing.F) {
 	f.Add([]byte{3, 5, 0x05, 8, 5, 0, 2, 6, 0, 8, 6, 0})                // whole-bucket write, observe, expand by a per-slot dummy
-	f.Add([]byte{4, 9, 0x0f, 5, 9, 7, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // SetSlot on a dense bucket, rewritten whole, then undone
+	f.Add([]byte{4, 9, 0x0f, 5, 9, 7, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // SetSlot on a record-form bucket, rewritten whole, then undone
 	f.Add([]byte{0, 2, 1, 3, 2, 0, 7, 2, 0, 8, 2, 0, 3, 2, 0xff, 8, 3}) // trailing partial op ignored
 	r := rng.New(11)
 	seed := make([]byte, 3*200)
@@ -211,20 +213,24 @@ func FuzzImageOverlay(f *testing.F) {
 		seed[i] = byte(r.Uint64())
 	}
 	f.Add(seed)
+	// An explicit-IV PutLazyBlock into a record-form bucket, over a dummy
+	// and over a real slot, then observed; then the bucket rewritten whole.
+	f.Add([]byte{3, 5, 0x05, 0, 5, 9, 8, 5, 0, 0, 4, 7, 8, 4, 0, 8, 6, 0, 3, 5, 0x0a, 8, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := testEngine()
-		tree := NewTree(3, 4)
-		m := &overlayModel{t: t, lazy: newLazyImage(tree, e, 32, testIVs()), ref: NewImage(tree, e, 32, testIVs()), iv: NewIVSource(rng.New(2))}
-		for i := 0; i+2 < len(ops); i += 3 {
-			m.apply(ops[i], ops[i+1], ops[i+2])
-			if i%48 == 0 {
-				m.check()
+		for _, tree := range []Tree{NewTree(3, 4), NewTree(3, 2)} {
+			m := &overlayModel{t: t, lazy: newLazyImage(tree, e, 32, testIVs()), ref: NewImage(tree, e, 32, testIVs()), iv: NewIVSource(rng.New(2))}
+			for i := 0; i+2 < len(ops); i += 3 {
+				m.apply(ops[i], ops[i+1], ops[i+2])
+				if i%48 == 0 {
+					m.check()
+				}
 			}
-		}
-		m.check()
-		m.lazy.DisableLazySeal()
-		if d := diffSlots(m.lazy, m.ref); d != "" {
-			t.Fatalf("materialized image differs from the reference at %s", d)
+			m.check()
+			m.lazy.DisableLazySeal()
+			if d := diffSlots(m.lazy, m.ref); d != "" {
+				t.Fatalf("Z=%d: materialized image differs from the reference at %s", tree.Z, d)
+			}
 		}
 	})
 }
@@ -254,9 +260,14 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 		t.Fatal("churn materialized nothing; the test lost its sealed entries")
 	}
 	sealedBefore := 0
-	for _, ps := range img.plain {
-		if ps.state&(psLive|psSealed) == psLive|psSealed {
-			sealedBefore++
+	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
+		if _, ok := img.RealSlots(bucket); ok {
+			continue // a record-form bucket's cold state bits are stale
+		}
+		for z := 0; z < tree.Z; z++ {
+			if st := img.cold[img.slotIndex(bucket, z)].state; st&(psLive|psSealed) == psLive|psSealed {
+				sealedBefore++
+			}
 		}
 	}
 
@@ -281,17 +292,19 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 	}
 	// The comparison above materialized everything; the reads before it
 	// must not have.
-	if sealedBefore == len(img.plain) {
+	if sealedBefore == len(img.cold) {
 		t.Fatal("ReadBucket/CountReal materialized the whole image")
 	}
 }
 
 // TestDenseBucketMatchesPerSlot: a whole-bucket write leaves the bucket
-// in its dense form, which must be indistinguishable from the Z per-slot
+// in record form, which must be indistinguishable from the Z per-slot
 // writes it stands for — read in place, and sealed — before and after
-// every per-slot operation that makes the bucket expand. The white-box
-// half pins what the form is for: the write touches no per-slot entry of
-// a dummy.
+// every per-slot operation. A PutLazyBlock keeps the form, with the
+// slot's explicit-IV bit set unless the IVs are the slot's implied pair;
+// every other mutator expands the bucket. The white-box half pins what
+// the form is for: the write touches no cold entry, neither a dummy's
+// nor a real slot's under the implied IVs.
 func TestDenseBucketMatchesPerSlot(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(3, 4)
@@ -329,17 +342,19 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 			t.Fatalf("%s: sealed images differ at %s", when, d)
 		}
 	}
+	explicit := func(img *Image) uint32 { return img.record(bucket)[recExplicit] &^ recOn }
 
 	whole, perSlot := twins()
-	if mask, dense := whole.RealSlots(bucket); !dense || mask != 0b0101 {
-		t.Fatalf("after a whole-bucket write RealSlots = %04b, %v; want 0101, dense", mask, dense)
+	if mask, ok := whole.RealSlots(bucket); !ok || mask != 0b0101 || explicit(whole) != 0 {
+		t.Fatalf("after a whole-bucket write RealSlots = %04b, %v, explicit %04b; want 0101 in record form, none explicit",
+			mask, ok, explicit(whole))
 	}
-	if _, dense := perSlot.RealSlots(bucket); dense {
-		t.Fatal("per-slot dummy writes left the bucket dense")
+	if _, ok := perSlot.RealSlots(bucket); ok {
+		t.Fatal("per-slot dummy writes left the bucket in record form")
 	}
-	for z := 1; z < tree.Z; z += 2 {
-		if ps := whole.plain[whole.slotIndex(bucket, z)]; ps.addr != old.Addr || ps.state&psDummy != 0 || ps.iv1 != 1 {
-			t.Fatalf("the whole-bucket write touched dummy slot %d's entry: %+v", z, ps)
+	for z := 0; z < tree.Z; z++ {
+		if cs := whole.cold[whole.slotIndex(bucket, z)]; cs.iv1 != 1 || cs.iv2 != 2 {
+			t.Fatalf("the whole-bucket write touched slot %d's cold entry: %+v", z, cs)
 		}
 	}
 	same("after the write", whole, perSlot)
@@ -347,45 +362,85 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 	iv := testIVs()
 	sealed := SealBlock(e, old, iv)
 	mutators := []struct {
-		name   string
-		mutate func(img *Image, z int)
+		name     string
+		mutate   func(img *Image, z int)
+		explicit bool // keeps the record form, with this explicit bit
 	}{
-		{"PutLazyBlock", func(img *Image, z int) { img.PutLazyBlock(bucket, z, 77, 78, old) }}, // the one that keeps the form
-		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }},
-		{"SetSlot", func(img *Image, z int) { img.SetSlot(bucket, z, sealed) }},
-		{"SetSlot and undo", func(img *Image, z int) { img.SetSlot(bucket, z, sealed)() }},
-		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }},
-		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }},
+		{"PutLazyBlock, explicit IVs", func(img *Image, z int) { img.PutLazyBlock(bucket, z, 77, 78, old) }, true},
+		{"PutLazyBlock, implied IVs", func(img *Image, z int) {
+			iv1, iv2 := ivs(z)
+			img.PutLazyBlock(bucket, z, iv1, iv2, old)
+		}, false},
+		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }, false},
+		{"SetSlot", func(img *Image, z int) { img.SetSlot(bucket, z, sealed) }, false},
+		{"SetSlot and undo", func(img *Image, z int) { img.SetSlot(bucket, z, sealed)() }, false},
+		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }, false},
+		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }, false},
 		// The undo of a SetSlot that a whole-bucket write has overwritten
 		// in the meantime: the restored slot survives the expansion.
-		{"undo over a dense bucket", func(img *Image, z int) {
+		{"undo over a record-form bucket", func(img *Image, z int) {
 			undo := img.SetSlot(bucket, z, sealed)
 			img.PutLazyDummies(bucket, base)
 			undo()
-		}},
+		}, false},
 	}
 	for i, m := range mutators {
+		keeps := i < 2
 		for z := 0; z < 2; z++ { // a real slot and an implied dummy
 			whole, perSlot := twins()
 			m.mutate(whole, z)
 			m.mutate(perSlot, z)
-			if _, dense := whole.RealSlots(bucket); dense != (i == 0) {
-				t.Fatalf("%s on slot %d: bucket dense = %v", m.name, z, dense)
+			if _, ok := whole.RealSlots(bucket); ok != keeps {
+				t.Fatalf("%s on slot %d: record form = %v", m.name, z, ok)
+			}
+			if keeps {
+				want := uint32(0)
+				if m.explicit {
+					want = 1 << uint(z)
+				}
+				if got := explicit(whole); got != want {
+					t.Fatalf("%s on slot %d: explicit-IV mask %04b, want %04b", m.name, z, got, want)
+				}
 			}
 			same(m.name, whole, perSlot)
 		}
 	}
 
-	// An initial placement into a born-dense bucket keeps it dense.
+	// An initial placement into a bucket born in record form keeps the
+	// form, under an explicit IV pair.
 	img := newLazyImage(tree, e, 64, testIVs())
 	img.InitBlocks(e, []Block{{Addr: 1, Leaf: 2, Data: make([]byte, 64)}}, iv)
 	leafBucket := tree.Path(2)[tree.L]
-	if mask, dense := img.RealSlots(leafBucket); !dense || mask != 1 {
-		t.Fatalf("InitBlocks into a born-dense bucket left RealSlots = %b, %v", mask, dense)
+	if mask, ok := img.RealSlots(leafBucket); !ok || mask != 1 || img.record(leafBucket)[recExplicit]&^recOn != 1 {
+		t.Fatalf("InitBlocks into a record-form bucket left RealSlots = %b, %v", mask, ok)
 	}
-	// Wider buckets than the mask keep per-slot entries.
-	if wide := newLazyImage(NewTree(1, maxDenseZ+1), e, 8, testIVs()); wide.dense != nil {
-		t.Fatal("an image with Z beyond the mask width has a dense table")
+	// Wider buckets than the masks keep per-slot entries.
+	if wide := newLazyImage(NewTree(1, maxRecordZ+1), e, 8, testIVs()); wide.recordForm {
+		t.Fatal("an image with Z beyond the mask width uses the record form")
+	}
+}
+
+// TestRecordLayout pins the layout the load walk relies on: a bucket's
+// record is 16+12Z bytes — one cache line at Z = 4 — and the records
+// start on a line, and the cold per-slot entry is 24 bytes.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(coldSlot{}); got != 24 {
+		t.Fatalf("coldSlot is %d bytes, want 24", got)
+	}
+	for _, z := range []int{1, 2, 4, 8, maxRecordZ + 1} {
+		img := newLazyImage(NewTree(4, z), testEngine(), 16, testIVs())
+		if got, want := 4*img.recW, uint64(16+12*z); got != want {
+			t.Fatalf("Z=%d: a record is %d bytes, want %d", z, got, want)
+		}
+		if addr := uintptr(unsafe.Pointer(&img.recs[0])); addr%lineBytes != 0 {
+			t.Fatalf("Z=%d: the records start at %#x, not on a %d-byte line", z, addr, lineBytes)
+		}
+		if uint64(len(img.recs)) != img.Tree.Buckets()*img.recW || uint64(len(img.cold)) != img.Tree.Slots() {
+			t.Fatalf("Z=%d: %d record words, %d cold entries for %d buckets", z, len(img.recs), len(img.cold), img.Tree.Buckets())
+		}
+	}
+	if img := newLazyImage(NewTree(4, 4), testEngine(), 16, testIVs()); 4*img.recW != lineBytes {
+		t.Fatalf("at Z=4 a record is %d bytes, want one %d-byte line", 4*img.recW, lineBytes)
 	}
 }
 

@@ -79,6 +79,10 @@ func (p Params) Validate() error {
 	if p.NumBlocks == 0 || p.NumBlocks > t.Slots() {
 		return fmt.Errorf("oram: %d blocks do not fit a tree with %d slots", p.NumBlocks, t.Slots())
 	}
+	if p.NumBlocks > math.MaxUint32 {
+		// The image's per-bucket record keeps a header's address in 32 bits.
+		return fmt.Errorf("oram: %d blocks exceed the 32-bit address space", p.NumBlocks)
+	}
 	if float64(p.NumBlocks) > 0.95*float64(t.Slots()) {
 		// The paper runs at 50% utilization to keep stash occupancy
 		// small; we allow up to 95% so the stash-pressure experiment can

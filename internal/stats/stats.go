@@ -5,6 +5,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -228,16 +229,10 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
+// bucketOf is v's bucket: its bit length, the top bucket also holding
+// the values of 64 bits.
 func bucketOf(v uint64) int {
-	b := 0
-	for v > 0 {
-		v >>= 1
-		b++
-	}
-	if b >= 64 {
-		b = 63
-	}
-	return b
+	return min(bits.Len64(v), 63)
 }
 
 // Count returns the number of observations.

@@ -227,3 +227,30 @@ func TestHistogramClampsToObservedRange(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketOfMatchesShiftLoop: bucketOf is the bit length of v, capped
+// at the top bucket — what shifting v right one bit at a time and
+// counting the shifts gives, at every power-of-two boundary.
+func TestBucketOfMatchesShiftLoop(t *testing.T) {
+	shiftLoop := func(v uint64) int {
+		b := 0
+		for v > 0 {
+			v >>= 1
+			b++
+		}
+		if b >= 64 {
+			b = 63
+		}
+		return b
+	}
+	vals := []uint64{0, 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		p := uint64(1) << k
+		vals = append(vals, p-1, p, p+1)
+	}
+	for _, v := range vals {
+		if got, want := bucketOf(v), shiftLoop(v); got != want {
+			t.Fatalf("bucketOf(%d) = %d, the shift loop gives %d", v, got, want)
+		}
+	}
+}
