@@ -232,27 +232,6 @@ func BenchmarkAccessPSORAM(b *testing.B)      { benchStoreAccess(b, PSORAM) }
 func BenchmarkAccessNaivePSORAM(b *testing.B) { benchStoreAccess(b, NaivePSORAM) }
 func BenchmarkAccessRcrPSORAM(b *testing.B)   { benchStoreAccess(b, RcrPSORAM) }
 
-// BenchmarkAccessRingPS measures the Ring ORAM extension's per-access
-// cost in crash-consistent mode.
-func BenchmarkAccessRingPS(b *testing.B) {
-	s, err := NewRingStore(RingStoreOptions{NumBlocks: 256, Persist: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, s.BlockSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := uint64(i % 256)
-		if i%2 == 0 {
-			if err := s.Write(addr, buf); err != nil {
-				b.Fatal(err)
-			}
-		} else if _, err := s.Read(addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablations (DESIGN.md §6) ---
 
 // BenchmarkAblationWPQ compares the one-batch eviction (96-entry WPQs)

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/oracle"
 	"repro/internal/stats"
@@ -99,7 +100,7 @@ func runCrash(args []string) {
 // replays.
 //
 //	psoram oracle                                   # all schemes, 3 workloads, level 10
-//	psoram oracle -schemes PS-ORAM,Ring-PS-ORAM -levels 10,12 -crash
+//	psoram oracle -schemes PS-ORAM,Rcr-PS-ORAM -levels 10,12 -crash
 //	psoram oracle -workloads all -ops 256 -json report.json
 func runOracle(args []string) {
 	fs := newFlagSet()
@@ -160,7 +161,7 @@ func runOracle(args []string) {
 				genOps := oracle.GenOps(w, *blocks, bb, *ops, *seed)
 				p := oracle.Params{Scheme: s, NumBlocks: *blocks, Levels: lv, Seed: *seed}
 				if *storeDir != "" {
-					if s == config.SchemeNonORAM || s.Ring() || s.Recursive() {
+					if core.StorageSupported(s) != nil {
 						continue // the durable backend covers the flat family only
 					}
 					// One fresh store per cell: recovered state from another

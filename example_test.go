@@ -97,26 +97,3 @@ func ExampleSimulate() {
 	fmt.Println(res.Accesses, res.Cycles > 0)
 	// Output: 100 true
 }
-
-// The Ring ORAM extension exposes the same lifecycle.
-func ExampleNewRingStore() {
-	ring, err := psoram.NewRingStore(psoram.RingStoreOptions{NumBlocks: 128, Persist: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	data := make([]byte, ring.BlockSize())
-	copy(data, "ring")
-	if err := ring.Write(3, data); err != nil {
-		log.Fatal(err)
-	}
-	ring.CrashNow()
-	if err := ring.Recover(); err != nil {
-		log.Fatal(err)
-	}
-	v, err := ring.Read(3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(string(v[:4]))
-	// Output: ring
-}

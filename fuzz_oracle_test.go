@@ -12,13 +12,12 @@ import (
 )
 
 // fuzzSchemes are the schemes the access-sequence fuzzer rotates
-// through: the two persistent flagships, the naive variant, eADR, and
-// the volatile baseline as a control.
+// through: the persistent flagship, the naive variant, eADR, and the
+// volatile baseline as a control.
 var fuzzSchemes = []config.Scheme{
 	config.SchemePSORAM,
 	config.SchemeNaivePSORAM,
 	config.SchemeEADRORAM,
-	config.SchemeRingPSORAM,
 	config.SchemeBaseline,
 }
 

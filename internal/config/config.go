@@ -36,27 +36,18 @@ const (
 	// hierarchy. Only its draining energy/time are modeled (Table 2);
 	// its steady-state performance matches Baseline.
 	SchemeEADRORAM
-	// SchemeRingBaseline is Ring ORAM (extension) without persistence:
-	// one block read per bucket, scheduled reverse-lexicographic
-	// evictions, early reshuffles.
-	SchemeRingBaseline
-	// SchemeRingPSORAM is Ring ORAM with PS-style crash consistency
-	// (stash journal + atomic batches).
-	SchemeRingPSORAM
 )
 
 var schemeNames = map[Scheme]string{
-	SchemeNonORAM:      "NonORAM",
-	SchemeBaseline:     "Baseline",
-	SchemeFullNVM:      "FullNVM",
-	SchemeFullNVMSTT:   "FullNVM(STT)",
-	SchemeNaivePSORAM:  "Naive-PS-ORAM",
-	SchemePSORAM:       "PS-ORAM",
-	SchemeRcrBaseline:  "Rcr-Baseline",
-	SchemeRcrPSORAM:    "Rcr-PS-ORAM",
-	SchemeEADRORAM:     "eADR-ORAM",
-	SchemeRingBaseline: "Ring-Baseline",
-	SchemeRingPSORAM:   "Ring-PS-ORAM",
+	SchemeNonORAM:     "NonORAM",
+	SchemeBaseline:    "Baseline",
+	SchemeFullNVM:     "FullNVM",
+	SchemeFullNVMSTT:  "FullNVM(STT)",
+	SchemeNaivePSORAM: "Naive-PS-ORAM",
+	SchemePSORAM:      "PS-ORAM",
+	SchemeRcrBaseline: "Rcr-Baseline",
+	SchemeRcrPSORAM:   "Rcr-PS-ORAM",
+	SchemeEADRORAM:    "eADR-ORAM",
 }
 
 func (s Scheme) String() string {
@@ -76,16 +67,10 @@ func (s Scheme) Recursive() bool {
 // persistence of ORAM data and metadata.
 func (s Scheme) Persistent() bool {
 	switch s {
-	case SchemeNaivePSORAM, SchemePSORAM, SchemeRcrPSORAM, SchemeEADRORAM,
-		SchemeRingPSORAM:
+	case SchemeNaivePSORAM, SchemePSORAM, SchemeRcrPSORAM, SchemeEADRORAM:
 		return true
 	}
 	return false
-}
-
-// Ring reports whether the scheme runs the Ring ORAM protocol.
-func (s Scheme) Ring() bool {
-	return s == SchemeRingBaseline || s == SchemeRingPSORAM
 }
 
 // Schemes lists every evaluated scheme in presentation order.
@@ -93,7 +78,7 @@ func Schemes() []Scheme {
 	return []Scheme{
 		SchemeNonORAM, SchemeBaseline, SchemeFullNVM, SchemeFullNVMSTT,
 		SchemeNaivePSORAM, SchemePSORAM, SchemeRcrBaseline, SchemeRcrPSORAM,
-		SchemeEADRORAM, SchemeRingBaseline, SchemeRingPSORAM,
+		SchemeEADRORAM,
 	}
 }
 
@@ -213,12 +198,6 @@ type Config struct {
 	// DRAMReadCycles is the core-cycle cost of a tree-top DRAM hit.
 	DRAMReadCycles int
 
-	// ---- Ring ORAM extension (SchemeRing*) ----
-	// RingS is the dummy slots per bucket; RingA the accesses between
-	// scheduled EvictPath operations (Ren et al. use S ~= A+1..2A).
-	RingS int
-	RingA int
-
 	// Seed drives all randomized behaviour (leaf remapping, traces).
 	Seed uint64
 }
@@ -253,8 +232,6 @@ func Default() Config {
 		OnChipPosMapBytes: 256 * 1024,
 		PLBEntries:        1024,
 		DRAMReadCycles:    60,
-		RingS:             5,
-		RingA:             3,
 
 		Seed: 1,
 	}

@@ -396,7 +396,8 @@ func (c *Controller) loadSlot(ctl *oram.Controller, bucket uint64, z int, l oram
 		// the stash is either from an earlier access, and always fresher,
 		// or this block's own backup met earlier on this path, and
 		// identical. On a PosMap tree, between two copies this walk loaded
-		// the higher seal version wins (see ROADMAP item 6).
+		// the higher seal version wins: resident-wins would keep an older
+		// copy met nearer the root (TestPosMapWalkKeepsNewerDuplicate).
 		if dataTree || ver <= sb.Ver || !slices.Contains(c.scratch.loaded, sb) {
 			return nil
 		}
@@ -633,12 +634,11 @@ func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
 // later steps of the same access read the path as written, and undone if
 // the batch never commits: a data-tree slot is a data WPQ entry, a
 // PosMap-tree slot a PosMap WPQ entry. Without a batch the writes are
-// posted. On the data tree they all issue at the current cycle, the
-// caller proceeds at the latest admission, and a crash point follows
-// every slot: a power failure there loses what is still buffered, and
-// ErrCrashed is returned once the plan's blocks have left the stash. On
-// a PosMap tree each write issues once the previous one was admitted,
-// with no crash point (see ROADMAP item 6 for both differences).
+// posted: on either tree they all issue at the current cycle and the
+// caller proceeds at the latest admission. On the data tree a crash
+// point follows every slot: a power failure there loses what is still
+// buffered, and ErrCrashed is returned once the plan's blocks have left
+// the stash. A PosMap tree has no crash point.
 func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch) (real int, err error) {
 	ctl, _ := c.tree(region)
 	img := ctl.Image
@@ -656,10 +656,8 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 			p := c.Mem.WriteBlockPosted(loc, c.now, func() func() {
 				return img.SetSlot(s.bucket, s.z, s.sealed)
 			})
-			if region != 0 {
-				c.now = maxCycle(c.now, p)
-			} else {
-				proceed = maxCycle(proceed, p)
+			proceed = maxCycle(proceed, p)
+			if region == 0 {
 				if c.onchipNVM != nil && s.block != nil {
 					c.timeOnChipNVM(nvm.Read) // read the block out of the NVM stash
 				}
@@ -678,7 +676,7 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 	if crashed {
 		return real, ErrCrashed
 	}
-	if batch == nil && region == 0 {
+	if batch == nil {
 		c.now = proceed
 	}
 	return real, nil

@@ -271,7 +271,7 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		return nil, fmt.Errorf("core: Options.NumBlocks is required (functional trees are sized explicitly)")
 	}
 	if opts.Storage != nil {
-		if err := storageSupported(scheme); err != nil {
+		if err := StorageSupported(scheme); err != nil {
 			return nil, err
 		}
 	}

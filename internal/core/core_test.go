@@ -701,6 +701,101 @@ func TestRcrPSFlushResidentCovered(t *testing.T) {
 	}
 }
 
+// TestPosMapWalkKeepsNewerDuplicate stages two copies of one PosMap-tree
+// block on its current path: the newer one and an older one (a lower
+// seal version whose entry for the accessed address names a wrong
+// leaf). Whichever the chain walk meets first, the access must resolve
+// through the newer copy: on a PosMap tree the higher seal version wins
+// (loadSlot).
+func TestPosMapWalkKeepsNewerDuplicate(t *testing.T) {
+	for _, olderFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("olderFirst=%v", olderFirst), func(t *testing.T) {
+			c := newCtl(t, config.SchemeRcrPSORAM)
+			if len(c.Rec.Levels) == 0 {
+				t.Fatal("the test configuration has no recursive PosMap level")
+			}
+			ref := map[oram.Addr][]byte{}
+			r := &lcg{s: 3}
+			for i := 0; i < 60; i++ {
+				a := oram.Addr(r.n(100))
+				v := blockVal(a, i, 64)
+				if _, err := c.Access(oram.OpWrite, a, v); err != nil {
+					t.Fatalf("access %d: %v", i, err)
+				}
+				ref[a] = v
+			}
+
+			const addr = oram.Addr(7)
+			lvl := c.Rec.Levels[0]
+			k := uint64(c.Rec.EntriesPerBlock)
+			idx := oram.Addr(uint64(addr) / k)
+			leaf := lvl.PosMap.Lookup(idx)
+			// The block's copy and the path's dummy slots, in walk order.
+			type slot struct {
+				bucket uint64
+				z      int
+			}
+			var free []slot
+			var newer oram.Block
+			found := false
+			for _, bucket := range lvl.Tree.Path(leaf) {
+				for z := 0; z < lvl.Tree.Z; z++ {
+					b, err := oram.OpenSlot(lvl.Engine, lvl.Image.Slot(bucket, z))
+					if err != nil {
+						t.Fatal(err)
+					}
+					current := b.Addr == idx && b.Leaf == leaf
+					if current {
+						newer, found = b, true
+					}
+					if current || b.Dummy() {
+						free = append(free, slot{bucket, z})
+					}
+				}
+			}
+			if !found || len(free) < 2 || newer.Ver == 0 {
+				t.Fatalf("PosMap block %d: found=%v, %d free slots, version %d", idx, found, len(free), newer.Ver)
+			}
+			older := oram.Block{Addr: newer.Addr, Leaf: newer.Leaf, Ver: newer.Ver - 1,
+				Data: append([]byte(nil), newer.Data...)}
+			off := uint64(addr) % k
+			oram.PackLeaf(older.Data, off, (oram.PackedLeaf(newer.Data, off)+1)%oram.Leaf(c.ORAM.Tree.Leaves()))
+
+			seal := func(s slot, b oram.Block) {
+				lvl.Image.SetSlot(s.bucket, s.z, oram.SealBlockInto(lvl.Engine, b, lvl.NextIV,
+					make([]byte, oram.HeaderBytes), make([]byte, len(b.Data))))
+			}
+			for _, s := range free {
+				lvl.Image.SetSlot(s.bucket, s.z, oram.DummySlotInto(lvl.Engine, len(newer.Data), lvl.NextIV,
+					make([]byte, oram.HeaderBytes), make([]byte, len(newer.Data))))
+			}
+			first, second := older, newer
+			if !olderFirst {
+				first, second = newer, older
+			}
+			seal(free[0], first)
+			seal(free[len(free)-1], second)
+
+			res, err := c.Access(oram.OpRead, addr, nil)
+			if err != nil {
+				t.Fatalf("access through the duplicated PosMap block: %v", err)
+			}
+			want := ref[addr]
+			if want == nil {
+				want = make([]byte, 64)
+			}
+			if !bytes.Equal(res.Value, want) {
+				t.Fatalf("block %d read %q, want %q", addr, res.Value, want)
+			}
+			for a, v := range ref {
+				if got, err := c.Peek(a); err != nil || !bytes.Equal(got, v) {
+					t.Fatalf("block %d reads %q (%v), want %q", a, got, err, v)
+				}
+			}
+		})
+	}
+}
+
 // TestSealVersionsExhaustedFailsClosed: seal versions are 32 bits in a
 // header format the goldens pin, and freshness between two tree copies
 // of a block is decided by comparing them, so the cursor must never

@@ -28,7 +28,7 @@ func Open(cfg config.Config, st DurableStorage) (*Controller, error) {
 func openWith(cfg config.Config, st DurableStorage, runtime Options) (*Controller, error) {
 	g := st.Geometry()
 	scheme := config.Scheme(g.Scheme)
-	if err := storageSupported(scheme); err != nil {
+	if err := StorageSupported(scheme); err != nil {
 		return nil, err
 	}
 	cfg.BlockBytes = g.BlockBytes
@@ -77,7 +77,7 @@ func NewDurable(scheme config.Scheme, cfg config.Config, opts Options, dir strin
 	if opts.Storage != nil {
 		return nil, false, fmt.Errorf("core: NewDurable builds its own backend; Options.Storage must be nil")
 	}
-	if err := storageSupported(scheme); err != nil {
+	if err := StorageSupported(scheme); err != nil {
 		return nil, false, err
 	}
 	st, err := filestore.Open(dir)

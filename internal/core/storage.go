@@ -109,11 +109,11 @@ func (c *Controller) Close() error {
 	return cerr
 }
 
-// storageSupported gates which schemes a durable backend covers: the
+// StorageSupported gates which schemes a durable backend covers: the
 // flat Path ORAM family (same coverage as the snapshot format — the
 // recursive hierarchy's posmap trees are additional NVM allocations a
 // future format revision could append).
-func storageSupported(scheme config.Scheme) error {
+func StorageSupported(scheme config.Scheme) error {
 	switch scheme {
 	case config.SchemeBaseline, config.SchemeFullNVM, config.SchemeFullNVMSTT,
 		config.SchemeNaivePSORAM, config.SchemePSORAM, config.SchemeEADRORAM:

@@ -11,7 +11,7 @@ import (
 	"repro/internal/storage/filestore"
 )
 
-// flatSchemes is the durable-backend coverage set (storageSupported).
+// flatSchemes is the durable-backend coverage set (StorageSupported).
 var flatSchemes = []config.Scheme{
 	config.SchemeBaseline,
 	config.SchemeFullNVM,
@@ -210,9 +210,9 @@ func TestDurableGeometryMismatchRejected(t *testing.T) {
 }
 
 // TestDurableRejectsUnsupportedSchemes: the backend covers the flat
-// family only; recursive and Ring controllers must be refused up front.
+// family only; recursive and NonORAM controllers must be refused up front.
 func TestDurableRejectsUnsupportedSchemes(t *testing.T) {
-	for _, scheme := range []config.Scheme{config.SchemeRcrPSORAM, config.SchemeRingPSORAM, config.SchemeNonORAM} {
+	for _, scheme := range []config.Scheme{config.SchemeRcrPSORAM, config.SchemeNonORAM} {
 		dir := filepath.Join(t.TempDir(), "store")
 		if _, _, err := NewDurable(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5}, dir); err == nil {
 			t.Fatalf("scheme %v accepted by NewDurable", scheme)

@@ -256,51 +256,12 @@ func DeclaredSteps() []int { return []int{2, 3, 4, 5, 6} }
 // exposes. eADR-ORAM has no step-5 point: its persistence domain covers
 // the write buffers, so a power failure mid-write-back drains the
 // remaining eviction and is indistinguishable from a crash after step 5
-// (core.maybeCrash filters it for the same reason). The Ring ORAM
-// schemes expose phase-named points instead of numbered steps; they map
-// onto the shared numbering by role (RingStepForPhase): post-read is
-// step 3, mid-eviction is step 5, access-complete is step 6. Ring has no
-// step-2 or step-4 points: the PosMap/stash mutations of a Ring access
-// only become observable at the read-path or batch-commit boundaries the
-// named phases already cover.
+// (core.maybeCrash filters it for the same reason).
 func DeclaredStepsFor(s config.Scheme) []int {
-	switch {
-	case s == config.SchemeEADRORAM:
+	if s == config.SchemeEADRORAM {
 		return []int{2, 3, 4, 6}
-	case s.Ring():
-		return []int{3, 5, 6}
 	}
 	return DeclaredSteps()
-}
-
-// RingStepForPhase maps a ringoram.CrashPoint phase onto the shared step
-// numbering: "read" (after ReadPath, before the access batch commits) is
-// step 3, "evict" (mid-EvictPath, before its batch commits) is step 5,
-// "end" (access complete) is step 6. Unknown phases map to 0.
-func RingStepForPhase(phase string) int {
-	switch phase {
-	case "read":
-		return 3
-	case "evict":
-		return 5
-	case "end":
-		return 6
-	}
-	return 0
-}
-
-// RingPhaseForStep is the inverse of RingStepForPhase ("" for steps Ring
-// ORAM does not expose).
-func RingPhaseForStep(step int) string {
-	switch step {
-	case 3:
-		return "read"
-	case 5:
-		return "evict"
-	case 6:
-		return "end"
-	}
-	return ""
 }
 
 // ObservePoints runs the workload with a non-firing injector and returns

@@ -10,11 +10,26 @@ import (
 	"repro/internal/rng"
 )
 
+// ivSource is a unique-IV counter starting at a random offset drawn
+// from r.
+func ivSource(r *rng.Rand) func() uint64 {
+	ctr := r.Uint64()
+	return func() uint64 {
+		ctr++
+		return ctr
+	}
+}
+
+// dummySlot seals a 64-byte dummy into freshly allocated buffers.
+func dummySlot(eng *cryptoeng.Engine, iv func() uint64) oram.Slot {
+	return oram.DummySlotInto(eng, 64, iv, make([]byte, oram.HeaderBytes), make([]byte, 64))
+}
+
 // fixture builds a small image and its Merkle tree.
 func fixture(t *testing.T) (*oram.Image, *Tree, *cryptoeng.Engine, func() uint64) {
 	t.Helper()
 	eng := cryptoeng.MustNew([]byte("0123456789abcdef"))
-	iv := oram.NewIVSource(rng.New(4))
+	iv := ivSource(rng.New(4))
 	geom := oram.NewTree(4, 4)
 	img := oram.NewImage(geom, eng, 64, iv)
 	read := func(b uint64) []oram.Slot {
@@ -49,7 +64,7 @@ func TestFreshTreeVerifies(t *testing.T) {
 func TestTamperDetected(t *testing.T) {
 	img, mt, eng, iv := fixture(t)
 	// Replace a slot without updating the tree: tampering.
-	img.SetSlot(7, 2, oram.DummySlot(eng, 64, iv))
+	img.SetSlot(7, 2, dummySlot(eng, iv))
 	// Bucket 7 is on the paths through it; find one.
 	found := false
 	for l := oram.Leaf(0); uint64(l) < img.Tree.Leaves(); l++ {
@@ -106,7 +121,7 @@ func TestUpdateThenVerify(t *testing.T) {
 	for k := range path {
 		row := make([]oram.Slot, img.Tree.Z)
 		for z := range row {
-			row[z] = oram.DummySlot(eng, 64, iv)
+			row[z] = dummySlot(eng, iv)
 		}
 		newSlots[k] = row
 	}
@@ -142,7 +157,7 @@ func TestApplyWithoutImageUpdateFails(t *testing.T) {
 	for k := range path {
 		row := make([]oram.Slot, img.Tree.Z)
 		for z := range row {
-			row[z] = oram.DummySlot(eng, 64, iv)
+			row[z] = dummySlot(eng, iv)
 		}
 		newSlots[k] = row
 	}
@@ -154,9 +169,9 @@ func TestApplyWithoutImageUpdateFails(t *testing.T) {
 
 func TestBucketHashSensitivity(t *testing.T) {
 	eng := cryptoeng.MustNew([]byte("0123456789abcdef"))
-	iv := oram.NewIVSource(rng.New(8))
-	a := []oram.Slot{oram.DummySlot(eng, 64, iv)}
-	b := []oram.Slot{oram.DummySlot(eng, 64, iv)}
+	iv := ivSource(rng.New(8))
+	a := []oram.Slot{dummySlot(eng, iv)}
+	b := []oram.Slot{dummySlot(eng, iv)}
 	if bytes.Equal(BucketHash(a), BucketHash(b)) {
 		t.Fatal("distinct sealed buckets hash equal")
 	}
@@ -289,7 +304,7 @@ func TestComputeUpdateIsPure(t *testing.T) {
 	for k := range path {
 		row := make([]oram.Slot, img.Tree.Z)
 		for z := range row {
-			row[z] = oram.DummySlot(eng, 64, iv)
+			row[z] = dummySlot(eng, iv)
 		}
 		newSlots[k] = row
 	}

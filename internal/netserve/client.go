@@ -145,15 +145,15 @@ func (c *Client) fail(cause error) {
 	c.pending = make(map[uint64]chan callResult)
 	c.mu.Unlock()
 	c.nc.Close()
-	c.ring() // the writer exits on seeing closed
+	c.wakeWriter() // the writer exits on seeing closed
 	for _, ch := range calls {
 		ch <- callResult{err: cause}
 		<-c.tokens
 	}
 }
 
-// ring wakes the writer; a doorbell already rung is enough.
-func (c *Client) ring() {
+// wakeWriter wakes the writer; a doorbell already rung is enough.
+func (c *Client) wakeWriter() {
 	select {
 	case c.wake <- struct{}{}:
 	default:
@@ -267,7 +267,7 @@ func (c *Client) do(ctx context.Context, t Type, payload []byte) (Frame, error) 
 	c.out = AppendFrame(c.out, Frame{Type: t, ID: id, Payload: payload})
 	c.mu.Unlock()
 	if first {
-		c.ring()
+		c.wakeWriter()
 	}
 
 	// Stage 3: await the reply.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/oram"
 )
 
-// The obliviousness probe: a Path/Ring ORAM access sequence must read
+// The obliviousness probe: a Path ORAM access sequence must read
 // uniformly distributed paths regardless of the address pattern — every
 // access reads the target's current leaf, and leaves are reassigned
 // uniformly at random. A protocol bug that biases remaps (or leaks the

@@ -88,66 +88,3 @@ func (t *coreTarget) Invariants() []error {
 	}
 	return errs
 }
-
-func (t *ringTarget) Invariants() []error {
-	var errs []error
-	c := t.ctl
-	leaves := c.Tree.Leaves()
-
-	if c.Stash.Overflowed() {
-		errs = append(errs, fmt.Errorf("stash overflow at quiescent point: %d > %d", c.Stash.Len(), c.Stash.Capacity()))
-	}
-	for _, b := range c.Stash.Live() {
-		if uint64(b.Addr) >= c.NumBlocks() {
-			errs = append(errs, fmt.Errorf("stash holds out-of-range addr %d", b.Addr))
-			continue
-		}
-		if uint64(b.Leaf) >= leaves {
-			errs = append(errs, fmt.Errorf("stash block %d has out-of-range leaf %d", b.Addr, b.Leaf))
-		}
-		if cur := c.CurrentLeaf(b.Addr); b.Leaf != cur {
-			errs = append(errs, fmt.Errorf("stash block %d carries leaf %d but the working map says %d", b.Addr, b.Leaf, cur))
-		}
-	}
-
-	for a := oram.Addr(0); uint64(a) < c.NumBlocks(); a++ {
-		if l := c.CurrentLeaf(a); uint64(l) >= leaves {
-			errs = append(errs, fmt.Errorf("working map sends %d to out-of-range leaf %d", a, l))
-		}
-		if l := c.DurableLeaf(a); uint64(l) >= leaves {
-			errs = append(errs, fmt.Errorf("durable map sends %d to out-of-range leaf %d", a, l))
-		}
-	}
-
-	// Tree scan: sealed blocks on their sealed path, metadata agreeing
-	// with slot contents. Invalidated slots keep their (stale) payload,
-	// but the seal-time path property still holds for them.
-	err := c.ScanBlocks(func(bucket uint64, slot int, blk oram.Block, metaAddr oram.Addr, valid bool) error {
-		if uint64(blk.Addr) >= c.NumBlocks() {
-			errs = append(errs, fmt.Errorf("bucket %d slot %d holds out-of-range addr %d", bucket, slot, blk.Addr))
-			return nil
-		}
-		if uint64(blk.Leaf) >= leaves {
-			errs = append(errs, fmt.Errorf("bucket %d slot %d block %d sealed under out-of-range leaf %d", bucket, slot, blk.Addr, blk.Leaf))
-			return nil
-		}
-		if !c.Tree.OnPath(bucket, blk.Leaf) {
-			errs = append(errs, fmt.Errorf("bucket %d slot %d block %d sealed under leaf %d is off that leaf's path", bucket, slot, blk.Addr, blk.Leaf))
-		}
-		if valid && metaAddr != blk.Addr {
-			errs = append(errs, fmt.Errorf("bucket %d slot %d metadata says addr %d but the sealed block is %d", bucket, slot, metaAddr, blk.Addr))
-		}
-		return nil
-	})
-	if err != nil {
-		errs = append(errs, fmt.Errorf("tree scan failed: %w", err))
-	}
-
-	// Reachability through the working map.
-	for a := oram.Addr(0); uint64(a) < c.NumBlocks(); a++ {
-		if _, err := c.Peek(a); err != nil {
-			errs = append(errs, fmt.Errorf("addr %d unreachable through the working map: %w", a, err))
-		}
-	}
-	return errs
-}

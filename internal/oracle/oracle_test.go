@@ -116,13 +116,11 @@ func TestOracleMutationCaught(t *testing.T) {
 		switch c := tg.(type) {
 		case *coreTarget:
 			c.ctl.ORAM.Stash.Put(&oram.StashBlock{Addr: 0, Leaf: c.currentLeaf(0), Data: append([]byte(nil), garbage...)})
-		case *ringTarget:
-			c.ctl.Stash.Put(&oram.StashBlock{Addr: 0, Leaf: c.ctl.CurrentLeaf(0), Data: append([]byte(nil), garbage...)})
 		default:
 			t.Fatalf("unexpected target type %T", tg)
 		}
 	}
-	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeRingPSORAM} {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeRcrPSORAM} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			ops := GenOps(Workload{Name: "uniform"}, 64, bb, 48, 7)
 			rep, err := CheckCrash(Params{Scheme: scheme, NumBlocks: 64, Levels: 6, Seed: 7}, ops,

@@ -8,18 +8,16 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/crash"
 	"repro/internal/oram"
-	"repro/internal/ringoram"
 )
 
 // ErrCrashed is the normalized "injected power failure" error: the
-// adapters translate core.ErrCrashed / ringoram.ErrCrashed into it so the
-// harness handles every scheme uniformly.
+// core adapter translates core.ErrCrashed into it so the harness handles
+// every scheme uniformly.
 var ErrCrashed = errors.New("oracle: simulated power failure")
 
 // CrashSpec is a crash-injection offer in the shared step numbering
-// (crash.DeclaredSteps; Ring phases mapped via crash.RingStepForPhase).
+// (crash.DeclaredSteps).
 type CrashSpec struct {
 	Access uint64 // completed accesses when the point was offered
 	Step   int
@@ -87,83 +85,55 @@ func (p Params) config() config.Config {
 
 // NewTarget builds a fresh functional system for the scheme. Every
 // scheme in config.Schemes() is constructible: the core controller
-// covers the Path ORAM family, ringoram covers the Ring family, and
-// NonORAM gets a plain store (trivially correct, so the harness's
-// "every scheme" sweeps hold literally).
+// covers the Path ORAM family and NonORAM gets a plain store (trivially
+// correct, so the harness's "every scheme" sweeps hold literally).
 func NewTarget(p Params) (Target, error) {
 	if p.NumBlocks == 0 {
 		return nil, fmt.Errorf("oracle: Params.NumBlocks is required")
 	}
 	cfg := p.config()
 	cfg.Seed = p.Seed
-	if p.StoreDir != "" && (p.Scheme == config.SchemeNonORAM || p.Scheme.Ring()) {
-		return nil, fmt.Errorf("oracle: StoreDir is not supported for scheme %s", p.Scheme)
+	if p.StoreDir != "" {
+		if err := core.StorageSupported(p.Scheme); err != nil {
+			return nil, fmt.Errorf("oracle: StoreDir: %w", err)
+		}
 	}
-	switch {
-	case p.Scheme == config.SchemeNonORAM:
+	if p.Scheme == config.SchemeNonORAM {
 		return &plainTarget{
 			scheme: p.Scheme,
 			n:      p.NumBlocks,
 			bb:     cfg.BlockBytes,
 			m:      make(map[oram.Addr][]byte),
 		}, nil
-	case p.Scheme.Ring():
-		stash := cfg.StashEntries
-		if path := cfg.Z * (p.Levels + 1); stash <= path {
-			stash = path * 3
-		}
-		// Ring's EvictPath commits a whole-path rewrite — (L+1)*(Z+S)
-		// slots — as one atomic batch; grow the WPQs so tall functional
-		// trees stay constructible under the default sizing.
-		if need := (p.Levels + 1) * (cfg.Z + cfg.RingS + 1); cfg.DataWPQEntries < need {
+	}
+	// A recursive eviction batch spans the data path plus a posmap-ORAM
+	// path; grow the data WPQ so tall functional trees fit the batch.
+	if p.Scheme.Recursive() {
+		if need := 2 * (p.Levels + 1) * cfg.Z; cfg.DataWPQEntries < need {
 			cfg.DataWPQEntries = need
 		}
-		ctl, err := ringoram.New(ringoram.Params{
-			Levels:         p.Levels,
-			Z:              cfg.Z,
-			S:              cfg.RingS,
-			A:              cfg.RingA,
-			BlockBytes:     cfg.BlockBytes,
-			StashEntries:   stash,
-			NumBlocks:      p.NumBlocks,
-			Seed:           p.Seed,
-			Persist:        p.Scheme == config.SchemeRingPSORAM,
-			JournalEntries: cfg.TempPosMapSize,
-		}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &ringTarget{scheme: p.Scheme, ctl: ctl}, nil
-	default:
-		// A recursive eviction batch spans the data path plus a posmap-ORAM
-		// path; grow the data WPQ so tall functional trees fit the batch.
-		if p.Scheme.Recursive() {
-			if need := 2 * (p.Levels + 1) * cfg.Z; cfg.DataWPQEntries < need {
-				cfg.DataWPQEntries = need
-			}
-		}
-		// Targets are judged on values, leaves, durable state and
-		// counters, none of which depend on device timing: build the
-		// controller over the untimed memory model.
-		copts := core.Options{
-			NumBlocks:   p.NumBlocks,
-			Levels:      p.Levels,
-			GroupCommit: core.GroupCommit{MaxOps: p.GroupCommitOps, MaxDelay: p.GroupCommitDelay},
-			Untimed:     true,
-		}
-		if p.StoreDir != "" {
-			ctl, _, err := core.NewDurable(p.Scheme, cfg, copts, p.StoreDir)
-			if err != nil {
-				return nil, err
-			}
-			return &coreTarget{ctl: ctl}, nil
-		}
-		ctl, err := core.New(p.Scheme, cfg, copts)
+	}
+	// Targets are judged on values, leaves, durable state and
+	// counters, none of which depend on device timing: build the
+	// controller over the untimed memory model.
+	copts := core.Options{
+		NumBlocks:   p.NumBlocks,
+		Levels:      p.Levels,
+		GroupCommit: core.GroupCommit{MaxOps: p.GroupCommitOps, MaxDelay: p.GroupCommitDelay},
+		Untimed:     true,
+	}
+	if p.StoreDir != "" {
+		ctl, _, err := core.NewDurable(p.Scheme, cfg, copts, p.StoreDir)
 		if err != nil {
 			return nil, err
 		}
 		return &coreTarget{ctl: ctl}, nil
 	}
+	ctl, err := core.New(p.Scheme, cfg, copts)
+	if err != nil {
+		return nil, err
+	}
+	return &coreTarget{ctl: ctl}, nil
 }
 
 // --- core (Path ORAM family) adapter ---
@@ -254,43 +224,6 @@ func (t *coreTarget) CommitPending() bool { return t.ctl.CommitPending() }
 func (t *coreTarget) SetCommitObserver(fn func(ops int, persistNanos int64)) {
 	t.ctl.SetCommitObserver(fn)
 }
-
-// --- ringoram adapter ---
-
-type ringTarget struct {
-	scheme config.Scheme
-	ctl    *ringoram.Controller
-}
-
-func (t *ringTarget) Scheme() config.Scheme { return t.scheme }
-func (t *ringTarget) NumBlocks() uint64     { return t.ctl.NumBlocks() }
-func (t *ringTarget) BlockBytes() int       { return t.ctl.P.BlockBytes }
-func (t *ringTarget) Leaves() uint64        { return t.ctl.Tree.Leaves() }
-
-func (t *ringTarget) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, oram.Leaf, error) {
-	// The read path's leaf is the working-map leaf before the access
-	// (Ring forces room-making evictions before the lookup, and those
-	// never move the target), so capture it up front.
-	l := t.ctl.CurrentLeaf(addr)
-	v, err := t.ctl.Access(op, addr, data)
-	if errors.Is(err, ringoram.ErrCrashed) {
-		return nil, 0, ErrCrashed
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return v, l, nil
-}
-
-func (t *ringTarget) Peek(addr oram.Addr) ([]byte, error) { return t.ctl.Peek(addr) }
-
-func (t *ringTarget) Arm(fire func(CrashSpec) bool) {
-	t.ctl.CrashAt = func(p ringoram.CrashPoint) bool {
-		return fire(CrashSpec{Access: p.Access, Step: crash.RingStepForPhase(p.Phase), Sub: -1})
-	}
-}
-
-func (t *ringTarget) Recover() error { return t.ctl.Recover() }
 
 // --- NonORAM adapter: a plain store, no tree, no crash model ---
 

@@ -61,17 +61,6 @@ func openHeader(e *cryptoeng.Engine, iv1 uint64, sealed []byte) (Addr, Leaf, uin
 		binary.LittleEndian.Uint32(h[12:16]), nil
 }
 
-// SealBlock encrypts b into a Slot using fresh IVs drawn from nextIV.
-func SealBlock(e *cryptoeng.Engine, b Block, nextIV func() uint64) Slot {
-	iv1, iv2 := nextIV(), nextIV()
-	return Slot{
-		IV1:          iv1,
-		IV2:          iv2,
-		SealedHeader: sealHeader(e, iv1, b.Addr, b.Leaf, b.Ver),
-		SealedData:   e.Seal(iv2, b.Data),
-	}
-}
-
 // OpenSlot decrypts a slot back into a Block.
 func OpenSlot(e *cryptoeng.Engine, s Slot) (Block, error) {
 	addr, leaf, ver, err := openHeader(e, s.IV1, s.SealedHeader)
@@ -81,15 +70,9 @@ func OpenSlot(e *cryptoeng.Engine, s Slot) (Block, error) {
 	return Block{Addr: addr, Leaf: leaf, Ver: ver, Data: e.Open(s.IV2, s.SealedData)}, nil
 }
 
-// DummySlot seals a dummy block with throwaway payload of blockBytes.
-func DummySlot(e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) Slot {
-	return SealBlock(e, Block{Addr: DummyAddr, Data: make([]byte, blockBytes)}, nextIV)
-}
-
 // SealBlockInto seals b into a Slot using the caller-provided header and
-// data buffers (each must have capacity for headerBytes / len(b.Data)).
-// It draws IVs from nextIV in the same order as SealBlock, so the two are
-// interchangeable ciphertext-for-ciphertext.
+// data buffers (each must have capacity for headerBytes / len(b.Data)),
+// drawing the header IV from nextIV first and the payload IV second.
 func SealBlockInto(e *cryptoeng.Engine, b Block, nextIV func() uint64, hdr, data []byte) Slot {
 	iv1, iv2 := nextIV(), nextIV()
 	return SealBlockIVs(e, b, iv1, iv2, hdr, data)
@@ -115,7 +98,7 @@ func SealBlockIVs(e *cryptoeng.Engine, b Block, iv1, iv2 uint64, hdr, data []byt
 // DummySlotInto seals a dummy block into caller-provided buffers. A
 // sealed all-zero payload is exactly the keystream, so the payload is
 // produced by PadInto without a zero plaintext — byte-identical to
-// DummySlot for the same IVs.
+// sealing a zero payload with SealBlockInto under the same IVs.
 func DummySlotInto(e *cryptoeng.Engine, blockBytes int, nextIV func() uint64, hdr, data []byte) Slot {
 	iv1, iv2 := nextIV(), nextIV()
 	return DummySlotIVs(e, blockBytes, iv1, iv2, hdr, data)

@@ -13,15 +13,35 @@ func testEngine() *cryptoeng.Engine {
 	return cryptoeng.MustNew([]byte("0123456789abcdef"))
 }
 
+// ivSource is a unique-IV counter starting at a random offset drawn
+// from r, the same stream a Controller's NextIV yields.
+func ivSource(r *rng.Rand) func() uint64 {
+	ctr := r.Uint64()
+	return func() uint64 {
+		ctr++
+		return ctr
+	}
+}
+
 func testIVs() func() uint64 {
-	return NewIVSource(rng.New(1))
+	return ivSource(rng.New(1))
+}
+
+// sealBlock seals b into freshly allocated buffers.
+func sealBlock(e *cryptoeng.Engine, b Block, nextIV func() uint64) Slot {
+	return SealBlockInto(e, b, nextIV, make([]byte, HeaderBytes), make([]byte, len(b.Data)))
+}
+
+// dummySlot seals a dummy into freshly allocated buffers.
+func dummySlot(e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) Slot {
+	return DummySlotInto(e, blockBytes, nextIV, make([]byte, HeaderBytes), make([]byte, blockBytes))
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	e := testEngine()
 	iv := testIVs()
 	b := Block{Addr: 42, Leaf: 7, Data: []byte("sixty-four bytes of payload for the oram block, padded......!!")}
-	slot := SealBlock(e, b, iv)
+	slot := sealBlock(e, b, iv)
 	got, err := OpenSlot(e, slot)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +55,7 @@ func TestSealedSlotHidesContent(t *testing.T) {
 	e := testEngine()
 	iv := testIVs()
 	data := []byte("plaintext secret")
-	slot := SealBlock(e, Block{Addr: 1, Leaf: 2, Data: data}, iv)
+	slot := sealBlock(e, Block{Addr: 1, Leaf: 2, Data: data}, iv)
 	if bytes.Contains(slot.SealedData, data) {
 		t.Fatal("payload visible in sealed slot")
 	}
@@ -48,8 +68,8 @@ func TestSealedSlotHidesContent(t *testing.T) {
 func TestDummySlotLooksLikeRealSlot(t *testing.T) {
 	e := testEngine()
 	iv := testIVs()
-	d := DummySlot(e, 64, iv)
-	r := SealBlock(e, Block{Addr: 1, Leaf: 2, Data: make([]byte, 64)}, iv)
+	d := dummySlot(e, 64, iv)
+	r := sealBlock(e, Block{Addr: 1, Leaf: 2, Data: make([]byte, 64)}, iv)
 	if len(d.SealedData) != len(r.SealedData) || len(d.SealedHeader) != len(r.SealedHeader) {
 		t.Fatal("dummy and real slots differ in shape")
 	}
@@ -64,7 +84,7 @@ func TestDummySlotLooksLikeRealSlot(t *testing.T) {
 
 func TestOpenSlotRejectsCorruptHeader(t *testing.T) {
 	e := testEngine()
-	s := DummySlot(e, 64, testIVs())
+	s := dummySlot(e, 64, testIVs())
 	s.SealedHeader = s.SealedHeader[:4]
 	if _, err := OpenSlot(e, s); err == nil {
 		t.Fatal("short header accepted")
@@ -76,7 +96,7 @@ func TestSealBlockProperty(t *testing.T) {
 	iv := testIVs()
 	f := func(addr uint64, leaf uint32, payload []byte) bool {
 		b := Block{Addr: Addr(addr), Leaf: Leaf(leaf), Data: payload}
-		got, err := OpenSlot(e, SealBlock(e, b, iv))
+		got, err := OpenSlot(e, sealBlock(e, b, iv))
 		return err == nil && got.Addr == b.Addr && got.Leaf == b.Leaf && bytes.Equal(got.Data, b.Data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -84,15 +104,24 @@ func TestSealBlockProperty(t *testing.T) {
 	}
 }
 
+// TestIVSourceUnique: the controller's IV stream never repeats, whether
+// drawn one at a time (NextIV) or reserved in runs (DrawIVs).
 func TestIVSourceUnique(t *testing.T) {
-	iv := NewIVSource(rng.New(9))
+	c := mustNew(t, smallParams(9))
 	seen := map[uint64]bool{}
-	for i := 0; i < 100000; i++ {
-		v := iv()
+	see := func(v uint64) {
 		if seen[v] {
 			t.Fatal("IV repeated")
 		}
 		seen[v] = true
+	}
+	for i := 0; i < 10000; i++ {
+		see(c.NextIV())
+		n := i%7 + 1
+		base := c.DrawIVs(n)
+		for k := 1; k <= n; k++ {
+			see(base + uint64(k))
+		}
 	}
 }
 
@@ -101,7 +130,7 @@ func TestImageSetSlotUndo(t *testing.T) {
 	iv := testIVs()
 	img := NewImage(NewTree(3, 2), e, 64, iv)
 	orig := img.Slot(5, 1)
-	repl := DummySlot(e, 64, iv)
+	repl := dummySlot(e, 64, iv)
 	undo := img.SetSlot(5, 1, repl)
 	if !bytes.Equal(img.Slot(5, 1).SealedData, repl.SealedData) {
 		t.Fatal("SetSlot did not apply")

@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"repro/internal/cryptoeng"
-	"repro/internal/rng"
 )
 
 // Image is the functional NVM image of an ORAM tree: every bucket's
@@ -139,7 +138,7 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 	img := &Image{Tree: t, store: st, blockB: blockBytes}
 	for i := uint64(0); i < t.Buckets(); i++ {
 		for z := 0; z < t.Z; z++ {
-			st.SetSlot(i, z, DummySlot(e, blockBytes, nextIV))
+			st.SetSlot(i, z, DummySlotInto(e, blockBytes, nextIV, make([]byte, headerBytes), make([]byte, blockBytes)))
 		}
 	}
 	return img
@@ -586,7 +585,7 @@ func (img *Image) InitBlocks(e *cryptoeng.Engine, blocks []Block, nextIV func() 
 					iv1, iv2 := nextIV(), nextIV()
 					img.PutLazyBlock(bucket, z, iv1, iv2, b)
 				} else {
-					img.store.SetSlot(bucket, z, SealBlock(e, b, nextIV))
+					img.store.SetSlot(bucket, z, SealBlockInto(e, b, nextIV, make([]byte, headerBytes), make([]byte, len(b.Data))))
 				}
 				used[bucket]++
 				placed = true
@@ -642,15 +641,4 @@ func (img *Image) CountReal(e *cryptoeng.Engine) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// NewIVSource returns a monotonically unique IV generator seeded from r.
-// IVs must never repeat under one key; a 64-bit counter starting at a
-// random offset suffices for simulation lifetimes.
-func NewIVSource(r *rng.Rand) func() uint64 {
-	ctr := r.Uint64()
-	return func() uint64 {
-		ctr++
-		return ctr
-	}
 }

@@ -219,7 +219,7 @@ func FuzzImageOverlay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := testEngine()
 		for _, tree := range []Tree{NewTree(3, 4), NewTree(3, 2)} {
-			m := &overlayModel{t: t, lazy: newLazyImage(tree, e, 32, testIVs()), ref: NewImage(tree, e, 32, testIVs()), iv: NewIVSource(rng.New(2))}
+			m := &overlayModel{t: t, lazy: newLazyImage(tree, e, 32, testIVs()), ref: NewImage(tree, e, 32, testIVs()), iv: ivSource(rng.New(2))}
 			for i := 0; i+2 < len(ops); i += 3 {
 				m.apply(ops[i], ops[i+1], ops[i+2])
 				if i%48 == 0 {
@@ -360,7 +360,7 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 	same("after the write", whole, perSlot)
 
 	iv := testIVs()
-	sealed := SealBlock(e, old, iv)
+	sealed := sealBlock(e, old, iv)
 	mutators := []struct {
 		name     string
 		mutate   func(img *Image, z int)
@@ -478,7 +478,7 @@ func TestSetSlotUndoSurvivesLazyRewrites(t *testing.T) {
 	want := SealBlockIVs(e, Block{Addr: 9, Leaf: 3, Ver: 7, Data: bytes.Repeat([]byte{1}, 64)}, 100, 101,
 		make([]byte, HeaderBytes), make([]byte, 64))
 
-	undo := img.SetSlot(6, 1, DummySlot(e, 64, iv))
+	undo := img.SetSlot(6, 1, dummySlot(e, 64, iv))
 	img.PutLazyBlock(6, 1, 200, 201, Block{Addr: 9, Leaf: 4, Ver: 8, Data: bytes.Repeat([]byte{2}, 64)})
 	img.Slot(6, 1)
 	img.PutLazyBlock(6, 1, 300, 301, Block{Addr: 9, Leaf: 5, Ver: 9, Data: bytes.Repeat([]byte{3}, 64)})

@@ -41,7 +41,7 @@ type Controller struct {
 	Engine *cryptoeng.Engine
 
 	rng *rng.Rand
-	// iv is the IV counter (see NewIVSource). It is a field, not a
+	// iv is the IV counter (see NextIV). It is a field, not a
 	// closure over a heap cell: the eviction draws 2*Z*(L+1) IVs per
 	// access and NextIV must inline.
 	iv     uint64
@@ -130,7 +130,7 @@ func build(p Params, attach bool) (*Controller, error) {
 	}
 	r := rng.New(p.Seed)
 	t := NewTree(p.Levels, p.Z)
-	iv := r.Split().Uint64() // the seed draw NewIVSource makes
+	iv := r.Split().Uint64() // the IV counter's random start
 	c := &Controller{
 		Tree:   t,
 		Stash:  NewStash(p.StashEntries),
@@ -177,7 +177,8 @@ func (c *Controller) NumBlocks() uint64 { return c.nReal }
 func (c *Controller) RandomLeaf() Leaf { return Leaf(c.rng.Uint64n(c.Tree.Leaves())) }
 
 // NextIV draws the next IV: monotonically unique under the controller's
-// key, the same stream NewIVSource yields for the same seed.
+// key. IVs must never repeat under one key; a 64-bit counter starting at
+// a random offset suffices for simulation lifetimes.
 func (c *Controller) NextIV() uint64 {
 	c.iv++
 	return c.iv
@@ -208,8 +209,7 @@ var ErrSealVersionsExhausted = errors.New("seal versions exhausted")
 // sealVersionEvictions bounds the evictions one access can run, each
 // drawing at most a path's worth of versions: the access's own, a
 // temporary-PosMap drain ahead of it, the recursive schemes' three
-// force-evict passes, Ring ORAM's forced evictions and reshuffles — and
-// slack.
+// force-evict passes — and slack.
 const sealVersionEvictions = 8
 
 // CheckSealVersions returns ErrSealVersionsExhausted once a version

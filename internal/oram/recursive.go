@@ -161,7 +161,7 @@ func initOverwrite(c *Controller, addr Addr, data []byte) error {
 			}
 			if b.Addr == addr && b.Leaf == l {
 				b.Data = data
-				c.Image.SetSlot(bucket, z, SealBlock(c.Engine, b, c.NextIV))
+				c.Image.SetSlot(bucket, z, SealBlockInto(c.Engine, b, c.NextIV, make([]byte, headerBytes), make([]byte, len(b.Data))))
 				return nil
 			}
 		}

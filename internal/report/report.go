@@ -14,7 +14,6 @@ import (
 	"repro/internal/crash"
 	"repro/internal/energy"
 	"repro/internal/oram"
-	"repro/internal/ringoram"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -324,7 +323,6 @@ func (o Options) Latency() (*stats.Table, error) {
 		config.SchemeNonORAM, config.SchemeBaseline, config.SchemeFullNVM,
 		config.SchemeNaivePSORAM, config.SchemePSORAM,
 		config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-		config.SchemeRingBaseline, config.SchemeRingPSORAM,
 	} {
 		r, err := sim.Simulate(context.Background(), sim.Request{
 			Scheme: s, Config: o.Cfg, Workload: w, N: o.Accesses, Levels: o.Levels,
@@ -349,7 +347,6 @@ func (o Options) Lifetime() (*stats.Table, error) {
 	schemes := []config.Scheme{
 		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
 		config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-		config.SchemeRingBaseline, config.SchemeRingPSORAM,
 	}
 	tab := stats.NewTable("NVM lifetime: write pressure per ORAM access (workload geomean)",
 		"Scheme", "Writes/access", "KB written/access", "vs Baseline", "Wear max/min")
@@ -470,64 +467,6 @@ func StashPressure() (*stats.Table, error) {
 	return tab, nil
 }
 
-// Ring compares the two tree ORAM protocols at functional scale: the
-// NVM traffic of Path ORAM (PS-ORAM) vs Ring ORAM (Ring-PS) on an
-// identical workload, plus the journal/eviction statistics of the Ring
-// extension. Ring's headline: ~(L+1) reads per access instead of
-// Z·(L+1).
-func Ring() (*stats.Table, error) {
-	const (
-		blocks   = 200
-		accesses = 400
-	)
-	tab := stats.NewTable("Path ORAM vs Ring ORAM (functional scale, identical workload)",
-		"Protocol", "Reads/access", "Writes/access", "Evictions", "Crash consistent")
-
-	// Path ORAM side.
-	cfg := config.Default()
-	cfg.StashEntries = 150
-	pc, err := core.New(config.SchemePSORAM, cfg, core.Options{NumBlocks: blocks})
-	if err != nil {
-		return nil, err
-	}
-	rngState := uint64(5)
-	next := func(n int) int {
-		rngState = rngState*6364136223846793005 + 1442695040888963407
-		return int((rngState >> 33) % uint64(n))
-	}
-	buf := make([]byte, cfg.BlockBytes)
-	for i := 0; i < accesses; i++ {
-		if _, err := pc.Access(oram.OpWrite, oram.Addr(next(blocks)), buf); err != nil {
-			return nil, err
-		}
-	}
-	pr := float64(pc.Mem.Counters().Get("nvm.reads")) / accesses
-	pw := float64(pc.Mem.Counters().Get("nvm.writes")) / accesses
-	tab.AddRow("Path ORAM (PS-ORAM)", fmt.Sprintf("%.1f", pr), fmt.Sprintf("%.1f", pw),
-		fmt.Sprintf("%d", accesses), "yes")
-
-	// Ring ORAM side.
-	rc, err := ringoram.New(ringoram.Params{
-		Levels: 7, Z: 4, S: 4, A: 3,
-		BlockBytes: cfg.BlockBytes, StashEntries: 150, NumBlocks: blocks,
-		Seed: 5, Persist: true, JournalEntries: 96,
-	}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rngState = 5
-	for i := 0; i < accesses; i++ {
-		if _, err := rc.Access(oram.OpWrite, oram.Addr(next(blocks)), buf); err != nil {
-			return nil, err
-		}
-	}
-	rr := float64(rc.Mem.Counters().Get("nvm.reads")) / accesses
-	rw := float64(rc.Mem.Counters().Get("nvm.writes")) / accesses
-	tab.AddRow("Ring ORAM (Ring-PS, ext)", fmt.Sprintf("%.1f", rr), fmt.Sprintf("%.1f", rw),
-		fmt.Sprintf("%d", rc.Counter("ring.evictions")), "yes")
-	return tab, nil
-}
-
 // CrashMatrix runs the §3.3 crash-recoverability study: for each scheme,
 // inject a crash at every swept protocol point, recover, and report how
 // many points recovered consistently.
@@ -542,117 +481,5 @@ func CrashMatrix() (*stats.Table, error) {
 		}
 		tab.AddRow(s.String(), fmt.Sprintf("%d", res.Fired), fmt.Sprintf("%d", res.Consistent), res.Verdict())
 	}
-	// The Ring ORAM extension rows.
-	for _, persist := range []bool{false, true} {
-		fired, consistent, err := ringCrashSweep(persist)
-		if err != nil {
-			return nil, err
-		}
-		name := "Ring-Baseline"
-		if persist {
-			name = "Ring-PS (ext)"
-		}
-		tab.AddRow(name, fmt.Sprintf("%d", fired), fmt.Sprintf("%d", consistent),
-			crash.SweepResult{Fired: fired, Consistent: consistent}.Verdict())
-	}
 	return tab, nil
-}
-
-// ringCrashSweep runs the Ring ORAM crash sweep (see internal/ringoram)
-// and reports (fired, consistent).
-func ringCrashSweep(persist bool) (int, int, error) {
-	p := ringoram.Params{
-		Levels: 5, Z: 4, S: 4, A: 3,
-		BlockBytes: 64, StashEntries: 150, NumBlocks: 80,
-		Seed: 11, Persist: persist, JournalEntries: 24,
-	}
-	var points []ringoram.CrashPoint
-	for _, acc := range []uint64{0, 10, 25, 40} {
-		for _, phase := range []string{"read", "evict", "end"} {
-			points = append(points, ringoram.CrashPoint{Access: acc, Phase: phase})
-		}
-	}
-	fired, consistent := 0, 0
-	for _, pt := range points {
-		ctl, err := ringoram.New(p, config.Default())
-		if err != nil {
-			return 0, 0, err
-		}
-		durable := make(map[oram.Addr][]byte)
-		history := make(map[oram.Addr][][]byte)
-		zero := make([]byte, p.BlockBytes)
-		for a := oram.Addr(0); uint64(a) < p.NumBlocks; a++ {
-			durable[a] = zero
-			history[a] = [][]byte{zero}
-		}
-		ctl.OnDurable = func(a oram.Addr, v []byte) { durable[a] = v }
-		pt := pt
-		ctl.CrashAt = func(cp ringoram.CrashPoint) bool { return cp == pt }
-		rngState := uint64(9)
-		crashed := false
-		for i := 0; i < 55; i++ {
-			rngState = rngState*6364136223846793005 + 1442695040888963407
-			addr := oram.Addr((rngState >> 33) % p.NumBlocks)
-			v := make([]byte, p.BlockBytes)
-			copy(v, fmt.Sprintf("a%d.v%d", addr, i))
-			history[addr] = append(history[addr], v)
-			_, err := ctl.Access(oram.OpWrite, addr, v)
-			if err == ringoram.ErrCrashed {
-				crashed = true
-				break
-			}
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		if !crashed {
-			continue
-		}
-		fired++
-		if err := ctl.Recover(); err != nil {
-			return 0, 0, err
-		}
-		ok := true
-		for a := oram.Addr(0); uint64(a) < p.NumBlocks; a++ {
-			got, err := ctl.Peek(a)
-			if err != nil {
-				ok = false
-				break
-			}
-			if persist {
-				if !bytesEqual(got, durable[a]) {
-					ok = false
-					break
-				}
-			} else {
-				known := false
-				for _, v := range history[a] {
-					if bytesEqual(got, v) {
-						known = true
-						break
-					}
-				}
-				if !known {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			consistent++
-		}
-	}
-	return fired, consistent, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

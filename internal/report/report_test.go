@@ -282,20 +282,3 @@ func TestStashPressure(t *testing.T) {
 		prev = f[2]
 	}
 }
-
-func TestRingReport(t *testing.T) {
-	tab, err := Ring()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := dataLines(tab.String())
-	if len(lines) != 2 {
-		t.Fatalf("want 2 protocol rows:\n%s", tab.String())
-	}
-	path := fields(t, lines[0])
-	ring := fields(t, lines[1])
-	// Ring's read bandwidth advantage must show.
-	if ring[0] >= path[0] {
-		t.Errorf("Ring reads/access (%.1f) should be below Path's (%.1f)", ring[0], path[0])
-	}
-}

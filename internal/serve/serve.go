@@ -124,8 +124,8 @@ type Backend interface {
 // wall time (load / crypto / evict / seal / persist); the worker
 // differences snapshots around each access to feed the stage
 // histograms, and the sum of one access's differences is its service
-// time (the core controllers implement it; the functional Ring and
-// plain stores do not, and their service times record nothing).
+// time (the core controllers implement it; the plain NonORAM store does
+// not, and its service times record nothing).
 type staged interface{ StageNanos() [5]int64 }
 
 // stageNames labels the staged facet's indices (mirrors core.StageNames
@@ -496,8 +496,8 @@ func (p *Pool) buildBackend(s int, local uint64, dir string) (Backend, error) {
 		return p.opts.Factory(s, local)
 	}
 	// Derive the tree height here rather than leaving it to the
-	// controller: ringoram.New requires an explicit height, and the WPQ
-	// sizing in oracle.NewTarget scales with it.
+	// controller: oracle.NewTarget sizes the recursive schemes' data WPQ
+	// from it.
 	levels := p.opts.Levels
 	if levels == 0 {
 		cfg := config.Default()

@@ -59,7 +59,7 @@ func mustPool(t testing.TB, opts Options) *Pool {
 // reference, and deep checks sweep every shard's invariants and full
 // keyspace through the serving path.
 func TestPoolOracle(t *testing.T) {
-	schemes := []config.Scheme{config.SchemePSORAM, config.SchemeBaseline, config.SchemeRingPSORAM}
+	schemes := []config.Scheme{config.SchemePSORAM, config.SchemeBaseline, config.SchemeRcrPSORAM}
 	const blocks, nOps = 256, 96
 	bb := config.Default().BlockBytes
 	for _, scheme := range schemes {
@@ -698,9 +698,10 @@ func TestNewFailureReleasesBuiltShards(t *testing.T) {
 
 // TestDerivedLevels builds pools with Levels unset: the default factory
 // must derive each shard's tree height from its local block count for
-// every scheme (Ring requires an explicit height at the controller).
+// every scheme (oracle.NewTarget sizes the recursive schemes' data WPQ
+// from that height).
 func TestDerivedLevels(t *testing.T) {
-	for _, sc := range []config.Scheme{config.SchemePSORAM, config.SchemeRingPSORAM} {
+	for _, sc := range []config.Scheme{config.SchemePSORAM, config.SchemeRcrPSORAM} {
 		p := mustPool(t, Options{Shards: 4, NumBlocks: 128, Scheme: sc, Seed: 1})
 		data := make([]byte, p.BlockBytes())
 		copy(data, "derived")

@@ -31,7 +31,7 @@ type ShardStats struct {
 
 	// Service time per access: wall nanoseconds inside the backend, the
 	// sum of the access's stage times below (queueing and reply hand-off
-	// excluded). Zero for backends without a stage clock (Ring, NonORAM).
+	// excluded). Zero for backends without a stage clock (NonORAM).
 	ServiceMeanNs float64 `json:"service_ns_mean"`
 	ServiceP50Ns  uint64  `json:"service_ns_p50"`
 	ServiceP99Ns  uint64  `json:"service_ns_p99"`

@@ -48,8 +48,7 @@ func benchSim(b *testing.B, scheme config.Scheme) {
 	}
 }
 
-func BenchmarkSimBaseline(b *testing.B)     { benchSim(b, config.SchemeBaseline) }
-func BenchmarkSimPSORAM(b *testing.B)       { benchSim(b, config.SchemePSORAM) }
-func BenchmarkSimNaivePSORAM(b *testing.B)  { benchSim(b, config.SchemeNaivePSORAM) }
-func BenchmarkSimRcrPSORAM(b *testing.B)    { benchSim(b, config.SchemeRcrPSORAM) }
-func BenchmarkSimRingBaseline(b *testing.B) { benchSim(b, config.SchemeRingBaseline) }
+func BenchmarkSimBaseline(b *testing.B)    { benchSim(b, config.SchemeBaseline) }
+func BenchmarkSimPSORAM(b *testing.B)      { benchSim(b, config.SchemePSORAM) }
+func BenchmarkSimNaivePSORAM(b *testing.B) { benchSim(b, config.SchemeNaivePSORAM) }
+func BenchmarkSimRcrPSORAM(b *testing.B)   { benchSim(b, config.SchemeRcrPSORAM) }

@@ -100,7 +100,7 @@ type System struct {
 	// steady-state accesses must not allocate.
 	pathIdx    *oram.PathIndex
 	pathBuf    []uint64     // path of the access being served
-	auxPathBuf []uint64     // eviction path (may overlap pathBuf's use)
+	auxPathBuf []uint64     // posmap-tree chain path
 	stashBuf   []stashEntry // updateOccupancy working set
 	evictBuf   []evictEntry // orderedEvict working set
 
@@ -129,12 +129,6 @@ type System struct {
 		entries     uint64 // data entries per posmap block
 	}
 
-	// Ring ORAM timing state (SchemeRing*): per-bucket access counters
-	// since the last shuffle and the reverse-lexicographic eviction
-	// cursor.
-	ringCounts []uint8
-	ringEvictG uint64
-
 	now      mem.Cycle
 	res      Result
 	pendPeak int
@@ -151,8 +145,7 @@ type System struct {
 // a nil Observer (or hook) costs nothing.
 type Observer struct {
 	// OnPathLeaf fires once per ORAM data-tree read path with the leaf
-	// whose path is about to be loaded. Deterministic eviction paths
-	// (Ring ORAM's reverse-lexicographic EvictPath) and posmap-tree paths
+	// whose path is about to be loaded. Posmap-tree paths
 	// are deliberately not reported: only the access-driven read sequence
 	// carries the obliviousness claim.
 	OnPathLeaf func(l oram.Leaf)
@@ -242,12 +235,6 @@ func NewSystem(scheme config.Scheme, cfg config.Config, levels int) (*System, er
 	if scheme.Recursive() {
 		s.initRecursion()
 	}
-	if scheme.Ring() {
-		if cfg.RingS < 1 || cfg.RingA < 1 {
-			return nil, fmt.Errorf("sim: Ring schemes need RingS and RingA >= 1")
-		}
-		s.ringCounts = make([]uint8, t.Buckets())
-	}
 	return s, nil
 }
 
@@ -335,13 +322,7 @@ func (s *System) Serve(addr uint64, write bool) (uint64, error) {
 		s.latHist.Observe(lat)
 		return lat, nil
 	}
-	var err error
-	if s.scheme.Ring() {
-		err = s.ringAccess(addr)
-	} else {
-		err = s.oramAccess(addr, write)
-	}
-	if err != nil {
+	if err := s.oramAccess(addr, write); err != nil {
 		return 0, err
 	}
 	s.res.Accesses++
@@ -631,172 +612,6 @@ func (s *System) persistentEvict(path []uint64, dirty int, targetEvicted bool) e
 	s.now = done
 	_ = targetEvicted
 	return nil
-}
-
-// ringAccess prices one Ring ORAM access (extension schemes): one block
-// read per bucket on the path plus a metadata touch; a full EvictPath
-// every RingA accesses; early reshuffles of buckets that exhausted
-// their dummies. Ring-PS-ORAM adds the per-access journal append and
-// commits evictions through the WPQ batch.
-func (s *System) ringAccess(addr uint64) error {
-	l := s.currentLeaf(addr)
-	s.leafOf[addr] = oram.Leaf(s.r.Uint64n(s.tree.Leaves()))
-	s.observeLeaf(l)
-	s.pathBuf = s.pathIdx.AppendPath(s.pathBuf, l)
-	path := s.pathBuf
-
-	// ReadPath: one slot per bucket.
-	var loadDone mem.Cycle
-	for _, bucket := range path {
-		slot := int(s.r.Uint64n(uint64(s.cfg.Z)))
-		if d := s.memc.ReadBlock(s.memc.TreeBlockLocation(bucket, slot), s.now); d > loadDone {
-			loadDone = d
-		}
-		if s.ringCounts[bucket] < 255 {
-			s.ringCounts[bucket]++
-		}
-	}
-	if loadDone > s.now {
-		s.now = loadDone
-	}
-	s.now += 32 // decrypt
-
-	persist := s.scheme == config.SchemeRingPSORAM
-	if persist {
-		// Journal append + metadata updates, one atomic batch. The
-		// per-bucket metadata (an invalidation bit and a counter) is a
-		// few bits per bucket: the whole path's updates coalesce into
-		// two line writes.
-		batch := s.memc.BeginBatch()
-		batch.AddPosMapBlock(s.memc.PosMapLocation((1<<20)+s.res.Accesses%96), nil)
-		batch.AddPosMapBlock(s.memc.PosMapLocation((1<<21)+uint64(l)), nil)
-		batch.AddPosMapBlock(s.memc.PosMapLocation((1<<21)+uint64(l)+1), nil)
-		done, err := batch.Commit(s.now)
-		if err != nil {
-			return fmt.Errorf("sim: ring access batch: %w", err)
-		}
-		s.now = done
-		s.res.DirtyEntries++
-	}
-
-	// Scheduled EvictPath.
-	if (s.res.Accesses+1)%uint64(s.cfg.RingA) == 0 {
-		g := s.ringEvictG
-		s.ringEvictG++
-		el := oram.Leaf(reverseBits(g, uint(s.tree.L)) % s.tree.Leaves())
-		if err := s.ringEvictPath(el, persist); err != nil {
-			return err
-		}
-	}
-	// Early reshuffles.
-	for _, bucket := range path {
-		if int(s.ringCounts[bucket]) >= s.cfg.RingS {
-			if err := s.ringReshuffle(bucket, persist); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ringEvictPath prices one scheduled eviction: read the valid real
-// blocks (~Z per bucket worst case, Z/2 typical — we charge Z/2+1) and
-// rewrite every bucket fully (Z+RingS slots).
-func (s *System) ringEvictPath(l oram.Leaf, persist bool) error {
-	// ringAccess is still holding pathBuf (it walks its read path again
-	// for early reshuffles after this call), so evictions use the
-	// auxiliary buffer.
-	s.auxPathBuf = s.pathIdx.AppendPath(s.auxPathBuf, l)
-	path := s.auxPathBuf
-	reads := s.cfg.Z/2 + 1
-	var done mem.Cycle
-	for _, bucket := range path {
-		for i := 0; i < reads; i++ {
-			if d := s.memc.ReadBlock(s.memc.TreeBlockLocation(bucket, i%s.cfg.Z), s.now); d > done {
-				done = d
-			}
-		}
-	}
-	if done > s.now {
-		s.now = done
-	}
-	s.now += 64 // decrypt + re-encrypt
-	if persist {
-		batch := s.memc.BeginBatch()
-		n := 0
-		for _, bucket := range path {
-			for i := 0; i < s.cfg.Z+s.cfg.RingS; i++ {
-				batch.AddData(s.memc.TreeBlockLocation(bucket, i%s.cfg.Z), nil)
-				n++
-				if n == s.cfg.DataWPQEntries {
-					if d, err := batch.Commit(s.now); err == nil && d > s.now {
-						s.now = d
-					}
-					batch = s.memc.BeginBatch()
-					n = 0
-				}
-			}
-		}
-		if d, err := batch.Commit(s.now); err == nil && d > s.now {
-			s.now = d
-		}
-	} else {
-		proceed := s.now
-		for _, bucket := range path {
-			for i := 0; i < s.cfg.Z+s.cfg.RingS; i++ {
-				if p := s.memc.WriteBlockPosted(s.memc.TreeBlockLocation(bucket, i%s.cfg.Z), s.now, nil); p > proceed {
-					proceed = p
-				}
-			}
-		}
-		s.now = proceed
-	}
-	for _, bucket := range path {
-		s.ringCounts[bucket] = 0
-	}
-	return nil
-}
-
-// ringReshuffle prices one early bucket reshuffle.
-func (s *System) ringReshuffle(bucket uint64, persist bool) error {
-	reads := s.cfg.Z/2 + 1
-	var done mem.Cycle
-	for i := 0; i < reads; i++ {
-		if d := s.memc.ReadBlock(s.memc.TreeBlockLocation(bucket, i%s.cfg.Z), s.now); d > done {
-			done = d
-		}
-	}
-	if done > s.now {
-		s.now = done
-	}
-	if persist {
-		batch := s.memc.BeginBatch()
-		for i := 0; i < s.cfg.Z+s.cfg.RingS; i++ {
-			batch.AddData(s.memc.TreeBlockLocation(bucket, i%s.cfg.Z), nil)
-		}
-		if d, err := batch.Commit(s.now); err == nil && d > s.now {
-			s.now = d
-		}
-	} else {
-		proceed := s.now
-		for i := 0; i < s.cfg.Z+s.cfg.RingS; i++ {
-			if p := s.memc.WriteBlockPosted(s.memc.TreeBlockLocation(bucket, i%s.cfg.Z), s.now, nil); p > proceed {
-				proceed = p
-			}
-		}
-		s.now = proceed
-	}
-	s.ringCounts[bucket] = 0
-	return nil
-}
-
-// reverseBits reverses the low `bits` bits of v.
-func reverseBits(v uint64, bits uint) uint64 {
-	var out uint64
-	for i := uint(0); i < bits; i++ {
-		out = out<<1 | (v>>i)&1
-	}
-	return out
 }
 
 // orderedEvict prices the limited-persistence-domain eviction: the path

@@ -258,45 +258,3 @@ func TestRunThroughCaches(t *testing.T) {
 		t.Fatalf("gcc (%d misses) should miss less than lbm (%d)", rg.Accesses, rl.Accesses)
 	}
 }
-
-func TestRingSchemesTiming(t *testing.T) {
-	cfg := config.Default()
-	w := testWorkload()
-	path, err := Simulate(context.Background(), Request{Scheme: config.SchemePSORAM, Config: cfg, Workload: w, N: 900, Levels: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringB, err := Simulate(context.Background(), Request{Scheme: config.SchemeRingBaseline, Config: cfg, Workload: w, N: 900, Levels: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringPS, err := Simulate(context.Background(), Request{Scheme: config.SchemeRingPSORAM, Config: cfg, Workload: w, N: 900, Levels: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ring's read bandwidth advantage: far fewer reads per access.
-	pr := float64(path.Reads) / float64(path.Accesses)
-	rr := float64(ringB.Reads) / float64(ringB.Accesses)
-	if rr >= pr/1.5 {
-		t.Errorf("Ring reads/access %.1f should be well below Path's %.1f", rr, pr)
-	}
-	// Ring-PS adds a small persistence cost over Ring-Baseline.
-	if !(ringPS.Cycles > ringB.Cycles) {
-		t.Errorf("Ring-PS (%d) should exceed Ring-Baseline (%d)", ringPS.Cycles, ringB.Cycles)
-	}
-	if sd := ringPS.Slowdown(ringB); sd > 1.35 {
-		t.Errorf("Ring-PS overhead %.3f over Ring-Baseline too large", sd)
-	}
-	// Ring should beat Path on total time for this read-heavy model.
-	if ringB.Cycles >= path.Cycles {
-		t.Logf("note: Ring-Baseline (%d) not faster than Path (%d) at this scale", ringB.Cycles, path.Cycles)
-	}
-}
-
-func TestRingRequiresParams(t *testing.T) {
-	cfg := config.Default()
-	cfg.RingA = 0
-	if _, err := NewSystem(config.SchemeRingBaseline, cfg, 12); err == nil {
-		t.Fatal("RingA=0 accepted")
-	}
-}

@@ -74,7 +74,7 @@ func TestOracleGridNoStashOverflow(t *testing.T) {
 // byte for byte (the property that keeps the golden suite valid).
 func TestOracleObserverKeepsResultsIdentical(t *testing.T) {
 	g := oracleTestGrid(t)
-	g.Schemes = []config.Scheme{config.SchemePSORAM, config.SchemeRingPSORAM}
+	g.Schemes = []config.Scheme{config.SchemePSORAM, config.SchemeRcrPSORAM}
 	withOracle, err := Run(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -555,7 +555,7 @@ func DefaultExperimentOptions() ExperimentOptions { return report.Default() }
 func Experiments() []string {
 	return []string{
 		"table1", "table2", "fig5a", "fig5b", "fig6a", "fig6b", "fig7",
-		"oramcost", "crash", "lifetime", "recovery", "latency", "ring", "stash",
+		"oramcost", "crash", "lifetime", "recovery", "latency", "stash",
 	}
 }
 
@@ -596,9 +596,6 @@ func RunExperiment(name string, o ExperimentOptions) (string, error) {
 		return render(t, err)
 	case "latency":
 		t, err := o.Latency()
-		return render(t, err)
-	case "ring":
-		t, err := report.Ring()
 		return render(t, err)
 	case "stash":
 		t, err := report.StashPressure()
