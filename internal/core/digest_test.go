@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -135,6 +136,99 @@ func TestProtocolDigest(t *testing.T) {
 			})
 		}
 	}
+	for _, v := range durableDigestVariants() {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			t.Parallel()
+			for leg, sum := range v.run(t, ops[:durableDigestOps]) {
+				check(t, v.name+"/"+leg, sum)
+			}
+		})
+	}
+}
+
+// durableDigestOps is how many accesses the durable legs run before
+// hashing the store a second time.
+const durableDigestOps = 500
+
+// durableDigestVariant pins the bytes a file-backed controller leaves on
+// disk: a digest of the store directory right after NewDurable and
+// after durableDigestOps accesses.
+type durableDigestVariant struct {
+	name   string
+	scheme config.Scheme
+	group  int // GroupCommit.MaxOps
+}
+
+func durableDigestVariants() []durableDigestVariant {
+	var vs []durableDigestVariant
+	for _, s := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline} {
+		for _, g := range []int{1, 8} {
+			vs = append(vs, durableDigestVariant{name: fmt.Sprintf("durable/%v/group%d", s, g), scheme: s, group: g})
+		}
+	}
+	return vs
+}
+
+// run builds the store, drives ops through it, and returns the two legs'
+// digests. Before the second hash the open commit group is flushed and
+// its barrier waited out, so the directory holds every access.
+func (v durableDigestVariant) run(t *testing.T, ops []seamOp) map[string]string {
+	t.Helper()
+	cfg := config.Default()
+	cfg.Seed = 0xd16e
+	cfg.StashEntries = 150
+	cfg.TempPosMapSize = 16
+	cfg.WriteBufferEntries = 16
+	dir := filepath.Join(t.TempDir(), "store")
+	c, _, err := core.NewDurable(v.scheme, cfg, core.Options{NumBlocks: digestBlocks, Levels: digestLevels,
+		GroupCommit: core.GroupCommit{MaxOps: v.group}}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	legs := map[string]string{"created": storeDigest(t, dir)}
+	for i, o := range ops {
+		if _, err := c.Access(o.op, o.addr, o.data); err != nil {
+			t.Fatalf("access %d: %v", i, err)
+		}
+	}
+	if err := c.FlushCommits(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	c.OnCommit(func(err error) { done <- err })
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	legs[fmt.Sprintf("after%d", len(ops))] = storeDigest(t, dir)
+	return legs
+}
+
+// storeDigest is the SHA-256 of a store directory's meta and version
+// files and of every chunk file, each preceded by its name, chunks in
+// name order.
+func storeDigest(t *testing.T, dir string) string {
+	t.Helper()
+	names := []string{"meta", "version"}
+	chunks, err := os.ReadDir(filepath.Join(dir, "chunks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range chunks {
+		names = append(names, filepath.Join("chunks", e.Name()))
+	}
+	sort.Strings(names[2:])
+	h := sha256.New()
+	for _, n := range names {
+		data, err := os.ReadFile(filepath.Join(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s:%d|", n, len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 const (
