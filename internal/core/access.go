@@ -17,7 +17,7 @@ import (
 // goes, as opposed to the simulated NVM cycles the timing model tracks.
 const (
 	StageLoad    = 0 // path fetch + header/payload decode
-	StageCrypto  = 1 // eviction seal AES (near-zero under lazy seal)
+	StageCrypto  = 1 // eviction plan's IV and version draws (sealing waits for an observer)
 	StageEvict   = 2 // eviction planning + batch staging
 	StageSeal    = 3 // batch commit + write-back bookkeeping
 	StagePersist = 4 // durable persist barrier (fsync; enqueue cost under group commit)
@@ -341,7 +341,7 @@ func (c *Controller) loadBucket(ctl *oram.Controller, bucket uint64, l oram.Leaf
 
 // loadSlot loads one slot of a bucket on the path to l of tree ctl: a
 // block it brings into ctl's stash is appended to c.scratch.loaded. A
-// header comes from the lazy-seal overlay's plaintext descriptor, else
+// header comes from the image overlay's plaintext descriptor, else
 // from a real header open, and a payload is only decrypted for blocks
 // that actually enter the stash. Overlay-resident payloads copy
 // plaintext directly: the steady-state bucket load runs without any AES
@@ -625,10 +625,10 @@ func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
 	return real, 0, nil
 }
 
-// writeBack writes the sealed plan slots of the tree in region and
-// removes the placed blocks from its stash. It returns the number of
-// real blocks written; its only error is ErrCrashed, from a posted
-// data-tree write-back.
+// writeBack writes the plan slots of the tree in region, each with its
+// own undoable image write, and removes the placed blocks from its
+// stash. It returns the number of real blocks written; its only error is
+// ErrCrashed, from a posted data-tree write-back.
 //
 // Into an open batch (Rcr-PS-ORAM) every write is applied at once, so
 // later steps of the same access read the path as written, and undone if
@@ -649,13 +649,11 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 		loc := c.Mem.RegionTreeLocation(region, s.bucket, s.z)
 		switch {
 		case batch != nil && region == 0:
-			batch.AddDataApplied(loc, img.SetSlot(s.bucket, s.z, s.sealed))
+			batch.AddDataApplied(loc, s.writeTo(img))
 		case batch != nil:
-			batch.AddPosMapBlockApplied(loc, img.SetSlot(s.bucket, s.z, s.sealed))
+			batch.AddPosMapBlockApplied(loc, s.writeTo(img))
 		case !crashed: // after a power failure the rest is never written
-			p := c.Mem.WriteBlockPosted(loc, c.now, func() func() {
-				return img.SetSlot(s.bucket, s.z, s.sealed)
-			})
+			p := c.Mem.WriteBlockPosted(loc, c.now, func() func() { return s.writeTo(img) })
 			proceed = maxCycle(proceed, p)
 			if region == 0 {
 				if c.onchipNVM != nil && s.block != nil {

@@ -10,31 +10,50 @@ import (
 
 // TestCoreSteadyStateAllocs pins the controller's hot-path allocation
 // budget: once the stash, freelists, and scratch buffers have warmed
-// up, a PS-ORAM access — load path, serve, seal, commit — must not
+// up, a PS-ORAM access — load path, serve, commit — must not
 // allocate. The measured value is 0.00; the budget leaves room for
 // incidental runtime noise (a map rehash, a histogram bucket) without
 // letting a per-access allocation regress back in.
 func TestCoreSteadyStateAllocs(t *testing.T) {
-	steadyStateAllocs(t, Options{NumBlocks: 512, Levels: 8})
+	steadyStateAllocs(t, config.SchemePSORAM, config.Default(), Options{NumBlocks: 512, Levels: 8}, 2.0)
 }
 
 // TestCoreUntimedSteadyStateAllocs pins the same budget over the untimed
 // memory model — the controller every Store and pool shard runs.
 func TestCoreUntimedSteadyStateAllocs(t *testing.T) {
-	steadyStateAllocs(t, Options{NumBlocks: 512, Levels: 8, Untimed: true})
+	steadyStateAllocs(t, config.SchemePSORAM, config.Default(), Options{NumBlocks: 512, Levels: 8, Untimed: true}, 2.0)
 }
 
-func steadyStateAllocs(t *testing.T, opts Options) {
-	const budget = 2.0
+// TestCoreBaselineSteadyStateAllocs guards the posted write-back: every
+// slot of the path is an undoable image write, whose undo (a closure,
+// plus a copy of a real block's previous payload) and posted-write
+// journal entry allocate. The budget is the figure measured when every
+// write sealed eagerly — 133 per write access, 132 per read at L=8;
+// undoable overlay writes measure 71 and 70.
+func TestCoreBaselineSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, config.SchemeBaseline, config.Default(), Options{NumBlocks: 512, Levels: 8}, 133)
+}
 
+// TestCoreRcrPSORAMSteadyStateAllocs guards the access-spanning batch of
+// Rcr-PS-ORAM over two PosMap trees: every slot written into the batch
+// carries an undo. The budget is the figure measured when every write
+// sealed eagerly — 254 per write access, 252 per read; undoable overlay
+// writes measure 135 and 133.
+func TestCoreRcrPSORAMSteadyStateAllocs(t *testing.T) {
 	cfg := config.Default()
-	ctl, err := New(config.SchemePSORAM, cfg, opts)
+	cfg.OnChipPosMapBytes = 4 * 64 * 8 // two PosMap trees over 512 blocks
+	cfg.DataWPQEntries = 4 * 9 * cfg.Z // the batch spans the access, flushes included
+	steadyStateAllocs(t, config.SchemeRcrPSORAM, cfg, Options{NumBlocks: 512, Levels: 8}, 254)
+}
+
+func steadyStateAllocs(t *testing.T, scheme config.Scheme, cfg config.Config, opts Options, budget float64) {
+	ctl, err := New(scheme, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, cfg.BlockBytes)
 	// Warm up: touch every address so the stash, the temporary PosMap,
-	// and the seal-buffer freelists reach their steady-state sizes.
+	// and the stash-block freelist reach their steady-state sizes.
 	for i := 0; i < 2000; i++ {
 		if _, err := ctl.Access(oram.OpWrite, oram.Addr(i%512), buf); err != nil {
 			t.Fatal(err)
@@ -61,39 +80,6 @@ func steadyStateAllocs(t *testing.T, opts Options) {
 		t.Errorf("steady-state read access allocates %.2f/op, budget %.1f", reads, budget)
 	}
 	t.Logf("steady-state allocs/op: write %.2f, read %.2f (budget %.1f)", writes, reads, budget)
-}
-
-// TestCoreEagerSealSteadyStateAllocs is the allocation guard on an
-// eager-sealing controller: every eviction runs sealSlots, whose seal
-// buffers must all come from the freelists.
-func TestCoreEagerSealSteadyStateAllocs(t *testing.T) {
-	const budget = 0.0
-
-	cfg := config.Default()
-	ctl, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 512, Levels: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	ctl.ORAM.Image.DisableLazySeal()
-	buf := make([]byte, cfg.BlockBytes)
-	for i := 0; i < 2000; i++ {
-		if _, err := ctl.Access(oram.OpWrite, oram.Addr(i%512), buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	i := 0
-	writes := testing.AllocsPerRun(500, func() {
-		i++
-		if _, err := ctl.Access(oram.OpWrite, oram.Addr((i*7)%512), buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if writes > budget {
-		t.Errorf("eager-seal steady-state write access allocates %.2f/op, budget %.1f", writes, budget)
-	}
-	t.Logf("eager-seal steady-state allocs/op: write %.2f (budget %.1f)", writes, budget)
 }
 
 // TestCoreFileStoreSteadyStateAllocs pins the file-backed controller's

@@ -171,17 +171,10 @@ type Controller struct {
 	hAccesses *int64 // oram.accesses
 	hBackups  *int64 // psoram.backups
 	hDirty    *int64 // psoram.dirty_entries
-	// recycle gates buffer reuse during commit: true only on the
-	// single-batch eviction path, where an overwritten image slot's
-	// buffers and an evicted block's StashBlock are provably dead. The
-	// ordered multi-batch eviction aliases sealed buffers across slots
-	// (bounce writes), so it keeps recycling off.
-	recycle bool
-	// Freelists feeding the recycling: spare stash blocks (Data retains
-	// its capacity) and sealed header/payload buffers.
+	// freeBlocks holds spare stash blocks (Data retains its capacity):
+	// the single-batch eviction returns its evicted blocks here (see
+	// finishEvicted).
 	freeBlocks []*oram.StashBlock
-	freeHdr    [][]byte
-	freeData   [][]byte
 
 	// CrashAt, when non-nil, is consulted at every crash point; returning
 	// true triggers the simulated power failure there.
@@ -294,10 +287,6 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		StashEntries: stash,
 		NumBlocks:    opts.NumBlocks,
 		Seed:         cfg.Seed,
-		// A fresh in-memory image without an integrity tree is born with
-		// the lazy-seal overlay armed (see the EnableLazySeal arm below,
-		// which covers the images that are not).
-		LazySeal: !cfg.Integrity,
 	}
 	if opts.Storage != nil {
 		op.Storage = opts.Storage
@@ -399,18 +388,6 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 	c.hBackups = c.counters.Handle("psoram.backups")
 	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	c.group = opts.GroupCommit
-	if c.Merkle == nil && !oc.Image.LazySeal() {
-		// Non-integrity image: arm the lazy-seal overlay. The controller
-		// is the only writer and re-reads its own plaintext, so
-		// steady-state evictions commit descriptors and skip the AES; any
-		// observer of the sealed bytes (snapshots, equivalence tests) gets
-		// them materialized byte-identically on demand. Durable backends
-		// serialize from the underlying store, so persistDurable runs a
-		// materialization barrier (MaterializePending) before every
-		// persist, which mirrors the overlay into the store and makes the
-		// on-disk image byte-identical to eager sealing.
-		c.ORAM.Image.EnableLazySeal(oc.Engine)
-	}
 	return c, nil
 }
 

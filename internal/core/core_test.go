@@ -544,7 +544,7 @@ func TestIntegrityDetectsTampering(t *testing.T) {
 	s := c.ORAM.Image.Slot(0, 0)
 	s.SealedData = append([]byte(nil), s.SealedData...)
 	s.SealedData[0] ^= 1
-	c.ORAM.Image.SetSlot(0, 0, s)
+	c.ORAM.Image.PutSlot(0, 0, s)
 	// Every access reads the root bucket: the next access must fail.
 	if _, err := c.Access(oram.OpRead, 5, nil); err == nil {
 		t.Fatal("tampered tree verified")
@@ -762,11 +762,11 @@ func TestPosMapWalkKeepsNewerDuplicate(t *testing.T) {
 			oram.PackLeaf(older.Data, off, (oram.PackedLeaf(newer.Data, off)+1)%oram.Leaf(c.ORAM.Tree.Leaves()))
 
 			seal := func(s slot, b oram.Block) {
-				lvl.Image.SetSlot(s.bucket, s.z, oram.SealBlockInto(lvl.Engine, b, lvl.NextIV,
+				lvl.Image.PutSlot(s.bucket, s.z, oram.SealBlockInto(lvl.Engine, b, lvl.NextIV,
 					make([]byte, oram.HeaderBytes), make([]byte, len(b.Data))))
 			}
 			for _, s := range free {
-				lvl.Image.SetSlot(s.bucket, s.z, oram.DummySlotInto(lvl.Engine, len(newer.Data), lvl.NextIV,
+				lvl.Image.PutSlot(s.bucket, s.z, oram.DummySlotInto(lvl.Engine, len(newer.Data), lvl.NextIV,
 					make([]byte, oram.HeaderBytes), make([]byte, len(newer.Data))))
 			}
 			first, second := older, newer

@@ -42,54 +42,68 @@ func runTwin(t *testing.T, a, b *Controller, nOps int) {
 	}
 }
 
-// compareImages materializes any deferred seals and requires the two
-// tree images to agree byte-for-byte: same IVs, same sealed header, same
-// sealed payload in every slot.
-func compareImages(t *testing.T, a, b *Controller) {
+// sameSlot requires two sealed slots to agree byte-for-byte: same IVs,
+// same sealed header, same sealed payload.
+func sameSlot(t *testing.T, what string, a, b oram.Slot) {
 	t.Helper()
-	a.ORAM.Image.DisableLazySeal()
-	b.ORAM.Image.DisableLazySeal()
-	tree := a.ORAM.Tree
-	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
-		for z := 0; z < tree.Z; z++ {
-			sa := a.ORAM.Image.Slot(bucket, z)
-			sb := b.ORAM.Image.Slot(bucket, z)
-			if sa.IV1 != sb.IV1 || sa.IV2 != sb.IV2 {
-				t.Fatalf("bucket %d slot %d: IV divergence", bucket, z)
-			}
-			if !bytes.Equal(sa.SealedHeader, sb.SealedHeader) {
-				t.Fatalf("bucket %d slot %d: sealed header divergence", bucket, z)
-			}
-			if !bytes.Equal(sa.SealedData, sb.SealedData) {
-				t.Fatalf("bucket %d slot %d: sealed data divergence", bucket, z)
-			}
-		}
+	if a.IV1 != b.IV1 || a.IV2 != b.IV2 {
+		t.Fatalf("%s: IV divergence", what)
+	}
+	if !bytes.Equal(a.SealedHeader, b.SealedHeader) {
+		t.Fatalf("%s: sealed header divergence", what)
+	}
+	if !bytes.Equal(a.SealedData, b.SealedData) {
+		t.Fatalf("%s: sealed data divergence", what)
 	}
 }
 
-// TestLazySealByteEquivalence is the lazy-seal overlay's acceptance
-// check: a controller running with deferred seals must return the same
-// values and leaves as an eager twin, and after materialization the two
-// sealed tree images must be byte-identical — the overlay only moves the
-// AES in time, never changes a single ciphertext bit.
+// TestLazySealByteEquivalence is the overlay's acceptance check:
+// sealing is only an observation. An in-memory controller, whose image
+// seals nothing until it is read, must return the same values and
+// leaves as a durable twin, whose store every persist barrier seals.
+// Afterwards every slot of the in-memory image, sealed by reading it,
+// must be the seal (SealBlockIVs, DummySlotIVs) under its IVs of the
+// plaintext the overlay held before the read, and the durable store's
+// bytes.
 func TestLazySealByteEquivalence(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline, config.SchemeNaivePSORAM} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			cfg := testCfg()
-			lazy, err := New(scheme, cfg, Options{NumBlocks: 128, Levels: 6})
+			opts := Options{NumBlocks: 128, Levels: 6}
+			lazy, err := New(scheme, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !lazy.ORAM.Image.LazySeal() {
-				t.Fatal("in-memory controller did not arm the lazy-seal overlay")
-			}
-			eager, err := New(scheme, cfg, Options{NumBlocks: 128, Levels: 6})
+			opts.GroupCommit = GroupCommit{MaxOps: 64} // keeps the twin's fsyncs off the test's clock
+			dur, _, err := NewDurable(scheme, cfg, opts, filepath.Join(t.TempDir(), "store"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager.ORAM.Image.DisableLazySeal() // strict pre-overlay eager path
-			runTwin(t, eager, lazy, 300)
-			compareImages(t, eager, lazy)
+			defer dur.Close()
+			runTwin(t, dur, lazy, 300)
+			if err := dur.FlushCommits(); err != nil {
+				t.Fatal(err)
+			}
+
+			img, e, tree := lazy.ORAM.Image, lazy.ORAM.Engine, lazy.ORAM.Tree
+			for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
+				for z := 0; z < tree.Z; z++ {
+					what := fmt.Sprintf("bucket %d slot %d", bucket, z)
+					addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z)
+					if !ok {
+						t.Fatalf("%s: no overlay entry", what)
+					}
+					plain := append([]byte(nil), img.PlainData(bucket, z)...)
+					got := img.Slot(bucket, z)
+					hdr, data := make([]byte, oram.HeaderBytes), make([]byte, cfg.BlockBytes)
+					want := oram.DummySlotIVs(e, cfg.BlockBytes, got.IV1, got.IV2, hdr, data)
+					if !dummy {
+						want = oram.SealBlockIVs(e, oram.Block{Addr: addr, Leaf: leaf, Ver: ver, Data: plain}, got.IV1, got.IV2, hdr, data)
+					}
+					sameSlot(t, what+" against the seal of its plaintext", got, want)
+					sameSlot(t, what+" against the durable store", got, dur.Storage().Slot(bucket, z))
+				}
+			}
 		})
 	}
 }
@@ -171,12 +185,14 @@ func TestStageClockCoversTheAccess(t *testing.T) {
 	}
 }
 
-// TestBornLazySnapshotIdentity: an in-memory controller is built born
-// lazy — nothing sealed at construction — while a durable one is built
-// the old way, every slot sealed eagerly into its backend. For the same
-// seed and op stream the two must hold the same durable state byte for
-// byte, right after construction and after 2000 accesses: "born lazy"
-// defers work, it does not change a single observable bit.
+// TestBornLazySnapshotIdentity: every controller is built born lazy —
+// nothing sealed at construction. An in-memory one seals a slot only
+// when it is read, in the record form; a durable one keeps per-slot
+// entries and seals each written slot into its backend at every persist
+// barrier. For the same seed and op stream the two must hold the same
+// durable state byte for byte, right after construction and after 2000
+// accesses: when a slot is sealed does not change a single observable
+// bit.
 func TestBornLazySnapshotIdentity(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -186,27 +202,27 @@ func TestBornLazySnapshotIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.GroupCommit = GroupCommit{MaxOps: 64} // keeps the eager twin's fsyncs off the test's clock
-			eager, _, err := NewDurable(scheme, cfg, opts, filepath.Join(t.TempDir(), "store"))
+			opts.GroupCommit = GroupCommit{MaxOps: 64} // keeps the durable twin's fsyncs off the test's clock
+			dur, _, err := NewDurable(scheme, cfg, opts, filepath.Join(t.TempDir(), "store"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer eager.Close()
+			defer dur.Close()
 			snapshots := func(when string) {
 				t.Helper()
 				var a, b bytes.Buffer
 				if err := born.SaveDurable(&a); err != nil {
 					t.Fatal(err)
 				}
-				if err := eager.SaveDurable(&b); err != nil {
+				if err := dur.SaveDurable(&b); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(a.Bytes(), b.Bytes()) {
-					t.Fatalf("%s: SaveDurable of the born-lazy and the eagerly built controller differ", when)
+					t.Fatalf("%s: SaveDurable of the in-memory and the durable controller differ", when)
 				}
 			}
 			snapshots("after construction")
-			runTwin(t, eager, born, 2000)
+			runTwin(t, dur, born, 2000)
 			snapshots("after 2000 accesses")
 		})
 	}

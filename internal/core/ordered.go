@@ -22,33 +22,34 @@ import (
 // core dependency graph is a partial permutation: disjoint chains and
 // cycles. Chains are emitted dependency-first. A cycle (blocks mutually
 // displacing each other) cannot be linearized, so it is broken with a
-// *bounce write*: one cycle member's fresh sealed copy is first written
-// into a slot the plan fills with a dummy ("additional dummy blocks can
-// be inserted in between of real blocks during the eviction" — §4.2.3),
-// after which the cycle is an ordinary chain. The bounced copy is
-// overwritten by the plan's own write of that slot, which is constrained
-// to come after the member's final placement.
+// *bounce write*: one cycle member's fresh copy — its block under its
+// own slot's IVs and version — is first written into a slot the plan
+// fills with a dummy ("additional dummy blocks can be inserted in
+// between of real blocks during the eviction" — §4.2.3), after which the
+// cycle is an ordinary chain. The bounced copy is overwritten by the
+// plan's own write of that slot, which is constrained to come after the
+// member's final placement.
 func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, error) {
-	// No recycling here: a bounce write places one sealed buffer at two
-	// image positions, and blocks stay referenced across batches.
-	c.recycle = false
 	t := c.ORAM.Tree
+	img := c.ORAM.Image
 	// Slot index -> path level is pure arithmetic (slots are laid out
 	// root-to-leaf, Z per bucket); no per-call map needed.
 	levelOf := func(i int) int { return i / t.Z }
 
-	// Locate the live durable copies currently on the path.
+	// Locate the live durable copies currently on the path. A slot
+	// without an overlay entry (a recovered store's) has its header
+	// opened.
 	oldLiveAt := make(map[int]oram.Addr)
 	for i, s := range slots {
-		blk, err := oram.OpenSlot(c.ORAM.Engine, c.ORAM.Image.Slot(s.bucket, s.z))
-		if err != nil {
-			return 0, 0, err
+		addr, leaf, _, _, ok := img.PlainHeader(s.bucket, s.z)
+		if !ok {
+			var err error
+			if addr, leaf, _, err = oram.OpenSlotHeader(c.ORAM.Engine, img.Slot(s.bucket, s.z)); err != nil {
+				return 0, 0, err
+			}
 		}
-		if blk.Dummy() {
-			continue
-		}
-		if c.durable.Lookup(blk.Addr) == blk.Leaf {
-			oldLiveAt[i] = blk.Addr
+		if addr != oram.DummyAddr && c.durable.Lookup(addr) == leaf {
+			oldLiveAt[i] = addr
 		}
 	}
 	// Locate each block's continuation slot in the plan. A block may
@@ -97,8 +98,8 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 	// slot s; extraAfterDep adds "slot j before slot d" edges for the
 	// dummies that temporarily host a bounced copy.
 	type bounce struct {
-		dst    int // dummy slot hosting the copy
-		sealed oram.Slot
+		dst int // dummy slot hosting the copy
+		src int // the member's own slot, whose write the copy is
 	}
 	var bounces []bounce
 	bounceBefore := make(map[int]int) // slot index -> bounce index that must precede it
@@ -159,7 +160,7 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 					continue // try the next member
 				}
 				usedDummy[dst] = true
-				bounces = append(bounces, bounce{dst: dst, sealed: slots[j].sealed})
+				bounces = append(bounces, bounce{dst: dst, src: j})
 				bounceBefore[u] = len(bounces) - 1
 				// The dummy's own planned write must come after the
 				// member's final placement.
@@ -190,9 +191,11 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 	bounceEmitted := make([]bool, len(bounces))
 	remaining := len(slots)
 
-	// Batching state.
+	// Batching state: pending is the open batch, pendingPos its PosMap
+	// WPQ demand.
 	real, dirty := 0, 0
 	var pending []plannedSlot
+	pendingPos := 0
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
@@ -205,11 +208,13 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 		}
 		c.now = done
 		c.applyCommitted(pending)
-		c.finishEvicted(pending)
+		// No recycling: a bounce write refers to its member's block
+		// across batches.
+		c.finishEvicted(pending, false)
 		real += r
 		dirty += d
 		c.counters.Inc("psoram.ordered_batches")
-		pending = pending[:0]
+		pending, pendingPos = pending[:0], 0
 		// Crash point at every committed-batch boundary: this is where a
 		// power failure observes a partially written path.
 		if c.maybeCrash(5, int(c.counters.Get("psoram.ordered_batches"))) {
@@ -217,32 +222,33 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 		}
 		return nil
 	}
-	add := func(ps plannedSlot) error {
-		if len(pending)+1 > c.Cfg.DataWPQEntries ||
-			c.posMapEntriesFor(append(append([]plannedSlot(nil), pending...), ps)) > c.Cfg.PosMapWPQEntries {
-			if err := flush(); err != nil {
-				return err
-			}
+	// addAll appends gs to the open batch, flushing it first when gs
+	// would overflow a WPQ.
+	addAll := func(gs ...plannedSlot) error {
+		pos := 0
+		for i := range gs {
+			pos += c.posMapEntries(&gs[i])
 		}
-		pending = append(pending, ps)
-		return nil
-	}
-	addGroup := func(grp []int) error {
-		gs := make([]plannedSlot, 0, len(grp))
-		for _, m := range grp {
-			gs = append(gs, slots[m])
-		}
-		if len(gs) > c.Cfg.DataWPQEntries || c.posMapEntriesFor(gs) > c.Cfg.PosMapWPQEntries {
-			return fmt.Errorf("core: atomic cycle group of %d slots exceeds the WPQs", len(gs))
-		}
-		if len(pending)+len(gs) > c.Cfg.DataWPQEntries ||
-			c.posMapEntriesFor(append(append([]plannedSlot(nil), pending...), gs...)) > c.Cfg.PosMapWPQEntries {
+		if len(pending)+len(gs) > c.Cfg.DataWPQEntries || pendingPos+pos > c.Cfg.PosMapWPQEntries {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
 		pending = append(pending, gs...)
+		pendingPos += pos
 		return nil
+	}
+	addGroup := func(grp []int) error {
+		gs := make([]plannedSlot, 0, len(grp))
+		pos := 0
+		for _, m := range grp {
+			gs = append(gs, slots[m])
+			pos += c.posMapEntries(&slots[m])
+		}
+		if len(gs) > c.Cfg.DataWPQEntries || pos > c.Cfg.PosMapWPQEntries {
+			return fmt.Errorf("core: atomic cycle group of %d slots exceeds the WPQs", len(gs))
+		}
+		return addAll(gs...)
 	}
 
 	groupReady := func(grp []int) bool {
@@ -264,12 +270,10 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 		if !ok || bounceEmitted[b] {
 			return nil
 		}
-		bn := bounces[b]
-		if err := add(plannedSlot{
-			bucket: slots[bn.dst].bucket,
-			z:      slots[bn.dst].z,
-			block:  nil,
-			sealed: bn.sealed,
+		src, dst := &slots[bounces[b].src], &slots[bounces[b].dst]
+		if err := addAll(plannedSlot{
+			bucket: dst.bucket, z: dst.z, bounce: src.block,
+			leaf: src.leaf, ver: src.ver, iv1: src.iv1, iv2: src.iv2,
 		}); err != nil {
 			return err
 		}
@@ -320,7 +324,7 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 			if !ready {
 				continue
 			}
-			if err := add(slots[s]); err != nil {
+			if err := addAll(slots[s]); err != nil {
 				return 0, 0, err
 			}
 			emitted[s] = true

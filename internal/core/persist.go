@@ -10,19 +10,44 @@ import (
 
 // plannedSlot flattens an eviction plan entry for batch construction.
 // The IVs and seal version are drawn at plan time, pinning the slot's
-// ciphertext; a lazy entry carries the plaintext forward and the image
-// overlay seals it at first observation, any other holds its sealed
-// bytes.
+// ciphertext; the write carries the plaintext forward and the image
+// overlay seals it at first observation.
 type plannedSlot struct {
 	bucket uint64
 	z      int
 	block  *oram.StashBlock // nil = dummy
-	leaf   oram.Leaf        // target leaf captured at plan time
+	// bounce, on a dummy of the ordered eviction, is the block whose
+	// fresh copy the slot hosts until the plan's own write of it (see
+	// evictOrdered); leaf, ver and the IVs are then that copy's.
+	bounce *oram.StashBlock
+	leaf   oram.Leaf // target leaf captured at plan time
 	ver    uint32
 	iv1    uint64
 	iv2    uint64
-	lazy   bool
-	sealed oram.Slot
+}
+
+// content is what the write of s puts into its slot: the planned block
+// or the bounced copy under the plan's leaf and version, else a dummy.
+func (s *plannedSlot) content() oram.Block {
+	b := s.block
+	if b == nil {
+		b = s.bounce
+	}
+	if b == nil {
+		return oram.Block{Addr: oram.DummyAddr}
+	}
+	return oram.Block{Addr: b.Addr, Leaf: s.leaf, Ver: s.ver, Data: b.Data}
+}
+
+// writeTo is the undoable image write of s (see writeBack).
+func (s *plannedSlot) writeTo(img *oram.Image) (undo func()) {
+	return img.PutLazyUndoable(s.bucket, s.z, s.iv1, s.iv2, s.content())
+}
+
+// merges reports whether the write of s carries a pending remap of its
+// block into the durable PosMap.
+func (s *plannedSlot) merges() bool {
+	return s.block != nil && !s.block.Backup && s.block.PendingRemap
 }
 
 // planRows is one tree's eviction plan: L+1 rows of Z slots laid out
@@ -64,26 +89,23 @@ func (c *Controller) tree(region int) (*oram.Controller, *planRows) {
 // base+2i+1 and base+2i+2, base being the tree's IV cursor on entry
 // (kept in c.scratch.ivBase), and every real block takes the tree's next
 // seal version in slot order — the streams that drawing a version and
-// two IVs slot by slot produces, so every ciphertext is unchanged.
+// two IVs slot by slot produces, so every ciphertext is unchanged. No
+// AES runs here: the image seals a slot when it is observed.
 //
-// Sealed, the plan has an entry per slot of the path, each sealed now
-// into freelist buffers on the tree's engine. That is the form for the
-// consumers that need a ciphertext per dummy: the integrity batch (it
-// hashes whole sealed buckets), evictOrdered (bounce writes move sealed
-// bytes between slots) and writeBack (posted writes and access-spanning
-// batches store sealed bytes). Otherwise the plan holds the occupied
-// slots only (c.scratch.real, which the caller has filled from the data
-// tree's plan), deferred, and no AES runs: the dummies reach the image
-// as one PutLazyDummies per bucket. The returned slice is
-// c.scratch.slots (valid until the next planSlots call).
-func (c *Controller) planSlots(region int, l oram.Leaf, sealed bool) []plannedSlot {
+// With every set, the plan has an entry per slot of the path: the form
+// for the consumers that write each dummy on its own, evictOrdered and
+// writeBack. Otherwise it holds the occupied slots only
+// (c.scratch.real, which the caller has filled from the data tree's
+// plan), and the dummies reach the image as one PutLazyDummies per
+// bucket. The returned slice is c.scratch.slots (valid until the next
+// planSlots call).
+func (c *Controller) planSlots(region int, l oram.Leaf, every bool) []plannedSlot {
 	ctl, plan := c.tree(region)
 	t := ctl.Tree
-	e := ctl.Engine
 	c.scratch.path = t.PathInto(c.scratch.path[:0], l)
 	flat := plan.flat
 	which := c.scratch.real
-	if sealed {
+	if every {
 		which = c.scratch.every[:len(flat)]
 	}
 	if cap(c.scratch.slots) < len(flat) {
@@ -93,28 +115,16 @@ func (c *Controller) planSlots(region int, l oram.Leaf, sealed bool) []plannedSl
 	base := ctl.DrawIVs(2 * len(flat))
 	c.scratch.ivBase = base
 	for n, i := range which {
-		// Filled in place through the pointer: plannedSlot is large
-		// enough that building it as a local and appending would copy
-		// ~100B per slot (runtime.duffcopy on the eviction hot path).
+		// Filled in place through the pointer: building a plannedSlot
+		// as a local and appending would copy its 56 bytes per slot.
 		ps := &out[n]
 		b := flat[i]
 		k := int(i) / t.Z
-		ps.bucket, ps.z, ps.block, ps.lazy = c.scratch.path[k], int(i)-k*t.Z, b, !sealed
+		ps.bucket, ps.z, ps.block, ps.bounce = c.scratch.path[k], int(i)-k*t.Z, b, nil
 		ps.iv1, ps.iv2 = base+2*uint64(i)+1, base+2*uint64(i)+2
 		ps.leaf, ps.ver = 0, 0
 		if b != nil {
 			ps.leaf, ps.ver = b.TargetLeaf(), ctl.NextVer()
-		}
-		if !sealed {
-			continue // a deferred entry's sealed field is stale and never read
-		}
-		hdr, data := c.getSealBuf()
-		if b == nil {
-			ps.sealed = oram.DummySlotIVs(e, c.Cfg.BlockBytes, ps.iv1, ps.iv2, hdr, data)
-		} else {
-			ps.sealed = oram.SealBlockIVs(e, oram.Block{
-				Addr: b.Addr, Leaf: ps.leaf, Ver: ps.ver, Data: b.Data,
-			}, ps.iv1, ps.iv2, hdr, data)
 		}
 	}
 	return out
@@ -174,7 +184,7 @@ func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 }
 
 // evictPersistent implements PS-ORAM eviction (§4.2.2) of the data plan
-// onto path l: seal the path, identify the dirty PosMap entries, push
+// onto path l: write the path, identify the dirty PosMap entries, push
 // both into the WPQs between the drainer's start/end signals, and flush.
 // Naïve-PS-ORAM differs only in flushing a PosMap entry for every slot on
 // the path instead of just the dirty ones.
@@ -198,12 +208,9 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 		needPos += t.Levels() + 1 // hash entries + root
 	}
 	oneBatch := needData <= c.Cfg.DataWPQEntries && needPos <= c.Cfg.PosMapWPQEntries
-	// With the image's lazy-seal overlay armed, the single-batch path
-	// commits plaintext descriptors of the real blocks and defers the AES
-	// entirely; every other configuration (integrity, ordered fallback)
-	// needs the sealed bytes of every slot now.
-	lazySeal := oneBatch && c.ORAM.Image.LazySeal() && c.Merkle == nil
-	slots := c.planSlots(0, l, !lazySeal)
+	// One batch writes the occupied slots and every bucket's dummies at
+	// once; the ordered fallback writes each slot on its own.
+	slots := c.planSlots(0, l, !oneBatch)
 	c.stageAdd(StageCrypto)
 	if !oneBatch {
 		if c.Merkle != nil {
@@ -214,34 +221,17 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 		return c.evictOrdered(l, slots)
 	}
 
-	// Single-batch path: overwritten image slots and evicted stash blocks
-	// are dead once the batch commits, so their buffers recycle (bounce
-	// writes in evictOrdered alias sealed buffers across slots; that path
-	// sets recycle=false). The Merkle tree re-reads image slots while
-	// hashing, so integrity runs keep recycling off out of caution. Under
-	// lazy seal no seal buffers were drawn, and stale store buffers may
-	// alias overlay memo buffers — only stash blocks recycle there (the
-	// overlay copied their payloads).
-	c.recycle = c.Merkle == nil
 	batch := c.Mem.BeginBatch()
 	c.stagePath(batch, posmap)
 	// Integrity: the new path-node hashes and the new root ride in the
-	// same batch as the data — tree and root can never diverge.
+	// same batch as the data — tree and root can never diverge. Like the
+	// data entries they carry no mutation: the hashes are computed from
+	// the written path once the batch has committed (hashPath).
 	if c.Merkle != nil {
-		newSlots := make([][]oram.Slot, t.L+1)
-		for k := 0; k <= t.L; k++ {
-			row := make([]oram.Slot, t.Z)
-			for z := 0; z < t.Z; z++ {
-				row[z] = slots[k*t.Z+z].sealed
-			}
-			newSlots[k] = row
-		}
-		up := c.Merkle.ComputeUpdate(l, newSlots)
-		for _, b := range up.Buckets {
+		for _, b := range c.scratch.path {
 			batch.AddPosMapBlock(c.Mem.PosMapLocation((1<<23)+b), nil)
 		}
-		mt := c.Merkle
-		batch.AddPosMapBlock(c.Mem.PosMapLocation(1<<24), func() { mt.Apply(up) })
+		batch.AddPosMapBlock(c.Mem.PosMapLocation(1<<24), nil)
 		c.counters.Inc("integrity.root_updates")
 	}
 	// Crash points while the WPQs fill, one per slot written, before the
@@ -262,31 +252,42 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 		return 0, 0, fmt.Errorf("core: eviction batch: %w", err)
 	}
 	c.now = done
-	if lazySeal {
-		for k, bucket := range c.scratch.path {
-			c.ORAM.Image.PutLazyDummies(bucket, c.scratch.ivBase+2*uint64(k*t.Z))
-		}
+	for k, bucket := range c.scratch.path {
+		c.ORAM.Image.PutLazyDummies(bucket, c.scratch.ivBase+2*uint64(k*t.Z))
 	}
 	c.applyCommitted(slots)
-	c.finishEvicted(slots)
+	if c.Merkle != nil {
+		c.hashPath(l)
+	}
+	// The evicted stash blocks are dead (the overlay copied their
+	// payloads), so they recycle.
+	c.finishEvicted(slots, true)
 	c.stageAdd(StageSeal)
 	*c.hDirty += int64(len(dirty))
 	return len(real), len(dirty), nil
 }
 
-// posMapEntriesFor counts the PosMap WPQ demand of a slot set under the
+// hashPath installs the new node hashes and root of the data path to l,
+// which the committed batch has just written. Reading the path through
+// Image.Slot here is what stageBatch's argument allows for the data:
+// nothing observes the controller between Commit and this point, and an
+// abandoned batch applied nothing. The reads seal the written slots,
+// the only AES the write-back runs.
+func (c *Controller) hashPath(l oram.Leaf) {
+	rows := make([][]oram.Slot, len(c.scratch.path))
+	for k, bucket := range c.scratch.path {
+		rows[k] = c.bucketSlots(bucket)
+	}
+	c.Merkle.Apply(c.Merkle.ComputeUpdate(l, rows))
+}
+
+// posMapEntries is the PosMap WPQ demand of the write of s under the
 // current scheme (the ordered evictor sizes its batches with it).
-func (c *Controller) posMapEntriesFor(slots []plannedSlot) int {
-	if c.Scheme == config.SchemeNaivePSORAM {
-		return len(slots)
+func (c *Controller) posMapEntries(s *plannedSlot) int {
+	if s.merges() || c.Scheme == config.SchemeNaivePSORAM {
+		return 1
 	}
-	n := 0
-	for _, s := range slots {
-		if s.block != nil && !s.block.Backup && s.block.PendingRemap {
-			n++
-		}
-	}
-	return n
+	return 0
 }
 
 // posMapLocation names the PosMap entry that the write of b (nil =
@@ -313,14 +314,13 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 	for i := range slots {
 		s := &slots[i]
 		batch.AddData(c.Mem.TreeBlockLocation(s.bucket, s.z), nil)
-		merges := s.block != nil && !s.block.Backup && s.block.PendingRemap
-		if merges || c.Scheme == config.SchemeNaivePSORAM {
+		if c.posMapEntries(s) != 0 {
 			batch.AddPosMap(c.posMapLocation(s.bucket, s.z, s.block), nil)
 		}
 		if s.block != nil {
 			real++
 		}
-		if merges {
+		if s.merges() {
 			dirty++
 		}
 	}
@@ -329,23 +329,21 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 
 // applyCommitted runs the functional mutations of a batch that has
 // committed: each slot's write into the tree image — a deferred seal
-// recorded in the overlay (which copies the payload, so the stash block
-// recycles as usual; AES runs only if some reader later observes the
-// slot), or sealed bytes stored — and, for a block whose pending remap
-// the batch carried, the merge of that remap into the durable PosMap.
+// recorded in the overlay, which copies the payload (AES runs only if
+// some reader later observes the slot) — and, for a block whose pending
+// remap the batch carried, the merge of that remap into the durable
+// PosMap.
 func (c *Controller) applyCommitted(slots []plannedSlot) {
 	img := c.ORAM.Image
 	for i := range slots {
 		s := &slots[i]
-		b := s.block
-		if s.lazy {
-			img.PutLazyBlock(s.bucket, s.z, s.iv1, s.iv2, oram.Block{
-				Addr: b.Addr, Leaf: s.leaf, Ver: s.ver, Data: b.Data,
-			})
-		} else if old := img.PutSlot(s.bucket, s.z, s.sealed); c.recycle {
-			c.putSealBuf(old)
+		if w := s.content(); w.Dummy() {
+			img.PutLazyDummy(s.bucket, s.z, s.iv1, s.iv2)
+		} else {
+			img.PutLazyBlock(s.bucket, s.z, s.iv1, s.iv2, w)
 		}
-		if b != nil && !b.Backup && b.PendingRemap {
+		if s.merges() {
+			b := s.block
 			c.durable.Put(b.Addr, b.Leaf)
 			c.mirrorLeaf(b.Addr, b.Leaf)
 			c.ORAM.PosMap.Put(b.Addr, b.Leaf)
@@ -357,12 +355,12 @@ func (c *Controller) applyCommitted(slots []plannedSlot) {
 // finishEvicted removes committed blocks from the stash and emits
 // durability events for every value the committed batch made reachable
 // from the durable PosMap (applyCommitted has merged every remap by
-// now). On the recycling path the removed blocks return to the freelist
+// now). With recycle set the removed blocks return to the freelist
 // (their only remaining reference is the plan scratch, which the next
 // access overwrites).
-func (c *Controller) finishEvicted(slots []plannedSlot) {
+func (c *Controller) finishEvicted(slots []plannedSlot, recycle bool) {
 	for i := range slots {
-		b := slots[i].block // by index: a plannedSlot is ~120 bytes to copy
+		b := slots[i].block
 		if b == nil {
 			continue
 		}
@@ -379,7 +377,7 @@ func (c *Controller) finishEvicted(slots []plannedSlot) {
 		if c.OnDurable != nil && c.durable.Lookup(b.Addr) == b.TargetLeaf() {
 			c.markDurable(b.Addr, b.Data)
 		}
-		if c.recycle {
+		if recycle {
 			c.putStashBlock(b)
 		}
 	}

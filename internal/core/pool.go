@@ -7,14 +7,12 @@ import (
 	"repro/internal/oram"
 )
 
-// This file holds the controller's buffer recycling. The serving hot
-// path (load path -> serve -> seal -> commit) used to allocate a fresh
-// StashBlock + payload per loaded block and fresh sealed buffers per
-// written slot; in steady state every one of those has an exact
-// counterpart dying in the same access (the blocks evicted, the image
-// slots overwritten), so the freelists below let the path run
-// allocation-free. Recycling is gated by c.recycle — see the field
-// comment for where aliasing makes it unsafe.
+// This file holds the controller's stash-block recycling. The serving
+// hot path (load path -> serve -> commit) would allocate a fresh
+// StashBlock + payload per loaded block; in steady state every one of
+// those has an exact counterpart dying in the same access (the blocks
+// evicted), so the freelist below lets the path run allocation-free.
+// Only the single-batch eviction recycles (see finishEvicted).
 
 // getStashBlock returns a zeroed stash block whose Data buffer has
 // BlockBytes capacity (length 0).
@@ -35,36 +33,6 @@ func (c *Controller) putStashBlock(b *oram.StashBlock) {
 	data := b.Data[:0]
 	*b = oram.StashBlock{Data: data}
 	c.freeBlocks = append(c.freeBlocks, b)
-}
-
-// getSealBuf returns a (header, payload) buffer pair for sealing one
-// slot: capacities oram.HeaderBytes and BlockBytes, lengths 0.
-func (c *Controller) getSealBuf() (hdr, data []byte) {
-	if n := len(c.freeHdr); n > 0 {
-		hdr = c.freeHdr[n-1][:0]
-		c.freeHdr[n-1] = nil
-		c.freeHdr = c.freeHdr[:n-1]
-	} else {
-		hdr = make([]byte, 0, oram.HeaderBytes)
-	}
-	if n := len(c.freeData); n > 0 {
-		data = c.freeData[n-1][:0]
-		c.freeData[n-1] = nil
-		c.freeData = c.freeData[:n-1]
-	} else {
-		data = make([]byte, 0, c.Cfg.BlockBytes)
-	}
-	return hdr, data
-}
-
-// putSealBuf recycles an overwritten image slot's sealed buffers.
-func (c *Controller) putSealBuf(s oram.Slot) {
-	if cap(s.SealedHeader) >= oram.HeaderBytes {
-		c.freeHdr = append(c.freeHdr, s.SealedHeader)
-	}
-	if cap(s.SealedData) >= c.Cfg.BlockBytes {
-		c.freeData = append(c.freeData, s.SealedData)
-	}
 }
 
 // Eviction-order sorting. Each order is a single ascending uint64 key

@@ -129,8 +129,9 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 // up front from the child tree's own RNG, since the parent records it
 // before the child's access runs. Rcr-PS-ORAM stages the walk's writes
 // and the Top-map update into batch and force-evicts every accessed
-// block. The chain's path reads are timed after the walk, all from the
-// access's start (see ROADMAP item 6). chainBlocks counts the PosMap
+// block. The chain's path reads are timed after the walk, so after its
+// writes, all from the access's start (DESIGN.md §5.1, "Chain timing in
+// the recursive schemes", says why). chainBlocks counts the PosMap
 // blocks read and written.
 func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch) (l oram.Leaf, chainBlocks int, err error) {
 	rec := c.Rec

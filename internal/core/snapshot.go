@@ -191,7 +191,7 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 			if _, err := io.ReadFull(br, s.SealedData); err != nil {
 				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d) data", b, zi))
 			}
-			c.ORAM.Image.SetSlot(b, zi, s)
+			c.ORAM.Image.PutSlot(b, zi, s)
 		}
 	}
 	c.ORAM.SetVerSeq(verSeq)

@@ -140,7 +140,7 @@ func (c *Controller) syncDurablePosMap() {
 	}
 }
 
-// preparePersist runs the materialization barrier (lazy-seal overlay →
+// preparePersist runs the materialization barrier (image overlay →
 // store, so the backend serializes current bytes) and pushes the
 // version cursor and trusted root. Every persist path goes through it.
 func (c *Controller) preparePersist() {

@@ -99,10 +99,10 @@ func TestWriteBackOffersAPointPerSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ctl.ORAM.Image.LazySeal() {
-			t.Fatalf("%v: the controller does not run the lazy write-back this test is about", s)
-		}
 		perEviction := ctl.ORAM.Tree.PathBlocks()
+		if perEviction > min(r.Cfg.DataWPQEntries, r.Cfg.PosMapWPQEntries) {
+			t.Fatalf("%v: a path does not fit one batch, so the single-batch write-back this test is about never runs", s)
+		}
 		next, evictions := 0, 0
 		ctl.CrashAt = func(p core.CrashPoint) bool {
 			switch {

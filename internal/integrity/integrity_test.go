@@ -64,7 +64,7 @@ func TestFreshTreeVerifies(t *testing.T) {
 func TestTamperDetected(t *testing.T) {
 	img, mt, eng, iv := fixture(t)
 	// Replace a slot without updating the tree: tampering.
-	img.SetSlot(7, 2, dummySlot(eng, iv))
+	img.PutSlot(7, 2, dummySlot(eng, iv))
 	// Bucket 7 is on the paths through it; find one.
 	found := false
 	for l := oram.Leaf(0); uint64(l) < img.Tree.Leaves(); l++ {
@@ -87,7 +87,7 @@ func TestBitFlipInSealedDataDetected(t *testing.T) {
 	s := img.Slot(3, 1)
 	s.SealedData = append([]byte(nil), s.SealedData...)
 	s.SealedData[5] ^= 0x80
-	img.SetSlot(3, 1, s)
+	img.PutSlot(3, 1, s)
 	detected := false
 	for l := oram.Leaf(0); uint64(l) < img.Tree.Leaves(); l++ {
 		if img.Tree.OnPath(3, l) && mt.VerifyPath(l, reader(img)) != nil {
@@ -103,7 +103,7 @@ func TestIVTamperDetected(t *testing.T) {
 	img, mt, _, _ := fixture(t)
 	s := img.Slot(0, 0)
 	s.IV2++
-	img.SetSlot(0, 0, s)
+	img.PutSlot(0, 0, s)
 	// Bucket 0 is the root: every path must now fail.
 	for l := oram.Leaf(0); uint64(l) < img.Tree.Leaves(); l++ {
 		if err := mt.VerifyPath(l, reader(img)); err == nil {
@@ -132,7 +132,7 @@ func TestUpdateThenVerify(t *testing.T) {
 	// Apply to both image and tree (as the WPQ batch does atomically).
 	for k, b := range path {
 		for z := range newSlots[k] {
-			img.SetSlot(b, z, newSlots[k][z])
+			img.PutSlot(b, z, newSlots[k][z])
 		}
 	}
 	mt.Apply(up)
@@ -207,7 +207,7 @@ func TestSlotFieldTamperTable(t *testing.T) {
 			img, mt, _, _ := fixture(t)
 			s := img.Slot(tc.bucket, tc.slot)
 			tc.tamper(&s)
-			img.SetSlot(tc.bucket, tc.slot, s)
+			img.PutSlot(tc.bucket, tc.slot, s)
 			detected := false
 			for l := oram.Leaf(0); uint64(l) < img.Tree.Leaves(); l++ {
 				if img.Tree.OnPath(tc.bucket, l) && mt.VerifyPath(l, reader(img)) != nil {

@@ -125,20 +125,36 @@ func TestIVSourceUnique(t *testing.T) {
 	}
 }
 
-func TestImageSetSlotUndo(t *testing.T) {
+// TestImagePutLazyUndoable: the undoable write applies at once, and its
+// undo restores the slot's previous content — an overlay entry, or, under
+// a slot PutSlot wrote, the store's bytes.
+func TestImagePutLazyUndoable(t *testing.T) {
 	e := testEngine()
 	iv := testIVs()
 	img := NewImage(NewTree(3, 2), e, 64, iv)
-	orig := img.Slot(5, 1)
-	repl := dummySlot(e, 64, iv)
-	undo := img.SetSlot(5, 1, repl)
-	if !bytes.Equal(img.Slot(5, 1).SealedData, repl.SealedData) {
-		t.Fatal("SetSlot did not apply")
+	blk := Block{Addr: 4, Leaf: 1, Ver: 3, Data: bytes.Repeat([]byte{7}, 64)}
+	for _, stored := range []bool{false, true} {
+		if stored {
+			img.PutSlot(5, 1, dummySlot(e, 64, iv))
+		}
+		orig := img.Slot(5, 1)
+		orig.SealedHeader = append([]byte(nil), orig.SealedHeader...)
+		orig.SealedData = append([]byte(nil), orig.SealedData...)
+		iv1, iv2 := iv(), iv()
+		undo := img.PutLazyUndoable(5, 1, iv1, iv2, blk)
+		if !sameSlot(img.Slot(5, 1), sealBlockIVs(e, blk, iv1, iv2)) {
+			t.Fatal("PutLazyUndoable did not apply")
+		}
+		undo()
+		if !sameSlot(img.Slot(5, 1), orig) {
+			t.Fatalf("undo did not restore (previous content in the store: %v)", stored)
+		}
 	}
-	undo()
-	if !bytes.Equal(img.Slot(5, 1).SealedData, orig.SealedData) {
-		t.Fatal("undo did not restore")
-	}
+}
+
+// sealBlockIVs seals b under the given IVs into freshly allocated buffers.
+func sealBlockIVs(e *cryptoeng.Engine, b Block, iv1, iv2 uint64) Slot {
+	return SealBlockIVs(e, b, iv1, iv2, make([]byte, HeaderBytes), make([]byte, len(b.Data)))
 }
 
 func TestImageInitBlocksPlacesOnPath(t *testing.T) {
@@ -151,7 +167,7 @@ func TestImageInitBlocksPlacesOnPath(t *testing.T) {
 		{Addr: 1, Leaf: 3, Data: make([]byte, 64)},
 		{Addr: 2, Leaf: 12, Data: make([]byte, 64)},
 	}
-	img.InitBlocks(e, blocks, iv)
+	img.InitBlocks(blocks, iv)
 	n, err := img.CountReal(e)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +204,7 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 	for i := 0; i < 4; i++ { // 4 blocks on the same leaf's 3-slot path
 		blocks = append(blocks, Block{Addr: Addr(i), Leaf: 0, Data: make([]byte, 8)})
 	}
-	unplaced := img.InitBlocks(e, blocks, iv)
+	unplaced := img.InitBlocks(blocks, iv)
 	if len(unplaced) != 1 || unplaced[0].Addr != 3 {
 		t.Fatalf("unplaced = %+v, want the fourth block", unplaced)
 	}
@@ -232,7 +248,6 @@ func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	}
 
 	mem := NewImage(tree, e, 64, testIVs())
-	mem.EnableLazySeal(e)
 	writeAll(mem)
 	if len(mem.pending) != 0 {
 		t.Fatalf("in-memory image queued %d deferred seals nobody drains", len(mem.pending))
@@ -243,7 +258,6 @@ func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 
 	sets := 0
 	dur := NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs())
-	dur.EnableLazySeal(e)
 	writeAll(dur)
 	if _, ok := dur.RealSlots(0); ok || dur.recordForm {
 		t.Fatal("an image over a durable store took the record form")

@@ -20,17 +20,15 @@ type Image struct {
 	store  Storage
 	blockB int
 
-	// Lazy-seal overlay. The controller that writes a slot is the only
-	// party that later reads it, and it wrote the plaintext itself — so in
-	// steady state the ciphertext is dead work: sealed at eviction,
-	// decrypted back at the next load of the bucket, overwritten again.
-	// With the overlay enabled, eviction stores the plaintext descriptor
-	// (plus the pre-drawn IVs and seal version, so the ciphertext is
-	// pinned), and Slot() materializes the byte-identical sealed form only
-	// when someone actually observes it (snapshots, integrity checks,
-	// equivalence tests, a durable backend's persist barrier). The
-	// protocol's IV/version streams, and therefore every observable
-	// ciphertext, are unchanged.
+	// Overlay. The controller that writes a slot is the only party that
+	// later reads it, and it wrote the plaintext itself — so the
+	// ciphertext is dead work until someone else looks. Every protocol
+	// write stores the plaintext descriptor (plus the pre-drawn IVs and
+	// seal version, so the ciphertext is pinned), and Slot() materializes
+	// the sealed form only when someone actually observes it (snapshots,
+	// integrity checks, a durable backend's persist barrier). A ciphertext
+	// is a pure function of key, IVs, version and plaintext, so when it is
+	// computed changes no observable bit.
 	//
 	// The overlay is laid out the way the controller fetches a bucket, as
 	// one burst. recs holds one record per bucket (see the rec* constants):
@@ -46,7 +44,6 @@ type Image struct {
 	// them with dummies, under 2Z consecutive IVs. While recordForm is set
 	// a bucket records such a write in its record alone (the record form,
 	// recOn) instead of slot by slot in cold.
-	lazy       bool
 	recordForm bool
 	engine     *cryptoeng.Engine
 	recW       uint64 // words per record: recHdr + 3Z
@@ -57,8 +54,8 @@ type Image struct {
 	// pending lists the slots with a queued deferred seal for the
 	// persist-time barrier (MaterializePending). Only a durable backend
 	// runs that barrier, so slots are queued only when barrier is set:
-	// an in-memory image would add every slot's first lazy write to the
-	// list and never drain it.
+	// an in-memory image would add every slot's first write to the list
+	// and never drain it.
 	barrier bool
 	pending []uint64
 }
@@ -119,40 +116,24 @@ func lineAligned(n uint64) []uint32 {
 }
 
 // sealedBuf is one slot's materialized ciphertext. The buffers are
-// overlay-owned, never the store's: ordered evictions can alias one
-// sealed buffer at two positions, so the overlay must not write through
-// store buffers.
+// overlay-owned, never the store's: what a PutSlot caller stored belongs
+// to the caller, so the overlay must not seal into store buffers.
 type sealedBuf struct{ hdr, data []byte }
 
-// NewImage allocates an in-memory image with every slot sealed as a
-// dummy.
+// NewImage allocates an in-memory image with a dummy in every slot (see
+// NewImageInto).
 func NewImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
 	return NewImageInto(newMemStorage(t), t, e, blockBytes, nextIV)
 }
 
 // NewImageInto builds a fresh image on an existing (empty) storage
-// backend, sealing a dummy into every slot. The dummy-seal order is
-// identical to NewImage's, so the IV stream — and therefore every
-// ciphertext — is byte-for-byte the same regardless of backend.
+// backend, born lazy: every slot holds a deferred dummy seal, bucket by
+// bucket and slot by slot, each under the next two IVs of nextIV.
+// Construction runs no AES and writes nothing to the store; a slot is
+// sealed when it is observed, or, on a durable backend, at the first
+// MaterializePending.
 func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
-	img := &Image{Tree: t, store: st, blockB: blockBytes}
-	for i := uint64(0); i < t.Buckets(); i++ {
-		for z := 0; z < t.Z; z++ {
-			st.SetSlot(i, z, DummySlotInto(e, blockBytes, nextIV, make([]byte, headerBytes), make([]byte, blockBytes)))
-		}
-	}
-	return img
-}
-
-// newLazyImage is NewImage born lazy: the overlay is armed from the
-// start and the initial dummy fill is recorded as deferred seals under
-// the IVs NewImage would have drawn, in the same order. Whatever an
-// observer later materializes is therefore byte-identical to the eager
-// image, but construction runs no AES and allocates nothing per slot,
-// and the in-memory store stays empty until something is observed.
-func newLazyImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
-	img := &Image{Tree: t, store: newMemStorage(t), blockB: blockBytes}
-	img.EnableLazySeal(e)
+	img := NewImageOn(st, t, e, blockBytes)
 	// A bucket's 2Z draws, in slot order, are what a path write-back
 	// draws for it: when they come out consecutive (NextIV is a counter)
 	// the bucket is born in record form, one record write instead of Z
@@ -176,58 +157,29 @@ func newLazyImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uin
 }
 
 // NewImageOn attaches an image to an already-populated storage backend
-// without writing anything — the recovery path: the slots are whatever
-// the durable store reconstructed.
-func NewImageOn(st Storage, t Tree, blockBytes int) *Image {
-	return &Image{Tree: t, store: st, blockB: blockBytes}
+// without writing anything — the recovery path: no slot has an overlay
+// entry, so every slot reads as whatever the store holds until it is
+// rewritten.
+//
+// Durable backends serialize the store's sealed bytes at their persist
+// barrier, so a durable caller must run MaterializePending before every
+// persist: that mirrors the overlay into the store, and a seal is
+// deferred only as far as the barrier, never past it.
+func NewImageOn(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) *Image {
+	_, inMemory := st.(*memStorage)
+	img := &Image{Tree: t, store: st, blockB: blockBytes, engine: e, barrier: !inMemory}
+	// The record form is for in-memory stores only: a durable barrier
+	// queues and seals slot by slot, so its image keeps per-slot entries.
+	img.recordForm = inMemory && t.Z <= maxRecordZ
+	img.recW = recHdr + 3*uint64(t.Z)
+	img.recs = lineAligned(t.Buckets() * img.recW)
+	img.cold = make([]coldSlot, t.Slots())
+	img.arena = make([]byte, t.Slots()*uint64(blockBytes))
+	return img
 }
 
 // Storage returns the backing store.
 func (img *Image) Storage() Storage { return img.store }
-
-// EnableLazySeal arms the overlay. Durable backends serialize the
-// store's sealed bytes at their persist barrier, so a durable caller
-// must run MaterializePending before every persist — that mirrors the
-// overlay into the store and the seal is deferred only as far as the
-// barrier, never past it.
-func (img *Image) EnableLazySeal(e *cryptoeng.Engine) {
-	img.lazy = true
-	img.engine = e
-	_, inMemory := img.store.(*memStorage)
-	img.barrier = !inMemory
-	// The record form is for in-memory stores only: a durable barrier
-	// queues and seals slot by slot, so its image keeps per-slot entries.
-	img.recordForm = inMemory && img.Tree.Z <= maxRecordZ
-	slots := img.Tree.Slots()
-	img.recW = recHdr + 3*uint64(img.Tree.Z)
-	img.recs = lineAligned(img.Tree.Buckets() * img.recW)
-	img.cold = make([]coldSlot, slots)
-	img.arena = make([]byte, slots*uint64(img.blockB))
-}
-
-// LazySeal reports whether the overlay is armed.
-func (img *Image) LazySeal() bool { return img.lazy }
-
-// DisableLazySeal materializes every live deferred seal into the store
-// and disarms the overlay: afterwards the image behaves exactly like an
-// eager one, with the store holding the same bytes the eager path would
-// have written. Equivalence tests use it to compare a lazy image against
-// an eager reference slot-by-slot.
-func (img *Image) DisableLazySeal() {
-	if !img.lazy {
-		return
-	}
-	for bucket := uint64(0); bucket < img.Tree.Buckets(); bucket++ {
-		img.expand(bucket)
-	}
-	for idx := range img.cold {
-		if img.cold[idx].state&psLive != 0 {
-			img.materialize(uint64(idx))
-		}
-	}
-	img.lazy, img.recordForm = false, false
-	img.recs, img.cold, img.arena, img.memo, img.engine = nil, nil, nil, nil, nil
-}
 
 func (img *Image) slotIndex(bucket uint64, z int) uint64 {
 	return bucket*uint64(img.Tree.Z) + uint64(z)
@@ -414,16 +366,12 @@ func (img *Image) enqueue(cs *coldSlot, idx uint64) {
 // MaterializePending is the persist-time materialization barrier: every
 // deferred seal recorded since the last call is sealed into its memo
 // buffers and mirrored into the store (marking the durable backend's
-// chunks dirty), so the store holds exactly the bytes the eager path
-// would have written. Entries that died (overwritten via SetSlot/
-// PutSlot) or were already materialized by a reader are skipped. A slot
-// rewritten N times within one group is sealed once, with its final
-// content — the amortization that makes lazy sealing pay off under
-// group commit. No-op when the overlay is off.
+// chunks dirty), so the store holds the sealed form of every entry.
+// Entries that died (overwritten via PutSlot) or were already
+// materialized by a reader are skipped. A slot rewritten N times within
+// one group is sealed once, with its final content — the amortization
+// that makes deferred sealing pay off under group commit.
 func (img *Image) MaterializePending() {
-	if !img.lazy {
-		return
-	}
 	for _, idx := range img.pending {
 		cs := &img.cold[idx]
 		cs.state &^= psQueued
@@ -438,9 +386,6 @@ func (img *Image) MaterializePending() {
 // has a live deferred seal, its header fields come back with ok=true and
 // zero AES work.
 func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver uint32, dummy, ok bool) {
-	if !img.lazy {
-		return 0, 0, 0, false, false
-	}
 	r := img.record(bucket)
 	st := img.state(r, img.slotIndex(bucket, z), z)
 	if st&psLive == 0 {
@@ -456,9 +401,6 @@ func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver u
 // PlainData returns the overlay's plaintext payload for a live real
 // entry (nil otherwise). The view is overlay-owned: read, then copy.
 func (img *Image) PlainData(bucket uint64, z int) []byte {
-	if !img.lazy {
-		return nil
-	}
 	idx := img.slotIndex(bucket, z)
 	if img.state(img.record(bucket), idx, z)&(psLive|psDummy) != psLive {
 		return nil
@@ -468,8 +410,8 @@ func (img *Image) PlainData(bucket uint64, z int) []byte {
 
 // materialize runs slot idx's deferred seal into its memo buffers and
 // mirrors the result into the store, so Slot() observers — snapshots,
-// integrity readers, equivalence tests — see exactly the bytes the eager
-// path would have produced. The slot's bucket is not in record form.
+// integrity readers, a durable barrier — see the sealed form of the
+// plaintext the entry holds. The slot's bucket is not in record form.
 func (img *Image) materialize(idx uint64) Slot {
 	if img.memo == nil {
 		img.memo = make([]sealedBuf, len(img.cold))
@@ -502,58 +444,67 @@ func (img *Image) materialize(idx uint64) Slot {
 // Slot returns the sealed slot at (bucket, z), materializing a deferred
 // seal on first observation.
 func (img *Image) Slot(bucket uint64, z int) Slot {
-	if img.lazy {
-		img.expand(bucket)
-		if idx := img.slotIndex(bucket, z); img.cold[idx].state&psLive != 0 {
-			return img.materialize(idx)
-		}
+	img.expand(bucket)
+	if idx := img.slotIndex(bucket, z); img.cold[idx].state&psLive != 0 {
+		return img.materialize(idx)
 	}
 	return img.store.Slot(bucket, z)
 }
 
-// SetSlot overwrites the sealed slot at (bucket, z) and returns an undo
-// closure restoring the previous content (used for crash rollback of
-// in-flight writes).
-func (img *Image) SetSlot(bucket uint64, z int, s Slot) (undo func()) {
-	var prev Slot
-	if img.lazy {
-		img.expand(bucket)
-		idx := img.slotIndex(bucket, z)
-		if cs := &img.cold[idx]; cs.state&psLive != 0 {
-			// The undo closure must capture stable bytes; materialize
-			// into memo buffers, then detach them from the entry so a
-			// later reuse of the slot can't scribble over the capture.
-			prev = img.materialize(idx)
-			cs.state &^= psLive
-			img.memo[idx] = sealedBuf{}
-		} else {
-			prev = img.store.Slot(bucket, z)
-		}
-	} else {
-		prev = img.store.Slot(bucket, z)
+// PutLazyUndoable is the overlay's undoable write: PutLazyBlock of b at
+// (bucket, z), or PutLazyDummy when b is a dummy, returning an undo that
+// restores the slot's previous entry — for the crash rollback of a
+// posted write, or of a write into a batch that never commits. The undo
+// puts back the previous header, IVs, state and payload; the restored
+// entry is sealed again if it is observed (a durable image queues it for
+// the next barrier). A slot whose previous content was the store's gets
+// that content back.
+func (img *Image) PutLazyUndoable(bucket uint64, z int, iv1, iv2 uint64, b Block) (undo func()) {
+	img.expand(bucket)
+	idx := img.slotIndex(bucket, z)
+	h := recHdr + 3*z
+	r := img.record(bucket)
+	prev, addr, leaf, ver := img.cold[idx], r[h], r[h+1], r[h+2]
+	var data []byte
+	var stored Slot
+	switch {
+	case prev.state&psLive == 0:
+		stored = img.store.Slot(bucket, z)
+	case prev.state&psDummy == 0:
+		data = append([]byte(nil), img.payload(idx)...)
 	}
-	img.store.SetSlot(bucket, z, s)
+	if b.Dummy() {
+		img.PutLazyDummy(bucket, z, iv1, iv2)
+	} else {
+		img.PutLazyBlock(bucket, z, iv1, iv2, b)
+	}
 	return func() {
-		if img.lazy {
-			img.expand(bucket) // a whole-bucket write may have come in between
-			img.cold[img.slotIndex(bucket, z)].state &^= psLive
+		img.expand(bucket) // a whole-bucket write may have come in between
+		cs := &img.cold[idx]
+		if prev.state&psLive == 0 {
+			cs.state &^= psLive | psSealed
+			img.store.SetSlot(bucket, z, stored)
+			return
 		}
-		img.store.SetSlot(bucket, z, prev)
+		r[h], r[h+1], r[h+2] = addr, leaf, ver
+		copy(img.payload(idx), data)
+		cs.iv1, cs.iv2 = prev.iv1, prev.iv2
+		cs.state = cs.state&psQueued | prev.state&(psLive|psDummy)
+		img.enqueue(cs, idx)
 	}
 }
 
-// PutSlot overwrites the sealed slot at (bucket, z) and returns the
-// previous content so the caller can recycle its buffers. Unlike
-// SetSlot there is no undo closure: callers that need crash rollback
-// keep using SetSlot.
-//
-// Under a live overlay entry the returned Slot is the stale store
-// content from before the deferred write — callers in lazy mode run
-// with buffer recycling off, so it is never reused.
+// PutSlot overwrites the slot at (bucket, z) with sealed bytes, ending
+// its overlay entry, and returns what the store held there before (under
+// a live entry, stale bytes from before the entry's writes). The slot's
+// memo buffers are dropped with the entry: s may be a view of them, and
+// the next materialization must not seal into the store's new bytes.
 func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
-	if img.lazy {
-		img.expand(bucket)
-		img.cold[img.slotIndex(bucket, z)].state &^= psLive
+	img.expand(bucket)
+	idx := img.slotIndex(bucket, z)
+	img.cold[idx].state &^= psLive | psSealed
+	if img.memo != nil {
+		img.memo[idx] = sealedBuf{}
 	}
 	old = img.store.Slot(bucket, z)
 	img.store.SetSlot(bucket, z, s)
@@ -563,14 +514,14 @@ func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 // BlockBytes returns the payload size of each block.
 func (img *Image) BlockBytes() int { return img.blockB }
 
-// InitBlocks seals the given blocks into the tree, each on the path of
+// InitBlocks writes the given blocks into the tree, each on the path of
 // its leaf, filling from the leaf level upward. It is used to build an
-// initial ORAM state with real resident blocks (plus the already-sealed
-// dummies everywhere else). Blocks whose paths are already full are
-// returned unplaced — at high utilization the controller starts them in
-// the stash, exactly as a real warm-up would. On a lazy image the seals
-// are deferred like any other write, under the same IV draws.
-func (img *Image) InitBlocks(e *cryptoeng.Engine, blocks []Block, nextIV func() uint64) []Block {
+// initial ORAM state with real resident blocks (plus the dummies
+// everywhere else). Blocks whose paths are already full are returned
+// unplaced — at high utilization the controller starts them in the
+// stash, exactly as a real warm-up would. Each placement is a deferred
+// seal like any other write, under the next two IVs of nextIV.
+func (img *Image) InitBlocks(blocks []Block, nextIV func() uint64) []Block {
 	t := img.Tree
 	used := make([]int32, t.Buckets()) // bucket -> slots consumed
 	path := make([]uint64, 0, t.Levels())
@@ -581,12 +532,8 @@ func (img *Image) InitBlocks(e *cryptoeng.Engine, blocks []Block, nextIV func() 
 		for k := t.L; k >= 0 && !placed; k-- {
 			bucket := path[k]
 			if z := int(used[bucket]); z < t.Z {
-				if img.lazy {
-					iv1, iv2 := nextIV(), nextIV()
-					img.PutLazyBlock(bucket, z, iv1, iv2, b)
-				} else {
-					img.store.SetSlot(bucket, z, SealBlockInto(e, b, nextIV, make([]byte, headerBytes), make([]byte, len(b.Data))))
-				}
+				iv1, iv2 := nextIV(), nextIV()
+				img.PutLazyBlock(bucket, z, iv1, iv2, b)
 				used[bucket]++
 				placed = true
 			}

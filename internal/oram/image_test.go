@@ -29,87 +29,150 @@ func diffSlots(a, b *Image) string {
 	return ""
 }
 
-// TestBornLazyImageIdentity: for one seed, an image born lazy is the
-// eager image with its AES postponed. Right after construction, and
-// again after every overlay write path has run on it, materializing it
-// (DisableLazySeal) must give the eager twin's image slot for slot, and
-// until then construction must have written nothing to the store. (The
-// same identity across protocol accesses is core's
-// TestBornLazySnapshotIdentity.)
-func TestBornLazyImageIdentity(t *testing.T) {
-	for _, steps := range []int{0, 1500} {
-		p := smallParams(11)
-		eager := mustNew(t, p)
-		p.LazySeal = true
-		lazy := mustNew(t, p)
-		if !lazy.Image.LazySeal() || eager.Image.LazySeal() {
-			t.Fatal("Params.LazySeal did not select the born-lazy image")
+// sameImages requires two images to read alike: bucket by bucket in
+// place (ReadBucket, CountReal), then sealed, slot by slot.
+func sameImages(t *testing.T, when string, a, b *Image) {
+	t.Helper()
+	e := a.engine
+	for bucket := uint64(0); bucket < a.Tree.Buckets(); bucket++ {
+		ga, errA := a.ReadBucket(e, bucket)
+		gb, errB := b.ReadBucket(e, bucket)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
 		}
-		for bucket, row := range lazy.Image.store.(*memStorage).buckets {
-			if row != nil {
-				t.Fatalf("born-lazy construction wrote bucket %d of the store", bucket)
+		for z := range ga {
+			if x, y := ga[z], gb[z]; x.Addr != y.Addr || x.Leaf != y.Leaf || x.Ver != y.Ver || !bytes.Equal(x.Data, y.Data) {
+				t.Fatalf("%s: bucket %d slot %d reads %+v, the twin %+v", when, bucket, z, x, y)
 			}
 		}
-		if lazy.Image.memo != nil {
-			t.Fatal("born-lazy construction materialized ciphertext")
+	}
+	ca, errA := a.CountReal(e)
+	cb, errB := b.CountReal(e)
+	if errA != nil || errB != nil || ca != cb {
+		t.Fatalf("%s: CountReal %d (%v), the twin %d (%v)", when, ca, errA, cb, errB)
+	}
+	if d := diffSlots(a, b); d != "" {
+		t.Fatalf("%s: sealed images differ at %s", when, d)
+	}
+}
+
+// TestBornLazyImageIdentity: an image is born lazy. Construction, and
+// an initial placement after it, seal nothing and write nothing to the
+// store; what an observer later reads is the table of seals of the
+// dummies and blocks written, under the IVs drawn for them in order —
+// right after construction, and after every overlay write path has run.
+// A durable twin, built and driven alike, instead queues every slot for
+// its barrier, and MaterializePending stores the table's bytes.
+func TestBornLazyImageIdentity(t *testing.T) {
+	e := testEngine()
+	tree := NewTree(4, 4)
+	for _, steps := range []int{0, 1500} {
+		sets := 0
+		mem := newOverlayModel(t, NewImage(tree, e, 64, testIVs()), testIVs())
+		dur := newOverlayModel(t, NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs()), testIVs())
+		if uint64(len(dur.img.pending)) != tree.Slots() {
+			t.Fatalf("the durable image queued %d of %d slots at construction", len(dur.img.pending), tree.Slots())
 		}
-		if eager.NextIV() != lazy.NextIV() || eager.VerSeq() != lazy.VerSeq() {
-			t.Fatal("construction: IV or version streams diverge")
+		for _, m := range []*overlayModel{mem, dur} {
+			// One block per leaf, each placed in slot 0 of its leaf bucket.
+			blocks := make([]Block, tree.Leaves())
+			for l := range blocks {
+				blocks[l] = Block{Addr: Addr(l), Leaf: Leaf(l), Data: bytes.Repeat([]byte{byte(l)}, 64)}
+			}
+			if unplaced := m.img.InitBlocks(blocks, ivSource(rng.New(4))); len(unplaced) != 0 {
+				t.Fatalf("InitBlocks left %d blocks unplaced", len(unplaced))
+			}
+			iv := ivSource(rng.New(4))
+			for i := range blocks {
+				iv1, iv2 := iv(), iv()
+				m.ref[tree.Path(blocks[i].Leaf)[tree.L]*uint64(tree.Z)] = m.sealed(&blocks[i], iv1, iv2)
+			}
 		}
-		// Every overlay write path, whole-bucket writes included, on the
-		// lazy image and its sealed equivalent on the eager one.
-		churn(t, lazy.Image, eager.Image, steps)
-		lazy.Image.DisableLazySeal()
-		if d := diffSlots(eager.Image, lazy.Image); d != "" {
-			t.Fatalf("after %d overlay writes: born-lazy image differs from the eager one at %s", steps, d)
+		for bucket, row := range mem.img.store.(*memStorage).buckets {
+			if row != nil {
+				t.Fatalf("construction wrote bucket %d of the store", bucket)
+			}
+		}
+		if mem.img.memo != nil || dur.img.memo != nil || sets != 0 {
+			t.Fatalf("construction sealed (memo %v, %v; %d store writes)", mem.img.memo != nil, dur.img.memo != nil, sets)
+		}
+		for _, m := range []*overlayModel{mem, dur} {
+			churn(m, steps)
+			m.check()
+		}
+		if d := mem.diff(); d != "" {
+			t.Fatalf("after %d overlay writes: the image differs from its table at %s", steps, d)
+		}
+		dur.img.MaterializePending()
+		for i, want := range dur.ref {
+			if !sameSlot(dur.img.store.Slot(uint64(i)/uint64(tree.Z), i%tree.Z), want) {
+				t.Fatalf("after %d overlay writes and a barrier: the durable store differs from its table at slot %d", steps, i)
+			}
 		}
 	}
 }
 
-// overlayModel drives a lazy image through every write path of the
-// overlay and, when ref is set, an eagerly sealed reference image through
-// the sealed equivalent of each write under the same IVs: whatever an
-// observer then reads from the lazy image must be the reference's bytes.
+// overlayModel drives an image through every write path of the overlay
+// and keeps ref, the table of what each slot must read as once sealed:
+// the SealBlockIVs or DummySlotIVs output over the plaintext the model
+// wrote there, under the write's IVs, or the sealed bytes a PutSlot
+// stored. Whatever an observer reads from the image must be the table's.
 type overlayModel struct {
-	t         *testing.T
-	lazy, ref *Image
-	iv        func() uint64
-	undo      []func() // the last SetSlot's undo closures, one per image
-	step      int
+	t    *testing.T
+	img  *Image
+	ref  []Slot // by slot index, bucket*Z+z
+	iv   func() uint64
+	undo []modelUndo // the undoable writes since the last undo, oldest first
+	step int
+}
+
+// modelUndo is one undoable write: its undo, and its slot's table entry
+// from before it.
+type modelUndo struct {
+	undo func()
+	idx  uint64
+	prev Slot
+}
+
+// newOverlayModel wraps a freshly built image whose construction drew
+// its IVs from iv: its table holds a dummy in every slot, sealed under
+// two draws each, in slot order.
+func newOverlayModel(t *testing.T, img *Image, iv func() uint64) *overlayModel {
+	m := &overlayModel{t: t, img: img, ref: make([]Slot, img.Tree.Slots()), iv: ivSource(rng.New(2))}
+	for i := range m.ref {
+		iv1, iv2 := iv(), iv()
+		m.ref[i] = m.sealed(nil, iv1, iv2)
+	}
+	return m
 }
 
 // sealed seals b (nil = a dummy) under the given IVs into fresh buffers.
 func (m *overlayModel) sealed(b *Block, iv1, iv2 uint64) Slot {
-	hdr, data := make([]byte, HeaderBytes), make([]byte, m.lazy.blockB)
+	hdr, data := make([]byte, HeaderBytes), make([]byte, m.img.blockB)
 	if b == nil {
-		return DummySlotIVs(m.lazy.engine, m.lazy.blockB, iv1, iv2, hdr, data)
+		return DummySlotIVs(m.img.engine, m.img.blockB, iv1, iv2, hdr, data)
 	}
-	return SealBlockIVs(m.lazy.engine, *b, iv1, iv2, hdr, data)
+	return SealBlockIVs(m.img.engine, *b, iv1, iv2, hdr, data)
 }
 
 // apply runs one operation: op selects it, sel the slot (or bucket) and
 // arg its variable part.
 func (m *overlayModel) apply(op, sel, arg byte) {
 	m.step++
-	t := m.lazy.Tree
+	t := m.img.Tree
 	idx := uint64(sel) % t.Slots()
 	bucket, z := idx/uint64(t.Z), int(idx%uint64(t.Z))
 	blk := Block{Addr: Addr(arg % 50), Leaf: Leaf(uint64(arg) % t.Leaves()), Ver: uint32(m.step),
-		Data: bytes.Repeat([]byte{arg}, m.lazy.blockB)}
-	toRef := func(z int, s Slot) {
-		if m.ref != nil {
-			m.ref.SetSlot(bucket, z, s)
-		}
-	}
+		Data: bytes.Repeat([]byte{arg}, m.img.blockB)}
 	switch op % 9 {
 	case 0, 1:
 		iv1, iv2 := m.iv(), m.iv()
-		m.lazy.PutLazyBlock(bucket, z, iv1, iv2, blk)
-		toRef(z, m.sealed(&blk, iv1, iv2))
+		m.img.PutLazyBlock(bucket, z, iv1, iv2, blk)
+		m.ref[idx] = m.sealed(&blk, iv1, iv2)
 	case 2:
 		iv1, iv2 := m.iv(), m.iv()
-		m.lazy.PutLazyDummy(bucket, z, iv1, iv2)
-		toRef(z, m.sealed(nil, iv1, iv2))
+		m.img.PutLazyDummy(bucket, z, iv1, iv2)
+		m.ref[idx] = m.sealed(nil, iv1, iv2)
 	case 3, 4:
 		// A path write-back's write of one bucket: 2Z consecutive IVs in
 		// slot order, dummies everywhere but the slots arg picks.
@@ -117,81 +180,98 @@ func (m *overlayModel) apply(op, sel, arg byte) {
 		for i := 1; i < 2*t.Z; i++ {
 			m.iv()
 		}
-		m.lazy.PutLazyDummies(bucket, base)
+		m.img.PutLazyDummies(bucket, base)
 		for z := 0; z < t.Z; z++ {
 			iv1, iv2 := base+2*uint64(z)+1, base+2*uint64(z)+2
+			i := bucket*uint64(t.Z) + uint64(z)
 			if arg>>uint(z%8)&1 == 0 {
-				toRef(z, m.sealed(nil, iv1, iv2))
+				m.ref[i] = m.sealed(nil, iv1, iv2)
 				continue
 			}
 			b := blk
 			b.Addr += Addr(z)
-			m.lazy.PutLazyBlock(bucket, z, iv1, iv2, b)
-			toRef(z, m.sealed(&b, iv1, iv2))
+			m.img.PutLazyBlock(bucket, z, iv1, iv2, b)
+			m.ref[i] = m.sealed(&b, iv1, iv2)
 		}
 	case 5:
+		// An undoable write: of blk, or of a dummy for an odd arg.
 		iv1, iv2 := m.iv(), m.iv()
-		m.undo = m.undo[:0]
-		for _, img := range []*Image{m.lazy, m.ref} {
-			if img != nil {
-				m.undo = append(m.undo, img.SetSlot(bucket, z, m.sealed(&blk, iv1, iv2)))
-			}
+		b, want := blk, m.sealed(&blk, iv1, iv2)
+		if arg&1 != 0 {
+			b, want = Block{Addr: DummyAddr}, m.sealed(nil, iv1, iv2)
 		}
+		m.undo = append(m.undo, modelUndo{undo: m.img.PutLazyUndoable(bucket, z, iv1, iv2, b), idx: idx, prev: m.ref[idx]})
+		m.ref[idx] = want
 	case 6:
-		for _, undo := range m.undo {
-			undo()
+		// Roll the undoable writes back, newest first, as a crash does.
+		for i := len(m.undo) - 1; i >= 0; i-- {
+			u := m.undo[i]
+			u.undo()
+			m.ref[u.idx] = u.prev
 		}
 		m.undo = m.undo[:0]
 	case 7:
 		iv1, iv2 := m.iv(), m.iv()
-		m.lazy.PutSlot(bucket, z, m.sealed(nil, iv1, iv2))
-		if m.ref != nil {
-			m.ref.PutSlot(bucket, z, m.sealed(nil, iv1, iv2))
-		}
+		s := m.sealed(nil, iv1, iv2)
+		m.img.PutSlot(bucket, z, s)
+		m.ref[idx] = s
 	case 8:
-		got := m.lazy.Slot(bucket, z) // an observer materializes the entry
-		if m.ref != nil && !sameSlot(got, m.ref.Slot(bucket, z)) {
-			m.t.Fatalf("step %d: bucket %d slot %d: the lazy image's sealed bytes differ from the reference", m.step, bucket, z)
+		if got := m.img.Slot(bucket, z); !sameSlot(got, m.ref[idx]) { // an observer materializes the entry
+			m.t.Fatalf("step %d: bucket %d slot %d: the image's sealed bytes differ from its table", m.step, bucket, z)
 		}
 	}
 }
 
-// check compares what the lazy image holds — read in place, without
-// materializing — with the reference's bucket by bucket.
+// check compares what the image holds — read in place, without
+// materializing — with what the table's slots open to, bucket by bucket.
 func (m *overlayModel) check() {
 	m.t.Helper()
-	e := m.lazy.engine
-	for bucket := uint64(0); bucket < m.lazy.Tree.Buckets(); bucket++ {
-		got, err := m.lazy.ReadBucket(e, bucket)
+	e := m.img.engine
+	real := 0
+	for bucket := uint64(0); bucket < m.img.Tree.Buckets(); bucket++ {
+		got, err := m.img.ReadBucket(e, bucket)
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		want, err := m.ref.ReadBucket(e, bucket)
-		if err != nil {
-			m.t.Fatal(err)
-		}
-		for z := range want {
-			g, w := got[z], want[z]
+		for z, g := range got {
+			w, err := OpenSlot(e, m.ref[bucket*uint64(m.img.Tree.Z)+uint64(z)])
+			if err != nil {
+				m.t.Fatal(err)
+			}
 			if g.Addr != w.Addr || g.Leaf != w.Leaf || g.Ver != w.Ver || !bytes.Equal(g.Data, w.Data) {
-				m.t.Fatalf("step %d: bucket %d slot %d reads %+v, the reference %+v", m.step, bucket, z, g, w)
+				m.t.Fatalf("step %d: bucket %d slot %d reads %+v, the table %+v", m.step, bucket, z, g, w)
+			}
+			if !w.Dummy() {
+				real++
 			}
 		}
 	}
-	got, err := m.lazy.CountReal(e)
+	got, err := m.img.CountReal(e)
 	if err != nil {
 		m.t.Fatal(err)
 	}
-	if want, _ := m.ref.CountReal(e); got != want {
-		m.t.Fatalf("step %d: CountReal = %d, the reference holds %d", m.step, got, want)
+	if got != real {
+		m.t.Fatalf("step %d: CountReal = %d, the table holds %d", m.step, got, real)
 	}
 }
 
-// churn rewrites a lazy image's slots through every write path, leaving
-// a mix of record-form buckets, live real entries, live dummies, materialized
-// entries, and slots whose overlay entry died under a sealed write; ref,
-// if not nil, follows it eagerly sealed.
-func churn(t *testing.T, img, ref *Image, rounds int) {
-	m := &overlayModel{t: t, lazy: img, ref: ref, iv: testIVs()}
+// diff reports the first slot whose sealed form, materialized through
+// Slot, is not the table's ("" = none).
+func (m *overlayModel) diff() string {
+	for i, want := range m.ref {
+		bucket, z := uint64(i)/uint64(m.img.Tree.Z), i%m.img.Tree.Z
+		if !sameSlot(m.img.Slot(bucket, z), want) {
+			return fmt.Sprintf("bucket %d slot %d", bucket, z)
+		}
+	}
+	return ""
+}
+
+// churn rewrites the model's slots through every write path, leaving a
+// mix of record-form buckets, live real entries, live dummies,
+// materialized entries, restored ones, and slots whose overlay entry
+// died under a sealed write.
+func churn(m *overlayModel, rounds int) {
 	r := rng.New(3)
 	for i := 0; i < rounds; i++ {
 		x := r.Uint64()
@@ -199,13 +279,14 @@ func churn(t *testing.T, img, ref *Image, rounds int) {
 	}
 }
 
-// FuzzImageOverlay feeds the model coverage-guided operation sequences:
-// a born-lazy image against an eager one built from the same IVs, at
-// Z = 4 (one record per cache line) and at Z = 2. After every observer
-// call, and bucket by bucket at the end, the two agree.
+// FuzzImageOverlay feeds the model coverage-guided operation sequences
+// on a born-lazy image, at Z = 4 (one record per cache line) and at
+// Z = 2. After every observer call the image agrees with its table; so
+// does what it reads in place, periodically and at the end, and finally
+// every slot it materializes.
 func FuzzImageOverlay(f *testing.F) {
 	f.Add([]byte{3, 5, 0x05, 8, 5, 0, 2, 6, 0, 8, 6, 0})                // whole-bucket write, observe, expand by a per-slot dummy
-	f.Add([]byte{4, 9, 0x0f, 5, 9, 7, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // SetSlot on a record-form bucket, rewritten whole, then undone
+	f.Add([]byte{4, 9, 0x0f, 5, 9, 6, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // undoable write on a record-form bucket, rewritten whole, then undone
 	f.Add([]byte{0, 2, 1, 3, 2, 0, 7, 2, 0, 8, 2, 0, 3, 2, 0xff, 8, 3}) // trailing partial op ignored
 	r := rng.New(11)
 	seed := make([]byte, 3*200)
@@ -216,10 +297,13 @@ func FuzzImageOverlay(f *testing.F) {
 	// An explicit-IV PutLazyBlock into a record-form bucket, over a dummy
 	// and over a real slot, then observed; then the bucket rewritten whole.
 	f.Add([]byte{3, 5, 0x05, 0, 5, 9, 8, 5, 0, 0, 4, 7, 8, 4, 0, 8, 6, 0, 3, 5, 0x0a, 8, 5, 0})
+	// Undoable writes stacked on one slot — a dummy over an observed real
+	// block, then a real block over a PutSlot — then rolled back.
+	f.Add([]byte{0, 7, 2, 8, 7, 0, 5, 7, 1, 7, 7, 0, 5, 7, 4, 8, 7, 0, 6, 0, 0, 8, 7, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := testEngine()
 		for _, tree := range []Tree{NewTree(3, 4), NewTree(3, 2)} {
-			m := &overlayModel{t: t, lazy: newLazyImage(tree, e, 32, testIVs()), ref: NewImage(tree, e, 32, testIVs()), iv: ivSource(rng.New(2))}
+			m := newOverlayModel(t, NewImage(tree, e, 32, testIVs()), testIVs())
 			for i := 0; i+2 < len(ops); i += 3 {
 				m.apply(ops[i], ops[i+1], ops[i+2])
 				if i%48 == 0 {
@@ -227,9 +311,8 @@ func FuzzImageOverlay(f *testing.F) {
 				}
 			}
 			m.check()
-			m.lazy.DisableLazySeal()
-			if d := diffSlots(m.lazy, m.ref); d != "" {
-				t.Fatalf("Z=%d: materialized image differs from the reference at %s", tree.Z, d)
+			if d := m.diff(); d != "" {
+				t.Fatalf("Z=%d: the materialized image differs from its table at %s", tree.Z, d)
 			}
 		}
 	})
@@ -241,8 +324,8 @@ func FuzzImageOverlay(f *testing.F) {
 func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(4, 4)
-	img := newLazyImage(tree, e, 64, testIVs())
-	churn(t, img, nil, 3000)
+	img := NewImage(tree, e, 64, testIVs())
+	churn(newOverlayModel(t, img, testIVs()), 3000)
 
 	var direct [][]Block
 	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
@@ -316,7 +399,7 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 	// in slots 0 and 2, dummies in 1 and 3 — written whole on one and
 	// slot by slot on the other, over older real blocks in every slot.
 	twins := func() (whole, perSlot *Image) {
-		whole, perSlot = newLazyImage(tree, e, 64, testIVs()), newLazyImage(tree, e, 64, testIVs())
+		whole, perSlot = NewImage(tree, e, 64, testIVs()), NewImage(tree, e, 64, testIVs())
 		for _, img := range []*Image{whole, perSlot} {
 			for z := 0; z < tree.Z; z++ {
 				img.PutLazyBlock(bucket, z, 1, 2, old)
@@ -334,14 +417,6 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 		}
 		return whole, perSlot
 	}
-	same := func(when string, whole, perSlot *Image) {
-		t.Helper()
-		m := &overlayModel{t: t, lazy: whole, ref: perSlot}
-		m.check() // ReadBucket and CountReal, in place
-		if d := diffSlots(whole, perSlot); d != "" {
-			t.Fatalf("%s: sealed images differ at %s", when, d)
-		}
-	}
 	explicit := func(img *Image) uint32 { return img.record(bucket)[recExplicit] &^ recOn }
 
 	whole, perSlot := twins()
@@ -357,7 +432,7 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 			t.Fatalf("the whole-bucket write touched slot %d's cold entry: %+v", z, cs)
 		}
 	}
-	same("after the write", whole, perSlot)
+	sameImages(t, "after the write", whole, perSlot)
 
 	iv := testIVs()
 	sealed := sealBlock(e, old, iv)
@@ -372,14 +447,14 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 			img.PutLazyBlock(bucket, z, iv1, iv2, old)
 		}, false},
 		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }, false},
-		{"SetSlot", func(img *Image, z int) { img.SetSlot(bucket, z, sealed) }, false},
-		{"SetSlot and undo", func(img *Image, z int) { img.SetSlot(bucket, z, sealed)() }, false},
+		{"PutLazyUndoable", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old) }, false},
+		{"PutLazyUndoable and undo", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old)() }, false},
 		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }, false},
 		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }, false},
-		// The undo of a SetSlot that a whole-bucket write has overwritten
-		// in the meantime: the restored slot survives the expansion.
+		// The undo of a write that a whole-bucket write has overwritten in
+		// the meantime: the restored slot survives the expansion.
 		{"undo over a record-form bucket", func(img *Image, z int) {
-			undo := img.SetSlot(bucket, z, sealed)
+			undo := img.PutLazyUndoable(bucket, z, 77, 78, Block{Addr: DummyAddr})
 			img.PutLazyDummies(bucket, base)
 			undo()
 		}, false},
@@ -402,20 +477,20 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 					t.Fatalf("%s on slot %d: explicit-IV mask %04b, want %04b", m.name, z, got, want)
 				}
 			}
-			same(m.name, whole, perSlot)
+			sameImages(t, m.name, whole, perSlot)
 		}
 	}
 
 	// An initial placement into a bucket born in record form keeps the
 	// form, under an explicit IV pair.
-	img := newLazyImage(tree, e, 64, testIVs())
-	img.InitBlocks(e, []Block{{Addr: 1, Leaf: 2, Data: make([]byte, 64)}}, iv)
+	img := NewImage(tree, e, 64, testIVs())
+	img.InitBlocks([]Block{{Addr: 1, Leaf: 2, Data: make([]byte, 64)}}, iv)
 	leafBucket := tree.Path(2)[tree.L]
 	if mask, ok := img.RealSlots(leafBucket); !ok || mask != 1 || img.record(leafBucket)[recExplicit]&^recOn != 1 {
 		t.Fatalf("InitBlocks into a record-form bucket left RealSlots = %b, %v", mask, ok)
 	}
 	// Wider buckets than the masks keep per-slot entries.
-	if wide := newLazyImage(NewTree(1, maxRecordZ+1), e, 8, testIVs()); wide.recordForm {
+	if wide := NewImage(NewTree(1, maxRecordZ+1), e, 8, testIVs()); wide.recordForm {
 		t.Fatal("an image with Z beyond the mask width uses the record form")
 	}
 }
@@ -428,7 +503,7 @@ func TestRecordLayout(t *testing.T) {
 		t.Fatalf("coldSlot is %d bytes, want 24", got)
 	}
 	for _, z := range []int{1, 2, 4, 8, maxRecordZ + 1} {
-		img := newLazyImage(NewTree(4, z), testEngine(), 16, testIVs())
+		img := NewImage(NewTree(4, z), testEngine(), 16, testIVs())
 		if got, want := 4*img.recW, uint64(16+12*z); got != want {
 			t.Fatalf("Z=%d: a record is %d bytes, want %d", z, got, want)
 		}
@@ -439,7 +514,7 @@ func TestRecordLayout(t *testing.T) {
 			t.Fatalf("Z=%d: %d record words, %d cold entries for %d buckets", z, len(img.recs), len(img.cold), img.Tree.Buckets())
 		}
 	}
-	if img := newLazyImage(NewTree(4, 4), testEngine(), 16, testIVs()); 4*img.recW != lineBytes {
+	if img := NewImage(NewTree(4, 4), testEngine(), 16, testIVs()); 4*img.recW != lineBytes {
 		t.Fatalf("at Z=4 a record is %d bytes, want one %d-byte line", 4*img.recW, lineBytes)
 	}
 }
@@ -448,7 +523,7 @@ func TestRecordLayout(t *testing.T) {
 // so a PlainData view must not be appendable into its neighbour.
 func TestPlainDataViewIsCapped(t *testing.T) {
 	e := testEngine()
-	img := newLazyImage(NewTree(3, 2), e, 64, testIVs())
+	img := NewImage(NewTree(3, 2), e, 64, testIVs())
 	a, b := bytes.Repeat([]byte{0xAA}, 64), bytes.Repeat([]byte{0xBB}, 64)
 	img.PutLazyBlock(5, 0, 1, 2, Block{Addr: 1, Data: a})
 	img.PutLazyBlock(5, 1, 3, 4, Block{Addr: 2, Data: b})
@@ -466,30 +541,43 @@ func TestPlainDataViewIsCapped(t *testing.T) {
 	}
 }
 
-// TestSetSlotUndoSurvivesLazyRewrites: SetSlot's undo captures the
-// ciphertext a live overlay entry stood for. Rewriting the slot lazily —
-// twice, with an observer in between, so the entry's buffers are reused —
-// must not reach the capture.
-func TestSetSlotUndoSurvivesLazyRewrites(t *testing.T) {
+// TestUndoSurvivesLazyRewrites: an undo restores the entry its write
+// replaced, not bytes: the slot's plaintext entry had been observed, and
+// rewriting the slot lazily — twice, with an observer in between, so its
+// memo buffers are resealed — must not reach what the undo restores. The
+// restored entry seals to its old ciphertext on the next read, and on a
+// durable image the next barrier stores it.
+func TestUndoSurvivesLazyRewrites(t *testing.T) {
 	e := testEngine()
-	iv := testIVs()
-	img := newLazyImage(NewTree(3, 2), e, 64, testIVs())
-	img.PutLazyBlock(6, 1, 100, 101, Block{Addr: 9, Leaf: 3, Ver: 7, Data: bytes.Repeat([]byte{1}, 64)})
-	want := SealBlockIVs(e, Block{Addr: 9, Leaf: 3, Ver: 7, Data: bytes.Repeat([]byte{1}, 64)}, 100, 101,
-		make([]byte, HeaderBytes), make([]byte, 64))
+	tree := NewTree(3, 2)
+	blk := Block{Addr: 9, Leaf: 3, Ver: 7, Data: bytes.Repeat([]byte{1}, 64)}
+	want := SealBlockIVs(e, blk, 100, 101, make([]byte, HeaderBytes), make([]byte, 64))
+	sets := 0
+	for _, img := range []*Image{
+		NewImage(tree, e, 64, testIVs()),
+		NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs()),
+	} {
+		img.PutLazyBlock(6, 1, 100, 101, blk)
+		img.Slot(6, 1)
+		undo := img.PutLazyUndoable(6, 1, 150, 151, Block{Addr: DummyAddr})
+		img.PutLazyBlock(6, 1, 200, 201, Block{Addr: 9, Leaf: 4, Ver: 8, Data: bytes.Repeat([]byte{2}, 64)})
+		img.Slot(6, 1)
+		img.PutLazyBlock(6, 1, 300, 301, Block{Addr: 9, Leaf: 5, Ver: 9, Data: bytes.Repeat([]byte{3}, 64)})
+		img.MaterializePending()
+		undo()
 
-	undo := img.SetSlot(6, 1, dummySlot(e, 64, iv))
-	img.PutLazyBlock(6, 1, 200, 201, Block{Addr: 9, Leaf: 4, Ver: 8, Data: bytes.Repeat([]byte{2}, 64)})
-	img.Slot(6, 1)
-	img.PutLazyBlock(6, 1, 300, 301, Block{Addr: 9, Leaf: 5, Ver: 9, Data: bytes.Repeat([]byte{3}, 64)})
-	img.Slot(6, 1)
-	undo()
-
-	got := img.Slot(6, 1)
-	if !sameSlot(got, want) {
-		t.Fatal("undo did not restore the pre-write ciphertext")
-	}
-	if blk, err := OpenSlot(e, got); err != nil || blk.Addr != 9 || blk.Ver != 7 {
-		t.Fatalf("restored slot opens to %+v (%v)", blk, err)
+		if img.barrier {
+			img.MaterializePending()
+			if !sameSlot(img.store.Slot(6, 1), want) {
+				t.Fatal("the barrier after the undo did not store the restored entry's ciphertext")
+			}
+		}
+		got := img.Slot(6, 1)
+		if !sameSlot(got, want) {
+			t.Fatal("undo did not restore the pre-write ciphertext")
+		}
+		if blk, err := OpenSlot(e, got); err != nil || blk.Addr != 9 || blk.Ver != 7 {
+			t.Fatalf("restored slot opens to %+v (%v)", blk, err)
+		}
 	}
 }

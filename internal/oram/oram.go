@@ -59,15 +59,10 @@ type Params struct {
 	Seed         uint64
 	Key          []byte // 16-byte AES key; nil selects a fixed test key
 	// Storage, when non-nil, backs the tree image instead of process
-	// memory. New seals the initial image into it; NewAttached expects
-	// it to already hold a recovered image.
+	// memory. New builds the initial image on it (sealed into it at the
+	// first MaterializePending); NewAttached expects it to already hold
+	// a recovered image.
 	Storage Storage
-	// LazySeal builds a fresh in-memory image born lazy: the overlay is
-	// armed from the start and the initial dummy fill and block placement
-	// are recorded as deferred seals instead of being run (see
-	// newLazyImage). Ignored with Storage set or on NewAttached; the zero
-	// value is the eagerly sealed image.
-	LazySeal bool
 }
 
 // DefaultKey is the AES key used when Params.Key is nil.
@@ -141,25 +136,22 @@ func build(p Params, attach bool) (*Controller, error) {
 		nReal:  p.NumBlocks,
 	}
 	if attach {
-		c.Image = NewImageOn(p.Storage, t, p.BlockBytes)
+		c.Image = NewImageOn(p.Storage, t, eng, p.BlockBytes)
 		return c, nil
 	}
-	switch {
-	case p.Storage != nil:
+	if p.Storage != nil {
 		c.Image = NewImageInto(p.Storage, t, eng, p.BlockBytes, c.NextIV)
-	case p.LazySeal:
-		c.Image = newLazyImage(t, eng, p.BlockBytes, c.NextIV)
-	default:
+	} else {
 		c.Image = NewImage(t, eng, p.BlockBytes, c.NextIV)
 	}
-	// Materialize the initial blocks on their mapped paths. Sealing (or
-	// the overlay) copies the payload, so they share one zero block.
+	// Place the initial blocks on their mapped paths. The overlay copies
+	// the payload, so they share one zero block.
 	zero := make([]byte, p.BlockBytes)
 	blocks := make([]Block, p.NumBlocks)
 	for i := range blocks {
 		blocks[i] = Block{Addr: Addr(i), Leaf: c.PosMap.Lookup(Addr(i)), Data: zero}
 	}
-	for _, b := range c.Image.InitBlocks(eng, blocks, c.NextIV) {
+	for _, b := range c.Image.InitBlocks(blocks, c.NextIV) {
 		// Oversubscribed paths (possible above ~50% utilization): the
 		// leftover blocks start life in the stash.
 		c.Stash.Put(&StashBlock{Addr: b.Addr, Leaf: b.Leaf, Data: make([]byte, p.BlockBytes), Dirty: true})

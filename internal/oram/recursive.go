@@ -22,8 +22,8 @@ type RecursiveMap struct {
 	DataTree        Tree
 	EntriesPerBlock int
 	// Levels holds the PosMap trees, Levels[0] being tree 1 (maps data
-	// addresses). Each is an eagerly sealed oram.Controller whose block
-	// payloads are packed leaf labels.
+	// addresses). Each is an oram.Controller whose block payloads are
+	// packed leaf labels.
 	Levels []*Controller
 	// Top is the flat on-chip map for the smallest level: it maps block
 	// indices of Levels[len(Levels)-1] to their leaves. When Levels is
@@ -150,18 +150,15 @@ func (m *RecursiveMap) fillLevel(parent *Controller, child *PosMap) error {
 }
 
 // initOverwrite rewrites a block's payload in the image without a
-// protocol access (initialization only; finds the block wherever it is).
+// protocol access (initialization only, on a tree just built, whose
+// every slot is an overlay entry), under two fresh IVs.
 func initOverwrite(c *Controller, addr Addr, data []byte) error {
 	l := c.PosMap.Lookup(addr)
 	for _, bucket := range c.Tree.Path(l) {
 		for z := 0; z < c.Tree.Z; z++ {
-			b, err := OpenSlot(c.Engine, c.Image.Slot(bucket, z))
-			if err != nil {
-				return err
-			}
-			if b.Addr == addr && b.Leaf == l {
-				b.Data = data
-				c.Image.SetSlot(bucket, z, SealBlockInto(c.Engine, b, c.NextIV, make([]byte, headerBytes), make([]byte, len(b.Data))))
+			if a, leaf, ver, _, ok := c.Image.PlainHeader(bucket, z); ok && a == addr && leaf == l {
+				iv1, iv2 := c.NextIV(), c.NextIV()
+				c.Image.PutLazyBlock(bucket, z, iv1, iv2, Block{Addr: addr, Leaf: l, Ver: ver, Data: data})
 				return nil
 			}
 		}

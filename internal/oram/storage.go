@@ -31,10 +31,10 @@ type StoreGeometry struct {
 
 // memStorage is the default backend: the sealed tree image in process
 // memory, one []Slot row per bucket. A row is allocated on the first
-// write to its bucket: an image born lazy (newLazyImage) shadows every
-// slot with an overlay entry and writes here only what some observer
-// materializes, which in-memory serving never does. A slot never written
-// reads as the zero Slot.
+// write to its bucket: a fresh image (NewImage) shadows every slot with
+// an overlay entry and writes here only what some observer materializes,
+// which in-memory serving never does. A slot never written reads as the
+// zero Slot.
 type memStorage struct {
 	z       int
 	buckets [][]Slot
