@@ -101,13 +101,13 @@ profile: build
 
 # perf-smoke is the CI perf job: the zero-allocation guards (simulator,
 # stash table, persistence domain, core controller, serving layer, and a
-# loopback round trip through the network front-end), the core's budgets
-# for the posted and Rcr-PS-ORAM write-backs, the checks that the
-# write-back's work follows the occupied slots (a whole-bucket image
-# write touches no cold per-slot entry; an untimed batch stores no
-# function-less entry), the image layout the load walk relies on (one
-# cache-line record per bucket) and the gather ahead of it (reads only,
-# allocates nothing), the golden
+# loopback round trip through the network front-end; in the core, every
+# scheme's write-back: single batch, posted, ordered small-WPQ, and both
+# recursive ones), the checks that the write-back's work follows the
+# occupied slots (a whole-bucket image write touches no cold per-slot
+# entry; an untimed batch stores no untagged entry), the image layout
+# the load walk relies on (one cache-line record per bucket) and the
+# gather ahead of it (reads only, allocates nothing), the golden
 # determinism regression, one pass of the sim, serve and store benchmarks
 # with -benchtime=1x (harness correctness, not timing; the deep store
 # benchmark is the in-repo reproducer of the cache-missing L=16 access),
@@ -116,7 +116,7 @@ perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestRecordLayout' -v
 	$(GO) test ./internal/mem -run 'TestFunctionlessEntriesAreCountedNotStoredWhenUntimed|TestAddDataRunTimesLikeSingleEntries' -v
-	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreBaselineSteadyStateAllocs|TestCoreRcrPSORAMSteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs|TestGatherChangesNothing' -short -v
+	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreBaselineSteadyStateAllocs|TestCoreRcrPSORAMSteadyStateAllocs|TestCoreRcrBaselineSteadyStateAllocs|TestCorePSORAMWPQ4SteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs|TestGatherChangesNothing' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim

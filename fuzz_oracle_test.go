@@ -173,7 +173,7 @@ func FuzzStashEviction(f *testing.F) {
 			}
 		}
 		l := oram.Leaf(uint64(leafSel) % c.Tree.Leaves())
-		ordered := c.DefaultEvictionOrder(l)
+		ordered := c.Stash.AppendLive(append([]*oram.StashBlock(nil), c.Stash.Backups()...))
 		plan := make([][]*oram.StashBlock, c.Tree.L+1)
 		for k := range plan {
 			plan[k] = make([]*oram.StashBlock, c.Tree.Z)

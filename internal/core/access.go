@@ -442,7 +442,7 @@ func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
 	if !c.wpqPersistent() {
 		// Non-persistent schemes have no crash-consistency obligations:
 		// plain greedy Path ORAM eviction.
-		return c.ORAM.DefaultEvictionOrder(l)
+		return c.greedyOrder(c.ORAM, l)
 	}
 	must := append(c.scratch.must[:0], c.ORAM.Stash.Backups()...)
 	pending := c.scratch.pending[:0]
@@ -457,15 +457,24 @@ func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
 			rest = append(rest, b)
 		}
 	}
-	c.sortByDepth(l, must)
+	c.sortByDepth(c.ORAM.Tree, l, must)
 	c.sortByKey(pending, remapSeqKey)
-	c.sortByDepth(l, rest)
+	c.sortByDepth(c.ORAM.Tree, l, rest)
 	c.scratch.must, c.scratch.pending, c.scratch.rest = must, pending, rest
 	order := append(c.scratch.order[:0], must...)
 	order = append(order, pending...)
 	order = append(order, rest...)
 	c.scratch.order = order
 	return order
+}
+
+// greedyOrder is plain Path ORAM's eviction order onto path l of tree
+// ctl: its live blocks, deepest first. It holds no backup or pending
+// remap: only evictionOrder's data trees do.
+func (c *Controller) greedyOrder(ctl *oram.Controller, l oram.Leaf) []*oram.StashBlock {
+	c.scratch.order = ctl.Stash.AppendLive(c.scratch.order[:0])
+	c.sortByDepth(ctl.Tree, l, c.scratch.order)
+	return c.scratch.order
 }
 
 // evictTimed runs step 5 for the flat schemes, dispatching on the
@@ -573,7 +582,8 @@ func (c *Controller) planIdentity(l oram.Leaf) (unplaced []*oram.StashBlock) {
 		}
 		looseBackups = append(looseBackups, b)
 	}
-	for _, b := range c.ORAM.Stash.AppendLive(c.scratch.rest[:0]) {
+	c.scratch.rest = c.ORAM.Stash.AppendLive(c.scratch.rest[:0])
+	for _, b := range c.scratch.rest {
 		if b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap {
 			k, ok := onPathLevel(b.OriginBucket)
 			if ok && b.OriginSlot < t.Z && plan[k][b.OriginSlot] == nil {
@@ -622,38 +632,47 @@ func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
 	// the always-durable schemes (FullNVM: NVM stash; eADR: flush-on-
 	// crash) are emitted at access end.
 	c.accessEndDurability()
+	c.recycleEvicted()
 	return real, 0, nil
 }
 
-// writeBack writes the plan slots of the tree in region, each with its
-// own undoable image write, and removes the placed blocks from its
-// stash. It returns the number of real blocks written; its only error is
+// writeBack writes the plan slots of the tree in region into its image
+// and moves the placed blocks from its stash to c.scratch.evicted. It
+// returns the number of real blocks written; its only error is
 // ErrCrashed, from a posted data-tree write-back.
 //
 // Into an open batch (Rcr-PS-ORAM) every write is applied at once, so
-// later steps of the same access read the path as written, and undone if
-// the batch never commits: a data-tree slot is a data WPQ entry, a
-// PosMap-tree slot a PosMap WPQ entry. Without a batch the writes are
-// posted: on either tree they all issue at the current cycle and the
-// caller proceeds at the latest admission. On the data tree a crash
-// point follows every slot: a power failure there loses what is still
-// buffered, and ErrCrashed is returned once the plan's blocks have left
-// the stash. A PosMap tree has no crash point.
+// later steps of the same access read the path as written, and logged
+// for an undo until the batch commits: a data-tree slot is a data WPQ
+// entry, a PosMap-tree slot a PosMap WPQ entry. Without a batch the
+// writes are posted: on either tree they all issue at the current cycle
+// and the caller proceeds at the latest admission; a write the device
+// completes later is logged with its completion cycle. On the data tree
+// a crash point follows every slot: a power failure there loses what is
+// still buffered, and ErrCrashed is returned once the plan's blocks have
+// left the stash. A PosMap tree has no crash point.
 func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch) (real int, err error) {
 	ctl, _ := c.tree(region)
 	img := ctl.Image
+	if batch == nil {
+		img.Release(0, uint64(c.now)) // what is complete by now is durable
+	}
 	proceed := c.now
 	crashed := false
 	for i := range slots {
 		s := &slots[i]
 		loc := c.Mem.RegionTreeLocation(region, s.bucket, s.z)
 		switch {
-		case batch != nil && region == 0:
-			batch.AddDataApplied(loc, s.writeTo(img))
 		case batch != nil:
-			batch.AddPosMapBlockApplied(loc, s.writeTo(img))
+			if region == 0 {
+				batch.AddData(loc)
+			} else {
+				batch.AddPosMapBlock(loc)
+			}
+			s.writeTo(img, oram.NeverDone, c.now)
 		case !crashed: // after a power failure the rest is never written
-			p := c.Mem.WriteBlockPosted(loc, c.now, func() func() { return s.writeTo(img) })
+			p, done := c.Mem.WriteBlockPosted(loc, c.now)
+			s.writeTo(img, done, c.now)
 			proceed = maxCycle(proceed, p)
 			if region == 0 {
 				if c.onchipNVM != nil && s.block != nil {
@@ -668,6 +687,7 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 			} else {
 				ctl.Stash.Remove(b.Addr)
 			}
+			c.scratch.evicted = append(c.scratch.evicted, b)
 			real++
 		}
 	}

@@ -25,25 +25,50 @@ func TestCoreUntimedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestCoreBaselineSteadyStateAllocs guards the posted write-back: every
-// slot of the path is an undoable image write, whose undo (a closure,
-// plus a copy of a real block's previous payload) and posted-write
-// journal entry allocate. The budget is the figure measured when every
-// write sealed eagerly — 133 per write access, 132 per read at L=8;
-// undoable overlay writes measure 71 and 70.
+// slot of the path is an undoable image write, logged with its copy of a
+// real block's previous payload in the image's reused undo log, and the
+// posted-write journal holds completion cycles only. Measured: 0.00 per
+// write access and per read at L=8 (71 and 70 when every undo was a
+// closure).
 func TestCoreBaselineSteadyStateAllocs(t *testing.T) {
-	steadyStateAllocs(t, config.SchemeBaseline, config.Default(), Options{NumBlocks: 512, Levels: 8}, 133)
+	steadyStateAllocs(t, config.SchemeBaseline, config.Default(), Options{NumBlocks: 512, Levels: 8}, 2)
+}
+
+// rcrConfig is the recursive guards' configuration: two PosMap trees
+// over 512 blocks, and for Rcr-PS-ORAM a batch that spans the access,
+// flushes included.
+func rcrConfig() config.Config {
+	cfg := config.Default()
+	cfg.OnChipPosMapBytes = 4 * 64 * 8
+	cfg.DataWPQEntries = 4 * 9 * cfg.Z
+	return cfg
 }
 
 // TestCoreRcrPSORAMSteadyStateAllocs guards the access-spanning batch of
 // Rcr-PS-ORAM over two PosMap trees: every slot written into the batch
-// carries an undo. The budget is the figure measured when every write
-// sealed eagerly — 254 per write access, 252 per read; undoable overlay
-// writes measure 135 and 133.
+// is logged in its tree's undo log until the batch commits. Measured:
+// 0.00 per write access and per read (135 and 133 when every undo was a
+// closure).
 func TestCoreRcrPSORAMSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, config.SchemeRcrPSORAM, rcrConfig(), Options{NumBlocks: 512, Levels: 8}, 2)
+}
+
+// TestCoreRcrBaselineSteadyStateAllocs guards the recursive scheme's
+// posted write-backs, on the data tree and both PosMap trees, and the
+// chain walk. Measured: 0.00 per write access and per read (133 and 132
+// when every undo was a closure).
+func TestCoreRcrBaselineSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, config.SchemeRcrBaseline, rcrConfig(), Options{NumBlocks: 512, Levels: 8}, 2)
+}
+
+// TestCorePSORAMWPQ4SteadyStateAllocs guards the ordered small-WPQ
+// eviction (§4.2.3), whose working sets are slot-indexed arrays in the
+// controller's scratch. Measured: 0.00 per write access and per read (79
+// and 78 when they were per-eviction maps).
+func TestCorePSORAMWPQ4SteadyStateAllocs(t *testing.T) {
 	cfg := config.Default()
-	cfg.OnChipPosMapBytes = 4 * 64 * 8 // two PosMap trees over 512 blocks
-	cfg.DataWPQEntries = 4 * 9 * cfg.Z // the batch spans the access, flushes included
-	steadyStateAllocs(t, config.SchemeRcrPSORAM, cfg, Options{NumBlocks: 512, Levels: 8}, 254)
+	cfg.DataWPQEntries = 4
+	steadyStateAllocs(t, config.SchemePSORAM, cfg, Options{NumBlocks: 512, Levels: 8}, 2)
 }
 
 func steadyStateAllocs(t *testing.T, scheme config.Scheme, cfg config.Config, opts Options, budget float64) {

@@ -140,6 +140,21 @@ type Controller struct {
 		unplaced []*oram.StashBlock
 		slots    []plannedSlot // the eviction plan (planSlots)
 		ivBase   uint64        // IV cursor before the last planSlots' draws
+		// evicted holds the blocks a write-back removed from a stash until
+		// they recycle (an access that fails leaves them to the next).
+		evicted []*oram.StashBlock
+		ordered orderedScratch // evictOrdered's working sets
+		// Rcr-PS-ORAM's access-spanning batch: each tree's undo-log mark
+		// (index = region), and the Top-map update it stages.
+		marks   []int
+		topIdx  oram.Addr
+		topLeaf oram.Leaf
+		// The recursive chain walk: per PosMap tree, the block on the
+		// chain, its next leaf, and the leaf of the path read.
+		chain struct {
+			idx         []oram.Addr
+			next, paths []oram.Leaf
+		}
 	}
 
 	// gathered folds what oram.Image.Gather read ahead of each load walk;
@@ -352,6 +367,10 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		for _, lvl := range rec.Levels {
 			c.levelPlans = append(c.levelPlans, newPlanRows(lvl.Tree))
 		}
+		n := len(rec.Levels)
+		c.scratch.marks = make([]int, 1+n)
+		c.scratch.chain.idx = make([]oram.Addr, n)
+		c.scratch.chain.next, c.scratch.chain.paths = make([]oram.Leaf, n), make([]oram.Leaf, n)
 	}
 	// every lists the slots of the longest path of any tree.
 	longest := len(c.scratch.plan.flat)
@@ -467,17 +486,23 @@ func (c *Controller) maybeCrash(step, sub int) bool {
 }
 
 // powerFail applies the physics of losing power at c.now: the volatile
-// write buffer and any uncommitted WPQ batch are lost (mem.Crash), and
-// the volatile on-chip structures are cleared according to the scheme's
-// persistence domain.
+// write buffer and any uncommitted WPQ batch are lost (mem.Crash) — every
+// tree's image rolls back the logged writes that complete after c.now,
+// an uncommitted batch's among them — and the volatile on-chip
+// structures are cleared according to the scheme's persistence domain.
 func (c *Controller) powerFail() {
 	c.crashed = true
 	c.counters.Inc("crash.count")
+	lostAfter := uint64(c.now)
 	if c.Scheme == config.SchemeEADRORAM {
 		// eADR's persistence domain covers the buffers: drain, not drop.
 		c.Mem.DrainAll()
+		lostAfter = oram.NeverDone
 	} else {
 		c.Mem.Crash(c.now)
+	}
+	for r := 0; r <= len(c.levelPlans); r++ {
+		c.image(r).Rollback(0, lostAfter)
 	}
 	switch c.Scheme {
 	case config.SchemeFullNVM, config.SchemeFullNVMSTT:

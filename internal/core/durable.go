@@ -47,8 +47,8 @@ func openWith(cfg config.Config, st DurableStorage, runtime Options) (*Controlle
 		if uint64(l) >= leaves {
 			return nil, fmt.Errorf("core: stored leaf %d out of range for addr %d", l, a)
 		}
-		c.durable.Set(a, l)
-		c.ORAM.PosMap.Set(a, l)
+		c.durable.Put(a, l)
+		c.ORAM.PosMap.Put(a, l)
 	}
 	c.ORAM.SetVerSeq(st.VerSeq())
 	if c.Merkle != nil {

@@ -39,9 +39,18 @@ func (s *plannedSlot) content() oram.Block {
 	return oram.Block{Addr: b.Addr, Leaf: s.leaf, Ver: s.ver, Data: b.Data}
 }
 
-// writeTo is the undoable image write of s (see writeBack).
-func (s *plannedSlot) writeTo(img *oram.Image) (undo func()) {
-	return img.PutLazyUndoable(s.bucket, s.z, s.iv1, s.iv2, s.content())
+// writeTo is the image write of s, completing at cycle done. Issued at
+// now, it is logged for a crash's rollback only when it completes later
+// (see writeBack).
+func (s *plannedSlot) writeTo(img *oram.Image, done, now mem.Cycle) {
+	switch w := s.content(); {
+	case done > now:
+		img.PutLazyUndoable(s.bucket, s.z, s.iv1, s.iv2, w, uint64(done))
+	case w.Dummy():
+		img.PutLazyDummy(s.bucket, s.z, s.iv1, s.iv2)
+	default:
+		img.PutLazyBlock(s.bucket, s.z, s.iv1, s.iv2, w)
+	}
 }
 
 // merges reports whether the write of s carries a pending remap of its
@@ -80,6 +89,12 @@ func (c *Controller) tree(region int) (*oram.Controller, *planRows) {
 		return c.ORAM, &c.scratch.plan
 	}
 	return c.Rec.Levels[region-1], &c.levelPlans[region-1]
+}
+
+// image is the image of the tree in region.
+func (c *Controller) image(region int) *oram.Image {
+	ctl, _ := c.tree(region)
+	return ctl.Image
 }
 
 // planSlots lays out the eviction of the plan of the tree in region
@@ -176,7 +191,7 @@ func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 		for ; next < len(posmap) && int(posmap[next]) < end; next++ {
 			i := int(posmap[next])
 			batch.AddDataRun(loc, i+1-staged)
-			batch.AddPosMap(c.posMapLocation(bucket, i-k*z, plan[i]), nil)
+			batch.AddPosMap(c.posMapLocation(bucket, i-k*z, plan[i]))
 			staged = i + 1
 		}
 		batch.AddDataRun(loc, end-staged)
@@ -229,9 +244,9 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	// the written path once the batch has committed (hashPath).
 	if c.Merkle != nil {
 		for _, b := range c.scratch.path {
-			batch.AddPosMapBlock(c.Mem.PosMapLocation((1<<23)+b), nil)
+			batch.AddPosMapBlock(c.Mem.PosMapLocation((1 << 23) + b))
 		}
-		batch.AddPosMapBlock(c.Mem.PosMapLocation(1<<24), nil)
+		batch.AddPosMapBlock(c.Mem.PosMapLocation(1 << 24))
 		c.counters.Inc("integrity.root_updates")
 	}
 	// Crash points while the WPQs fill, one per slot written, before the
@@ -261,7 +276,8 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	}
 	// The evicted stash blocks are dead (the overlay copied their
 	// payloads), so they recycle.
-	c.finishEvicted(slots, true)
+	c.finishEvicted(slots)
+	c.recycleEvicted()
 	c.stageAdd(StageSeal)
 	*c.hDirty += int64(len(dirty))
 	return len(real), len(dirty), nil
@@ -313,9 +329,9 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 	real, dirty := 0, 0
 	for i := range slots {
 		s := &slots[i]
-		batch.AddData(c.Mem.TreeBlockLocation(s.bucket, s.z), nil)
+		batch.AddData(c.Mem.TreeBlockLocation(s.bucket, s.z))
 		if c.posMapEntries(s) != 0 {
-			batch.AddPosMap(c.posMapLocation(s.bucket, s.z, s.block), nil)
+			batch.AddPosMap(c.posMapLocation(s.bucket, s.z, s.block))
 		}
 		if s.block != nil {
 			real++
@@ -334,14 +350,9 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 // remap the batch carried, the merge of that remap into the durable
 // PosMap.
 func (c *Controller) applyCommitted(slots []plannedSlot) {
-	img := c.ORAM.Image
 	for i := range slots {
 		s := &slots[i]
-		if w := s.content(); w.Dummy() {
-			img.PutLazyDummy(s.bucket, s.z, s.iv1, s.iv2)
-		} else {
-			img.PutLazyBlock(s.bucket, s.z, s.iv1, s.iv2, w)
-		}
+		s.writeTo(c.ORAM.Image, c.now, c.now)
 		if s.merges() {
 			b := s.block
 			c.durable.Put(b.Addr, b.Leaf)
@@ -352,13 +363,11 @@ func (c *Controller) applyCommitted(slots []plannedSlot) {
 	}
 }
 
-// finishEvicted removes committed blocks from the stash and emits
-// durability events for every value the committed batch made reachable
-// from the durable PosMap (applyCommitted has merged every remap by
-// now). With recycle set the removed blocks return to the freelist
-// (their only remaining reference is the plan scratch, which the next
-// access overwrites).
-func (c *Controller) finishEvicted(slots []plannedSlot, recycle bool) {
+// finishEvicted removes committed blocks from the stash, keeping them in
+// c.scratch.evicted for the caller to recycle, and emits durability
+// events for every value the committed batch made reachable from the
+// durable PosMap (applyCommitted has merged every remap by now).
+func (c *Controller) finishEvicted(slots []plannedSlot) {
 	for i := range slots {
 		b := slots[i].block
 		if b == nil {
@@ -377,9 +386,7 @@ func (c *Controller) finishEvicted(slots []plannedSlot, recycle bool) {
 		if c.OnDurable != nil && c.durable.Lookup(b.Addr) == b.TargetLeaf() {
 			c.markDurable(b.Addr, b.Data)
 		}
-		if recycle {
-			c.putStashBlock(b)
-		}
+		c.scratch.evicted = append(c.scratch.evicted, b)
 	}
 }
 

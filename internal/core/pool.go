@@ -12,7 +12,8 @@ import (
 // StashBlock + payload per loaded block; in steady state every one of
 // those has an exact counterpart dying in the same access (the blocks
 // evicted), so the freelist below lets the path run allocation-free.
-// Only the single-batch eviction recycles (see finishEvicted).
+// Every write-back recycles what it evicted once nothing reads it (see
+// recycleEvicted's callers).
 
 // getStashBlock returns a zeroed stash block whose Data buffer has
 // BlockBytes capacity (length 0).
@@ -33,6 +34,16 @@ func (c *Controller) putStashBlock(b *oram.StashBlock) {
 	data := b.Data[:0]
 	*b = oram.StashBlock{Data: data}
 	c.freeBlocks = append(c.freeBlocks, b)
+}
+
+// recycleEvicted returns the blocks evicted since the last call (see
+// scratch.evicted) to the freelist.
+func (c *Controller) recycleEvicted() {
+	for i, b := range c.scratch.evicted {
+		c.putStashBlock(b)
+		c.scratch.evicted[i] = nil
+	}
+	c.scratch.evicted = c.scratch.evicted[:0]
 }
 
 // Eviction-order sorting. Each order is a single ascending uint64 key
@@ -78,10 +89,9 @@ func (c *Controller) sortByKey(blocks []*oram.StashBlock, key func(*oram.StashBl
 	c.scratch.keyed = ks
 }
 
-// sortByDepth orders deepest intersection with path l first, then by
-// address: (L - depth) in the high bits, the address below.
-func (c *Controller) sortByDepth(l oram.Leaf, blocks []*oram.StashBlock) {
-	t := c.ORAM.Tree
+// sortByDepth orders deepest intersection with path l of tree t first,
+// then by address: (L - depth) in the high bits, the address below.
+func (c *Controller) sortByDepth(t oram.Tree, l oram.Leaf, blocks []*oram.StashBlock) {
 	c.sortByKey(blocks, func(b *oram.StashBlock) uint64 {
 		return uint64(t.L-t.IntersectLevel(l, b.TargetLeaf()))<<48 | uint64(b.Addr)
 	})

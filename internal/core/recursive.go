@@ -20,10 +20,18 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 	start := c.now
 	var batch *mem.Batch // open for Rcr-PS-ORAM, nil for Rcr-Baseline
 	if c.Scheme == config.SchemeRcrPSORAM {
+		// The access's writes into the batch are logged in each tree's
+		// undo log from its mark on, and taken back if it never commits.
+		for r := range c.scratch.marks {
+			c.scratch.marks[r] = c.image(r).Mark()
+		}
 		batch = c.Mem.BeginBatch()
 		defer func() {
 			if batch != nil {
 				batch.Abandon()
+				for r, mark := range c.scratch.marks {
+					c.image(r).Rollback(mark, uint64(c.now))
+				}
 			}
 		}()
 	}
@@ -40,7 +48,7 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 
 	// Keep the data controller's flat map coherent with the chain (it is
 	// the on-chip working view; the chain is the durable truth).
-	c.ORAM.PosMap.Set(addr, lNew)
+	c.ORAM.PosMap.Put(addr, lNew)
 
 	// Data path access.
 	c.epoch++
@@ -56,11 +64,11 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 		// (its backup is its durable continuation) while giving it
 		// eviction priority.
 		blk.PendingRemap = true
-		c.ORAM.Stash.PutBackup(&oram.StashBlock{
-			Addr: addr, Leaf: lNew,
-			Data:   append([]byte(nil), blk.Data...),
-			Backup: true, BackupLeaf: l,
-		})
+		bak := c.getStashBlock()
+		bak.Addr, bak.Leaf = addr, lNew
+		bak.Data = append(bak.Data, blk.Data...)
+		bak.Backup, bak.BackupLeaf = true, l
+		c.ORAM.Stash.PutBackup(bak)
 		*c.hBackups++
 	}
 	if c.maybeCrash(4, -1) {
@@ -102,9 +110,15 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 		}
 		batch = nil
 		c.now = done
-		// Durable: the whole access committed; the target's value is
+		// Durable: the whole access committed — its writes stand and its
+		// Top-map update reaches durableTop — and the target's value is
 		// reachable through the durable chain.
+		for r, mark := range c.scratch.marks {
+			c.image(r).Release(mark, oram.NeverDone)
+		}
+		c.durableTop.Put(c.scratch.topIdx, c.scratch.topLeaf)
 		c.markDurable(addr, blk.Data)
+		c.recycleEvicted()
 	}
 	if c.ORAM.Stash.Overflowed() {
 		return Result{}, fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, c.ORAM.Stash.Len(), c.ORAM.Stash.Capacity())
@@ -138,7 +152,7 @@ func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch)
 	n := len(rec.Levels)
 	if n == 0 {
 		l = rec.Top.Lookup(addr)
-		rec.Top.Set(addr, lNew)
+		rec.Top.Put(addr, lNew)
 		c.stageTopUpdate(addr, lNew, batch)
 		return l, 0, nil
 	}
@@ -146,9 +160,8 @@ func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch)
 	k := uint64(rec.EntriesPerBlock)
 	// idx[i] is the block of PosMap tree i+1 on addr's chain, next[i] the
 	// leaf it moves to, paths[i] the leaf of the path read in it.
-	idx := make([]oram.Addr, n)
-	next := make([]oram.Leaf, n)
-	paths := make([]oram.Leaf, n)
+	ch := &c.scratch.chain
+	idx, next, paths := ch.idx[:n], ch.next[:n], ch.paths[:n]
 	cur := uint64(addr)
 	for i := range idx {
 		cur /= k
@@ -198,13 +211,14 @@ func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch)
 // stageTopUpdate persists an update of the on-chip Top map: Rcr-PS-ORAM
 // stages it into the access's batch so recovery can rebuild the chain
 // root (durableTop tracks the NVM copy); Rcr-Baseline's Top updates are
-// volatile.
+// volatile. The chain walk stages one per access. The entry carries no
+// mutation: accessRecursive applies the update once the batch has
+// committed, which nothing can tell from applying it at the commit (the
+// argument of stageBatch).
 func (c *Controller) stageTopUpdate(idx oram.Addr, leaf oram.Leaf, batch *mem.Batch) {
 	if batch != nil {
-		top := c.durableTop
-		batch.AddPosMap(c.Mem.PosMapLocation(uint64(idx)), func() {
-			top.Set(idx, leaf)
-		})
+		batch.AddPosMap(c.Mem.PosMapLocation(uint64(idx)))
+		c.scratch.topIdx, c.scratch.topLeaf = idx, leaf
 	}
 }
 
@@ -219,7 +233,7 @@ func (c *Controller) accessLevel(i int, idx oram.Addr, off uint64, next, lNew or
 	if err := c.loadLevelPath(lvl, l, idx); err != nil {
 		return 0, 0, err
 	}
-	lvl.PosMap.Set(idx, lNew)
+	lvl.PosMap.Put(idx, lNew)
 	blk := lvl.Stash.Get(idx)
 	if blk == nil {
 		return 0, 0, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", idx, l)
@@ -229,7 +243,7 @@ func (c *Controller) accessLevel(i int, idx oram.Addr, off uint64, next, lNew or
 	blk.Dirty = true
 	blk.Leaf = lNew
 
-	c.scratch.unplaced = lvl.PlanEvictionInto(l, lvl.DefaultEvictionOrder(l), plan.rows, plan.used, c.scratch.unplaced)
+	c.scratch.unplaced = lvl.PlanEvictionInto(l, c.greedyOrder(lvl, l), plan.rows, plan.used, c.scratch.unplaced)
 	slots := c.planSlots(i+1, l, true)
 	c.writeBack(i+1, slots, batch) // a PosMap tree's write-back has no crash point
 	writes = len(slots)
@@ -286,7 +300,7 @@ func (c *Controller) forceEvict(region int, addr oram.Addr, leaf oram.Leaf, batc
 			if err := c.loadLevelPath(ctl, leaf, addr); err != nil {
 				return writes, err
 			}
-			order = ctl.DefaultEvictionOrder(leaf)
+			order = c.greedyOrder(ctl, leaf)
 		}
 		c.scratch.unplaced = ctl.PlanEvictionInto(leaf, order, plan.rows, plan.used, c.scratch.unplaced)
 		slots := c.planSlots(region, leaf, true)
@@ -334,7 +348,7 @@ func (c *Controller) recoverRecursive() error {
 				}
 				leaf = oram.PackedLeaf(data, uint64(idx)%k)
 			}
-			lvl.PosMap.Set(idx, leaf)
+			lvl.PosMap.Put(idx, leaf)
 		}
 	}
 	// Data map from level 1 (or Top when degenerate).
@@ -350,7 +364,7 @@ func (c *Controller) recoverRecursive() error {
 			}
 			leaf = oram.PackedLeaf(data, uint64(addr)%k)
 		}
-		c.ORAM.PosMap.Set(addr, leaf)
+		c.ORAM.PosMap.Put(addr, leaf)
 	}
 	return nil
 }

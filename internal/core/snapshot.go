@@ -169,8 +169,8 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 		if uint64(leaf) >= c.ORAM.Tree.Leaves() {
 			return nil, fmt.Errorf("%w: leaf %d out of range for addr %d", ErrSnapshotCorrupted, leaf, a)
 		}
-		c.durable.Set(a, oram.Leaf(leaf))
-		c.ORAM.PosMap.Set(a, oram.Leaf(leaf))
+		c.durable.Put(a, oram.Leaf(leaf))
+		c.ORAM.PosMap.Put(a, oram.Leaf(leaf))
 	}
 	// Sealed tree image.
 	t := c.ORAM.Tree

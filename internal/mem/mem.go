@@ -2,10 +2,10 @@
 // ORAM controller and the NVM devices. It is two things joined at a
 // seam, because crash behaviour needs only one of them:
 //
-//   - the persistence domain (this file): which functional mutations
-//     survive a power failure. Atomic WPQ batches fed by the Drainer
-//     with start/end signals (paper §4.1, §4.2.2), the undo journal of
-//     posted writes still in flight, and the Crash/DrainAll semantics;
+//   - the persistence domain (this file): when a write becomes durable.
+//     Atomic WPQ batches fed by the Drainer with start/end signals
+//     (paper §4.1, §4.2.2), the journal of posted writes still in
+//     flight, and the Crash/DrainAll semantics;
 //   - a timing model (the model interface): when each read, write and
 //     queue admission completes. The domain consults it and never looks
 //     inside. New builds the paper's NVM model — multi-channel address
@@ -14,18 +14,20 @@
 //     which every completion equals its issue cycle and nothing is
 //     mapped or scheduled (untimed.go).
 //
-// Functional mutations are injected as apply/undo closures. Posted writes
-// apply immediately (the controller forwards from its write buffer) but
-// are undone if a crash strikes before their device completion. Batch
-// writes apply at commit (the "end" signal) and are durable from that
-// instant, matching the ADR guarantee that WPQ contents drain on power
-// fail; a batch never committed is discarded whole. Atomicity and
+// The domain holds no functional state: the caller mutates its own
+// state and keeps what it needs to take a mutation back (internal/oram's
+// image undo log). The two rules are stated over data. A posted write
+// is lost if power fails before its completion cycle, which
+// WriteBlockPosted returns. A batch is durable from its Commit (the "end"
+// signal), matching the ADR guarantee that WPQ contents drain on power
+// fail, and one never committed is discarded whole. Atomicity and
 // ordering of batches do not depend on the model; only how long a posted
 // write stays exposed does (under the untimed model: not at all).
 package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/nvm"
@@ -54,8 +56,6 @@ type model interface {
 	// (the Z slots of a bucket share a location) and returns the last
 	// completion.
 	read(loc Location, n, bytes int, t Cycle) Cycle
-	// write schedules one device write and returns its completion.
-	write(loc Location, bytes int, t Cycle) Cycle
 	// post admits a block write to the volatile write buffer: the caller
 	// may continue at proceed (later than t only when the buffer is
 	// full); the device completes the write at done.
@@ -80,10 +80,9 @@ type Controller struct {
 	// mutation and stores nothing for it.
 	timed bool
 
-	inFlight   []inFlightWrite // journal of posted writes, for crash undo
-	openBatch  *Batch
-	batchPool  Batch // reused by BeginBatch: one batch open at a time
-	numBatches uint64
+	inFlight  []Cycle // completion cycles of the posted writes still in flight
+	openBatch *Batch
+	batchPool Batch // reused by BeginBatch: one batch open at a time
 
 	// Pre-resolved counter handles: these counters are bumped up to
 	// Z*(L+1) times per access, so the per-event map lookup matters.
@@ -92,11 +91,6 @@ type Controller struct {
 	hWPQData    *int64
 	hWPQPosMap  *int64
 	hWPQBatches *int64
-}
-
-type inFlightWrite struct {
-	done Cycle
-	undo func()
 }
 
 // New creates a controller over the timed NVM model, with cfg.Channels
@@ -164,50 +158,23 @@ func (c *Controller) ReadBytes(loc Location, earliest Cycle, bytes int) Cycle {
 }
 
 // WriteBlockPosted issues a block write through the volatile write
-// buffer: the caller does not stall (unless the buffer is full), but the
-// mutation is undone if a crash precedes device completion. apply is run
-// immediately (write-buffer forwarding) and must return an undo closure.
-// Returns the cycle at which the caller may proceed.
-func (c *Controller) WriteBlockPosted(loc Location, earliest Cycle, apply func() (undo func())) Cycle {
-	c.reapJournal(earliest)
-	proceed, done := c.model.post(loc, earliest)
-	c.journal(done, apply)
-	return proceed
-}
-
-// WriteBlockSync issues a block write and stalls the caller until the
-// device completes it. apply (optional) is run immediately and is durable
-// at the returned cycle; it is undone on a crash before then.
-func (c *Controller) WriteBlockSync(loc Location, earliest Cycle, apply func() (undo func())) Cycle {
-	return c.WriteBytesSync(loc, earliest, c.cfg.BlockBytes, apply)
-}
-
-// WriteBytesSync is WriteBlockSync for a partial write (PosMap entry).
-func (c *Controller) WriteBytesSync(loc Location, earliest Cycle, bytes int, apply func() (undo func())) Cycle {
-	done := c.model.write(loc, bytes, earliest)
-	c.journal(done, apply)
-	return done
-}
-
-// journal counts one device write completing at done and, when it
-// carries a functional mutation, applies it and records its undo.
-func (c *Controller) journal(done Cycle, apply func() (undo func())) {
+// buffer. The caller may continue at proceed (later than earliest only
+// when the buffer is full); the device completes the write at done, and
+// a power failure before done loses it. The caller applies the write to
+// its own state at once (the controller forwards from its write buffer)
+// and owns taking it back on a crash before done.
+func (c *Controller) WriteBlockPosted(loc Location, earliest Cycle) (proceed, done Cycle) {
+	proceed, done = c.model.post(loc, earliest)
 	*c.hNVMWrites++
-	if apply != nil {
-		c.inFlight = append(c.inFlight, inFlightWrite{done: done, undo: apply()})
-	}
-}
-
-// reapJournal drops journal entries whose writes have completed; they
-// are durable.
-func (c *Controller) reapJournal(now Cycle) {
-	kept := c.inFlight[:0]
-	for _, w := range c.inFlight {
-		if w.done > now {
-			kept = append(kept, w)
+	if done > earliest {
+		if len(c.inFlight) == cap(c.inFlight) {
+			// Rather than grow, drop the writes complete by now: Crash
+			// counts by cycle, so this only bounds the journal.
+			c.inFlight = slices.DeleteFunc(c.inFlight, func(d Cycle) bool { return d <= earliest })
 		}
+		c.inFlight = append(c.inFlight, done)
 	}
-	c.inFlight = kept
+	return proceed, done
 }
 
 // ---------------------------------------------------------------------
@@ -226,17 +193,13 @@ const (
 
 // batchEntry is one staged WPQ entry: 32 bytes, no pointers — an
 // eviction appends Z*(L+1) of them plus one per dirty PosMap entry, so
-// the append must stay a plain copy the collector never scans. What the
-// entry does at commit or abandon is its form; the closure forms keep
-// their func in Batch.fns, at index ref.
+// the append must stay a plain copy the collector never scans.
 type batchEntry struct {
 	loc   Location
 	bytes uint32
-	// ref is the Applier's tag (formTagged) or an index into Batch.fns
-	// (formApply, formUndo).
-	ref  int32
-	kind EntryKind
-	form entryForm
+	ref   int32 // the Applier's tag (formTagged)
+	kind  EntryKind
+	form  entryForm
 }
 
 type entryForm uint8
@@ -245,16 +208,8 @@ const (
 	// formNone carries no functional mutation (a timing-only entry).
 	formNone entryForm = iota
 	// formTagged entries carry an integer the batch's Applier interprets
-	// at commit instead of an apply closure — the hot path stages dozens
-	// of entries per eviction, and a closure each would be dozens of
-	// allocations.
+	// at commit.
 	formTagged
-	// formApply runs its func at commit.
-	formApply
-	// formUndo marks an immediate-apply entry: its mutation already ran
-	// (so later protocol steps inside the same batch read coherent state)
-	// and its func rolls it back if the batch never commits.
-	formUndo
 )
 
 // Applier applies a tagged batch entry's functional mutation at commit
@@ -271,10 +226,9 @@ type Applier interface {
 type Batch struct {
 	c       *Controller
 	entries []batchEntry
-	fns     []func() // apply/undo closures of the formApply/formUndo entries
 	// nData and nPosMap count the staged entries per WPQ. They can exceed
-	// len(entries): under a model that times nothing, a function-less
-	// entry is counted here and not stored.
+	// len(entries): under a model that times nothing, an untagged entry is
+	// counted here and not stored.
 	nData, nPosMap int
 	applier        Applier
 	done           bool
@@ -297,7 +251,6 @@ func (c *Controller) BeginBatch() *Batch {
 	b := &c.batchPool
 	b.c = c
 	b.entries = b.entries[:0]
-	b.fns = b.fns[:0]
 	b.nData, b.nPosMap = 0, 0
 	b.applier = nil
 	b.done = false
@@ -329,24 +282,13 @@ func (b *Batch) add(kind EntryKind, loc Location, bytes int, form entryForm, ref
 	e.loc, e.bytes, e.ref, e.kind, e.form = loc, uint32(bytes), int32(ref), kind, form
 }
 
-// addFunc stages an entry whose mutation is a closure: fn runs at commit
-// (formApply) or on abandon (formUndo); a nil fn is a timing-only entry.
-func (b *Batch) addFunc(kind EntryKind, loc Location, bytes int, form entryForm, fn func()) {
-	if fn == nil {
-		b.add(kind, loc, bytes, formNone, 0)
-		return
-	}
-	b.fns = append(b.fns, fn)
-	b.add(kind, loc, bytes, form, len(b.fns)-1)
-}
-
 // AddData stages a data-block write into the batch.
-func (b *Batch) AddData(loc Location, apply func()) {
-	b.addFunc(DataEntry, loc, b.c.cfg.BlockBytes, formApply, apply)
+func (b *Batch) AddData(loc Location) {
+	b.add(DataEntry, loc, b.c.cfg.BlockBytes, formNone, 0)
 }
 
-// AddDataRun is n AddData(loc, nil) calls: the Z slots of a bucket share
-// a Location, so a bucket's function-less slot writes stage as one run.
+// AddDataRun is n AddData(loc) calls: the Z slots of a bucket share
+// a Location, so a bucket's slot writes stage as one run.
 // The timed model sees the same n entries in the same order.
 func (b *Batch) AddDataRun(loc Location, n int) {
 	if !b.c.timed {
@@ -360,42 +302,27 @@ func (b *Batch) AddDataRun(loc Location, n int) {
 }
 
 // AddDataTagged stages a data-block write applied at commit by the
-// batch's Applier (closure-free AddData).
+// batch's Applier.
 func (b *Batch) AddDataTagged(loc Location, tag int) {
 	b.add(DataEntry, loc, b.c.cfg.BlockBytes, formTagged, tag)
 }
 
 // AddPosMapTagged stages a PosMap-entry write applied at commit by the
-// batch's Applier (closure-free AddPosMap).
+// batch's Applier.
 func (b *Batch) AddPosMapTagged(loc Location, tag int) {
 	b.add(PosMapEntry, loc, b.c.cfg.PosMapEntryBytes, formTagged, tag)
 }
 
-// AddDataApplied stages a data-block write whose functional mutation has
-// ALREADY been applied by the caller (so subsequent reads within the
-// same batch see it); undo rolls it back if the batch is abandoned or
-// lost to a crash. Atomicity is unchanged: either the whole batch
-// commits, or every immediate mutation is undone.
-func (b *Batch) AddDataApplied(loc Location, undo func()) {
-	b.addFunc(DataEntry, loc, b.c.cfg.BlockBytes, formUndo, undo)
-}
-
-// AddPosMapBlockApplied is AddDataApplied for the PosMap WPQ (recursive
-// posmap-tree path blocks).
-func (b *Batch) AddPosMapBlockApplied(loc Location, undo func()) {
-	b.addFunc(PosMapEntry, loc, b.c.cfg.BlockBytes, formUndo, undo)
-}
-
 // AddPosMap stages a PosMap-entry write into the batch.
-func (b *Batch) AddPosMap(loc Location, apply func()) {
-	b.addFunc(PosMapEntry, loc, b.c.cfg.PosMapEntryBytes, formApply, apply)
+func (b *Batch) AddPosMap(loc Location) {
+	b.add(PosMapEntry, loc, b.c.cfg.PosMapEntryBytes, formNone, 0)
 }
 
 // AddPosMapBlock stages a full posmap-ORAM block write into the PosMap
 // WPQ (recursive schemes write the PosMap back "in a tree organization",
 // so the queue carries whole path blocks rather than single entries).
-func (b *Batch) AddPosMapBlock(loc Location, apply func()) {
-	b.addFunc(PosMapEntry, loc, b.c.cfg.BlockBytes, formApply, apply)
+func (b *Batch) AddPosMapBlock(loc Location) {
+	b.add(PosMapEntry, loc, b.c.cfg.BlockBytes, formNone, 0)
 }
 
 func (b *Batch) mustOpen() {
@@ -426,8 +353,8 @@ func (e ErrWPQOverflow) Error() string {
 }
 
 // Commit is the drainer's "end" signal: every staged entry is now inside
-// the persistence domain, so the whole batch is durable — the functional
-// applies run immediately. The returned cycle is when the ORAM controller
+// the persistence domain, so the whole batch is durable — tagged entries
+// are applied immediately. The returned cycle is when the ORAM controller
 // may proceed: entries must have *entered* the WPQs by then, which stalls
 // on WPQ free slots (drains to NVM continue in the background and are
 // accounted on the devices). A batch that cannot fit a WPQ is refused
@@ -447,39 +374,25 @@ func (b *Batch) Commit(earliest Cycle) (Cycle, error) {
 	*c.hWPQPosMap += int64(nPosMap)
 	*c.hNVMWrites += int64(nData + nPosMap)
 	// Durability point: "end" signal received by both WPQs.
-	b.applyAll()
-	b.done = true
-	b.applier = nil
-	c.openBatch = nil
-	c.numBatches++
+	for i := range b.entries {
+		if e := &b.entries[i]; e.form == formTagged {
+			b.applier.ApplyEntry(int(e.ref))
+		}
+	}
+	b.close()
 	*c.hWPQBatches++
 	return proceed, nil
 }
 
-// applyAll runs every staged entry's functional mutation, in order.
-func (b *Batch) applyAll() {
-	for i := range b.entries {
-		switch e := &b.entries[i]; e.form {
-		case formTagged:
-			b.applier.ApplyEntry(int(e.ref))
-		case formApply:
-			b.fns[e.ref]()
-		}
+// Abandon drops an uncommitted batch: none of it reaches NVM.
+func (b *Batch) Abandon() {
+	if !b.done {
+		b.close()
 	}
 }
 
-// Abandon drops an uncommitted batch (used on simulated crash),
-// rolling back any immediate-apply entries in reverse order.
-func (b *Batch) Abandon() {
-	if b.done {
-		return
-	}
+func (b *Batch) close() {
 	b.done = true
-	for i := len(b.entries) - 1; i >= 0; i-- {
-		if e := &b.entries[i]; e.form == formUndo {
-			b.fns[e.ref]()
-		}
-	}
 	b.applier = nil
 	if b.c.openBatch == b {
 		b.c.openBatch = nil
@@ -487,35 +400,30 @@ func (b *Batch) Abandon() {
 }
 
 // ---------------------------------------------------------------------
-// Crash semantics
+// Crash semantics. Neither call mutates anything but the domain: the
+// caller takes back what a crash loses.
 // ---------------------------------------------------------------------
 
 // DrainAll simulates a power failure under eADR, where the persistence
 // domain covers the volatile buffers too: every in-flight posted write
-// drains to NVM (its functional apply stands), and an open batch's
-// staged entries are likewise flushed and applied. Contrast with Crash.
+// drains to NVM, and so does an open batch. Contrast with Crash.
 func (c *Controller) DrainAll() {
 	c.inFlight = c.inFlight[:0]
 	if c.openBatch != nil {
-		c.openBatch.applyAll()
-		c.openBatch.Abandon()
+		c.openBatch.close()
 		c.counters.Inc("crash.drained_batches")
 	}
 	c.model.powerFail()
 }
 
 // Crash simulates a power failure at cycle `now`: posted writes whose
-// device completion lies in the future are rolled back (the volatile
-// write buffer is lost); an open, uncommitted WPQ batch is discarded;
-// committed batches were already durable. The controller is left ready
-// for a post-recovery run.
+// device completion lies in the future are lost with the volatile write
+// buffer (counted as crash.lost_posted_writes); an open, uncommitted WPQ
+// batch is discarded; committed batches were already durable. The
+// controller is left ready for a post-recovery run.
 func (c *Controller) Crash(now Cycle) {
-	// Undo journal: newest first, so overlapping writes restore the
-	// oldest surviving value.
-	for i := len(c.inFlight) - 1; i >= 0; i-- {
-		w := c.inFlight[i]
-		if w.done > now && w.undo != nil {
-			w.undo()
+	for _, done := range c.inFlight {
+		if done > now {
 			c.counters.Inc("crash.lost_posted_writes")
 		}
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,12 +9,95 @@ import (
 	"unsafe"
 
 	"repro/internal/config"
+	"repro/internal/cryptoeng"
+	"repro/internal/oram"
 )
 
 func testCfg(channels int) config.Config {
 	c := config.Default()
 	c.Channels = channels
 	return c
+}
+
+// caller plays the ORAM controller's part over the domain, which holds
+// no functional state: it applies every write to its own image at once,
+// logging what the write replaced with the cycle the domain says the
+// write completes at — a write into an open batch completes only when the
+// batch commits (oram.NeverDone until then) — and takes back what a power
+// failure loses. A slot holds one byte value; 0 is a dummy.
+type caller struct {
+	c    *Controller
+	img  *oram.Image
+	ivs  uint64
+	mark int // the undo log's mark at the open batch's start
+}
+
+func newCaller(c *Controller) *caller {
+	k := &caller{c: c}
+	k.img = oram.NewImage(oram.NewTree(2, 2), cryptoeng.MustNew(oram.DefaultKey), 16, k.nextIV)
+	return k
+}
+
+func (k *caller) nextIV() uint64 { k.ivs++; return k.ivs }
+
+// apply writes v into slot, logged as completing at done.
+func (k *caller) apply(slot int, v byte, done Cycle) {
+	b := oram.Block{Addr: oram.DummyAddr}
+	if v != 0 {
+		b = oram.Block{Addr: oram.Addr(slot), Data: bytes.Repeat([]byte{v}, 16)}
+	}
+	k.img.PutLazyUndoable(uint64(slot/2), slot%2, k.nextIV(), k.nextIV(), b, uint64(done))
+}
+
+// value is what slot holds.
+func (k *caller) value(slot int) byte {
+	if d := k.img.PlainData(uint64(slot/2), slot%2); d != nil {
+		return d[0]
+	}
+	return 0
+}
+
+// posted issues a posted write of v into slot at cycle t.
+func (k *caller) posted(slot int, v byte, t Cycle) (proceed, done Cycle) {
+	proceed, done = k.c.WriteBlockPosted(k.c.TreeBlockLocation(uint64(slot/2), slot%2), t)
+	k.apply(slot, v, done)
+	return proceed, done
+}
+
+// begin opens a batch; stage writes v into slot as one of its data
+// entries; commit and abandon end it.
+func (k *caller) begin() *Batch {
+	k.mark = k.img.Mark()
+	return k.c.BeginBatch()
+}
+
+func (k *caller) stage(b *Batch, slot int, v byte) {
+	b.AddData(k.c.TreeBlockLocation(uint64(slot/2), slot%2))
+	k.apply(slot, v, oram.NeverDone)
+}
+
+func (k *caller) commit(b *Batch, t Cycle) (Cycle, error) {
+	done, err := b.Commit(t)
+	if err == nil {
+		k.img.Release(k.mark, oram.NeverDone)
+	}
+	return done, err
+}
+
+func (k *caller) abandon(b *Batch) {
+	b.Abandon()
+	k.img.Rollback(k.mark, 0)
+}
+
+// crash is a power failure at now; drain one under eADR.
+func (k *caller) crash(now Cycle) {
+	k.c.Crash(now)
+	k.img.Rollback(0, uint64(now))
+}
+
+func (k *caller) drain() {
+	k.c.DrainAll()
+	k.img.Release(0, oram.NeverDone)
 }
 
 // resolved maps loc the way c's NVM model does.
@@ -84,18 +168,16 @@ func TestReadBlockAdvancesTime(t *testing.T) {
 	}
 }
 
+// A posted write lets the caller proceed at once into an empty buffer,
+// and completes on the device later.
 func TestPostedWriteDoesNotStallWhenBufferEmpty(t *testing.T) {
 	c := New(testCfg(1))
-	applied := false
-	proceed := c.WriteBlockPosted(c.TreeBlockLocation(0, 0), 50, func() func() {
-		applied = true
-		return func() { applied = false }
-	})
+	proceed, done := c.WriteBlockPosted(c.TreeBlockLocation(0, 0), 50)
 	if proceed != 50 {
 		t.Fatalf("posted write stalled caller to %d", proceed)
 	}
-	if !applied {
-		t.Fatal("posted write did not apply functionally")
+	if done <= 50 {
+		t.Fatalf("posted write completed at %d, want after its issue at 50", done)
 	}
 }
 
@@ -104,9 +186,9 @@ func TestPostedWriteBufferFullStalls(t *testing.T) {
 	cfg.WriteBufferEntries = 2
 	c := New(cfg)
 	loc := c.TreeBlockLocation(0, 0)
-	p1 := c.WriteBlockPosted(loc, 0, nil)
-	p2 := c.WriteBlockPosted(loc, 0, nil)
-	p3 := c.WriteBlockPosted(loc, 0, nil)
+	p1, _ := c.WriteBlockPosted(loc, 0)
+	p2, _ := c.WriteBlockPosted(loc, 0)
+	p3, _ := c.WriteBlockPosted(loc, 0)
 	if p1 != 0 || p2 != 0 {
 		t.Fatalf("first writes should not stall: %d %d", p1, p2)
 	}
@@ -115,109 +197,94 @@ func TestPostedWriteBufferFullStalls(t *testing.T) {
 	}
 }
 
-func TestSyncWriteStalls(t *testing.T) {
-	c := New(testCfg(1))
-	done := c.WriteBlockSync(c.TreeBlockLocation(0, 0), 10, nil)
-	if done <= 10 {
-		t.Fatalf("sync write returned %d, want completion after earliest", done)
-	}
-}
-
 func TestCrashUndoesInFlightPostedWrites(t *testing.T) {
-	c := New(testCfg(1))
-	value := "old"
-	done := c.WriteBlockSync(c.TreeBlockLocation(0, 0), 0, func() func() {
-		value = "new"
-		return func() { value = "old" }
-	})
-	// Crash strictly before completion: write is lost.
-	c.Crash(done - 1)
-	if value != "old" {
-		t.Fatalf("crash before completion should undo write, value=%q", value)
+	k := newCaller(New(testCfg(1)))
+	k.apply(0, 'o', 0)
+	_, done := k.posted(0, 'n', 0)
+	if k.value(0) != 'n' {
+		t.Fatal("a posted write is not applied at once")
+	}
+	// Crash strictly before completion: the write is lost.
+	k.crash(done - 1)
+	if k.value(0) != 'o' {
+		t.Fatalf("crash before completion should undo the write, value=%q", k.value(0))
+	}
+	if n := k.c.Counters().Get("crash.lost_posted_writes"); n != 1 {
+		t.Fatalf("crash.lost_posted_writes = %d, want 1", n)
 	}
 }
 
 func TestCrashKeepsCompletedWrites(t *testing.T) {
-	c := New(testCfg(1))
-	value := "old"
-	done := c.WriteBlockSync(c.TreeBlockLocation(0, 0), 0, func() func() {
-		value = "new"
-		return func() { value = "old" }
-	})
-	c.Crash(done) // at/after completion: durable
-	if value != "new" {
-		t.Fatalf("completed write should survive crash, value=%q", value)
+	k := newCaller(New(testCfg(1)))
+	k.apply(0, 'o', 0)
+	_, done := k.posted(0, 'n', 0)
+	k.crash(done) // at/after completion: durable
+	if k.value(0) != 'n' {
+		t.Fatalf("completed write should survive crash, value=%q", k.value(0))
+	}
+	if n := k.c.Counters().Get("crash.lost_posted_writes"); n != 0 {
+		t.Fatalf("crash.lost_posted_writes = %d, want 0", n)
 	}
 }
 
+// Two in-flight writes of one slot: undone newest first, the slot holds
+// the value from before both (oldest first would leave the first write).
 func TestCrashUndoOrderNewestFirst(t *testing.T) {
-	c := New(testCfg(1))
-	loc := c.TreeBlockLocation(0, 0)
-	history := []string{"v0"}
-	write := func(v string) {
-		c.WriteBlockPosted(loc, 0, func() func() {
-			prev := history[len(history)-1]
-			history = append(history, v)
-			return func() {
-				if history[len(history)-1] != v {
-					t.Fatalf("undo out of order: top is %q, undoing %q", history[len(history)-1], v)
-				}
-				history = history[:len(history)-1]
-				_ = prev
-			}
-		})
+	k := newCaller(New(testCfg(1)))
+	k.apply(0, '0', 0)
+	k.posted(0, '1', 0)
+	k.posted(0, '2', 0)
+	k.crash(0)
+	if k.value(0) != '0' {
+		t.Fatalf("after crash value = %q, want '0'", k.value(0))
 	}
-	write("v1")
-	write("v2")
-	c.Crash(0)
-	if history[len(history)-1] != "v0" {
-		t.Fatalf("after crash value = %q, want v0", history[len(history)-1])
+	if n := k.c.Counters().Get("crash.lost_posted_writes"); n != 2 {
+		t.Fatalf("crash.lost_posted_writes = %d, want 2", n)
 	}
 }
 
 func TestBatchAtomicCommit(t *testing.T) {
-	c := New(testCfg(1))
-	a, b := 0, 0
-	batch := c.BeginBatch()
-	batch.AddData(c.TreeBlockLocation(1, 0), func() { a = 1 })
-	batch.AddPosMap(c.PosMapLocation(7), func() { b = 1 })
-	if a != 0 || b != 0 {
-		t.Fatal("batch applied before commit")
-	}
-	done, err := batch.Commit(0)
+	k := newCaller(New(testCfg(1)))
+	batch := k.begin()
+	k.stage(batch, 1, 'a')
+	batch.AddPosMap(k.c.PosMapLocation(7))
+	done, err := k.commit(batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != 1 || b != 1 {
-		t.Fatal("batch not applied at commit")
+	if batch.DataCount() != 1 || batch.PosMapCount() != 1 || k.img.Mark() != 0 {
+		t.Fatal("the committed batch's writes are still logged")
 	}
 	// Durable immediately, even if we crash right at commit cycle.
-	c.Crash(done)
-	if a != 1 || b != 1 {
+	k.crash(done)
+	if k.value(1) != 'a' {
 		t.Fatal("committed batch must survive crash")
+	}
+	if k.c.Counters().Get("crash.discarded_batches") != 0 {
+		t.Fatal("a committed batch was discarded")
 	}
 }
 
 func TestUncommittedBatchDiscardedOnCrash(t *testing.T) {
-	c := New(testCfg(1))
-	a := 0
-	batch := c.BeginBatch()
-	batch.AddData(c.TreeBlockLocation(1, 0), func() { a = 1 })
-	c.Crash(1000000)
-	if a != 0 {
-		t.Fatal("uncommitted batch must not apply")
+	k := newCaller(New(testCfg(1)))
+	batch := k.begin()
+	k.stage(batch, 1, 'a')
+	k.crash(1000000)
+	if k.value(1) != 0 {
+		t.Fatal("uncommitted batch must not survive")
 	}
-	if c.Counters().Get("crash.discarded_batches") != 1 {
+	if k.c.Counters().Get("crash.discarded_batches") != 1 {
 		t.Fatal("discarded batch not counted")
 	}
 	// Controller must be usable again.
-	nb := c.BeginBatch()
-	nb.AddData(c.TreeBlockLocation(1, 0), func() { a = 2 })
-	if _, err := nb.Commit(0); err != nil {
+	nb := k.begin()
+	k.stage(nb, 1, 'b')
+	if _, err := k.commit(nb, 0); err != nil {
 		t.Fatal(err)
 	}
-	if a != 2 {
-		t.Fatal("post-crash batch did not apply")
+	k.crash(0)
+	if k.value(1) != 'b' {
+		t.Fatal("post-crash batch did not stand")
 	}
 }
 
@@ -227,7 +294,7 @@ func TestBatchWPQOverflow(t *testing.T) {
 	c := New(cfg)
 	batch := c.BeginBatch()
 	for i := 0; i < 5; i++ {
-		batch.AddData(c.TreeBlockLocation(uint64(i), 0), nil)
+		batch.AddData(c.TreeBlockLocation(uint64(i), 0))
 	}
 	_, err := batch.Commit(0)
 	var overflow ErrWPQOverflow
@@ -253,9 +320,9 @@ func TestDoubleBeginBatchPanics(t *testing.T) {
 func TestBatchCountsByKind(t *testing.T) {
 	c := New(testCfg(1))
 	b := c.BeginBatch()
-	b.AddData(c.TreeBlockLocation(0, 0), nil)
-	b.AddData(c.TreeBlockLocation(1, 0), nil)
-	b.AddPosMap(c.PosMapLocation(0), nil)
+	b.AddData(c.TreeBlockLocation(0, 0))
+	b.AddData(c.TreeBlockLocation(1, 0))
+	b.AddPosMap(c.PosMapLocation(0))
 	if b.DataCount() != 2 || b.PosMapCount() != 1 {
 		t.Fatalf("counts: data=%d posmap=%d", b.DataCount(), b.PosMapCount())
 	}
@@ -275,15 +342,15 @@ func TestWPQBackpressure(t *testing.T) {
 	cfg.PosMapWPQEntries = 2
 	c := New(cfg)
 	b1 := c.BeginBatch()
-	b1.AddData(c.TreeBlockLocation(0, 0), nil)
-	b1.AddData(c.TreeBlockLocation(1, 0), nil)
+	b1.AddData(c.TreeBlockLocation(0, 0))
+	b1.AddData(c.TreeBlockLocation(1, 0))
 	d1, err := b1.Commit(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := c.BeginBatch()
-	b2.AddData(c.TreeBlockLocation(2, 0), nil)
-	b2.AddData(c.TreeBlockLocation(3, 0), nil)
+	b2.AddData(c.TreeBlockLocation(2, 0))
+	b2.AddData(c.TreeBlockLocation(3, 0))
 	d2, err := b2.Commit(d1)
 	if err != nil {
 		t.Fatal(err)
@@ -354,29 +421,28 @@ func TestSubtreeChannelMapping(t *testing.T) {
 }
 
 func TestBatchAbandonLeavesNoTrace(t *testing.T) {
-	c := New(testCfg(1))
-	x := 0
-	b := c.BeginBatch()
-	b.AddData(c.TreeBlockLocation(0, 0), func() { x = 1 })
-	b.Abandon()
-	if x != 0 {
-		t.Fatal("abandoned batch applied")
+	k := newCaller(New(testCfg(1)))
+	b := k.begin()
+	k.stage(b, 0, 'x')
+	k.abandon(b)
+	if k.value(0) != 0 || k.c.Counters().Get("wpq.batches") != 0 {
+		t.Fatal("abandoned batch left a trace")
 	}
 	// A new batch can open and commit.
-	nb := c.BeginBatch()
-	nb.AddData(c.TreeBlockLocation(0, 0), func() { x = 2 })
-	if _, err := nb.Commit(0); err != nil {
+	nb := k.begin()
+	k.stage(nb, 0, 'y')
+	if _, err := k.commit(nb, 0); err != nil {
 		t.Fatal(err)
 	}
-	if x != 2 {
-		t.Fatal("post-abandon batch did not apply")
+	if k.value(0) != 'y' || k.c.Counters().Get("wpq.batches") != 1 {
+		t.Fatal("post-abandon batch did not commit")
 	}
 }
 
 func TestAddAfterCommitPanics(t *testing.T) {
 	c := New(testCfg(1))
 	b := c.BeginBatch()
-	b.AddData(c.TreeBlockLocation(0, 0), nil)
+	b.AddData(c.TreeBlockLocation(0, 0))
 	if _, err := b.Commit(0); err != nil {
 		t.Fatal(err)
 	}
@@ -385,36 +451,39 @@ func TestAddAfterCommitPanics(t *testing.T) {
 			t.Fatal("expected panic adding to a committed batch")
 		}
 	}()
-	b.AddData(c.TreeBlockLocation(1, 0), nil)
+	b.AddData(c.TreeBlockLocation(1, 0))
 }
 
+// Under eADR the persistence domain drains everything: an open batch and
+// in-flight posted writes stand, and nothing counts as lost.
 func TestDrainAllAppliesOpenBatch(t *testing.T) {
-	c := New(testCfg(1))
-	x := 0
-	b := c.BeginBatch()
-	b.AddData(c.TreeBlockLocation(0, 0), func() { x = 1 })
-	c.DrainAll() // eADR: the persistence domain drains everything
-	if x != 1 {
-		t.Fatal("DrainAll should apply the staged batch")
+	k := newCaller(New(testCfg(1)))
+	k.posted(1, 'p', 0)
+	b := k.begin()
+	k.stage(b, 0, 'x')
+	k.drain()
+	if k.value(0) != 'x' || k.value(1) != 'p' {
+		t.Fatal("DrainAll should keep the staged batch and the posted write")
 	}
-	if c.Counters().Get("crash.drained_batches") != 1 {
+	if k.c.Counters().Get("crash.drained_batches") != 1 {
 		t.Fatal("drained batch not counted")
 	}
-	_ = b
+	if k.c.Counters().Get("crash.lost_posted_writes") != 0 {
+		t.Fatal("a drained posted write counted as lost")
+	}
+	k.begin().Abandon() // the drained batch is closed: a new one opens
 }
 
 func TestCrashIsolation(t *testing.T) {
 	// Crash must not disturb writes that completed strictly before it.
-	c := New(testCfg(1))
-	loc := c.TreeBlockLocation(0, 0)
-	v1, v2 := "old", "old"
-	d1 := c.WriteBlockSync(loc, 0, func() func() { v1 = "new"; return func() { v1 = "old" } })
-	c.WriteBlockSync(loc, d1+100000, func() func() { v2 = "new"; return func() { v2 = "old" } })
-	c.Crash(d1) // second write still in flight
-	if v1 != "new" {
+	k := newCaller(New(testCfg(1)))
+	_, d1 := k.posted(0, 'n', 0)
+	k.posted(1, 'n', d1+100000)
+	k.crash(d1) // second write still in flight
+	if k.value(0) != 'n' {
 		t.Fatal("completed write undone")
 	}
-	if v2 != "old" {
+	if k.value(1) != 0 {
 		t.Fatal("in-flight write survived")
 	}
 }
@@ -436,21 +505,21 @@ func TestUntimedCompletesAtIssue(t *testing.T) {
 	if d := c.ReadBucket(loc, 71); d != 71 {
 		t.Errorf("bucket read completed at %d, want 71", d)
 	}
-	if d := c.WriteBlockSync(loc, 72, nil); d != 72 {
-		t.Errorf("sync write completed at %d, want 72", d)
-	}
 	for i := 0; i < 3; i++ { // a one-entry write buffer that never fills
-		if p := c.WriteBlockPosted(loc, 73, nil); p != 73 {
-			t.Errorf("posted write %d let the caller proceed at %d, want 73", i, p)
+		if p, d := c.WriteBlockPosted(loc, 73); p != 73 || d != 73 {
+			t.Errorf("posted write %d let the caller proceed at %d and completed at %d, want 73 for both", i, p, d)
 		}
 	}
+	if len(c.inFlight) != 0 {
+		t.Errorf("writes complete at issue left %d in the journal", len(c.inFlight))
+	}
 	b := c.BeginBatch()
-	b.AddData(loc, nil)
-	b.AddPosMap(c.PosMapLocation(9), nil)
+	b.AddData(loc)
+	b.AddPosMap(c.PosMapLocation(9))
 	if d, err := b.Commit(74); err != nil || d != 74 {
 		t.Errorf("commit returned %d, %v; want 74, nil", d, err)
 	}
-	want := map[string]int64{"nvm.reads": int64(1 + cfg.Z), "nvm.writes": 6,
+	want := map[string]int64{"nvm.reads": int64(1 + cfg.Z), "nvm.writes": 5,
 		"wpq.data.entries": 1, "wpq.posmap.entries": 1, "wpq.batches": 1}
 	for name, n := range want {
 		if got := c.Counters().Get(name); got != n {
@@ -469,23 +538,22 @@ func TestUntimedPersistenceDomain(t *testing.T) {
 	cfg := testCfg(1)
 	cfg.DataWPQEntries = 2
 	c := NewUntimed(cfg)
-	loc := c.TreeBlockLocation(0, 0)
+	k := newCaller(c)
 
-	posted, staged := "old", 0
-	c.WriteBlockPosted(loc, 5, func() func() { posted = "new"; return func() { posted = "old" } })
-	open := c.BeginBatch()
-	open.AddData(loc, func() { staged = 1 })
-	c.Crash(5)
-	if posted != "new" {
+	k.posted(0, 'n', 5)
+	open := k.begin()
+	k.stage(open, 1, 's')
+	k.crash(5)
+	if k.value(0) != 'n' || c.Counters().Get("crash.lost_posted_writes") != 0 {
 		t.Error("a crash rolled back a posted write that had completed")
 	}
-	if staged != 0 || c.Counters().Get("crash.discarded_batches") != 1 {
+	if k.value(1) != 0 || c.Counters().Get("crash.discarded_batches") != 1 {
 		t.Error("a crash must discard the open batch whole")
 	}
 
 	over := c.BeginBatch()
 	for i := uint64(0); i < 3; i++ {
-		over.AddData(c.TreeBlockLocation(i, 0), nil)
+		over.AddData(c.TreeBlockLocation(i, 0))
 	}
 	var overflow ErrWPQOverflow
 	if _, err := over.Commit(6); !errors.As(err, &overflow) || overflow.Need != 3 || overflow.Cap != 2 {
@@ -493,19 +561,19 @@ func TestUntimedPersistenceDomain(t *testing.T) {
 	}
 	over.Abandon()
 
-	b := c.BeginBatch()
-	b.AddData(loc, func() { staged = 2 })
-	if _, err := b.Commit(7); err != nil {
+	b := k.begin()
+	k.stage(b, 1, 't')
+	if _, err := k.commit(b, 7); err != nil {
 		t.Fatal(err)
 	}
-	c.Crash(7)
-	if staged != 2 {
+	k.crash(7)
+	if k.value(1) != 't' {
 		t.Error("a committed batch must survive a crash")
 	}
 }
 
 // The eviction appends Z*(L+1) entries per access: the entry must stay a
-// small pointer-free value (closures live in Batch.fns).
+// small pointer-free value.
 func TestBatchEntryIsSmallAndPointerFree(t *testing.T) {
 	if size := unsafe.Sizeof(batchEntry{}); size > 32 {
 		t.Fatalf("batchEntry is %d bytes, want <= 32", size)
@@ -523,62 +591,66 @@ type recordingApplier struct{ log *[]string }
 
 func (a recordingApplier) ApplyEntry(tag int) { *a.log = append(*a.log, fmt.Sprintf("tag%d", tag)) }
 
-// One batch may mix every entry form. Commit runs tagged and closure
-// applies in staging order and no undo; Abandon runs only the undos,
-// newest first.
+// One batch may mix both entry forms, in both WPQs. Commit applies the
+// tagged entries in staging order; Abandon applies nothing, and neither
+// do a crash or an eADR drain of an open batch.
 func TestBatchMixedEntryForms(t *testing.T) {
 	stage := func(c *Controller, log *[]string) *Batch {
-		note := func(s string) func() { return func() { *log = append(*log, s) } }
 		b := c.BeginBatch()
 		b.SetApplier(recordingApplier{log})
 		b.AddDataTagged(c.TreeBlockLocation(1, 0), 7)
-		b.AddData(c.TreeBlockLocation(2, 0), note("apply-a"))
-		b.AddDataApplied(c.TreeBlockLocation(3, 0), note("undo-a"))
-		b.AddPosMap(c.PosMapLocation(4), nil)
+		b.AddData(c.TreeBlockLocation(2, 0))
+		b.AddDataRun(c.TreeBlockLocation(3, 0), 1)
+		b.AddPosMap(c.PosMapLocation(4))
 		b.AddPosMapTagged(c.PosMapLocation(5), -3)
-		b.AddPosMapBlockApplied(c.PosMapLocation(6), note("undo-b"))
-		b.AddPosMapBlock(c.PosMapLocation(7), note("apply-b"))
+		b.AddPosMapBlock(c.PosMapLocation(7))
+		b.AddDataTagged(c.TreeBlockLocation(6, 0), 2)
 		return b
 	}
 	for _, c := range []*Controller{New(testCfg(1)), NewUntimed(testCfg(1))} {
 		var log []string
 		b := stage(c, &log)
-		if b.DataCount() != 3 || b.PosMapCount() != 4 {
-			t.Fatalf("counts = %d data, %d posmap; want 3, 4", b.DataCount(), b.PosMapCount())
+		if b.DataCount() != 4 || b.PosMapCount() != 3 {
+			t.Fatalf("counts = %d data, %d posmap; want 4, 3", b.DataCount(), b.PosMapCount())
 		}
 		if _, err := b.Commit(0); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := fmt.Sprint(log), "[tag7 apply-a tag-3 apply-b]"; got != want {
+		if got, want := fmt.Sprint(log), "[tag7 tag-3 tag2]"; got != want {
 			t.Fatalf("commit ran %s, want %s", got, want)
 		}
 		log = nil
 		stage(c, &log).Abandon()
-		if got, want := fmt.Sprint(log), "[undo-b undo-a]"; got != want {
-			t.Fatalf("abandon ran %s, want %s", got, want)
+		stage(c, &log)
+		c.Crash(0)
+		stage(c, &log)
+		c.DrainAll()
+		if len(log) != 0 {
+			t.Fatalf("an uncommitted batch applied %v", log)
 		}
 	}
 }
 
-// An entry with no functional mutation exists for the timing model
-// alone. The persistence domain is the same over either model — per-WPQ
-// counts, traffic counters, the refusal at capacity plus one — but over
-// the untimed one such an entry is counted and not stored, and staging
-// it allocates nothing.
+// An untagged entry exists for the timing model alone. The persistence
+// domain is the same over either model — per-WPQ counts, traffic
+// counters, the refusal at capacity plus one — but over the untimed one
+// such an entry is counted and not stored, and staging it allocates
+// nothing.
 func TestFunctionlessEntriesAreCountedNotStoredWhenUntimed(t *testing.T) {
 	cfg := testCfg(1)
-	stage := func(c *Controller, applied *int, extraData int) *Batch {
+	stage := func(c *Controller, applied *[]string, extraData int) *Batch {
 		b := c.BeginBatch()
-		b.AddData(c.TreeBlockLocation(1, 0), nil)
-		b.AddPosMap(c.PosMapLocation(9), nil)
+		b.SetApplier(recordingApplier{applied})
+		b.AddData(c.TreeBlockLocation(1, 0))
+		b.AddPosMap(c.PosMapLocation(9))
 		b.AddDataRun(c.TreeBlockLocation(2, 0), cfg.Z)
 		b.AddDataRun(c.TreeBlockLocation(3, 0), 0)
-		b.AddPosMapBlock(c.PosMapLocation(4), func() { *applied++ })
+		b.AddPosMapTagged(c.PosMapLocation(4), 1)
 		b.AddDataRun(c.TreeBlockLocation(5, 0), extraData)
 		return b
 	}
 	timed, untimed := New(cfg), NewUntimed(cfg)
-	var ranTimed, ranUntimed int
+	var ranTimed, ranUntimed []string
 	bt, bu := stage(timed, &ranTimed, 0), stage(untimed, &ranUntimed, 0)
 	if bt.DataCount() != 1+cfg.Z || bt.PosMapCount() != 2 {
 		t.Fatalf("timed counts = %d data, %d posmap; want %d, 2", bt.DataCount(), bt.PosMapCount(), 1+cfg.Z)
@@ -590,15 +662,15 @@ func TestFunctionlessEntriesAreCountedNotStoredWhenUntimed(t *testing.T) {
 		t.Fatalf("the timed batch stored %d entries, want every one (%d)", len(bt.entries), 3+cfg.Z)
 	}
 	if len(bu.entries) != 1 {
-		t.Fatalf("the untimed batch stored %d entries, want the closure entry alone", len(bu.entries))
+		t.Fatalf("the untimed batch stored %d entries, want the tagged entry alone", len(bu.entries))
 	}
 	for _, b := range []*Batch{bt, bu} {
 		if _, err := b.Commit(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ranTimed != 1 || ranUntimed != 1 {
-		t.Fatalf("closure entry applied %d times timed, %d untimed; want once each", ranTimed, ranUntimed)
+	if len(ranTimed) != 1 || len(ranUntimed) != 1 {
+		t.Fatalf("tagged entry applied %d times timed, %d untimed; want once each", len(ranTimed), len(ranUntimed))
 	}
 	if a, b := timed.Counters().Snapshot(), untimed.Counters().Snapshot(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("counters diverged:\ntimed   %v\nuntimed %v", a, b)
@@ -623,21 +695,21 @@ func TestFunctionlessEntriesAreCountedNotStoredWhenUntimed(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		b := untimed.BeginBatch()
 		b.AddDataRun(loc, cfg.Z)
-		b.AddData(loc, nil)
-		b.AddPosMap(pm, nil)
+		b.AddData(loc)
+		b.AddPosMap(pm)
 		if len(b.entries) != 0 {
-			t.Fatal("a function-less entry was stored")
+			t.Fatal("an untagged entry was stored")
 		}
 		if _, err := b.Commit(0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("staging function-less entries on the untimed model allocates %.2f/batch", allocs)
+		t.Fatalf("staging untagged entries on the untimed model allocates %.2f/batch", allocs)
 	}
 }
 
-// AddDataRun(loc, n) is n AddData(loc, nil): on the timed model, where
+// AddDataRun(loc, n) is n AddData(loc): on the timed model, where
 // the entries are what enqueue schedules, both forms commit at the same
 // cycle and leave the devices in the same state.
 func TestAddDataRunTimesLikeSingleEntries(t *testing.T) {
@@ -650,10 +722,10 @@ func TestAddDataRunTimesLikeSingleEntries(t *testing.T) {
 			n := int(bucket % uint64(cfg.Z+1))
 			br.AddDataRun(runs.TreeBlockLocation(bucket, 0), n)
 			for z := 0; z < n; z++ {
-				bs.AddData(singles.TreeBlockLocation(bucket, z), nil)
+				bs.AddData(singles.TreeBlockLocation(bucket, z))
 			}
-			br.AddPosMap(runs.PosMapLocation(bucket), nil)
-			bs.AddPosMap(singles.PosMapLocation(bucket), nil)
+			br.AddPosMap(runs.PosMapLocation(bucket))
+			bs.AddPosMap(singles.PosMapLocation(bucket))
 		}
 		var err error
 		if tr, err = br.Commit(tr); err != nil {

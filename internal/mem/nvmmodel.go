@@ -222,10 +222,6 @@ func (m *nvmModel) read(loc Location, n, bytes int, t Cycle) Cycle {
 	return done
 }
 
-func (m *nvmModel) write(loc Location, bytes int, t Cycle) Cycle {
-	return m.schedule(nvm.Write, m.resolve(loc), bytes, t)
-}
-
 func (m *nvmModel) post(loc Location, t Cycle) (proceed, done Cycle) {
 	proceed = t
 	// Stall if the volatile buffer is full of writes that are still

@@ -11,7 +11,6 @@ import "repro/internal/nvm"
 type untimed struct{}
 
 func (untimed) read(_ Location, _, _ int, t Cycle) Cycle { return t }
-func (untimed) write(_ Location, _ int, t Cycle) Cycle   { return t }
 func (untimed) post(_ Location, t Cycle) (Cycle, Cycle)  { return t, t }
 func (untimed) enqueue(_ []batchEntry, t Cycle) Cycle    { return t }
 func (untimed) powerFail()                               {}

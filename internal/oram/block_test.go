@@ -125,29 +125,51 @@ func TestIVSourceUnique(t *testing.T) {
 	}
 }
 
-// TestImagePutLazyUndoable: the undoable write applies at once, and its
-// undo restores the slot's previous content — an overlay entry, or, under
-// a slot PutSlot wrote, the store's bytes.
+// TestImagePutLazyUndoable: the undoable write applies at once, and
+// rolling its log entry back restores the slot's previous content — an
+// overlay entry, or, under a slot PutSlot wrote, the store's bytes.
+// Released, or complete by the cycle a power failure strikes, the write
+// stands; completing after it, it is rolled back.
 func TestImagePutLazyUndoable(t *testing.T) {
 	e := testEngine()
-	iv := testIVs()
-	img := NewImage(NewTree(3, 2), e, 64, iv)
 	blk := Block{Addr: 4, Leaf: 1, Ver: 3, Data: bytes.Repeat([]byte{7}, 64)}
-	for _, stored := range []bool{false, true} {
-		if stored {
-			img.PutSlot(5, 1, dummySlot(e, 64, iv))
-		}
-		orig := img.Slot(5, 1)
-		orig.SealedHeader = append([]byte(nil), orig.SealedHeader...)
-		orig.SealedData = append([]byte(nil), orig.SealedData...)
-		iv1, iv2 := iv(), iv()
-		undo := img.PutLazyUndoable(5, 1, iv1, iv2, blk)
-		if !sameSlot(img.Slot(5, 1), sealBlockIVs(e, blk, iv1, iv2)) {
-			t.Fatal("PutLazyUndoable did not apply")
-		}
-		undo()
-		if !sameSlot(img.Slot(5, 1), orig) {
-			t.Fatalf("undo did not restore (previous content in the store: %v)", stored)
+	for _, c := range []struct {
+		name  string
+		end   func(img *Image) // ends the write's life in the log
+		keeps bool
+	}{
+		{"Rollback at an earlier cycle", func(img *Image) { img.Rollback(0, 99) }, false},
+		{"Rollback at the completion", func(img *Image) { img.Rollback(0, 100) }, true},
+		{"Release", func(img *Image) { img.Release(0, NeverDone) }, true},
+		{"Release at the completion, then Rollback", func(img *Image) { img.Release(0, 100); img.Rollback(0, 0) }, true},
+		{"Release at an earlier cycle, then Rollback", func(img *Image) { img.Release(0, 99); img.Rollback(0, 0) }, false},
+	} {
+		for _, stored := range []bool{false, true} {
+			iv := testIVs()
+			img := NewImage(NewTree(3, 2), e, 64, iv)
+			if stored {
+				img.PutSlot(5, 1, dummySlot(e, 64, iv))
+			}
+			orig := img.Slot(5, 1)
+			orig.SealedHeader = append([]byte(nil), orig.SealedHeader...)
+			orig.SealedData = append([]byte(nil), orig.SealedData...)
+			iv1, iv2 := iv(), iv()
+			written := sealBlockIVs(e, blk, iv1, iv2)
+			img.PutLazyUndoable(5, 1, iv1, iv2, blk, 100)
+			if !sameSlot(img.Slot(5, 1), written) {
+				t.Fatalf("%s: PutLazyUndoable did not apply", c.name)
+			}
+			c.end(img)
+			if img.Mark() != 0 {
+				t.Fatalf("%s: the log still holds %d entries", c.name, img.Mark())
+			}
+			want, what := orig, "the write was not rolled back"
+			if c.keeps {
+				want, what = written, "the write did not stand"
+			}
+			if !sameSlot(img.Slot(5, 1), want) {
+				t.Fatalf("%s: %s (previous content in the store: %v)", c.name, what, stored)
+			}
 		}
 	}
 }

@@ -58,7 +58,33 @@ type Image struct {
 	// and never drain it.
 	barrier bool
 	pending []uint64
+
+	// The undo log (PutLazyUndoable): one entry per undoable write, oldest
+	// first. undoData holds the previous payloads of entries that replaced
+	// a real block, undoStored the store's slots of entries that replaced
+	// no overlay entry. All three are reused: a log that fills and empties
+	// once per access stops allocating after the first.
+	undo       []undoEntry
+	undoData   []byte
+	undoStored []Slot
 }
+
+// undoEntry is one undoable write: what slot idx held before it, and the
+// cycle at which the write completes. A write into a batch that has not
+// committed completes at NeverDone. No pointers.
+type undoEntry struct {
+	idx, done uint64
+	iv1, iv2  uint64
+	hdr       [3]uint32 // addr, leaf, ver
+	// off locates the previous content the entry saved: a real block's
+	// payload in undoData, or the store's slot in undoStored.
+	off   uint32
+	state uint8 // the previous entry's psLive and psDummy bits
+}
+
+// NeverDone is the completion cycle of a logged write that completes only
+// when its caller says so: a write into a batch that has not committed.
+const NeverDone = math.MaxUint64
 
 // A bucket's record is recHdr+3Z 32-bit words, 16+12Z bytes, and the
 // records start on a cache line:
@@ -452,46 +478,94 @@ func (img *Image) Slot(bucket uint64, z int) Slot {
 }
 
 // PutLazyUndoable is the overlay's undoable write: PutLazyBlock of b at
-// (bucket, z), or PutLazyDummy when b is a dummy, returning an undo that
-// restores the slot's previous entry — for the crash rollback of a
-// posted write, or of a write into a batch that never commits. The undo
-// puts back the previous header, IVs, state and payload; the restored
-// entry is sealed again if it is observed (a durable image queues it for
-// the next barrier). A slot whose previous content was the store's gets
-// that content back.
-func (img *Image) PutLazyUndoable(bucket uint64, z int, iv1, iv2 uint64, b Block) (undo func()) {
+// (bucket, z), or PutLazyDummy when b is a dummy, logging what the slot
+// held before — for the crash rollback of a posted write that completes
+// at cycle done, or of a write into a batch that never commits (done =
+// NeverDone). A rollback puts back the previous header, IVs, state and
+// payload; the restored entry is sealed again if it is observed (a
+// durable image queues it for the next barrier). A slot whose previous
+// content was the store's gets that content back.
+func (img *Image) PutLazyUndoable(bucket uint64, z int, iv1, iv2 uint64, b Block, done uint64) {
 	img.expand(bucket)
 	idx := img.slotIndex(bucket, z)
-	h := recHdr + 3*z
-	r := img.record(bucket)
-	prev, addr, leaf, ver := img.cold[idx], r[h], r[h+1], r[h+2]
-	var data []byte
-	var stored Slot
+	r, h, cs := img.record(bucket), recHdr+3*z, &img.cold[idx]
+	e := undoEntry{idx: idx, done: done, iv1: cs.iv1, iv2: cs.iv2,
+		hdr: [3]uint32{r[h], r[h+1], r[h+2]}, state: cs.state & (psLive | psDummy)}
 	switch {
-	case prev.state&psLive == 0:
-		stored = img.store.Slot(bucket, z)
-	case prev.state&psDummy == 0:
-		data = append([]byte(nil), img.payload(idx)...)
+	case e.state&psLive == 0:
+		e.off = uint32(len(img.undoStored))
+		img.undoStored = append(img.undoStored, img.store.Slot(bucket, z))
+	case e.state&psDummy == 0:
+		e.off = uint32(len(img.undoData))
+		img.undoData = append(img.undoData, img.payload(idx)...)
 	}
+	img.undo = append(img.undo, e)
 	if b.Dummy() {
 		img.PutLazyDummy(bucket, z, iv1, iv2)
 	} else {
 		img.PutLazyBlock(bucket, z, iv1, iv2, b)
 	}
-	return func() {
-		img.expand(bucket) // a whole-bucket write may have come in between
-		cs := &img.cold[idx]
-		if prev.state&psLive == 0 {
-			cs.state &^= psLive | psSealed
-			img.store.SetSlot(bucket, z, stored)
-			return
+}
+
+// Mark returns the undo log's position, for Rollback and Release.
+func (img *Image) Mark() int { return len(img.undo) }
+
+// Rollback is a power failure at cycle for the writes logged since mark:
+// those that complete after cycle are undone, newest first, the rest
+// stand, and all of them leave the log. The writes of a batch that never
+// commits complete at NeverDone, so its rollback takes them all back.
+func (img *Image) Rollback(mark int, cycle uint64) {
+	zz := uint64(img.Tree.Z)
+	for i := len(img.undo) - 1; i >= mark; i-- {
+		e := &img.undo[i]
+		if e.done <= cycle {
+			continue
 		}
-		r[h], r[h+1], r[h+2] = addr, leaf, ver
-		copy(img.payload(idx), data)
-		cs.iv1, cs.iv2 = prev.iv1, prev.iv2
-		cs.state = cs.state&psQueued | prev.state&(psLive|psDummy)
-		img.enqueue(cs, idx)
+		bucket, z := e.idx/zz, int(e.idx%zz)
+		img.expand(bucket) // a whole-bucket write may have come in between
+		cs := &img.cold[e.idx]
+		if e.state&psLive == 0 {
+			cs.state &^= psLive | psSealed
+			img.store.SetSlot(bucket, z, img.undoStored[e.off])
+			continue
+		}
+		r, h := img.record(bucket), recHdr+3*z
+		r[h], r[h+1], r[h+2] = e.hdr[0], e.hdr[1], e.hdr[2]
+		if e.state&psDummy == 0 {
+			copy(img.payload(e.idx), img.undoData[e.off:])
+		}
+		cs.iv1, cs.iv2 = e.iv1, e.iv2
+		cs.state = cs.state&psQueued | e.state
+		img.enqueue(cs, e.idx)
 	}
+	img.Release(mark, NeverDone)
+}
+
+// Release forgets the writes logged since mark that complete at or
+// before cycle: they stand. Release(mark, NeverDone) forgets them all, a
+// batch's at its commit; Release(0, now) those that have reached the
+// device by now.
+func (img *Image) Release(mark int, cycle uint64) {
+	// The survivors' saved content moves down over the released entries',
+	// in log order.
+	n, data, stored := 0, 0, 0
+	for i, e := range img.undo {
+		if i >= mark && e.done <= cycle {
+			continue
+		}
+		switch {
+		case e.state&psLive == 0:
+			img.undoStored[stored] = img.undoStored[e.off]
+			e.off, stored = uint32(stored), stored+1
+		case e.state&psDummy == 0:
+			copy(img.undoData[data:], img.undoData[e.off:int(e.off)+img.blockB])
+			e.off, data = uint32(data), data+img.blockB
+		}
+		img.undo[n] = e
+		n++
+	}
+	clear(img.undoStored[stored:]) // the store's buffers are not ours to keep
+	img.undo, img.undoData, img.undoStored = img.undo[:n], img.undoData[:data], img.undoStored[:stored]
 }
 
 // PutSlot overwrites the slot at (bucket, z) with sealed bytes, ending

@@ -118,20 +118,61 @@ func TestBornLazyImageIdentity(t *testing.T) {
 // wrote there, under the write's IVs, or the sealed bytes a PutSlot
 // stored. Whatever an observer reads from the image must be the table's.
 type overlayModel struct {
-	t    *testing.T
-	img  *Image
-	ref  []Slot // by slot index, bucket*Z+z
-	iv   func() uint64
-	undo []modelUndo // the undoable writes since the last undo, oldest first
-	step int
+	t     *testing.T
+	img   *Image
+	ref   []Slot // by slot index, bucket*Z+z
+	iv    func() uint64
+	log   []modelUndo // the image's undo log, oldest first
+	marks []int       // Marks taken and not yet used, newest last
+	step  int
 }
 
-// modelUndo is one undoable write: its undo, and its slot's table entry
-// from before it.
+// modelUndo is one logged write: its slot, the slot's table entry from
+// before it, and its completion cycle.
 type modelUndo struct {
-	undo func()
 	idx  uint64
 	prev Slot
+	done uint64
+}
+
+// undoCycles are the completion cycles an undoable write of the model
+// takes (one of them: a batch's write, complete only once released).
+var undoCycles = [4]uint64{1, 2, 3, NeverDone}
+
+// rollback is Image.Rollback on the model: it restores, newest first,
+// the table entries of the log entries from position mark on that
+// complete after cycle, and truncates the log to mark.
+func (m *overlayModel) rollback(mark int, cycle uint64) {
+	m.img.Rollback(mark, cycle)
+	for i := len(m.log) - 1; i >= mark; i-- {
+		if u := m.log[i]; u.done > cycle {
+			m.ref[u.idx] = u.prev
+		}
+	}
+	m.log = m.log[:mark]
+}
+
+// release is Image.Release on the model: the log entries from position
+// mark on that complete by cycle leave the log.
+func (m *overlayModel) release(mark int, cycle uint64) {
+	m.img.Release(mark, cycle)
+	kept := m.log[:mark]
+	for _, u := range m.log[mark:] {
+		if u.done > cycle {
+			kept = append(kept, u)
+		}
+	}
+	m.log = kept
+}
+
+// popMark is the newest unused mark, or 0.
+func (m *overlayModel) popMark() int {
+	if len(m.marks) == 0 {
+		return 0
+	}
+	mark := m.marks[len(m.marks)-1]
+	m.marks = m.marks[:len(m.marks)-1]
+	return mark
 }
 
 // newOverlayModel wraps a freshly built image whose construction drew
@@ -164,7 +205,7 @@ func (m *overlayModel) apply(op, sel, arg byte) {
 	bucket, z := idx/uint64(t.Z), int(idx%uint64(t.Z))
 	blk := Block{Addr: Addr(arg % 50), Leaf: Leaf(uint64(arg) % t.Leaves()), Ver: uint32(m.step),
 		Data: bytes.Repeat([]byte{arg}, m.img.blockB)}
-	switch op % 9 {
+	switch op % 13 {
 	case 0, 1:
 		iv1, iv2 := m.iv(), m.iv()
 		m.img.PutLazyBlock(bucket, z, iv1, iv2, blk)
@@ -194,22 +235,22 @@ func (m *overlayModel) apply(op, sel, arg byte) {
 			m.ref[i] = m.sealed(&b, iv1, iv2)
 		}
 	case 5:
-		// An undoable write: of blk, or of a dummy for an odd arg.
+		// An undoable write: of blk, or of a dummy for an odd arg,
+		// completing at a cycle the rest of arg picks.
 		iv1, iv2 := m.iv(), m.iv()
 		b, want := blk, m.sealed(&blk, iv1, iv2)
 		if arg&1 != 0 {
 			b, want = Block{Addr: DummyAddr}, m.sealed(nil, iv1, iv2)
 		}
-		m.undo = append(m.undo, modelUndo{undo: m.img.PutLazyUndoable(bucket, z, iv1, iv2, b), idx: idx, prev: m.ref[idx]})
+		done := undoCycles[arg>>1%4]
+		m.img.PutLazyUndoable(bucket, z, iv1, iv2, b, done)
+		m.log = append(m.log, modelUndo{idx: idx, prev: m.ref[idx], done: done})
 		m.ref[idx] = want
 	case 6:
-		// Roll the undoable writes back, newest first, as a crash does.
-		for i := len(m.undo) - 1; i >= 0; i-- {
-			u := m.undo[i]
-			u.undo()
-			m.ref[u.idx] = u.prev
-		}
-		m.undo = m.undo[:0]
+		// A power failure at cycle arg%4: the writes that complete after
+		// it are rolled back, newest first; the log empties.
+		m.rollback(0, uint64(arg%4))
+		m.marks = m.marks[:0]
 	case 7:
 		iv1, iv2 := m.iv(), m.iv()
 		s := m.sealed(nil, iv1, iv2)
@@ -219,6 +260,23 @@ func (m *overlayModel) apply(op, sel, arg byte) {
 		if got := m.img.Slot(bucket, z); !sameSlot(got, m.ref[idx]) { // an observer materializes the entry
 			m.t.Fatalf("step %d: bucket %d slot %d: the image's sealed bytes differ from its table", m.step, bucket, z)
 		}
+	case 9:
+		if got := m.img.Mark(); got != len(m.log) {
+			m.t.Fatalf("step %d: Mark = %d, the log holds %d writes", m.step, got, len(m.log))
+		}
+		m.marks = append(m.marks, len(m.log))
+	case 10:
+		m.rollback(m.popMark(), uint64(arg%4))
+	case 11:
+		m.release(m.popMark(), undoCycles[arg%4])
+	case 12:
+		// The writes complete by cycle arg%4 leave the log; the marks no
+		// longer name positions in it.
+		m.release(0, uint64(arg%4))
+		m.marks = m.marks[:0]
+	}
+	if m.img.Mark() != len(m.log) {
+		m.t.Fatalf("step %d: the undo log holds %d writes, the model %d", m.step, m.img.Mark(), len(m.log))
 	}
 }
 
@@ -281,9 +339,11 @@ func churn(m *overlayModel, rounds int) {
 
 // FuzzImageOverlay feeds the model coverage-guided operation sequences
 // on a born-lazy image, at Z = 4 (one record per cache line) and at
-// Z = 2. After every observer call the image agrees with its table; so
-// does what it reads in place, periodically and at the end, and finally
-// every slot it materializes.
+// Z = 2: every write path, and every operation of the undo log — Mark,
+// and Rollback and Release from a mark or from the start, at a cycle.
+// After every observer call the image agrees with its table; so does
+// what it reads in place, periodically and at the end, and finally every
+// slot it materializes. The undo log always holds the model's writes.
 func FuzzImageOverlay(f *testing.F) {
 	f.Add([]byte{3, 5, 0x05, 8, 5, 0, 2, 6, 0, 8, 6, 0})                // whole-bucket write, observe, expand by a per-slot dummy
 	f.Add([]byte{4, 9, 0x0f, 5, 9, 6, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // undoable write on a record-form bucket, rewritten whole, then undone
@@ -300,6 +360,13 @@ func FuzzImageOverlay(f *testing.F) {
 	// Undoable writes stacked on one slot — a dummy over an observed real
 	// block, then a real block over a PutSlot — then rolled back.
 	f.Add([]byte{0, 7, 2, 8, 7, 0, 5, 7, 1, 7, 7, 0, 5, 7, 4, 8, 7, 0, 6, 0, 0, 8, 7, 0})
+	// Nested marks: a batch-like write rolled back to the inner mark, the
+	// outer one released, so a power failure finds nothing to undo.
+	f.Add([]byte{9, 0, 0, 5, 7, 2, 9, 0, 0, 5, 7, 7, 8, 7, 0, 10, 0, 0, 8, 7, 0, 11, 0, 3, 6, 0, 0, 8, 7, 0})
+	// Three posted writes of one slot completing at cycles 1, 2 and 3: the
+	// first leaves the log complete, a power failure at cycle 1 undoes the
+	// other two and the slot holds the first.
+	f.Add([]byte{5, 3, 0, 5, 3, 2, 5, 3, 4, 12, 0, 1, 6, 0, 1, 8, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := testEngine()
 		for _, tree := range []Tree{NewTree(3, 4), NewTree(3, 2)} {
@@ -447,16 +514,19 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 			img.PutLazyBlock(bucket, z, iv1, iv2, old)
 		}, false},
 		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }, false},
-		{"PutLazyUndoable", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old) }, false},
-		{"PutLazyUndoable and undo", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old)() }, false},
+		{"PutLazyUndoable", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old, NeverDone) }, false},
+		{"PutLazyUndoable and rollback", func(img *Image, z int) {
+			img.PutLazyUndoable(bucket, z, 77, 78, old, NeverDone)
+			img.Rollback(0, 0)
+		}, false},
 		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }, false},
 		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }, false},
-		// The undo of a write that a whole-bucket write has overwritten in
-		// the meantime: the restored slot survives the expansion.
-		{"undo over a record-form bucket", func(img *Image, z int) {
-			undo := img.PutLazyUndoable(bucket, z, 77, 78, Block{Addr: DummyAddr})
+		// The rollback of a write that a whole-bucket write has overwritten
+		// in the meantime: the restored slot survives the expansion.
+		{"rollback over a record-form bucket", func(img *Image, z int) {
+			img.PutLazyUndoable(bucket, z, 77, 78, Block{Addr: DummyAddr}, NeverDone)
 			img.PutLazyDummies(bucket, base)
-			undo()
+			img.Rollback(0, 0)
 		}, false},
 	}
 	for i, m := range mutators {
@@ -497,10 +567,14 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 
 // TestRecordLayout pins the layout the load walk relies on: a bucket's
 // record is 16+12Z bytes — one cache line at Z = 4 — and the records
-// start on a line, and the cold per-slot entry is 24 bytes.
+// start on a line, and the cold per-slot entry is 24 bytes. An undo-log
+// entry is 56.
 func TestRecordLayout(t *testing.T) {
 	if got := unsafe.Sizeof(coldSlot{}); got != 24 {
 		t.Fatalf("coldSlot is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(undoEntry{}); got != 56 {
+		t.Fatalf("an undo-log entry is %d bytes, want 56", got)
 	}
 	for _, z := range []int{1, 2, 4, 8, maxRecordZ + 1} {
 		img := NewImage(NewTree(4, z), testEngine(), 16, testIVs())
@@ -541,12 +615,12 @@ func TestPlainDataViewIsCapped(t *testing.T) {
 	}
 }
 
-// TestUndoSurvivesLazyRewrites: an undo restores the entry its write
-// replaced, not bytes: the slot's plaintext entry had been observed, and
-// rewriting the slot lazily — twice, with an observer in between, so its
-// memo buffers are resealed — must not reach what the undo restores. The
-// restored entry seals to its old ciphertext on the next read, and on a
-// durable image the next barrier stores it.
+// TestUndoSurvivesLazyRewrites: a rollback restores the entry its logged
+// write replaced, not bytes: the slot's plaintext entry had been
+// observed, and rewriting the slot lazily — twice, with an observer in
+// between, so its memo buffers are resealed — must not reach what the
+// log saved. The restored entry seals to its old ciphertext on the next
+// read, and on a durable image the next barrier stores it.
 func TestUndoSurvivesLazyRewrites(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(3, 2)
@@ -559,12 +633,13 @@ func TestUndoSurvivesLazyRewrites(t *testing.T) {
 	} {
 		img.PutLazyBlock(6, 1, 100, 101, blk)
 		img.Slot(6, 1)
-		undo := img.PutLazyUndoable(6, 1, 150, 151, Block{Addr: DummyAddr})
+		mark := img.Mark()
+		img.PutLazyUndoable(6, 1, 150, 151, Block{Addr: DummyAddr}, NeverDone)
 		img.PutLazyBlock(6, 1, 200, 201, Block{Addr: 9, Leaf: 4, Ver: 8, Data: bytes.Repeat([]byte{2}, 64)})
 		img.Slot(6, 1)
 		img.PutLazyBlock(6, 1, 300, 301, Block{Addr: 9, Leaf: 5, Ver: 9, Data: bytes.Repeat([]byte{3}, 64)})
 		img.MaterializePending()
-		undo()
+		img.Rollback(mark, 0)
 
 		if img.barrier {
 			img.MaterializePending()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cryptoeng"
 	"repro/internal/rng"
@@ -30,7 +29,7 @@ func (o Op) String() string {
 // Controller holds one Path ORAM tree's state — geometry, sealed image,
 // stash, position map, crypto engine, leaf RNG and the IV and
 // seal-version cursors — and the greedy placement rule
-// (PlanEvictionInto, DefaultEvictionOrder). It runs no accesses:
+// (PlanEvictionInto). It runs no accesses:
 // internal/core is the one access engine, over the data tree and every
 // recursive PosMap tree alike.
 type Controller struct {
@@ -276,34 +275,6 @@ func (c *Controller) PlanEvictionInto(l Leaf, ordered []*StashBlock, plan [][]*S
 		}
 	}
 	return unplaced
-}
-
-// DefaultEvictionOrder is the baseline policy: backups first (deepest
-// target first), then live blocks ordered by pending remap age and
-// placement depth.
-func (c *Controller) DefaultEvictionOrder(l Leaf) []*StashBlock {
-	t := c.Tree
-	backups := append([]*StashBlock(nil), c.Stash.Backups()...)
-	sort.Slice(backups, func(i, j int) bool {
-		return t.IntersectLevel(l, backups[i].TargetLeaf()) > t.IntersectLevel(l, backups[j].TargetLeaf())
-	})
-	live := c.Stash.Live()
-	sort.Slice(live, func(i, j int) bool {
-		a, b := live[i], live[j]
-		if a.PendingRemap != b.PendingRemap {
-			return a.PendingRemap
-		}
-		if a.PendingRemap && a.RemapSeq != b.RemapSeq {
-			return a.RemapSeq < b.RemapSeq
-		}
-		da := t.IntersectLevel(l, a.Leaf)
-		db := t.IntersectLevel(l, b.Leaf)
-		if da != db {
-			return da > db
-		}
-		return a.Addr < b.Addr
-	})
-	return append(backups, live...)
 }
 
 // Peek returns addr's current value without performing an ORAM access

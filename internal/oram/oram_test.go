@@ -67,7 +67,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 func TestEvictionPlanRespectsPathConstraint(t *testing.T) {
 	// Property: every block the plan places at level k of path l must
 	// have IntersectLevel(l, target leaf) >= k, and the plan plus the
-	// unplaced remainder is the default order exactly — over stashes of
+	// unplaced remainder is the candidate order exactly — over stashes of
 	// live blocks and backups on arbitrary leaves.
 	c := mustNew(t, smallParams(12))
 	tr := c.Tree
@@ -91,7 +91,7 @@ func TestEvictionPlanRespectsPathConstraint(t *testing.T) {
 			c.Stash.Put(b)
 		}
 		l := Leaf(uint64(leafSeed) % tr.Leaves())
-		order := c.DefaultEvictionOrder(l)
+		order := c.Stash.AppendLive(append([]*StashBlock(nil), c.Stash.Backups()...))
 		unplaced := c.PlanEvictionInto(l, order, plan, used, nil)
 		placed := 0
 		for k := range plan {

@@ -36,19 +36,7 @@ func (p *PosMap) Lookup(addr Addr) Leaf {
 	return p.leaves[addr]
 }
 
-// Set assigns leaf to addr and returns an undo closure restoring the
-// previous mapping (crash rollback of in-flight writes). The closure
-// allocates; committed writes that never roll back should use Put.
-func (p *PosMap) Set(addr Addr, leaf Leaf) (undo func()) {
-	if uint64(addr) >= uint64(len(p.leaves)) {
-		panic(fmt.Sprintf("oram: posmap set of addr %d out of range [0,%d)", addr, len(p.leaves)))
-	}
-	prev := p.leaves[addr]
-	p.leaves[addr] = leaf
-	return func() { p.leaves[addr] = prev }
-}
-
-// Put assigns leaf to addr with no undo.
+// Put assigns leaf to addr.
 func (p *PosMap) Put(addr Addr, leaf Leaf) {
 	if uint64(addr) >= uint64(len(p.leaves)) {
 		panic(fmt.Sprintf("oram: posmap put of addr %d out of range [0,%d)", addr, len(p.leaves)))

@@ -32,25 +32,11 @@ func TestPosMapInitialLeavesSpread(t *testing.T) {
 	}
 }
 
-func TestPosMapSetUndo(t *testing.T) {
-	tr := NewTree(4, 4)
-	p := NewPosMap(10, tr, rng.New(3))
-	old := p.Lookup(4)
-	undo := p.Set(4, old+1)
-	if p.Lookup(4) != old+1 {
-		t.Fatal("Set did not apply")
-	}
-	undo()
-	if p.Lookup(4) != old {
-		t.Fatal("undo did not restore")
-	}
-}
-
 func TestPosMapCloneIndependent(t *testing.T) {
 	tr := NewTree(4, 4)
 	p := NewPosMap(10, tr, rng.New(4))
 	c := p.Clone()
-	p.Set(0, p.Lookup(0)+1)
+	p.Put(0, p.Lookup(0)+1)
 	if c.Lookup(0) == p.Lookup(0) {
 		t.Fatal("clone aliases the original")
 	}
@@ -61,7 +47,7 @@ func TestPosMapOutOfRangePanics(t *testing.T) {
 	p := NewPosMap(10, tr, rng.New(5))
 	for name, f := range map[string]func(){
 		"lookup": func() { p.Lookup(10) },
-		"set":    func() { p.Set(10, 0) },
+		"put":    func() { p.Put(10, 0) },
 	} {
 		func() {
 			defer func() {

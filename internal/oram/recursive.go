@@ -72,7 +72,7 @@ func NewRecursiveMap(p RecursiveParams) (*RecursiveMap, error) {
 			Levels:       levels,
 			Z:            p.DataTree.Z,
 			BlockBytes:   p.BlockBytes,
-			StashEntries: maxInt(p.StashEntries, NewTree(levels, p.DataTree.Z).PathBlocks()*3),
+			StashEntries: max(p.StashEntries, NewTree(levels, p.DataTree.Z).PathBlocks()*3),
 			NumBlocks:    nBlocks,
 			Seed:         seed,
 			Key:          p.Key,
@@ -96,7 +96,7 @@ func NewRecursiveMap(p RecursiveParams) (*RecursiveMap, error) {
 		// Degenerate: behave like a flat map over data addresses. The
 		// caller supplies the data controller's own PosMap in that case;
 		// build one here for standalone use.
-		m.Top = NewPosMapFromTree(p.DataBlocks, topTree, seed+1000)
+		m.Top = newPosMapSeed(p.DataBlocks, topTree, seed+1000)
 	} else {
 		m.Top = m.Levels[len(m.Levels)-1].PosMap
 	}
@@ -112,11 +112,6 @@ func NewRecursiveMap(p RecursiveParams) (*RecursiveMap, error) {
 		}
 	}
 	return m, nil
-}
-
-// NewPosMapFromTree builds a flat posmap (helper for the degenerate case).
-func NewPosMapFromTree(n uint64, t Tree, seed uint64) *PosMap {
-	return newPosMapSeed(n, t, seed)
 }
 
 // SyncLevel1 writes the data ORAM's current PosMap into the level-1
@@ -175,13 +170,6 @@ func PackedLeaf(data []byte, off uint64) Leaf {
 // PackLeaf stores l as the off-th leaf label of a PosMap block's payload.
 func PackLeaf(data []byte, off uint64, l Leaf) {
 	binary.LittleEndian.PutUint32(data[off*4:], uint32(l))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // newPosMapSeed builds a flat random posmap without exposing rng plumbing.

@@ -341,7 +341,7 @@ func (s *System) plainAccess(addr uint64, write bool) {
 	loc := s.memc.TreeBlockLocation(bucket%s.tree.Buckets(), int(addr%uint64(s.cfg.Z)))
 	done := s.memc.ReadBlock(loc, s.now)
 	if write {
-		s.memc.WriteBlockPosted(loc, done, nil)
+		s.memc.WriteBlockPosted(loc, done)
 	}
 	s.now = done
 }
@@ -552,7 +552,7 @@ func (s *System) postedEvict(path []uint64) {
 	for _, bucket := range path {
 		for z := 0; z < s.cfg.Z; z++ {
 			loc := s.memc.TreeBlockLocation(bucket, z)
-			if p := s.memc.WriteBlockPosted(loc, s.now, nil); p > proceed {
+			if p, _ := s.memc.WriteBlockPosted(loc, s.now); p > proceed {
 				proceed = p
 			}
 		}
@@ -575,7 +575,7 @@ func (s *System) persistentEvict(path []uint64, dirty int, targetEvicted bool) e
 	batch := s.memc.BeginBatch()
 	for _, bucket := range path {
 		for z := 0; z < s.cfg.Z; z++ {
-			batch.AddData(s.memc.TreeBlockLocation(bucket, z), nil)
+			batch.AddData(s.memc.TreeBlockLocation(bucket, z))
 		}
 	}
 	// PosMap entries persist at NVM line granularity (a 4-byte entry
@@ -586,13 +586,13 @@ func (s *System) persistentEvict(path []uint64, dirty int, targetEvicted bool) e
 	case config.SchemeNaivePSORAM:
 		for i, bucket := range path {
 			for z := 0; z < s.cfg.Z; z++ {
-				batch.AddPosMapBlock(s.memc.PosMapLocation((uint64(bucket)*uint64(s.cfg.Z)+uint64(z)+uint64(i))*16), nil)
+				batch.AddPosMapBlock(s.memc.PosMapLocation((uint64(bucket)*uint64(s.cfg.Z) + uint64(z) + uint64(i)) * 16))
 			}
 		}
 		s.res.DirtyEntries += uint64(s.tree.PathBlocks())
 	case config.SchemePSORAM:
 		for i := 0; i < dirty; i++ {
-			batch.AddPosMapBlock(s.memc.PosMapLocation(s.r.Uint64()>>40), nil)
+			batch.AddPosMapBlock(s.memc.PosMapLocation(s.r.Uint64() >> 40))
 		}
 		s.res.DirtyEntries += uint64(dirty)
 	case config.SchemeRcrPSORAM:
@@ -601,8 +601,8 @@ func (s *System) persistentEvict(path []uint64, dirty int, targetEvicted bool) e
 		// block of the accessed target (paper §5.2.2: Rcr-PS-ORAM "backs
 		// up the accessed target data blocks every time") and the
 		// Top-map entry that anchors the recovered chain.
-		batch.AddData(s.memc.TreeBlockLocation(path[len(path)-1], 0), nil)
-		batch.AddPosMap(s.memc.PosMapLocation(s.r.Uint64()>>40), nil)
+		batch.AddData(s.memc.TreeBlockLocation(path[len(path)-1], 0))
+		batch.AddPosMap(s.memc.PosMapLocation(s.r.Uint64() >> 40))
 		s.res.DirtyEntries++
 	}
 	done, err := batch.Commit(s.now)
@@ -649,9 +649,9 @@ func (s *System) orderedEvict(path []uint64, dirty int) error {
 		batch := s.memc.BeginBatch()
 		for _, e := range entries[start:end] {
 			if e.posmap {
-				batch.AddPosMapBlock(e.loc, nil)
+				batch.AddPosMapBlock(e.loc)
 			} else {
-				batch.AddData(e.loc, nil)
+				batch.AddData(e.loc)
 			}
 		}
 		done, err := batch.Commit(s.now)
@@ -710,7 +710,7 @@ func (s *System) chainPath(t oram.Tree, idx *oram.PathIndex, region int, block u
 		n := 0
 		for _, bucket := range path {
 			for z := 0; z < s.cfg.Z; z++ {
-				batch.AddPosMapBlock(s.memc.RegionTreeLocation(region, bucket, z), nil)
+				batch.AddPosMapBlock(s.memc.RegionTreeLocation(region, bucket, z))
 				n++
 				if n == s.cfg.PosMapWPQEntries {
 					if d, err := batch.Commit(s.now); err == nil && d > s.now {
@@ -729,7 +729,7 @@ func (s *System) chainPath(t oram.Tree, idx *oram.PathIndex, region int, block u
 		for _, bucket := range path {
 			for z := 0; z < s.cfg.Z; z++ {
 				loc := s.memc.RegionTreeLocation(region, bucket, z)
-				if p := s.memc.WriteBlockPosted(loc, s.now, nil); p > proceed {
+				if p, _ := s.memc.WriteBlockPosted(loc, s.now); p > proceed {
 					proceed = p
 				}
 			}
