@@ -172,12 +172,19 @@ func TestReadBlockAdvancesTime(t *testing.T) {
 // and completes on the device later.
 func TestPostedWriteDoesNotStallWhenBufferEmpty(t *testing.T) {
 	c := New(testCfg(1))
-	proceed, done := c.WriteBlockPosted(c.TreeBlockLocation(0, 0), 50)
+	proceed, _ := c.WriteBlockPosted(c.TreeBlockLocation(0, 0), 50)
 	if proceed != 50 {
 		t.Fatalf("posted write stalled caller to %d", proceed)
 	}
-	if done <= 50 {
-		t.Fatalf("posted write completed at %d, want after its issue at 50", done)
+}
+
+// A synchronous write is a posted write whose caller waits for its
+// completion cycle, which lies after the write issues.
+func TestSyncWriteStalls(t *testing.T) {
+	c := New(testCfg(1))
+	_, done := c.WriteBlockPosted(c.TreeBlockLocation(0, 0), 10)
+	if done <= 10 {
+		t.Fatalf("sync write returned %d, want completion after earliest", done)
 	}
 }
 
