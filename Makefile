@@ -107,14 +107,15 @@ profile: build
 # occupied slots (a whole-bucket image write touches no cold per-slot
 # entry; an untimed batch stores no untagged entry), the image layout
 # the load walk relies on (one cache-line record per bucket) and the
-# gather ahead of it (reads only, allocates nothing), the golden
+# gather ahead of it (reads only, allocates nothing), the image's
+# footprint (heap bytes per bucket, no cold page once written), the golden
 # determinism regression, one pass of the sim, serve and store benchmarks
 # with -benchtime=1x (harness correctness, not timing; the deep store
 # benchmark is the in-repo reproducer of the cache-missing L=16 access),
 # and experiments-check.
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
-	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestRecordLayout' -v
+	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestRecordLayout|TestImageFootprint' -v
 	$(GO) test ./internal/mem -run 'TestFunctionlessEntriesAreCountedNotStoredWhenUntimed|TestAddDataRunTimesLikeSingleEntries' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreBaselineSteadyStateAllocs|TestCoreRcrPSORAMSteadyStateAllocs|TestCoreRcrBaselineSteadyStateAllocs|TestCorePSORAMWPQ4SteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs|TestGatherChangesNothing' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v

@@ -644,7 +644,7 @@ func TestFullStateAuditAfterSoak(t *testing.T) {
 	}
 	tree := make(map[oram.Addr]copyInfo)
 	for bk := uint64(0); bk < c.ORAM.Tree.Buckets(); bk++ {
-		blocks, err := c.ORAM.Image.ReadBucket(c.ORAM.Engine, bk)
+		blocks, err := c.ORAM.Image.ReadBucket(bk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,8 +55,8 @@ func TestGatherChangesNothing(t *testing.T) {
 		if ma != mb || okA != okB {
 			t.Fatalf("bucket %d: RealSlots %04b,%v vs the twin's %04b,%v", bucket, ma, okA, mb, okB)
 		}
-		ba, errA := img.ReadBucket(a.ORAM.Engine, bucket)
-		bb, errB := b.ORAM.Image.ReadBucket(b.ORAM.Engine, bucket)
+		ba, errA := img.ReadBucket(bucket)
+		bb, errB := b.ORAM.Image.ReadBucket(bucket)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}

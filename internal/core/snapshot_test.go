@@ -69,7 +69,7 @@ func peekDurableOnly(c *Controller, addr oram.Addr) ([]byte, error) {
 	bestVer := uint32(0)
 	found := false
 	for _, bucket := range c.ORAM.Tree.Path(l) {
-		blocks, err := c.ORAM.Image.ReadBucket(c.ORAM.Engine, bucket)
+		blocks, err := c.ORAM.Image.ReadBucket(bucket)
 		if err != nil {
 			return nil, err
 		}

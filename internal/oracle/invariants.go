@@ -53,27 +53,28 @@ func (t *coreTarget) Invariants() []error {
 	// Tree placement: every sealed real block sits on the path of the
 	// leaf it was sealed under. (Stale copies superseded by a stash or
 	// fresher tree version still satisfy this — blocks are only ever
-	// written to their then-current path.)
+	// written to their then-current path.) The headers are read in place
+	// (oram.Image.OpenHeader): the scan copies no slot.
 	for bucket := uint64(0); bucket < c.Tree.Buckets(); bucket++ {
-		blocks, err := c.Image.ReadBucket(c.Engine, bucket)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("bucket %d unreadable: %w", bucket, err))
-			continue
-		}
-		for _, blk := range blocks {
-			if blk.Dummy() {
+		for z := 0; z < c.Tree.Z; z++ {
+			addr, leaf, _, err := c.Image.OpenHeader(bucket, z)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("bucket %d unreadable: %w", bucket, err))
+				break
+			}
+			if addr == oram.DummyAddr {
 				continue
 			}
-			if uint64(blk.Addr) >= c.NumBlocks() {
-				errs = append(errs, fmt.Errorf("bucket %d holds out-of-range addr %d", bucket, blk.Addr))
+			if uint64(addr) >= c.NumBlocks() {
+				errs = append(errs, fmt.Errorf("bucket %d holds out-of-range addr %d", bucket, addr))
 				continue
 			}
-			if uint64(blk.Leaf) >= leaves {
-				errs = append(errs, fmt.Errorf("bucket %d block %d sealed under out-of-range leaf %d", bucket, blk.Addr, blk.Leaf))
+			if uint64(leaf) >= leaves {
+				errs = append(errs, fmt.Errorf("bucket %d block %d sealed under out-of-range leaf %d", bucket, addr, leaf))
 				continue
 			}
-			if !c.Tree.OnPath(bucket, blk.Leaf) {
-				errs = append(errs, fmt.Errorf("bucket %d block %d sealed under leaf %d is off that leaf's path", bucket, blk.Addr, blk.Leaf))
+			if !c.Tree.OnPath(bucket, leaf) {
+				errs = append(errs, fmt.Errorf("bucket %d block %d sealed under leaf %d is off that leaf's path", bucket, addr, leaf))
 			}
 		}
 	}

@@ -190,7 +190,7 @@ func TestImageInitBlocksPlacesOnPath(t *testing.T) {
 		{Addr: 2, Leaf: 12, Data: make([]byte, 64)},
 	}
 	img.InitBlocks(blocks, iv)
-	n, err := img.CountReal(e)
+	n, err := img.CountReal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestImageInitBlocksPlacesOnPath(t *testing.T) {
 	for _, want := range blocks {
 		found := false
 		for _, bucket := range tr.Path(want.Leaf) {
-			got, err := img.ReadBucket(e, bucket)
+			got, err := img.ReadBucket(bucket)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 	if len(unplaced) != 1 || unplaced[0].Addr != 3 {
 		t.Fatalf("unplaced = %+v, want the fourth block", unplaced)
 	}
-	n, err := img.CountReal(e)
+	n, err := img.CountReal()
 	if err != nil {
 		t.Fatal(err)
 	}

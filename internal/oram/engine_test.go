@@ -216,7 +216,7 @@ func TestInvariantNoDuplicateLiveCopies(t *testing.T) {
 		counts[b.Addr]++
 	}
 	for bk := uint64(0); bk < o.Tree.Buckets(); bk++ {
-		blocks, err := o.Image.ReadBucket(o.Engine, bk)
+		blocks, err := o.Image.ReadBucket(bk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -33,10 +34,9 @@ func diffSlots(a, b *Image) string {
 // place (ReadBucket, CountReal), then sealed, slot by slot.
 func sameImages(t *testing.T, when string, a, b *Image) {
 	t.Helper()
-	e := a.engine
 	for bucket := uint64(0); bucket < a.Tree.Buckets(); bucket++ {
-		ga, errA := a.ReadBucket(e, bucket)
-		gb, errB := b.ReadBucket(e, bucket)
+		ga, errA := a.ReadBucket(bucket)
+		gb, errB := b.ReadBucket(bucket)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -46,8 +46,8 @@ func sameImages(t *testing.T, when string, a, b *Image) {
 			}
 		}
 	}
-	ca, errA := a.CountReal(e)
-	cb, errB := b.CountReal(e)
+	ca, errA := a.CountReal()
+	cb, errB := b.CountReal()
 	if errA != nil || errB != nil || ca != cb {
 		t.Fatalf("%s: CountReal %d (%v), the twin %d (%v)", when, ca, errA, cb, errB)
 	}
@@ -88,10 +88,8 @@ func TestBornLazyImageIdentity(t *testing.T) {
 				m.ref[tree.Path(blocks[i].Leaf)[tree.L]*uint64(tree.Z)] = m.sealed(&blocks[i], iv1, iv2)
 			}
 		}
-		for bucket, row := range mem.img.store.(*memStorage).buckets {
-			if row != nil {
-				t.Fatalf("construction wrote bucket %d of the store", bucket)
-			}
+		if mem.img.store.(*memStorage).buckets != nil {
+			t.Fatal("construction wrote to the store")
 		}
 		if mem.img.memo != nil || dur.img.memo != nil || sets != 0 {
 			t.Fatalf("construction sealed (memo %v, %v; %d store writes)", mem.img.memo != nil, dur.img.memo != nil, sets)
@@ -287,7 +285,7 @@ func (m *overlayModel) check() {
 	e := m.img.engine
 	real := 0
 	for bucket := uint64(0); bucket < m.img.Tree.Buckets(); bucket++ {
-		got, err := m.img.ReadBucket(e, bucket)
+		got, err := m.img.ReadBucket(bucket)
 		if err != nil {
 			m.t.Fatal(err)
 		}
@@ -304,7 +302,7 @@ func (m *overlayModel) check() {
 			}
 		}
 	}
-	got, err := m.img.CountReal(e)
+	got, err := m.img.CountReal()
 	if err != nil {
 		m.t.Fatal(err)
 	}
@@ -338,12 +336,15 @@ func churn(m *overlayModel, rounds int) {
 }
 
 // FuzzImageOverlay feeds the model coverage-guided operation sequences
-// on a born-lazy image, at Z = 4 (one record per cache line) and at
-// Z = 2: every write path, and every operation of the undo log — Mark,
-// and Rollback and Release from a mark or from the start, at a cycle.
-// After every observer call the image agrees with its table; so does
-// what it reads in place, periodically and at the end, and finally every
-// slot it materializes. The undo log always holds the model's writes.
+// on a born-lazy image, at Z = 4 (one record per cache line), at Z = 2,
+// and at Z = 1 on a tree of several pages of cold entries, each beside a
+// durable twin (no record form, dense cold table, a barrier): every
+// write path, and every operation of the undo log — Mark, and Rollback
+// and Release from a mark or from the start, at a cycle. After every
+// observer call the image agrees with its table; so does what it reads
+// in place, periodically and at the end, and finally every slot it
+// materializes — and, on the twin, every slot its barrier stores. The
+// undo log always holds the model's writes.
 func FuzzImageOverlay(f *testing.F) {
 	f.Add([]byte{3, 5, 0x05, 8, 5, 0, 2, 6, 0, 8, 6, 0})                // whole-bucket write, observe, expand by a per-slot dummy
 	f.Add([]byte{4, 9, 0x0f, 5, 9, 6, 3, 9, 0x02, 6, 0, 0, 8, 9, 0})    // undoable write on a record-form bucket, rewritten whole, then undone
@@ -367,19 +368,45 @@ func FuzzImageOverlay(f *testing.F) {
 	// first leaves the log complete, a power failure at cycle 1 undoes the
 	// other two and the slot holds the first.
 	f.Add([]byte{5, 3, 0, 5, 3, 2, 5, 3, 4, 12, 0, 1, 6, 0, 1, 8, 3, 0})
+	// A whole-bucket write over real slots, observed, rewritten whole (its
+	// cells handed back and taken again), then per-slot PutLazyBlocks.
+	f.Add([]byte{3, 5, 0x0f, 8, 5, 0, 3, 5, 0x0a, 0, 5, 1, 0, 4, 2, 3, 4, 0x05, 8, 4, 0})
+	// A real block's cell handed back by an undoable dummy and taken by
+	// the next real write; the power failure restores the real block,
+	// which takes a cell again.
+	f.Add([]byte{0, 7, 2, 5, 7, 1, 0, 8, 3, 0, 9, 4, 6, 0, 0, 8, 7, 0, 8, 8, 0})
+	// PutSlot ends a real entry, in per-slot form and in record form.
+	f.Add([]byte{0, 9, 4, 7, 9, 0, 8, 9, 0, 0, 9, 5, 3, 9, 0x03, 7, 9, 0, 8, 9, 0})
+	// Explicit-IV slots whose page a whole-bucket write releases, then an
+	// explicit slot that takes a page again.
+	f.Add([]byte{0, 5, 9, 0, 6, 7, 3, 5, 0x00, 8, 5, 0, 0, 5, 3, 3, 5, 0x01, 8, 6, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := testEngine()
-		for _, tree := range []Tree{NewTree(3, 4), NewTree(3, 2)} {
-			m := newOverlayModel(t, NewImage(tree, e, 32, testIVs()), testIVs())
-			for i := 0; i+2 < len(ops); i += 3 {
-				m.apply(ops[i], ops[i+1], ops[i+2])
-				if i%48 == 0 {
-					m.check()
+		for _, tree := range []Tree{NewTree(3, 4), NewTree(3, 2), NewTree(7, 1)} {
+			sets := 0
+			for _, img := range []*Image{
+				NewImage(tree, e, 32, testIVs()),
+				NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 32, testIVs()),
+			} {
+				m := newOverlayModel(t, img, testIVs())
+				for i := 0; i+2 < len(ops); i += 3 {
+					m.apply(ops[i], ops[i+1], ops[i+2])
+					if i%48 == 0 {
+						m.check()
+					}
 				}
-			}
-			m.check()
-			if d := m.diff(); d != "" {
-				t.Fatalf("Z=%d: the materialized image differs from its table at %s", tree.Z, d)
+				m.check()
+				if img.barrier {
+					img.MaterializePending()
+					for i, want := range m.ref {
+						if !sameSlot(img.store.Slot(uint64(i)/uint64(tree.Z), i%tree.Z), want) {
+							t.Fatalf("Z=%d: the durable store differs from its table at slot %d after a barrier", tree.Z, i)
+						}
+					}
+				}
+				if d := m.diff(); d != "" {
+					t.Fatalf("Z=%d (durable %v): the materialized image differs from its table at %s", tree.Z, img.barrier, d)
+				}
 			}
 		}
 	})
@@ -396,13 +423,13 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 
 	var direct [][]Block
 	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
-		blocks, err := img.ReadBucket(e, bucket)
+		blocks, err := img.ReadBucket(bucket)
 		if err != nil {
 			t.Fatal(err)
 		}
 		direct = append(direct, blocks)
 	}
-	counted, err := img.CountReal(e)
+	counted, err := img.CountReal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +442,7 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 			continue // a record-form bucket's cold state bits are stale
 		}
 		for z := 0; z < tree.Z; z++ {
-			if st := img.cold[img.slotIndex(bucket, z)].state; st&(psLive|psSealed) == psLive|psSealed {
+			if st := img.coldAt(bucket, z).state; st&(psLive|psSealed) == psLive|psSealed {
 				sealedBefore++
 			}
 		}
@@ -442,7 +469,7 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 	}
 	// The comparison above materialized everything; the reads before it
 	// must not have.
-	if sealedBefore == len(img.cold) {
+	if uint64(sealedBefore) == tree.Slots() {
 		t.Fatal("ReadBucket/CountReal materialized the whole image")
 	}
 }
@@ -454,7 +481,8 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 // slot's explicit-IV bit set unless the IVs are the slot's implied pair;
 // every other mutator expands the bucket. The white-box half pins what
 // the form is for: the write touches no cold entry, neither a dummy's
-// nor a real slot's under the implied IVs.
+// nor a real slot's under the implied IVs, and a page of cold entries
+// goes once the write leaves no slot of it needing one.
 func TestDenseBucketMatchesPerSlot(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(3, 4)
@@ -471,6 +499,9 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 			for z := 0; z < tree.Z; z++ {
 				img.PutLazyBlock(bucket, z, 1, 2, old)
 			}
+			// An explicit slot of another bucket keeps the page of cold
+			// entries held through the whole-bucket write.
+			img.PutLazyBlock(bucket+1, 0, 3, 4, old)
 		}
 		whole.PutLazyDummies(bucket, base)
 		for z := 0; z < tree.Z; z++ {
@@ -495,11 +526,23 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 		t.Fatal("per-slot dummy writes left the bucket in record form")
 	}
 	for z := 0; z < tree.Z; z++ {
-		if cs := whole.cold[whole.slotIndex(bucket, z)]; cs.iv1 != 1 || cs.iv2 != 2 {
+		if cs := whole.coldAt(bucket, z); cs.iv1 != 1 || cs.iv2 != 2 {
 			t.Fatalf("the whole-bucket write touched slot %d's cold entry: %+v", z, cs)
 		}
 	}
 	sameImages(t, "after the write", whole, perSlot)
+	// Without the neighbour the write releases the page.
+	lone := NewImage(tree, e, 64, testIVs())
+	for z := 0; z < tree.Z; z++ {
+		lone.PutLazyBlock(bucket, z, 1, 2, old)
+	}
+	if n := coldPages(lone); n != 1 {
+		t.Fatalf("explicit slots hold %d cold pages, want 1", n)
+	}
+	lone.PutLazyDummies(bucket, base)
+	if n := coldPages(lone); n != 0 {
+		t.Fatalf("a whole-bucket write over the page's last explicit slots left %d cold pages", n)
+	}
 
 	iv := testIVs()
 	sealed := sealBlock(e, old, iv)
@@ -567,8 +610,13 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 
 // TestRecordLayout pins the layout the load walk relies on: a bucket's
 // record is 16+12Z bytes — one cache line at Z = 4 — and the records
-// start on a line, and the cold per-slot entry is 24 bytes. An undo-log
-// entry is 56.
+// start on a line; a slot's cell handle is 4 bytes and the handles start
+// on a line, so a Z = 4 bucket's share one; a payload cell is BlockBytes
+// rounded up to a line and starts on one. The cold per-slot entry is 24
+// bytes, in pages of coldPageBuckets buckets: an image in record form
+// is born holding none (one born slot by slot holds every page until
+// whole-bucket writes release them), any other image holds every page.
+// An undo-log entry is 56.
 func TestRecordLayout(t *testing.T) {
 	if got := unsafe.Sizeof(coldSlot{}); got != 24 {
 		t.Fatalf("coldSlot is %d bytes, want 24", got)
@@ -576,21 +624,62 @@ func TestRecordLayout(t *testing.T) {
 	if got := unsafe.Sizeof(undoEntry{}); got != 56 {
 		t.Fatalf("an undo-log entry is %d bytes, want 56", got)
 	}
+	onLine := func(p unsafe.Pointer) bool { return uintptr(p)%lineBytes == 0 }
 	for _, z := range []int{1, 2, 4, 8, maxRecordZ + 1} {
-		img := NewImage(NewTree(4, z), testEngine(), 16, testIVs())
+		tree := NewTree(8, z)
+		img := NewImage(tree, testEngine(), 16, testIVs())
 		if got, want := 4*img.recW, uint64(16+12*z); got != want {
 			t.Fatalf("Z=%d: a record is %d bytes, want %d", z, got, want)
 		}
-		if addr := uintptr(unsafe.Pointer(&img.recs[0])); addr%lineBytes != 0 {
-			t.Fatalf("Z=%d: the records start at %#x, not on a %d-byte line", z, addr, lineBytes)
+		if !onLine(unsafe.Pointer(&img.recs[0])) || !onLine(unsafe.Pointer(&img.cell[0])) {
+			t.Fatalf("Z=%d: the records or the cell handles do not start on a %d-byte line", z, lineBytes)
 		}
-		if uint64(len(img.recs)) != img.Tree.Buckets()*img.recW || uint64(len(img.cold)) != img.Tree.Slots() {
-			t.Fatalf("Z=%d: %d record words, %d cold entries for %d buckets", z, len(img.recs), len(img.cold), img.Tree.Buckets())
+		if uint64(len(img.recs)) != tree.Buckets()*img.recW || uint64(len(img.cell)) != tree.Slots() {
+			t.Fatalf("Z=%d: %d record words, %d cell handles for %d buckets", z, len(img.recs), len(img.cell), tree.Buckets())
+		}
+		if pages := (tree.Buckets() + coldPageBuckets - 1) / coldPageBuckets; uint64(len(img.cold)) != pages {
+			t.Fatalf("Z=%d: %d cold pages for %d buckets", z, len(img.cold), tree.Buckets())
+		}
+		want := len(img.cold)
+		if img.recordForm {
+			want = 0
+		}
+		if coldPages(img) != want {
+			t.Fatalf("Z=%d (record form %v): born holding %d cold pages, want %d", z, img.recordForm, coldPages(img), want)
+		}
+		img.PutLazyBlock(3, 0, 1, 2, Block{Data: make([]byte, 16)})
+		if img.cellB != lineBytes || !onLine(unsafe.Pointer(&img.PlainData(3, 0)[0])) {
+			t.Fatalf("Z=%d: a 16-byte payload's cell is %d bytes, or not on a line", z, img.cellB)
 		}
 	}
 	if img := NewImage(NewTree(4, 4), testEngine(), 16, testIVs()); 4*img.recW != lineBytes {
 		t.Fatalf("at Z=4 a record is %d bytes, want one %d-byte line", 4*img.recW, lineBytes)
 	}
+	// Born slot by slot (the IVs skip), an image in record form expands
+	// every bucket; whole-bucket writes give the pages back.
+	tree := NewTree(8, 4)
+	iv := uint64(0)
+	img := NewImage(tree, testEngine(), 16, func() uint64 { iv += 2; return iv })
+	if !img.recordForm || coldPages(img) != len(img.cold) {
+		t.Fatalf("an image born slot by slot holds %d of %d cold pages", coldPages(img), len(img.cold))
+	}
+	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
+		img.PutLazyDummies(bucket, 10*bucket)
+	}
+	if n := coldPages(img); n != 0 {
+		t.Fatalf("whole-bucket writes over every bucket left %d cold pages", n)
+	}
+}
+
+// coldPages counts the pages of cold entries img holds.
+func coldPages(img *Image) int {
+	n := 0
+	for _, p := range img.cold {
+		if p != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPlainDataViewIsCapped: the payload arena packs slots back to back,
@@ -654,5 +743,77 @@ func TestUndoSurvivesLazyRewrites(t *testing.T) {
 		if blk, err := OpenSlot(e, got); err != nil || blk.Addr != 9 || blk.Ver != 7 {
 			t.Fatalf("restored slot opens to %+v (%v)", blk, err)
 		}
+	}
+}
+
+// TestImageFootprint pins the overlay's size to what it holds. An
+// in-memory Z = 4 image written the way PS-ORAM writes it — InitBlocks,
+// then every address accessed once, each access reading its path in
+// place and writing it back whole (PutLazyDummies, then PutLazyBlock per
+// real slot under the path's consecutive IVs) — holds a record and Z
+// cell handles per bucket, a cell per real slot, and no page of cold
+// entries: InitBlocks' explicit IVs are gone once every bucket it wrote
+// has been rewritten. At two blocks a leaf, the 25% real slots of a
+// mem-deep shard, that is at most 160 heap bytes a bucket (440 when
+// every slot had a payload and a cold entry and every bucket a store
+// row).
+func TestImageFootprint(t *testing.T) {
+	const levels, budget = 12, 160
+	tree := NewTree(levels, 4)
+	c := mustNew(t, Params{Levels: levels, Z: 4, BlockBytes: 64, StashEntries: 200, NumBlocks: 2 * tree.Leaves(), Seed: 7})
+	img := c.Image
+	path := make([]uint64, 0, tree.Levels())
+	plan, used := make([][]*StashBlock, tree.Levels()), make([]int, tree.Levels())
+	for k := range plan {
+		plan[k] = make([]*StashBlock, tree.Z)
+	}
+	var order, unplaced []*StashBlock
+	for a := Addr(0); uint64(a) < c.NumBlocks(); a++ {
+		l := c.PosMap.Lookup(a)
+		path = tree.PathInto(path, l)
+		for _, bucket := range path {
+			for z := 0; z < tree.Z; z++ {
+				addr, leaf, ver, dummy, ok := img.PlainHeader(bucket, z)
+				if !ok {
+					t.Fatalf("bucket %d slot %d has no overlay entry", bucket, z)
+				}
+				if !dummy {
+					c.Stash.Put(&StashBlock{Addr: addr, Leaf: leaf, Ver: ver, Data: append([]byte(nil), img.PlainData(bucket, z)...)})
+				}
+			}
+		}
+		c.PosMap.Put(a, c.RandomLeaf())
+		c.Stash.Get(a).Leaf = c.PosMap.Lookup(a)
+		order = c.Stash.AppendLive(order[:0])
+		unplaced = c.PlanEvictionInto(l, order, plan, used, unplaced)
+		base := c.DrawIVs(2 * tree.PathBlocks())
+		for k, bucket := range path {
+			img.PutLazyDummies(bucket, base+2*uint64(k*tree.Z))
+			for z, b := range plan[k] {
+				if b != nil {
+					i := uint64(k*tree.Z + z)
+					img.PutLazyBlock(bucket, z, base+2*i+1, base+2*i+2, Block{Addr: b.Addr, Leaf: b.Leaf, Ver: c.NextVer(), Data: b.Data})
+					c.Stash.Remove(b.Addr)
+				}
+			}
+		}
+	}
+	if n := coldPages(img); n != 0 {
+		t.Fatalf("after every address was accessed the image holds %d cold pages", n)
+	}
+
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	with := int64(ms.HeapAlloc)
+	c.Image, img = nil, nil
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	without := int64(ms.HeapAlloc)
+	runtime.KeepAlive(c)
+	perBucket := float64(with-without) / float64(tree.Buckets())
+	t.Logf("L=%d: the image holds %.1f heap bytes a bucket", levels, perBucket)
+	if perBucket > budget {
+		t.Fatalf("the image holds %.1f heap bytes a bucket, budget %d", perBucket, budget)
 	}
 }

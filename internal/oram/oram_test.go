@@ -40,7 +40,7 @@ func TestNewInitialState(t *testing.T) {
 		}
 	}
 	// The image holds exactly NumBlocks real blocks.
-	n, err := c.Image.CountReal(c.Engine)
+	n, err := c.Image.CountReal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +109,43 @@ func TestEvictionPlanRespectsPathConstraint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPeekWithAllocatesItsCopyOnly: PeekWith reads the headers of the
+// path in place, from the overlay or, for a slot whose entry a PutSlot
+// ended, by opening the store's sealed header; its one allocation is the
+// payload copy it returns.
+func TestPeekWithAllocatesItsCopyOnly(t *testing.T) {
+	c := mustNew(t, smallParams(3))
+	leafOf := func(a Addr) Leaf { return c.PosMap.Lookup(a) }
+	a := Addr(0)
+	for c.Stash.Get(a) != nil {
+		a++
+	}
+	want, err := c.PeekWith(a, leafOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sealed := range []bool{false, true} {
+		if sealed {
+			for _, bucket := range c.Tree.Path(leafOf(a)) {
+				for z := 0; z < c.Tree.Z; z++ {
+					s := c.Image.Slot(bucket, z)
+					s.SealedHeader = append([]byte(nil), s.SealedHeader...)
+					s.SealedData = append([]byte(nil), s.SealedData...)
+					c.Image.PutSlot(bucket, z, s)
+				}
+			}
+		}
+		var got []byte
+		allocs := testing.AllocsPerRun(20, func() {
+			if got, err = c.PeekWith(a, leafOf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 || !bytes.Equal(got, want) {
+			t.Fatalf("sealed path %v: PeekWith allocates %.1f times (want 1, its copy), value equal %v", sealed, allocs, bytes.Equal(got, want))
+		}
 	}
 }

@@ -30,28 +30,32 @@ type StoreGeometry struct {
 }
 
 // memStorage is the default backend: the sealed tree image in process
-// memory, one []Slot row per bucket. A row is allocated on the first
-// write to its bucket: a fresh image (NewImage) shadows every slot with
-// an overlay entry and writes here only what some observer materializes,
-// which in-memory serving never does. A slot never written reads as the
-// zero Slot.
+// memory, one []Slot row per bucket. The row table is allocated on the
+// first write to the store, and a row on the first write to its bucket:
+// a fresh image (NewImage) shadows every slot with an overlay entry and
+// writes here only what some observer materializes, which in-memory
+// serving never does. A slot never written reads as the zero Slot.
 type memStorage struct {
 	z       int
+	n       uint64 // buckets
 	buckets [][]Slot
 }
 
 func newMemStorage(t Tree) *memStorage {
-	return &memStorage{z: t.Z, buckets: make([][]Slot, t.Buckets())}
+	return &memStorage{z: t.Z, n: t.Buckets()}
 }
 
 func (m *memStorage) Slot(bucket uint64, z int) Slot {
-	if row := m.buckets[bucket]; row != nil {
-		return row[z]
+	if m.buckets != nil && m.buckets[bucket] != nil {
+		return m.buckets[bucket][z]
 	}
 	return Slot{}
 }
 
 func (m *memStorage) SetSlot(bucket uint64, z int, s Slot) {
+	if m.buckets == nil {
+		m.buckets = make([][]Slot, m.n)
+	}
 	if m.buckets[bucket] == nil {
 		m.buckets[bucket] = make([]Slot, m.z)
 	}
