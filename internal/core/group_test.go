@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/oram"
+	"repro/internal/storage/filestore"
 )
 
 // diskImage reads every file under dir into a relpath -> contents map,
@@ -40,56 +41,77 @@ func diskImage(t *testing.T, dir string) map[string][]byte {
 
 func runGroupTraffic(t *testing.T, c *Controller, ops int, seed uint64) map[oram.Addr][]byte {
 	t.Helper()
+	return runGroupTrafficThen(t, c, ops, seed, nil)
+}
+
+// runGroupTrafficThen is runGroupTraffic with after run once every
+// access has returned (nil runs nothing).
+func runGroupTrafficThen(t *testing.T, c *Controller, ops int, seed uint64, after func()) map[oram.Addr][]byte {
+	t.Helper()
 	ref := make(map[oram.Addr][]byte)
 	r := &lcg{s: seed}
 	for i := 0; i < ops; i++ {
 		addr := oram.Addr(r.n(100))
-		if r.n(3) == 0 {
-			if _, err := c.Access(oram.OpRead, addr, nil); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		op, v := oram.OpRead, []byte(nil)
+		if r.n(3) != 0 {
+			op, v = oram.OpWrite, blockVal(addr, i, 64)
+			ref[addr] = v
 		}
-		v := blockVal(addr, i, 64)
-		if _, err := c.Access(oram.OpWrite, addr, v); err != nil {
+		if _, err := c.Access(op, addr, v); err != nil {
 			t.Fatal(err)
 		}
-		ref[addr] = v
+		if after != nil {
+			after()
+		}
 	}
 	return ref
 }
 
-// TestGroupCommitSize1ByteIdentical: GroupCommit{MaxOps: 1} must be the
-// serial per-access barrier, bit for bit — same seed, same op stream,
-// byte-identical on-disk trees. This is the acceptance gate that lets
+// TestGroupCommitSize1ByteIdentical: the group barrier, flushed after
+// every access, must commit what the per-access serial barrier commits,
+// bit for bit — same seed, same op stream, byte-identical on-disk trees.
+// The grouped leg's MaxOps is far beyond the stream, so every epoch it
+// commits goes through FlushCommits and the group barrier, never
+// through the serial commit. This is the acceptance gate that lets
 // group size be a pure tuning knob.
 func TestGroupCommitSize1ByteIdentical(t *testing.T) {
-	dirs := [2]string{filepath.Join(t.TempDir(), "serial"), filepath.Join(t.TempDir(), "group1")}
+	dirs := [2]string{filepath.Join(t.TempDir(), "serial"), filepath.Join(t.TempDir(), "grouped")}
 	opts := [2]Options{
-		{NumBlocks: 100, Levels: 5},
 		{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: 1}},
+		{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: 1 << 20}},
 	}
 	for i := range dirs {
 		c, _, err := NewDurable(config.SchemePSORAM, testCfg(), opts[i], dirs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		runGroupTraffic(t, c, 150, 99)
+		var flush func()
+		if i == 1 {
+			flush = func() {
+				if err := c.FlushCommits(); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Storage().(*filestore.Store).Barrier(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runGroupTrafficThen(t, c, 150, 99, flush)
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	serial, group1 := diskImage(t, dirs[0]), diskImage(t, dirs[1])
-	if len(serial) != len(group1) {
-		t.Fatalf("file counts differ: serial %d, group1 %d", len(serial), len(group1))
+	serial, grouped := diskImage(t, dirs[0]), diskImage(t, dirs[1])
+	if len(serial) != len(grouped) {
+		t.Fatalf("file counts differ: serial %d, grouped %d", len(serial), len(grouped))
 	}
 	for rel, want := range serial {
-		got, ok := group1[rel]
+		got, ok := grouped[rel]
 		if !ok {
-			t.Fatalf("group1 store missing %s", rel)
+			t.Fatalf("grouped store missing %s", rel)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s differs between serial and GroupCommit{MaxOps:1} stores", rel)
+			t.Fatalf("%s differs between the serial and the group barrier's stores", rel)
 		}
 	}
 }
