@@ -20,18 +20,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress hunts flakes in the serving layer's and the network front-end's
-# concurrent tests: each package under the race detector, 20 times
-# over, on one and on two CPUs (an ordering bug such as
-# TestBackpressure's old three-way submit race shows up only on some
+# stress hunts flakes in the serving layer's, the network front-end's
+# and the file store's concurrent tests: each package under the race
+# detector, 20 times over, on one and on two CPUs (an ordering bug such
+# as TestBackpressure's old three-way submit race shows up only on some
 # interleavings; the connection data path is mutex-plus-callback
-# concurrency across reader, writer and shard workers). netserve runs
-# -short, so each pass takes the CI slice of the kill -9 tortures, as
-# `make check` does. About a quarter of an hour on a 2-core box, hence
-# the explicit timeout.
+# concurrency across reader, writer and shard workers; every durable
+# persist, serial or grouped, hands its epoch to the file store's
+# persist worker). netserve and filestore run -short, so each pass takes
+# the CI slice of the kill -9 tortures, as `make check` does. About a
+# quarter of an hour on a 2-core box, hence the explicit timeout.
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -timeout 60m ./internal/serve/
 	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/netserve/
+	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/storage/filestore/
 
 # check is the pre-commit gate: build, vet, the gofmt gate, the full
 # suite under the race detector, and the two everything-armed CLI runs.

@@ -34,6 +34,7 @@ import (
 	"repro/internal/nvm"
 	"repro/internal/oram"
 	"repro/internal/stats"
+	"repro/internal/storage/filestore"
 )
 
 // CrashPoint identifies a protocol point at which a crash can be
@@ -202,9 +203,14 @@ type Controller struct {
 	crashed bool
 
 	// storage is the durable backend (nil = in-memory image only): the
-	// tree image lives in it, durable PosMap mutations are mirrored
-	// into it, and persistDurable commits at access boundaries.
-	storage DurableStorage
+	// tree image, the NVM position map, the seal-version cursor and the
+	// trusted integrity root the §4.3 recovery path needs live in it.
+	// Durable PosMap mutations are mirrored into it as they happen, and
+	// commitDurable runs its persist barrier at access boundaries, so
+	// the on-disk state only ever transitions between them: exactly the
+	// atomic-prefix guarantee the crash checker holds the persistent
+	// schemes to.
+	storage *filestore.Store
 
 	// levelPlans is the eviction-plan scratch of the recursive PosMap
 	// trees, c.Rec.Levels[i]'s at index i (the data tree's is
@@ -219,10 +225,6 @@ type Options struct {
 	NumBlocks uint64
 	// Levels overrides the tree height. Zero derives it from NumBlocks.
 	Levels int
-	// Storage, when non-nil, is a freshly created durable backend the
-	// controller builds its initial image into (flat schemes only). Use
-	// Open/NewDurable to reattach to an existing one.
-	Storage DurableStorage
 	// GroupCommit batches the durable persist barrier across accesses
 	// (ignored without a durable backend).
 	GroupCommit GroupCommit
@@ -249,39 +251,22 @@ type GroupCommit struct {
 }
 
 // New builds a controller for the scheme. cfg supplies Z, stash size,
-// WPQ sizes, NVM timing, etc.; opts scales the tree. With opts.Storage
-// set, the freshly built image is sealed into the backend and the
-// initial state committed with one persist barrier.
+// WPQ sizes, NVM timing, etc.; opts scales the tree. The image lives in
+// memory; NewDurable builds a controller over a file store.
 func New(scheme config.Scheme, cfg config.Config, opts Options) (*Controller, error) {
-	c, err := newController(scheme, cfg, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Storage != nil {
-		c.storage = opts.Storage
-		c.syncDurablePosMap()
-		if err := c.persistDurable(); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return newController(scheme, cfg, opts, nil, false)
 }
 
 // newController is the shared construction path: attach=false seals a
-// fresh initial image (into opts.Storage when set); attach=true wraps
-// an already-populated backend without writing anything — the recovery
+// fresh initial image (into st when non-nil); attach=true wraps st, an
+// already-populated backend, without writing anything — the recovery
 // path, which owns restoring the PosMap and version cursor afterwards.
-func newController(scheme config.Scheme, cfg config.Config, opts Options, attach bool) (*Controller, error) {
+func newController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store, attach bool) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.NumBlocks == 0 {
 		return nil, fmt.Errorf("core: Options.NumBlocks is required (functional trees are sized explicitly)")
-	}
-	if opts.Storage != nil {
-		if err := StorageSupported(scheme); err != nil {
-			return nil, err
-		}
 	}
 	levels := opts.Levels
 	if levels == 0 {
@@ -303,8 +288,8 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		NumBlocks:    opts.NumBlocks,
 		Seed:         cfg.Seed,
 	}
-	if opts.Storage != nil {
-		op.Storage = opts.Storage
+	if st != nil {
+		op.Storage = st
 	}
 	var oc *oram.Controller
 	var err error
@@ -328,6 +313,7 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 		pathIdx: oram.NewPathIndex(oc.Tree),
 		durable: oc.PosMap.Clone(),
 		Temp:    oram.NewTempPosMap(cfg.TempPosMapSize),
+		storage: st,
 	}
 	c.endangered = make(map[oram.Addr]endangeredCopy)
 	c.scratch.plan = newPlanRows(oc.Tree)

@@ -18,14 +18,14 @@ import (
 // structure (stash, temporary PosMap) starts empty. With cfg.Integrity
 // set, the image is re-hashed and verified against the stored trusted
 // root. The controller takes ownership of st.
-func Open(cfg config.Config, st DurableStorage) (*Controller, error) {
+func Open(cfg config.Config, st *filestore.Store) (*Controller, error) {
 	return openWith(cfg, st, Options{})
 }
 
 // openWith is Open plus runtime tuning knobs: geometry always comes
 // from the backend, but execution-only options (group commit) are the
 // caller's — they are not durable state.
-func openWith(cfg config.Config, st DurableStorage, runtime Options) (*Controller, error) {
+func openWith(cfg config.Config, st *filestore.Store, runtime Options) (*Controller, error) {
 	g := st.Geometry()
 	scheme := config.Scheme(g.Scheme)
 	if err := StorageSupported(scheme); err != nil {
@@ -34,12 +34,11 @@ func openWith(cfg config.Config, st DurableStorage, runtime Options) (*Controlle
 	cfg.BlockBytes = g.BlockBytes
 	cfg.Z = g.Z
 	opts := runtime
-	opts.NumBlocks, opts.Levels, opts.Storage = g.NumBlocks, g.Levels, st
-	c, err := newController(scheme, cfg, opts, true)
+	opts.NumBlocks, opts.Levels = g.NumBlocks, g.Levels
+	c, err := newController(scheme, cfg, opts, st, true)
 	if err != nil {
 		return nil, err
 	}
-	c.storage = st
 	// §4.3: reload the on-chip map from the durable NVM copy.
 	leaves := c.ORAM.Tree.Leaves()
 	for a := oram.Addr(0); uint64(a) < g.NumBlocks; a++ {
@@ -72,11 +71,9 @@ func openWith(cfg config.Config, st DurableStorage, runtime Options) (*Controlle
 // requested scheme/size must match what is stored); when it holds
 // nothing durable a fresh store is created and its initial state
 // committed. The bool result reports whether the store was freshly
-// created (false = an existing store was recovered).
+// created (false = an existing store was recovered). A fresh store's
+// initial image is sealed into it and committed with one persist barrier.
 func NewDurable(scheme config.Scheme, cfg config.Config, opts Options, dir string) (*Controller, bool, error) {
-	if opts.Storage != nil {
-		return nil, false, fmt.Errorf("core: NewDurable builds its own backend; Options.Storage must be nil")
-	}
 	if err := StorageSupported(scheme); err != nil {
 		return nil, false, err
 	}
@@ -123,9 +120,13 @@ func NewDurable(scheme config.Scheme, cfg config.Config, opts Options, dir strin
 			return nil, false, err
 		}
 		copts := opts
-		copts.Levels, copts.Storage = levels, st
-		c, err := New(scheme, cfg, copts)
+		copts.Levels = levels
+		c, err := newController(scheme, cfg, copts, st, false)
 		if err != nil {
+			return nil, false, err
+		}
+		c.syncDurablePosMap()
+		if err := c.persistDurable(); err != nil {
 			return nil, false, err
 		}
 		return c, true, nil

@@ -2,15 +2,17 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/oram"
-	"repro/internal/storage/filestore"
 )
 
 // diskImage reads every file under dir into a relpath -> contents map,
@@ -91,7 +93,7 @@ func TestGroupCommitSize1ByteIdentical(t *testing.T) {
 				if err := c.FlushCommits(); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Storage().(*filestore.Store).Barrier(); err != nil {
+				if err := c.Storage().Barrier(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -237,7 +239,7 @@ func TestGroupCommitTickets(t *testing.T) {
 	if err := c.FlushCommits(); err != nil {
 		t.Fatal(err)
 	}
-	c.Storage().Persist() // sync barrier waits out the async worker
+	c.Storage().Barrier() // waits out the group barrier's worker
 	if len(flushed) != 3 || flushed[0] != 3 || flushed[1] != 3 || flushed[2] != 1 {
 		t.Fatalf("observer saw groups %v, want [3 3 1]", flushed)
 	}
@@ -246,5 +248,110 @@ func TestGroupCommitTickets(t *testing.T) {
 	c.OnCommit(func(err error) { fired = true })
 	if !fired {
 		t.Fatal("OnCommit on a durable boundary did not fire inline")
+	}
+}
+
+// TestPersistFailureLatches: a failed persist barrier latches, under the
+// serial commit (MaxOps 1) and under group commit (MaxOps 8) alike.
+// Mid-run chunks/ becomes a regular file, so creating the next epoch's
+// chunk files fails with ENOTDIR (a chmod would not stop a root
+// process). The failing access (serial) or its group's ticket (grouped)
+// carries the error. Once chunks/ is back, nothing commits again: the
+// next access's commit (the access itself when serial; FlushCommits and
+// the ticket when grouped), Persist and Close all return the latched
+// error, neither version record changes, and Close still stops the
+// persist worker.
+func TestPersistFailureLatches(t *testing.T) {
+	for _, g := range []int{1, 8} {
+		t.Run(fmt.Sprintf("group=%d", g), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			dir := filepath.Join(t.TempDir(), "store")
+			opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: g}}
+			c, _, err := NewDurable(config.SchemePSORAM, testCfg(), opts, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := c.Storage()
+			runGroupTraffic(t, c, 20, 7)
+			if err := c.FlushCommits(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			versionPath := filepath.Join(dir, "version")
+			version, err := os.ReadFile(versionPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := filepath.Join(dir, "chunks")
+			if err := os.Rename(chunks, chunks+".away"); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(chunks, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			// ticketErr waits for the most recent access's commit.
+			ticketErr := func() error {
+				t.Helper()
+				done := make(chan error, 1)
+				c.OnCommit(func(err error) { done <- err })
+				select {
+				case err := <-done:
+					return err
+				case <-time.After(5 * time.Second):
+					t.Fatal("commit ticket never resolved")
+					return nil
+				}
+			}
+			// commit runs one access and returns the error its commit
+			// reports: the access's own under the serial commit; under
+			// group commit the access only joins the open group, so the
+			// error comes from the FlushCommits that closes the group,
+			// or else from its ticket.
+			commit := func(addr oram.Addr) error {
+				t.Helper()
+				if _, err := c.Access(oram.OpWrite, addr, blockVal(addr, 1, 64)); err != nil || g == 1 {
+					return err
+				}
+				if err := c.FlushCommits(); err != nil {
+					if terr := ticketErr(); !errors.Is(terr, syscall.ENOTDIR) {
+						t.Errorf("flush failed with %v, its ticket with %v", err, terr)
+					}
+					return err
+				}
+				return ticketErr()
+			}
+			if err := commit(3); !errors.Is(err, syscall.ENOTDIR) {
+				t.Fatalf("commit into a missing chunks/ = %v, want ENOTDIR", err)
+			}
+
+			if err := os.Remove(chunks); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(chunks+".away", chunks); err != nil {
+				t.Fatal(err)
+			}
+			if err := commit(4); !errors.Is(err, syscall.ENOTDIR) {
+				t.Fatalf("next commit after chunks/ came back = %v, want the latched ENOTDIR", err)
+			}
+			if err := st.Persist(); !errors.Is(err, syscall.ENOTDIR) {
+				t.Fatalf("Persist = %v, want the latched ENOTDIR", err)
+			}
+			if err := c.Close(); !errors.Is(err, syscall.ENOTDIR) {
+				t.Fatalf("Close = %v, want the latched ENOTDIR", err)
+			}
+			if got, err := os.ReadFile(versionPath); err != nil || !bytes.Equal(got, version) {
+				t.Fatalf("version records changed after the failure (read err %v)", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutine leak: %d before, %d after Close", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

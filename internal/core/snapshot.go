@@ -155,7 +155,7 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 	cfg.BlockBytes = blockBytes
 	cfg.Z = z
 
-	runtime.NumBlocks, runtime.Levels, runtime.Storage = numBlocks, levels, nil
+	runtime.NumBlocks, runtime.Levels = numBlocks, levels
 	c, err := New(scheme, cfg, runtime)
 	if err != nil {
 		return nil, err

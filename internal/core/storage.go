@@ -7,36 +7,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/oram"
+	"repro/internal/storage/filestore"
 )
-
-// DurableStorage is the controller's view of a durable backend: the
-// slot store plus the durable side state the §4.3 recovery path needs —
-// the NVM position map, the seal-version cursor, and the trusted
-// integrity root. internal/storage/filestore implements it on disk.
-//
-// The controller mirrors every durable-PosMap mutation into the backend
-// as it happens and runs one Persist barrier at the end of each
-// successful access, so the on-disk state only ever transitions between
-// access boundaries: exactly the atomic-prefix guarantee the crash
-// checker holds the persistent schemes to.
-type DurableStorage interface {
-	oram.Storage
-	Geometry() oram.StoreGeometry
-	Leaf(a oram.Addr) oram.Leaf
-	SetLeaf(a oram.Addr, l oram.Leaf)
-	VerSeq() uint32
-	SetVerSeq(v uint32)
-	Root() []byte
-	SetRoot(root []byte)
-	// Persist runs the backend's ordered persist barrier: on return the
-	// current state is the committed on-disk version.
-	Persist() error
-	// PersistAsync runs the same barrier on a background worker while
-	// the controller keeps executing accesses (group commit): onDone
-	// fires exactly once when the enqueued epoch is durable (or failed).
-	PersistAsync(onDone func(error)) error
-	Close() error
-}
 
 // CommitTicket resolves when the persist barrier covering a commit
 // group completes. OnCommit callbacks added before resolution run on
@@ -77,7 +49,7 @@ func (t *CommitTicket) resolve(err error) {
 
 // Storage returns the durable backend, or nil for the default
 // in-memory image.
-func (c *Controller) Storage() DurableStorage { return c.storage }
+func (c *Controller) Storage() *filestore.Store { return c.storage }
 
 // Close persists any remaining state of a durable controller and
 // releases its backend; an in-memory controller has nothing to release.

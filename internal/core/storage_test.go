@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/oram"
-	"repro/internal/storage/filestore"
 )
 
 // flatSchemes is the durable-backend coverage set (StorageSupported).
@@ -245,7 +244,7 @@ func TestDurableIntegrityRootSurvives(t *testing.T) {
 	}
 	// Tamper with one sealed slot behind the controller's back and
 	// persist without updating the root: reopen must reject.
-	st := loaded.Storage().(*filestore.Store)
+	st := loaded.Storage()
 	s := st.Slot(1, 0)
 	tampered := append([]byte(nil), s.SealedData...)
 	if len(tampered) == 0 {

@@ -104,7 +104,7 @@ func TestServePipelinedSteadyStateAllocs(t *testing.T) {
 
 // TestServeFileStoreSteadyStateAllocs pins the same end-to-end path
 // over file-backed shards. The serving layer adds nothing to the file
-// backend's own per-persist cost (~56 allocs/op in the controller, see
+// backend's own per-persist cost (~68 allocs/op in the controller, see
 // core's file-backed guard), so the budget sits just above core's: a
 // regression in either the serving envelope or chunk serialization
 // trips it.

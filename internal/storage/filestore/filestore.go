@@ -18,7 +18,7 @@
 //
 // # Persist barrier
 //
-// Persist writes each dirty chunk to a NEW file named by the next epoch
+// The barrier writes each dirty chunk to a NEW file named by the next epoch
 // (never overwriting the committed files), fsyncs those files and the
 // chunks directory, and only then flips the version record — a single
 // ≤64-byte write to a fixed offset — and fsyncs it. The version flip is
@@ -27,18 +27,20 @@
 // crash anywhere after it leaves the new epoch fully fsynced on disk.
 // This is the same ordering discipline as the paper's counter/queue
 // persist (WPQ batch first, commit record last): data before marker,
-// with an fence (fsync) between. Superseded files are garbage-collected
+// with a fence (fsync) between. Superseded files are garbage-collected
 // only after the flip.
 //
-// The barrier has two entry points. Persist runs it synchronously.
-// PersistAsync snapshots the dirty set into a job and hands it to a
-// background worker, so callers can accumulate several accesses' worth
-// of dirty chunks and commit them in ONE epoch (group commit): the
-// per-epoch cost — chunk writes fanned out across goroutines, one flip,
-// two fsync rounds — is amortized over the whole group, while the flip
-// remains the single commit point, so recovery always lands on a group
-// boundary. The onDone callback runs on the worker after the flip;
-// that is the durability edge acks may be released on.
+// PersistAsync runs the barrier: it snapshots the dirty set into a job
+// and hands it to a background worker, so callers can accumulate several
+// accesses' worth of dirty chunks and commit them in ONE epoch (group
+// commit): the per-epoch cost — chunk writes fanned out across
+// goroutines, one flip, two fsync rounds — is amortized over the whole
+// group, while the flip remains the single commit point, so recovery
+// always lands on a group boundary. The onDone callback runs on the
+// worker after the flip; that is the durability edge acks may be
+// released on. Persist waits on the group barrier: it is PersistAsync
+// followed by Barrier. A failed barrier latches: every later Persist,
+// PersistAsync, Barrier and Close returns the first error.
 //
 // # Recovery
 //
@@ -118,10 +120,9 @@ type Store struct {
 	dirtyList  []int
 	stateDirty bool
 
-	buf  []byte // reusable chunk serialization buffer
 	name []byte // reusable filename buffer
 
-	// Async group barrier (PersistAsync). At most one persist job is in
+	// The persist barrier (PersistAsync). At most one persist job is in
 	// flight on the background worker; the owner thread serializes the
 	// next epoch into job-owned buffers before handing it off, so the
 	// worker never touches live store state. spare recycles the previous
@@ -327,18 +328,15 @@ func (s *Store) SetRoot(root []byte) {
 	s.stateDirty = true
 }
 
-// Close waits out any in-flight group barrier, persists any remaining
-// dirty state, and releases the store (stopping the persist worker).
+// Close persists any remaining dirty state, waiting out any in-flight
+// barrier, and releases the store (stopping the persist worker).
 func (s *Store) Close() error {
-	err := s.Barrier()
+	err := s.Persist()
 	if s.jobs != nil {
 		close(s.jobs)
 		s.jobs = nil
 	}
-	if err != nil {
-		return err
-	}
-	return s.Persist()
+	return err
 }
 
 // TestingDisableVersionFlip sabotages the persist barrier for mutation
@@ -354,62 +352,14 @@ func (s *Store) TestingDisableVersionFlip() { s.noFlip = true }
 // torn-flip scenarios deterministically.
 func (s *Store) TestingKeepSuperseded() { s.keepOld = true }
 
-// Persist runs the ordered barrier: write-new → fsync → flip version
-// record → fsync → GC. On return (absent sabotage) the store's current
-// state is the committed on-disk version. Any in-flight group barrier
-// is waited out first, so epochs always commit in order.
+// Persist runs the ordered barrier (PersistAsync) and waits for it: on
+// return (absent sabotage) the store's current state is the committed
+// on-disk version.
 func (s *Store) Persist() error {
-	if err := s.Barrier(); err != nil {
+	if err := s.PersistAsync(nil); err != nil {
 		return err
 	}
-	if len(s.dirtyList) == 0 && !s.stateDirty {
-		return nil
-	}
-	next := s.epoch + 1
-	sort.Ints(s.dirtyList)
-	for _, ci := range s.dirtyList {
-		if err := s.writeDataChunk(ci, next); err != nil {
-			return err
-		}
-	}
-	wroteState := s.stateDirty
-	if wroteState {
-		if err := s.writeStateChunk(next); err != nil {
-			return err
-		}
-	}
-	// The chunk files' names must be durable before the flip promises
-	// their content exists.
-	if err := syncDir(filepath.Join(s.dir, "chunks")); err != nil {
-		return err
-	}
-	if !s.noFlip {
-		if err := s.flipVersion(next); err != nil {
-			return err
-		}
-	}
-	// Commit point passed: retire the superseded files.
-	if !s.noFlip && !s.keepOld {
-		for _, ci := range s.dirtyList {
-			if old := s.chunkEpoch[ci]; old != 0 && old != next {
-				os.Remove(s.chunkPath(kindData, ci, old))
-			}
-		}
-		if wroteState && s.stateEpoch != 0 && s.stateEpoch != next {
-			os.Remove(s.chunkPath(kindState, 0, s.stateEpoch))
-		}
-	}
-	for _, ci := range s.dirtyList {
-		s.chunkEpoch[ci] = next
-		s.dirty[ci] = false
-	}
-	if wroteState {
-		s.stateEpoch = next
-	}
-	s.dirtyList = s.dirtyList[:0]
-	s.stateDirty = false
-	s.epoch = next
-	return nil
+	return s.Barrier()
 }
 
 // Barrier waits out any in-flight group barrier and returns the store's
@@ -427,8 +377,9 @@ func (s *Store) Barrier() error {
 	return s.failed
 }
 
-// PersistAsync runs the same ordered barrier as Persist on a background
-// worker: the caller's thread serializes every dirty chunk for the next
+// PersistAsync runs the ordered barrier — write-new → fsync → flip
+// version record → fsync → GC — on a background worker: the caller's
+// thread serializes every dirty chunk for the next
 // epoch into job-owned buffers (so the store may keep mutating freely),
 // then the worker writes, fsyncs, flips the version record, and retires
 // superseded files. onDone fires exactly once from the worker (or
@@ -470,8 +421,7 @@ func (s *Store) PersistAsync(onDone func(error)) error {
 		buf := s.serializeStateChunk(job.grab(), next)
 		job.files = append(job.files, jobFile{path: s.chunkPath(kindState, 0, next), data: buf})
 	}
-	// The GC list uses the pre-advance chunk epochs, exactly like the
-	// synchronous barrier's post-flip sweep.
+	// The GC list uses the pre-advance chunk epochs.
 	if !job.noFlip && !job.keepOld {
 		for _, ci := range s.dirtyList {
 			if old := s.chunkEpoch[ci]; old != 0 && old != next {
@@ -517,8 +467,8 @@ func persistWorker(jobs <-chan *persistJob) {
 	}
 }
 
-// run is the worker half of the barrier: identical ordering discipline
-// to Persist, over the job's pre-serialized files.
+// run is the worker half of the barrier, over the job's pre-serialized
+// files.
 func (j *persistJob) run() error {
 	if err := j.writeFiles(); err != nil {
 		return err
@@ -620,8 +570,8 @@ func (s *Store) chunkHeader(buf []byte, kind byte, idx int, epoch uint64) []byte
 }
 
 // serializeDataChunk appends chunk ci's complete file image (header,
-// slots, CRC) to buf — the single source of the on-disk chunk format
-// for both the synchronous and the group barrier.
+// slots, CRC) to buf — the single source of the on-disk data chunk
+// format.
 func (s *Store) serializeDataChunk(buf []byte, ci int, epoch uint64) []byte {
 	buf = s.chunkHeader(buf, kindData, ci, epoch)
 	lo, hi := s.bucketRange(ci)
@@ -649,16 +599,6 @@ func (s *Store) serializeStateChunk(buf []byte, epoch uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-func (s *Store) writeDataChunk(ci int, epoch uint64) error {
-	s.buf = s.serializeDataChunk(s.buf[:0], ci, epoch)
-	return writeFileSync(s.chunkPath(kindData, ci, epoch), s.buf)
-}
-
-func (s *Store) writeStateChunk(epoch uint64) error {
-	s.buf = s.serializeStateChunk(s.buf[:0], epoch)
-	return writeFileSync(s.chunkPath(kindState, 0, epoch), s.buf)
-}
-
 func writeFileSync(path string, content []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -675,13 +615,9 @@ func writeFileSync(path string, content []byte) error {
 	return f.Close()
 }
 
-// flipVersion commits epoch: one fixed-offset record write (alternating
-// between the two slots so a torn write can only damage the record being
-// written, never the previously committed one), then fsync.
-func (s *Store) flipVersion(epoch uint64) error {
-	return flipVersionAt(filepath.Join(s.dir, "version"), epoch)
-}
-
+// flipVersionAt commits epoch: one fixed-offset record write
+// (alternating between the two slots so a torn write can only damage the
+// record being written, never the previously committed one), then fsync.
 func flipVersionAt(path string, epoch uint64) error {
 	var rec [verRecSize]byte
 	copy(rec[:], verMagic)
@@ -712,13 +648,8 @@ func writeMeta(dir string, g oram.StoreGeometry) error {
 	buf = binary.LittleEndian.AppendUint64(buf, g.NumBlocks)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	tmp := filepath.Join(dir, "meta.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeFileSync(tmp, buf); err != nil {
 		return err
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
 	}
 	return os.Rename(tmp, filepath.Join(dir, "meta"))
 }

@@ -1,10 +1,10 @@
 package filestore_test
 
-// Group-barrier turnover tests: the asynchronous persist path
-// (PersistAsync) must leave the directory in exactly the states the
-// synchronous barrier would — one live epoch per chunk after rapid
-// turnover, strays from an interrupted group swept on recovery, and
-// newest-wins resolution across the post-flip pre-GC window.
+// Group-barrier turnover tests: grouped epochs committed through
+// PersistAsync must leave the directory in the states recovery expects —
+// one live epoch per chunk after rapid turnover, strays from an
+// interrupted group swept on recovery, and newest-wins resolution across
+// the post-flip pre-GC window.
 
 import (
 	"bytes"

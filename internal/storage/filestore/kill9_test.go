@@ -121,7 +121,7 @@ func TestKill9Child(t *testing.T) {
 		t.Fatalf("initial placement left %d blocks in the volatile stash; lower the utilization", n)
 	}
 	if os.Getenv(k9EnvNoFlip) == "1" {
-		ctl.Storage().(*filestore.Store).TestingDisableVersionFlip()
+		ctl.Storage().TestingDisableVersionFlip()
 	}
 	for i, op := range k9GenOps(seed) {
 		kind, data := oram.OpRead, []byte(nil)

@@ -73,10 +73,6 @@ var ErrCrashed = core.ErrCrashed
 // Store.CrashAt).
 type CrashPoint = core.CrashPoint
 
-// DurableStorage is a pluggable durable backend (see WithStorage and
-// internal/storage/filestore for the on-disk implementation).
-type DurableStorage = core.DurableStorage
-
 // Store is a crash-consistent oblivious block store: the paper's ORAM
 // controller exposed as a library. All methods are single-threaded by
 // design — the hardware it models is one memory controller. For
@@ -93,7 +89,6 @@ type storeConfig struct {
 	levels   int
 	crashAt  func(CrashPoint) bool
 	storeDir string
-	storage  DurableStorage
 	group    core.GroupCommit
 }
 
@@ -138,14 +133,6 @@ func WithStorePath(dir string) StoreOption {
 	return func(c *storeConfig) { c.storeDir = dir }
 }
 
-// WithStorage backs a FRESH store with a caller-provided durable
-// backend (the store's initial image is built into it). Most callers
-// want WithStorePath; this hook exists for custom DurableStorage
-// implementations.
-func WithStorage(st DurableStorage) StoreOption {
-	return func(c *storeConfig) { c.storage = st }
-}
-
 // WithGroupCommit batches the durable persist barrier across up to n
 // accesses (PS-ORAM §4.3 runs one ordered commit point per access; the
 // fsync floor under that barrier dominates file-backed stores). Under
@@ -178,19 +165,14 @@ func New(numBlocks uint64, opts ...StoreOption) (*Store, error) {
 	if sc.scheme == NonORAM {
 		sc.scheme = PSORAM
 	}
-	if sc.storeDir != "" && sc.storage != nil {
-		return nil, errors.New("psoram: WithStorePath and WithStorage are mutually exclusive")
-	}
 	// A Store serves values; simulated time is Simulate's business, so the
 	// controller runs over the untimed memory model.
 	copts := core.Options{NumBlocks: numBlocks, Levels: sc.levels, GroupCommit: sc.group, Untimed: true}
 	var ctl *core.Controller
 	var err error
-	switch {
-	case sc.storeDir != "":
+	if sc.storeDir != "" {
 		ctl, _, err = core.NewDurable(sc.scheme, sc.cfg, copts, sc.storeDir)
-	default:
-		copts.Storage = sc.storage
+	} else {
 		ctl, err = core.New(sc.scheme, sc.cfg, copts)
 	}
 	if err != nil {
