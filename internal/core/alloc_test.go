@@ -112,9 +112,8 @@ func steadyStateAllocs(t *testing.T, scheme config.Scheme, cfg config.Config, op
 // zero). Real I/O is inherently allocating in Go — each persist opens
 // chunk files and materializes their path strings, and the barrier's
 // worker fans the chunk writes out over goroutines — so this backend
-// gets its own measured budget: 68.00 when last measured (56.00 when
-// pinned, before the serial commit ran on the group barrier), all of it
-// in the per-access persist barrier. The budget catches a per-slot or
+// gets its own measured budget: 68.00 when last measured, all of it in
+// the per-access persist barrier. The budget catches a per-slot or
 // per-bucket allocation creeping into chunk serialization (which would
 // show up as hundreds per access), not the fixed file-handling cost.
 func TestCoreFileStoreSteadyStateAllocs(t *testing.T) {

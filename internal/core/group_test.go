@@ -46,8 +46,8 @@ func runGroupTraffic(t *testing.T, c *Controller, ops int, seed uint64) map[oram
 	return runGroupTrafficThen(t, c, ops, seed, nil)
 }
 
-// runGroupTrafficThen is runGroupTraffic with after run once every
-// access has returned (nil runs nothing).
+// runGroupTrafficThen is runGroupTraffic calling after once each
+// access has returned (nil calls nothing).
 func runGroupTrafficThen(t *testing.T, c *Controller, ops int, seed uint64, after func()) map[oram.Addr][]byte {
 	t.Helper()
 	ref := make(map[oram.Addr][]byte)

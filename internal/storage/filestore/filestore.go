@@ -138,7 +138,7 @@ type Store struct {
 	keepOld bool
 }
 
-// persistJob is one group barrier handed to the background worker: the
+// persistJob is one barrier handed to the background worker: the
 // fully serialized chunk files for one epoch, the superseded files to
 // retire after the flip, and the completion callback. Its buffers are
 // owned by the job from enqueue until the owner thread waits it out.
@@ -362,7 +362,7 @@ func (s *Store) Persist() error {
 	return s.Barrier()
 }
 
-// Barrier waits out any in-flight group barrier and returns the store's
+// Barrier waits out any in-flight barrier and returns the store's
 // sticky failure state. After a clean Barrier the last PersistAsync
 // epoch is the committed on-disk version (absent sabotage).
 func (s *Store) Barrier() error {
@@ -379,12 +379,12 @@ func (s *Store) Barrier() error {
 
 // PersistAsync runs the ordered barrier — write-new → fsync → flip
 // version record → fsync → GC — on a background worker: the caller's
-// thread serializes every dirty chunk for the next
-// epoch into job-owned buffers (so the store may keep mutating freely),
-// then the worker writes, fsyncs, flips the version record, and retires
-// superseded files. onDone fires exactly once from the worker (or
-// inline when nothing is dirty) after the epoch is durable — or with
-// the barrier's error. If PersistAsync itself returns an error, onDone
+// thread serializes every dirty chunk for the next epoch into job-owned
+// buffers (so the store may keep mutating freely), then the worker
+// writes, fsyncs, flips the version record, and retires superseded
+// files. onDone fires exactly once from the worker (or inline when
+// nothing is dirty) after the epoch is durable — or with the barrier's
+// error. If PersistAsync itself returns an error, onDone
 // is never called.
 //
 // At most one job is in flight: a second PersistAsync (or Persist, or
