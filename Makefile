@@ -81,12 +81,15 @@ crash-matrix: build
 oracle-smoke: build
 	$(GO) run ./cmd/psoram oracle -crash
 
-# fuzz-smoke gives each oracle fuzz target a short coverage-guided run
-# (the CI budget; raise FUZZTIME locally for a deeper session).
+# fuzz-smoke gives every fuzz target in the repo a short coverage-guided
+# run (the CI budget; raise FUZZTIME locally for a deeper session).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOracleAccessSequence$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzStashEviction$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreOps$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadRejectsOrRoundTrips$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSealOpen$$' -fuzztime $(FUZZTIME) ./internal/cryptoeng
 	$(GO) test -run '^$$' -fuzz '^FuzzStashTable$$' -fuzztime $(FUZZTIME) ./internal/oram
 	$(GO) test -run '^$$' -fuzz '^FuzzImageOverlay$$' -fuzztime $(FUZZTIME) ./internal/oram
 	$(GO) test -run '^$$' -fuzz '^FuzzFilestoreRecovery$$' -fuzztime $(FUZZTIME) ./internal/storage/filestore

@@ -16,7 +16,6 @@ import (
 	psoram "repro"
 	"repro/internal/config"
 	"repro/internal/netserve"
-	"repro/internal/oracle"
 )
 
 // poolFlags are the serving pool's flags, declared once for the two
@@ -78,13 +77,13 @@ func (f poolFlags) build() *psoram.Pool {
 	}
 	if n := uint64(*f.crashEvery); n > 0 {
 		var points atomic.Uint64
-		armCrash(pool, func(oracle.CrashSpec) bool { return points.Add(1)%n == 0 })
+		armCrash(pool, func(psoram.CrashPoint) bool { return points.Add(1)%n == 0 })
 	}
 	return pool
 }
 
 // armCrash installs fire on every shard of the serving set (nil disarms).
-func armCrash(pool *psoram.Pool, fire func(oracle.CrashSpec) bool) {
+func armCrash(pool *psoram.Pool, fire func(psoram.CrashPoint) bool) {
 	for s := 0; s < pool.Shards(); s++ {
 		if err := pool.ArmCrash(context.Background(), s, fire); err != nil {
 			fatal(err)

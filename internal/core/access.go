@@ -449,7 +449,7 @@ func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
 	rest := c.scratch.rest[:0]
 	for _, b := range c.ORAM.Stash.AppendLive(c.scratch.order[:0]) {
 		switch {
-		case b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap:
+		case c.mustReturn(b):
 			must = append(must, b)
 		case b.PendingRemap:
 			pending = append(pending, b)
@@ -517,26 +517,11 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 	c.stageMark()
 	smallWPQ := c.ORAM.Tree.PathBlocks() > c.Cfg.DataWPQEntries ||
 		(c.Scheme == config.SchemeNaivePSORAM && c.ORAM.Tree.PathBlocks() > c.Cfg.PosMapWPQEntries)
-	// Either planner fills c.scratch.plan.
-	var unplaced []*oram.StashBlock
-	if c.wpqPersistent() && smallWPQ {
-		// Ordered multi-batch mode: identity placement kills the
-		// displacement cycles that small WPQs cannot commit atomically.
-		unplaced = c.planIdentity(l)
-	} else {
-		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
-		unplaced = c.scratch.unplaced
+	// Ordered multi-batch mode: identity placement kills the displacement
+	// cycles that small WPQs cannot commit atomically.
+	if err := c.planEviction(l, c.wpqPersistent() && smallWPQ); err != nil {
+		return 0, 0, err
 	}
-	// Crash-consistency check: every must-evict candidate placed
-	// (persistent schemes only; the baselines tolerate lingering).
-	if c.wpqPersistent() {
-		for _, b := range unplaced {
-			if b.Backup || (b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap) {
-				return 0, 0, fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)
-			}
-		}
-	}
-	c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
 	c.stageAdd(StageEvict)
 
 	switch c.Scheme {
@@ -545,6 +530,37 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 	default:
 		return c.evictPosted(l)
 	}
+}
+
+// mustReturn reports whether live stash block b must go back to the path
+// this access read: it was loaded from that path (a clean path-origin
+// block) and is not the remapped target, whose backup is its durable
+// continuation. A partial write-back would strand it (Fig. 3).
+func (c *Controller) mustReturn(b *oram.StashBlock) bool {
+	return b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap
+}
+
+// planEviction fills c.scratch.plan for the data path to l — by identity
+// placement (planIdentity) or in evictionOrder — and charges the path's
+// encryption. A persistent scheme fails when a backup or a must-return
+// block did not fit; the baselines tolerate lingering.
+func (c *Controller) planEviction(l oram.Leaf, identity bool) error {
+	var unplaced []*oram.StashBlock
+	if identity {
+		unplaced = c.planIdentity(l)
+	} else {
+		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
+		unplaced = c.scratch.unplaced
+	}
+	if c.wpqPersistent() {
+		for _, b := range unplaced {
+			if b.Backup || c.mustReturn(b) {
+				return fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)
+			}
+		}
+	}
+	c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
+	return nil
 }
 
 // planIdentity fills c.scratch.plan for the ordered small-WPQ mode:
@@ -584,7 +600,7 @@ func (c *Controller) planIdentity(l oram.Leaf) (unplaced []*oram.StashBlock) {
 	}
 	c.scratch.rest = c.ORAM.Stash.AppendLive(c.scratch.rest[:0])
 	for _, b := range c.scratch.rest {
-		if b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap {
+		if c.mustReturn(b) {
 			k, ok := onPathLevel(b.OriginBucket)
 			if ok && b.OriginSlot < t.Z && plan[k][b.OriginSlot] == nil {
 				plan[k][b.OriginSlot] = b

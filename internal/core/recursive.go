@@ -84,13 +84,9 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 			return Result{}, err
 		}
 	} else {
-		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
-		for _, b := range c.scratch.unplaced {
-			if b.Backup || (b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap) {
-				return Result{}, fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)
-			}
+		if err := c.planEviction(l, false); err != nil {
+			return Result{}, err
 		}
-		c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
 		slots := c.planSlots(0, l, true)
 		evicted, _ = c.writeBack(0, slots, batch) // batched: no crash point
 		// Force-evict the data target too.

@@ -303,3 +303,30 @@ func TestOracleGenOpsDeterministic(t *testing.T) {
 		t.Error("different workload names produced an identical stream — streams are not name-derived")
 	}
 }
+
+// TestCoreTargetArmNilDisarms: a fired injector surfaces as core's own
+// ErrCrashed, and Arm(nil) removes the injector, so the recovered
+// target serves writes and reads again.
+func TestCoreTargetArmNilDisarms(t *testing.T) {
+	tgt, err := NewTarget(Params{Scheme: config.SchemePSORAM, NumBlocks: 64, Levels: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tgt.(CrashTarget)
+	v := bytes.Repeat([]byte{0x3c}, tgt.BlockBytes())
+	ct.Arm(func(CrashSpec) bool { return true })
+	if _, _, err := ct.Access(oram.OpWrite, 3, v); !errors.Is(err, ErrCrashed) || !errors.Is(err, core.ErrCrashed) {
+		t.Fatalf("armed access = %v, want core.ErrCrashed", err)
+	}
+	if err := ct.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ct.Arm(nil)
+	if _, _, err := ct.Access(oram.OpWrite, 3, v); err != nil {
+		t.Fatalf("write after disarm: %v", err)
+	}
+	got, _, err := ct.Access(oram.OpRead, 3, nil)
+	if err != nil || !bytes.Equal(got, v) {
+		t.Fatalf("read after disarm = %.8q, %v; want %.8q", got, err, v)
+	}
+}

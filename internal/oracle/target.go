@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -11,18 +10,13 @@ import (
 	"repro/internal/oram"
 )
 
-// ErrCrashed is the normalized "injected power failure" error: the
-// core adapter translates core.ErrCrashed into it so the harness handles
-// every scheme uniformly.
-var ErrCrashed = errors.New("oracle: simulated power failure")
+// ErrCrashed is the error a target's Access returns when an armed
+// injector fired: core.ErrCrashed itself.
+var ErrCrashed = core.ErrCrashed
 
 // CrashSpec is a crash-injection offer in the shared step numbering
-// (crash.DeclaredSteps).
-type CrashSpec struct {
-	Access uint64 // completed accesses when the point was offered
-	Step   int
-	Sub    int // sub-step, -1 when the scheme has none
-}
+// (crash.DeclaredSteps): core's CrashPoint under the oracle's name.
+type CrashSpec = core.CrashPoint
 
 // Target is the oracle's uniform view of a system under test. Access
 // runs one protocol access and returns the value read (the previous
@@ -48,7 +42,8 @@ type Target interface {
 
 // CrashTarget is a Target that supports crash injection: Arm installs
 // the injection hook (fire returns true to trigger the power failure at
-// the offered point) and Recover runs the scheme's recovery procedure.
+// the offered point; nil disarms) and Recover runs the scheme's
+// recovery procedure.
 type CrashTarget interface {
 	Target
 	Arm(fire func(CrashSpec) bool)
@@ -149,9 +144,6 @@ func (t *coreTarget) Leaves() uint64        { return t.ctl.ORAM.Tree.Leaves() }
 
 func (t *coreTarget) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, oram.Leaf, error) {
 	res, err := t.ctl.Access(op, addr, data)
-	if errors.Is(err, core.ErrCrashed) {
-		return nil, 0, ErrCrashed
-	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -170,11 +162,7 @@ func (t *coreTarget) currentLeaf(a oram.Addr) oram.Leaf {
 	return t.ctl.ORAM.PosMap.Lookup(a)
 }
 
-func (t *coreTarget) Arm(fire func(CrashSpec) bool) {
-	t.ctl.CrashAt = func(p core.CrashPoint) bool {
-		return fire(CrashSpec{Access: p.Access, Step: p.Step, Sub: p.Sub})
-	}
-}
+func (t *coreTarget) Arm(fire func(CrashSpec) bool) { t.ctl.CrashAt = fire }
 
 func (t *coreTarget) Recover() error { return t.ctl.Recover() }
 
@@ -204,7 +192,7 @@ func (t *coreTarget) Prefetch(oram.Addr) {}
 // StageNanos exposes the controller's cumulative per-stage wall time
 // (load / crypto / evict / seal / persist) for the serving layer's
 // histograms.
-func (t *coreTarget) StageNanos() [5]int64 { return t.ctl.StageNanos() }
+func (t *coreTarget) StageNanos() [core.NumStages]int64 { return t.ctl.StageNanos() }
 
 // OnCommit registers fn to fire once the most recently completed
 // access is durable (inline when it already is) — the serving layer

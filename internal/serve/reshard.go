@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -172,6 +173,7 @@ func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]
 		// those schemes extract live instead.
 		scheme := b.Scheme()
 		wpqDurable := scheme == config.SchemePSORAM || scheme == config.SchemeNaivePSORAM
+		peek := b.Peek
 		if sn, ok := b.(snapshotter); ok && wpqDurable {
 			var buf bytes.Buffer
 			if err := sn.SaveDurable(&buf); err != nil {
@@ -181,19 +183,10 @@ func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]
 			if err != nil {
 				return fmt.Errorf("snapshot load: %w", err)
 			}
-			for i := uint64(0); i < local; i++ {
-				v, err := ctl.Peek(oram.Addr(i))
-				if err != nil {
-					return err
-				}
-				if !allZero(v) {
-					blocks[i] = append([]byte(nil), v...)
-				}
-			}
-			return nil
+			peek = ctl.Peek
 		}
 		for i := uint64(0); i < local; i++ {
-			v, err := b.Peek(oram.Addr(i))
+			v, err := peek(oram.Addr(i))
 			if err != nil {
 				return err
 			}
@@ -203,7 +196,7 @@ func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]
 		}
 		return nil
 	}
-	if err := p.retrySubmit(ctx, sh, nil, func(r *request) { r.kind, r.fn = kindExec, fn }); err != nil {
+	if err := p.retrySubmit(ctx, sh, nil, func(r *request) { r.fn = fn }); err != nil {
 		return nil, err
 	}
 	return blocks, nil
@@ -228,12 +221,14 @@ func (p *Pool) abortReshard(rt *routeTable, next []*shard, newEpoch uint64) {
 	}
 }
 
-// retire drains and closes a shard set that no routing table references
-// anymore: close each queue under its write lock (in-flight submitters
-// either finished or will observe sh.closed and re-route), join the
-// worker, and close the backend (for file-backed shards that runs the
-// final persist barrier).
-func (p *Pool) retire(shards []*shard) {
+// retire drains and closes a shard set no submit can reach anymore (no
+// routing table references it, or the pool is closing): close each queue
+// under its write lock (in-flight submitters either finished or will
+// observe sh.closed and re-route), join every worker, and only then close
+// the backends that implement io.Closer — they are single-threaded, and
+// for file-backed shards Close runs the final persist barrier. It returns
+// the first close error.
+func (p *Pool) retire(shards []*shard) error {
 	for _, sh := range shards {
 		sh.closeMu.Lock()
 		if !sh.closed {
@@ -244,10 +239,16 @@ func (p *Pool) retire(shards []*shard) {
 	}
 	for _, sh := range shards {
 		<-sh.done
-		if c, ok := sh.backend.(interface{ Close() error }); ok {
-			c.Close()
+	}
+	var first error
+	for _, sh := range shards {
+		if c, ok := sh.backend.(io.Closer); ok {
+			if err := c.Close(); err != nil && first == nil {
+				first = fmt.Errorf("serve: shard %d close: %w", sh.id, err)
+			}
 		}
 	}
+	return first
 }
 
 // allZero reports whether every byte of v is zero (a never-written

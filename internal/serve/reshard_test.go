@@ -246,12 +246,15 @@ func TestReshardDurableAdoption(t *testing.T) {
 }
 
 // gatedBackend is a map-backed test backend whose Peek parks on a gate,
-// letting tests freeze a reshard mid-extraction deterministically.
+// letting tests freeze a reshard mid-extraction deterministically. It
+// counts its Peek (before the gate) and Invariants calls.
 type gatedBackend struct {
 	n    uint64
 	bb   int
 	gate chan struct{} // nil = never blocks
 	m    map[oram.Addr][]byte
+
+	peeks, invariants atomic.Int32
 }
 
 func newGatedBackend(n uint64, bb int, gate chan struct{}) *gatedBackend {
@@ -262,8 +265,12 @@ func (b *gatedBackend) Scheme() config.Scheme { return config.SchemeNonORAM }
 func (b *gatedBackend) NumBlocks() uint64     { return b.n }
 func (b *gatedBackend) BlockBytes() int       { return b.bb }
 func (b *gatedBackend) Leaves() uint64        { return 0 }
-func (b *gatedBackend) Invariants() []error   { return nil }
 func (b *gatedBackend) Recover() error        { return nil }
+
+func (b *gatedBackend) Invariants() []error {
+	b.invariants.Add(1)
+	return nil
+}
 
 func (b *gatedBackend) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, oram.Leaf, error) {
 	// Deliberately bypasses the gate: only Peek (the extraction and
@@ -282,6 +289,7 @@ func (b *gatedBackend) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, 
 }
 
 func (b *gatedBackend) Peek(addr oram.Addr) ([]byte, error) {
+	b.peeks.Add(1)
 	if b.gate != nil {
 		<-b.gate
 	}
@@ -465,5 +473,154 @@ func TestReshardAbortOnCancel(t *testing.T) {
 	got, err := p.Peek(ctx, 3)
 	if err != nil || !bytes.Equal(got, v) {
 		t.Fatalf("post-abort write readback = %.8q, %v", got, err)
+	}
+}
+
+// closureRig is a pool of two gated shards halfway into a reshard to
+// four: stripe 0 is frozen and its extraction is parked in old shard 0's
+// Peek. Old shard s's Peek parks on gates[s]; the replacement shards
+// never park. The pool's closure requests (Peek, Invariants, ArmCrash)
+// are pinned against it.
+type closureRig struct {
+	p         *Pool
+	gates     [2]chan struct{}
+	open      [2]sync.Once
+	mu        sync.Mutex
+	old, next []*armCounting
+	resharded chan error
+}
+
+func newClosureRig(t *testing.T) *closureRig {
+	t.Helper()
+	r := &closureRig{
+		gates:     [2]chan struct{}{make(chan struct{}), make(chan struct{})},
+		resharded: make(chan error, 1),
+	}
+	r.p = mustPool(t, Options{
+		Shards: 2, NumBlocks: 16, MaxBatch: 1,
+		Factory: func(s int, local uint64) (Backend, error) {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if len(r.old) < 2 {
+				b := &armCounting{Backend: newGatedBackend(local, 16, r.gates[s])}
+				r.old = append(r.old, b)
+				return b, nil
+			}
+			b := &armCounting{Backend: newGatedBackend(local, 16, nil)}
+			r.next = append(r.next, b)
+			return b, nil
+		},
+	})
+	// Runs before mustPool's Close, which would wait out the parked
+	// reshard.
+	t.Cleanup(func() { r.release(0); r.release(1) })
+	go func() { r.resharded <- r.p.Reshard(context.Background(), 4) }()
+	waitFor(t, func() bool { return r.gated(r.shard(true, 0)).peeks.Load() > 0 }, "stripe 0 never froze")
+	return r
+}
+
+// release opens old shard s's gate (idempotent).
+func (r *closureRig) release(s int) { r.open[s].Do(func() { close(r.gates[s]) }) }
+
+// shard returns old (or replacement) backend i.
+func (r *closureRig) shard(old bool, i int) *armCounting {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old {
+		return r.old[i]
+	}
+	return r.next[i]
+}
+
+func (r *closureRig) gated(b *armCounting) *gatedBackend { return b.Backend.(*gatedBackend) }
+
+// all returns every backend built: the old set, then the replacement.
+func (r *closureRig) all() []*armCounting {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append(append([]*armCounting(nil), r.old...), r.next...)
+}
+
+// finish releases both gates and requires the reshard to commit.
+func (r *closureRig) finish(t *testing.T) {
+	t.Helper()
+	r.release(0)
+	r.release(1)
+	if err := <-r.resharded; err != nil {
+		t.Fatalf("reshard: %v", err)
+	}
+}
+
+// TestReshardPeekFrozenStripe: Peek of a frozen stripe fails fast with
+// ErrResharding and never reaches a backend.
+func TestReshardPeekFrozenStripe(t *testing.T) {
+	r := newClosureRig(t)
+	peeks := func() (n int32) {
+		for _, b := range r.all() {
+			n += r.gated(b).peeks.Load()
+		}
+		return n
+	}
+	before := peeks()
+	for _, addr := range []uint64{0, 2, 14} { // all on stripe 0
+		if _, err := r.p.Peek(context.Background(), addr); !errors.Is(err, ErrResharding) {
+			t.Fatalf("Peek(%d) of the frozen stripe = %v, want ErrResharding", addr, err)
+		}
+	}
+	if n := peeks(); n != before {
+		t.Fatalf("Peek of a frozen stripe reached a backend (%d peeks, was %d)", n, before)
+	}
+	r.finish(t)
+}
+
+// TestReshardInvariantsCoverBothSets: Invariants issued while a stripe
+// is frozen waits behind the parked extraction, returns once migration
+// resumes, and checks every shard of both sets exactly once.
+func TestReshardInvariantsCoverBothSets(t *testing.T) {
+	r := newClosureRig(t)
+	res := make(chan []error, 1)
+	go func() { res <- r.p.Invariants(context.Background()) }()
+	waitFor(t, func() bool { return r.p.Stats().Shards[0].QueueDepth == 1 }, "Invariants never queued behind the extraction")
+	select {
+	case errs := <-res:
+		t.Fatalf("Invariants returned %v while its shard was parked", errs)
+	default:
+	}
+	r.release(0)
+	// Stripe 1's extraction parks on the second gate, so the old set
+	// cannot be retired before Invariants has reached old shard 1: either
+	// it already ran there, or it is queued behind that extraction.
+	old1 := r.gated(r.shard(true, 1))
+	waitFor(t, func() bool {
+		return old1.invariants.Load() == 1 || (old1.peeks.Load() > 0 && r.p.Stats().Shards[1].QueueDepth == 1)
+	}, "Invariants never reached old shard 1")
+	r.release(1)
+	if errs := <-res; len(errs) != 0 {
+		t.Fatalf("Invariants = %v", errs)
+	}
+	r.finish(t)
+	for i, b := range r.all() {
+		if n := r.gated(b).invariants.Load(); n != 1 {
+			t.Errorf("backend %d (of 2 old, then 4 new) checked %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestReshardArmCrashOldSetIndex: mid-reshard, ArmCrash indexes the old
+// (still serving) set: it arms that shard and nothing else.
+func TestReshardArmCrashOldSetIndex(t *testing.T) {
+	r := newClosureRig(t)
+	if err := r.p.ArmCrash(context.Background(), 1, func(oracle.CrashSpec) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	r.finish(t)
+	for i, b := range r.all() {
+		want := int32(0)
+		if i == 1 {
+			want = 1
+		}
+		if n := b.arms.Load(); n != want {
+			t.Errorf("backend %d (of 2 old, then 4 new) armed %d times, want %d", i, n, want)
+		}
 	}
 }

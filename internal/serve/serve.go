@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/oracle"
 	"repro/internal/oram"
 	"repro/internal/rng"
@@ -126,11 +127,7 @@ type Backend interface {
 // histograms, and the sum of one access's differences is its service
 // time (the core controllers implement it; the plain NonORAM store does
 // not, and its service times record nothing).
-type staged interface{ StageNanos() [5]int64 }
-
-// stageNames labels the staged facet's indices (mirrors core.StageNames
-// without importing core).
-var stageNames = [5]string{"load", "crypto", "evict", "seal", "persist"}
+type staged interface{ StageNanos() [core.NumStages]int64 }
 
 // grouped is the optional backend facet for group-commit durability:
 // accesses return before their mutations are durable, so the worker
@@ -145,11 +142,6 @@ type grouped interface {
 	FlushCommits() error
 	CommitPending() bool
 	SetCommitObserver(fn func(ops int, persistNanos int64))
-}
-
-// crashable is the optional backend facet accepting a crash injector.
-type crashable interface {
-	Arm(fire func(oracle.CrashSpec) bool)
 }
 
 // snapshotter is the optional backend facet serializing the shard's
@@ -321,24 +313,9 @@ func (rt *routeTable) live() []*shard {
 	return append(all, rt.next...)
 }
 
-// request kinds a shard worker executes.
-type kind uint8
-
-const (
-	kindAccess kind = iota
-	kindPeek
-	kindInvariants
-	kindArm
-	// kindExec runs an arbitrary closure on the shard's worker goroutine,
-	// preserving the single-threaded backend contract. The resharding
-	// path extracts a frozen shard's blocks through it.
-	kindExec
-)
-
 type response struct {
 	value []byte
 	leaf  oram.Leaf
-	errs  []error
 	err   error
 }
 
@@ -349,14 +326,15 @@ type response struct {
 // client context died first — is left to the GC, because its late
 // reply would otherwise leak into the next user of the channel). A
 // request submitted through Go carries done instead of a waiter: finish
-// recycles the envelope and calls it on the replying goroutine.
+// recycles the envelope and calls it on the replying goroutine. A
+// request is either an access (op, addr, data) or, when fn is set, a
+// closure run on the shard's worker goroutine, so it may touch the
+// single-threaded backend (see run).
 type request struct {
-	kind  kind
 	op    oram.Op
 	addr  oram.Addr // shard-local
 	data  []byte
-	fire  func(oracle.CrashSpec) bool
-	fn    func(b Backend) error // kindExec body
+	fn    func(b Backend) error // the closure; nil = an access
 	ctx   context.Context
 	done  func(value []byte, err error) // Go's completion; nil = reply on the channel
 	reply chan response
@@ -374,9 +352,9 @@ type shard struct {
 	done    chan struct{} // closed when the worker exits (per-shard join)
 
 	// Worker-owned pipelining scratch (no locks: one worker per shard).
-	stageLast [5]int64     // last StageNanos snapshot
-	combine   []int        // per-round: leader index for combinable reads, -1 = physical
-	caps      []combineCap // per-round leader value captures
+	stageLast [core.NumStages]int64 // last StageNanos snapshot
+	combine   []int                 // per-round: leader index for combinable reads, -1 = physical
+	caps      []combineCap          // per-round leader value captures
 
 	// closeMu serializes sends on queue against its close: submitters
 	// hold the read side around the send, teardown (pool Close, or
@@ -402,11 +380,11 @@ type shard struct {
 	flushes    stats.PaddedUint64 // group persist barriers run (group commit)
 
 	mu        sync.Mutex
-	serviceNs stats.Histogram    // per-access wall ns inside the backend (sum of the stages)
-	batch     stats.Histogram    // requests coalesced per protocol round
-	stageHist [5]stats.Histogram // per-access wall ns per protocol stage
-	groupHist stats.Histogram    // accesses covered per group persist barrier
-	persistNs stats.Histogram    // wall ns per group barrier, flush → durable
+	serviceNs stats.Histogram                 // per-access wall ns inside the backend (sum of the stages)
+	batch     stats.Histogram                 // requests coalesced per protocol round
+	stageHist [core.NumStages]stats.Histogram // per-access wall ns per protocol stage
+	groupHist stats.Histogram                 // accesses covered per group persist barrier
+	persistNs stats.Histogram                 // wall ns per group barrier, flush → durable
 }
 
 // combineCap captures one physical access's outcome for round-mates that
@@ -425,7 +403,6 @@ type combineCap struct {
 type Pool struct {
 	opts   Options
 	router atomic.Pointer[routeTable]
-	wg     sync.WaitGroup // every worker ever started (old sets included)
 
 	closed  atomic.Bool // submits re-check under the shard's closeMu
 	reqPool sync.Pool   // *request envelopes with their reply channels
@@ -552,7 +529,6 @@ func (p *Pool) newShard(id int, b Backend) *shard {
 	}
 	sh.combine = make([]int, 0, p.opts.MaxBatch)
 	sh.caps = make([]combineCap, p.opts.MaxBatch)
-	p.wg.Add(1)
 	go p.work(sh)
 	return sh
 }
@@ -575,7 +551,6 @@ func (p *Pool) newShard(id int, b Backend) *shard {
 // accepted before Close is answered.
 func (p *Pool) work(sh *shard) {
 	defer close(sh.done)
-	defer p.wg.Done()
 	batch := make([]*request, 0, p.opts.MaxBatch)
 	combining := !p.opts.Serial
 	var idle *time.Timer // bounds held acks' wait; one per worker, re-armed
@@ -710,12 +685,12 @@ func (sh *shard) planCombines(batch []*request, combining bool) {
 		return
 	}
 	for i, r := range batch {
-		if r.kind != kindAccess || r.op != oram.OpRead {
+		if r.fn != nil || r.op != oram.OpRead {
 			continue
 		}
 		for j := i - 1; j >= 0; j-- {
 			rj := batch[j]
-			if rj.kind == kindAccess && rj.addr == r.addr {
+			if rj.fn == nil && rj.addr == r.addr {
 				lead := j
 				if sh.combine[lead] >= 0 {
 					lead = sh.combine[lead] // j itself combines; share its leader
@@ -737,16 +712,17 @@ func (sh *shard) planCombines(batch []*request, combining bool) {
 func (p *Pool) execute(sh *shard, r *request, cc *combineCap) {
 	// A request whose deadline passed while queued is answered without
 	// spending a protocol access on it.
-	if r.ctx != nil && r.ctx.Err() != nil && r.kind != kindArm {
+	if r.ctx != nil && r.ctx.Err() != nil {
 		sh.expired.Add(1)
 		p.finish(r, response{err: r.ctx.Err()})
 		return
 	}
 	var resp response
-	switch r.kind {
-	case kindAccess:
+	if r.fn != nil {
+		resp.err = r.fn(sh.backend)
+	} else {
 		v, leaf, err := sh.backend.Access(r.op, r.addr, r.data)
-		if errors.Is(err, oracle.ErrCrashed) {
+		if errors.Is(err, core.ErrCrashed) {
 			sh.crashes.Add(1)
 			if rerr := sh.backend.Recover(); rerr != nil {
 				resp.err = fmt.Errorf("serve: shard %d recovery failed: %w", sh.id, rerr)
@@ -785,27 +761,15 @@ func (p *Pool) execute(sh *shard, r *request, cc *combineCap) {
 				sh.mu.Unlock()
 			}
 		}
-	case kindPeek:
-		resp.value, resp.err = sh.backend.Peek(r.addr)
-	case kindInvariants:
-		resp.errs = sh.backend.Invariants()
-	case kindArm:
-		if c, ok := sh.backend.(crashable); ok {
-			c.Arm(r.fire)
-		} else {
-			resp.err = fmt.Errorf("serve: shard %d backend does not support crash injection", sh.id)
-		}
-	case kindExec:
-		resp.err = r.fn(sh.backend)
 	}
 	if resp.err == nil || errors.Is(resp.err, ErrInterrupted) {
 		sh.completed.Add(1)
 	}
-	if r.kind == kindAccess && resp.err == nil {
+	if r.fn == nil && resp.err == nil {
 		// Successful accesses are the only replies that imply the
 		// mutation is durable; under group commit they are held on their
 		// commit ticket. Errors (including ErrInterrupted — the access
-		// never happened) and non-access kinds reply immediately.
+		// never happened) and closures reply immediately.
 		p.deliver(sh, r, resp)
 		return
 	}
@@ -929,7 +893,7 @@ func (p *Pool) Go(ctx context.Context, op oram.Op, addr uint64, data []byte, don
 			return
 		}
 		r := p.getRequest()
-		r.kind, r.op, r.addr, r.data, r.done = kindAccess, op, local, data, done
+		r.op, r.addr, r.data, r.done = op, local, data, done
 		err := p.enqueue(ctx, sh, r, rt)
 		if err == errRouteChanged {
 			continue
@@ -965,7 +929,7 @@ func (p *Pool) Access(ctx context.Context, op oram.Op, addr uint64, data []byte)
 			return nil, 0, rerr
 		}
 		r := p.getRequest()
-		r.kind, r.op, r.addr, r.data = kindAccess, op, local, data
+		r.op, r.addr, r.data = op, local, data
 		resp, err := p.submit(ctx, sh, r, rt)
 		if err == errRouteChanged {
 			continue
@@ -994,7 +958,7 @@ func (p *Pool) Access(ctx context.Context, op oram.Op, addr uint64, data []byte)
 }
 
 // retrySubmit submits one request to shard sh, re-issuing it as Classify
-// allows (a fresh envelope each time; fill sets its kind and operands).
+// allows (a fresh envelope each time; fill sets its operands or closure).
 // The pool's internal duties run through it — mirroring an acked write
 // into a stripe's old shard, extracting a frozen stripe, replaying a
 // migrated block — because a full queue or an injected-crash recovery
@@ -1020,10 +984,23 @@ func (p *Pool) retrySubmit(ctx context.Context, sh *shard, rt *routeTable, fill 
 	}
 }
 
+// run submits fn as a closure request to shard sh and waits for its
+// result; rt is submit's table check (nil = none). fn runs on the shard's
+// worker goroutine, after what is already queued, and only if ctx is
+// still live when the worker dequeues it. Whatever fn stores may be read
+// only when run returns nil: on a context error the caller stopped
+// waiting, and fn may run later or never.
+func (p *Pool) run(ctx context.Context, sh *shard, rt *routeTable, fn func(Backend) error) error {
+	r := p.getRequest()
+	r.fn = fn
+	_, err := p.submit(ctx, sh, r, rt)
+	return err
+}
+
 // writeRequest fills an envelope with a shard-local write.
 func writeRequest(addr oram.Addr, data []byte) func(*request) {
 	return func(r *request) {
-		r.kind, r.op, r.addr, r.data = kindAccess, oram.OpWrite, addr, data
+		r.op, r.addr, r.data = oram.OpWrite, addr, data
 	}
 }
 
@@ -1059,13 +1036,18 @@ func (p *Pool) Peek(ctx context.Context, addr uint64) ([]byte, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		r := p.getRequest()
-		r.kind, r.addr = kindPeek, local
-		resp, err := p.submit(ctx, sh, r, rt)
+		var v []byte
+		err := p.run(ctx, sh, rt, func(b Backend) (err error) {
+			v, err = b.Peek(local)
+			return err
+		})
 		if err == errRouteChanged {
 			continue
 		}
-		return resp.value, err
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
 	}
 }
 
@@ -1076,9 +1058,11 @@ func (p *Pool) Peek(ctx context.Context, addr uint64) ([]byte, error) {
 func (p *Pool) Invariants(ctx context.Context) []error {
 	var out []error
 	for _, sh := range p.router.Load().live() {
-		r := p.getRequest()
-		r.kind = kindInvariants
-		resp, err := p.submit(ctx, sh, r, nil)
+		var errs []error
+		err := p.run(ctx, sh, nil, func(b Backend) error {
+			errs = b.Invariants()
+			return nil
+		})
 		if err == errRouteChanged {
 			continue // the shard was retired mid-call; its set is gone
 		}
@@ -1086,7 +1070,7 @@ func (p *Pool) Invariants(ctx context.Context) []error {
 			out = append(out, fmt.Errorf("serve: shard %d invariants: %w", sh.id, err))
 			continue
 		}
-		for _, e := range resp.errs {
+		for _, e := range errs {
 			out = append(out, fmt.Errorf("serve: shard %d: %w", sh.id, e))
 		}
 	}
@@ -1096,16 +1080,24 @@ func (p *Pool) Invariants(ctx context.Context) []error {
 // ArmCrash installs a crash injector on one shard of the current
 // serving set, serialized through its queue like any other request:
 // fire is called at each protocol crash point and returning true
-// simulates the power failure there. Pass nil to disarm.
-func (p *Pool) ArmCrash(ctx context.Context, shard int, fire func(oracle.CrashSpec) bool) error {
+// simulates the power failure there. Pass nil to disarm. Like every
+// request, it is dropped if ctx is dead when the shard dequeues it.
+func (p *Pool) ArmCrash(ctx context.Context, shard int, fire func(core.CrashPoint) bool) error {
 	for {
 		rt := p.router.Load()
 		if shard < 0 || shard >= len(rt.shards) {
 			return fmt.Errorf("serve: no shard %d (have %d)", shard, len(rt.shards))
 		}
-		r := p.getRequest()
-		r.kind, r.fire = kindArm, fire
-		_, err := p.submit(ctx, rt.shards[shard], r, rt)
+		err := p.run(ctx, rt.shards[shard], rt, func(b Backend) error {
+			c, ok := b.(interface {
+				Arm(func(core.CrashPoint) bool)
+			})
+			if !ok {
+				return fmt.Errorf("serve: shard %d backend does not support crash injection", shard)
+			}
+			c.Arm(fire)
+			return nil
+		})
 		if err == errRouteChanged {
 			continue
 		}
@@ -1157,32 +1149,8 @@ func (p *Pool) Close(ctx context.Context) error {
 	p.reshardMu.Lock()
 	defer p.reshardMu.Unlock()
 	shards := p.router.Load().live()
-	// Safe: submitters re-check closed under the shard's read lock
-	// before touching the queue, so taking the write lock here means
-	// nobody can send on a closed channel.
-	for _, sh := range shards {
-		sh.closeMu.Lock()
-		if !sh.closed {
-			sh.closed = true
-			close(sh.queue)
-		}
-		sh.closeMu.Unlock()
-	}
 	done := make(chan error, 1)
-	go func() {
-		// Backends are single-threaded; closing them only after every
-		// worker has exited keeps that contract.
-		p.wg.Wait()
-		var first error
-		for _, sh := range shards {
-			if c, ok := sh.backend.(io.Closer); ok {
-				if err := c.Close(); err != nil && first == nil {
-					first = fmt.Errorf("serve: shard %d close: %w", sh.id, err)
-				}
-			}
-		}
-		done <- first
-	}()
+	go func() { done <- p.retire(shards) }()
 	if ctx == nil {
 		return <-done
 	}

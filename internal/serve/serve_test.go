@@ -654,6 +654,85 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestArmCrashNilDisarms: ArmCrash(ctx, s, nil) removes shard s's
+// injector, and the shard then serves reads and writes as if it had
+// never been armed.
+func TestArmCrashNilDisarms(t *testing.T) {
+	p := mustPool(t, Options{Shards: 2, NumBlocks: 32, Levels: 5, Seed: 3})
+	ctx := context.Background()
+	const s = 1 // owns the odd addresses
+	var offered atomic.Int64
+	if err := p.ArmCrash(ctx, s, func(oracle.CrashSpec) bool {
+		offered.Add(1)
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(ctx, s, bytes.Repeat([]byte{1}, p.BlockBytes())); err != nil {
+		t.Fatal(err)
+	}
+	if offered.Load() == 0 {
+		t.Fatal("the armed injector was never offered a crash point")
+	}
+	if err := p.ArmCrash(ctx, s, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := offered.Load()
+	for i := 0; i < 8; i++ {
+		addr := uint64(s + 2*i)
+		v := bytes.Repeat([]byte{byte(i + 2)}, p.BlockBytes())
+		if err := p.Write(ctx, addr, v); err != nil {
+			t.Fatalf("write %d after disarm: %v", addr, err)
+		}
+		got, err := p.Read(ctx, addr)
+		if err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("read %d after disarm = %.8q, %v; want %.8q", addr, got, err, v)
+		}
+	}
+	if n := offered.Load(); n != before {
+		t.Errorf("the disarmed injector was offered %d more points", n-before)
+	}
+	if c := p.Stats().Shards[s].Crashes; c != 0 {
+		t.Errorf("Crashes = %d, want 0", c)
+	}
+}
+
+// armCounting is a backend that counts the crash injectors installed on
+// it.
+type armCounting struct {
+	Backend
+	arms atomic.Int32
+}
+
+func (b *armCounting) Arm(func(oracle.CrashSpec) bool) { b.arms.Add(1) }
+
+// TestArmCrashExpiresWithDeadContext: an ArmCrash whose context died
+// while it was queued is answered like any other request — counted
+// expired, and the backend never sees the Arm.
+func TestArmCrashExpiresWithDeadContext(t *testing.T) {
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
+	be := &armCounting{Backend: &blockingBackend{n: 8, bb: 16, gate: gate, parked: parked}}
+	p := mustPool(t, Options{
+		Shards: 1, NumBlocks: 8, MaxBatch: 1,
+		Factory: func(int, uint64) (Backend, error) { return be, nil },
+	})
+	go p.Read(context.Background(), 0)
+	<-parked
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- p.ArmCrash(ctx, 0, func(oracle.CrashSpec) bool { return false }) }()
+	waitFor(t, func() bool { return p.Stats().Shards[0].QueueDepth == 1 }, "ArmCrash never queued")
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ArmCrash = %v, want context.Canceled", err)
+	}
+	close(gate)
+	waitFor(t, func() bool { return p.Stats().Shards[0].Expired == 1 }, "the cancelled ArmCrash was not counted expired")
+	if n := be.arms.Load(); n != 0 {
+		t.Errorf("backend armed %d times by a cancelled ArmCrash, want 0", n)
+	}
+}
+
 // closingBackend counts its Close calls.
 type closingBackend struct {
 	blockingBackend

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -121,7 +122,7 @@ func (p *Pool) Stats() PoolStats {
 			for k := range sh.stageHist {
 				h := &sh.stageHist[k]
 				s.Stages[k] = StageStats{
-					Name:   stageNames[k],
+					Name:   core.StageNames[k],
 					MeanNs: h.Mean(),
 					P50Ns:  h.Quantile(0.50),
 					P99Ns:  h.Quantile(0.99),

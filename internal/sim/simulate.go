@@ -59,8 +59,7 @@ func (r Request) name() string {
 const ctxCheckMask = 63
 
 // Simulate runs the full-system timing model described by req. It is the
-// only non-deprecated simulator entry point; the Run* functions are thin
-// wrappers kept for compatibility.
+// simulator's one entry point.
 //
 // The context is checked at loop checkpoints (every 64 accesses or
 // records), so a cancelled Simulate stops mid-run and returns an error
