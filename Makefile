@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden clean
+.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden clean
 
 all: check
 
@@ -13,6 +13,16 @@ vet:
 # fmt fails when gofmt -l lists any file.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
+# cross builds and vets every package but ./benchmark (Linux-only) for
+# Windows and macOS: an image's region is an anonymous mmap on unix and a
+# heap slice elsewhere, and both must keep compiling.
+CROSS_PKGS = $$($(GO) list ./... | grep -v '^repro/benchmark')
+cross:
+	GOOS=windows $(GO) build $(CROSS_PKGS)
+	GOOS=windows $(GO) vet $(CROSS_PKGS)
+	GOOS=darwin $(GO) build $(CROSS_PKGS)
+	GOOS=darwin $(GO) vet $(CROSS_PKGS)
 
 test:
 	$(GO) test ./...
@@ -35,14 +45,15 @@ stress:
 	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/netserve/
 	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/storage/filestore/
 
-# check is the pre-commit gate: build, vet, the gofmt gate, the full
-# suite under the race detector, and the two everything-armed CLI runs.
+# check is the pre-commit gate: build, vet, the gofmt gate, the Windows
+# and macOS builds, the full suite under the race detector, and the two
+# everything-armed CLI runs.
 # -short shrinks the sweep grid cells (see internal/sweep.testGrid), the
 # seam differential and the durable alloc guards' warm-ups, and takes the
 # CI slice of the kill -9 tortures (a few real SIGKILLs per scheme; the
 # full sweeps run in `make test` / `make race`); every other serving,
 # pipelining, resharding and group-commit test runs whole.
-check: build vet fmt
+check: build vet fmt cross
 	$(GO) test -short -race ./...
 	$(MAKE) cli-smoke
 

@@ -71,6 +71,9 @@ type Result struct {
 // returned error is ErrCrashed when the injected crash fired; the caller
 // then owns calling Recover and (if desired) retrying the access.
 func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
+	if c.closed {
+		return Result{}, errClosed
+	}
 	if c.crashed {
 		return Result{}, fmt.Errorf("core: access after crash without Recover")
 	}

@@ -55,6 +55,9 @@ func (p CrashPoint) String() string {
 // called before further use.
 var ErrCrashed = errors.New("core: simulated power failure")
 
+// errClosed is returned by a controller's operations after its Close.
+var errClosed = errors.New("core: controller is closed")
+
 // Controller is the crash-consistent ORAM controller.
 type Controller struct {
 	Scheme config.Scheme
@@ -201,6 +204,8 @@ type Controller struct {
 	OnDurable func(addr oram.Addr, value []byte)
 
 	crashed bool
+	// closed is set by Close: the images are freed.
+	closed bool
 
 	// storage is the durable backend (nil = in-memory image only): the
 	// tree image, the NVM position map, the seal-version cursor and the
@@ -533,6 +538,9 @@ func (c *Controller) powerFail() {
 // sweep of the PosMap region (no log scan, no tree walk) — one of the
 // advantages over logging/CoW the paper argues in §2.5.
 func (c *Controller) Recover() error {
+	if c.closed {
+		return errClosed
+	}
 	if !c.crashed {
 		return errors.New("core: Recover called without a crash")
 	}
@@ -570,6 +578,9 @@ func (c *Controller) Recover() error {
 // Peek returns addr's value as the running system would read it
 // (diagnostics / consistency checking; not an ORAM access).
 func (c *Controller) Peek(addr oram.Addr) ([]byte, error) {
+	if c.closed {
+		return nil, errClosed
+	}
 	return c.ORAM.PeekWith(addr, c.currentLeaf)
 }
 

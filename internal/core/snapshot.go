@@ -56,6 +56,9 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 	if c.Rec != nil {
 		return fmt.Errorf("core: snapshots do not cover recursive schemes yet")
 	}
+	if c.closed {
+		return errClosed
+	}
 	if c.crashed {
 		return fmt.Errorf("core: recover before snapshotting")
 	}

@@ -51,10 +51,16 @@ func (t *CommitTicket) resolve(err error) {
 // in-memory image.
 func (c *Controller) Storage() *filestore.Store { return c.storage }
 
-// Close persists any remaining state of a durable controller and
-// releases its backend; an in-memory controller has nothing to release.
-// The controller must be idle.
+// Close persists any remaining state of a durable controller, releases
+// its backend, and frees the images of the data tree and of every PosMap
+// tree, in memory or not. The controller must be idle. Its operations
+// return an error afterwards, and a second Close is a no-op.
 func (c *Controller) Close() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	defer c.closeImages()
 	if c.storage == nil {
 		return nil
 	}
@@ -79,6 +85,16 @@ func (c *Controller) Close() error {
 		return perr
 	}
 	return cerr
+}
+
+// closeImages frees the data tree's image and every PosMap tree's.
+func (c *Controller) closeImages() {
+	c.ORAM.Image.Close()
+	if c.Rec != nil {
+		for _, lvl := range c.Rec.Levels {
+			lvl.Image.Close()
+		}
+	}
 }
 
 // StorageSupported gates which schemes a durable backend covers: the

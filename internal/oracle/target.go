@@ -60,7 +60,7 @@ type Params struct {
 	Cfg *config.Config
 	// StoreDir, when non-empty, backs the target with a durable on-disk
 	// store (create-or-recover via core.NewDurable). Flat Path ORAM
-	// schemes only; the target then also implements io.Closer.
+	// schemes only.
 	StoreDir string
 	// GroupCommitOps batches the durable persist barrier across this
 	// many accesses (core schemes with StoreDir only; <= 1 keeps the
@@ -166,8 +166,9 @@ func (t *coreTarget) Arm(fire func(CrashSpec) bool) { t.ctl.CrashAt = fire }
 
 func (t *coreTarget) Recover() error { return t.ctl.Recover() }
 
-// Close persists and releases the durable backend, if any (io.Closer —
-// the serving layer closes file-backed shards through this).
+// Close persists and releases the durable backend, if any, and frees the
+// controller's images (io.Closer — the serving layer closes every shard
+// it retires through this).
 func (t *coreTarget) Close() error { return t.ctl.Close() }
 
 // Cycles reports the controller's cycle cursor. Targets run over the

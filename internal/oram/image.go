@@ -38,8 +38,10 @@ type Image struct {
 	// names, per slot = bucket*Z+z, the payload cell of a slot that holds a
 	// real block, stale copies included (0 = none: a dummy's ciphertext is
 	// a function of key and IVs alone). The cells are BlockBytes rounded
-	// up to a cache line, carved from chunks of cellChunk cells and handed
-	// out from a LIFO free list (see ownCell). cold holds, per slot, what a
+	// up to a cache line, cell h at h*cellB in cells, and handed out from a
+	// LIFO free list, then from a bump cursor (see ownCell). The three
+	// tables live in the image's region, one mapping outside the Go heap
+	// that Close frees (see newImage). cold holds, per slot, what a
 	// path write-back never needs: IVs that are not the bucket's implied
 	// pair, and the state bits. An image that keeps the record form holds
 	// cold entries only where a slot needs one, in pages of coldPageBuckets
@@ -56,11 +58,13 @@ type Image struct {
 	recordForm bool
 	engine     *cryptoeng.Engine
 	recW       uint64 // words per record: recHdr + 3Z
+	region     *region
 	recs       []uint32
 	cell       []uint32
-	cells      [][]byte
+	cells      []byte
 	cellB      uint64 // bytes per cell
 	free       []uint32
+	next       uint32 // the lowest handle never handed out
 	cold       [][]coldSlot
 	coldUse    []int32 // per page: the slots that need their entry (record form only)
 	memo       []sealedBuf
@@ -147,27 +151,10 @@ const (
 	// lineBytes is the cache-line size the records and cells are aligned
 	// to.
 	lineBytes = 64
-	// The payload cells grow a chunk of cellChunk cells at a time.
-	cellChunkShift = 8
-	cellChunk      = 1 << cellChunkShift
 	// A page of cold entries covers coldPageBuckets consecutive buckets.
 	coldPageShift   = 6
 	coldPageBuckets = 1 << coldPageShift
 )
-
-// lineAligned returns n zeroed elements, the first of them at the start
-// of a cache line. T's size must divide lineBytes. The Go heap does not
-// move objects, so the alignment holds for the slice's lifetime.
-func lineAligned[T any](n uint64) []T {
-	buf := make([]T, n)
-	if uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%lineBytes == 0 {
-		return buf
-	}
-	size := uint64(unsafe.Sizeof(buf[0]))
-	buf = make([]T, n+lineBytes/size-1)
-	skip := uint64(lineBytes-uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%lineBytes) % lineBytes / size
-	return buf[skip : skip+n : skip+n]
-}
 
 // sealedBuf is one slot's materialized ciphertext. The buffers are
 // overlay-owned, never the store's: what a PutSlot caller stored belongs
@@ -231,13 +218,28 @@ func NewImageOn(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) *Image 
 	return newImage(st, t, e, blockBytes, false)
 }
 
+// newImage lays the record table, the cell handles and the payload cells
+// out in one region, each table from a line: a slot owns at most one
+// cell, so the region holds a cell for every slot, plus the unused cell 0,
+// and only the cells the image hands out are ever touched.
 func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordForm bool) *Image {
+	if t.Slots() >= math.MaxUint32 {
+		panic(fmt.Sprintf("oram: a tree of %d slots is beyond the 32-bit cell handles", t.Slots()))
+	}
 	_, inMemory := st.(*memStorage)
 	img := &Image{Tree: t, store: st, blockB: blockBytes, engine: e, barrier: !inMemory, recordForm: recordForm}
+	line := func(n uint64) uint64 { return (n + lineBytes - 1) / lineBytes * lineBytes }
 	img.recW = recHdr + 3*uint64(t.Z)
-	img.recs = lineAligned[uint32](t.Buckets() * img.recW)
-	img.cell = lineAligned[uint32](t.Slots())
-	img.cellB = (uint64(blockBytes) + lineBytes - 1) / lineBytes * lineBytes
+	img.cellB = line(uint64(blockBytes))
+	recB := 4 * t.Buckets() * img.recW
+	cellAt := line(recB)
+	cellsAt := cellAt + line(4*t.Slots())
+	img.region = newRegion(cellsAt + (t.Slots()+1)*img.cellB)
+	mem := img.region.mem
+	img.recs = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[0])), recB/4)
+	img.cell = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[cellAt])), t.Slots())
+	img.cells = mem[cellsAt:]
+	img.next = 1 // a zero handle means no cell
 	pages := (t.Buckets() + coldPageBuckets - 1) >> coldPageShift
 	img.cold = make([][]coldSlot, pages)
 	if recordForm {
@@ -303,24 +305,26 @@ func (img *Image) dropCold(bucket uint64, n int) {
 }
 
 // payload is slot idx's cell, which the slot must own, capped so that an
-// append through the view can never reach the neighbouring cell.
+// append through the view can never reach the neighbouring cell. The
+// view is into the image's region: it is valid while the image is open.
 func (img *Image) payload(idx uint64) []byte {
-	h := uint64(img.cell[idx])
-	off := (h & (cellChunk - 1)) * img.cellB
+	off := uint64(img.cell[idx]) * img.cellB
 	end := off + uint64(img.blockB)
-	return img.cells[h>>cellChunkShift][off:end:end]
+	return img.cells[off:end:end]
 }
 
 // ownCell gives slot idx a cell unless it owns one already — the cell
 // handed back last, so a whole-bucket write stores into the cells its
-// PutLazyDummies just returned — and returns the slot's payload view.
+// PutLazyDummies just returned, else the lowest never handed out — and
+// returns the slot's payload view.
 func (img *Image) ownCell(idx uint64) []byte {
 	if img.cell[idx] == 0 {
-		if len(img.free) == 0 {
-			img.growCells()
+		if n := len(img.free) - 1; n >= 0 {
+			img.cell[idx], img.free = img.free[n], img.free[:n]
+		} else {
+			img.cell[idx] = img.next
+			img.next++
 		}
-		n := len(img.free) - 1
-		img.cell[idx], img.free = img.free[n], img.free[:n]
 	}
 	return img.payload(idx)
 }
@@ -333,21 +337,29 @@ func (img *Image) dropCell(idx uint64) {
 	}
 }
 
-// growCells allocates a chunk of cells and puts them on the free list,
-// to be handed out in ascending order. Cell 0 is never handed out: a
-// zero handle means no cell.
-func (img *Image) growCells() {
-	first := uint64(len(img.cells)) << cellChunkShift
-	if first+cellChunk > math.MaxUint32 {
-		panic("oram: payload cells exhausted")
+// Close frees the image's region and drops its tables. The image must
+// not be used afterwards, nor any payload view it returned: with its
+// tables nil, a stray use fails a bounds check instead of touching
+// unmapped memory. Closing twice is a no-op.
+func (img *Image) Close() {
+	if img.region == nil {
+		return
 	}
-	img.cells = append(img.cells, lineAligned[byte](cellChunk*img.cellB))
-	for h := first + cellChunk - 1; h > first; h-- {
-		img.free = append(img.free, uint32(h))
+	img.recs, img.cell, img.cells, img.free = nil, nil, nil, nil
+	img.cold, img.coldUse, img.memo = nil, nil, nil
+	img.region.free()
+	img.region = nil
+}
+
+// footprint is the bytes the image holds: the region's records and
+// handles, its cells up to the highest ever handed out, and the cold
+// pages.
+func (img *Image) footprint() uint64 {
+	n := uint64(4*len(img.recs)+4*len(img.cell)) + uint64(img.next)*img.cellB
+	for _, p := range img.cold {
+		n += uint64(len(p)) * uint64(unsafe.Sizeof(coldSlot{}))
 	}
-	if first != 0 {
-		img.free = append(img.free, uint32(first))
-	}
+	return n
 }
 
 // state is the state bits of slot z of the bucket with record r: the

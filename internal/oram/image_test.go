@@ -746,19 +746,21 @@ func TestUndoSurvivesLazyRewrites(t *testing.T) {
 	}
 }
 
-// TestImageFootprint pins the overlay's size to what it holds. An
-// in-memory Z = 4 image written the way PS-ORAM writes it — InitBlocks,
-// then every address accessed once, each access reading its path in
-// place and writing it back whole (PutLazyDummies, then PutLazyBlock per
-// real slot under the path's consecutive IVs) — holds a record and Z
-// cell handles per bucket, a cell per real slot, and no page of cold
-// entries: InitBlocks' explicit IVs are gone once every bucket it wrote
-// has been rewritten. At two blocks a leaf, the 25% real slots of a
-// mem-deep shard, that is at most 160 heap bytes a bucket (440 when
-// every slot had a payload and a cold entry and every bucket a store
-// row).
+// TestImageFootprint pins the overlay's size to what it holds, and holds
+// the overlay off the Go heap. An in-memory Z = 4 image written the way
+// PS-ORAM writes it — InitBlocks, then every address accessed once, each
+// access reading its path in place and writing it back whole
+// (PutLazyDummies, then PutLazyBlock per real slot under the path's
+// consecutive IVs) — holds a record and Z cell handles per bucket, a cell
+// per real slot, and no page of cold entries: InitBlocks' explicit IVs
+// are gone once every bucket it wrote has been rewritten. At two blocks a
+// leaf, the 25% real slots of a mem-deep shard, its footprint is at most
+// 160 bytes a bucket (440 when every slot had a payload and a cold entry
+// and every bucket a store row). Those bytes are in the image's region:
+// where that is a mapping, closing the image frees at most 8 heap bytes a
+// bucket.
 func TestImageFootprint(t *testing.T) {
-	const levels, budget = 12, 160
+	const levels, budget, heapBudget = 12, 160, 8
 	tree := NewTree(levels, 4)
 	c := mustNew(t, Params{Levels: levels, Z: 4, BlockBytes: 64, StashEntries: 200, NumBlocks: 2 * tree.Leaves(), Seed: 7})
 	img := c.Image
@@ -802,18 +804,25 @@ func TestImageFootprint(t *testing.T) {
 		t.Fatalf("after every address was accessed the image holds %d cold pages", n)
 	}
 
+	held := float64(img.footprint()) / float64(tree.Buckets())
+	t.Logf("L=%d: the image holds %.1f bytes a bucket", levels, held)
+	if held > budget {
+		t.Fatalf("the image holds %.1f bytes a bucket, budget %d", held, budget)
+	}
+
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	with := int64(ms.HeapAlloc)
+	img.Close()
 	c.Image, img = nil, nil
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	without := int64(ms.HeapAlloc)
 	runtime.KeepAlive(c)
-	perBucket := float64(with-without) / float64(tree.Buckets())
-	t.Logf("L=%d: the image holds %.1f heap bytes a bucket", levels, perBucket)
-	if perBucket > budget {
-		t.Fatalf("the image holds %.1f heap bytes a bucket, budget %d", perBucket, budget)
+	onHeap := float64(with-without) / float64(tree.Buckets())
+	t.Logf("L=%d: closing the image freed %.1f heap bytes a bucket", levels, onHeap)
+	if !regionOnHeap && onHeap > heapBudget {
+		t.Fatalf("closing the image freed %.1f heap bytes a bucket, budget %d", onHeap, heapBudget)
 	}
 }

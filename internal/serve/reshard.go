@@ -183,6 +183,7 @@ func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]
 			if err != nil {
 				return fmt.Errorf("snapshot load: %w", err)
 			}
+			defer ctl.Close() // in memory: frees its images
 			peek = ctl.Peek
 		}
 		for i := uint64(0); i < local; i++ {
@@ -225,9 +226,9 @@ func (p *Pool) abortReshard(rt *routeTable, next []*shard, newEpoch uint64) {
 // routing table references it, or the pool is closing): close each queue
 // under its write lock (in-flight submitters either finished or will
 // observe sh.closed and re-route), join every worker, and only then close
-// the backends that implement io.Closer — they are single-threaded, and
-// for file-backed shards Close runs the final persist barrier. It returns
-// the first close error.
+// the backends that implement io.Closer — they are single-threaded; a
+// core shard's Close frees its images, after the final persist barrier
+// for a file-backed one. It returns the first close error.
 func (p *Pool) retire(shards []*shard) error {
 	for _, sh := range shards {
 		sh.closeMu.Lock()

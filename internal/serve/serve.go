@@ -1134,7 +1134,8 @@ func (p *Pool) Scheme() config.Scheme { return p.router.Load().shards[0].backend
 // Close drains the pool: no new submits are accepted, every already
 // queued request is executed (crashed rounds recover via §4.3 on the
 // way out), the workers exit, and any backend implementing io.Closer is
-// closed (for file-backed shards that runs the final persist barrier).
+// closed (that frees a core shard's images, and for file-backed shards
+// runs the final persist barrier first).
 // An in-flight Reshard is aborted (it observes closed at its next
 // stripe boundary and reverts) before the drain begins. The context
 // bounds the drain; on expiry the workers keep draining — and the

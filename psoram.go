@@ -245,8 +245,10 @@ func (s *Store) FlushCommits() error { return s.ctl.FlushCommits() }
 // Recover runs the post-restart recovery procedure (§4.3).
 func (s *Store) Recover() error { return s.ctl.Recover() }
 
-// Close persists any remaining durable state and releases the storage
-// backend; a no-op for in-memory stores.
+// Close persists any remaining durable state, releases the storage
+// backend, and frees the store's tree images, in memory or not. The
+// store's operations return an error afterwards; a second Close is a
+// no-op.
 func (s *Store) Close() error { return s.ctl.Close() }
 
 // Accesses returns the number of completed ORAM accesses.
