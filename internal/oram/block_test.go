@@ -184,12 +184,8 @@ func TestImageInitBlocksPlacesOnPath(t *testing.T) {
 	iv := testIVs()
 	tr := NewTree(4, 4)
 	img := NewImage(tr, e, 64, iv)
-	blocks := []Block{
-		{Addr: 0, Leaf: 3, Data: make([]byte, 64)},
-		{Addr: 1, Leaf: 3, Data: make([]byte, 64)},
-		{Addr: 2, Leaf: 12, Data: make([]byte, 64)},
-	}
-	img.InitBlocks(blocks, iv)
+	leaves := []Leaf{3, 3, 12}
+	img.InitBlocks(uint64(len(leaves)), func(a Addr) Leaf { return leaves[a] }, iv)
 	n, err := img.CountReal()
 	if err != nil {
 		t.Fatal(err)
@@ -198,21 +194,21 @@ func TestImageInitBlocksPlacesOnPath(t *testing.T) {
 		t.Fatalf("CountReal = %d", n)
 	}
 	// Each block must sit on its leaf's path.
-	for _, want := range blocks {
+	for a, l := range leaves {
 		found := false
-		for _, bucket := range tr.Path(want.Leaf) {
+		for _, bucket := range tr.Path(l) {
 			got, err := img.ReadBucket(bucket)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, b := range got {
-				if b.Addr == want.Addr && b.Leaf == want.Leaf {
+				if b.Addr == Addr(a) && b.Leaf == l {
 					found = true
 				}
 			}
 		}
 		if !found {
-			t.Fatalf("block %d not on path %d", want.Addr, want.Leaf)
+			t.Fatalf("block %d not on path %d", a, l)
 		}
 	}
 }
@@ -222,13 +218,10 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 	iv := testIVs()
 	tr := NewTree(2, 1) // 7 slots, path holds 3
 	img := NewImage(tr, e, 8, iv)
-	var blocks []Block
-	for i := 0; i < 4; i++ { // 4 blocks on the same leaf's 3-slot path
-		blocks = append(blocks, Block{Addr: Addr(i), Leaf: 0, Data: make([]byte, 8)})
-	}
-	unplaced := img.InitBlocks(blocks, iv)
-	if len(unplaced) != 1 || unplaced[0].Addr != 3 {
-		t.Fatalf("unplaced = %+v, want the fourth block", unplaced)
+	// 4 blocks on the same leaf's 3-slot path
+	unplaced := img.InitBlocks(4, func(Addr) Leaf { return 0 }, iv)
+	if len(unplaced) != 1 || unplaced[0] != 3 {
+		t.Fatalf("unplaced = %v, want the fourth block", unplaced)
 	}
 	n, err := img.CountReal()
 	if err != nil {
@@ -244,6 +237,16 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 type wrappedStorage struct {
 	Storage
 	sets *int
+}
+
+// wrappedImage builds an image born lazy over a wrappedStorage that
+// counts its slot writes into sets.
+func wrappedImage(tree Tree, e *cryptoeng.Engine, blockBytes int, sets *int) *Image {
+	img, err := NewImageInto(wrappedStorage{newMemStorage(tree), sets}, tree, e, blockBytes, testIVs())
+	if err != nil {
+		panic(err)
+	}
+	return img
 }
 
 func (w wrappedStorage) SetSlot(bucket uint64, z int, s Slot) {
@@ -279,7 +282,7 @@ func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	}
 
 	sets := 0
-	dur := NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs())
+	dur := wrappedImage(tree, e, 64, &sets)
 	writeAll(dur)
 	if _, ok := dur.RealSlots(0); ok || dur.recordForm {
 		t.Fatal("an image over a durable store took the record form")

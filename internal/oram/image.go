@@ -58,6 +58,7 @@ type Image struct {
 	recordForm bool
 	engine     *cryptoeng.Engine
 	recW       uint64 // words per record: recHdr + 3Z
+	initBase   uint64 // the IV base of the initial placements (see impliedIVs)
 	region     *region
 	recs       []uint32
 	cell       []uint32
@@ -115,9 +116,10 @@ const NeverDone = math.MaxUint64
 // set the bucket is in record form, what a whole-bucket write
 // (PutLazyDummies, then PutLazyBlock per real slot) leaves behind: every
 // slot is live, a clear real bit is a dummy, every dummy and every real
-// slot without its explicit bit is sealed under the implied IVs
-// ivBase+2z+1 and ivBase+2z+2, and only the explicit slots have a cold
-// entry, of which only the IVs are read. Anything else that touches a
+// slot without its explicit bit is sealed under its implied IVs
+// (ivBase+2z+1 and ivBase+2z+2, or for an initial placement the pair
+// its address implies; see impliedIVs), and only the explicit slots have
+// a cold entry, of which only the IVs are read. Anything else that touches a
 // slot of the bucket first expands it back into per-slot cold entries.
 // Without recOn, real, explicit and ivBase mean nothing and cold is
 // authoritative.
@@ -162,9 +164,14 @@ const (
 type sealedBuf struct{ hdr, data []byte }
 
 // NewImage allocates an in-memory image with a dummy in every slot (see
-// NewImageInto).
+// NewImageInto), and panics if its region cannot be mapped: tests build
+// images this way; New returns the error instead.
 func NewImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
-	return NewImageInto(newMemStorage(t), t, e, blockBytes, nextIV)
+	img, err := NewImageInto(newMemStorage(t), t, e, blockBytes, nextIV)
+	if err != nil {
+		panic(err)
+	}
+	return img
 }
 
 // NewImageInto builds a fresh image on an existing (empty) storage
@@ -172,12 +179,15 @@ func NewImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64)
 // bucket and slot by slot, each under the next two IVs of nextIV.
 // Construction runs no AES and writes nothing to the store; a slot is
 // sealed when it is observed, or, on a durable backend, at the first
-// MaterializePending.
-func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) *Image {
+// MaterializePending. The last IV drawn is the image's initBase.
+func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) (*Image, error) {
 	// The record form is for in-memory stores only: a durable barrier
 	// queues and seals slot by slot, so its image keeps per-slot entries.
 	_, inMemory := st.(*memStorage)
-	img := newImage(st, t, e, blockBytes, inMemory && t.Z <= maxRecordZ)
+	img, err := newImage(st, t, e, blockBytes, inMemory && t.Z <= maxRecordZ)
+	if err != nil {
+		return nil, err
+	}
 	// A bucket's 2Z draws, in slot order, are what a path write-back
 	// draws for it: when they come out consecutive (NextIV is a counter)
 	// the bucket is born in record form, one record write instead of Z
@@ -202,7 +212,8 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 			img.PutLazyDummy(bucket, z, ivs[2*z], ivs[2*z+1])
 		}
 	}
-	return img
+	img.initBase = ivs[len(ivs)-1]
+	return img, nil
 }
 
 // NewImageOn attaches an image to an already-populated storage backend
@@ -214,7 +225,7 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 // barrier, so a durable caller must run MaterializePending before every
 // persist: that mirrors the overlay into the store, and a seal is
 // deferred only as far as the barrier, never past it.
-func NewImageOn(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) *Image {
+func NewImageOn(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) (*Image, error) {
 	return newImage(st, t, e, blockBytes, false)
 }
 
@@ -222,9 +233,9 @@ func NewImageOn(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) *Image 
 // out in one region, each table from a line: a slot owns at most one
 // cell, so the region holds a cell for every slot, plus the unused cell 0,
 // and only the cells the image hands out are ever touched.
-func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordForm bool) *Image {
+func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordForm bool) (*Image, error) {
 	if t.Slots() >= math.MaxUint32 {
-		panic(fmt.Sprintf("oram: a tree of %d slots is beyond the 32-bit cell handles", t.Slots()))
+		return nil, fmt.Errorf("oram: a tree of %d slots is beyond the 32-bit cell handles", t.Slots())
 	}
 	_, inMemory := st.(*memStorage)
 	img := &Image{Tree: t, store: st, blockB: blockBytes, engine: e, barrier: !inMemory, recordForm: recordForm}
@@ -234,7 +245,10 @@ func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordFor
 	recB := 4 * t.Buckets() * img.recW
 	cellAt := line(recB)
 	cellsAt := cellAt + line(4*t.Slots())
-	img.region = newRegion(cellsAt + (t.Slots()+1)*img.cellB)
+	var err error
+	if img.region, err = newRegion(cellsAt + (t.Slots()+1)*img.cellB); err != nil {
+		return nil, err
+	}
 	mem := img.region.mem
 	img.recs = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[0])), recB/4)
 	img.cell = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[cellAt])), t.Slots())
@@ -244,14 +258,14 @@ func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordFor
 	img.cold = make([][]coldSlot, pages)
 	if recordForm {
 		img.coldUse = make([]int32, pages)
-		return img
+		return img, nil
 	}
 	n := uint64(coldPageBuckets * t.Z)
 	all := make([]coldSlot, pages*n)
 	for p := range img.cold {
 		img.cold[p] = all[uint64(p)*n : uint64(p+1)*n : uint64(p+1)*n]
 	}
-	return img
+	return img, nil
 }
 
 // Storage returns the backing store.
@@ -268,9 +282,16 @@ func (img *Image) record(bucket uint64) []uint32 {
 }
 
 // impliedIVs is the IV pair slot z of a record-form bucket is sealed
-// under unless its explicit bit says otherwise.
-func impliedIVs(r []uint32, z int) (iv1, iv2 uint64) {
+// under unless its explicit bit says otherwise. A real slot of version 0
+// holds an initial placement, which InitBlocks draws for address a as
+// initBase+2a+1 and initBase+2a+2 (every rewrite draws a version of at
+// least 1); any other slot is under the bucket's pair, ivBase+2z+1 and
+// ivBase+2z+2.
+func (img *Image) impliedIVs(r []uint32, z int) (iv1, iv2 uint64) {
 	base := (uint64(r[recIVBase]) | uint64(r[recIVBase+1])<<32) + 2*uint64(z)
+	if h := recHdr + 3*z; r[recReal]>>uint(z)&1 != 0 && r[h+2] == 0 {
+		base = img.initBase + 2*uint64(r[h])
+	}
 	return base + 1, base + 2
 }
 
@@ -390,7 +411,7 @@ func (img *Image) expand(bucket uint64) {
 	for z := 0; z < img.Tree.Z; z++ {
 		cs := img.coldAt(bucket, z)
 		if r[recExplicit]>>uint(z)&1 == 0 {
-			cs.iv1, cs.iv2 = impliedIVs(r, z)
+			cs.iv1, cs.iv2 = img.impliedIVs(r, z)
 		}
 		// The slot was rewritten since any earlier materialization, and
 		// an image that keeps the record form never queues.
@@ -499,7 +520,7 @@ func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	if r[recExplicit]&recOn != 0 {
 		bit := uint32(1) << uint(z)
 		r[recReal] |= bit
-		if i1, i2 := impliedIVs(r, z); iv1 == i1 && iv2 == i2 {
+		if i1, i2 := img.impliedIVs(r, z); iv1 == i1 && iv2 == i2 {
 			if r[recExplicit]&bit != 0 {
 				r[recExplicit] &^= bit
 				img.dropCold(bucket, 1)
@@ -742,35 +763,45 @@ func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 // BlockBytes returns the payload size of each block.
 func (img *Image) BlockBytes() int { return img.blockB }
 
-// InitBlocks writes the given blocks into the tree, each on the path of
-// its leaf, filling from the leaf level upward. It is used to build an
-// initial ORAM state with real resident blocks (plus the dummies
-// everywhere else). Blocks whose paths are already full are returned
-// unplaced — at high utilization the controller starts them in the
-// stash, exactly as a real warm-up would. Each placement is a deferred
-// seal like any other write, under the next two IVs of nextIV.
-func (img *Image) InitBlocks(blocks []Block, nextIV func() uint64) []Block {
+// InitBlocks places the blocks 0..n-1, zero-filled, each on the path of
+// its leaf, filling from the leaf level upward: the initial ORAM state
+// with real resident blocks (plus the dummies everywhere else). Blocks
+// whose paths are already full are returned unplaced — at high
+// utilization the controller starts them in the stash, exactly as a real
+// warm-up would. Each placement is a deferred seal like any other write,
+// at version 0, under the next two IVs of nextIV. A bucket's fill is
+// read from the image itself, so placing allocates nothing but one zero
+// payload and the unplaced list.
+func (img *Image) InitBlocks(n uint64, leaf func(Addr) Leaf, nextIV func() uint64) (unplaced []Addr) {
 	t := img.Tree
-	used := make([]int32, t.Buckets()) // bucket -> slots consumed
-	path := make([]uint64, 0, t.Levels())
-	var unplaced []Block
-	for _, b := range blocks {
-		placed := false
-		path = t.PathInto(path[:0], b.Leaf)
+	zero := make([]byte, img.blockB)
+	for a := Addr(0); uint64(a) < n; a++ {
+		l, placed := leaf(a), false
 		for k := t.L; k >= 0 && !placed; k-- {
-			bucket := path[k]
-			if z := int(used[bucket]); z < t.Z {
+			bucket := t.PathNode(l, k)
+			if z := img.filled(bucket); z < t.Z {
 				iv1, iv2 := nextIV(), nextIV()
-				img.PutLazyBlock(bucket, z, iv1, iv2, b)
-				used[bucket]++
+				img.PutLazyBlock(bucket, z, iv1, iv2, Block{Addr: a, Leaf: l, Data: zero})
 				placed = true
 			}
 		}
 		if !placed {
-			unplaced = append(unplaced, b)
+			unplaced = append(unplaced, a)
 		}
 	}
 	return unplaced
+}
+
+// filled is the number of bucket's leading slots that hold real blocks:
+// the slots InitBlocks has placed into a fresh bucket.
+func (img *Image) filled(bucket uint64) int {
+	z := 0
+	for ; z < img.Tree.Z; z++ {
+		if _, _, _, dummy, ok := img.PlainHeader(bucket, z); !ok || dummy {
+			break
+		}
+	}
+	return z
 }
 
 // OpenHeader returns the header of the slot at (bucket, z): a live

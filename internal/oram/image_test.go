@@ -3,7 +3,9 @@ package oram
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -69,24 +71,34 @@ func TestBornLazyImageIdentity(t *testing.T) {
 	for _, steps := range []int{0, 1500} {
 		sets := 0
 		mem := newOverlayModel(t, NewImage(tree, e, 64, testIVs()), testIVs())
-		dur := newOverlayModel(t, NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs()), testIVs())
+		dur := newOverlayModel(t, wrappedImage(tree, e, 64, &sets), testIVs())
 		if uint64(len(dur.img.pending)) != tree.Slots() {
 			t.Fatalf("the durable image queued %d of %d slots at construction", len(dur.img.pending), tree.Slots())
 		}
+		// The placements draw from the counter the birth drew from, as
+		// New's do, so the in-memory image holds them under the IVs their
+		// addresses imply.
+		afterBirth := func() func() uint64 {
+			iv := testIVs()
+			for range 2 * tree.Slots() {
+				iv()
+			}
+			return iv
+		}
 		for _, m := range []*overlayModel{mem, dur} {
 			// One block per leaf, each placed in slot 0 of its leaf bucket.
-			blocks := make([]Block, tree.Leaves())
-			for l := range blocks {
-				blocks[l] = Block{Addr: Addr(l), Leaf: Leaf(l), Data: bytes.Repeat([]byte{byte(l)}, 64)}
-			}
-			if unplaced := m.img.InitBlocks(blocks, ivSource(rng.New(4))); len(unplaced) != 0 {
+			if unplaced := m.img.InitBlocks(tree.Leaves(), func(a Addr) Leaf { return Leaf(a) }, afterBirth()); len(unplaced) != 0 {
 				t.Fatalf("InitBlocks left %d blocks unplaced", len(unplaced))
 			}
-			iv := ivSource(rng.New(4))
-			for i := range blocks {
+			iv := afterBirth()
+			for l := Leaf(0); uint64(l) < tree.Leaves(); l++ {
 				iv1, iv2 := iv(), iv()
-				m.ref[tree.Path(blocks[i].Leaf)[tree.L]*uint64(tree.Z)] = m.sealed(&blocks[i], iv1, iv2)
+				b := Block{Addr: Addr(l), Leaf: l, Data: make([]byte, 64)}
+				m.ref[tree.Path(l)[tree.L]*uint64(tree.Z)] = m.sealed(&b, iv1, iv2)
 			}
+		}
+		if n := coldPages(mem.img); n != 0 {
+			t.Fatalf("the initial placements hold %d cold pages", n)
 		}
 		if mem.img.store.(*memStorage).buckets != nil {
 			t.Fatal("construction wrote to the store")
@@ -386,7 +398,7 @@ func FuzzImageOverlay(f *testing.F) {
 			sets := 0
 			for _, img := range []*Image{
 				NewImage(tree, e, 32, testIVs()),
-				NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 32, testIVs()),
+				wrappedImage(tree, e, 32, &sets),
 			} {
 				m := newOverlayModel(t, img, testIVs())
 				for i := 0; i+2 < len(ops); i += 3 {
@@ -478,8 +490,9 @@ func TestReadBucketOverlayMatchesSealed(t *testing.T) {
 // in record form, which must be indistinguishable from the Z per-slot
 // writes it stands for — read in place, and sealed — before and after
 // every per-slot operation. A PutLazyBlock keeps the form, with the
-// slot's explicit-IV bit set unless the IVs are the slot's implied pair;
-// every other mutator expands the bucket. The white-box half pins what
+// slot's explicit-IV bit set unless the IVs are the slot's implied pair
+// (for a version-0 block, the pair its address implies); every other
+// mutator expands the bucket. The white-box half pins what
 // the form is for: the write touches no cold entry, neither a dummy's
 // nor a real slot's under the implied IVs, and a page of cold entries
 // goes once the write leaves no slot of it needing one.
@@ -546,34 +559,50 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 
 	iv := testIVs()
 	sealed := sealBlock(e, old, iv)
+	// A version-0 block is an initial placement: its implied IVs are the
+	// pair its address implies, not the bucket's.
+	initial := Block{Addr: 40, Leaf: 1, Data: old.Data}
+	initialIVs := func(img *Image) (uint64, uint64) {
+		return img.initBase + 2*uint64(initial.Addr) + 1, img.initBase + 2*uint64(initial.Addr) + 2
+	}
 	mutators := []struct {
 		name     string
 		mutate   func(img *Image, z int)
-		explicit bool // keeps the record form, with this explicit bit
+		keeps    bool // keeps the record form,
+		explicit bool // with this explicit bit
 	}{
-		{"PutLazyBlock, explicit IVs", func(img *Image, z int) { img.PutLazyBlock(bucket, z, 77, 78, old) }, true},
+		{"PutLazyBlock, explicit IVs", func(img *Image, z int) { img.PutLazyBlock(bucket, z, 77, 78, old) }, true, true},
 		{"PutLazyBlock, implied IVs", func(img *Image, z int) {
 			iv1, iv2 := ivs(z)
 			img.PutLazyBlock(bucket, z, iv1, iv2, old)
-		}, false},
-		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }, false},
-		{"PutLazyUndoable", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old, NeverDone) }, false},
+		}, true, false},
+		{"PutLazyBlock, version 0, arbitrary IVs", func(img *Image, z int) { img.PutLazyBlock(bucket, z, 77, 78, initial) }, true, true},
+		{"PutLazyBlock, version 0, the bucket's IVs", func(img *Image, z int) {
+			iv1, iv2 := ivs(z)
+			img.PutLazyBlock(bucket, z, iv1, iv2, initial)
+		}, true, true},
+		{"PutLazyBlock, version 0, the address's IVs", func(img *Image, z int) {
+			iv1, iv2 := initialIVs(img)
+			img.PutLazyBlock(bucket, z, iv1, iv2, initial)
+		}, true, false},
+		{"PutLazyDummy", func(img *Image, z int) { img.PutLazyDummy(bucket, z, 77, 78) }, false, false},
+		{"PutLazyUndoable", func(img *Image, z int) { img.PutLazyUndoable(bucket, z, 77, 78, old, NeverDone) }, false, false},
 		{"PutLazyUndoable and rollback", func(img *Image, z int) {
 			img.PutLazyUndoable(bucket, z, 77, 78, old, NeverDone)
 			img.Rollback(0, 0)
-		}, false},
-		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }, false},
-		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }, false},
+		}, false, false},
+		{"PutSlot", func(img *Image, z int) { img.PutSlot(bucket, z, sealed) }, false, false},
+		{"Slot", func(img *Image, z int) { img.Slot(bucket, z) }, false, false},
 		// The rollback of a write that a whole-bucket write has overwritten
 		// in the meantime: the restored slot survives the expansion.
 		{"rollback over a record-form bucket", func(img *Image, z int) {
 			img.PutLazyUndoable(bucket, z, 77, 78, Block{Addr: DummyAddr}, NeverDone)
 			img.PutLazyDummies(bucket, base)
 			img.Rollback(0, 0)
-		}, false},
+		}, false, false},
 	}
-	for i, m := range mutators {
-		keeps := i < 2
+	for _, m := range mutators {
+		keeps := m.keeps
 		for z := 0; z < 2; z++ { // a real slot and an implied dummy
 			whole, perSlot := twins()
 			m.mutate(whole, z)
@@ -594,17 +623,92 @@ func TestDenseBucketMatchesPerSlot(t *testing.T) {
 		}
 	}
 
-	// An initial placement into a bucket born in record form keeps the
-	// form, under an explicit IV pair.
-	img := NewImage(tree, e, 64, testIVs())
-	img.InitBlocks([]Block{{Addr: 1, Leaf: 2, Data: make([]byte, 64)}}, iv)
+	// An initial placement drawn from the counter the image was born from
+	// is under the IVs its address implies: the bucket keeps the form
+	// with no explicit bit, and the image holds no cold page.
+	born := testIVs()
+	img := NewImage(tree, e, 64, born)
+	img.InitBlocks(2, func(Addr) Leaf { return 2 }, born)
 	leafBucket := tree.Path(2)[tree.L]
-	if mask, ok := img.RealSlots(leafBucket); !ok || mask != 1 || img.record(leafBucket)[recExplicit]&^recOn != 1 {
-		t.Fatalf("InitBlocks into a record-form bucket left RealSlots = %b, %v", mask, ok)
+	if mask, ok := img.RealSlots(leafBucket); !ok || mask != 0b11 || img.record(leafBucket)[recExplicit]&^recOn != 0 || coldPages(img) != 0 {
+		t.Fatalf("InitBlocks into a record-form bucket left RealSlots = %b, %v, explicit %b, %d cold pages",
+			mask, ok, img.record(leafBucket)[recExplicit]&^recOn, coldPages(img))
 	}
 	// Wider buckets than the masks keep per-slot entries.
 	if wide := NewImage(NewTree(1, maxRecordZ+1), e, 8, testIVs()); wide.recordForm {
 		t.Fatal("an image with Z beyond the mask width uses the record form")
+	}
+}
+
+// TestInitialPlacementsMatchPerSlot: the j-th initial placement is
+// sealed under the j-th IV pair drawn for the placements, whichever image
+// holds it. A record-form image holds it under the pair its address a
+// implies while j == a, and under explicit IVs in cold from the first
+// block that did not fit on, since every later j falls behind its a. At
+// 60% utilization, with the first blocks crowding one path two past its
+// slots and the rest uniform, every slot must seal to the bytes of a
+// per-slot image fed the same IV stream.
+func TestInitialPlacementsMatchPerSlot(t *testing.T) {
+	e := testEngine()
+	tree := NewTree(4, 4)
+	n, crowd := tree.Slots()*3/5, tree.PathBlocks()+2
+	r := rng.New(5)
+	leaves := make([]Leaf, n)
+	for a := range leaves[crowd:] {
+		leaves[crowd+a] = Leaf(r.Uint64n(tree.Leaves()))
+	}
+	leaf := func(a Addr) Leaf { return leaves[a] }
+	wholeIVs, perSlotIVs := testIVs(), testIVs()
+	whole := NewImage(tree, e, 64, wholeIVs)
+	sets := 0
+	perSlot, err := NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, perSlotIVs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplaced := whole.InitBlocks(n, leaf, wholeIVs)
+	if len(unplaced) == 0 || !slices.Equal(unplaced, perSlot.InitBlocks(n, leaf, perSlotIVs)) {
+		t.Fatalf("unplaced %v; the per-slot image's must be the same and not empty", unplaced)
+	}
+	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
+		r := whole.record(bucket)
+		for m := r[recReal]; m != 0; m &= m - 1 {
+			z := bits.TrailingZeros32(m)
+			addr := Addr(r[recHdr+3*z])
+			if explicit := r[recExplicit]>>uint(z)&1 != 0; explicit != (addr > unplaced[0]) {
+				t.Fatalf("block %d (first unplaced %d) in bucket %d slot %d: explicit %v", addr, unplaced[0], bucket, z, explicit)
+			}
+		}
+	}
+	sameImages(t, "after the initial placement", whole, perSlot)
+}
+
+// TestImageFootprintAtBirth: New allocates nothing that grows with the
+// tree but the position map, and an image that keeps the record form is
+// born holding no page of cold entries — every initial placement is under
+// the IVs its address implies. At L=12 with two blocks a leaf, right after
+// New and before any access, the image holds at most 160 bytes a bucket,
+// and New's heap allocations are within two position maps plus 64 KiB
+// (at the parent of this test: 216 bytes a bucket, 96 cold pages and
+// 971 KiB, a block list and a fill table among them).
+func TestImageFootprintAtBirth(t *testing.T) {
+	const levels, budget, slack = 12, 160, 64 << 10
+	tree := NewTree(levels, 4)
+	p := Params{Levels: levels, Z: 4, BlockBytes: 64, StashEntries: 200, NumBlocks: 2 * tree.Leaves(), Seed: 7}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := mustNew(t, p)
+	runtime.ReadMemStats(&after)
+	alloc, posMaps := after.TotalAlloc-before.TotalAlloc, 2*uint64(unsafe.Sizeof(Leaf(0)))*p.NumBlocks
+	held := float64(c.Image.footprint()) / float64(tree.Buckets())
+	t.Logf("L=%d: New allocated %d bytes (two position maps: %d); the image holds %.1f bytes a bucket", levels, alloc, posMaps, held)
+	if n := coldPages(c.Image); n != 0 {
+		t.Fatalf("the image is born holding %d cold pages", n)
+	}
+	if held > budget {
+		t.Fatalf("the image is born holding %.1f bytes a bucket, budget %d", held, budget)
+	}
+	if alloc > posMaps+slack {
+		t.Fatalf("New allocated %d heap bytes, budget %d", alloc, posMaps+slack)
 	}
 }
 
@@ -718,7 +822,7 @@ func TestUndoSurvivesLazyRewrites(t *testing.T) {
 	sets := 0
 	for _, img := range []*Image{
 		NewImage(tree, e, 64, testIVs()),
-		NewImageInto(wrappedStorage{newMemStorage(tree), &sets}, tree, e, 64, testIVs()),
+		wrappedImage(tree, e, 64, &sets),
 	} {
 		img.PutLazyBlock(6, 1, 100, 101, blk)
 		img.Slot(6, 1)

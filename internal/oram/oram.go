@@ -134,28 +134,27 @@ func build(p Params, attach bool) (*Controller, error) {
 		iv:     iv,
 		nReal:  p.NumBlocks,
 	}
+	st := p.Storage
+	if st == nil {
+		st = newMemStorage(t)
+	}
 	if attach {
-		c.Image = NewImageOn(p.Storage, t, eng, p.BlockBytes)
+		if c.Image, err = NewImageOn(st, t, eng, p.BlockBytes); err != nil {
+			return nil, err
+		}
 		return c, nil
 	}
-	if p.Storage != nil {
-		c.Image = NewImageInto(p.Storage, t, eng, p.BlockBytes, c.NextIV)
-	} else {
-		c.Image = NewImage(t, eng, p.BlockBytes, c.NextIV)
+	if c.Image, err = NewImageInto(st, t, eng, p.BlockBytes, c.NextIV); err != nil {
+		return nil, err
 	}
-	// Place the initial blocks on their mapped paths. The overlay copies
-	// the payload, so they share one zero block.
-	zero := make([]byte, p.BlockBytes)
-	blocks := make([]Block, p.NumBlocks)
-	for i := range blocks {
-		blocks[i] = Block{Addr: Addr(i), Leaf: c.PosMap.Lookup(Addr(i)), Data: zero}
-	}
-	for _, b := range c.Image.InitBlocks(blocks, c.NextIV) {
-		// Oversubscribed paths (possible above ~50% utilization): the
-		// leftover blocks start life in the stash.
-		c.Stash.Put(&StashBlock{Addr: b.Addr, Leaf: b.Leaf, Data: make([]byte, p.BlockBytes), Dirty: true})
+	// Place the initial blocks on their mapped paths. Oversubscribed
+	// paths (possible above ~50% utilization) leave blocks over: they
+	// start life in the stash.
+	for _, a := range c.Image.InitBlocks(p.NumBlocks, c.PosMap.Lookup, c.NextIV) {
+		c.Stash.Put(&StashBlock{Addr: a, Leaf: c.PosMap.Lookup(a), Data: make([]byte, p.BlockBytes), Dirty: true})
 	}
 	if c.Stash.Overflowed() {
+		c.Image.Close()
 		return nil, fmt.Errorf("oram: initial placement overflowed the stash (%d blocks; utilization too high): %w", c.Stash.Len(), ErrStashOverflow)
 	}
 	return c, nil

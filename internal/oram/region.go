@@ -16,11 +16,16 @@ type region struct{ mem []byte }
 // liveRegions counts the regions mapped and not yet freed.
 var liveRegions atomic.Int64
 
-func newRegion(n uint64) *region {
-	r := &region{mem: mapRegion(int(n))}
+// newRegion maps an n-byte region, or returns the error that refused it.
+func newRegion(n uint64) (*region, error) {
+	mem, err := mapRegion(int(n))
+	if err != nil {
+		return nil, err
+	}
+	r := &region{mem: mem}
 	liveRegions.Add(1)
 	runtime.SetFinalizer(r, (*region).free)
-	return r
+	return r, nil
 }
 
 // free unmaps the region. Freeing it twice is a no-op.

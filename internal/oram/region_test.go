@@ -48,3 +48,25 @@ func TestCloseFreesTheRegion(t *testing.T) {
 	}()
 	img.PlainHeader(0, 0)
 }
+
+// TestRegionMapFailureIsAnError: a region that mmap refuses comes back as
+// an error and maps nothing, and New returns that error — so core.New,
+// a pool and a reshard's shard build fail instead of the process.
+func TestRegionMapFailureIsAnError(t *testing.T) {
+	if regionOnHeap {
+		t.Skip("regions are heap slices on this platform")
+	}
+	before := LiveRegions()
+	if r, err := newRegion(1 << 62); err == nil {
+		r.free()
+		t.Fatal("mapping a 1<<62-byte region succeeded")
+	}
+	// 29 cells of 1<<56 bytes each: beyond any address space.
+	p := Params{Levels: 2, Z: 4, BlockBytes: 1 << 56, StashEntries: 40, NumBlocks: 4}
+	if _, err := New(p); err == nil {
+		t.Fatal("New built an image whose region cannot be mapped")
+	}
+	if n := LiveRegions() - before; n > 0 {
+		t.Fatalf("the failed constructions left %d regions mapped", n)
+	}
+}
