@@ -46,8 +46,9 @@ stress:
 	$(GO) test -race -short -count=20 -cpu 1,2 -timeout 60m ./internal/storage/filestore/
 
 # check is the pre-commit gate: build, vet, the gofmt gate, the Windows
-# and macOS builds, the full suite under the race detector, and the two
-# everything-armed CLI runs.
+# and macOS builds, the full suite under the race detector, the crash
+# matrix over three seeds (it exits 2 if a persistent scheme corrupts),
+# and the two everything-armed CLI runs.
 # -short shrinks the sweep grid cells (see internal/sweep.testGrid), the
 # seam differential and the durable alloc guards' warm-ups, and takes the
 # CI slice of the kill -9 tortures (a few real SIGKILLs per scheme; the
@@ -55,6 +56,7 @@ stress:
 # pipelining, resharding and group-commit test runs whole.
 check: build vet fmt cross
 	$(GO) test -short -race ./...
+	$(GO) run ./cmd/psoram crash -seeds 3 -workers 2
 	$(MAKE) cli-smoke
 
 # cli-smoke is the differential oracle driven through the command line,

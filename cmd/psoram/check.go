@@ -15,15 +15,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/oracle"
+	"repro/internal/report"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // runCrash is the crash-recoverability matrix (the §3.3 case studies,
 // mechanized; paper Table 5): for every scheme, inject a power failure
-// at each swept protocol point, recover, and check every block against
-// the durability oracle. With its defaults it prints the published
-// table; -seeds widens the sweep over more workloads.
+// at each swept protocol point, recover, and check that the recovered
+// store equals the history's prefix i or i+1 (op i in flight). With its
+// defaults it prints the published table; -seeds widens the sweep over
+// more workloads.
 //
 //	psoram crash -workers 4
 //	psoram crash -schemes PS-ORAM -accesses 100 -seeds 5 -v
@@ -39,6 +40,9 @@ func runCrash(args []string) {
 	fs.Parse(args)
 	if *seeds < 1 {
 		fatal(fmt.Errorf("need at least 1 seed"))
+	}
+	if *accesses < 2 {
+		fatal(fmt.Errorf("need at least 2 accesses, got %d", *accesses))
 	}
 	schemes := crash.MatrixSchemes()
 	if *schemesArg != "" {
@@ -56,8 +60,7 @@ func runCrash(args []string) {
 	)
 	for seed := uint64(11); seed < 11+uint64(*seeds); seed++ {
 		r, w, pts := crash.Matrix(*accesses, seed)
-		m := sweep.CrashMatrix{Runner: r, Workload: w, Schemes: schemes, Points: pts}
-		results, err := sweep.RunCrashMatrix(ctx, m, sweep.Options{Workers: *workers})
+		results, err := r.SweepAll(ctx, schemes, w, pts, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -69,12 +72,11 @@ func runCrash(args []string) {
 			total[i].Fired += res.Fired
 			total[i].Consistent += res.Consistent
 			for _, f := range res.Failures {
-				failures = append(failures, fmt.Sprintf("  %s, seed %d, %v: %d violations (first: %v)",
-					res.Scheme, seed, f.Point, len(f.Violations), f.Violations[0]))
+				failures = append(failures, fmt.Sprintf("  %s, seed %d, %v", res.Scheme, seed, f))
 			}
 		}
 	}
-	fmt.Println(sweep.CrashTable(total))
+	fmt.Println(report.CrashTable(total))
 	if *verbose {
 		fmt.Println(strings.Join(failures, "\n"))
 	}
@@ -184,7 +186,7 @@ func runOracle(args []string) {
 					}
 					cell.Crash = crep
 					found = append(found[:len(found):len(found)], crep.Violations...)
-					fired, declared := 0, crash.DeclaredStepsFor(s)
+					fired, declared := 0, core.DeclaredStepsFor(s)
 					for _, step := range declared {
 						if crep.StepsFired[step] > 0 {
 							fired++

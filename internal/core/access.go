@@ -647,10 +647,6 @@ func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	// Volatile PosMap schemes persist nothing here. The durable events of
-	// the always-durable schemes (FullNVM: NVM stash; eADR: flush-on-
-	// crash) are emitted at access end.
-	c.accessEndDurability()
 	c.recycleEvicted()
 	return real, 0, nil
 }
@@ -717,22 +713,4 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 		c.now = proceed
 	}
 	return real, nil
-}
-
-// accessEndDurability emits durability events for schemes whose stash
-// survives power failure (FullNVM, eADR): once the access completes, the
-// target's value is durable wherever it sits.
-func (c *Controller) accessEndDurability() {
-	switch c.Scheme {
-	case config.SchemeFullNVM, config.SchemeFullNVMSTT, config.SchemeEADRORAM:
-		for _, b := range c.scratch.plan.flat {
-			if b != nil && !b.Backup {
-				c.markDurable(b.Addr, b.Data)
-			}
-		}
-		c.scratch.order = c.ORAM.Stash.AppendLive(c.scratch.order[:0])
-		for _, b := range c.scratch.order {
-			c.markDurable(b.Addr, b.Data)
-		}
-	}
 }

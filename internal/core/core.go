@@ -41,9 +41,9 @@ import (
 // injected. Step numbering follows §2.2.2/§4.2.1; Sub indexes repeated
 // sub-steps (buckets loaded in step 3, slots written in step 5).
 type CrashPoint struct {
-	Access uint64 // which access (0-based) is in flight
-	Step   int    // 2..6; 6 = access complete (crash between accesses)
-	Sub    int    // sub-step index within the step, -1 if n/a
+	Access uint64 `json:"access"` // which access (0-based) is in flight
+	Step   int    `json:"step"`   // 2..6; 6 = access complete (crash between accesses)
+	Sub    int    `json:"sub"`    // sub-step index within the step, -1 if n/a
 }
 
 func (p CrashPoint) String() string {
@@ -198,10 +198,6 @@ type Controller struct {
 	// CrashAt, when non-nil, is consulted at every crash point; returning
 	// true triggers the simulated power failure there.
 	CrashAt func(CrashPoint) bool
-	// OnDurable, when non-nil, observes every (addr, value) that becomes
-	// durable — reachable from the durable PosMap in NVM. The crash
-	// checker uses it as its oracle.
-	OnDurable func(addr oram.Addr, value []byte)
 
 	crashed bool
 	// closed is set by Close: the images are freed.
@@ -456,17 +452,38 @@ func (c *Controller) currentLeaf(addr oram.Addr) oram.Leaf {
 	return c.ORAM.PosMap.Lookup(addr)
 }
 
+// DeclaredSteps lists the protocol steps every scheme's access path
+// declares as crash-injection points (§2.2.2/§4.2.1 numbering): 2 =
+// PosMap lookup/remap, 3 = path load (per-bucket sub-steps), 4 = stash
+// update, 5 = write-back (per-slot/per-batch sub-steps), 6 = access
+// complete. The coverage tests assert every one of them is offered, so a
+// new protocol step cannot silently go untested.
+func DeclaredSteps() []int { return []int{2, 3, 4, 5, 6} }
+
+// DeclaredStepsFor narrows DeclaredSteps to the steps the scheme offers
+// to CrashAt (see offersStep).
+func DeclaredStepsFor(s config.Scheme) []int {
+	var steps []int
+	for _, step := range DeclaredSteps() {
+		if offersStep(s, step) {
+			steps = append(steps, step)
+		}
+	}
+	return steps
+}
+
+// offersStep reports whether the scheme offers crash points at step.
+// eADR-ORAM has no step-5 point: its persistence domain covers the write
+// buffers, so a power failure mid-write-back drains the remaining
+// eviction and is indistinguishable from a crash after step 5.
+func offersStep(s config.Scheme, step int) bool {
+	return s != config.SchemeEADRORAM || step != 5
+}
+
 // maybeCrash consults the injection hook; on fire it performs the power
 // failure and reports true.
 func (c *Controller) maybeCrash(step, sub int) bool {
-	if c.CrashAt == nil || c.crashed {
-		return false
-	}
-	if c.Scheme == config.SchemeEADRORAM && step == 5 {
-		// eADR's persistence domain covers the write buffers: a power
-		// failure mid-write-back drains the remaining eviction, so the
-		// observable state equals a crash after step 5. Only the
-		// post-eviction point is meaningful.
+	if c.CrashAt == nil || c.crashed || !offersStep(c.Scheme, step) {
 		return false
 	}
 	if !c.CrashAt(CrashPoint{Access: c.accessN, Step: step, Sub: sub}) {
@@ -512,11 +529,6 @@ func (c *Controller) powerFail() {
 		}
 		c.durable = c.ORAM.PosMap.Clone()
 		c.syncDurablePosMap()
-		if c.OnDurable != nil {
-			for _, b := range c.ORAM.Stash.Live() {
-				c.OnDurable(b.Addr, append([]byte(nil), b.Data...))
-			}
-		}
 	default:
 		// SRAM structures vanish.
 		c.ORAM.Stash.Clear()
@@ -582,11 +594,4 @@ func (c *Controller) Peek(addr oram.Addr) ([]byte, error) {
 		return nil, errClosed
 	}
 	return c.ORAM.PeekWith(addr, c.currentLeaf)
-}
-
-// markDurable reports a durable (addr, value) to the oracle.
-func (c *Controller) markDurable(addr oram.Addr, value []byte) {
-	if c.OnDurable != nil {
-		c.OnDurable(addr, append([]byte(nil), value...))
-	}
 }

@@ -554,18 +554,18 @@ func TestIntegrityDetectsTampering(t *testing.T) {
 func TestIntegrityCrashConsistent(t *testing.T) {
 	// The hash tree and root ride in the WPQ batch: after any crash +
 	// recovery the tree must still verify and values must match the
-	// durable oracle.
+	// acknowledged writes, plus the in-flight one when the crash came
+	// after its commit (step 6).
 	cfg := testCfg()
 	cfg.Integrity = true
 	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 80, Levels: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable := make(map[oram.Addr][]byte)
+	want := make(map[oram.Addr][]byte)
 	for a := oram.Addr(0); a < 80; a++ {
-		durable[a] = make([]byte, 64)
+		want[a] = make([]byte, 64)
 	}
-	c.OnDurable = func(a oram.Addr, v []byte) { durable[a] = v }
 	r := &lcg{s: 71}
 	for cycle := 0; cycle < 5; cycle++ {
 		crashAt := uint64(c.Accesses()) + uint64(4+r.n(6))
@@ -573,13 +573,18 @@ func TestIntegrityCrashConsistent(t *testing.T) {
 		c.CrashAt = func(p CrashPoint) bool { return p.Access >= crashAt && p.Step == step }
 		for i := 0; i < 30; i++ {
 			addr := oram.Addr(r.n(80))
-			_, err := c.Access(oram.OpWrite, addr, blockVal(addr, cycle*100+i, 64))
+			v := blockVal(addr, cycle*100+i, 64)
+			_, err := c.Access(oram.OpWrite, addr, v)
 			if err == ErrCrashed {
+				if step == 6 {
+					want[addr] = v
+				}
 				break
 			}
 			if err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
 			}
+			want[addr] = v
 		}
 		c.CrashAt = nil
 		if err := c.Recover(); err != nil {
@@ -590,8 +595,8 @@ func TestIntegrityCrashConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cycle %d: addr %d unreadable: %v", cycle, a, err)
 			}
-			if !bytes.Equal(got, durable[a]) {
-				t.Fatalf("cycle %d: addr %d mismatch", cycle, a)
+			if !bytes.Equal(got, want[a]) {
+				t.Fatalf("cycle %d (step %d): addr %d mismatch", cycle, step, a)
 			}
 		}
 		// The surviving tree must still verify on further accesses.

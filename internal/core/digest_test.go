@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/crash"
 	"repro/internal/oram"
 	"repro/internal/rng"
 )
@@ -366,7 +365,7 @@ func digestCrashPoints(t *testing.T, v digestVariant, untimed bool, ops []seamOp
 		probe.Access(o.op, o.addr, o.data) // errors are part of the run, not of the probe
 	}
 	var pts []digestPoint
-	for _, step := range crash.DeclaredStepsFor(v.scheme) {
+	for _, step := range core.DeclaredStepsFor(v.scheme) {
 		n := offered[step]
 		if n == 0 {
 			t.Fatalf("%s: declared step %d offered no crash point", v.name, step)

@@ -379,13 +379,6 @@ func (c *Controller) finishEvicted(slots []plannedSlot) {
 			c.ORAM.Stash.Remove(b.Addr)
 			b.PendingRemap = false
 		}
-		// A copy is durable-reachable iff the durable PosMap points at
-		// the leaf it was sealed under: for a backup, while the map still
-		// names its path; for a live block, when its entry merged in this
-		// batch or it never had a pending remap.
-		if c.OnDurable != nil && c.durable.Lookup(b.Addr) == b.TargetLeaf() {
-			c.markDurable(b.Addr, b.Data)
-		}
 		c.scratch.evicted = append(c.scratch.evicted, b)
 	}
 }

@@ -107,13 +107,11 @@ func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (R
 		batch = nil
 		c.now = done
 		// Durable: the whole access committed — its writes stand and its
-		// Top-map update reaches durableTop — and the target's value is
-		// reachable through the durable chain.
+		// Top-map update reaches durableTop.
 		for r, mark := range c.scratch.marks {
 			c.image(r).Release(mark, oram.NeverDone)
 		}
 		c.durableTop.Put(c.scratch.topIdx, c.scratch.topLeaf)
-		c.markDurable(addr, blk.Data)
 		c.recycleEvicted()
 	}
 	if c.ORAM.Stash.Overflowed() {

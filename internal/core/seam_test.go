@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/crash"
 	"repro/internal/oram"
 	"repro/internal/rng"
 )
@@ -288,7 +287,7 @@ func TestSeamCrashEquivalence(t *testing.T) {
 				}
 			}
 		}
-		for _, step := range crash.DeclaredStepsFor(v.scheme) {
+		for _, step := range core.DeclaredStepsFor(v.scheme) {
 			offered := subs[step]
 			if len(offered) == 0 {
 				t.Errorf("%v: declared step %d offered no crash point", v.scheme, step)

@@ -5,8 +5,36 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/oram"
 )
+
+// observePoints runs the workload with a non-firing injector and
+// returns how many times each protocol step was offered as a crash
+// point: the coverage probe for the sweeps. A declared step that never
+// appears here can never be crash-tested.
+func observePoints(r Runner, scheme config.Scheme, w Workload) (map[int]int, error) {
+	ctl, err := core.New(scheme, r.Cfg, core.Options{NumBlocks: r.Blocks, Levels: r.Levels})
+	if err != nil {
+		return nil, err
+	}
+	defer ctl.Close()
+	counts := make(map[int]int)
+	ctl.CrashAt = func(p core.CrashPoint) bool {
+		counts[p.Step]++
+		return false
+	}
+	for _, op := range w.Ops(r.Cfg.BlockBytes) {
+		kind := oram.OpRead
+		if op.Write {
+			kind = oram.OpWrite
+		}
+		if _, err := ctl.Access(kind, oram.Addr(op.Addr), op.Data); err != nil {
+			return nil, err
+		}
+	}
+	return counts, nil
+}
 
 // TestEveryDeclaredPointFires asserts the torture harness actually
 // reaches every declared injection step at least once per scheme: a new
@@ -22,11 +50,11 @@ func TestEveryDeclaredPointFires(t *testing.T) {
 		config.SchemeEADRORAM,
 	}
 	for _, s := range schemes {
-		counts, err := r.ObservePoints(s, w)
+		counts, err := observePoints(r, s, w)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		for _, step := range DeclaredStepsFor(s) {
+		for _, step := range core.DeclaredStepsFor(s) {
 			if counts[step] == 0 {
 				t.Errorf("%v: declared crash step %d never offered over %d accesses (coverage hole)",
 					s, step, w.Accesses)
@@ -34,7 +62,7 @@ func TestEveryDeclaredPointFires(t *testing.T) {
 		}
 		for step := range counts {
 			declared := false
-			for _, d := range DeclaredStepsFor(s) {
+			for _, d := range core.DeclaredStepsFor(s) {
 				if step == d {
 					declared = true
 				}
@@ -55,7 +83,7 @@ func TestSweepPointsCoverDeclaredSteps(t *testing.T) {
 	for _, p := range SweepPoints(50, 5) {
 		seen[p.Step] = true
 	}
-	for _, step := range DeclaredSteps() {
+	for _, step := range core.DeclaredSteps() {
 		if !seen[step] {
 			t.Errorf("SweepPoints covers no point at declared step %d", step)
 		}
@@ -68,11 +96,11 @@ func TestSweepPointsCoverDeclaredSteps(t *testing.T) {
 func TestObservePointsDeterministic(t *testing.T) {
 	r := runner()
 	w := workload()
-	a, err := r.ObservePoints(config.SchemePSORAM, w)
+	a, err := observePoints(r, config.SchemePSORAM, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.ObservePoints(config.SchemePSORAM, w)
+	b, err := observePoints(r, config.SchemePSORAM, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +147,19 @@ func TestWriteBackOffersAPointPerSlot(t *testing.T) {
 		}
 		for i := 0; i < w.Accesses; i++ {
 			addr := oram.Addr(i*7) % oram.Addr(w.NumBlocks)
-			if _, err := ctl.Access(oram.OpWrite, addr, value(addr, i, r.Cfg.BlockBytes)); err != nil {
+			if _, err := ctl.Access(oram.OpWrite, addr, oracle.Value(uint64(addr), i, r.Cfg.BlockBytes)); err != nil {
 				t.Fatalf("%v access %d: %v", s, i, err)
 			}
 		}
 		if want := w.Accesses + int(ctl.Counters().Get("psoram.temp_drains")); next != 0 || evictions != want {
 			t.Errorf("%v: %d complete write-backs offered (+%d sub-points), want %d", s, evictions, next, want)
 		}
-		counts, err := r.ObservePoints(s, w)
+		counts, err := observePoints(r, s, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if counts[5]%perEviction != 0 || counts[5] < w.Accesses*perEviction {
-			t.Errorf("%v: ObservePoints saw %d step-5 points over %d accesses, want a multiple of %d", s, counts[5], w.Accesses, perEviction)
+			t.Errorf("%v: observePoints saw %d step-5 points over %d accesses, want a multiple of %d", s, counts[5], w.Accesses, perEviction)
 		}
 	}
 }

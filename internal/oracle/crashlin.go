@@ -5,26 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 
-	"repro/internal/crash"
+	"repro/internal/core"
 	"repro/internal/oram"
 )
 
 // Crash linearizability, as this harness defines it: for a crash
 // injected while op i is in flight, the recovered store must equal the
-// reference replay of the first k ops for some prefix boundary k — and
-// for the persistent schemes (config.Scheme.Persistent) the protocol's
-// atomic-batch guarantee pins k to {i, i+1}: either the in-flight op's
-// durable batch committed entirely (k = i+1) or it was abandoned
-// entirely (k = i). Non-persistent baselines make no such promise;
-// for them the harness falls back to the crash package's weaker
-// per-address check: every recovered value must be some version that
-// address historically held (no fabricated bytes).
+// reference replay of the first k ops for k = i or k = i+1 — either the
+// in-flight op's durable batch committed entirely (k = i+1) or it was
+// abandoned entirely (k = i). One trial (RunTrial) records which prefixes
+// the recovered store equals; the crash matrix counts a point consistent
+// by exactly this rule, and CheckCrash holds the persistent schemes
+// (config.Scheme.Persistent) to it. The non-persistent baselines promise
+// less, and CheckCrash holds them only to "no fabricated bytes": every
+// recovered value is zero or some version that address held.
 
 // CrashOptions tunes a CheckCrash run.
 type CrashOptions struct {
-	// Steps to inject at; nil means crash.DeclaredStepsFor(scheme).
+	// Steps to inject at; nil means core.DeclaredStepsFor(scheme).
 	Steps []int
 	// AccessIndices are the access counts after which each step fires
 	// (one trial per step × index); nil derives {1, n/2, n-2}.
@@ -44,13 +45,102 @@ func (o CrashOptions) maxViolations() int {
 	return o.MaxViolations
 }
 
-// CrashTrial records one injection trial.
+// CrashTrial records one injection trial: an op history driven with a
+// power failure armed at exactly Point, then recovery and a read-back of
+// every address.
 type CrashTrial struct {
-	Step       int    `json:"step"`
-	After      uint64 `json:"after"` // fire at the first offer of Step with Access >= After
-	Fired      bool   `json:"fired"`
-	OpsStarted int    `json:"ops_started"`       // op index in flight when the crash fired (-1 if it never fired)
-	Matched    []int  `json:"matched,omitempty"` // prefix boundaries k whose replay equals the recovered store
+	Point      CrashSpec `json:"point"`
+	Fired      bool      `json:"fired"`
+	OpsStarted int       `json:"ops_started"`          // op index in flight when the crash fired (-1 if it never fired)
+	Matched    []int     `json:"matched,omitempty"`    // prefix boundaries k whose replay equals the recovered store
+	Unreadable []uint64  `json:"unreadable,omitempty"` // addresses the recovered store could not read
+	Fabricated []uint64  `json:"fabricated,omitempty"` // addresses holding a value the history never wrote there
+}
+
+// Consistent is the prefix rule: the crash fired while op i was in
+// flight and the recovered store equals prefix i or prefix i+1.
+func (t CrashTrial) Consistent() bool {
+	i := t.OpsStarted
+	return t.Fired && (slices.Contains(t.Matched, i) || slices.Contains(t.Matched, i+1))
+}
+
+func (t CrashTrial) String() string {
+	if !t.Fired {
+		return fmt.Sprintf("%v: never fired", t.Point)
+	}
+	var got string
+	switch {
+	case t.Consistent():
+		got = fmt.Sprintf("recovered prefix(es) %v", t.Matched)
+	case len(t.Matched) > 0:
+		got = fmt.Sprintf("recovered only stale prefix(es) %v — durable writes were lost", t.Matched)
+	default:
+		got = "recovered state matches no prefix of the history"
+	}
+	s := fmt.Sprintf("%v: crash during op %d; %s", t.Point, t.OpsStarted, got)
+	if n := len(t.Unreadable); n > 0 {
+		s += fmt.Sprintf(", %d unreadable (first: addr %d)", n, t.Unreadable[0])
+	}
+	if n := len(t.Fabricated); n > 0 {
+		s += fmt.Sprintf(", %d fabricated (first: addr %d)", n, t.Fabricated[0])
+	}
+	return s
+}
+
+// RunTrial drives ops on ctl with a power failure armed at exactly at,
+// recovers, runs postRecover (if non-nil), and reads back every address.
+// A point the ops never reach leaves the trial unfired. The error is an
+// access failure other than the injected crash, or a failed recovery.
+func RunTrial(ctl *core.Controller, ops []Op, at CrashSpec, postRecover func()) (CrashTrial, error) {
+	trial := CrashTrial{Point: at}
+	ctl.CrashAt = func(p CrashSpec) bool { return p == at }
+	i, err := drive(ctl, ops)
+	ctl.CrashAt = nil
+	trial.OpsStarted, trial.Fired = i, i >= 0
+	if err != nil || !trial.Fired {
+		return trial, err
+	}
+	if err := ctl.Recover(); err != nil {
+		return trial, fmt.Errorf("%v: recovery failed: %w", at, err)
+	}
+	if postRecover != nil {
+		postRecover()
+	}
+	bb := ctl.Cfg.BlockBytes
+	history := ops[:i+1]
+	// recovered[a] == nil marks an address lost in the crash: it matches
+	// no prefix.
+	recovered := make([][]byte, ctl.ORAM.NumBlocks())
+	for a := range recovered {
+		v, err := ctl.Peek(oram.Addr(a))
+		switch {
+		case err != nil:
+			trial.Unreadable = append(trial.Unreadable, uint64(a))
+			continue
+		case !KnownVersion(history, uint64(a), v, bb):
+			trial.Fabricated = append(trial.Fabricated, uint64(a))
+		}
+		recovered[a] = v
+	}
+	trial.Matched = MatchedPrefixes(recovered, PrefixStates(history, bb), i+1, bb)
+	return trial, nil
+}
+
+// drive runs ops on ctl in order. It returns the index of the op in
+// flight when an injected crash fired, or -1 when every op completed.
+func drive(ctl *core.Controller, ops []Op) (int, error) {
+	for i, op := range ops {
+		kind, data := oram.OpRead, []byte(nil)
+		if op.Write {
+			kind, data = oram.OpWrite, op.Data
+		}
+		if _, err := ctl.Access(kind, oram.Addr(op.Addr), data); errors.Is(err, ErrCrashed) {
+			return i, nil
+		} else if err != nil {
+			return -1, fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	return -1, nil
 }
 
 // CrashReport is the outcome of one CheckCrash run.
@@ -70,144 +160,106 @@ func (r *CrashReport) add(o CrashOptions, v Violation) {
 	}
 }
 
-// CheckCrash tortures the scheme with crash injection: for every
-// requested (step, access-index) pair it builds a fresh system, drives
-// ops until the injected power failure fires, recovers, and checks the
-// recovered store against the reference prefix replays. Every requested
-// step must fire at least once across the run, so a protocol change
-// that stops exposing a declared point is itself a violation.
+// CheckCrash tortures the scheme with crash injection. For every
+// requested (step, access-index) pair it arms the first point of that
+// step offered at or after that access — found by one unarmed pass over
+// the ops — on a fresh system, and runs it as one RunTrial. Persistent
+// schemes must recover to prefix i or i+1; the baselines must not
+// fabricate bytes. Every requested step must fire at least once across
+// the run, so a protocol change that stops exposing a declared point is
+// itself a violation.
 func CheckCrash(p Params, ops []Op, copts CrashOptions) (*CrashReport, error) {
 	if len(ops) < 2 {
 		return nil, fmt.Errorf("oracle: CheckCrash needs at least 2 ops, got %d", len(ops))
 	}
 	steps := copts.Steps
 	if steps == nil {
-		steps = crash.DeclaredStepsFor(p.Scheme)
+		steps = core.DeclaredStepsFor(p.Scheme)
 	}
 	afters := copts.AccessIndices
 	if afters == nil {
 		n := uint64(len(ops))
 		afters = dedupSorted([]uint64{1, n / 2, n - 2})
 	}
+	// build makes a fresh controller; with a store, in its own directory,
+	// so no run recovers another's on-disk state.
+	build := func(dir string) (*coreTarget, error) {
+		tp := p
+		if p.StoreDir != "" {
+			tp.StoreDir = filepath.Join(p.StoreDir, dir)
+		}
+		tgt, err := NewTarget(tp)
+		if err != nil {
+			return nil, err
+		}
+		ct, ok := tgt.(*coreTarget)
+		if !ok {
+			return nil, fmt.Errorf("oracle: scheme %s does not support crash injection", p.Scheme)
+		}
+		return ct, nil
+	}
 
-	// Prefix replays: prefixes[k] = reference store after the first k ops.
-	bb := p.config().BlockBytes
-	prefixes := PrefixStates(ops, bb)
+	type offer struct {
+		step  int
+		after uint64
+	}
+	first := make(map[offer]CrashSpec)
+	probe, err := build("probe")
+	if err != nil {
+		return nil, err
+	}
+	probe.ctl.CrashAt = func(cs CrashSpec) bool {
+		for _, after := range afters {
+			k := offer{cs.Step, after}
+			if _, seen := first[k]; !seen && cs.Access >= after {
+				first[k] = cs
+			}
+		}
+		return false
+	}
+	_, err = drive(probe.ctl, ops)
+	if cerr := probe.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
 
 	rep := &CrashReport{Scheme: p.Scheme.String(), StepsFired: make(map[int]int)}
 	strict := p.Scheme.Persistent()
-
 	for _, step := range steps {
 		for _, after := range afters {
-			trial := CrashTrial{Step: step, After: after, OpsStarted: -1}
-			tp := p
-			if p.StoreDir != "" {
-				// Every trial is a fresh system; trials must not recover
-				// each other's on-disk state.
-				tp.StoreDir = filepath.Join(p.StoreDir, fmt.Sprintf("trial-s%d-a%d", step, after))
+			at, ok := first[offer{step, after}]
+			if !ok {
+				continue
 			}
-			tgt, err := NewTarget(tp)
+			ct, err := build(fmt.Sprintf("trial-s%d-a%d", step, after))
 			if err != nil {
 				return nil, err
 			}
-			ct, ok := tgt.(CrashTarget)
-			if !ok {
-				return nil, fmt.Errorf("oracle: scheme %s does not support crash injection", p.Scheme)
+			var post func()
+			if copts.PostRecover != nil {
+				post = func() { copts.PostRecover(ct) }
 			}
-			fired := false
-			ct.Arm(func(cs CrashSpec) bool {
-				if fired || cs.Step != step || cs.Access < after {
-					return false
-				}
-				fired = true
-				return true
-			})
-
-			abandon := false
-			for i, op := range ops {
-				kind, data := oram.OpRead, []byte(nil)
-				if op.Write {
-					kind, data = oram.OpWrite, op.Data
-				}
-				if _, _, err := ct.Access(kind, oram.Addr(op.Addr), data); err != nil {
-					if errors.Is(err, ErrCrashed) {
-						trial.OpsStarted = i
-						break
-					}
-					rep.add(copts, Violation{Kind: "access", Op: i, Addr: op.Addr,
-						Detail: fmt.Sprintf("step %d after %d: %v", step, after, err)})
-					abandon = true
-					break
-				}
-			}
-			trial.Fired = fired
-			if fired {
+			trial, err := RunTrial(ct.ctl, ops, at, post)
+			ct.Close() // the verdict is in hand: free the image, release the store
+			rep.Trials = append(rep.Trials, trial)
+			if trial.Fired {
 				rep.StepsFired[step]++
 			}
-			if abandon || !fired {
-				rep.Trials = append(rep.Trials, trial)
-				continue
-			}
-
-			if err := ct.Recover(); err != nil {
-				rep.add(copts, Violation{Kind: "crash", Op: trial.OpsStarted,
-					Detail: fmt.Sprintf("step %d after %d: recovery failed: %v", step, after, err)})
-				rep.Trials = append(rep.Trials, trial)
-				continue
-			}
-			if copts.PostRecover != nil {
-				copts.PostRecover(ct)
-			}
-
-			// recovered[a] == nil marks an address lost in the crash: a
-			// violation under the persistent schemes' guarantee, expected
-			// data loss under the baselines'.
-			recovered := make([][]byte, p.NumBlocks)
-			sweepOK := true
-			for a := uint64(0); a < p.NumBlocks; a++ {
-				v, err := ct.Peek(oram.Addr(a))
-				if err != nil {
-					if strict {
-						rep.add(copts, Violation{Kind: "crash", Op: trial.OpsStarted, Addr: a,
-							Detail: fmt.Sprintf("step %d after %d: post-recovery peek failed: %v", step, after, err)})
-						sweepOK = false
-						break
-					}
-					continue
-				}
-				recovered[a] = v
-			}
-			if !sweepOK {
-				rep.Trials = append(rep.Trials, trial)
-				continue
-			}
-
-			// Which prefix boundaries does the recovered store equal?
-			trial.Matched = MatchedPrefixes(recovered, prefixes, trial.OpsStarted+1, bb)
-
 			i := trial.OpsStarted
-			if strict {
-				if !containsInt(trial.Matched, i) && !containsInt(trial.Matched, i+1) {
-					detail := fmt.Sprintf("step %d after %d: crash during op %d; recovered state matches no prefix of the history", step, after, i)
-					if len(trial.Matched) > 0 {
-						detail = fmt.Sprintf("step %d after %d: crash during op %d; recovered state matches only stale prefix(es) %v — durable writes were lost", step, after, i, trial.Matched)
-					}
-					rep.add(copts, Violation{Kind: "crash", Op: i, Detail: detail})
-				}
-			} else {
-				// Weak check: every recovered value is some version the
-				// address held during the first i+1 ops (or zero).
-				for a := uint64(0); a < p.NumBlocks; a++ {
-					if recovered[a] == nil {
-						continue // lost in the crash — permitted for baselines
-					}
-					if !KnownVersion(ops[:i+1], a, recovered[a], bb) {
-						rep.add(copts, Violation{Kind: "crash", Op: i, Addr: a,
-							Detail: fmt.Sprintf("step %d after %d: recovered value %.16q was never written to addr %d", step, after, recovered[a], a)})
-					}
+			switch {
+			case err != nil:
+				rep.add(copts, Violation{Kind: "crash", Op: i, Detail: err.Error()})
+			case !trial.Fired:
+			case strict && !trial.Consistent():
+				rep.add(copts, Violation{Kind: "crash", Op: i, Detail: trial.String()})
+			case !strict:
+				for _, a := range trial.Fabricated {
+					rep.add(copts, Violation{Kind: "crash", Op: i, Addr: a,
+						Detail: fmt.Sprintf("%v: recovered a value never written to addr %d", at, a)})
 				}
 			}
-			rep.Trials = append(rep.Trials, trial)
 		}
 	}
 
@@ -280,15 +332,6 @@ func KnownVersion(ops []Op, a uint64, v []byte, blockBytes int) bool {
 	}
 	for _, op := range ops {
 		if op.Write && op.Addr == a && bytes.Equal(op.Data, v) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, y := range xs {
-		if y == x {
 			return true
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/crash"
 	"repro/internal/oram"
 )
 
@@ -77,7 +76,7 @@ func TestOracleCrashLinearizability(t *testing.T) {
 			for _, v := range rep.Violations {
 				t.Errorf("%s", v)
 			}
-			for _, step := range crash.DeclaredStepsFor(scheme) {
+			for _, step := range core.DeclaredStepsFor(scheme) {
 				if rep.StepsFired[step] == 0 {
 					t.Errorf("declared step %d never fired", step)
 				}

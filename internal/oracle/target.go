@@ -15,7 +15,7 @@ import (
 var ErrCrashed = core.ErrCrashed
 
 // CrashSpec is a crash-injection offer in the shared step numbering
-// (crash.DeclaredSteps): core's CrashPoint under the oracle's name.
+// (core.DeclaredSteps): core's CrashPoint under the oracle's name.
 type CrashSpec = core.CrashPoint
 
 // Target is the oracle's uniform view of a system under test. Access

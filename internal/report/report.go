@@ -472,14 +472,19 @@ func StashPressure() (*stats.Table, error) {
 // many points recovered consistently.
 func CrashMatrix() (*stats.Table, error) {
 	r, w, pts := crash.Matrix(50, 11)
+	res, err := r.SweepAll(context.Background(), crash.MatrixSchemes(), w, pts, 0)
+	if err != nil {
+		return nil, err
+	}
+	return CrashTable(res), nil
+}
+
+// CrashTable renders per-scheme crash sweep tallies, one row a scheme.
+func CrashTable(results []crash.SweepResult) *stats.Table {
 	tab := stats.NewTable("Crash recoverability (injected power failures, recovered state checked value-by-value)",
 		"Scheme", "Crash points fired", "Consistent recoveries", "Verdict")
-	for _, s := range crash.MatrixSchemes() {
-		res, err := r.Sweep(s, w, pts)
-		if err != nil {
-			return nil, err
-		}
-		tab.AddRow(s.String(), fmt.Sprintf("%d", res.Fired), fmt.Sprintf("%d", res.Consistent), res.Verdict())
+	for _, res := range results {
+		tab.AddRow(res.Scheme.String(), fmt.Sprintf("%d", res.Fired), fmt.Sprintf("%d", res.Consistent), res.Verdict())
 	}
-	return tab, nil
+	return tab
 }

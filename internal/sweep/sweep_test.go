@@ -368,31 +368,6 @@ func TestConcurrentSystemsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixParallel runs a reduced crash matrix through the pool
-// and checks the paper's verdicts: PS schemes consistent, baselines not.
-func TestCrashMatrixParallel(t *testing.T) {
-	m := DefaultCrashMatrix()
-	m.Schemes = []config.Scheme{config.SchemePSORAM, config.SchemeBaseline}
-	results, err := RunCrashMatrix(context.Background(), m, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("want 2 scheme rows, got %d", len(results))
-	}
-	ps, base := results[0], results[1]
-	if ps.Fired == 0 || ps.Consistent != ps.Fired {
-		t.Fatalf("PS-ORAM not fully consistent: %d/%d", ps.Consistent, ps.Fired)
-	}
-	if base.Fired == 0 || base.Consistent == base.Fired {
-		t.Fatalf("Baseline unexpectedly consistent: %d/%d", base.Consistent, base.Fired)
-	}
-	tab := CrashTable(results)
-	if !strings.Contains(tab.String(), "CORRUPTS") || !strings.Contains(tab.String(), "CRASH CONSISTENT") {
-		t.Fatalf("verdict table wrong:\n%s", tab)
-	}
-}
-
 // BenchmarkSweepWorkers reports wall-clock per sweep at 1 and 4 workers;
 // on a multicore host the 4-worker figure shows the speedup.
 func BenchmarkSweepWorkers(b *testing.B) {

@@ -282,17 +282,6 @@ func LoadStore(r io.Reader, cfg Config) (*Store, error) {
 	return &Store{ctl: ctl}, nil
 }
 
-// OnDurable registers an observer of durability events: f is called with
-// (addr, value) whenever a value becomes reachable from the durable
-// position map (the oracle the crash checker uses).
-func (s *Store) OnDurable(f func(addr uint64, value []byte)) {
-	if f == nil {
-		s.ctl.OnDurable = nil
-		return
-	}
-	s.ctl.OnDurable = func(a oram.Addr, v []byte) { f(uint64(a), v) }
-}
-
 // ---------------------------------------------------------------------
 // Serving layer
 // ---------------------------------------------------------------------
@@ -605,8 +594,10 @@ type CrashSweepResult = crash.SweepResult
 
 // VerifyCrashConsistency sweeps injected power failures over a write
 // workload for the given scheme and reports how many crash points
-// recovered to a consistent state. PS-ORAM schemes recover from all of
-// them; the baselines do not — which is the paper's point.
+// recovered to a consistent state: to the history's prefix i or i+1,
+// with op i in flight. PS-ORAM schemes recover from all of them; the
+// baselines do not — which is the paper's point. A sweep in which no
+// point fires (too few accesses) is an error.
 func VerifyCrashConsistency(scheme Scheme, accesses int, seed uint64) (CrashSweepResult, error) {
 	r, w, pts := crash.Matrix(accesses, seed)
 	return r.Sweep(scheme, w, pts)

@@ -127,22 +127,6 @@ func TestStoreCrashAtHook(t *testing.T) {
 	}
 }
 
-func TestStoreDurabilityObserver(t *testing.T) {
-	s := newStore(t, PSORAM)
-	seen := map[uint64]bool{}
-	s.OnDurable(func(addr uint64, value []byte) { seen[addr] = true })
-	if err := s.Write(9, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if !seen[9] {
-		t.Fatal("durability event for written block not observed")
-	}
-	s.OnDurable(nil) // must not panic afterwards
-	if _, err := s.Read(9); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStoreCounters(t *testing.T) {
 	s := newStore(t, PSORAM)
 	if _, err := s.Read(0); err != nil {
@@ -204,6 +188,12 @@ func TestVerifyCrashConsistencyFacade(t *testing.T) {
 	}
 	if len(base.Failures) == 0 {
 		t.Fatal("baseline sweep found no corruption")
+	}
+	// A sweep in which no crash point fires is an error, not a verdict.
+	for _, accesses := range []int{0, -5} {
+		if res, err := VerifyCrashConsistency(PSORAM, accesses, 3); err == nil {
+			t.Errorf("%d accesses: vacuous sweep returned %+v, want an error", accesses, res)
+		}
 	}
 }
 
