@@ -48,7 +48,8 @@ stress:
 # check is the pre-commit gate: build, vet, the gofmt gate, the Windows
 # and macOS builds, the full suite under the race detector, the crash
 # matrix over three seeds (it exits 2 if a persistent scheme corrupts),
-# and the two everything-armed CLI runs.
+# the byte-identity pin on the paper's tables (experiments-check), and
+# the two everything-armed CLI runs.
 # -short shrinks the sweep grid cells (see internal/sweep.testGrid), the
 # seam differential and the durable alloc guards' warm-ups, and takes the
 # CI slice of the kill -9 tortures (a few real SIGKILLs per scheme; the
@@ -57,6 +58,7 @@ stress:
 check: build vet fmt cross
 	$(GO) test -short -race ./...
 	$(GO) run ./cmd/psoram crash -seeds 3 -workers 2
+	$(MAKE) experiments-check
 	$(MAKE) cli-smoke
 
 # cli-smoke is the differential oracle driven through the command line,
@@ -127,10 +129,10 @@ profile: build
 # the load walk relies on (one cache-line record per bucket) and the
 # gather ahead of it (reads only, allocates nothing), the image's
 # footprint (heap bytes per bucket, no cold page once written), the golden
-# determinism regression, one pass of the sim, serve and store benchmarks
-# with -benchtime=1x (harness correctness, not timing; the deep store
-# benchmark is the in-repo reproducer of the cache-missing L=16 access),
-# and experiments-check.
+# determinism regression, and one pass of the sim, serve and store
+# benchmarks with -benchtime=1x (harness correctness, not timing; the deep
+# store benchmark is the in-repo reproducer of the cache-missing L=16
+# access).
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestInitialPlacementsMatchPerSlot|TestRecordLayout|TestImageFootprint|TestImageFootprintAtBirth' -v
@@ -140,11 +142,10 @@ perf-smoke:
 	$(GO) test ./internal/netserve -run 'TestNetRoundTripAllocs' -v
 	$(GO) test -run '^$$' -bench BenchmarkSim -benchtime=1x -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolThroughput|^BenchmarkStoreAccess$$|^BenchmarkStoreAccessDeep$$|^BenchmarkFileStoreAccess$$' -benchtime=1x -benchmem ./internal/serve .
-	$(MAKE) experiments-check
 
 # experiments-check reruns `psoram experiments` and diffs its stdout
 # against the recorded experiments_output.txt, ignoring the `==>` lines
-# (they carry wall times). The run is deterministic, so any other
+# (they carry the simulation count, worker count and wall time). The run is deterministic, so any other
 # difference is a behaviour change: regenerate the file in the commit
 # that makes it, with `go run ./cmd/psoram experiments > experiments_output.txt`.
 experiments-check:

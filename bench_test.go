@@ -28,86 +28,26 @@ func benchOptions() report.Options {
 	return o
 }
 
-// --- Tables ---
+// --- Tables and figures ---
 
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if report.Table1().String() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if report.Table2().String() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// --- Figures ---
-
-func BenchmarkFigure5a(b *testing.B) {
+// BenchmarkExperiment renders each experiment alone (one sub-benchmark a
+// name: -bench BenchmarkExperiment/fig5a), then all of them from one
+// sweep (BenchmarkExperiment/all).
+func BenchmarkExperiment(b *testing.B) {
 	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Figure5a(); err != nil {
-			b.Fatal(err)
+	run := func(names ...string) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := report.Run(o, names...); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
-}
-
-func BenchmarkFigure5b(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Figure5b(); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range Experiments() {
+		b.Run(name, run(name))
 	}
-}
-
-func BenchmarkFigure6a(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Figure6(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6b(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Figure6(true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Figure7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkORAMCost(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.ORAMCost(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCrashMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := report.CrashMatrix(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("all", run(Experiments()...))
 }
 
 // --- Per-access microbenchmarks: the functional controller ---

@@ -55,3 +55,23 @@ func TestCrashRejectsTooFewAccesses(t *testing.T) {
 		t.Errorf("crash -accesses 2: exit %d, output:\n%s", code, out)
 	}
 }
+
+// TestRejectsNonPositiveAccesses: a table of zero-access runs would be
+// NaN or 0.000 throughout, and a sweep must not swap in its default; both
+// subcommands refuse them.
+func TestRejectsNonPositiveAccesses(t *testing.T) {
+	for _, args := range [][]string{
+		{"experiments", "-exp", "fig7", "-accesses", "-5"},
+		{"experiments", "-exp", "fig5a", "-accesses", "0"},
+		{"sweep", "-schemes", "Baseline", "-workloads", "401.bzip2", "-levels", "8", "-quiet", "-accesses", "0"},
+	} {
+		code, out := runCLI(t, args...)
+		if code != 1 || !strings.Contains(out, "need at least 1 access") || strings.Contains(out, "Figure") || strings.Contains(out, "grid:") {
+			t.Errorf("psoram %s: exit %d, output:\n%s", strings.Join(args, " "), code, out)
+		}
+	}
+	code, out := runCLI(t, "experiments", "-exp", "fig5a", "-accesses", "1", "-levels", "8")
+	if code != 0 || !strings.Contains(out, "Figure 5(a)") {
+		t.Errorf("experiments -accesses 1: exit %d, output:\n%s", code, out)
+	}
+}

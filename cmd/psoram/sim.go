@@ -16,6 +16,7 @@ import (
 
 	psoram "repro"
 	"repro/internal/config"
+	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -224,7 +225,8 @@ func startProfiles(dir string) error {
 
 // runExperiments regenerates the paper's tables and figures as text
 // tables (the rows/series of Figures 5-7 and Tables 1-2, plus the
-// crash-recoverability matrix and the §5.1 ORAM-cost study).
+// crash-recoverability matrix and the §5.1 ORAM-cost study). The
+// simulations behind them all run first, each once, on every core.
 //
 //	psoram experiments                              # every experiment, quick scale
 //	psoram experiments -exp fig5a                   # one experiment
@@ -232,25 +234,26 @@ func startProfiles(dir string) error {
 func runExperiments(args []string) {
 	fs := newFlagSet()
 	var (
-		exp      = fs.String("exp", "all", "experiment to run: "+strings.Join(psoram.Experiments(), ", ")+", or all")
+		exp      = fs.String("exp", "all", "experiment to run: "+strings.Join(report.Names(), ", ")+", or all")
 		accesses = accessesFlag(fs, 3000, "LLC misses per (workload, scheme) run")
 		levels   = levelsFlag(fs, "ORAM tree height L (paper: 23)", 16)
 	)
 	fs.Parse(args)
-	o := psoram.DefaultExperimentOptions()
+	o := report.Default()
 	o.Accesses = *accesses
 	o.Levels = levels.one("levels")
-	names := psoram.Experiments()
+	names := report.Names()
 	if *exp != "all" {
 		names = []string{*exp}
 	}
-	for _, name := range names {
-		start := time.Now()
-		out, err := psoram.RunExperiment(name, o)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		fmt.Printf("==> %s (%.1fs)\n%s\n", name, time.Since(start).Seconds(), out)
+	start := time.Now()
+	tabs, sims, err := report.Run(o, names...)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("==> %d simulations on %d workers in %.1fs\n", len(sims.Cells), sims.Workers, time.Since(start).Seconds())
+	for i, name := range names {
+		fmt.Printf("==> %s\n%s\n", name, tabs[i])
 	}
 }
 

@@ -20,13 +20,12 @@ package crash
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/oracle"
+	"repro/internal/sweep"
 )
 
 // Workload drives accesses; it must be deterministic for a given seed.
@@ -148,68 +147,34 @@ func (r Runner) Sweep(scheme config.Scheme, w Workload, points []core.CrashPoint
 	return res[0], nil
 }
 
-// SweepAll runs RunOnce for every (scheme, point) pair on at most
-// workers goroutines (0 means GOMAXPROCS) and aggregates per scheme, in
-// scheme order. Each pair builds a fresh controller, so the order they
-// run in cannot affect the outcome. A scheme none of whose points fired
-// is an error: its row would be a verdict about nothing.
+// SweepAll runs RunOnce for every (scheme, point) pair on sweep's
+// worker pool, at most workers at a time (0 means GOMAXPROCS), and
+// aggregates per scheme, in scheme order. Each pair builds a fresh
+// controller, so the order they run in cannot affect the outcome. A
+// scheme none of whose points fired is an error: its row would be a
+// verdict about nothing.
 func (r Runner) SweepAll(ctx context.Context, schemes []config.Scheme, w Workload, points []core.CrashPoint, workers int) ([]SweepResult, error) {
-	type cell struct{ si, pi int }
-	var cells []cell
-	for si := range schemes {
-		for pi := range points {
-			cells = append(cells, cell{si, pi})
-		}
-	}
-	if len(cells) == 0 {
+	n := len(schemes) * len(points)
+	if n == 0 {
 		return nil, fmt.Errorf("crash: empty sweep")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(cells))
-
-	type outcome struct {
-		trial oracle.CrashTrial
-		err   error
-	}
-	outcomes := make([]outcome, len(cells))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := cells[i]
-				trial, err := r.RunOnce(schemes[c.si], w, points[c.pi])
-				outcomes[i] = outcome{trial, err}
-			}
-		}()
-	}
-feed:
-	for i := range cells {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	trials := make([]oracle.CrashTrial, n)
+	errs := make([]error, n)
+	sweep.ForEach(ctx, n, workers, func(i int) {
+		trials[i], errs[i] = r.RunOnce(schemes[i/len(points)], w, points[i%len(points)])
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err // the feed may have stopped short
 	}
 
 	results := make([]SweepResult, len(schemes))
-	for si, s := range schemes {
-		results[si].Scheme = s
-	}
-	for i, c := range cells {
-		if err := outcomes[i].err; err != nil {
-			return nil, fmt.Errorf("crash: %v at %v: %w", schemes[c.si], points[c.pi], err)
+	for i := range trials {
+		res := &results[i/len(points)]
+		res.Scheme = schemes[i/len(points)]
+		if errs[i] != nil {
+			return nil, fmt.Errorf("crash: %v at %v: %w", res.Scheme, points[i%len(points)], errs[i])
 		}
-		results[c.si].Add(outcomes[i].trial)
+		res.Add(trials[i])
 	}
 	for _, res := range results {
 		if res.Fired == 0 {

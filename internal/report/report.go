@@ -1,13 +1,15 @@
 // Package report runs the paper's experiments and renders their tables
-// and figure series. Each Figure*/Table* function regenerates one
-// artifact of §5.2 (or §4.2.4) and returns a text table whose rows match
-// what the paper plots; `psoram experiments` and the repository's
-// benchmark harness are thin wrappers around these.
+// and figure series. Each experiment in the registry below regenerates
+// one artifact of §5.2 (or §4.2.4, §5.1) and names the timing
+// simulations it reads. Run simulates the union of those cells once, on
+// sweep's worker pool, and renders every table from that one result;
+// `psoram experiments` and psoram.RunExperiment both go through it.
 package report
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/oram"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -43,86 +46,173 @@ func Default() Options {
 	}
 }
 
-func (o Options) workloads() []trace.Workload {
-	if len(o.Workloads) == 0 {
-		return trace.Table4()
-	}
-	return o.Workloads
+// experiment is one artifact of the paper: the simulations it reads and
+// how it renders them. Its schemes run on every workload (on the first
+// only, if firstOnly) at each of its channel counts (none: o.Cfg.Channels).
+type experiment struct {
+	name      string
+	schemes   []config.Scheme
+	channels  []int
+	firstOnly bool
+	render    renderer
 }
 
-// runAll executes every workload under each scheme and returns
-// results[workload][scheme].
-func (o Options) runAll(schemes []config.Scheme, channels int) (map[string]map[config.Scheme]sim.Result, error) {
-	cfg := o.Cfg
-	cfg.Channels = channels
-	out := make(map[string]map[config.Scheme]sim.Result)
-	for _, w := range o.workloads() {
-		out[w.Name] = make(map[config.Scheme]sim.Result)
-		for _, s := range schemes {
-			r, err := sim.Simulate(context.Background(), sim.Request{
-				Scheme: s, Config: cfg, Workload: w, N: o.Accesses, Levels: o.Levels,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("report: %v on %s: %w", s, w.Name, err)
+// renderer draws an experiment's table from its schemes' cells.
+type renderer func(o Options, schemes []config.Scheme, get lookup) (*stats.Table, error)
+
+// experiments is the registry, in the order Names lists it.
+var experiments = []experiment{
+	{name: "table1", render: table1},
+	{name: "table2", render: table2},
+	{name: "fig5a", render: normalized("Figure 5(a): normalized execution time (non-recursive, 1 channel)",
+		func(r sim.Result) uint64 { return r.Cycles }), channels: []int{1}, schemes: []config.Scheme{
+		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeFullNVMSTT,
+		config.SchemeNaivePSORAM, config.SchemePSORAM,
+	}},
+	{name: "fig5b", render: figure5b, channels: []int{1}, schemes: []config.Scheme{
+		config.SchemeBaseline, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
+	}},
+	{name: "fig6a", render: normalized("Figure 6: normalized NVM read traffic (1 channel)",
+		func(r sim.Result) uint64 { return r.Reads }), channels: []int{1}, schemes: fig6Schemes},
+	{name: "fig6b", render: normalized("Figure 6: normalized NVM write traffic (1 channel)",
+		func(r sim.Result) uint64 { return r.Writes }), channels: []int{1}, schemes: fig6Schemes},
+	{name: "fig7", render: figure7, channels: []int{1, 2, 4}, schemes: []config.Scheme{
+		config.SchemeBaseline, config.SchemePSORAM,
+		config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
+	}},
+	{name: "oramcost", render: oramCost, channels: []int{1, 4}, schemes: []config.Scheme{
+		config.SchemeNonORAM, config.SchemeBaseline,
+	}},
+	{name: "crash", render: crashMatrix},
+	{name: "lifetime", render: lifetime, schemes: fig6Schemes},
+	{name: "recovery", render: recovery},
+	{name: "latency", render: latency, firstOnly: true, schemes: append([]config.Scheme{config.SchemeNonORAM}, fig6Schemes...)},
+	{name: "stash", render: stashPressure},
+}
+
+// fig6Schemes are the schemes of Figure 6 and of the lifetime study;
+// the latency study adds NonORAM.
+var fig6Schemes = []config.Scheme{
+	config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
+	config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
+}
+
+// Names lists the experiments.
+func Names() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
+}
+
+// lookup returns one simulated cell of a Run.
+type lookup func(s config.Scheme, w trace.Workload, channels int) sim.Result
+
+// Run renders the named experiments, in order. It first simulates the
+// union of the cells they read, each once, on sweep's worker pool and
+// under o.Cfg.Seed, and returns that sweep too.
+func Run(o Options, names ...string) ([]*stats.Table, *sweep.Results, error) {
+	if o.Accesses < 1 {
+		return nil, nil, fmt.Errorf("need at least 1 access, got %d", o.Accesses)
+	}
+	if len(o.Workloads) == 0 {
+		o.Workloads = trace.Table4()
+	}
+	exps := make([]experiment, len(names))
+	var cells []sweep.Cell
+	for i, name := range names {
+		j := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+		if j < 0 {
+			return nil, nil, fmt.Errorf("report: unknown experiment %q (have %v)", name, Names())
+		}
+		e := experiments[j]
+		exps[i] = e
+		ws, chs := o.Workloads, e.channels
+		if e.firstOnly {
+			ws = ws[:1]
+		}
+		if chs == nil {
+			chs = []int{o.Cfg.Channels}
+		}
+		for _, w := range ws {
+			for _, ch := range chs {
+				for _, s := range e.schemes {
+					if c := (sweep.Cell{Scheme: s, Workload: w, Channels: ch, Seed: o.Cfg.Seed}); !slices.Contains(cells, c) {
+						cells = append(cells, c)
+					}
+				}
 			}
-			out[w.Name][s] = r
 		}
 	}
-	return out, nil
+	g := sweep.Grid{Accesses: o.Accesses, Levels: o.Levels, Cfg: o.Cfg}
+	sims, err := sweep.RunCells(context.Background(), g, cells, sweep.Options{})
+	if err == nil {
+		err = sims.FirstError()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	byCell := make(map[sweep.Cell]sim.Result, len(cells))
+	for _, c := range sims.Cells {
+		byCell[c.Cell] = c.Result
+	}
+	get := func(s config.Scheme, w trace.Workload, channels int) sim.Result {
+		return byCell[sweep.Cell{Scheme: s, Workload: w, Channels: channels, Seed: o.Cfg.Seed}]
+	}
+	tabs := make([]*stats.Table, len(exps))
+	for i, e := range exps {
+		if tabs[i], err = e.render(o, e.schemes, get); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", e.name, err)
+		}
+	}
+	return tabs, sims, nil
 }
 
 func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
 
-// Figure5a reproduces Fig. 5(a): normalized execution time of the
-// non-recursive schemes (Z=4, 1 channel), per workload plus the mean.
-func (o Options) Figure5a() (*stats.Table, error) {
-	schemes := []config.Scheme{
-		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeFullNVMSTT,
-		config.SchemeNaivePSORAM, config.SchemePSORAM,
-	}
-	res, err := o.runAll(schemes, 1)
-	if err != nil {
-		return nil, err
-	}
-	tab := stats.NewTable("Figure 5(a): normalized execution time (non-recursive, 1 channel)",
-		"Workload", "Baseline", "FullNVM", "FullNVM(STT)", "Naive-PS-ORAM", "PS-ORAM")
-	sums := make(map[config.Scheme][]float64)
-	for _, w := range o.workloads() {
-		base := res[w.Name][config.SchemeBaseline]
-		row := []string{w.Name, "1.000"}
-		for _, s := range schemes[1:] {
-			sd := res[w.Name][s].Slowdown(base)
-			row = append(row, f3(sd))
-			sums[s] = append(sums[s], sd)
+// normalized renders Fig. 5(a) (metric: cycles, the normalized
+// execution time of the non-recursive schemes) and Fig. 6 (NVM read or
+// write traffic): per workload, each scheme's metric on 1 channel over
+// Baseline's, plus the geomean row.
+func normalized(title string, metric func(sim.Result) uint64) renderer {
+	return func(o Options, schemes []config.Scheme, get lookup) (*stats.Table, error) {
+		cols := []string{"Workload"}
+		for _, s := range schemes {
+			cols = append(cols, s.String())
 		}
-		tab.AddRow(row...)
+		tab := stats.NewTable(title, cols...)
+		sums := make(map[config.Scheme][]float64)
+		for _, w := range o.Workloads {
+			base := float64(metric(get(config.SchemeBaseline, w, 1)))
+			row := []string{w.Name, "1.000"}
+			for _, s := range schemes[1:] {
+				v := float64(metric(get(s, w, 1))) / base
+				row = append(row, f3(v))
+				sums[s] = append(sums[s], v)
+			}
+			tab.AddRow(row...)
+		}
+		mean := []string{"geomean", "1.000"}
+		for _, s := range schemes[1:] {
+			mean = append(mean, f3(stats.GeoMean(sums[s])))
+		}
+		tab.AddRow(mean...)
+		return tab, nil
 	}
-	mean := []string{"geomean", "1.000"}
-	for _, s := range schemes[1:] {
-		mean = append(mean, f3(stats.GeoMean(sums[s])))
-	}
-	tab.AddRow(mean...)
-	return tab, nil
 }
 
-// Figure5b reproduces Fig. 5(b): recursive schemes normalized to the
+// figure5b reproduces Fig. 5(b): recursive schemes normalized to the
 // non-recursive Baseline, plus the Rcr-PS-ORAM overhead over
 // Rcr-Baseline that the paper quotes (3.65%).
-func (o Options) Figure5b() (*stats.Table, error) {
-	schemes := []config.Scheme{
-		config.SchemeBaseline, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-	}
-	res, err := o.runAll(schemes, 1)
-	if err != nil {
-		return nil, err
-	}
+func figure5b(o Options, _ []config.Scheme, get lookup) (*stats.Table, error) {
 	tab := stats.NewTable("Figure 5(b): normalized execution time (recursive, 1 channel)",
 		"Workload", "Baseline", "Rcr-Baseline", "Rcr-PS-ORAM", "Rcr-PS/Rcr-Base")
 	var rb, rp, rr []float64
-	for _, w := range o.workloads() {
-		base := res[w.Name][config.SchemeBaseline]
-		b := res[w.Name][config.SchemeRcrBaseline].Slowdown(base)
-		p := res[w.Name][config.SchemeRcrPSORAM].Slowdown(base)
+	for _, w := range o.Workloads {
+		base := get(config.SchemeBaseline, w, 1)
+		b := get(config.SchemeRcrBaseline, w, 1).Slowdown(base)
+		p := get(config.SchemeRcrPSORAM, w, 1).Slowdown(base)
 		tab.AddRow(w.Name, "1.000", f3(b), f3(p), f3(p/b))
 		rb = append(rb, b)
 		rp = append(rp, p)
@@ -132,84 +222,26 @@ func (o Options) Figure5b() (*stats.Table, error) {
 	return tab, nil
 }
 
-// Figure6 reproduces Fig. 6: NVM read (a) and write (b) traffic,
-// normalized to Baseline.
-func (o Options) Figure6(writes bool) (*stats.Table, error) {
-	schemes := []config.Scheme{
-		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
-		config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-	}
-	res, err := o.runAll(schemes, 1)
-	if err != nil {
-		return nil, err
-	}
-	which := "read"
-	if writes {
-		which = "write"
-	}
-	tab := stats.NewTable(fmt.Sprintf("Figure 6: normalized NVM %s traffic (1 channel)", which),
-		"Workload", "Baseline", "FullNVM", "Naive-PS-ORAM", "PS-ORAM", "Rcr-Baseline", "Rcr-PS-ORAM")
-	sums := make(map[config.Scheme][]float64)
-	metric := func(r sim.Result) float64 {
-		if writes {
-			return float64(r.Writes)
-		}
-		return float64(r.Reads)
-	}
-	for _, w := range o.workloads() {
-		base := metric(res[w.Name][config.SchemeBaseline])
-		row := []string{w.Name, "1.000"}
-		for _, s := range schemes[1:] {
-			v := metric(res[w.Name][s]) / base
-			row = append(row, f3(v))
-			sums[s] = append(sums[s], v)
-		}
-		tab.AddRow(row...)
-	}
-	mean := []string{"geomean", "1.000"}
-	for _, s := range schemes[1:] {
-		mean = append(mean, f3(stats.GeoMean(sums[s])))
-	}
-	tab.AddRow(mean...)
-	return tab, nil
-}
-
-// Figure7 reproduces Fig. 7: multi-channel performance. Values are
+// figure7 reproduces Fig. 7: multi-channel performance. Values are
 // normalized to each scheme's own single-channel run (higher channel
 // counts < 1.0), plus the PS-vs-Baseline gap per channel count.
-func (o Options) Figure7() (*stats.Table, error) {
-	schemes := []config.Scheme{
-		config.SchemeBaseline, config.SchemePSORAM,
-		config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-	}
-	byCh := make(map[int]map[string]map[config.Scheme]sim.Result)
-	for _, ch := range []int{1, 2, 4} {
-		res, err := o.runAll(schemes, ch)
-		if err != nil {
-			return nil, err
-		}
-		byCh[ch] = res
-	}
+func figure7(o Options, schemes []config.Scheme, get lookup) (*stats.Table, error) {
 	tab := stats.NewTable("Figure 7: multi-channel performance (geomean across workloads)",
 		"Channels", "Baseline", "PS-ORAM", "Rcr-Baseline", "Rcr-PS-ORAM", "PS/Base", "RcrPS/RcrBase")
+	cycles := func(s config.Scheme, w trace.Workload, ch int) float64 { return float64(get(s, w, ch).Cycles) }
 	for _, ch := range []int{1, 2, 4} {
-		var cols []string
-		cols = append(cols, fmt.Sprintf("%d", ch))
+		cols := []string{fmt.Sprintf("%d", ch)}
 		var psGap, rcrGap []float64
 		for _, s := range schemes {
 			var ratios []float64
-			for _, w := range o.workloads() {
-				one := byCh[1][w.Name][s]
-				cur := byCh[ch][w.Name][s]
-				ratios = append(ratios, float64(cur.Cycles)/float64(one.Cycles))
+			for _, w := range o.Workloads {
+				ratios = append(ratios, cycles(s, w, ch)/cycles(s, w, 1))
 			}
 			cols = append(cols, f3(stats.GeoMean(ratios)))
 		}
-		for _, w := range o.workloads() {
-			psGap = append(psGap, float64(byCh[ch][w.Name][config.SchemePSORAM].Cycles)/
-				float64(byCh[ch][w.Name][config.SchemeBaseline].Cycles))
-			rcrGap = append(rcrGap, float64(byCh[ch][w.Name][config.SchemeRcrPSORAM].Cycles)/
-				float64(byCh[ch][w.Name][config.SchemeRcrBaseline].Cycles))
+		for _, w := range o.Workloads {
+			psGap = append(psGap, cycles(config.SchemePSORAM, w, ch)/cycles(config.SchemeBaseline, w, ch))
+			rcrGap = append(rcrGap, cycles(config.SchemeRcrPSORAM, w, ch)/cycles(config.SchemeRcrBaseline, w, ch))
 		}
 		cols = append(cols, f3(stats.GeoMean(psGap)), f3(stats.GeoMean(rcrGap)))
 		tab.AddRow(cols...)
@@ -217,51 +249,37 @@ func (o Options) Figure7() (*stats.Table, error) {
 	return tab, nil
 }
 
-// ORAMCost reproduces the §5.1 observation: the cost of ORAM itself
+// oramCost reproduces the §5.1 observation: the cost of ORAM itself
 // versus a non-ORAM NVM system, on 1 and 4 channels.
-func (o Options) ORAMCost() (*stats.Table, error) {
+func oramCost(o Options, _ []config.Scheme, get lookup) (*stats.Table, error) {
 	tab := stats.NewTable("ORAM cost vs non-ORAM NVM (execution-time ratio)",
 		"Workload", "1-channel", "4-channel")
+	ratio := func(w trace.Workload, ch int) float64 {
+		return float64(get(config.SchemeBaseline, w, ch).Cycles) / float64(get(config.SchemeNonORAM, w, ch).Cycles)
+	}
 	var r1s, r4s []float64
-	for _, w := range o.workloads() {
-		ratios := make(map[int]float64)
-		for _, ch := range []int{1, 4} {
-			cfg := o.Cfg
-			cfg.Channels = ch
-			non, err := sim.Simulate(context.Background(), sim.Request{
-				Scheme: config.SchemeNonORAM, Config: cfg, Workload: w, N: o.Accesses, Levels: o.Levels,
-			})
-			if err != nil {
-				return nil, err
-			}
-			base, err := sim.Simulate(context.Background(), sim.Request{
-				Scheme: config.SchemeBaseline, Config: cfg, Workload: w, N: o.Accesses, Levels: o.Levels,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ratios[ch] = float64(base.Cycles) / float64(non.Cycles)
-		}
-		tab.AddRow(w.Name, fmt.Sprintf("%.1fx", ratios[1]), fmt.Sprintf("%.1fx", ratios[4]))
-		r1s = append(r1s, ratios[1])
-		r4s = append(r4s, ratios[4])
+	for _, w := range o.Workloads {
+		r1, r4 := ratio(w, 1), ratio(w, 4)
+		tab.AddRow(w.Name, fmt.Sprintf("%.1fx", r1), fmt.Sprintf("%.1fx", r4))
+		r1s = append(r1s, r1)
+		r4s = append(r4s, r4)
 	}
 	tab.AddRow("geomean", fmt.Sprintf("%.1fx", stats.GeoMean(r1s)), fmt.Sprintf("%.1fx", stats.GeoMean(r4s)))
 	return tab, nil
 }
 
-// Table1 renders the energy cost constants.
-func Table1() *stats.Table {
+// table1 renders the energy cost constants.
+func table1(Options, []config.Scheme, lookup) (*stats.Table, error) {
 	m := energy.Table1()
 	tab := stats.NewTable("Table 1: energy cost estimation (crash draining)", "Operation", "Energy cost")
 	tab.AddRow("Accessing data from SRAM", fmt.Sprintf("%.0f pJ/Byte", m.SRAMAccessPJPerByte))
 	tab.AddRow("Moving data from L1D to NVM", fmt.Sprintf("%.3f nJ/Byte", m.L1ToNVMnJPerByte))
 	tab.AddRow("Moving data from L2/stash/PosMap/WPQs to NVM", fmt.Sprintf("%.3f nJ/Byte", m.L2ToNVMnJPerByte))
-	return tab
+	return tab, nil
 }
 
-// Table2 renders the draining energy/time comparison.
-func Table2() *stats.Table {
+// table2 renders the draining energy/time comparison.
+func table2(Options, []config.Scheme, lookup) (*stats.Table, error) {
 	m := energy.Table1()
 	f96 := energy.Table2Footprint(96, 96)
 	f4 := energy.Table2Footprint(4, 4)
@@ -283,7 +301,7 @@ func Table2() *stats.Table {
 	row("eADR-ORAM", eadrORAM)
 	row("PS-ORAM (96 entries)", ps96)
 	row("PS-ORAM (4 entries)", ps4)
-	return tab
+	return tab, nil
 }
 
 func fmtEnergy(j float64) string {
@@ -310,60 +328,41 @@ func fmtTime(s float64) string {
 	}
 }
 
-// Latency reports the per-access latency distribution of each scheme —
+// latency reports the per-access latency distribution of each scheme —
 // mean, median, and tail — on one representative workload. The paper
 // reports only means; the tail is where the WPQ backpressure and the
 // recursive chain show up.
-func (o Options) Latency() (*stats.Table, error) {
-	w := o.workloads()[0]
+func latency(o Options, schemes []config.Scheme, get lookup) (*stats.Table, error) {
+	w := o.Workloads[0]
 	tab := stats.NewTable(
 		fmt.Sprintf("Access latency distribution on %s (core cycles)", w.Name),
 		"Scheme", "Mean", "P50", "P99", "Max")
-	for _, s := range []config.Scheme{
-		config.SchemeNonORAM, config.SchemeBaseline, config.SchemeFullNVM,
-		config.SchemeNaivePSORAM, config.SchemePSORAM,
-		config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-	} {
-		r, err := sim.Simulate(context.Background(), sim.Request{
-			Scheme: s, Config: o.Cfg, Workload: w, N: o.Accesses, Levels: o.Levels,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for _, s := range schemes {
+		res := get(s, w, o.Cfg.Channels)
 		tab.AddRow(s.String(),
-			fmt.Sprintf("%.0f", r.LatencyMean),
-			fmt.Sprintf("%d", r.LatencyP50),
-			fmt.Sprintf("%d", r.LatencyP99),
-			fmt.Sprintf("%d", r.LatencyMax))
+			fmt.Sprintf("%.0f", res.LatencyMean),
+			fmt.Sprintf("%d", res.LatencyP50),
+			fmt.Sprintf("%d", res.LatencyP99),
+			fmt.Sprintf("%d", res.LatencyMax))
 	}
 	return tab, nil
 }
 
-// Lifetime runs the NVM-lifetime study behind the abstract's "friendly
+// lifetime runs the NVM-lifetime study behind the abstract's "friendly
 // to NVM lifetime" claim: per scheme, the write traffic each ORAM access
 // imposes on the NVM (writes wear PCM cells out) and the wear imbalance
 // across banks.
-func (o Options) Lifetime() (*stats.Table, error) {
-	schemes := []config.Scheme{
-		config.SchemeBaseline, config.SchemeFullNVM, config.SchemeNaivePSORAM,
-		config.SchemePSORAM, config.SchemeRcrBaseline, config.SchemeRcrPSORAM,
-	}
+func lifetime(o Options, schemes []config.Scheme, get lookup) (*stats.Table, error) {
 	tab := stats.NewTable("NVM lifetime: write pressure per ORAM access (workload geomean)",
 		"Scheme", "Writes/access", "KB written/access", "vs Baseline", "Wear max/min")
 	var baseWrites float64
 	for _, s := range schemes {
 		var wAcc, bAcc, wear []float64
-		for _, w := range o.workloads() {
-			cfg := o.Cfg
-			r, err := sim.Simulate(context.Background(), sim.Request{
-				Scheme: s, Config: cfg, Workload: w, N: o.Accesses, Levels: o.Levels,
-			})
-			if err != nil {
-				return nil, err
-			}
-			wAcc = append(wAcc, float64(r.Writes)/float64(r.Accesses))
-			bAcc = append(bAcc, float64(r.BytesWritten)/float64(r.Accesses)/1024)
-			wear = append(wear, r.WearImbalance)
+		for _, w := range o.Workloads {
+			res := get(s, w, o.Cfg.Channels)
+			wAcc = append(wAcc, float64(res.Writes)/float64(res.Accesses))
+			bAcc = append(bAcc, float64(res.BytesWritten)/float64(res.Accesses)/1024)
+			wear = append(wear, res.WearImbalance)
 		}
 		gw := stats.GeoMean(wAcc)
 		if s == config.SchemeBaseline {
@@ -378,10 +377,10 @@ func (o Options) Lifetime() (*stats.Table, error) {
 	return tab, nil
 }
 
-// Recovery measures the §4.3 recovery procedure's cost: simulated cycles
+// recovery measures the §4.3 recovery procedure's cost: simulated cycles
 // and NVM reads to restore a crashed controller, as a function of the
 // ORAM size. PS-ORAM recovery is one sequential PosMap sweep.
-func Recovery() (*stats.Table, error) {
+func recovery(Options, []config.Scheme, lookup) (*stats.Table, error) {
 	tab := stats.NewTable("Recovery cost after a power failure (PS-ORAM)",
 		"Logical blocks", "NVM reads", "Cycles", "us @3.2GHz")
 	for _, blocks := range []uint64{64, 256, 1024} {
@@ -417,12 +416,12 @@ func Recovery() (*stats.Table, error) {
 	return tab, nil
 }
 
-// StashPressure sweeps ORAM utilization and reports stash occupancy —
+// stashPressure sweeps ORAM utilization and reports stash occupancy —
 // the experiment behind the paper's 50% utilization choice ("to
 // minimize the possibility of stash overflow", §5.1). Occupancy is the
 // steady-state peak over a random workload on the functional PS-ORAM
 // controller.
-func StashPressure() (*stats.Table, error) {
+func stashPressure(Options, []config.Scheme, lookup) (*stats.Table, error) {
 	tab := stats.NewTable("Stash pressure vs ORAM utilization (PS-ORAM, L=6, 2000 accesses)",
 		"Utilization", "Blocks", "Stash peak", "Pending peak", "Verdict")
 	const levels = 6
@@ -467,10 +466,10 @@ func StashPressure() (*stats.Table, error) {
 	return tab, nil
 }
 
-// CrashMatrix runs the §3.3 crash-recoverability study: for each scheme,
+// crashMatrix runs the §3.3 crash-recoverability study: for each scheme,
 // inject a crash at every swept protocol point, recover, and report how
 // many points recovered consistently.
-func CrashMatrix() (*stats.Table, error) {
+func crashMatrix(Options, []config.Scheme, lookup) (*stats.Table, error) {
 	r, w, pts := crash.Matrix(50, 11)
 	res, err := r.SweepAll(context.Background(), crash.MatrixSchemes(), w, pts, 0)
 	if err != nil {

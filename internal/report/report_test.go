@@ -1,10 +1,12 @@
 package report
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -17,11 +19,18 @@ func tiny() Options {
 	return o
 }
 
-func TestFigure5aShape(t *testing.T) {
-	tab, err := tiny().Figure5a()
+// render runs the named experiments at o's scale.
+func render(t *testing.T, o Options, names ...string) []*stats.Table {
+	t.Helper()
+	tabs, _, err := Run(o, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tabs
+}
+
+func TestFigure5aShape(t *testing.T) {
+	tab := render(t, tiny(), "fig5a")[0]
 	s := tab.String()
 	if tab.NumRows() != 4 { // 3 workloads + geomean
 		t.Fatalf("rows = %d, want 4\n%s", tab.NumRows(), s)
@@ -44,10 +53,7 @@ func TestFigure5aShape(t *testing.T) {
 }
 
 func TestFigure5bShape(t *testing.T) {
-	tab, err := tiny().Figure5b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "fig5b")[0]
 	gm := lastRowFloats(t, tab.String())
 	// Columns: Baseline(1.0), Rcr-Baseline, Rcr-PS-ORAM, ratio.
 	if len(gm) != 4 {
@@ -65,16 +71,9 @@ func TestFigure5bShape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	reads, err := tiny().Figure6(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes, err := tiny().Figure6(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := lastRowFloats(t, reads.String())
-	w := lastRowFloats(t, writes.String())
+	tabs := render(t, tiny(), "fig6a", "fig6b")
+	r := lastRowFloats(t, tabs[0].String())
+	w := lastRowFloats(t, tabs[1].String())
 	// Columns: Baseline, FullNVM, Naive, PS, Rcr-Base, Rcr-PS.
 	if r[3] < 0.95 || r[3] > 1.1 {
 		t.Errorf("PS-ORAM read traffic %.3f, want ~1.0", r[3])
@@ -94,10 +93,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	tab, err := tiny().Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "fig7")[0]
 	lines := dataLines(tab.String())
 	if len(lines) != 3 {
 		t.Fatalf("want 3 channel rows:\n%s", tab.String())
@@ -112,10 +108,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestORAMCost(t *testing.T) {
-	tab, err := tiny().ORAMCost()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "oramcost")[0]
 	s := tab.String()
 	if !strings.Contains(s, "x") || !strings.Contains(s, "geomean") {
 		t.Fatalf("unexpected table:\n%s", s)
@@ -123,13 +116,14 @@ func TestORAMCost(t *testing.T) {
 }
 
 func TestTable1And2Render(t *testing.T) {
-	t1 := Table1().String()
+	tabs := render(t, tiny(), "table1", "table2")
+	t1 := tabs[0].String()
 	for _, want := range []string{"11.839", "11.228", "SRAM"} {
 		if !strings.Contains(t1, want) {
 			t.Errorf("Table 1 missing %q:\n%s", want, t1)
 		}
 	}
-	t2 := Table2().String()
+	t2 := tabs[1].String()
 	for _, want := range []string{"eADR-ORAM", "PS-ORAM (96 entries)", "PS-ORAM (4 entries)", "J"} {
 		if !strings.Contains(t2, want) {
 			t.Errorf("Table 2 missing %q:\n%s", want, t2)
@@ -138,10 +132,7 @@ func TestTable1And2Render(t *testing.T) {
 }
 
 func TestCrashMatrix(t *testing.T) {
-	tab, err := CrashMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "crash")[0]
 	s := tab.String()
 	// PS-ORAM must be marked consistent, Baseline must corrupt.
 	for _, line := range dataLines(s) {
@@ -155,10 +146,7 @@ func TestCrashMatrix(t *testing.T) {
 }
 
 func TestLifetime(t *testing.T) {
-	tab, err := tiny().Lifetime()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "lifetime")[0]
 	s := tab.String()
 	for _, want := range []string{"PS-ORAM", "FullNVM", "Writes/access"} {
 		if !strings.Contains(s, want) {
@@ -182,10 +170,7 @@ func TestLifetime(t *testing.T) {
 }
 
 func TestRecovery(t *testing.T) {
-	tab, err := Recovery()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "recovery")[0]
 	lines := dataLines(tab.String())
 	if len(lines) != 3 {
 		t.Fatalf("want 3 size rows:\n%s", tab.String())
@@ -198,6 +183,34 @@ func TestRecovery(t *testing.T) {
 			t.Fatalf("recovery reads not increasing: %v", lines)
 		}
 		prev = f[1]
+	}
+}
+
+// TestRunSimulatesEachCellOnce renders every experiment at tiny scale on
+// one and on four cores: the tables must not depend on the pool, and the
+// union of the cells they read (8 schemes on 1 channel, 4 on 2, 5 on 4)
+// must be simulated once each, 17 a workload.
+func TestRunSimulatesEachCellOnce(t *testing.T) {
+	o := tiny()
+	all := func(procs int) (string, int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tabs, sims, err := Run(o, Names()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tab := range tabs {
+			b.WriteString(tab.String())
+		}
+		return b.String(), len(sims.Cells)
+	}
+	one, n := all(1)
+	four, _ := all(4)
+	if one != four {
+		t.Errorf("tables differ between GOMAXPROCS 1 and 4:\n%s\n---\n%s", one, four)
+	}
+	if want := 17 * len(o.Workloads); n != want {
+		t.Errorf("%d simulations for %d workloads, want %d", n, len(o.Workloads), want)
 	}
 }
 
@@ -237,10 +250,7 @@ func lastRowFloats(t *testing.T, s string) []float64 {
 }
 
 func TestLatency(t *testing.T) {
-	tab, err := tiny().Latency()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "latency")[0]
 	s := tab.String()
 	for _, want := range []string{"NonORAM", "PS-ORAM", "P99"} {
 		if !strings.Contains(s, want) {
@@ -257,10 +267,7 @@ func TestLatency(t *testing.T) {
 }
 
 func TestStashPressure(t *testing.T) {
-	tab, err := StashPressure()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := render(t, tiny(), "stash")[0]
 	lines := dataLines(tab.String())
 	if len(lines) != 4 {
 		t.Fatalf("want 4 utilization rows:\n%s", tab.String())

@@ -1,9 +1,12 @@
-// Package sweep is the parallel experiment engine behind the §5.2
-// evaluation grids: it fans a full (scheme × workload × channels × seed)
-// grid out across a bounded pool of goroutines, one independent timing
-// simulator per cell, and aggregates the per-cell sim.Results.
+// Package sweep is the repository's one experiment engine: it fans a
+// full (scheme × workload × channels × seed) grid, or an explicit list of
+// cells (RunCells), out across a bounded pool of goroutines, one
+// independent timing simulator per cell, and aggregates the per-cell
+// sim.Results. `psoram sweep` runs grids; internal/report renders the
+// paper's figures from one RunCells; ForEach, the pool itself, also runs
+// the crash matrix.
 //
-// Determinism is the design center. Every cell derives its own seed from
+// Determinism is the design center. Every cell of a grid derives its own seed from
 // the grid's root seed and the cell's coordinates (rng.DeriveSeed) —
 // never from shared RNG state — so a sweep produces byte-identical
 // results on 1 worker and on N, and a single cell re-run in isolation
@@ -22,12 +25,13 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -49,36 +53,29 @@ type Grid struct {
 	Seeds int
 	// RootSeed anchors per-cell seed derivation (default 1).
 	RootSeed uint64
-	// Accesses is the LLC-miss count per cell (default 3000).
+	// Accesses is the LLC-miss count per cell (at least 1).
 	Accesses int
 	// Levels is the simulated tree height (default 16).
 	Levels int
 	// Cfg is the base configuration; Channels and Seed are overridden per
-	// cell. Zero value means config.Default().
+	// cell. A zero BlockBytes means config.Default().
 	Cfg config.Config
-	// cfgSet distinguishes an explicitly provided Cfg from the zero value.
-	cfgSet bool
 
 	// Oracle opts each cell into functional validation: the timing run's
 	// leaf trace is tested for uniformity, and a small functional system
-	// of the same scheme is driven through the differential oracle
+	// of the same scheme (oracleOps ops on an oracleLevels tree of
+	// oracleBlocks blocks) is driven through the differential oracle
 	// (internal/oracle) under the cell's derived seed. Violations fail
 	// the cell. NonORAM cells record a skipped outcome.
 	Oracle bool
-	// OracleOps is the functional op count per cell (default 64).
-	OracleOps int
-	// OracleBlocks sizes the functional tree (default 128 blocks).
-	OracleBlocks uint64
-	// OracleLevels is the functional tree height (default 6).
-	OracleLevels int
 }
 
-// WithConfig returns a copy of g using cfg as the base configuration.
-func (g Grid) WithConfig(cfg config.Config) Grid {
-	g.Cfg = cfg
-	g.cfgSet = true
-	return g
-}
+// The functional twin each cell of an Oracle grid runs.
+const (
+	oracleOps    = 64
+	oracleBlocks = 128
+	oracleLevels = 6
+)
 
 // withDefaults fills unset fields.
 func (g Grid) withDefaults() Grid {
@@ -91,23 +88,11 @@ func (g Grid) withDefaults() Grid {
 	if g.RootSeed == 0 {
 		g.RootSeed = 1
 	}
-	if g.Accesses <= 0 {
-		g.Accesses = 3000
-	}
 	if g.Levels == 0 {
 		g.Levels = 16
 	}
-	if !g.cfgSet && g.Cfg.BlockBytes == 0 {
+	if g.Cfg.BlockBytes == 0 {
 		g.Cfg = config.Default()
-	}
-	if g.OracleOps <= 0 {
-		g.OracleOps = 64
-	}
-	if g.OracleBlocks == 0 {
-		g.OracleBlocks = 128
-	}
-	if g.OracleLevels == 0 {
-		g.OracleLevels = 6
 	}
 	return g
 }
@@ -122,6 +107,16 @@ func (g Grid) Validate() error {
 	if len(g.Workloads) == 0 {
 		return fmt.Errorf("sweep: grid has no workloads")
 	}
+	names := make([]string, len(g.Workloads))
+	for i, w := range g.Workloads {
+		names[i] = w.Name
+	}
+	if err := cmp.Or(repeated("scheme", g.Schemes), repeated("workload", names), repeated("channel count", g.Channels)); err != nil {
+		return err
+	}
+	if g.Accesses < 1 {
+		return fmt.Errorf("sweep: need at least 1 access, got %d", g.Accesses)
+	}
 	if g.Levels < 4 || g.Levels > 26 {
 		return fmt.Errorf("sim: tree height %d out of range [4,26]", g.Levels)
 	}
@@ -130,6 +125,17 @@ func (g Grid) Validate() error {
 		cfg.Channels = ch
 		if err := cfg.Validate(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// repeated names the first value that occurs twice in a grid axis: a
+// repeated coordinate would run the same cell, under the same seed, twice.
+func repeated[T comparable](axis string, vals []T) error {
+	for i, v := range vals {
+		if slices.Contains(vals[:i], v) {
+			return fmt.Errorf("sweep: %s %v listed twice", axis, v)
 		}
 	}
 	return nil
@@ -217,8 +223,8 @@ type Options struct {
 	OnResult func(done, total int, r CellResult)
 }
 
-// Results aggregates a sweep. Cells is in Grid.Cells order regardless of
-// execution interleaving.
+// Results aggregates a sweep. Cells is in the order the cells were given
+// (Grid.Cells for Run) regardless of execution interleaving.
 type Results struct {
 	Grid    Grid
 	Workers int
@@ -267,65 +273,79 @@ func (r *Results) FirstError() error {
 // errors only on an invalid grid or a cancelled context (returning the
 // partial results alongside the error).
 func Run(ctx context.Context, g Grid, opt Options) (*Results, error) {
-	g = g.withDefaults()
-	if err := g.Validate(); err != nil {
+	if err := g.withDefaults().Validate(); err != nil {
 		return nil, err
 	}
-	cells := g.Cells()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	res := &Results{Grid: g, Workers: workers, Cells: make([]CellResult, len(cells))}
-	started := make([]bool, len(cells))
+	return RunCells(ctx, g, g.Cells(), opt)
+}
 
+// RunCells is Run over an explicit cell list: each cell runs under its
+// own Seed, with g supplying everything else. The cells are not validated
+// up front; a bad one fails alone, with the simulator's error.
+func RunCells(ctx context.Context, g Grid, cells []Cell, opt Options) (*Results, error) {
+	g = g.withDefaults()
+	workers := poolSize(opt.Workers, len(cells))
+	res := &Results{Grid: g, Workers: workers, Cells: make([]CellResult, len(cells))}
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex // serializes OnResult and the done counter
-		done      int
-		cellNanos int64
+		mu   sync.Mutex // serializes OnResult, done and CellTime
+		done int
 	)
+	start := time.Now()
+	fed := ForEach(ctx, len(cells), workers, func(i int) {
+		cr := runCell(ctx, g, cells[i])
+		res.Cells[i] = cr
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		res.CellTime += cr.Wall
+		if opt.OnResult != nil {
+			opt.OnResult(done, len(cells), cr)
+		}
+	})
+	res.Wall = time.Since(start)
+	for i := fed; i < len(cells); i++ {
+		res.Cells[i] = CellResult{Cell: cells[i], Skipped: true}
+	}
+	return res, ctx.Err()
+}
+
+// ForEach is the repository's one worker pool: it calls fn(i) for every
+// i in [0, n) on at most workers goroutines (<=0 means GOMAXPROCS),
+// handing the indices out in order. Once ctx is done it hands out no
+// more; it waits for the calls in flight and returns how many indices it
+// handed out, so fn ran for exactly the i below the result.
+func ForEach(ctx context.Context, n, workers int, fn func(i int)) int {
+	var wg sync.WaitGroup
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range poolSize(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				cr := runCell(ctx, g, cells[i])
-				res.Cells[i] = cr
-				atomic.AddInt64(&cellNanos, int64(cr.Wall))
-				mu.Lock()
-				done++
-				if opt.OnResult != nil {
-					opt.OnResult(done, len(cells), cr)
-				}
-				mu.Unlock()
+				fn(i)
 			}
 		}()
 	}
-	start := time.Now()
+	fed := 0
 feed:
-	for i := range cells {
+	for ; fed < n; fed++ {
 		select {
-		case idx <- i:
-			started[i] = true
+		case idx <- fed:
 		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
-	res.Wall = time.Since(start)
-	res.CellTime = time.Duration(atomic.LoadInt64(&cellNanos))
-	for i := range cells {
-		if !started[i] {
-			res.Cells[i] = CellResult{Cell: cells[i], Skipped: true}
-		}
+	return fed
+}
+
+// poolSize resolves a requested worker count for n tasks.
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return res, ctx.Err()
+	return min(workers, n)
 }
 
 // runCell executes one independent simulation, plus the opt-in
@@ -394,9 +414,9 @@ func validateCell(g Grid, c Cell, cr *CellResult, leaves []oram.Leaf) {
 	if w.HotFraction > 0 {
 		w.HotBias = 0.8
 	}
-	ops := oracle.GenOps(w, g.OracleBlocks, g.Cfg.BlockBytes, g.OracleOps, c.Seed)
+	ops := oracle.GenOps(w, oracleBlocks, g.Cfg.BlockBytes, oracleOps, c.Seed)
 	rep, err := oracle.CheckScheme(oracle.Params{
-		Scheme: c.Scheme, NumBlocks: g.OracleBlocks, Levels: g.OracleLevels, Seed: c.Seed,
+		Scheme: c.Scheme, NumBlocks: oracleBlocks, Levels: oracleLevels, Seed: c.Seed,
 	}, ops, oracle.Options{})
 	if err != nil {
 		cr.Err = fmt.Errorf("sweep: oracle validation: %w", err)

@@ -170,7 +170,8 @@ func TestPanicCapture(t *testing.T) {
 		Workloads: trace.Table4()[:2],
 		Accesses:  50,
 		Levels:    8,
-	}.WithConfig(cfg)
+		Cfg:       cfg,
+	}
 	res, err := Run(context.Background(), g, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("sweep died instead of capturing cell panics: %v", err)
@@ -268,8 +269,14 @@ func TestValidationErrors(t *testing.T) {
 		{"no schemes", func(g *Grid) { g.Schemes = nil }, "no schemes"},
 		{"no workloads", func(g *Grid) { g.Workloads = nil }, "no workloads"},
 		{"bad channels", func(g *Grid) { g.Channels = []int{3} }, "Channels must be 1, 2, 4 or 8"},
+		{"no accesses", func(g *Grid) { g.Accesses = 0 }, "need at least 1 access, got 0"},
 		{"levels too small", func(g *Grid) { g.Levels = 3 }, "out of range [4,26]"},
 		{"levels too large", func(g *Grid) { g.Levels = 27 }, "out of range [4,26]"},
+		{"repeated scheme", func(g *Grid) {
+			g.Schemes = []config.Scheme{config.SchemeBaseline, config.SchemePSORAM, config.SchemeBaseline}
+		}, "scheme Baseline listed twice"},
+		{"repeated workload", func(g *Grid) { g.Workloads = append(g.Workloads[:1:1], g.Workloads[0]) }, "workload " + base.Workloads[0].Name + " listed twice"},
+		{"repeated channels", func(g *Grid) { g.Channels = []int{1, 1} }, "channel count 1 listed twice"},
 	}
 	for _, tc := range cases {
 		g := base

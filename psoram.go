@@ -25,7 +25,6 @@ package psoram
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
@@ -525,64 +524,16 @@ type ExperimentOptions = report.Options
 func DefaultExperimentOptions() ExperimentOptions { return report.Default() }
 
 // Experiments lists the runnable experiment names.
-func Experiments() []string {
-	return []string{
-		"table1", "table2", "fig5a", "fig5b", "fig6a", "fig6b", "fig7",
-		"oramcost", "crash", "lifetime", "recovery", "latency", "stash",
-	}
-}
+func Experiments() []string { return report.Names() }
 
 // RunExperiment regenerates one paper artifact and returns its rendered
 // table.
 func RunExperiment(name string, o ExperimentOptions) (string, error) {
-	switch name {
-	case "table1":
-		return report.Table1().String(), nil
-	case "table2":
-		return report.Table2().String(), nil
-	case "fig5a":
-		t, err := o.Figure5a()
-		return render(t, err)
-	case "fig5b":
-		t, err := o.Figure5b()
-		return render(t, err)
-	case "fig6a":
-		t, err := o.Figure6(false)
-		return render(t, err)
-	case "fig6b":
-		t, err := o.Figure6(true)
-		return render(t, err)
-	case "fig7":
-		t, err := o.Figure7()
-		return render(t, err)
-	case "oramcost":
-		t, err := o.ORAMCost()
-		return render(t, err)
-	case "crash":
-		t, err := report.CrashMatrix()
-		return render(t, err)
-	case "lifetime":
-		t, err := o.Lifetime()
-		return render(t, err)
-	case "recovery":
-		t, err := report.Recovery()
-		return render(t, err)
-	case "latency":
-		t, err := o.Latency()
-		return render(t, err)
-	case "stash":
-		t, err := report.StashPressure()
-		return render(t, err)
-	default:
-		return "", fmt.Errorf("psoram: unknown experiment %q (have %v)", name, Experiments())
-	}
-}
-
-func render(t fmt.Stringer, err error) (string, error) {
+	tabs, _, err := report.Run(o, name)
 	if err != nil {
 		return "", err
 	}
-	return t.String(), nil
+	return tabs[0].String(), nil
 }
 
 // ---------------------------------------------------------------------
