@@ -27,6 +27,11 @@ cross:
 test:
 	$(GO) test ./...
 
+# race is the CI race job: the whole suite under the race detector
+# without -short, so the tests `make check` skips under -short (the L=23
+# simulation in TestFullScaleTable3Geometry, the full sweep grids and
+# kill -9 tortures) run too, and so does every oracle test. One and a
+# half to two minutes of wall time on a 2-vCPU box.
 race:
 	$(GO) test -race ./...
 

@@ -268,27 +268,6 @@ func BenchmarkAblationChannels(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTreeTopCache sweeps the §4.5 hybrid-memory extension:
-// top-K tree levels mirrored in DRAM (write-through, crash-safe).
-func BenchmarkAblationTreeTopCache(b *testing.B) {
-	for _, k := range []int{0, 4, 8} {
-		k := k
-		b.Run(fmt.Sprintf("top%d", k), func(b *testing.B) {
-			cfg := config.Default()
-			cfg.TreeTopCacheLevels = k
-			w, _ := trace.ByName("464.h264ref")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Simulate(context.Background(), sim.Request{Scheme: config.SchemePSORAM, Config: cfg, Workload: w, N: 300, Levels: 14})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Cycles)/float64(res.Accesses), "simcycles/access")
-			}
-		})
-	}
-}
-
 // BenchmarkCrashRecoverySweep measures the crash-inject/recover/verify
 // loop itself.
 func BenchmarkCrashRecoverySweep(b *testing.B) {

@@ -127,6 +127,12 @@ func runOracle(args []string) {
 		printList("Workloads:", names)
 		return
 	}
+	if *ops < 1 {
+		fatal(fmt.Errorf("need at least 1 op, got %d", *ops))
+	}
+	if *blocks < 1 {
+		fatal(fmt.Errorf("need at least 1 block"))
+	}
 	schemes, err := config.ParseSchemes(*schemesArg)
 	if err != nil {
 		fatal(err)

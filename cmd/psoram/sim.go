@@ -104,6 +104,9 @@ func runSweep(args []string) {
 		printList("Workloads (Table 4):", psoram.Workloads())
 		return
 	}
+	if *seeds < 1 {
+		fatal(fmt.Errorf("need at least 1 seed, got %d", *seeds))
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -273,6 +276,9 @@ func runTrace(args []string) {
 		fs.Parse(args[1:])
 		if *out == "" {
 			fatal(fmt.Errorf("-o is required"))
+		}
+		if *n < 1 {
+			fatal(fmt.Errorf("need at least 1 record, got %d", *n))
 		}
 		w, err := trace.ByName(*workload)
 		if err != nil {

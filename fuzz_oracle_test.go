@@ -157,7 +157,6 @@ func FuzzStashEviction(f *testing.F) {
 
 	cfg := config.Default()
 	cfg.BlockBytes, cfg.StashEntries, cfg.Seed = 16, 64, 5
-	cfg.CapacityBytes = oram.NewTree(4, cfg.Z).Slots() * 16 // a stash of 64 exceeds its path
 	f.Fuzz(func(t *testing.T, leafSel uint16, raw []byte) {
 		if len(raw) > 96 {
 			raw = raw[:96]

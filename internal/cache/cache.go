@@ -1,8 +1,7 @@
-// Package cache models the on-chip cache hierarchy of Table 3a: a
-// set-associative, write-back, write-allocate L1D and a shared L2, both
-// with LRU replacement. The hierarchy turns a raw memory-reference
-// stream into the LLC miss stream that reaches the ORAM controller, and
-// accounts hit latencies for the core model.
+// Package cache is a set-associative, write-back, write-allocate cache
+// with LRU replacement. The timing simulator uses it as the recursive
+// schemes' PosMap Lookaside Buffer (PLB); the simulated core sees LLC
+// misses directly, so there is no L1/L2 model.
 package cache
 
 import "fmt"
@@ -120,52 +119,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.hits) / float64(total)
-}
-
-// Hierarchy is the two-level Table 3a hierarchy.
-type Hierarchy struct {
-	L1 *Cache
-	L2 *Cache
-}
-
-// NewHierarchy builds the Table 3a configuration for the given line size.
-func NewHierarchy(l1Size, l1Ways, l1Lat, l2Size, l2Ways, l2Lat, lineBytes int) *Hierarchy {
-	return &Hierarchy{
-		L1: New("L1D", l1Size, l1Ways, lineBytes, l1Lat, l1Lat),
-		L2: New("L2", l2Size, l2Ways, lineBytes, l2Lat, l2Lat),
-	}
-}
-
-// MemAccess describes what the hierarchy needs from main memory.
-type MemAccess struct {
-	Line  uint64
-	Write bool
-}
-
-// Access sends one reference through L1 then L2. It returns the total
-// on-chip latency and the list of main-memory accesses generated: the
-// demand miss (if L2 missed) and any dirty write-backs evicted from L2.
-func (h *Hierarchy) Access(line uint64, write bool) (latency int, mem []MemAccess) {
-	r1 := h.L1.Access(line, write)
-	latency = r1.Latency
-	if r1.Hit {
-		return latency, nil
-	}
-	// L1 victim write-back goes to L2.
-	if r1.Writeback != nil {
-		r2 := h.L2.Access(*r1.Writeback, true)
-		if r2.Writeback != nil {
-			mem = append(mem, MemAccess{Line: *r2.Writeback, Write: true})
-		}
-	}
-	r2 := h.L2.Access(line, false)
-	latency += r2.Latency
-	if r2.Hit {
-		return latency, mem
-	}
-	if r2.Writeback != nil {
-		mem = append(mem, MemAccess{Line: *r2.Writeback, Write: true})
-	}
-	mem = append(mem, MemAccess{Line: line, Write: false})
-	return latency, mem
 }

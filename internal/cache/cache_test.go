@@ -111,54 +111,6 @@ func TestCapacityProperty(t *testing.T) {
 	}
 }
 
-func TestHierarchyMissFiltering(t *testing.T) {
-	h := NewHierarchy(32*1024, 2, 2, 1024*1024, 8, 20, 64)
-	// First touch: miss in both levels -> one demand memory access.
-	lat, mem := h.Access(100, false)
-	if len(mem) != 1 || mem[0].Line != 100 || mem[0].Write {
-		t.Fatalf("demand miss wrong: %+v", mem)
-	}
-	if lat < 22 {
-		t.Fatalf("L1+L2 miss latency %d too small", lat)
-	}
-	// Second touch: L1 hit, no memory traffic.
-	lat, mem = h.Access(100, false)
-	if len(mem) != 0 || lat != 2 {
-		t.Fatalf("expected pure L1 hit, got lat=%d mem=%v", lat, mem)
-	}
-}
-
-func TestHierarchyL2Hit(t *testing.T) {
-	h := NewHierarchy(128, 2, 2, 1024*1024, 8, 20, 64) // tiny L1 (2 lines)
-	h.Access(0, false)
-	h.Access(1, false)
-	h.Access(2, false) // 0 falls out of L1, stays in L2
-	lat, mem := h.Access(0, false)
-	if len(mem) != 0 {
-		t.Fatalf("L2 should have held line 0; mem=%v", mem)
-	}
-	if lat != 22 {
-		t.Fatalf("L2 hit latency = %d, want 22", lat)
-	}
-}
-
-func TestHierarchyDirtyEvictionReachesMemory(t *testing.T) {
-	// Write lines through a tiny hierarchy until dirty L2 victims emerge.
-	h := NewHierarchy(128, 2, 2, 256, 2, 20, 64) // L2 holds 4 lines
-	sawWB := false
-	for i := uint64(0); i < 64; i++ {
-		_, mem := h.Access(i, true)
-		for _, m := range mem {
-			if m.Write {
-				sawWB = true
-			}
-		}
-	}
-	if !sawWB {
-		t.Fatal("no dirty write-back ever reached memory")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	c := small()
 	if c.HitRate() != 0 {

@@ -1,7 +1,8 @@
 // Package config defines the experimental configuration of the PS-ORAM
-// system: the on-chip processor and cache parameters, the ORAM controller
-// geometry, and the persistence-domain/NVM parameters. The defaults
-// reproduce Table 3 of the paper.
+// system: the core clock, the ORAM controller geometry, and the
+// persistence-domain/NVM parameters. The defaults reproduce Table 3 of
+// the paper; the tree height is not a Config field but is chosen per run
+// (sim.Request.Levels, core.Options.Levels or TreeLevelsFor).
 package config
 
 import (
@@ -144,19 +145,11 @@ func (t NVMTiming) WriteLatency() int { return t.TRCD + t.TCWD + t.TWP }
 
 // Config is the full experimental configuration (Table 3).
 type Config struct {
-	// ---- On-chip processor and cache (Table 3a) ----
+	// ---- On-chip processor (Table 3a) ----
 	CoreFreqMHz int // 3200 (3.2 GHz)
-	L1SizeBytes int
-	L1Ways      int
-	L1ReadCycle int
-	L2SizeBytes int
-	L2Ways      int
-	L2ReadCycle int
-	LineBytes   int
 
 	// ---- ORAM controller (Table 3b) ----
 	BlockBytes     int     // data block size (64B, cache-line)
-	CapacityBytes  uint64  // data ORAM capacity (4GB => L=23)
 	Z              int     // block slots per bucket
 	StashEntries   int     // stash size C
 	TempPosMapSize int     // temporary PosMap size C_TPos
@@ -188,16 +181,6 @@ type Config struct {
 	// root updates together with the data).
 	Integrity bool
 
-	// TreeTopCacheLevels enables the hybrid-memory extension sketched in
-	// §4.5 of the paper: the top K levels of the ORAM tree are mirrored
-	// in DRAM as a write-through cache. Path reads of those levels hit
-	// DRAM; writes still reach NVM synchronously, so crash consistency
-	// is untouched (the DRAM copy is volatile and never authoritative).
-	// Zero disables the cache.
-	TreeTopCacheLevels int
-	// DRAMReadCycles is the core-cycle cost of a tree-top DRAM hit.
-	DRAMReadCycles int
-
 	// Seed drives all randomized behaviour (leaf remapping, traces).
 	Seed uint64
 }
@@ -206,16 +189,8 @@ type Config struct {
 func Default() Config {
 	return Config{
 		CoreFreqMHz: 3200,
-		L1SizeBytes: 32 * 1024,
-		L1Ways:      2,
-		L1ReadCycle: 2,
-		L2SizeBytes: 1024 * 1024,
-		L2Ways:      8,
-		L2ReadCycle: 20,
-		LineBytes:   64,
 
 		BlockBytes:     64,
-		CapacityBytes:  4 << 30,
 		Z:              4,
 		StashEntries:   200,
 		TempPosMapSize: 96,
@@ -231,28 +206,9 @@ func Default() Config {
 		PosMapEntryBytes:  4,
 		OnChipPosMapBytes: 256 * 1024,
 		PLBEntries:        1024,
-		DRAMReadCycles:    60,
 
 		Seed: 1,
 	}
-}
-
-// TreeLevels returns L, the height of the ORAM tree (root is level 0,
-// leaves are level L), for a tree whose slot capacity covers
-// CapacityBytes of NVM at the configured block size.
-//
-// A tree of height L has 2^(L+1)-1 buckets and Z*(2^(L+1)-1) slots.
-// Following the paper, "4GB (L = 23)" with 64B blocks and Z=4:
-// 2^24-1 buckets * 4 slots * 64B ~= 4GB.
-func (c Config) TreeLevels() int {
-	buckets := c.CapacityBytes / uint64(c.BlockBytes) / uint64(c.Z)
-	// Largest L whose tree (2^(L+1)-1 buckets) fits in the capacity; the
-	// paper's "4GB (L = 23)" uses the same convention (2^24-1 buckets).
-	l := 0
-	for n := uint64(3); n <= buckets; n = n*2 + 1 {
-		l++
-	}
-	return l
 }
 
 // TreeLevelsFor returns the height of an ORAM tree that must hold n real
@@ -270,17 +226,6 @@ func (c Config) TreeLevelsFor(nBlocks uint64) int {
 	return l
 }
 
-// PathBlocks returns Z*(L+1), the number of block slots on one path.
-func (c Config) PathBlocks() int { return c.Z * (c.TreeLevels() + 1) }
-
-// RealBlocks returns the number of real (logical) data blocks the tree
-// holds at the configured utilization.
-func (c Config) RealBlocks() uint64 {
-	l := c.TreeLevels()
-	buckets := uint64(1)<<(uint(l)+1) - 1
-	return uint64(float64(buckets*uint64(c.Z)) * c.Utilization)
-}
-
 // CoreCyclesPerNVMCycle returns the core/NVM clock ratio.
 func (c Config) CoreCyclesPerNVMCycle() int {
 	return c.CoreFreqMHz / c.NVM.ClockMHz
@@ -293,10 +238,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: BlockBytes %d must be a positive power of two", c.BlockBytes)
 	case c.Z <= 0:
 		return fmt.Errorf("config: Z must be positive, got %d", c.Z)
-	case c.CapacityBytes < uint64(c.BlockBytes)*uint64(c.Z):
-		return fmt.Errorf("config: capacity %d smaller than one bucket", c.CapacityBytes)
-	case c.StashEntries <= c.PathBlocks():
-		return fmt.Errorf("config: stash (%d) must exceed one path (%d blocks)", c.StashEntries, c.PathBlocks())
 	case c.TempPosMapSize <= 0:
 		return fmt.Errorf("config: TempPosMapSize must be positive")
 	case c.Channels != 1 && c.Channels != 2 && c.Channels != 4 && c.Channels != 8:
@@ -311,27 +252,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: core clock must be >= NVM clock")
 	case c.PosMapEntryBytes <= 0 || c.PosMapEntryBytes > 8:
 		return fmt.Errorf("config: PosMapEntryBytes must be in [1,8]")
-	case c.TreeTopCacheLevels < 0:
-		return fmt.Errorf("config: TreeTopCacheLevels must be non-negative")
-	case c.TreeTopCacheLevels > 0 && c.DRAMReadCycles <= 0:
-		return fmt.Errorf("config: tree-top cache needs positive DRAMReadCycles")
 	}
 	return nil
-}
-
-// WithScale returns a copy of c shrunk to a small tree holding at least
-// nBlocks real blocks. Used by tests and examples to keep runs fast while
-// preserving protocol behaviour.
-func (c Config) WithScale(nBlocks uint64) Config {
-	out := c
-	l := c.TreeLevelsFor(nBlocks)
-	if l < 2 {
-		l = 2
-	}
-	buckets := uint64(1)<<(uint(l)+1) - 1
-	out.CapacityBytes = buckets * uint64(c.Z) * uint64(c.BlockBytes)
-	if out.StashEntries <= out.PathBlocks() {
-		out.StashEntries = out.PathBlocks() * 3
-	}
-	return out
 }

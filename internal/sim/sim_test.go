@@ -184,37 +184,6 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
-func TestTreeTopCacheExtension(t *testing.T) {
-	w := testWorkload()
-	run := func(levels int) Result {
-		cfg := config.Default()
-		cfg.TreeTopCacheLevels = levels
-		res, err := Simulate(context.Background(), Request{Scheme: config.SchemePSORAM, Config: cfg, Workload: w, N: 600, Levels: 12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	off := run(0)
-	on := run(6)
-	if on.DRAMReads == 0 {
-		t.Fatal("tree-top cache reported no DRAM hits")
-	}
-	if off.DRAMReads != 0 {
-		t.Fatal("disabled cache reported DRAM hits")
-	}
-	if on.Cycles >= off.Cycles {
-		t.Errorf("tree-top cache (%d cycles) should beat plain NVM (%d)", on.Cycles, off.Cycles)
-	}
-	if on.Reads >= off.Reads {
-		t.Errorf("tree-top cache should cut NVM read traffic: %d vs %d", on.Reads, off.Reads)
-	}
-	// Writes are write-through: unchanged.
-	if on.Writes != off.Writes {
-		t.Errorf("write-through cache changed write traffic: %d vs %d", on.Writes, off.Writes)
-	}
-}
-
 func TestChainWorkOnlyForRecursive(t *testing.T) {
 	ps := run(t, config.SchemePSORAM, 1, 200)
 	if ps.ChainBlocks != 0 {
@@ -223,38 +192,5 @@ func TestChainWorkOnlyForRecursive(t *testing.T) {
 	rcr := run(t, config.SchemeRcrBaseline, 1, 200)
 	if rcr.ChainBlocks == 0 {
 		t.Error("recursive scheme reported no chain work")
-	}
-}
-
-func TestRunThroughCaches(t *testing.T) {
-	cfg := config.Default()
-	w := testWorkload()
-	res, err := Simulate(context.Background(), Request{Scheme: config.SchemePSORAM, Config: cfg, Workload: w, N: 30000, Levels: 10, ThroughCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accesses == 0 {
-		t.Fatal("the cache hierarchy filtered every reference; no ORAM access happened")
-	}
-	// Misses must be a small fraction of references (the caches work).
-	if float64(res.Accesses) > 0.5*30000 {
-		t.Fatalf("%d LLC misses from 30000 references: caches ineffective", res.Accesses)
-	}
-	if res.Cycles <= res.Instrs {
-		t.Fatal("no memory stall time accumulated")
-	}
-	// High-locality workloads must miss less than streaming ones.
-	gcc, _ := trace.ByName("403.gcc")
-	lbm, _ := trace.ByName("470.lbm")
-	rg, err := Simulate(context.Background(), Request{Scheme: config.SchemeBaseline, Config: cfg, Workload: gcc, N: 20000, Levels: 10, ThroughCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := Simulate(context.Background(), Request{Scheme: config.SchemeBaseline, Config: cfg, Workload: lbm, N: 20000, Levels: 10, ThroughCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rg.Accesses >= rl.Accesses {
-		t.Fatalf("gcc (%d misses) should miss less than lbm (%d)", rg.Accesses, rl.Accesses)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,16 +12,15 @@ import (
 )
 
 // TestSimulateTraceMode covers the Records drive mode, including the
-// TraceName label and the Records×ThroughCaches rejection.
+// TraceName label.
 func TestSimulateTraceMode(t *testing.T) {
 	recs := []trace.Record{
 		{InstrGap: 10, Addr: 1, Write: false},
 		{InstrGap: 5, Addr: 2, Write: true},
 		{InstrGap: 7, Addr: 3, Write: false},
 	}
-	cfg := config.Default()
 	res, err := Simulate(context.Background(), Request{
-		Scheme: config.SchemePSORAM, Config: cfg, Records: recs, TraceName: "mini.trace", Levels: 8,
+		Scheme: config.SchemePSORAM, Config: config.Default(), Records: recs, TraceName: "mini.trace", Levels: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,11 +31,53 @@ func TestSimulateTraceMode(t *testing.T) {
 	if res.Accesses != uint64(len(recs)) {
 		t.Fatalf("trace run served %d accesses, want %d", res.Accesses, len(recs))
 	}
+}
 
-	if _, err := Simulate(context.Background(), Request{
-		Scheme: config.SchemePSORAM, Config: cfg, Records: recs, Levels: 8, ThroughCaches: true,
-	}); err == nil {
-		t.Fatal("Records+ThroughCaches was not rejected")
+// TestSimulateRejectsNoAccesses: a run with nothing to simulate would
+// report per-access metrics of 0/0; Simulate refuses it, whether the
+// count comes from N or from an empty Records.
+func TestSimulateRejectsNoAccesses(t *testing.T) {
+	w := testWorkload()
+	for name, req := range map[string]Request{
+		"N 0":           {Workload: w, N: 0},
+		"N -3":          {Workload: w, N: -3},
+		"empty Records": {Workload: w, N: 100, Records: []trace.Record{}},
+	} {
+		req.Scheme, req.Levels = config.SchemePSORAM, 8
+		if res, err := Simulate(context.Background(), req); err == nil || !strings.Contains(err.Error(), "need at least 1 access") {
+			t.Errorf("%s: got %+v, %v; want a need-at-least-1-access error", name, res, err)
+		}
+	}
+}
+
+// TestReplayMatchesGenerator: replaying the generator's own stream
+// through Records gives the same Result as the Workload run, in every
+// field but the label. This is what lets one loop serve both inputs.
+func TestReplayMatchesGenerator(t *testing.T) {
+	const n, levels = 600, 10
+	w := testWorkload()
+	cfg := config.Default()
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline} {
+		gen, err := Simulate(context.Background(), Request{Scheme: scheme, Config: cfg, Workload: w, N: n, Levels: levels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(scheme, cfg, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := trace.NewGenerator(w, cfg.Seed, sys.NumBlocks()).Generate(n)
+		rep, err := Simulate(context.Background(), Request{Scheme: scheme, Config: cfg, Records: recs, TraceName: "replay", Levels: levels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Workload != "replay" {
+			t.Errorf("%s: replay labelled %q", scheme, rep.Workload)
+		}
+		rep.Workload = gen.Workload
+		if rep != gen {
+			t.Errorf("%s: replay differs from the generator run:\n replay    %+v\n generator %+v", scheme, rep, gen)
+		}
 	}
 }
 

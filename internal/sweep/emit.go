@@ -100,7 +100,7 @@ var csvHeader = []string{
 	"scheme", "workload", "channels", "seed_index", "seed",
 	"cycles", "instrs", "accesses", "reads", "writes",
 	"bytes_read", "bytes_written", "energy_pj", "dirty_entries",
-	"chain_blocks", "pending_peak", "dram_reads", "wear_imbalance",
+	"chain_blocks", "pending_peak", "wear_imbalance",
 	"latency_mean", "latency_p50", "latency_p99", "latency_max",
 	"wall_ns", "error",
 }
@@ -126,7 +126,7 @@ func WriteCSV(w io.Writer, r *Results) error {
 			strconv.Itoa(c.Cell.Channels), strconv.Itoa(c.Cell.SeedIndex), u(c.Cell.Seed),
 			u(res.Cycles), u(res.Instrs), u(res.Accesses), u(res.Reads), u(res.Writes),
 			u(res.BytesRead), u(res.BytesWritten), u(res.EnergyPJ), u(res.DirtyEntries),
-			u(res.ChainBlocks), strconv.Itoa(res.PendingPeak), u(res.DRAMReads),
+			u(res.ChainBlocks), strconv.Itoa(res.PendingPeak),
 			strconv.FormatFloat(res.WearImbalance, 'f', 4, 64),
 			strconv.FormatFloat(res.LatencyMean, 'f', 2, 64),
 			u(res.LatencyP50), u(res.LatencyP99), u(res.LatencyMax),

@@ -153,50 +153,6 @@ func (g *Generator) Generate(n int) []Record {
 	return out
 }
 
-// RawGenerator produces raw memory references (before any cache) for a
-// workload: a stream of (line address, read/write) pairs, one reference
-// per instruction window, with hot-set reuse that the cache hierarchy
-// then filters into an LLC miss stream. Use it with cache.Hierarchy when
-// the experiment should derive its MPKI from cache behaviour instead of
-// taking Table 4's number as given.
-type RawGenerator struct {
-	w Workload
-	r *rng.Rand
-	// refsPerKiloInstr controls reference density; ~400 loads+stores per
-	// 1000 instructions is typical of SPEC int.
-	refsPerKiloInstr float64
-}
-
-// NewRawGenerator creates a raw-reference generator.
-func NewRawGenerator(w Workload, seed uint64, maxBlocks uint64) *RawGenerator {
-	if maxBlocks != 0 && w.Footprint > maxBlocks {
-		w.Footprint = maxBlocks
-	}
-	return &RawGenerator{w: w, r: rng.New(seed ^ hash(w.Name) ^ 0x9e37), refsPerKiloInstr: 400}
-}
-
-// NextRef returns the next raw reference: the instruction gap since the
-// previous one, the line address, and whether it is a store.
-func (g *RawGenerator) NextRef() Record {
-	gap := uint64(1000/g.refsPerKiloInstr) + g.r.Uint64n(3)
-	hot := uint64(float64(g.w.Footprint) * g.w.HotFraction)
-	if hot == 0 {
-		hot = 1
-	}
-	var addr uint64
-	if g.r.Bool(g.w.Locality) {
-		// Hot-set reuse with spatial runs: neighbouring lines cluster.
-		base := g.r.Uint64n(hot)
-		addr = base + g.r.Uint64n(4)
-		if addr >= g.w.Footprint {
-			addr = base
-		}
-	} else {
-		addr = g.r.Uint64n(g.w.Footprint)
-	}
-	return Record{InstrGap: gap, Addr: addr, Write: g.r.Bool(g.w.WriteRatio)}
-}
-
 // MeasuredMPKI computes the MPKI implied by a record slice.
 func MeasuredMPKI(recs []Record) float64 {
 	if len(recs) == 0 {

@@ -10,9 +10,10 @@
 //     applications (and tests) exercise the crash-consistency guarantees
 //     end to end.
 //
-//   - Simulate: the full-system timing model (in-order core, Table 3
-//     caches, banked multi-channel NVM) that prices every protocol
-//     variant the paper evaluates and regenerates its figures.
+//   - Simulate: the full-system timing model (an in-order core fed
+//     LLC misses at Table 4's MPKI, banked multi-channel NVM) that
+//     prices every protocol variant the paper evaluates and regenerates
+//     its figures.
 //
 //   - Experiments: runners for each table and figure of the paper
 //     (Figure5a/5b/6a/6b/7, Table1/2, the crash matrix, the ORAM-cost
@@ -474,7 +475,8 @@ func Workloads() []string {
 
 // Simulate runs the full-system timing model: `accesses` LLC misses of
 // the named Table 4 workload under the scheme, on a tree of the given
-// height (the paper's Table 3 uses 23).
+// height (the paper's Table 3 uses 23). Fewer than one access is an
+// error.
 func Simulate(scheme Scheme, cfg Config, workload string, accesses, levels int) (SimResult, error) {
 	w, err := trace.ByName(workload)
 	if err != nil {
@@ -486,30 +488,14 @@ func Simulate(scheme Scheme, cfg Config, workload string, accesses, levels int) 
 }
 
 // SimulateTrace replays a recorded trace file (the `psoram trace` format)
-// through the timing model.
+// through the timing model. A trace with no records is an error.
 func SimulateTrace(scheme Scheme, cfg Config, path string, levels int) (SimResult, error) {
 	recs, err := trace.Load(path)
 	if err != nil {
 		return SimResult{}, err
 	}
-	if recs == nil {
-		recs = []trace.Record{}
-	}
 	return sim.Simulate(context.Background(), sim.Request{
 		Scheme: scheme, Config: cfg, Records: recs, TraceName: path, Levels: levels,
-	})
-}
-
-// SimulateThroughCaches is Simulate with raw memory references filtered
-// through the Table 3a L1D/L2 hierarchy: the LLC miss rate emerges from
-// cache behaviour instead of Table 4's MPKI. refs counts raw references.
-func SimulateThroughCaches(scheme Scheme, cfg Config, workload string, refs, levels int) (SimResult, error) {
-	w, err := trace.ByName(workload)
-	if err != nil {
-		return SimResult{}, err
-	}
-	return sim.Simulate(context.Background(), sim.Request{
-		Scheme: scheme, Config: cfg, Workload: w, N: refs, Levels: levels, ThroughCaches: true,
 	})
 }
 

@@ -3,8 +3,11 @@ package psoram
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func newStore(t *testing.T, scheme Scheme) *Store {
@@ -127,6 +130,27 @@ func TestStoreCrashAtHook(t *testing.T) {
 	}
 }
 
+// TestStashJudgedOnBuiltTree: the stash must exceed one path of the tree
+// the store actually builds. At L=4 a path is Z*(L+1) = 20 blocks, so a
+// 50-entry stash is enough, however tall a tree the default Table 3
+// configuration would describe.
+func TestStashJudgedOnBuiltTree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StashEntries = 50
+	s, err := New(64, WithLevels(4), WithConfig(cfg))
+	if err != nil {
+		t.Fatalf("a 50-entry stash over 20-block paths was rejected: %v", err)
+	}
+	defer s.Close()
+	if err := s.Write(3, bytes.Repeat([]byte{7}, cfg.BlockBytes)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.StashEntries = 20
+	if _, err := New(64, WithLevels(4), WithConfig(cfg)); err == nil {
+		t.Fatal("a stash no larger than one path was accepted")
+	}
+}
+
 func TestStoreCounters(t *testing.T) {
 	s := newStore(t, PSORAM)
 	if _, err := s.Read(0); err != nil {
@@ -148,6 +172,19 @@ func TestSimulateFacade(t *testing.T) {
 	}
 	if _, err := Simulate(PSORAM, DefaultConfig(), "nope", 10, 10); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	// A run with nothing to simulate is an error, not a table of NaNs.
+	for _, n := range []int{0, -3} {
+		if res, err := Simulate(PSORAM, DefaultConfig(), "403.gcc", n, 10); err == nil {
+			t.Errorf("%d accesses: returned %+v, want an error", n, res)
+		}
+	}
+	empty := filepath.Join(t.TempDir(), "empty.psot")
+	if err := trace.Save(empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := SimulateTrace(PSORAM, DefaultConfig(), empty, 10); err == nil {
+		t.Errorf("empty trace: returned %+v, want an error", res)
 	}
 }
 
@@ -194,19 +231,6 @@ func TestVerifyCrashConsistencyFacade(t *testing.T) {
 		if res, err := VerifyCrashConsistency(PSORAM, accesses, 3); err == nil {
 			t.Errorf("%d accesses: vacuous sweep returned %+v, want an error", accesses, res)
 		}
-	}
-}
-
-func TestSimulateThroughCachesFacade(t *testing.T) {
-	res, err := SimulateThroughCaches(PSORAM, DefaultConfig(), "403.gcc", 20000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accesses == 0 || res.Accesses > 10000 {
-		t.Fatalf("cache-filtered run produced %d ORAM accesses from 20000 refs", res.Accesses)
-	}
-	if res.LatencyP99 < res.LatencyP50 || res.LatencyP50 == 0 {
-		t.Fatalf("latency percentiles wrong: p50=%d p99=%d", res.LatencyP50, res.LatencyP99)
 	}
 }
 
