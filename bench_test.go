@@ -281,22 +281,3 @@ func BenchmarkCrashRecoverySweep(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAccessPSORAMIntegrity prices the Merkle verification and
-// crash-consistent root update per access.
-func BenchmarkAccessPSORAMIntegrity(b *testing.B) {
-	cfg := config.Default()
-	cfg.StashEntries = 150
-	cfg.Integrity = true
-	ctl, err := core.New(config.SchemePSORAM, cfg, core.Options{NumBlocks: 256, Levels: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, cfg.BlockBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctl.Access(oram.OpWrite, oram.Addr(i%256), buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

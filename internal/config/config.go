@@ -175,12 +175,6 @@ type Config struct {
 	// (Freecursive-style) used by recursive schemes.
 	PLBEntries int
 
-	// Integrity enables Merkle-tree verification of the ORAM tree with
-	// crash-consistent root updates (extension; supported by the
-	// WPQ-persistent schemes, whose atomic batches carry the hash and
-	// root updates together with the data).
-	Integrity bool
-
 	// Seed drives all randomized behaviour (leaf remapping, traces).
 	Seed uint64
 }

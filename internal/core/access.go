@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/integrity"
 	"repro/internal/mem"
 	"repro/internal/nvm"
 	"repro/internal/oram"
@@ -284,17 +283,6 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 	path := c.scratch.path
 	// Start the path's cache misses before the walk below consumes them.
 	c.gathered += c.ORAM.Image.Gather(path, c.ORAM.PosMap)
-	// Integrity: verify the path against the trusted root before any of
-	// it is consumed. The sibling hashes come from NVM (one per level).
-	if c.Merkle != nil {
-		for _, bucket := range path {
-			c.Mem.ReadBytes(c.Mem.PosMapLocation((1<<23)+bucket), earliest, integrity.HashSize)
-		}
-		if err := c.Merkle.VerifyPath(l, c.bucketSlots); err != nil {
-			return nil, 0, err
-		}
-		c.counters.Inc("integrity.verified_paths")
-	}
 	// Timing: all Z slots of each bucket, buckets issue in parallel
 	// across banks/channels.
 	var done mem.Cycle

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/integrity"
 	"repro/internal/mem"
 	"repro/internal/nvm"
 	"repro/internal/oram"
@@ -88,9 +87,6 @@ type Controller struct {
 	// onchipNVM models the stash/PosMap built from NVM in the FullNVM
 	// schemes; nil otherwise, and nil under Options.Untimed.
 	onchipNVM *nvm.Device
-
-	// Merkle is the integrity tree (cfg.Integrity); nil when disabled.
-	Merkle *integrity.Tree
 
 	// now is the advancing time cursor in core cycles.
 	now mem.Cycle
@@ -204,8 +200,8 @@ type Controller struct {
 	closed bool
 
 	// storage is the durable backend (nil = in-memory image only): the
-	// tree image, the NVM position map, the seal-version cursor and the
-	// trusted integrity root the §4.3 recovery path needs live in it.
+	// tree image, the NVM position map and the seal-version cursor the
+	// §4.3 recovery path needs live in it.
 	// Durable PosMap mutations are mirrored into it as they happen, and
 	// commitDurable runs its persist barrier at access boundaries, so
 	// the on-disk state only ever transitions between them: exactly the
@@ -366,40 +362,11 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 	if opts.Untimed {
 		c.onchipNVM = nil // an untimed controller schedules on no device
 	}
-	if cfg.Integrity {
-		if !c.wpqPersistent() {
-			return nil, fmt.Errorf("core: integrity requires a WPQ-persistent scheme (got %v): the hash and root updates need atomic batches", scheme)
-		}
-		path := c.ORAM.Tree.PathBlocks()
-		if path > cfg.DataWPQEntries {
-			return nil, fmt.Errorf("core: integrity needs the full path (%d blocks) in one batch; DataWPQEntries=%d", path, cfg.DataWPQEntries)
-		}
-		// The hash updates (L+2 entries) plus any posmap entries must fit
-		// the PosMap WPQ in one batch too.
-		posDemand := c.ORAM.Tree.Levels() + 2
-		if scheme == config.SchemeNaivePSORAM {
-			posDemand += path
-		}
-		if posDemand > cfg.PosMapWPQEntries {
-			return nil, fmt.Errorf("core: integrity needs %d PosMap WPQ entries per batch; have %d", posDemand, cfg.PosMapWPQEntries)
-		}
-		c.Merkle = integrity.New(c.ORAM.Tree, c.bucketSlots)
-	}
 	c.hAccesses = c.counters.Handle("oram.accesses")
 	c.hBackups = c.counters.Handle("psoram.backups")
 	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	c.group = opts.GroupCommit
 	return c, nil
-}
-
-// bucketSlots reads a bucket's sealed slots from the image (the Merkle
-// tree's view of NVM).
-func (c *Controller) bucketSlots(bucket uint64) []oram.Slot {
-	out := make([]oram.Slot, c.ORAM.Tree.Z)
-	for z := 0; z < c.ORAM.Tree.Z; z++ {
-		out[z] = c.ORAM.Image.Slot(bucket, z)
-	}
-	return out
 }
 
 // Now returns the current simulated time in core cycles. Under

@@ -521,131 +521,6 @@ func TestEADRSurvivesMidAccessCrash(t *testing.T) {
 	}
 }
 
-func TestIntegrityRoundTrip(t *testing.T) {
-	cfg := testCfg()
-	cfg.Integrity = true
-	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 100, Levels: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := make(map[oram.Addr][]byte)
-	r := &lcg{s: 61}
-	for i := 0; i < 400; i++ {
-		addr := oram.Addr(r.n(100))
-		if r.n(2) == 0 {
-			v := blockVal(addr, i, 64)
-			if _, err := c.Access(oram.OpWrite, addr, v); err != nil {
-				t.Fatalf("access %d: %v", i, err)
-			}
-			ref[addr] = v
-		} else {
-			res, err := c.Access(oram.OpRead, addr, nil)
-			if err != nil {
-				t.Fatalf("access %d: %v", i, err)
-			}
-			if want := ref[addr]; want != nil && !bytes.Equal(res.Value, want) {
-				t.Fatalf("access %d: %q want %q", i, res.Value, want)
-			}
-		}
-	}
-	if c.Counters().Get("integrity.verified_paths") == 0 ||
-		c.Counters().Get("integrity.root_updates") == 0 {
-		t.Fatal("integrity machinery idle")
-	}
-}
-
-func TestIntegrityDetectsTampering(t *testing.T) {
-	cfg := testCfg()
-	cfg.Integrity = true
-	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 100, Levels: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := c.Access(oram.OpRead, oram.Addr(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An attacker flips a bit in the root bucket's first slot.
-	s := c.ORAM.Image.Slot(0, 0)
-	s.SealedData = append([]byte(nil), s.SealedData...)
-	s.SealedData[0] ^= 1
-	c.ORAM.Image.PutSlot(0, 0, s)
-	// Every access reads the root bucket: the next access must fail.
-	if _, err := c.Access(oram.OpRead, 5, nil); err == nil {
-		t.Fatal("tampered tree verified")
-	}
-}
-
-func TestIntegrityCrashConsistent(t *testing.T) {
-	// The hash tree and root ride in the WPQ batch: after any crash +
-	// recovery the tree must still verify and values must match the
-	// acknowledged writes, plus the in-flight one when the crash came
-	// after its commit (step 6).
-	cfg := testCfg()
-	cfg.Integrity = true
-	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 80, Levels: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[oram.Addr][]byte)
-	for a := oram.Addr(0); a < 80; a++ {
-		want[a] = make([]byte, 64)
-	}
-	r := &lcg{s: 71}
-	for cycle := 0; cycle < 5; cycle++ {
-		crashAt := uint64(c.Accesses()) + uint64(4+r.n(6))
-		step := []int{2, 3, 4, 5, 6}[r.n(5)]
-		c.CrashAt = func(p CrashPoint) bool { return p.Access >= crashAt && p.Step == step }
-		for i := 0; i < 30; i++ {
-			addr := oram.Addr(r.n(80))
-			v := blockVal(addr, cycle*100+i, 64)
-			_, err := c.Access(oram.OpWrite, addr, v)
-			if err == ErrCrashed {
-				if step == 6 {
-					want[addr] = v
-				}
-				break
-			}
-			if err != nil {
-				t.Fatalf("cycle %d: %v", cycle, err)
-			}
-			want[addr] = v
-		}
-		c.CrashAt = nil
-		if err := c.Recover(); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-		for a := oram.Addr(0); a < 80; a++ {
-			got, err := c.Peek(a)
-			if err != nil {
-				t.Fatalf("cycle %d: addr %d unreadable: %v", cycle, a, err)
-			}
-			if !bytes.Equal(got, want[a]) {
-				t.Fatalf("cycle %d (step %d): addr %d mismatch", cycle, step, a)
-			}
-		}
-		// The surviving tree must still verify on further accesses.
-		if _, err := c.Access(oram.OpRead, 0, nil); err != nil {
-			t.Fatalf("cycle %d: post-recovery access: %v", cycle, err)
-		}
-	}
-}
-
-func TestIntegrityRequiresPersistentScheme(t *testing.T) {
-	cfg := testCfg()
-	cfg.Integrity = true
-	if _, err := New(config.SchemeBaseline, cfg, Options{NumBlocks: 100, Levels: 5}); err == nil {
-		t.Fatal("integrity accepted on a non-persistent scheme")
-	}
-	cfg2 := testCfg()
-	cfg2.Integrity = true
-	cfg2.DataWPQEntries = 4
-	if _, err := New(config.SchemePSORAM, cfg2, Options{NumBlocks: 100, Levels: 5}); err == nil {
-		t.Fatal("integrity accepted with WPQs too small for an atomic path")
-	}
-}
-
 func TestFullStateAuditAfterSoak(t *testing.T) {
 	// A deeper invariant audit after a long PS-ORAM run: exactly one
 	// live copy per address (stash or tree slot agreeing with the

@@ -294,7 +294,6 @@ func digestVariants() []digestVariant {
 		{name: "Naive-PS-ORAM", scheme: config.SchemeNaivePSORAM},
 		{name: "PS-ORAM", scheme: config.SchemePSORAM, crash: true},
 		{name: "PS-ORAM/wpq4", scheme: config.SchemePSORAM, tune: func(c *config.Config) { c.DataWPQEntries = 4 }},
-		{name: "PS-ORAM/integrity", scheme: config.SchemePSORAM, tune: func(c *config.Config) { c.Integrity = true }},
 		{name: "eADR-ORAM", scheme: config.SchemeEADRORAM},
 		{name: "Rcr-Baseline", scheme: config.SchemeRcrBaseline, crash: true},
 		{name: "Rcr-PS-ORAM", scheme: config.SchemeRcrPSORAM, crash: true},

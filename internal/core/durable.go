@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -15,9 +14,8 @@ import (
 // kill -9 — running the §4.3 recovery: geometry and scheme come from
 // the backend, the on-chip position map is reloaded from the durable
 // copy, the seal-version cursor is restored, and every volatile
-// structure (stash, temporary PosMap) starts empty. With cfg.Integrity
-// set, the image is re-hashed and verified against the stored trusted
-// root. The controller takes ownership of st.
+// structure (stash, temporary PosMap) starts empty. The controller
+// takes ownership of st.
 func Open(cfg config.Config, st *filestore.Store) (*Controller, error) {
 	return openWith(cfg, st, Options{})
 }
@@ -50,18 +48,6 @@ func openWith(cfg config.Config, st *filestore.Store, runtime Options) (*Control
 		c.ORAM.PosMap.Put(a, l)
 	}
 	c.ORAM.SetVerSeq(st.VerSeq())
-	if c.Merkle != nil {
-		// The Merkle tree was rebuilt over the recovered image during
-		// construction; a mismatch against the trusted root from the
-		// persistence domain means the image was tampered with.
-		root := st.Root()
-		if len(root) == 0 {
-			return nil, fmt.Errorf("core: cfg.Integrity set but the store carries no trusted root")
-		}
-		if !bytes.Equal(c.Merkle.Root(), root) {
-			return nil, fmt.Errorf("core: storage integrity check failed: image does not match the trusted root")
-		}
-	}
 	c.counters.Inc("storage.opens")
 	return c, nil
 }

@@ -218,37 +218,18 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	}
 	// If one atomic batch cannot fit the WPQs, fall back to the ordered
 	// multi-batch eviction for limited persistence domains (§4.2.3).
-	needData, needPos := t.PathBlocks(), len(posmap)
-	if c.Merkle != nil {
-		needPos += t.Levels() + 1 // hash entries + root
-	}
-	oneBatch := needData <= c.Cfg.DataWPQEntries && needPos <= c.Cfg.PosMapWPQEntries
+	needData := t.PathBlocks()
+	oneBatch := needData <= c.Cfg.DataWPQEntries && len(posmap) <= c.Cfg.PosMapWPQEntries
 	// One batch writes the occupied slots and every bucket's dummies at
 	// once; the ordered fallback writes each slot on its own.
 	slots := c.planSlots(0, l, !oneBatch)
 	c.stageAdd(StageCrypto)
 	if !oneBatch {
-		if c.Merkle != nil {
-			// Ordered multi-batch eviction cannot keep the hash tree and
-			// the data atomic; construction should have prevented this.
-			return 0, 0, fmt.Errorf("core: integrity eviction exceeds WPQs (%d data, %d posmap entries)", needData, needPos)
-		}
 		return c.evictOrdered(l, slots)
 	}
 
 	batch := c.Mem.BeginBatch()
 	c.stagePath(batch, posmap)
-	// Integrity: the new path-node hashes and the new root ride in the
-	// same batch as the data — tree and root can never diverge. Like the
-	// data entries they carry no mutation: the hashes are computed from
-	// the written path once the batch has committed (hashPath).
-	if c.Merkle != nil {
-		for _, b := range c.scratch.path {
-			batch.AddPosMapBlock(c.Mem.PosMapLocation((1 << 23) + b))
-		}
-		batch.AddPosMapBlock(c.Mem.PosMapLocation(1 << 24))
-		c.counters.Inc("integrity.root_updates")
-	}
 	// Crash points while the WPQs fill, one per slot written, before the
 	// drainer's "end" signal: the whole batch is discarded (step 5-B/5-C
 	// of §4.2.2 — "the original data blocks on the write-back path still
@@ -271,9 +252,6 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 		c.ORAM.Image.PutLazyDummies(bucket, c.scratch.ivBase+2*uint64(k*t.Z))
 	}
 	c.applyCommitted(slots)
-	if c.Merkle != nil {
-		c.hashPath(l)
-	}
 	// The evicted stash blocks are dead (the overlay copied their
 	// payloads), so they recycle.
 	c.finishEvicted(slots)
@@ -281,20 +259,6 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	c.stageAdd(StageSeal)
 	*c.hDirty += int64(len(dirty))
 	return len(real), len(dirty), nil
-}
-
-// hashPath installs the new node hashes and root of the data path to l,
-// which the committed batch has just written. Reading the path through
-// Image.Slot here is what stageBatch's argument allows for the data:
-// nothing observes the controller between Commit and this point, and an
-// abandoned batch applied nothing. The reads seal the written slots,
-// the only AES the write-back runs.
-func (c *Controller) hashPath(l oram.Leaf) {
-	rows := make([][]oram.Slot, len(c.scratch.path))
-	for k, bucket := range c.scratch.path {
-		rows[k] = c.bucketSlots(bucket)
-	}
-	c.Merkle.Apply(c.Merkle.ComputeUpdate(l, rows))
 }
 
 // posMapEntries is the PosMap WPQ demand of the write of s under the

@@ -2,20 +2,19 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/config"
-	"repro/internal/integrity"
 	"repro/internal/oram"
 )
 
 // This file implements durable-state snapshots: what NVM physically
 // holds. Saving writes the sealed tree image, the durable position map,
-// the seal-version cursor, and (when integrity is on) the trusted root.
+// the seal-version cursor, and a root length that is always 0 (a field
+// reserved by format version 1; a loader refuses any other value).
 // Loading reconstructs a controller from NOTHING BUT that durable state
 // — exactly the information available after a power cycle — so a load
 // is a recovery: the stash, the temporary PosMap, and every other
@@ -38,7 +37,7 @@ var (
 	// the format said it would (interrupted save, partial copy).
 	ErrSnapshotTruncated = errors.New("core: snapshot truncated")
 	// ErrSnapshotCorrupted reports a snapshot whose contents are
-	// structurally invalid or fail the integrity check.
+	// structurally invalid.
 	ErrSnapshotCorrupted = errors.New("core: snapshot corrupted")
 )
 
@@ -105,15 +104,8 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 			}
 		}
 	}
-	// Trusted integrity root (zero-length marker when disabled).
-	root := []byte{}
-	if c.Merkle != nil {
-		root = c.Merkle.Root()
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(root))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(root); err != nil {
+	// The reserved root length.
+	if err := binary.Write(bw, binary.LittleEndian, uint32(0)); err != nil {
 		return err
 	}
 	c.counters.Inc("snapshot.saves")
@@ -125,9 +117,7 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 // and runtime the execution-only options (memory model, group
 // commit); the geometry and contents come from the snapshot. Loading
 // performs the §4.3 recovery: volatile state starts empty and the
-// on-chip map is the durable one. With cfg.Integrity set, the image is
-// re-hashed and checked against the snapshot's trusted root — tampering
-// with the stored image fails the load.
+// on-chip map is the durable one.
 func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -198,29 +188,12 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 		}
 	}
 	c.ORAM.SetVerSeq(verSeq)
-	// Trusted root.
 	var rootLen uint32
 	if err := binary.Read(br, binary.LittleEndian, &rootLen); err != nil {
 		return nil, snapRead(err, "root length")
 	}
-	if rootLen > integrity.HashSize {
-		return nil, fmt.Errorf("%w: implausible root length %d", ErrSnapshotCorrupted, rootLen)
-	}
-	savedRoot := make([]byte, rootLen)
-	if _, err := io.ReadFull(br, savedRoot); err != nil {
-		return nil, snapRead(err, "trusted root")
-	}
-	if c.Merkle != nil {
-		// Rebuild the hash tree over the loaded image and verify it
-		// against the trusted root that was saved from the persistence
-		// domain: a tampered snapshot fails here.
-		c.Merkle = integrity.New(c.ORAM.Tree, c.bucketSlots)
-		if rootLen == 0 {
-			return nil, fmt.Errorf("%w: cfg.Integrity set but snapshot carries no trusted root", ErrSnapshotCorrupted)
-		}
-		if !bytes.Equal(c.Merkle.Root(), savedRoot) {
-			return nil, fmt.Errorf("%w: image does not match the trusted root", ErrSnapshotCorrupted)
-		}
+	if rootLen != 0 {
+		return nil, fmt.Errorf("%w: root length %d, want 0", ErrSnapshotCorrupted, rootLen)
 	}
 	c.counters.Inc("snapshot.loads")
 	return c, nil

@@ -130,16 +130,13 @@ func (c *Controller) syncDurablePosMap() {
 
 // preparePersist runs the materialization barrier (image overlay →
 // store, so the backend serializes current bytes) and pushes the
-// version cursor and trusted root. Every persist path goes through it.
+// version cursor. Every persist path goes through it.
 func (c *Controller) preparePersist() {
 	c.ORAM.Image.MaterializePending()
 	c.storage.SetVerSeq(c.ORAM.VerSeq())
-	if c.Merkle != nil {
-		c.storage.SetRoot(c.Merkle.Root())
-	}
 }
 
-// persistDurable pushes the version cursor and trusted root, then runs
+// persistDurable pushes the version cursor, then runs
 // the backend's persist barrier. Called at the end of every successful
 // access (when group commit is off), at creation, and at Close; an
 // interrupted access skips it, so the on-disk state stays at the

@@ -218,45 +218,3 @@ func TestDurableRejectsUnsupportedSchemes(t *testing.T) {
 		}
 	}
 }
-
-// TestDurableIntegrityRootSurvives: with cfg.Integrity set the trusted
-// root rides the persistence domain; a clean reopen must verify, and a
-// flipped image byte must be caught by the root comparison.
-func TestDurableIntegrityRootSurvives(t *testing.T) {
-	cfg := testCfg()
-	cfg.Integrity = true
-	dir := filepath.Join(t.TempDir(), "store")
-	c, created, err := NewDurable(config.SchemePSORAM, cfg, Options{NumBlocks: 80, Levels: 5}, dir)
-	if err != nil || !created {
-		t.Fatalf("create: %v created=%v", err, created)
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := c.Access(oram.OpWrite, oram.Addr(i%80), blockVal(oram.Addr(i%80), i, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := NewDurable(config.SchemePSORAM, cfg, Options{NumBlocks: 80, Levels: 5}, dir)
-	if err != nil {
-		t.Fatalf("clean reopen with integrity failed: %v", err)
-	}
-	// Tamper with one sealed slot behind the controller's back and
-	// persist without updating the root: reopen must reject.
-	st := loaded.Storage()
-	s := st.Slot(1, 0)
-	tampered := append([]byte(nil), s.SealedData...)
-	if len(tampered) == 0 {
-		t.Fatal("slot (1,0) has no sealed data")
-	}
-	tampered[0] ^= 0x40
-	st.SetSlot(1, 0, oram.Slot{IV1: s.IV1, IV2: s.IV2, SealedHeader: s.SealedHeader, SealedData: tampered})
-	if err := st.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	if _, _, err := NewDurable(config.SchemePSORAM, cfg, Options{NumBlocks: 80, Levels: 5}, dir); err == nil {
-		t.Fatal("tampered image passed the trusted-root check")
-	}
-}

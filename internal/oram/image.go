@@ -27,7 +27,7 @@ type Image struct {
 	// write stores the plaintext descriptor (plus the pre-drawn IVs and
 	// seal version, so the ciphertext is pinned), and Slot() materializes
 	// the sealed form only when someone actually observes it (snapshots,
-	// integrity checks, a durable backend's persist barrier). A ciphertext
+	// a durable backend's persist barrier). A ciphertext
 	// is a pure function of key, IVs, version and plaintext, so when it is
 	// computed changes no observable bit.
 	//
@@ -608,7 +608,7 @@ func (img *Image) PlainData(bucket uint64, z int) []byte {
 
 // materialize runs slot (bucket, z)'s deferred seal into its memo
 // buffers and mirrors the result into the store, so Slot() observers —
-// snapshots, integrity readers, a durable barrier — see the sealed form
+// snapshots, a durable barrier — see the sealed form
 // of the plaintext the entry holds. The bucket is not in record form.
 func (img *Image) materialize(bucket uint64, z int) Slot {
 	if img.memo == nil {

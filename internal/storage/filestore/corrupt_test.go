@@ -9,7 +9,9 @@ package filestore_test
 // chunk.
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -252,6 +254,16 @@ func TestCorruptionTable(t *testing.T) {
 			},
 		},
 		{
+			// The state chunk's root length is reserved and always 0 (the
+			// Merkle root it once carried is retired). A chunk that
+			// carries a root under a valid CRC is refused, not skipped.
+			name: "state chunk carries a retired root",
+			damage: func(t *testing.T, dir string) {
+				damageFile(t, filepath.Join(dir, "chunks", "s-2"), withRoot)
+			},
+			wantErr: filestore.ErrCorrupted,
+		},
+		{
 			name: "meta bit-flip",
 			damage: func(t *testing.T, dir string) {
 				damageFile(t, filepath.Join(dir, "meta"), func(raw []byte) []byte {
@@ -297,6 +309,18 @@ func TestCorruptionTable(t *testing.T) {
 			st.Close()
 		})
 	}
+}
+
+// withRoot rewrites a state chunk file to carry a 32-byte root behind
+// its seal-version cursor, under a recomputed CRC32-C: header (17
+// bytes), verSeq, root length, root, leaves, CRC.
+func withRoot(raw []byte) []byte {
+	const rootAt = 17 + 4
+	out := append([]byte(nil), raw[:rootAt]...)
+	out = binary.LittleEndian.AppendUint32(out, 32)
+	out = append(out, make([]byte, 32)...)
+	out = append(out, raw[rootAt+4:len(raw)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 func expectEpochTwo(t *testing.T, st *filestore.Store) {

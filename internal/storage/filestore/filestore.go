@@ -1,7 +1,6 @@
 // Package filestore is the durable storage backend: the sealed ORAM
-// image, the durable position map, the seal-version cursor, and the
-// trusted integrity root kept on disk behind a crash-consistent persist
-// barrier, so that killing the process at ANY instruction leaves a store
+// image, the durable position map and the seal-version cursor kept on
+// disk behind a crash-consistent persist barrier, so that killing the process at ANY instruction leaves a store
 // the §4.3 recovery path can reopen.
 //
 // # Layout
@@ -9,7 +8,7 @@
 //	dir/meta              immutable geometry record (written once at Create)
 //	dir/version           two fixed-offset version records (A/B slots)
 //	dir/chunks/d<i>-<e>   data chunk i as written by persist epoch e
-//	dir/chunks/s-<e>      state chunk (posmap + verSeq + root) of epoch e
+//	dir/chunks/s-<e>      state chunk (verSeq + posmap) of epoch e
 //
 // Every chunk file carries a magic, its own identity (kind, index,
 // epoch), and a CRC32-C over its whole content, so recovery can tell a
@@ -98,8 +97,8 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Store is a file-backed oram.Storage plus the durable side state the
-// controller mirrors into it (position map, seal-version cursor,
-// integrity root). All methods are single-threaded, like the controller
+// controller mirrors into it (position map, seal-version cursor). All
+// methods are single-threaded, like the controller
 // that owns it.
 type Store struct {
 	dir  string
@@ -109,7 +108,6 @@ type Store struct {
 	slots  []oram.Slot // bucket*Z + z
 	leaves []uint32
 	verSeq uint32
-	root   []byte
 
 	epoch      uint64   // committed persist epoch (0 = nothing committed)
 	chunkEpoch []uint64 // on-disk epoch per data chunk (0 = none yet)
@@ -312,19 +310,6 @@ func (s *Store) SetVerSeq(v uint32) {
 		return
 	}
 	s.verSeq = v
-	s.stateDirty = true
-}
-
-// Root returns the stored trusted integrity root (nil when integrity is
-// off).
-func (s *Store) Root() []byte { return s.root }
-
-// SetRoot overwrites the stored trusted integrity root.
-func (s *Store) SetRoot(root []byte) {
-	if string(s.root) == string(root) {
-		return
-	}
-	s.root = append(s.root[:0], root...)
 	s.stateDirty = true
 }
 
@@ -591,8 +576,7 @@ func (s *Store) serializeDataChunk(buf []byte, ci int, epoch uint64) []byte {
 func (s *Store) serializeStateChunk(buf []byte, epoch uint64) []byte {
 	buf = s.chunkHeader(buf, kindState, 0, epoch)
 	buf = binary.LittleEndian.AppendUint32(buf, s.verSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.root)))
-	buf = append(buf, s.root...)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved root length
 	for _, l := range s.leaves {
 		buf = binary.LittleEndian.AppendUint32(buf, l)
 	}

@@ -174,18 +174,15 @@ func (s *Store) loadStateChunk(epoch uint64) error {
 		return fmt.Errorf("%w: state chunk epoch %d truncated", ErrCorrupted, epoch)
 	}
 	s.verSeq = binary.LittleEndian.Uint32(payload)
-	rootLen := int(binary.LittleEndian.Uint32(payload[4:]))
-	want := 8 + rootLen + 4*len(s.leaves)
-	if rootLen > 1<<10 || len(payload) != want {
-		return fmt.Errorf("%w: state chunk epoch %d: %d payload bytes, want %d", ErrCorrupted, epoch, len(payload), want)
+	if rootLen := binary.LittleEndian.Uint32(payload[4:]); rootLen != 0 {
+		return fmt.Errorf("%w: state chunk epoch %d: root length %d, want 0", ErrCorrupted, epoch, rootLen)
 	}
-	s.root = append([]byte(nil), payload[8:8+rootLen]...)
-	if rootLen == 0 {
-		s.root = nil
+	if want := 8 + 4*len(s.leaves); len(payload) != want {
+		return fmt.Errorf("%w: state chunk epoch %d: %d payload bytes, want %d", ErrCorrupted, epoch, len(payload), want)
 	}
 	leaves := s.tree.Leaves()
 	for i := range s.leaves {
-		l := binary.LittleEndian.Uint32(payload[8+rootLen+4*i:])
+		l := binary.LittleEndian.Uint32(payload[8+4*i:])
 		if uint64(l) >= leaves {
 			return fmt.Errorf("%w: state chunk epoch %d: leaf %d out of range for addr %d", ErrCorrupted, epoch, l, i)
 		}

@@ -264,16 +264,13 @@ func (s *Store) Counters() map[string]int64 {
 }
 
 // Save serializes the store's durable NVM state (the sealed tree image,
-// the durable position map, the seal-version cursor, and — with
-// integrity enabled — the trusted root). Volatile state is deliberately
-// not saved: loading a snapshot IS a recovery.
+// the durable position map and the seal-version cursor). Volatile state
+// is deliberately not saved: loading a snapshot IS a recovery.
 func (s *Store) Save(w io.Writer) error { return s.ctl.SaveDurable(w) }
 
 // LoadStore reconstructs a Store from a snapshot written by Save. cfg
 // supplies run-time parameters (stash and WPQ sizes); the
-// geometry and contents come from the snapshot. With cfg.Integrity set,
-// the image is verified against the snapshot's trusted root and a
-// tampered snapshot fails to load.
+// geometry and contents come from the snapshot.
 func LoadStore(r io.Reader, cfg Config) (*Store, error) {
 	ctl, err := core.LoadDurable(r, cfg, core.Options{Untimed: true})
 	if err != nil {

@@ -250,37 +250,6 @@ func TestFullScaleTable3Geometry(t *testing.T) {
 	}
 }
 
-func TestStoreWithIntegrity(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StashEntries = 150
-	cfg.Integrity = true
-	s, err := New(100, WithScheme(PSORAM), WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 64)
-	copy(data, "verified and durable")
-	if err := s.Write(8, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CrashNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Read(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("integrity store lost data: %q", got)
-	}
-	if s.Counters()["integrity.verified_paths"] == 0 {
-		t.Fatal("no paths verified")
-	}
-}
-
 func TestRunEveryExperimentTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment dispatch skipped in -short mode")
