@@ -82,7 +82,7 @@ func runCrash(args []string) {
 	}
 	unexpected := false
 	for _, res := range total {
-		if res.Consistent < res.Fired && res.Scheme.Persistent() {
+		if res.Consistent < res.Fired && res.Scheme.Policy().Persistent() {
 			unexpected = true
 			fmt.Fprintf(os.Stderr, "psoram crash: %s promises crash consistency and corrupted %d of %d points\n",
 				res.Scheme, res.Fired-res.Consistent, res.Fired)
@@ -185,7 +185,7 @@ func runOracle(args []string) {
 				found := rep.Violations
 
 				crashCol := "-"
-				if *crashMode && s.Persistent() {
+				if *crashMode && s.Policy().Persistent() {
 					crep, err := oracle.CheckCrash(p, genOps, oracle.CrashOptions{})
 					if err != nil {
 						fatal(err)

@@ -189,7 +189,7 @@ func printList(title string, workloads []string) {
 	fmt.Println("Schemes:")
 	for _, s := range psoram.Schemes() {
 		p := ""
-		if s.Persistent() {
+		if s.Policy().Persistent() {
 			p = "  (persistent: `psoram oracle -crash` applies)"
 		}
 		fmt.Printf("  %s%s\n", s, p)

@@ -10,77 +10,129 @@ import (
 	"strings"
 )
 
-// Scheme selects which persistent-ORAM protocol the system runs.
+// Scheme selects which persistent-ORAM protocol of §5.1 the system
+// runs; what it does is its Policy, in the schemes table below.
 type Scheme int
 
 const (
-	// SchemeNonORAM bypasses ORAM entirely: plain (encrypted) NVM accesses.
-	// Used only to measure the raw cost of ORAM itself (§5.1).
-	SchemeNonORAM Scheme = iota
-	// SchemeBaseline is Path ORAM on NVM without crash consistency.
-	SchemeBaseline
-	// SchemeFullNVM builds the on-chip stash and PosMap from PCM.
-	SchemeFullNVM
-	// SchemeFullNVMSTT builds the on-chip stash and PosMap from STT-RAM.
-	SchemeFullNVMSTT
-	// SchemeNaivePSORAM persists every accessed block and every PosMap
-	// entry on the path, atomically, each access.
-	SchemeNaivePSORAM
-	// SchemePSORAM persists path blocks and only dirty PosMap entries,
-	// atomically, each access (the paper's contribution).
-	SchemePSORAM
-	// SchemeRcrBaseline is recursive Path ORAM without data persistence.
-	SchemeRcrBaseline
-	// SchemeRcrPSORAM is the recursive variant of PS-ORAM.
-	SchemeRcrPSORAM
-	// SchemeEADRORAM extends the persistence domain over the whole cache
-	// hierarchy. Only its draining energy/time are modeled (Table 2);
-	// its steady-state performance matches Baseline.
-	SchemeEADRORAM
+	SchemeNonORAM     Scheme = iota // plain (encrypted) NVM accesses: the raw cost of ORAM
+	SchemeBaseline                  // Path ORAM on NVM without crash consistency
+	SchemeFullNVM                   // stash and PosMap built from PCM
+	SchemeFullNVMSTT                // stash and PosMap built from STT-RAM
+	SchemeNaivePSORAM               // every block and PosMap entry of the path, atomically
+	SchemePSORAM                    // path blocks and dirty PosMap entries, atomically (the paper's)
+	SchemeRcrBaseline               // recursive Path ORAM without data persistence
+	SchemeRcrPSORAM                 // the recursive variant of PS-ORAM
+	SchemeEADRORAM                  // the whole cache hierarchy in the persistence domain
 )
 
-var schemeNames = map[Scheme]string{
-	SchemeNonORAM:     "NonORAM",
-	SchemeBaseline:    "Baseline",
-	SchemeFullNVM:     "FullNVM",
-	SchemeFullNVMSTT:  "FullNVM(STT)",
-	SchemeNaivePSORAM: "Naive-PS-ORAM",
-	SchemePSORAM:      "PS-ORAM",
-	SchemeRcrBaseline: "Rcr-Baseline",
-	SchemeRcrPSORAM:   "Rcr-PS-ORAM",
-	SchemeEADRORAM:    "eADR-ORAM",
-}
+// Medium is what a scheme builds its on-chip stash and PosMap from.
+type Medium int
 
-func (s Scheme) String() string {
-	if n, ok := schemeNames[s]; ok {
-		return n
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
-}
+const (
+	MediumSRAM   Medium = iota // volatile: a power failure clears it
+	MediumPCM                  // non-volatile, but not updated atomically
+	MediumSTTRAM               // non-volatile, like PCM
+)
 
-// Recursive reports whether the scheme stores the PosMap as a hierarchy of
-// smaller ORAM trees in untrusted NVM.
-func (s Scheme) Recursive() bool {
-	return s == SchemeRcrBaseline || s == SchemeRcrPSORAM
+var mediumTiming = [...]NVMTiming{MediumPCM: PCM(), MediumSTTRAM: STTRAM()}
+
+// Timing returns the device timing of a non-volatile medium; ok is
+// false for SRAM.
+func (m Medium) Timing() (t NVMTiming, ok bool) { return mediumTiming[m], m != MediumSRAM }
+
+// Entries says which PosMap entries an eviction persists with its path.
+type Entries int
+
+const (
+	EntriesNone  Entries = iota
+	EntriesDirty         // those of evicted blocks with a pending remap
+	EntriesPath          // one for every slot of the path
+)
+
+// Domain is a scheme's persistence domain.
+type Domain int
+
+const (
+	DomainNone Domain = iota // buffers and on-chip state are lost at a power failure
+	DomainWPQ                // ADR: evictions commit as atomic WPQ batches
+	DomainEADR               // a power failure drains buffers and on-chip state to NVM
+)
+
+// Policy is a scheme as §5.1 of the paper defines it: the choices that
+// tell the schemes apart. Every layer reads these fields, never a
+// scheme's name. Nothing sets a Policy: each scheme has one.
+type Policy struct {
+	ORAM      bool    // runs Path ORAM (false: plain NVM accesses)
+	Recursive bool    // the PosMap is a hierarchy of ORAM trees in NVM
+	OnChip    Medium  // what the stash and PosMap are built from
+	PosMap    Entries // PosMap entries persisted with each eviction
+	Domain    Domain  // the persistence domain
 }
 
 // Persistent reports whether the scheme provides crash-consistent
 // persistence of ORAM data and metadata.
-func (s Scheme) Persistent() bool {
-	switch s {
-	case SchemeNaivePSORAM, SchemePSORAM, SchemeRcrPSORAM, SchemeEADRORAM:
-		return true
+func (p Policy) Persistent() bool { return p.Domain != DomainNone }
+
+// WPQAtomic reports whether evictions persist through atomic WPQ
+// batches, and so owe the must-return eviction rule (eADR drains).
+func (p Policy) WPQAtomic() bool { return p.Domain == DomainWPQ }
+
+// OffersStep reports whether a crash at protocol step (2..6, §4.2.1)
+// is observable. Under eADR it is not at step 5: the domain covers the
+// write buffers, so a power failure mid-write-back drains the rest of
+// the eviction and is indistinguishable from a crash after step 5.
+func (p Policy) OffersStep(step int) bool { return p.Domain != DomainEADR || step != 5 }
+
+// Storable reports whether a durable file store and a snapshot cover
+// the scheme: the flat Path ORAM family. Neither format carries a
+// recursive hierarchy's PosMap trees.
+func (p Policy) Storable() bool { return p.ORAM && !p.Recursive }
+
+// ImageComplete reports whether the durable image alone holds every
+// acknowledged value, so a snapshot loses nothing. eADR keeps its stash
+// in its domain, which a snapshot does not serialize.
+func (p Policy) ImageComplete() bool { return p.WPQAtomic() && p.Storable() }
+
+// schemes is the scheme matrix (DESIGN.md §3), indexed by Scheme in
+// presentation order.
+var schemes = [...]struct {
+	name   string
+	policy Policy
+}{
+	SchemeNonORAM:     {"NonORAM", Policy{}},
+	SchemeBaseline:    {"Baseline", Policy{ORAM: true}},
+	SchemeFullNVM:     {"FullNVM", Policy{ORAM: true, OnChip: MediumPCM}},
+	SchemeFullNVMSTT:  {"FullNVM(STT)", Policy{ORAM: true, OnChip: MediumSTTRAM}},
+	SchemeNaivePSORAM: {"Naive-PS-ORAM", Policy{ORAM: true, PosMap: EntriesPath, Domain: DomainWPQ}},
+	SchemePSORAM:      {"PS-ORAM", Policy{ORAM: true, PosMap: EntriesDirty, Domain: DomainWPQ}},
+	SchemeRcrBaseline: {"Rcr-Baseline", Policy{ORAM: true, Recursive: true}},
+	SchemeRcrPSORAM:   {"Rcr-PS-ORAM", Policy{ORAM: true, Recursive: true, PosMap: EntriesDirty, Domain: DomainWPQ}},
+	SchemeEADRORAM:    {"eADR-ORAM", Policy{ORAM: true, Domain: DomainEADR}},
+}
+
+func (s Scheme) String() string {
+	if uint(s) < uint(len(schemes)) {
+		return schemes[s].name
 	}
-	return false
+	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// Policy returns the scheme's policy; an unknown scheme's runs no ORAM.
+func (s Scheme) Policy() Policy {
+	if uint(s) < uint(len(schemes)) {
+		return schemes[s].policy
+	}
+	return Policy{}
 }
 
 // Schemes lists every evaluated scheme in presentation order.
 func Schemes() []Scheme {
-	return []Scheme{
-		SchemeNonORAM, SchemeBaseline, SchemeFullNVM, SchemeFullNVMSTT,
-		SchemeNaivePSORAM, SchemePSORAM, SchemeRcrBaseline, SchemeRcrPSORAM,
-		SchemeEADRORAM,
+	out := make([]Scheme, len(schemes))
+	for i := range out {
+		out[i] = Scheme(i)
 	}
+	return out
 }
 
 // ParseScheme resolves a scheme by the name its String method prints.

@@ -76,30 +76,6 @@ func TestParseSchemes(t *testing.T) {
 	}
 }
 
-func TestSchemePredicates(t *testing.T) {
-	cases := []struct {
-		s          Scheme
-		recursive  bool
-		persistent bool
-	}{
-		{SchemeBaseline, false, false},
-		{SchemeFullNVM, false, false},
-		{SchemeNaivePSORAM, false, true},
-		{SchemePSORAM, false, true},
-		{SchemeRcrBaseline, true, false},
-		{SchemeRcrPSORAM, true, true},
-		{SchemeEADRORAM, false, true},
-	}
-	for _, c := range cases {
-		if c.s.Recursive() != c.recursive {
-			t.Errorf("%v.Recursive() = %v", c.s, c.s.Recursive())
-		}
-		if c.s.Persistent() != c.persistent {
-			t.Errorf("%v.Persistent() = %v", c.s, c.s.Persistent())
-		}
-	}
-}
-
 func TestValidateCatchesBadConfigs(t *testing.T) {
 	mutations := []struct {
 		name string

@@ -89,10 +89,9 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 		res Result
 		err error
 	)
-	switch c.Scheme {
-	case config.SchemeRcrBaseline, config.SchemeRcrPSORAM:
+	if c.policy.Recursive {
 		res, err = c.accessRecursive(op, addr, data)
-	default:
+	} else {
 		res, err = c.accessFlat(op, addr, data)
 	}
 	if err != nil {
@@ -136,7 +135,7 @@ func (c *Controller) checkSealVersions() error {
 // accessFlat runs the 5-step protocol for the non-recursive schemes.
 func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
 	start := c.now
-	persistent := c.Scheme == config.SchemeNaivePSORAM || c.Scheme == config.SchemePSORAM
+	persistent := c.policy.WPQAtomic()
 
 	// Make room in the temporary PosMap before remapping a new address
 	// (the controller drains the oldest pending block with a background
@@ -164,7 +163,7 @@ func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result
 		// PS-ORAM: the fresh label goes to the *temporary* PosMap; the
 		// durable PosMap is untouched until the block's eviction commits.
 		remapSeq = c.Temp.Set(addr, lNew)
-	case c.Scheme == config.SchemeFullNVM || c.Scheme == config.SchemeFullNVMSTT:
+	case c.policy.OnChip != config.MediumSRAM:
 		// FullNVM: the on-chip PosMap is NVM — the update is durable the
 		// moment it is written (and that is exactly the atomicity bug:
 		// the paper's Case 1b).
@@ -364,7 +363,7 @@ func (c *Controller) loadSlot(ctl *oram.Controller, bucket uint64, z int, l oram
 	// durable continuation (typically a backup from an earlier access).
 	// Overwriting the path destroys it, so record it: the eviction will
 	// write a replacement backup.
-	if dataTree && existing != nil && existing.PendingRemap && c.wpqPersistent() &&
+	if dataTree && existing != nil && existing.PendingRemap && c.policy.WPQAtomic() &&
 		c.durable.Lookup(addr) == leaf {
 		c.endangered[addr] = endangeredCopy{leaf: leaf, bucket: bucket, slot: z}
 	}
@@ -430,7 +429,7 @@ func (c *Controller) timeOnChipNVM(op nvm.Op) {
 //     metadata can only become durable by evicting them);
 //  3. everything else, deepest first.
 func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
-	if !c.wpqPersistent() {
+	if !c.policy.WPQAtomic() {
 		// Non-persistent schemes have no crash-consistency obligations:
 		// plain greedy Path ORAM eviction.
 		return c.greedyOrder(c.ORAM, l)
@@ -507,20 +506,18 @@ func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
 
 	c.stageMark()
 	smallWPQ := c.ORAM.Tree.PathBlocks() > c.Cfg.DataWPQEntries ||
-		(c.Scheme == config.SchemeNaivePSORAM && c.ORAM.Tree.PathBlocks() > c.Cfg.PosMapWPQEntries)
+		(c.policy.PosMap == config.EntriesPath && c.ORAM.Tree.PathBlocks() > c.Cfg.PosMapWPQEntries)
 	// Ordered multi-batch mode: identity placement kills the displacement
 	// cycles that small WPQs cannot commit atomically.
-	if err := c.planEviction(l, c.wpqPersistent() && smallWPQ); err != nil {
+	if err := c.planEviction(l, c.policy.WPQAtomic() && smallWPQ); err != nil {
 		return 0, 0, err
 	}
 	c.stageAdd(StageEvict)
 
-	switch c.Scheme {
-	case config.SchemeNaivePSORAM, config.SchemePSORAM:
+	if c.policy.WPQAtomic() {
 		return c.evictPersistent(l)
-	default:
-		return c.evictPosted(l)
 	}
+	return c.evictPosted(l)
 }
 
 // mustReturn reports whether live stash block b must go back to the path
@@ -543,7 +540,7 @@ func (c *Controller) planEviction(l oram.Leaf, identity bool) error {
 		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
 		unplaced = c.scratch.unplaced
 	}
-	if c.wpqPersistent() {
+	if c.policy.WPQAtomic() {
 		for _, b := range unplaced {
 			if b.Backup || c.mustReturn(b) {
 				return fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)

@@ -61,6 +61,7 @@ var errClosed = errors.New("core: controller is closed")
 type Controller struct {
 	Scheme config.Scheme
 	Cfg    config.Config
+	policy config.Policy // Scheme's, kept by value for the access path
 
 	ORAM *oram.Controller // stash, tree image, engine, working PosMap
 	Mem  *mem.Controller  // persistence domain over a timing model
@@ -262,6 +263,7 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	policy := scheme.Policy()
 	if opts.NumBlocks == 0 {
 		return nil, fmt.Errorf("core: Options.NumBlocks is required (functional trees are sized explicitly)")
 	}
@@ -300,6 +302,7 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 	c := &Controller{
 		Scheme:  scheme,
 		Cfg:     cfg,
+		policy:  policy,
 		ORAM:    oc,
 		Mem:     newMem(cfg),
 		pathIdx: oram.NewPathIndex(oc.Tree),
@@ -310,16 +313,11 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 	c.endangered = make(map[oram.Addr]endangeredCopy)
 	c.scratch.plan = newPlanRows(oc.Tree)
 	c.scratch.real = make([]int32, len(c.scratch.plan.flat))
-	switch scheme {
-	case config.SchemeFullNVM:
-		c.onchipNVM = nvm.NewDevice(config.PCM(), 8, cfg.BlockBytes)
-	case config.SchemeFullNVMSTT:
-		c.onchipNVM = nvm.NewDevice(config.STTRAM(), 8, cfg.BlockBytes)
-	case config.SchemeRcrBaseline, config.SchemeRcrPSORAM:
-		perBlock := cfg.BlockBytes / 4
-		if perBlock > 16 {
-			perBlock = 16
-		}
+	if t, ok := policy.OnChip.Timing(); ok && !opts.Untimed {
+		c.onchipNVM = nvm.NewDevice(t, 8, cfg.BlockBytes)
+	}
+	if policy.Recursive {
+		perBlock := min(cfg.BlockBytes/4, 16)
 		rec, err := oram.NewRecursiveMap(oram.RecursiveParams{
 			DataBlocks:      opts.NumBlocks,
 			DataTree:        oc.Tree,
@@ -359,9 +357,6 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 	for i := range c.scratch.every {
 		c.scratch.every[i] = int32(i)
 	}
-	if opts.Untimed {
-		c.onchipNVM = nil // an untimed controller schedules on no device
-	}
 	c.hAccesses = c.counters.Handle("oram.accesses")
 	c.hBackups = c.counters.Handle("psoram.backups")
 	c.hDirty = c.counters.Handle("psoram.dirty_entries")
@@ -393,18 +388,6 @@ type endangeredCopy struct {
 	slot   int
 }
 
-// wpqPersistent reports whether the scheme persists evictions through
-// atomic WPQ batches (and therefore owes the must-return eviction rule).
-// eADR is persistent by flushing everything at power fail, not through
-// eviction ordering, so it is excluded.
-func (c *Controller) wpqPersistent() bool {
-	switch c.Scheme {
-	case config.SchemeNaivePSORAM, config.SchemePSORAM, config.SchemeRcrPSORAM:
-		return true
-	}
-	return false
-}
-
 // currentLeaf is the controller's live view of a block's leaf: the
 // temporary PosMap overlays the on-chip working map.
 func (c *Controller) currentLeaf(addr oram.Addr) oram.Leaf {
@@ -423,29 +406,21 @@ func (c *Controller) currentLeaf(addr oram.Addr) oram.Leaf {
 func DeclaredSteps() []int { return []int{2, 3, 4, 5, 6} }
 
 // DeclaredStepsFor narrows DeclaredSteps to the steps the scheme offers
-// to CrashAt (see offersStep).
+// to CrashAt (config.Policy.OffersStep).
 func DeclaredStepsFor(s config.Scheme) []int {
 	var steps []int
 	for _, step := range DeclaredSteps() {
-		if offersStep(s, step) {
+		if s.Policy().OffersStep(step) {
 			steps = append(steps, step)
 		}
 	}
 	return steps
 }
 
-// offersStep reports whether the scheme offers crash points at step.
-// eADR-ORAM has no step-5 point: its persistence domain covers the write
-// buffers, so a power failure mid-write-back drains the remaining
-// eviction and is indistinguishable from a crash after step 5.
-func offersStep(s config.Scheme, step int) bool {
-	return s != config.SchemeEADRORAM || step != 5
-}
-
 // maybeCrash consults the injection hook; on fire it performs the power
 // failure and reports true.
 func (c *Controller) maybeCrash(step, sub int) bool {
-	if c.CrashAt == nil || c.crashed || !offersStep(c.Scheme, step) {
+	if c.CrashAt == nil || c.crashed || !c.policy.OffersStep(step) {
 		return false
 	}
 	if !c.CrashAt(CrashPoint{Access: c.accessN, Step: step, Sub: sub}) {
@@ -464,7 +439,7 @@ func (c *Controller) powerFail() {
 	c.crashed = true
 	c.counters.Inc("crash.count")
 	lostAfter := uint64(c.now)
-	if c.Scheme == config.SchemeEADRORAM {
+	if c.policy.Domain == config.DomainEADR {
 		// eADR's persistence domain covers the buffers: drain, not drop.
 		c.Mem.DrainAll()
 		lostAfter = oram.NeverDone
@@ -474,11 +449,11 @@ func (c *Controller) powerFail() {
 	for r := 0; r <= len(c.levelPlans); r++ {
 		c.image(r).Rollback(0, lostAfter)
 	}
-	switch c.Scheme {
-	case config.SchemeFullNVM, config.SchemeFullNVMSTT:
+	switch {
+	case c.policy.OnChip != config.MediumSRAM:
 		// Stash and PosMap are themselves NVM: they survive. Nothing to
 		// clear — but nothing was atomic either.
-	case config.SchemeEADRORAM:
+	case c.policy.Domain == config.DomainEADR:
 		// eADR flushes the entire on-chip hierarchy on power fail: the
 		// stash and working PosMap reach NVM (at enormous energy cost —
 		// Table 2). The drain follows the ORAM protocol, so an access
@@ -536,10 +511,10 @@ func (c *Controller) Recover() error {
 		if err := c.recoverRecursive(); err != nil {
 			return err
 		}
-	case c.Scheme == config.SchemeFullNVM || c.Scheme == config.SchemeFullNVMSTT:
+	case c.policy.OnChip != config.MediumSRAM:
 		// The on-chip map *is* durable; durable view follows it.
 		c.durable = c.ORAM.PosMap.Clone()
-	case c.Scheme == config.SchemeEADRORAM:
+	case c.policy.Domain == config.DomainEADR:
 		// Working state was flushed wholesale; nothing to reload.
 	default:
 		// Reload the working map from NVM.

@@ -109,7 +109,7 @@ func TestLongRunPreservesAllValuesAllSchemes(t *testing.T) {
 			ref := make(map[oram.Addr][]byte)
 			r := &lcg{s: 42}
 			n := 800
-			if s.Recursive() {
+			if s.Policy().Recursive {
 				n = 300 // chains make each access heavier
 			}
 			for i := 0; i < n; i++ {

@@ -308,7 +308,7 @@ func (v digestVariant) build(t *testing.T, untimed bool) *core.Controller {
 	cfg.TempPosMapSize = 16
 	cfg.WriteBufferEntries = 16
 	cfg.OnChipPosMapBytes = 4 * 64 * 8 // two PosMap trees over 256 blocks
-	if v.scheme.Recursive() {
+	if v.scheme.Policy().Recursive {
 		// The Rcr-PS-ORAM batch spans the whole access, flushes included.
 		cfg.DataWPQEntries = 4 * (digestLevels + 1) * cfg.Z
 	}
@@ -319,7 +319,7 @@ func (v digestVariant) build(t *testing.T, untimed bool) *core.Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.scheme.Recursive() && len(c.Rec.Levels) != 2 {
+	if v.scheme.Policy().Recursive && len(c.Rec.Levels) != 2 {
 		t.Fatalf("%s: %d PosMap trees, want 2", v.name, len(c.Rec.Levels))
 	}
 	return c

@@ -213,7 +213,7 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	// posmap lists the slots whose write puts an entry into the PosMap
 	// WPQ behind its data entry.
 	posmap := dirty
-	if c.Scheme == config.SchemeNaivePSORAM {
+	if c.policy.PosMap == config.EntriesPath {
 		posmap = c.scratch.every
 	}
 	// If one atomic batch cannot fit the WPQs, fall back to the ordered
@@ -264,7 +264,7 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 // posMapEntries is the PosMap WPQ demand of the write of s under the
 // current scheme (the ordered evictor sizes its batches with it).
 func (c *Controller) posMapEntries(s *plannedSlot) int {
-	if s.merges() || c.Scheme == config.SchemeNaivePSORAM {
+	if s.merges() || c.policy.PosMap == config.EntriesPath {
 		return 1
 	}
 	return 0

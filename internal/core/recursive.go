@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/oram"
 )
@@ -19,7 +18,7 @@ import (
 func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
 	start := c.now
 	var batch *mem.Batch // open for Rcr-PS-ORAM, nil for Rcr-Baseline
-	if c.Scheme == config.SchemeRcrPSORAM {
+	if c.policy.WPQAtomic() {
 		// The access's writes into the batch are logged in each tree's
 		// undo log from its mark on, and taken back if it never commits.
 		for r := range c.scratch.marks {

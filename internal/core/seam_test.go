@@ -35,7 +35,7 @@ func seamCfg(scheme config.Scheme, smallWPQ bool) config.Config {
 	if smallWPQ {
 		cfg.DataWPQEntries, cfg.PosMapWPQEntries = 8, 8
 	}
-	if scheme.Recursive() {
+	if scheme.Policy().Recursive {
 		cfg.DataWPQEntries = 4 * (seamLevels + 1) * cfg.Z
 	}
 	return cfg

@@ -97,14 +97,9 @@ func (c *Controller) closeImages() {
 	}
 }
 
-// StorageSupported gates which schemes a durable backend covers: the
-// flat Path ORAM family (same coverage as the snapshot format — the
-// recursive hierarchy's posmap trees are additional NVM allocations a
-// future format revision could append).
+// StorageSupported refuses a scheme no durable backend covers.
 func StorageSupported(scheme config.Scheme) error {
-	switch scheme {
-	case config.SchemeBaseline, config.SchemeFullNVM, config.SchemeFullNVMSTT,
-		config.SchemeNaivePSORAM, config.SchemePSORAM, config.SchemeEADRORAM:
+	if scheme.Policy().Storable() {
 		return nil
 	}
 	return fmt.Errorf("core: durable storage does not cover scheme %v (flat schemes only)", scheme)

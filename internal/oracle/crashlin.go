@@ -19,7 +19,7 @@ import (
 // abandoned entirely (k = i). One trial (RunTrial) records which prefixes
 // the recovered store equals; the crash matrix counts a point consistent
 // by exactly this rule, and CheckCrash holds the persistent schemes
-// (config.Scheme.Persistent) to it. The non-persistent baselines promise
+// (config.Policy.Persistent) to it. The non-persistent baselines promise
 // less, and CheckCrash holds them only to "no fabricated bytes": every
 // recovered value is zero or some version that address held.
 
@@ -226,7 +226,7 @@ func CheckCrash(p Params, ops []Op, copts CrashOptions) (*CrashReport, error) {
 	}
 
 	rep := &CrashReport{Scheme: p.Scheme.String(), StepsFired: make(map[int]int)}
-	strict := p.Scheme.Persistent()
+	strict := p.Scheme.Policy().Persistent()
 	for _, step := range steps {
 		for _, after := range afters {
 			at, ok := first[offer{step, after}]

@@ -64,7 +64,7 @@ func TestOracleAllSchemes(t *testing.T) {
 func TestOracleCrashLinearizability(t *testing.T) {
 	bb := config.Default().BlockBytes
 	for _, scheme := range config.Schemes() {
-		if !scheme.Persistent() {
+		if !scheme.Policy().Persistent() {
 			continue
 		}
 		t.Run(scheme.String(), func(t *testing.T) {

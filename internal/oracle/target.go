@@ -93,7 +93,7 @@ func NewTarget(p Params) (Target, error) {
 			return nil, fmt.Errorf("oracle: StoreDir: %w", err)
 		}
 	}
-	if p.Scheme == config.SchemeNonORAM {
+	if !p.Scheme.Policy().ORAM {
 		return &plainTarget{
 			scheme: p.Scheme,
 			n:      p.NumBlocks,
@@ -103,7 +103,7 @@ func NewTarget(p Params) (Target, error) {
 	}
 	// A recursive eviction batch spans the data path plus a posmap-ORAM
 	// path; grow the data WPQ so tall functional trees fit the batch.
-	if p.Scheme.Recursive() {
+	if p.Scheme.Policy().Recursive {
 		if need := 2 * (p.Levels + 1) * cfg.Z; cfg.DataWPQEntries < need {
 			cfg.DataWPQEntries = need
 		}

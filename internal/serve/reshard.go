@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/oram"
 	"repro/internal/storage/filestore"
@@ -166,15 +165,10 @@ func (p *Pool) publish(epoch uint64, shards, next []*shard, state []stripeState)
 func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]byte, error) {
 	blocks := make([][]byte, local)
 	fn := func(b Backend) error {
-		// The snapshot detour is sound only for schemes whose durable
-		// image is COMPLETE — the WPQ-persistent flat family. eADR is
-		// Persistent() but keeps its stash in the (unserialized) eADR
-		// domain, so a snapshot of it would drop in-flight blocks;
-		// those schemes extract live instead.
-		scheme := b.Scheme()
-		wpqDurable := scheme == config.SchemePSORAM || scheme == config.SchemeNaivePSORAM
+		// The snapshot detour is sound only where the durable image is
+		// complete; the other schemes extract live.
 		peek := b.Peek
-		if sn, ok := b.(snapshotter); ok && wpqDurable {
+		if sn, ok := b.(snapshotter); ok && b.Scheme().Policy().ImageComplete() {
 			var buf bytes.Buffer
 			if err := sn.SaveDurable(&buf); err != nil {
 				return fmt.Errorf("snapshot: %w", err)

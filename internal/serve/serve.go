@@ -228,7 +228,7 @@ func (o *Options) normalize() error {
 	if uint64(o.Shards) > o.NumBlocks {
 		return fmt.Errorf("serve: %d shards need at least %d blocks, have %d", o.Shards, o.Shards, o.NumBlocks)
 	}
-	if o.Scheme == config.SchemeNonORAM && o.Factory == nil {
+	if !o.Scheme.Policy().ORAM && o.Factory == nil {
 		o.Scheme = config.SchemePSORAM
 	}
 	if o.QueueDepth <= 0 {

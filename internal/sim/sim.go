@@ -73,7 +73,7 @@ const leafUnset = ^oram.Leaf(0)
 
 // System is the assembled timing model for one scheme.
 type System struct {
-	scheme config.Scheme
+	policy config.Policy // the scheme's
 	cfg    config.Config
 	tree   oram.Tree
 	memc   *mem.Controller
@@ -115,7 +115,6 @@ type System struct {
 	// Recursion: level-1 geometry (always accessed) and upper-level
 	// geometry behind the PLB.
 	rec struct {
-		enabled  bool
 		l1       oram.Tree
 		l1Idx    *oram.PathIndex
 		l1Seen   []bool // per level-1 block: position known
@@ -191,7 +190,7 @@ func NewSystem(scheme config.Scheme, cfg config.Config, levels int) (*System, er
 	}
 	t := oram.NewTree(levels, cfg.Z)
 	s := &System{
-		scheme:   scheme,
+		policy:   scheme.Policy(),
 		cfg:      cfg,
 		tree:     t,
 		memc:     mem.New(cfg),
@@ -222,16 +221,11 @@ func NewSystem(scheme config.Scheme, cfg config.Config, levels int) (*System, er
 		s.bucketTail[i] = -1
 	}
 	s.res.Scheme = scheme
-	switch scheme {
-	case config.SchemeFullNVM:
-		t := config.PCM()
-		s.onchipTiming = &t
-	case config.SchemeFullNVMSTT:
-		t := config.STTRAM()
+	if t, ok := s.policy.OnChip.Timing(); ok {
 		s.onchipTiming = &t
 	}
 	s.initOccupancy()
-	if scheme.Recursive() {
+	if s.policy.Recursive {
 		s.initRecursion()
 	}
 	return s, nil
@@ -276,15 +270,11 @@ func (s *System) initOccupancy() {
 // data addresses (accessed every time, as Rcr-Baseline persists the
 // PosMap on each access); all upper levels sit behind the PLB.
 func (s *System) initRecursion() {
-	s.rec.enabled = true
 	// Posmap blocks use Freecursive's compressed-leaf format: a 64B
 	// block packs 32 labels (the functional layer in internal/oram uses
 	// plain 4-byte entries instead — compression is a timing-side
 	// capacity optimization, not a correctness mechanism).
-	s.rec.entries = uint64(s.cfg.BlockBytes / 2)
-	if s.rec.entries > 32 {
-		s.rec.entries = 32
-	}
+	s.rec.entries = uint64(min(s.cfg.BlockBytes/2, 32))
 	l1Blocks := (s.NumBlocks() + s.rec.entries - 1) / s.rec.entries
 	s.rec.l1 = treeFor(l1Blocks, s.cfg)
 	upperBlocks := (l1Blocks + s.rec.entries - 1) / s.rec.entries
@@ -314,7 +304,7 @@ func treeFor(blocks uint64, cfg config.Config) oram.Tree {
 func (s *System) Serve(addr uint64, write bool) (uint64, error) {
 	addr %= s.NumBlocks()
 	start := s.now
-	if s.scheme == config.SchemeNonORAM {
+	if !s.policy.ORAM {
 		s.plainAccess(addr, write)
 		s.res.Accesses++
 		lat := uint64(s.now - start)
@@ -360,7 +350,7 @@ func (s *System) oramAccess(addr uint64, write bool) error {
 	s.observeLeaf(l)
 
 	// Recursive position chain first (the data leaf comes from it).
-	if s.rec.enabled {
+	if s.policy.Recursive {
 		s.chainAccess(addr)
 	}
 
@@ -409,12 +399,11 @@ func (s *System) oramAccess(addr uint64, write bool) error {
 	s.now += 32 // encrypt pipeline fill for the write-back
 
 	// Step 5: write the path back, per the scheme's persistence rules.
-	switch s.scheme {
-	case config.SchemePSORAM, config.SchemeNaivePSORAM, config.SchemeRcrPSORAM:
+	if s.policy.WPQAtomic() {
 		if err := s.persistentEvict(path, evictedPending, target); err != nil {
 			return err
 		}
-	default:
+	} else {
 		s.postedEvict(path)
 		if s.onchipTiming != nil {
 			for i := 0; i < s.tree.PathBlocks()/2; i++ {
@@ -572,20 +561,8 @@ func (s *System) persistentEvict(path []uint64, dirty int, targetEvicted bool) e
 	// update still costs a 64B device write), so the entry count below
 	// is also the extra write-command count — the write amplification
 	// that makes Naïve so expensive.
-	switch s.scheme {
-	case config.SchemeNaivePSORAM:
-		for i, bucket := range path {
-			for z := 0; z < s.cfg.Z; z++ {
-				batch.AddPosMapBlock(s.memc.PosMapLocation((uint64(bucket)*uint64(s.cfg.Z) + uint64(z) + uint64(i)) * 16))
-			}
-		}
-		s.res.DirtyEntries += uint64(s.tree.PathBlocks())
-	case config.SchemePSORAM:
-		for i := 0; i < dirty; i++ {
-			batch.AddPosMapBlock(s.memc.PosMapLocation(s.r.Uint64() >> 40))
-		}
-		s.res.DirtyEntries += uint64(dirty)
-	case config.SchemeRcrPSORAM:
+	switch {
+	case s.policy.Recursive:
 		// Dirty entries live inside the level-1 posmap blocks written by
 		// chainAccess. The data batch additionally carries the backup
 		// block of the accessed target (paper §5.2.2: Rcr-PS-ORAM "backs
@@ -594,6 +571,18 @@ func (s *System) persistentEvict(path []uint64, dirty int, targetEvicted bool) e
 		batch.AddData(s.memc.TreeBlockLocation(path[len(path)-1], 0))
 		batch.AddPosMap(s.memc.PosMapLocation(s.r.Uint64() >> 40))
 		s.res.DirtyEntries++
+	case s.policy.PosMap == config.EntriesPath:
+		for i, bucket := range path {
+			for z := 0; z < s.cfg.Z; z++ {
+				batch.AddPosMapBlock(s.memc.PosMapLocation((uint64(bucket)*uint64(s.cfg.Z) + uint64(z) + uint64(i)) * 16))
+			}
+		}
+		s.res.DirtyEntries += uint64(s.tree.PathBlocks())
+	default:
+		for i := 0; i < dirty; i++ {
+			batch.AddPosMapBlock(s.memc.PosMapLocation(s.r.Uint64() >> 40))
+		}
+		s.res.DirtyEntries += uint64(dirty)
 	}
 	done, err := batch.Commit(s.now)
 	if err != nil {
@@ -614,14 +603,12 @@ func (s *System) orderedEvict(path []uint64, dirty int) error {
 			entries = append(entries, evictEntry{loc: s.memc.TreeBlockLocation(bucket, z)})
 		}
 	}
-	nPos := 0
-	switch s.scheme {
-	case config.SchemeNaivePSORAM:
-		nPos = s.tree.PathBlocks()
-	case config.SchemePSORAM:
-		nPos = dirty
-	case config.SchemeRcrPSORAM:
+	nPos := dirty
+	switch {
+	case s.policy.Recursive:
 		nPos = 1
+	case s.policy.PosMap == config.EntriesPath:
+		nPos = s.tree.PathBlocks()
 	}
 	for i := 0; i < nPos; i++ {
 		entries = append(entries, evictEntry{loc: s.memc.PosMapLocation(s.r.Uint64() >> 40), posmap: true})
@@ -695,7 +682,7 @@ func (s *System) chainPath(t oram.Tree, idx *oram.PathIndex, region int, block u
 	s.res.ChainBlocks += uint64(t.PathBlocks())
 	// Write the path back: Rcr-PS through the PosMap WPQ (batched per
 	// level to respect its capacity), Rcr-Baseline posted.
-	if s.scheme == config.SchemeRcrPSORAM {
+	if s.policy.WPQAtomic() {
 		batch := s.memc.BeginBatch()
 		n := 0
 		for _, bucket := range path {

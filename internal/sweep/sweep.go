@@ -359,7 +359,7 @@ func runCell(ctx context.Context, g Grid, c Cell) CellResult {
 		cfg.Channels = c.Channels
 		cfg.Seed = c.Seed
 		var obs *sim.Observer
-		if g.Oracle && c.Scheme != config.SchemeNonORAM {
+		if g.Oracle && c.Scheme.Policy().ORAM {
 			obs = &sim.Observer{OnPathLeaf: func(l oram.Leaf) { leaves = append(leaves, l) }}
 		}
 		return sim.Simulate(ctx, sim.Request{
@@ -388,7 +388,7 @@ const oracleAlpha = 1e-9
 // invariants, obliviousness) of the same scheme under the same derived
 // seed. Any violation fails the cell.
 func validateCell(g Grid, c Cell, cr *CellResult, leaves []oram.Leaf) {
-	if c.Scheme == config.SchemeNonORAM {
+	if !c.Scheme.Policy().ORAM {
 		cr.Oracle = &OracleOutcome{Skipped: true}
 		return
 	}

@@ -162,7 +162,7 @@ func New(numBlocks uint64, opts ...StoreOption) (*Store, error) {
 	for _, o := range opts {
 		o(&sc)
 	}
-	if sc.scheme == NonORAM {
+	if !sc.scheme.Policy().ORAM {
 		sc.scheme = PSORAM
 	}
 	// A Store serves values; simulated time is Simulate's business, so the
