@@ -294,6 +294,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: Utilization must be in (0,1], got %f", c.Utilization)
 	case c.DataWPQEntries <= 0 || c.PosMapWPQEntries <= 0:
 		return fmt.Errorf("config: WPQ sizes must be positive")
+	case c.WriteBufferEntries < 0:
+		return fmt.Errorf("config: WriteBufferEntries must not be negative, got %d", c.WriteBufferEntries)
+	case c.PLBEntries < 1:
+		return fmt.Errorf("config: PLBEntries must be positive, got %d", c.PLBEntries)
+	case c.OnChipPosMapBytes < 1:
+		return fmt.Errorf("config: OnChipPosMapBytes must be positive, got %d", c.OnChipPosMapBytes)
 	case c.NVM.ClockMHz <= 0 || c.CoreFreqMHz < c.NVM.ClockMHz:
 		return fmt.Errorf("config: core clock must be >= NVM clock")
 	case c.PosMapEntryBytes <= 0 || c.PosMapEntryBytes > 8:

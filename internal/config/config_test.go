@@ -90,6 +90,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero temp posmap", func(c *Config) { c.TempPosMapSize = 0 }},
 		{"slow core", func(c *Config) { c.CoreFreqMHz = 100 }},
 		{"huge posmap entry", func(c *Config) { c.PosMapEntryBytes = 16 }},
+		{"negative write buffer", func(c *Config) { c.WriteBufferEntries = -1 }},
+		{"zero PLB", func(c *Config) { c.PLBEntries = 0 }},
+		{"zero on-chip PosMap", func(c *Config) { c.OnChipPosMapBytes = 0 }},
 	}
 	for _, m := range mutations {
 		c := Default()

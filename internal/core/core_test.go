@@ -784,3 +784,28 @@ func TestSealVersionsExhaustedFailsClosed(t *testing.T) {
 		t.Fatal("the refused access ran part of the chain walk")
 	}
 }
+
+// TestRecursiveGeometryRejected: configurations whose recursive PosMap
+// could never shrink to the on-chip budget (no on-chip entry, or one
+// entry per PosMap block), or that have no PLB, are refused by New. The
+// first two once built PosMap trees until memory ran out.
+func TestRecursiveGeometryRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*config.Config)
+	}{
+		{"on-chip budget below one entry", func(c *config.Config) { c.OnChipPosMapBytes = 64 }},
+		{"one entry per block", func(c *config.Config) { c.BlockBytes = 4 }},
+		{"no PLB", func(c *config.Config) { c.PLBEntries = 0 }},
+	}
+	for _, scheme := range []config.Scheme{config.SchemeRcrBaseline, config.SchemeRcrPSORAM} {
+		for _, tc := range cases {
+			cfg := testCfg()
+			tc.mut(&cfg)
+			if c, err := New(scheme, cfg, Options{NumBlocks: 100, Levels: 5}); err == nil {
+				c.Close()
+				t.Errorf("%v, %s: New accepted it", scheme, tc.name)
+			}
+		}
+	}
+}

@@ -46,8 +46,12 @@ type RecursiveParams struct {
 
 // NewRecursiveMap builds the hierarchy for the given data ORAM size.
 func NewRecursiveMap(p RecursiveParams) (*RecursiveMap, error) {
-	if p.EntriesPerBlock <= 0 {
-		return nil, fmt.Errorf("oram: EntriesPerBlock must be positive")
+	// Each level must shrink the map, or the loop below never ends.
+	if p.EntriesPerBlock < 2 {
+		return nil, fmt.Errorf("oram: EntriesPerBlock must be at least 2, got %d", p.EntriesPerBlock)
+	}
+	if p.OnChipEntries < 1 {
+		return nil, fmt.Errorf("oram: OnChipEntries must be positive")
 	}
 	if p.EntriesPerBlock*4 > p.BlockBytes {
 		return nil, fmt.Errorf("oram: %d entries of 4 bytes exceed the %dB block", p.EntriesPerBlock, p.BlockBytes)

@@ -46,4 +46,11 @@ func TestNewRecursiveMapRejectsBadParams(t *testing.T) {
 	if _, err := NewRecursiveMap(RecursiveParams{DataBlocks: 10, DataTree: tree, BlockBytes: 8, EntriesPerBlock: 4, OnChipEntries: 1}); err == nil {
 		t.Fatal("accepted entries that overflow the block")
 	}
+	// Neither map ever shrinks to its on-chip budget.
+	if _, err := NewRecursiveMap(RecursiveParams{DataBlocks: 10, DataTree: tree, BlockBytes: 64, EntriesPerBlock: 1, OnChipEntries: 1}); err == nil {
+		t.Fatal("accepted one entry per block")
+	}
+	if _, err := NewRecursiveMap(RecursiveParams{DataBlocks: 10, DataTree: tree, BlockBytes: 64, EntriesPerBlock: 4, OnChipEntries: 0}); err == nil {
+		t.Fatal("accepted a zero on-chip budget")
+	}
 }
