@@ -103,6 +103,9 @@ oracle-smoke: build
 
 # fuzz-smoke gives every fuzz target in the repo a short coverage-guided
 # run (the CI budget; raise FUZZTIME locally for a deeper session).
+# FuzzLoadDurable's inputs are whole snapshots, hundreds of bytes each,
+# and minimizing one takes a quadratic number of loads: its minimization
+# is capped so that the budget goes to fuzzing.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzOracleAccessSequence$$' -fuzztime $(FUZZTIME) .
@@ -113,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStashTable$$' -fuzztime $(FUZZTIME) ./internal/oram
 	$(GO) test -run '^$$' -fuzz '^FuzzImageOverlay$$' -fuzztime $(FUZZTIME) ./internal/oram
 	$(GO) test -run '^$$' -fuzz '^FuzzFilestoreRecovery$$' -fuzztime $(FUZZTIME) ./internal/storage/filestore
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadDurable$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/netserve
 
 # profile captures CPU + heap pprof for a representative sweep via the

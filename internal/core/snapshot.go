@@ -145,9 +145,31 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 	if numBlocks == 0 || numBlocks > oram.NewTree(levels, z).Slots() {
 		return nil, fmt.Errorf("%w: implausible block count %d", ErrSnapshotCorrupted, numBlocks)
 	}
-	cfg.BlockBytes = blockBytes
-	cfg.Z = z
-
+	if !scheme.Policy().Storable() {
+		return nil, fmt.Errorf("%w: scheme %v has no snapshot", ErrSnapshotCorrupted, scheme)
+	}
+	// Read the whole body before building anything, so that what is
+	// allocated follows the bytes present, never the header's counts.
+	t := oram.NewTree(levels, z)
+	slotBytes := 32 + blockBytes
+	slotsAt := 4 * int64(numBlocks)
+	need := slotsAt + int64(t.Slots())*int64(slotBytes) + 4
+	body, err := io.ReadAll(io.LimitReader(br, need))
+	if err != nil {
+		return nil, snapRead(err, "snapshot body")
+	}
+	if int64(len(body)) < need {
+		return nil, fmt.Errorf("%w: %d of %d body bytes", ErrSnapshotTruncated, len(body), need)
+	}
+	for a := uint64(0); a < numBlocks; a++ {
+		if leaf := binary.LittleEndian.Uint32(body[4*a:]); uint64(leaf) >= t.Leaves() {
+			return nil, fmt.Errorf("%w: leaf %d out of range for addr %d", ErrSnapshotCorrupted, leaf, a)
+		}
+	}
+	if rootLen := binary.LittleEndian.Uint32(body[need-4:]); rootLen != 0 {
+		return nil, fmt.Errorf("%w: root length %d, want 0", ErrSnapshotCorrupted, rootLen)
+	}
+	cfg.BlockBytes, cfg.Z = blockBytes, z
 	runtime.NumBlocks, runtime.Levels = numBlocks, levels
 	c, err := New(scheme, cfg, runtime)
 	if err != nil {
@@ -155,46 +177,20 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 	}
 	// Durable position map.
 	for a := oram.Addr(0); uint64(a) < numBlocks; a++ {
-		var leaf uint32
-		if err := binary.Read(br, binary.LittleEndian, &leaf); err != nil {
-			return nil, snapRead(err, fmt.Sprintf("posmap entry %d", a))
-		}
-		if uint64(leaf) >= c.ORAM.Tree.Leaves() {
-			return nil, fmt.Errorf("%w: leaf %d out of range for addr %d", ErrSnapshotCorrupted, leaf, a)
-		}
-		c.durable.Put(a, oram.Leaf(leaf))
-		c.ORAM.PosMap.Put(a, oram.Leaf(leaf))
+		leaf := oram.Leaf(binary.LittleEndian.Uint32(body[4*a:]))
+		c.durable.Put(a, leaf)
+		c.ORAM.PosMap.Put(a, leaf)
 	}
 	// Sealed tree image.
-	t := c.ORAM.Tree
-	for b := uint64(0); b < t.Buckets(); b++ {
-		for zi := 0; zi < t.Z; zi++ {
-			var s oram.Slot
-			if err := binary.Read(br, binary.LittleEndian, &s.IV1); err != nil {
-				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d)", b, zi))
-			}
-			if err := binary.Read(br, binary.LittleEndian, &s.IV2); err != nil {
-				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d)", b, zi))
-			}
-			s.SealedHeader = make([]byte, 16)
-			if _, err := io.ReadFull(br, s.SealedHeader); err != nil {
-				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d) header", b, zi))
-			}
-			s.SealedData = make([]byte, blockBytes)
-			if _, err := io.ReadFull(br, s.SealedData); err != nil {
-				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d) data", b, zi))
-			}
-			c.ORAM.Image.PutSlot(b, zi, s)
-		}
+	for i, slot := uint64(0), body[slotsAt:]; i < t.Slots(); i, slot = i+1, slot[slotBytes:] {
+		c.ORAM.Image.PutSlot(i/uint64(z), int(i%uint64(z)), oram.Slot{
+			IV1:          binary.LittleEndian.Uint64(slot),
+			IV2:          binary.LittleEndian.Uint64(slot[8:]),
+			SealedHeader: append([]byte(nil), slot[16:32]...),
+			SealedData:   append([]byte(nil), slot[32:slotBytes]...),
+		})
 	}
 	c.ORAM.SetVerSeq(verSeq)
-	var rootLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &rootLen); err != nil {
-		return nil, snapRead(err, "root length")
-	}
-	if rootLen != 0 {
-		return nil, fmt.Errorf("%w: root length %d, want 0", ErrSnapshotCorrupted, rootLen)
-	}
 	c.counters.Inc("snapshot.loads")
 	return c, nil
 }

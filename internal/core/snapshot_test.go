@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -300,4 +301,59 @@ func TestSnapshotTypedErrors(t *testing.T) {
 		}
 	})
 
+}
+
+// FuzzLoadDurable feeds LoadDurable hostile snapshots. Each input
+// either fails to load with an error, or loads into a controller that
+// answers Peek on every address (a value of one block, or an error: a
+// Baseline snapshot may hold blocks its volatile PosMap lost) without a
+// panic. The loader reads the body before it builds anything, so the
+// heap it takes follows the bytes given, never a count in the header.
+func FuzzLoadDurable(f *testing.F) {
+	// Small seeds (two levels, Z=2, 16-byte blocks) keep each run and
+	// the minimization of what it finds short.
+	cfg := testCfg()
+	cfg.Z, cfg.BlockBytes = 2, 16
+	for _, scheme := range []config.Scheme{config.SchemeBaseline, config.SchemePSORAM} {
+		c, err := New(scheme, cfg, Options{NumBlocks: 6, Levels: 2, Untimed: true})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			a := oram.Addr(i * 5 % 6)
+			if _, err := c.Access(oram.OpWrite, a, blockVal(a, i, cfg.BlockBytes)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := c.SaveDurable(&buf); err != nil {
+			f.Fatal(err)
+		}
+		c.Close()
+		f.Add(buf.Bytes())
+		if scheme == config.SchemePSORAM {
+			// The retired Merkle root: a non-zero root length and a root.
+			root := append([]byte(nil), buf.Bytes()...)
+			root[len(root)-4] = 32
+			f.Add(append(root, make([]byte, 32)...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := LoadDurable(bytes.NewReader(data), cfg, Options{Untimed: true})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<22+64*uint64(len(data)) {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for a := oram.Addr(0); uint64(a) < c.ORAM.NumBlocks(); a++ {
+			if v, err := c.Peek(a); err == nil && len(v) != c.Cfg.BlockBytes {
+				t.Fatalf("addr %d: Peek returned %d bytes, block size %d", a, len(v), c.Cfg.BlockBytes)
+			}
+		}
+	})
 }
