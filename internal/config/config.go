@@ -27,7 +27,7 @@ const (
 )
 
 // Medium is what a scheme builds its on-chip stash and PosMap from.
-type Medium int
+type Medium uint8
 
 const (
 	MediumSRAM   Medium = iota // volatile: a power failure clears it
@@ -42,7 +42,7 @@ var mediumTiming = [...]NVMTiming{MediumPCM: PCM(), MediumSTTRAM: STTRAM()}
 func (m Medium) Timing() (t NVMTiming, ok bool) { return mediumTiming[m], m != MediumSRAM }
 
 // Entries says which PosMap entries an eviction persists with its path.
-type Entries int
+type Entries uint8
 
 const (
 	EntriesNone  Entries = iota
@@ -51,7 +51,7 @@ const (
 )
 
 // Domain is a scheme's persistence domain.
-type Domain int
+type Domain uint8
 
 const (
 	DomainNone Domain = iota // buffers and on-chip state are lost at a power failure
