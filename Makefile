@@ -53,8 +53,9 @@ stress:
 # check is the pre-commit gate: build, vet, the gofmt gate, the Windows
 # and macOS builds, the full suite under the race detector, the crash
 # matrix over three seeds (it exits 2 if a persistent scheme corrupts),
-# the byte-identity pin on the paper's tables (experiments-check), and
-# the two everything-armed CLI runs.
+# the all-scheme differential oracle and crash torture (oracle-smoke; it
+# exits 1 on any violation), the byte-identity pin on the paper's tables
+# (experiments-check), and the two everything-armed CLI runs.
 # -short shrinks the sweep grid cells (see internal/sweep.testGrid), the
 # seam differential and the durable alloc guards' warm-ups, and takes the
 # CI slice of the kill -9 tortures (a few real SIGKILLs per scheme; the
@@ -63,6 +64,7 @@ stress:
 check: build vet fmt cross
 	$(GO) test -short -race ./...
 	$(GO) run ./cmd/psoram crash -seeds 3 -workers 2
+	$(MAKE) oracle-smoke
 	$(MAKE) experiments-check
 	$(MAKE) cli-smoke
 

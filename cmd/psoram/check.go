@@ -93,13 +93,13 @@ func runCrash(args []string) {
 	}
 }
 
-// runOracle runs the differential oracle and the crash-linearizability
-// torture harness (internal/oracle) over any set of schemes: every
-// access is diffed against a plain-map reference, structural invariants
-// are checked at deep-check boundaries, the leaf sequence is tested for
-// uniformity, and (with -crash) every declared crash-injection step is
-// fired and the recovered store checked against the reference prefix
-// replays.
+// runOracle runs the differential oracle (internal/oracle) and the
+// crash-linearizability torture (internal/crash) over any set of
+// schemes: every access is diffed against a plain-map reference,
+// structural invariants are checked at deep-check boundaries, the leaf
+// sequence is tested for uniformity, and (with -crash) every declared
+// crash-injection step is fired and the recovered store checked against
+// the reference prefix replays.
 //
 //	psoram oracle                                   # all schemes, 3 workloads, level 10
 //	psoram oracle -schemes PS-ORAM,Rcr-PS-ORAM -levels 10,12 -crash
@@ -114,7 +114,7 @@ func runOracle(args []string) {
 		blocks       = blocksFlag(fs, 256)
 		seed         = seedFlag(fs)
 		crashMode    = fs.Bool("crash", false, "also run crash-linearizability for the persistent schemes")
-		storeDir     = storeFlag(fs)
+		storeDir     = fs.String("store", "", "keep durable on-disk stores under DIR, which must hold none yet (flat schemes only)")
 		jsonPath     = jsonFlag(fs)
 		list         = listFlag(fs)
 	)
@@ -150,11 +150,11 @@ func runOracle(args []string) {
 	}
 
 	type cellReport struct {
-		Scheme   string              `json:"scheme"`
-		Workload string              `json:"workload"`
-		Levels   int                 `json:"levels"`
-		Report   *oracle.Report      `json:"report"`
-		Crash    *oracle.CrashReport `json:"crash,omitempty"`
+		Scheme   string         `json:"scheme"`
+		Workload string         `json:"workload"`
+		Levels   int            `json:"levels"`
+		Report   *oracle.Report `json:"report"`
+		Crash    *crash.Report  `json:"crash,omitempty"`
 	}
 	var (
 		cells      []cellReport
@@ -186,19 +186,14 @@ func runOracle(args []string) {
 
 				crashCol := "-"
 				if *crashMode && s.Policy().Persistent() {
-					crep, err := oracle.CheckCrash(p, genOps, oracle.CrashOptions{})
+					crep, err := crash.Check(p, genOps, crash.CheckOptions{})
 					if err != nil {
 						fatal(err)
 					}
 					cell.Crash = crep
 					found = append(found[:len(found):len(found)], crep.Violations...)
-					fired, declared := 0, core.DeclaredStepsFor(s)
-					for _, step := range declared {
-						if crep.StepsFired[step] > 0 {
-							fired++
-						}
-					}
-					crashCol = fmt.Sprintf("%d/%d", fired, len(declared))
+					// StepsFired holds the declared steps that fired.
+					crashCol = fmt.Sprintf("%d/%d", len(crep.StepsFired), len(core.DeclaredStepsFor(s)))
 				}
 
 				chiCol := "skip"

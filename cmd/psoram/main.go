@@ -131,10 +131,6 @@ func blocksFlag(fs *flag.FlagSet, def uint64) *uint64 {
 	return fs.Uint64("blocks", def, "logical blocks")
 }
 
-func storeFlag(fs *flag.FlagSet) *string {
-	return fs.String("store", "", "keep durable on-disk stores under DIR (create-or-recover; flat schemes only)")
-}
-
 func jsonFlag(fs *flag.FlagSet) *string {
 	return fs.String("json", "", "write the full report as JSON to this path (\"-\" = stdout)")
 }

@@ -44,7 +44,7 @@ func declarePoolFlags(fs *flag.FlagSet) poolFlags {
 		seed:       seedFlag(fs),
 		queue:      fs.Int("queue", 64, "per-shard queue depth (a full queue answers ErrOverloaded / RETRY_AFTER)"),
 		batch:      fs.Int("batch", 8, "max requests coalesced into one protocol round"),
-		storeDir:   storeFlag(fs),
+		storeDir:   fs.String("store", "", "keep durable on-disk stores under DIR (create-or-recover; flat schemes only)"),
 		serial:     fs.Bool("serial", false, "read-combining off: every request is its own physical access, the strict serial protocol"),
 		groupOps:   fs.Int("group-commit", 0, "batch each durable shard's persist barrier across up to N accesses (0/1 = serial per-access barrier)"),
 		groupDelay: fs.Duration("group-delay", 0, "max time an idle shard holds an open commit group (0 = small default; needs -group-commit > 1)"),

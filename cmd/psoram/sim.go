@@ -94,7 +94,6 @@ func runSweep(args []string) {
 		workers      = workersFlag(fs)
 		jsonPath     = jsonFlag(fs)
 		csvPath      = fs.String("csv", "", "write per-cell results as CSV to this path (\"-\" = stdout)")
-		oracleMode   = fs.Bool("oracle", false, "validate every cell with the functional oracle (internal/oracle)")
 		quiet        = fs.Bool("quiet", false, "suppress live progress output")
 		list         = listFlag(fs)
 		profileDir   = fs.String("profile", "", "write cpu.pprof + heap.pprof for the run into this directory (see EXPERIMENTS.md)")
@@ -138,7 +137,6 @@ func runSweep(args []string) {
 		RootSeed:  *rootSeed,
 		Accesses:  *accesses,
 		Levels:    levels.one("levels"),
-		Oracle:    *oracleMode,
 	}
 	res, err := sweep.Run(ctx, grid, sweepOptions(*workers, *quiet))
 	if err != nil {

@@ -26,7 +26,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/mem"
@@ -239,13 +238,12 @@ type Options struct {
 // via FlushCommits/Close). MaxOps <= 1 keeps the per-access serial
 // barrier, byte-identical to the default. An access against a grouped
 // controller returns BEFORE its mutations are durable; callers that ack
-// must hold the ack on OnCommit. MaxDelay bounds how long an idle open
-// group may wait — the controller is single-threaded, so enforcement
-// belongs to the layer that owns the thread (internal/serve flushes an
-// idle shard's group after MaxDelay).
+// must hold the ack on OnCommit. The controller is single-threaded, so
+// bounding how long an idle open group may wait belongs to the layer
+// that owns the thread (internal/serve flushes an idle shard's group
+// after serve.Options.GroupCommitDelay).
 type GroupCommit struct {
-	MaxOps   int
-	MaxDelay time.Duration
+	MaxOps int
 }
 
 // New builds a controller for the scheme. cfg supplies Z, stash size,

@@ -212,7 +212,7 @@ func (c *Controller) OnCommit(fn func(error)) {
 }
 
 // CommitPending reports whether an open commit group holds accesses
-// that are not yet durable (callers use it to schedule a MaxDelay
+// that are not yet durable (callers use it to schedule an idle
 // flush).
 func (c *Controller) CommitPending() bool { return c.ticket != nil }
 

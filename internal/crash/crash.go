@@ -1,8 +1,11 @@
-// Package crash runs the §3.3 crash-recoverability matrix: for each
+// Package crash arms, runs and judges every crash trial in the
+// repository. The §3.3 crash-recoverability matrix (SweepAll): for each
 // scheme and each swept protocol point it builds a fresh timed
 // controller, drives a workload, injects a simulated power failure at
 // that exact point, recovers, and reads every address back — one
-// oracle.RunTrial per point.
+// oracle.RunTrial per point. Check tortures one functional system at
+// every declared step (`psoram oracle -crash`). Both hand their trial
+// list to runTrials, which runs it on sweep's worker pool.
 //
 // A point counts as consistent iff the recovered store equals the
 // history's prefix i or i+1, where op i was in flight when power failed
@@ -96,12 +99,56 @@ func MatrixSchemes() []config.Scheme {
 // RunOnce builds a fresh controller, drives the workload with a power
 // failure armed at point, recovers, and reads every address back.
 func (r Runner) RunOnce(scheme config.Scheme, w Workload, point core.CrashPoint) (oracle.CrashTrial, error) {
-	ctl, err := core.New(scheme, r.Cfg, core.Options{NumBlocks: r.Blocks, Levels: r.Levels})
-	if err != nil {
-		return oracle.CrashTrial{}, err
+	trials, errs := runTrials(context.Background(), r.trials([]config.Scheme{scheme}, w, []core.CrashPoint{point}), 1)
+	return trials[0], errs[0]
+}
+
+// trial is one entry of a trial list: build makes the fresh controller
+// the ops are driven on with a power failure armed at at; post, if
+// non-nil, runs on it after recovery, before the read-back.
+type trial struct {
+	build func() (*core.Controller, error)
+	ops   []oracle.Op
+	at    core.CrashPoint
+	post  func(*core.Controller)
+}
+
+// trials lists the matrix's trial of every scheme at every point, in
+// that order: a timed controller from the runner's configuration.
+func (r Runner) trials(schemes []config.Scheme, w Workload, points []core.CrashPoint) []trial {
+	ops := w.Ops(r.Cfg.BlockBytes)
+	var list []trial
+	for _, s := range schemes {
+		build := func() (*core.Controller, error) {
+			return core.New(s, r.Cfg, core.Options{NumBlocks: r.Blocks, Levels: r.Levels})
+		}
+		for _, p := range points {
+			list = append(list, trial{build: build, ops: ops, at: p})
+		}
 	}
-	defer ctl.Close()
-	return oracle.RunTrial(ctl, w.Ops(r.Cfg.BlockBytes), point, nil)
+	return list
+}
+
+// runTrials runs every trial of the list as one oracle.RunTrial, on
+// sweep's worker pool, at most workers at a time (0 means GOMAXPROCS),
+// and returns the trials and their errors (a failed build, or RunTrial's
+// error) in list order. Each trial builds its own controller, so the
+// order they run in cannot affect the outcome. Once ctx is done the
+// list runs short: check ctx.Err() before reading the results.
+func runTrials(ctx context.Context, list []trial, workers int) ([]oracle.CrashTrial, []error) {
+	trials := make([]oracle.CrashTrial, len(list))
+	errs := make([]error, len(list))
+	sweep.ForEach(ctx, len(list), workers, func(i int) {
+		t := list[i]
+		ctl, err := t.build()
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer ctl.Close() // the verdict is in hand: free the image, release the store
+		trials[i], errs[i] = oracle.RunTrial(ctl, t.ops, t.at, t.post)
+	})
+	return trials, errs
 }
 
 // SweepPoints enumerates a representative set of distinct crash points
@@ -147,22 +194,15 @@ func (r Runner) Sweep(scheme config.Scheme, w Workload, points []core.CrashPoint
 	return res[0], nil
 }
 
-// SweepAll runs RunOnce for every (scheme, point) pair on sweep's
-// worker pool, at most workers at a time (0 means GOMAXPROCS), and
-// aggregates per scheme, in scheme order. Each pair builds a fresh
-// controller, so the order they run in cannot affect the outcome. A
-// scheme none of whose points fired is an error: its row would be a
-// verdict about nothing.
+// SweepAll runs one trial for every (scheme, point) pair through
+// runTrials, at most workers at a time (0 means GOMAXPROCS), and
+// aggregates per scheme, in scheme order. A scheme none of whose points
+// fired is an error: its row would be a verdict about nothing.
 func (r Runner) SweepAll(ctx context.Context, schemes []config.Scheme, w Workload, points []core.CrashPoint, workers int) ([]SweepResult, error) {
-	n := len(schemes) * len(points)
-	if n == 0 {
+	if len(schemes)*len(points) == 0 {
 		return nil, fmt.Errorf("crash: empty sweep")
 	}
-	trials := make([]oracle.CrashTrial, n)
-	errs := make([]error, n)
-	sweep.ForEach(ctx, n, workers, func(i int) {
-		trials[i], errs[i] = r.RunOnce(schemes[i/len(points)], w, points[i%len(points)])
-	})
+	trials, errs := runTrials(ctx, r.trials(schemes, w, points), workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err // the feed may have stopped short
 	}

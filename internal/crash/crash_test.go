@@ -280,7 +280,7 @@ func TestMatrixTrialCatchesSabotage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sabotage := func() {
+		sabotage := func(ctl *core.Controller) {
 			leaf, ok := ctl.Temp.Lookup(0)
 			if !ok {
 				leaf = ctl.ORAM.PosMap.Lookup(0)

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/oram"
@@ -17,33 +15,11 @@ import (
 // reference replay of the first k ops for k = i or k = i+1 — either the
 // in-flight op's durable batch committed entirely (k = i+1) or it was
 // abandoned entirely (k = i). One trial (RunTrial) records which prefixes
-// the recovered store equals; the crash matrix counts a point consistent
-// by exactly this rule, and CheckCrash holds the persistent schemes
-// (config.Policy.Persistent) to it. The non-persistent baselines promise
-// less, and CheckCrash holds them only to "no fabricated bytes": every
-// recovered value is zero or some version that address held.
-
-// CrashOptions tunes a CheckCrash run.
-type CrashOptions struct {
-	// Steps to inject at; nil means core.DeclaredStepsFor(scheme).
-	Steps []int
-	// AccessIndices are the access counts after which each step fires
-	// (one trial per step × index); nil derives {1, n/2, n-2}.
-	AccessIndices []uint64
-	// PostRecover, if set, runs after every successful recovery and
-	// before the state comparison — the mutation-testing hook: sabotage
-	// the recovered state here and the harness must object.
-	PostRecover func(Target)
-	// MaxViolations caps recorded violations (0 = 32).
-	MaxViolations int
-}
-
-func (o CrashOptions) maxViolations() int {
-	if o.MaxViolations == 0 {
-		return 32
-	}
-	return o.MaxViolations
-}
+// the recovered store equals. The crash package arms, runs and judges
+// every trial list: its matrix counts a point consistent by exactly this
+// rule, and crash.Check holds the persistent schemes
+// (config.Policy.Persistent) to it and the non-persistent baselines only
+// to "no fabricated bytes" (KnownVersion).
 
 // CrashTrial records one injection trial: an op history driven with a
 // power failure armed at exactly Point, then recovery and a read-back of
@@ -88,13 +64,14 @@ func (t CrashTrial) String() string {
 }
 
 // RunTrial drives ops on ctl with a power failure armed at exactly at,
-// recovers, runs postRecover (if non-nil), and reads back every address.
+// recovers, runs postRecover on ctl (if non-nil), and reads back every
+// address.
 // A point the ops never reach leaves the trial unfired. The error is an
 // access failure other than the injected crash, or a failed recovery.
-func RunTrial(ctl *core.Controller, ops []Op, at CrashSpec, postRecover func()) (CrashTrial, error) {
+func RunTrial(ctl *core.Controller, ops []Op, at CrashSpec, postRecover func(*core.Controller)) (CrashTrial, error) {
 	trial := CrashTrial{Point: at}
 	ctl.CrashAt = func(p CrashSpec) bool { return p == at }
-	i, err := drive(ctl, ops)
+	i, err := Drive(ctl, ops)
 	ctl.CrashAt = nil
 	trial.OpsStarted, trial.Fired = i, i >= 0
 	if err != nil || !trial.Fired {
@@ -104,7 +81,7 @@ func RunTrial(ctl *core.Controller, ops []Op, at CrashSpec, postRecover func()) 
 		return trial, fmt.Errorf("%v: recovery failed: %w", at, err)
 	}
 	if postRecover != nil {
-		postRecover()
+		postRecover(ctl)
 	}
 	bb := ctl.Cfg.BlockBytes
 	history := ops[:i+1]
@@ -126,9 +103,9 @@ func RunTrial(ctl *core.Controller, ops []Op, at CrashSpec, postRecover func()) 
 	return trial, nil
 }
 
-// drive runs ops on ctl in order. It returns the index of the op in
+// Drive runs ops on ctl in order. It returns the index of the op in
 // flight when an injected crash fired, or -1 when every op completed.
-func drive(ctl *core.Controller, ops []Op) (int, error) {
+func Drive(ctl *core.Controller, ops []Op) (int, error) {
 	for i, op := range ops {
 		kind, data := oram.OpRead, []byte(nil)
 		if op.Write {
@@ -143,138 +120,9 @@ func drive(ctl *core.Controller, ops []Op) (int, error) {
 	return -1, nil
 }
 
-// CrashReport is the outcome of one CheckCrash run.
-type CrashReport struct {
-	Scheme     string       `json:"scheme"`
-	Trials     []CrashTrial `json:"trials"`
-	StepsFired map[int]int  `json:"steps_fired"` // step -> number of trials in which it fired
-	Violations []Violation  `json:"violations,omitempty"`
-}
-
-// OK reports whether the run found no violations.
-func (r *CrashReport) OK() bool { return len(r.Violations) == 0 }
-
-func (r *CrashReport) add(o CrashOptions, v Violation) {
-	if len(r.Violations) < o.maxViolations() {
-		r.Violations = append(r.Violations, v)
-	}
-}
-
-// CheckCrash tortures the scheme with crash injection. For every
-// requested (step, access-index) pair it arms the first point of that
-// step offered at or after that access — found by one unarmed pass over
-// the ops — on a fresh system, and runs it as one RunTrial. Persistent
-// schemes must recover to prefix i or i+1; the baselines must not
-// fabricate bytes. Every requested step must fire at least once across
-// the run, so a protocol change that stops exposing a declared point is
-// itself a violation.
-func CheckCrash(p Params, ops []Op, copts CrashOptions) (*CrashReport, error) {
-	if len(ops) < 2 {
-		return nil, fmt.Errorf("oracle: CheckCrash needs at least 2 ops, got %d", len(ops))
-	}
-	steps := copts.Steps
-	if steps == nil {
-		steps = core.DeclaredStepsFor(p.Scheme)
-	}
-	afters := copts.AccessIndices
-	if afters == nil {
-		n := uint64(len(ops))
-		afters = dedupSorted([]uint64{1, n / 2, n - 2})
-	}
-	// build makes a fresh controller; with a store, in its own directory,
-	// so no run recovers another's on-disk state.
-	build := func(dir string) (*coreTarget, error) {
-		tp := p
-		if p.StoreDir != "" {
-			tp.StoreDir = filepath.Join(p.StoreDir, dir)
-		}
-		tgt, err := NewTarget(tp)
-		if err != nil {
-			return nil, err
-		}
-		ct, ok := tgt.(*coreTarget)
-		if !ok {
-			return nil, fmt.Errorf("oracle: scheme %s does not support crash injection", p.Scheme)
-		}
-		return ct, nil
-	}
-
-	type offer struct {
-		step  int
-		after uint64
-	}
-	first := make(map[offer]CrashSpec)
-	probe, err := build("probe")
-	if err != nil {
-		return nil, err
-	}
-	probe.ctl.CrashAt = func(cs CrashSpec) bool {
-		for _, after := range afters {
-			k := offer{cs.Step, after}
-			if _, seen := first[k]; !seen && cs.Access >= after {
-				first[k] = cs
-			}
-		}
-		return false
-	}
-	_, err = drive(probe.ctl, ops)
-	if cerr := probe.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &CrashReport{Scheme: p.Scheme.String(), StepsFired: make(map[int]int)}
-	strict := p.Scheme.Policy().Persistent()
-	for _, step := range steps {
-		for _, after := range afters {
-			at, ok := first[offer{step, after}]
-			if !ok {
-				continue
-			}
-			ct, err := build(fmt.Sprintf("trial-s%d-a%d", step, after))
-			if err != nil {
-				return nil, err
-			}
-			var post func()
-			if copts.PostRecover != nil {
-				post = func() { copts.PostRecover(ct) }
-			}
-			trial, err := RunTrial(ct.ctl, ops, at, post)
-			ct.Close() // the verdict is in hand: free the image, release the store
-			rep.Trials = append(rep.Trials, trial)
-			if trial.Fired {
-				rep.StepsFired[step]++
-			}
-			i := trial.OpsStarted
-			switch {
-			case err != nil:
-				rep.add(copts, Violation{Kind: "crash", Op: i, Detail: err.Error()})
-			case !trial.Fired:
-			case strict && !trial.Consistent():
-				rep.add(copts, Violation{Kind: "crash", Op: i, Detail: trial.String()})
-			case !strict:
-				for _, a := range trial.Fabricated {
-					rep.add(copts, Violation{Kind: "crash", Op: i, Addr: a,
-						Detail: fmt.Sprintf("%v: recovered a value never written to addr %d", at, a)})
-				}
-			}
-		}
-	}
-
-	for _, step := range steps {
-		if rep.StepsFired[step] == 0 {
-			rep.add(copts, Violation{Kind: "crash", Op: -1,
-				Detail: fmt.Sprintf("declared step %d never fired in any trial", step)})
-		}
-	}
-	return rep, nil
-}
-
 // PrefixStates replays ops against the reference store and returns
 // states[k] = the sparse store after the first k ops (k = 0..len(ops)).
-// Shared by CheckCrash and the out-of-process kill -9 harness, so both
+// Shared by RunTrial and the out-of-process kill -9 harness, so both
 // hold recovered stores to the same definition of "prefix of history".
 func PrefixStates(ops []Op, blockBytes int) []map[uint64][]byte {
 	ref := newRefStore(blockBytes)
@@ -336,15 +184,4 @@ func KnownVersion(ops []Op, a uint64, v []byte, blockBytes int) bool {
 		}
 	}
 	return false
-}
-
-func dedupSorted(xs []uint64) []uint64 {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -2,8 +2,9 @@
 // subsystem: it drives any scheme the repo simulates against a plain
 // map reference, checks structural invariants at deep-check boundaries,
 // probes leaf-sequence uniformity (the obliviousness tripwire), and —
-// in crashlin.go — checks crash linearizability across every declared
-// crash-injection step.
+// in crashlin.go — runs one crash-injection trial and judges the
+// recovered store against the prefixes of the op history (the crash
+// package drives the trial lists).
 package oracle
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/oram"
+	"repro/internal/storage/filestore"
 )
 
 // Options tunes a Check run. The zero value is a sensible default.
@@ -97,16 +99,6 @@ type Report struct {
 
 // OK reports whether the run found no violations.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
-
-// HasKind reports whether any recorded violation has the given kind.
-func (r *Report) HasKind(kind string) bool {
-	for _, v := range r.Violations {
-		if v.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
 
 func (r *Report) add(opts Options, v Violation) bool {
 	if len(r.Violations) < opts.maxViolations() {
@@ -196,11 +188,28 @@ func Check(t Target, ops []Op, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// CheckScheme builds a fresh target from p and runs Check over ops.
+// CheckScheme builds a fresh target from p and runs Check over ops. A
+// StoreDir that already holds a store is an error (see NoStoreAt).
 func CheckScheme(p Params, ops []Op, opts Options) (*Report, error) {
+	if err := NoStoreAt(p.StoreDir); err != nil {
+		return nil, err
+	}
 	t, err := NewTarget(p)
 	if err != nil {
 		return nil, err
 	}
 	return Check(t, ops, opts)
+}
+
+// NoStoreAt returns an error naming dir when dir already holds a durable
+// store, committed or damaged: the reference a check diffs against
+// starts from zero, so recovering an earlier run's store would report
+// every value that run wrote as a violation. An empty dir names no store.
+// A store Open returns is dropped unclosed: it holds no file or goroutine,
+// and Close would persist into dir.
+func NoStoreAt(dir string) error {
+	if _, err := filestore.Open(dir); dir != "" && !errors.Is(err, filestore.ErrNoStore) {
+		return fmt.Errorf("oracle: %s already holds a store; a check starts from zero and needs a fresh directory", dir)
+	}
+	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -15,127 +18,59 @@ import (
 // workload × tree-height cell: value oracle against the plain map,
 // structural invariants at deep-check boundaries, and the chi-square
 // obliviousness probe. Short mode keeps 3 workloads at level 10; the
-// full run adds level 12 and the remaining workloads.
+// full run adds level 12 and the remaining workloads. Every run also
+// takes two small cells at L=6 over 128 blocks: 64 ops shaped like the
+// 401.bzip2 and 429.mcf traces, where a stash overflow at the default
+// sizing shows as an "overflow" violation.
 func TestOracleAllSchemes(t *testing.T) {
+	type cell struct {
+		levels, ops int
+		blocks      uint64
+		w           Workload
+	}
 	levels := []int{10}
 	names := []string{"uniform", "write-heavy", "hotspot"}
 	if !testing.Short() {
 		levels = append(levels, 12)
 		names = append(names, "read-mostly", "sequential")
 	}
-	const blocks, nOps = 256, 96
-	bb := config.Default().BlockBytes
-	for _, scheme := range config.Schemes() {
-		for _, lv := range levels {
-			for _, name := range names {
-				t.Run(fmt.Sprintf("%s/L%d/%s", scheme, lv, name), func(t *testing.T) {
-					w, err := ByName(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ops := GenOps(w, blocks, bb, nOps, 1)
-					rep, err := CheckScheme(Params{Scheme: scheme, NumBlocks: blocks, Levels: lv, Seed: 1}, ops, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, v := range rep.Violations {
-						t.Errorf("%s", v)
-					}
-					if rep.DeepChecks == 0 {
-						t.Error("no deep checks ran")
-					}
-					if scheme == config.SchemeNonORAM {
-						if !rep.Chi2Skipped {
-							t.Error("NonORAM has no tree; the obliviousness probe should be skipped")
-						}
-					} else if rep.Chi2Skipped {
-						t.Error("obliviousness probe unexpectedly skipped")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestOracleCrashLinearizability tortures every persistent scheme at
-// every declared crash step: the recovered store must equal the
-// reference replay at the in-flight op boundary (k = i or i+1), and
-// every declared step must actually fire.
-func TestOracleCrashLinearizability(t *testing.T) {
-	bb := config.Default().BlockBytes
-	for _, scheme := range config.Schemes() {
-		if !scheme.Policy().Persistent() {
-			continue
-		}
-		t.Run(scheme.String(), func(t *testing.T) {
-			ops := GenOps(Workload{Name: "uniform"}, 64, bb, 48, 7)
-			rep, err := CheckCrash(Params{Scheme: scheme, NumBlocks: 64, Levels: 6, Seed: 7}, ops, CrashOptions{})
+	var cells []cell
+	for _, lv := range levels {
+		for _, name := range names {
+			w, err := ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range rep.Violations {
-				t.Errorf("%s", v)
-			}
-			for _, step := range core.DeclaredStepsFor(scheme) {
-				if rep.StepsFired[step] == 0 {
-					t.Errorf("declared step %d never fired", step)
-				}
-			}
-			if len(rep.Trials) == 0 {
-				t.Fatal("no trials ran")
-			}
-		})
-	}
-}
-
-// TestOracleBaselineCrashWeakCheck exercises the non-persistent branch:
-// the baselines promise only that recovery never fabricates bytes, and
-// the harness's weak per-address check must accept them.
-func TestOracleBaselineCrashWeakCheck(t *testing.T) {
-	bb := config.Default().BlockBytes
-	ops := GenOps(Workload{Name: "uniform"}, 64, bb, 48, 7)
-	rep, err := CheckCrash(Params{Scheme: config.SchemeBaseline, NumBlocks: 64, Levels: 6, Seed: 7}, ops,
-		CrashOptions{Steps: []int{3, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("%s", v)
-	}
-}
-
-// TestOracleMutationCaught is the harness's own mutation test: sabotage
-// the recovered state (a stash block whose payload matches no value the
-// history ever wrote) and the linearizability check must object. A
-// torture harness that cannot catch a planted bug proves nothing.
-func TestOracleMutationCaught(t *testing.T) {
-	bb := config.Default().BlockBytes
-	garbage := bytes.Repeat([]byte{0xa5}, bb)
-	sabotage := func(tg Target) {
-		switch c := tg.(type) {
-		case *coreTarget:
-			c.ctl.ORAM.Stash.Put(&oram.StashBlock{Addr: 0, Leaf: c.currentLeaf(0), Data: append([]byte(nil), garbage...)})
-		default:
-			t.Fatalf("unexpected target type %T", tg)
+			cells = append(cells, cell{lv, 96, 256, w})
 		}
 	}
-	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeRcrPSORAM} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			ops := GenOps(Workload{Name: "uniform"}, 64, bb, 48, 7)
-			rep, err := CheckCrash(Params{Scheme: scheme, NumBlocks: 64, Levels: 6, Seed: 7}, ops,
-				CrashOptions{Steps: []int{6}, AccessIndices: []uint64{1}, PostRecover: sabotage})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.OK() {
-				t.Fatal("sabotaged recovery slipped past the linearizability check")
-			}
-			for _, v := range rep.Violations {
-				if v.Kind != "crash" {
-					t.Errorf("unexpected violation kind %q: %s", v.Kind, v)
+	cells = append(cells,
+		cell{6, 64, 128, Workload{Name: "401.bzip2", WriteRatio: 0.38, HotFraction: 0.10, HotBias: 0.8}},
+		cell{6, 64, 128, Workload{Name: "429.mcf", WriteRatio: 0.25, HotFraction: 0.02, HotBias: 0.8}})
+	bb := config.Default().BlockBytes
+	for _, scheme := range config.Schemes() {
+		for _, c := range cells {
+			t.Run(fmt.Sprintf("%s/L%d/%s", scheme, c.levels, c.w.Name), func(t *testing.T) {
+				ops := GenOps(c.w, c.blocks, bb, c.ops, 1)
+				rep, err := CheckScheme(Params{Scheme: scheme, NumBlocks: c.blocks, Levels: c.levels, Seed: 1}, ops, Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				for _, v := range rep.Violations {
+					t.Errorf("%s", v)
+				}
+				if rep.DeepChecks == 0 {
+					t.Error("no deep checks ran")
+				}
+				if scheme == config.SchemeNonORAM {
+					if !rep.Chi2Skipped {
+						t.Error("NonORAM has no tree; the obliviousness probe should be skipped")
+					}
+				} else if rep.Chi2Skipped {
+					t.Error("obliviousness probe unexpectedly skipped")
+				}
+			})
+		}
 	}
 }
 
@@ -175,7 +110,7 @@ func TestOracleSkewCaughtEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.HasKind("oblivious") {
+	if !slices.ContainsFunc(rep.Violations, func(v Violation) bool { return v.Kind == "oblivious" }) {
 		t.Fatalf("constant-leaf target not flagged; violations: %v", rep.Violations)
 	}
 }
@@ -274,8 +209,7 @@ func TestOracleStashOverflowTyped(t *testing.T) {
 }
 
 // TestOracleGenOpsDeterministic pins that op generation is a pure
-// function of (workload, seed) — the property the sweep's per-cell
-// validator relies on.
+// function of (workload, seed): a failing cell replays exactly.
 func TestOracleGenOpsDeterministic(t *testing.T) {
 	a := GenOps(Workload{Name: "hotspot", WriteRatio: 0.5, HotFraction: 0.125, HotBias: 0.8}, 64, 16, 50, 9)
 	b := GenOps(Workload{Name: "hotspot", WriteRatio: 0.5, HotFraction: 0.125, HotBias: 0.8}, 64, 16, 50, 9)
@@ -310,7 +244,7 @@ func TestCoreTargetArmNilDisarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := tgt.(CrashTarget)
+	ct := tgt.(*coreTarget)
 	v := bytes.Repeat([]byte{0x3c}, tgt.BlockBytes())
 	ct.Arm(func(CrashSpec) bool { return true })
 	if _, _, err := ct.Access(oram.OpWrite, 3, v); !errors.Is(err, ErrCrashed) || !errors.Is(err, core.ErrCrashed) {
@@ -326,5 +260,26 @@ func TestCoreTargetArmNilDisarms(t *testing.T) {
 	got, _, err := ct.Access(oram.OpRead, 3, nil)
 	if err != nil || !bytes.Equal(got, v) {
 		t.Fatalf("read after disarm = %.8q, %v; want %.8q", got, err, v)
+	}
+}
+
+// TestCheckSchemeRefusesAStore: the reference starts from zero, so a
+// rerun on a directory the first run left a store in must be refused,
+// naming the directory, rather than report the recovered values as
+// violations.
+func TestCheckSchemeRefusesAStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	p := Params{Scheme: config.SchemePSORAM, NumBlocks: 64, Levels: 5, Seed: 1, StoreDir: dir}
+	ops := GenOps(Workload{Name: "uniform"}, 64, config.Default().BlockBytes, 48, 1)
+	rep, err := CheckScheme(p, ops, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("first run: %v", rep.Violations)
+	}
+	rep, err = CheckScheme(p, ops, Options{})
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("second run on %s = %v, %v; want an error naming the directory", dir, rep, err)
 	}
 }

@@ -40,16 +40,6 @@ type Target interface {
 	Invariants() []error
 }
 
-// CrashTarget is a Target that supports crash injection: Arm installs
-// the injection hook (fire returns true to trigger the power failure at
-// the offered point; nil disarms) and Recover runs the scheme's
-// recovery procedure.
-type CrashTarget interface {
-	Target
-	Arm(fire func(CrashSpec) bool)
-	Recover() error
-}
-
 // Params selects and sizes a system under test.
 type Params struct {
 	Scheme    config.Scheme
@@ -66,8 +56,10 @@ type Params struct {
 	// many accesses (core schemes with StoreDir only; <= 1 keeps the
 	// per-access serial barrier). Acks must then wait on OnCommit.
 	GroupCommitOps int
-	// GroupCommitDelay is the matching idle-flush bound, carried to the
-	// controller for callers that schedule MaxDelay flushes.
+	// GroupCommitDelay is the matching idle-flush bound. Nothing below
+	// internal/serve reads it: the serving layer's idle flush runs on
+	// serve.Options.GroupCommitDelay, and the benchmark carries its
+	// value there through this field.
 	GroupCommitDelay time.Duration
 }
 
@@ -83,24 +75,38 @@ func (p Params) config() config.Config {
 // covers the Path ORAM family and NonORAM gets a plain store (trivially
 // correct, so the harness's "every scheme" sweeps hold literally).
 func NewTarget(p Params) (Target, error) {
+	if !p.Scheme.Policy().ORAM && p.NumBlocks > 0 && p.StoreDir == "" {
+		return &plainTarget{
+			scheme: p.Scheme,
+			n:      p.NumBlocks,
+			bb:     p.config().BlockBytes,
+			m:      make(map[oram.Addr][]byte),
+		}, nil
+	}
+	ctl, err := NewController(p)
+	if err != nil {
+		return nil, err
+	}
+	return &coreTarget{ctl: ctl}, nil
+}
+
+// NewController builds the core controller behind a Path ORAM family
+// target: in memory, or over a durable store at p.StoreDir
+// (create-or-recover via core.NewDurable).
+func NewController(p Params) (*core.Controller, error) {
 	if p.NumBlocks == 0 {
 		return nil, fmt.Errorf("oracle: Params.NumBlocks is required")
 	}
-	cfg := p.config()
-	cfg.Seed = p.Seed
 	if p.StoreDir != "" {
 		if err := core.StorageSupported(p.Scheme); err != nil {
 			return nil, fmt.Errorf("oracle: StoreDir: %w", err)
 		}
 	}
 	if !p.Scheme.Policy().ORAM {
-		return &plainTarget{
-			scheme: p.Scheme,
-			n:      p.NumBlocks,
-			bb:     cfg.BlockBytes,
-			m:      make(map[oram.Addr][]byte),
-		}, nil
+		return nil, fmt.Errorf("oracle: scheme %s has no ORAM controller", p.Scheme)
 	}
+	cfg := p.config()
+	cfg.Seed = p.Seed
 	// A recursive eviction batch spans the data path plus a posmap-ORAM
 	// path; grow the data WPQ so tall functional trees fit the batch.
 	if p.Scheme.Policy().Recursive {
@@ -114,21 +120,14 @@ func NewTarget(p Params) (Target, error) {
 	copts := core.Options{
 		NumBlocks:   p.NumBlocks,
 		Levels:      p.Levels,
-		GroupCommit: core.GroupCommit{MaxOps: p.GroupCommitOps, MaxDelay: p.GroupCommitDelay},
+		GroupCommit: core.GroupCommit{MaxOps: p.GroupCommitOps},
 		Untimed:     true,
 	}
 	if p.StoreDir != "" {
 		ctl, _, err := core.NewDurable(p.Scheme, cfg, copts, p.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		return &coreTarget{ctl: ctl}, nil
+		return ctl, err
 	}
-	ctl, err := core.New(p.Scheme, cfg, copts)
-	if err != nil {
-		return nil, err
-	}
-	return &coreTarget{ctl: ctl}, nil
+	return core.New(p.Scheme, cfg, copts)
 }
 
 // --- core (Path ORAM family) adapter ---
@@ -201,7 +200,7 @@ func (t *coreTarget) StageNanos() [core.NumStages]int64 { return t.ctl.StageNano
 func (t *coreTarget) OnCommit(fn func(error)) { t.ctl.OnCommit(fn) }
 
 // FlushCommits closes and flushes the open commit group (the serving
-// layer's MaxDelay idle flush and drain-on-close hook).
+// layer's idle flush and drain-on-close hook).
 func (t *coreTarget) FlushCommits() error { return t.ctl.FlushCommits() }
 
 // CommitPending reports whether acked-but-not-yet-durable accesses are

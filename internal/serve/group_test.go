@@ -76,7 +76,7 @@ func TestPoolGroupCommitDurable(t *testing.T) {
 
 // TestPoolGroupCommitIdleFlush: a single request against an otherwise
 // idle group-committing shard must still be acked promptly — the
-// MaxDelay timer flushes a group that will never fill. The generous
+// GroupCommitDelay timer flushes a group that will never fill. The generous
 // bound only catches a missing timer (which hangs until pool close).
 func TestPoolGroupCommitIdleFlush(t *testing.T) {
 	opts := Options{
@@ -95,7 +95,7 @@ func TestPoolGroupCommitIdleFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if wall := time.Since(start); wall > 5*time.Second {
-		t.Fatalf("lone write acked after %v; the idle MaxDelay flush is not running", wall)
+		t.Fatalf("lone write acked after %v; the idle GroupCommitDelay flush is not running", wall)
 	}
 }
 

@@ -131,28 +131,6 @@ type System struct {
 	res      Result
 	pendPeak int
 	latHist  stats.Histogram
-
-	// obs, when non-nil, observes protocol events (see Observer).
-	obs *Observer
-}
-
-// Observer receives protocol events from a running System. It exists for
-// the correctness harness in internal/oracle: the obliviousness probe
-// needs the sequence of path leaves the timing layer actually read. Hooks
-// fire after the observed value is computed and must not mutate anything;
-// a nil Observer (or hook) costs nothing.
-type Observer struct {
-	// OnPathLeaf fires once per ORAM data-tree read path with the leaf
-	// whose path is about to be loaded. Posmap-tree paths
-	// are deliberately not reported: only the access-driven read sequence
-	// carries the obliviousness claim.
-	OnPathLeaf func(l oram.Leaf)
-}
-
-func (s *System) observeLeaf(l oram.Leaf) {
-	if s.obs != nil && s.obs.OnPathLeaf != nil {
-		s.obs.OnPathLeaf(l)
-	}
 }
 
 type pendingBlock struct {
@@ -347,7 +325,6 @@ func (s *System) currentLeaf(addr uint64) oram.Leaf {
 func (s *System) oramAccess(addr uint64, write bool) error {
 	l := s.currentLeaf(addr)
 	lNew := oram.Leaf(s.r.Uint64n(s.tree.Leaves()))
-	s.observeLeaf(l)
 
 	// Recursive position chain first (the data leaf comes from it).
 	if s.policy.Recursive {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/cpu"
 	"repro/internal/trace"
 )
 
@@ -192,5 +193,52 @@ func TestChainWorkOnlyForRecursive(t *testing.T) {
 	rcr := run(t, config.SchemeRcrBaseline, 1, 200)
 	if rcr.ChainBlocks == 0 {
 		t.Error("recursive scheme reported no chain work")
+	}
+}
+
+// TestRemapLeavesUniform: every ORAM access remaps its block to a leaf
+// drawn uniformly, and the next access to the block reads that leaf's
+// path. So after a run the position map's remapped leaves must spread
+// evenly over the tree: Pearson's chi-square over 16 contiguous leaf
+// ranges stays below 75.7, the chi-square(15) quantile at p = 1e-9 (an
+// extreme level, since the run is deterministic and the check must not
+// fail a correct simulator).
+func TestRemapLeavesUniform(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeRcrPSORAM} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Seed = 1
+			sys, err := NewSystem(scheme, cfg, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := trace.NewGenerator(testWorkload(), cfg.Seed, sys.NumBlocks())
+			core := cpu.New(sys)
+			for i := 0; i < 2000; i++ {
+				rec := gen.Next()
+				if err := core.Step(rec.InstrGap, rec.Addr, rec.Write); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const bins = 16
+			var counts [bins]float64
+			n := 0
+			for _, l := range sys.leafOf {
+				if l != leafUnset {
+					counts[uint64(l)*bins/sys.tree.Leaves()]++
+					n++
+				}
+			}
+			if n < 5*bins {
+				t.Fatalf("only %d blocks remapped: too few to judge", n)
+			}
+			e, chi2 := float64(n)/bins, 0.0
+			for _, c := range counts {
+				chi2 += (c - e) * (c - e) / e
+			}
+			if chi2 > 75.7 {
+				t.Errorf("%d remapped leaves reject uniformity: chi2 = %.1f over %d ranges, counts %v", n, chi2, bins, counts)
+			}
+		})
 	}
 }

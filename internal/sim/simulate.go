@@ -32,9 +32,6 @@ type Request struct {
 	N int
 	// Levels is the ORAM tree height (the paper's Table 3 uses 23).
 	Levels int
-	// Observer, when non-nil, receives protocol events for the duration
-	// of the run (see Observer). Observation is timing-neutral.
-	Observer *Observer
 }
 
 // name returns the label a run carries in Result.Workload and errors.
@@ -76,7 +73,6 @@ func Simulate(ctx context.Context, req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sys.obs = req.Observer
 
 	var next func() trace.Record
 	if req.Records != nil {

@@ -35,8 +35,6 @@ type jsonCell struct {
 	Panic     string      `json:"panic,omitempty"`
 	Skipped   bool        `json:"skipped,omitempty"`
 	WallNS    int64       `json:"wall_ns"`
-	// Oracle is the per-cell functional-validation outcome (Grid.Oracle).
-	Oracle *OracleOutcome `json:"oracle,omitempty"`
 }
 
 // jsonResults is the full serialized sweep.
@@ -79,7 +77,6 @@ func WriteJSON(w io.Writer, r *Results) error {
 			Seed:      c.Cell.Seed,
 			Skipped:   c.Skipped,
 			WallNS:    c.Wall.Nanoseconds(),
-			Oracle:    c.Oracle,
 		}
 		if c.Err != nil {
 			jc.Error = c.Err.Error()

@@ -35,8 +35,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/oracle"
-	"repro/internal/oram"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -60,22 +58,7 @@ type Grid struct {
 	// Cfg is the base configuration; Channels and Seed are overridden per
 	// cell. A zero BlockBytes means config.Default().
 	Cfg config.Config
-
-	// Oracle opts each cell into functional validation: the timing run's
-	// leaf trace is tested for uniformity, and a small functional system
-	// of the same scheme (oracleOps ops on an oracleLevels tree of
-	// oracleBlocks blocks) is driven through the differential oracle
-	// (internal/oracle) under the cell's derived seed. Violations fail
-	// the cell. NonORAM cells record a skipped outcome.
-	Oracle bool
 }
-
-// The functional twin each cell of an Oracle grid runs.
-const (
-	oracleOps    = 64
-	oracleBlocks = 128
-	oracleLevels = 6
-)
 
 // withDefaults fills unset fields.
 func (g Grid) withDefaults() Grid {
@@ -184,21 +167,6 @@ func (g Grid) Cells() []Cell {
 	return out
 }
 
-// OracleOutcome summarizes a cell's functional validation (Grid.Oracle).
-type OracleOutcome struct {
-	// Ops is the functional op count driven through the oracle.
-	Ops int `json:"ops"`
-	// Violations counts oracle violations (timing-layer leaf-skew plus
-	// functional); First carries the first one's description.
-	Violations int    `json:"violations"`
-	First      string `json:"first,omitempty"`
-	// Chi2/Chi2P are the functional run's obliviousness-probe statistics.
-	Chi2  float64 `json:"chi2"`
-	Chi2P float64 `json:"chi2_p"`
-	// Skipped marks cells with nothing to validate (NonORAM).
-	Skipped bool `json:"skipped,omitempty"`
-}
-
 // CellResult is the outcome of one cell.
 type CellResult struct {
 	Cell   Cell
@@ -209,8 +177,6 @@ type CellResult struct {
 	Panic   string
 	Skipped bool
 	Wall    time.Duration
-	// Oracle is the functional validation outcome (nil unless Grid.Oracle).
-	Oracle *OracleOutcome
 }
 
 // Options tunes a sweep run.
@@ -348,93 +314,22 @@ func poolSize(workers, n int) int {
 	return min(workers, n)
 }
 
-// runCell executes one independent simulation, plus the opt-in
-// functional validation when the grid enables it. The context reaches
+// runCell executes one independent simulation. The context reaches
 // sim.Simulate's loop checkpoints, so cancelling the sweep aborts the
 // cell mid-run.
 func runCell(ctx context.Context, g Grid, c Cell) CellResult {
-	var leaves []oram.Leaf
-	cr := runProtected(c, func() (sim.Result, error) {
+	return runProtected(c, func() (sim.Result, error) {
 		cfg := g.Cfg
 		cfg.Channels = c.Channels
 		cfg.Seed = c.Seed
-		var obs *sim.Observer
-		if g.Oracle && c.Scheme.Policy().ORAM {
-			obs = &sim.Observer{OnPathLeaf: func(l oram.Leaf) { leaves = append(leaves, l) }}
-		}
 		return sim.Simulate(ctx, sim.Request{
 			Scheme:   c.Scheme,
 			Config:   cfg,
 			Workload: c.Workload,
 			N:        g.Accesses,
 			Levels:   g.Levels,
-			Observer: obs,
 		})
 	})
-	if g.Oracle && cr.Err == nil && !cr.Skipped {
-		validateCell(g, c, &cr, leaves)
-	}
-	return cr
-}
-
-// oracleAlpha is the leaf-uniformity significance level for per-cell
-// validation: extreme, because every stream is deterministic and a
-// false positive would fail a green sweep.
-const oracleAlpha = 1e-9
-
-// validateCell runs the two-layer validator behind Grid.Oracle: a
-// chi-square uniformity probe over the timing simulator's observed leaf
-// trace, then a functional differential run (value oracle, structural
-// invariants, obliviousness) of the same scheme under the same derived
-// seed. Any violation fails the cell.
-func validateCell(g Grid, c Cell, cr *CellResult, leaves []oram.Leaf) {
-	if !c.Scheme.Policy().ORAM {
-		cr.Oracle = &OracleOutcome{Skipped: true}
-		return
-	}
-	out := &OracleOutcome{}
-	cr.Oracle = out
-
-	// Layer 1: the timing simulator's own access trace must read
-	// uniformly distributed paths.
-	nLeaves := oram.NewTree(g.Levels, g.Cfg.Z).Leaves()
-	if chi2, p, bins, ok := oracle.LeafUniformity(leaves, nLeaves); ok && p < oracleAlpha {
-		out.Violations++
-		out.First = fmt.Sprintf("timing leaf trace rejects uniformity: chi2=%.2f over %d bins, p=%.3g", chi2, bins, p)
-	}
-
-	// Layer 2: a functional twin of the cell — same scheme, same derived
-	// seed, workload shape carried over — diffed against the plain-map
-	// reference with invariants checked.
-	w := oracle.Workload{
-		Name:        c.Workload.Name,
-		WriteRatio:  c.Workload.WriteRatio,
-		HotFraction: c.Workload.HotFraction,
-	}
-	if w.HotFraction > 0 {
-		w.HotBias = 0.8
-	}
-	ops := oracle.GenOps(w, oracleBlocks, g.Cfg.BlockBytes, oracleOps, c.Seed)
-	rep, err := oracle.CheckScheme(oracle.Params{
-		Scheme: c.Scheme, NumBlocks: oracleBlocks, Levels: oracleLevels, Seed: c.Seed,
-	}, ops, oracle.Options{})
-	if err != nil {
-		cr.Err = fmt.Errorf("sweep: oracle validation: %w", err)
-		return
-	}
-	out.Ops = rep.Ops
-	out.Chi2, out.Chi2P = rep.Chi2, rep.Chi2P
-	out.Violations += len(rep.Violations)
-	if out.First == "" && len(rep.Violations) > 0 {
-		out.First = rep.Violations[0].String()
-	}
-	if out.Violations > 0 {
-		if rep.HasKind("overflow") {
-			cr.Err = fmt.Errorf("sweep: oracle found %d violation(s), first: %s: %w", out.Violations, out.First, oram.ErrStashOverflow)
-		} else {
-			cr.Err = fmt.Errorf("sweep: oracle found %d violation(s), first: %s", out.Violations, out.First)
-		}
-	}
 }
 
 // runProtected wraps one cell's work with timing and panic capture, so a

@@ -139,15 +139,15 @@ func WithStorePath(dir string) StoreOption {
 // group commit, Write and Read return before the mutation is durable —
 // call FlushCommits to force the open group down, or serve the store
 // through a Pool, whose acks already wait for durability. n <= 1 keeps
-// the per-access serial barrier, byte-identical to the default. d
-// bounds how long a pool shard may hold an open group while idle
-// (ignored on a lone Store, which has no scheduler to run the timer; 0
-// lets the pool pick a small default). Crash-wise the guarantee is
+// the per-access serial barrier, byte-identical to the default. Nothing
+// below the serving layer reads d: a lone Store has no scheduler to run
+// an idle timer, so it ignores d; a Pool's idle bound is
+// WithPoolGroupCommit's. Crash-wise the guarantee is
 // unchanged in kind: recovery lands on a group boundary, so at most the
 // last unflushed (unacked) group of accesses is lost, never a torn
 // prefix.
 func WithGroupCommit(n int, d time.Duration) StoreOption {
-	return func(c *storeConfig) { c.group = core.GroupCommit{MaxOps: n, MaxDelay: d} }
+	return func(c *storeConfig) { c.group = core.GroupCommit{MaxOps: n} }
 }
 
 // New builds a store holding numBlocks zero-initialized blocks,
