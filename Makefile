@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden clean
+.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden loc clean
 
 all: check
 
@@ -167,6 +167,12 @@ experiments-check:
 # change. Justify the new numbers in the commit that re-blesses.
 bless-golden:
 	$(GO) test ./internal/sweep -run TestGoldenMetrics -update
+
+# loc prints the program's size: the line count of the non-test Go files
+# outside benchmark/, the figure a simplification reports before and
+# after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -93,12 +93,12 @@ func fuzzDurableReopen(t *testing.T, sel uint8, raw []byte, ops []oracle.Op) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	fc, created, err := core.NewDurable(scheme, cfg, opts, dir)
+	opts.StoreDir = filepath.Join(t.TempDir(), "store")
+	fc, err := core.New(scheme, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created {
+	if fc.Counters().Get("storage.opens") != 0 {
 		t.Fatal("durable controller reopened a store in a fresh dir")
 	}
 	for i, op := range ops {
@@ -106,10 +106,10 @@ func fuzzDurableReopen(t *testing.T, sel uint8, raw []byte, ops []oracle.Op) {
 			if err := fc.Close(); err != nil {
 				t.Fatalf("close at cut %d: %v", cut, err)
 			}
-			if fc, created, err = core.NewDurable(scheme, cfg, opts, dir); err != nil {
+			if fc, err = core.New(scheme, cfg, opts); err != nil {
 				t.Fatalf("reopen at cut %d: %v", cut, err)
 			}
-			if created {
+			if fc.Counters().Get("storage.opens") != 1 {
 				t.Fatalf("reopen at cut %d recreated instead of recovering", cut)
 			}
 		}

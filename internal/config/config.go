@@ -89,11 +89,6 @@ func (p Policy) OffersStep(step int) bool { return p.Domain != DomainEADR || ste
 // recursive hierarchy's PosMap trees.
 func (p Policy) Storable() bool { return p.ORAM && !p.Recursive }
 
-// ImageComplete reports whether the durable image alone holds every
-// acknowledged value, so a snapshot loses nothing. eADR keeps its stash
-// in its domain, which a snapshot does not serialize.
-func (p Policy) ImageComplete() bool { return p.WPQAtomic() && p.Storable() }
-
 // schemes is the scheme matrix (DESIGN.md §3), indexed by Scheme in
 // presentation order.
 var schemes = [...]struct {

@@ -25,21 +25,21 @@ func TestSchemePredicates(t *testing.T) {
 	)
 	all, noStep5 := []int{2, 3, 4, 5, 6}, []int{2, 3, 4, 6}
 	cases := []struct {
-		s                                              config.Scheme
-		name                                           string
-		want                                           config.Policy
-		persistent, wpqAtomic, storable, imageComplete bool
-		steps                                          []int
+		s                               config.Scheme
+		name                            string
+		want                            config.Policy
+		persistent, wpqAtomic, storable bool
+		steps                           []int
 	}{
-		{config.SchemeNonORAM, "NonORAM", config.Policy{false, false, sram, none, noDomain}, false, false, false, false, all},
-		{config.SchemeBaseline, "Baseline", config.Policy{true, false, sram, none, noDomain}, false, false, true, false, all},
-		{config.SchemeFullNVM, "FullNVM", config.Policy{true, false, pcm, none, noDomain}, false, false, true, false, all},
-		{config.SchemeFullNVMSTT, "FullNVM(STT)", config.Policy{true, false, stt, none, noDomain}, false, false, true, false, all},
-		{config.SchemeNaivePSORAM, "Naive-PS-ORAM", config.Policy{true, false, sram, path, wpq}, true, true, true, true, all},
-		{config.SchemePSORAM, "PS-ORAM", config.Policy{true, false, sram, dirty, wpq}, true, true, true, true, all},
-		{config.SchemeRcrBaseline, "Rcr-Baseline", config.Policy{true, true, sram, none, noDomain}, false, false, false, false, all},
-		{config.SchemeRcrPSORAM, "Rcr-PS-ORAM", config.Policy{true, true, sram, dirty, wpq}, true, true, false, false, all},
-		{config.SchemeEADRORAM, "eADR-ORAM", config.Policy{true, false, sram, none, eADR}, true, false, true, false, noStep5},
+		{config.SchemeNonORAM, "NonORAM", config.Policy{false, false, sram, none, noDomain}, false, false, false, all},
+		{config.SchemeBaseline, "Baseline", config.Policy{true, false, sram, none, noDomain}, false, false, true, all},
+		{config.SchemeFullNVM, "FullNVM", config.Policy{true, false, pcm, none, noDomain}, false, false, true, all},
+		{config.SchemeFullNVMSTT, "FullNVM(STT)", config.Policy{true, false, stt, none, noDomain}, false, false, true, all},
+		{config.SchemeNaivePSORAM, "Naive-PS-ORAM", config.Policy{true, false, sram, path, wpq}, true, true, true, all},
+		{config.SchemePSORAM, "PS-ORAM", config.Policy{true, false, sram, dirty, wpq}, true, true, true, all},
+		{config.SchemeRcrBaseline, "Rcr-Baseline", config.Policy{true, true, sram, none, noDomain}, false, false, false, all},
+		{config.SchemeRcrPSORAM, "Rcr-PS-ORAM", config.Policy{true, true, sram, dirty, wpq}, true, true, false, all},
+		{config.SchemeEADRORAM, "eADR-ORAM", config.Policy{true, false, sram, none, eADR}, true, false, true, noStep5},
 	}
 	var order []config.Scheme
 	for _, c := range cases {
@@ -52,10 +52,10 @@ func TestSchemePredicates(t *testing.T) {
 			t.Errorf("%v: policy %+v, want %+v", c.s, p, c.want)
 		}
 		if p.Persistent() != c.persistent || p.WPQAtomic() != c.wpqAtomic ||
-			p.Storable() != c.storable || p.ImageComplete() != c.imageComplete {
-			t.Errorf("%v: persistent %v, WPQ-atomic %v, storable %v, image complete %v; want %v %v %v %v", c.s,
-				p.Persistent(), p.WPQAtomic(), p.Storable(), p.ImageComplete(),
-				c.persistent, c.wpqAtomic, c.storable, c.imageComplete)
+			p.Storable() != c.storable {
+			t.Errorf("%v: persistent %v, WPQ-atomic %v, storable %v; want %v %v %v", c.s,
+				p.Persistent(), p.WPQAtomic(), p.Storable(),
+				c.persistent, c.wpqAtomic, c.storable)
 		}
 		if ok := core.StorageSupported(c.s) == nil; ok != c.storable {
 			t.Errorf("%v: core.StorageSupported accepts = %v, want %v", c.s, ok, c.storable)

@@ -120,12 +120,12 @@ func TestCoreFileStoreSteadyStateAllocs(t *testing.T) {
 	const budget = 80.0
 
 	cfg := config.Default()
-	ctl, created, err := NewDurable(config.SchemePSORAM, cfg,
-		Options{NumBlocks: 512, Levels: 8}, filepath.Join(t.TempDir(), "store"))
+	ctl, err := New(config.SchemePSORAM, cfg,
+		Options{NumBlocks: 512, Levels: 8, StoreDir: filepath.Join(t.TempDir(), "store")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created {
+	if ctl.counters.Get("storage.opens") != 0 {
 		t.Fatal("expected a fresh store")
 	}
 	defer ctl.Close()

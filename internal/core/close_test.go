@@ -15,7 +15,7 @@ import (
 // memory.
 func TestCloseFreesEveryImage(t *testing.T) {
 	durable := func(t *testing.T) *Controller {
-		c, _, err := NewDurable(config.SchemePSORAM, testCfg(), Options{NumBlocks: 100, Levels: 5}, t.TempDir())
+		c, err := New(config.SchemePSORAM, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -230,6 +230,12 @@ type Options struct {
 	// counters, with no NVM device scheduled and Now() meaningless. The
 	// zero value is the paper's timed NVM model.
 	Untimed bool
+	// StoreDir, when non-empty, backs the controller with a file store
+	// in that directory (flat schemes only): a directory holding no
+	// committed store gets a fresh one, and a committed store is
+	// recovered, its scheme and size checked against the request. The
+	// zero value keeps the image in memory.
+	StoreDir string
 }
 
 // GroupCommit tunes durable group commit: instead of one persist
@@ -246,34 +252,63 @@ type GroupCommit struct {
 	MaxOps int
 }
 
-// New builds a controller for the scheme. cfg supplies Z, stash size,
-// WPQ sizes, NVM timing, etc.; opts scales the tree. The image lives in
-// memory; NewDurable builds a controller over a file store.
+// New builds a controller for the scheme; it is the one way to build
+// one. cfg supplies Z, stash size, WPQ sizes, NVM timing, etc.; opts
+// scales the tree and, with StoreDir, backs it with a file store:
+// created and committed when the directory holds none, otherwise
+// recovered (§4.3) — geometry from the store, the on-chip position map
+// reloaded from its durable copy, the seal-version cursor restored, and
+// every volatile structure (stash, temporary PosMap) empty. New also
+// derives the tree height when opts.Levels is zero (at least 2), and
+// grows a recursive scheme's data WPQ to the 2(L+1)Z entries of its
+// eviction batch (the data path plus a PosMap tree's path).
 func New(scheme config.Scheme, cfg config.Config, opts Options) (*Controller, error) {
-	return newController(scheme, cfg, opts, nil, false)
-}
-
-// newController is the shared construction path: attach=false seals a
-// fresh initial image (into st when non-nil); attach=true wraps st, an
-// already-populated backend, without writing anything — the recovery
-// path, which owns restoring the PosMap and version cursor afterwards.
-func newController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store, attach bool) (*Controller, error) {
+	var st *filestore.Store
+	if opts.StoreDir != "" {
+		if err := StorageSupported(scheme); err != nil {
+			return nil, err
+		}
+		var err error
+		st, err = filestore.Open(opts.StoreDir)
+		switch {
+		case err == nil:
+			if err := adoptGeometry(scheme, &cfg, &opts, st); err != nil {
+				return nil, err
+			}
+		case !errors.Is(err, filestore.ErrNoStore):
+			return nil, err
+		}
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	policy := scheme.Policy()
 	if opts.NumBlocks == 0 {
 		return nil, fmt.Errorf("core: Options.NumBlocks is required (functional trees are sized explicitly)")
 	}
-	levels := opts.Levels
-	if levels == 0 {
-		levels = cfg.TreeLevelsFor(opts.NumBlocks)
-		if levels < 2 {
-			levels = 2
-		}
+	if opts.Levels == 0 {
+		opts.Levels = max(cfg.TreeLevelsFor(opts.NumBlocks), 2)
 	}
+	if scheme.Policy().Recursive {
+		cfg.DataWPQEntries = max(cfg.DataWPQEntries, 2*(opts.Levels+1)*cfg.Z)
+	}
+	switch {
+	case st != nil:
+		return recoverController(scheme, cfg, opts, st)
+	case opts.StoreDir != "":
+		return createController(scheme, cfg, opts)
+	}
+	return newController(scheme, cfg, opts, nil, false)
+}
+
+// newController is the shared construction path over a validated cfg
+// and a sized tree: attach=false seals a fresh initial image (into st
+// when non-nil); attach=true wraps st, an already-populated backend,
+// without writing anything — the recovery path, which owns restoring
+// the PosMap and version cursor afterwards.
+func newController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store, attach bool) (*Controller, error) {
+	policy := scheme.Policy()
 	op := oram.Params{
-		Levels:       levels,
+		Levels:       opts.Levels,
 		Z:            cfg.Z,
 		BlockBytes:   cfg.BlockBytes,
 		StashEntries: cfg.StashEntries,

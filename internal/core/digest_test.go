@@ -193,7 +193,7 @@ func TestOrderedEvictionDeterministic(t *testing.T) {
 const durableDigestOps = 500
 
 // durableDigestVariant pins the bytes a file-backed controller leaves on
-// disk: a digest of the store directory right after NewDurable and
+// disk: a digest of the store directory right after core.New and
 // after durableDigestOps accesses.
 type durableDigestVariant struct {
 	name   string
@@ -222,8 +222,8 @@ func (v durableDigestVariant) run(t *testing.T, ops []seamOp) map[string]string 
 	cfg.TempPosMapSize = 16
 	cfg.WriteBufferEntries = 16
 	dir := filepath.Join(t.TempDir(), "store")
-	c, _, err := core.NewDurable(v.scheme, cfg, core.Options{NumBlocks: digestBlocks, Levels: digestLevels,
-		GroupCommit: core.GroupCommit{MaxOps: v.group}}, dir)
+	c, err := core.New(v.scheme, cfg, core.Options{NumBlocks: digestBlocks, Levels: digestLevels,
+		GroupCommit: core.GroupCommit{MaxOps: v.group}, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

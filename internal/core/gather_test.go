@@ -75,7 +75,7 @@ func TestGatherChangesNothing(t *testing.T) {
 
 	cfg := config.Default()
 	cfg.StashEntries = 150
-	dur, _, err := core.NewDurable(config.SchemePSORAM, cfg, core.Options{NumBlocks: 100, Levels: 5}, filepath.Join(t.TempDir(), "store"))
+	dur, err := core.New(config.SchemePSORAM, cfg, core.Options{NumBlocks: 100, Levels: 5, StoreDir: filepath.Join(t.TempDir(), "store")})
 	if err != nil {
 		t.Fatal(err)
 	}

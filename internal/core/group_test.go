@@ -83,7 +83,8 @@ func TestGroupCommitSize1ByteIdentical(t *testing.T) {
 		{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: 1 << 20}},
 	}
 	for i := range dirs {
-		c, _, err := NewDurable(config.SchemePSORAM, testCfg(), opts[i], dirs[i])
+		opts[i].StoreDir = dirs[i]
+		c, err := New(config.SchemePSORAM, testCfg(), opts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +128,8 @@ func TestGroupCommitEquivalence(t *testing.T) {
 	for _, g := range []int{2, 4, 16} {
 		t.Run(fmt.Sprintf("group=%d", g), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "store")
-			opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: g}}
-			c, _, err := NewDurable(config.SchemePSORAM, testCfg(), opts, dir)
+			opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: g}, StoreDir: dir}
+			c, err := New(config.SchemePSORAM, testCfg(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +146,11 @@ func TestGroupCommitEquivalence(t *testing.T) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			loaded, created, err := NewDurable(config.SchemePSORAM, testCfg(), opts, dir)
+			loaded, err := New(config.SchemePSORAM, testCfg(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if created {
+			if loaded.counters.Get("storage.opens") != 1 {
 				t.Fatal("existing store reported as created")
 			}
 			defer loaded.Close()
@@ -175,8 +176,8 @@ func TestGroupCommitEquivalence(t *testing.T) {
 // gets a ticket covering it (the lastTicket rule).
 func TestGroupCommitTickets(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: 3}}
-	c, _, err := NewDurable(config.SchemePSORAM, testCfg(), opts, dir)
+	opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: 3}, StoreDir: dir}
+	c, err := New(config.SchemePSORAM, testCfg(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +267,8 @@ func TestPersistFailureLatches(t *testing.T) {
 		t.Run(fmt.Sprintf("group=%d", g), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			dir := filepath.Join(t.TempDir(), "store")
-			opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: g}}
-			c, _, err := NewDurable(config.SchemePSORAM, testCfg(), opts, dir)
+			opts := Options{NumBlocks: 100, Levels: 5, GroupCommit: GroupCommit{MaxOps: g}, StoreDir: dir}
+			c, err := New(config.SchemePSORAM, testCfg(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,7 +75,8 @@ func TestLazySealByteEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.GroupCommit = GroupCommit{MaxOps: 64} // keeps the twin's fsyncs off the test's clock
-			dur, _, err := NewDurable(scheme, cfg, opts, filepath.Join(t.TempDir(), "store"))
+			opts.StoreDir = filepath.Join(t.TempDir(), "store")
+			dur, err := New(scheme, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestLazySealByteEquivalence(t *testing.T) {
 // controller has no barrier, so it must stay at exactly zero there.
 func TestStageNanosAccumulate(t *testing.T) {
 	mem := newCtl(t, config.SchemePSORAM)
-	dur, _, err := NewDurable(config.SchemePSORAM, testCfg(), Options{NumBlocks: 100, Levels: 5}, t.TempDir()+"/store")
+	dur, err := New(config.SchemePSORAM, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: t.TempDir() + "/store"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,8 @@ func TestBornLazySnapshotIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.GroupCommit = GroupCommit{MaxOps: 64} // keeps the durable twin's fsyncs off the test's clock
-			dur, _, err := NewDurable(scheme, cfg, opts, filepath.Join(t.TempDir(), "store"))
+			opts.StoreDir = filepath.Join(t.TempDir(), "store")
+			dur, err := New(scheme, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,18 +22,18 @@ var flatSchemes = []config.Scheme{
 
 func newDurableCtl(t *testing.T, scheme config.Scheme, dir string) *Controller {
 	t.Helper()
-	c, created, err := NewDurable(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5}, dir)
+	c, err := New(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created {
+	if c.counters.Get("storage.opens") != 0 {
 		t.Fatalf("fresh dir %s reported as recovered", dir)
 	}
 	return c
 }
 
 // TestDurableRoundTrip is the clean-shutdown cycle: create a
-// file-backed store, run traffic, Close, reattach with NewDurable, and
+// file-backed store, run traffic, Close, reattach with New, and
 // check what each scheme's durable design actually promises. The
 // persistent family (PS-ORAM variants, FullNVM) keeps its position map
 // in the persistence domain, so every address must read back its last
@@ -69,11 +69,11 @@ func TestDurableRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			loaded, created, err := NewDurable(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5}, dir)
+			loaded, err := New(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if created {
+			if loaded.counters.Get("storage.opens") != 1 {
 				t.Fatal("existing store reported as created")
 			}
 			zero := make([]byte, 64)
@@ -197,13 +197,13 @@ func TestDurableGeometryMismatchRejected(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewDurable(config.SchemeBaseline, testCfg(), Options{NumBlocks: 100, Levels: 5}, dir); err == nil {
+	if _, err := New(config.SchemeBaseline, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: dir}); err == nil {
 		t.Fatal("scheme mismatch accepted")
 	}
-	if _, _, err := NewDurable(config.SchemePSORAM, testCfg(), Options{NumBlocks: 200, Levels: 5}, dir); err == nil {
+	if _, err := New(config.SchemePSORAM, testCfg(), Options{NumBlocks: 200, Levels: 5, StoreDir: dir}); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, _, err := NewDurable(config.SchemePSORAM, testCfg(), Options{NumBlocks: 100, Levels: 5}, dir); err != nil {
+	if _, err := New(config.SchemePSORAM, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: dir}); err != nil {
 		t.Fatalf("matching reopen failed: %v", err)
 	}
 }
@@ -213,8 +213,8 @@ func TestDurableGeometryMismatchRejected(t *testing.T) {
 func TestDurableRejectsUnsupportedSchemes(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.SchemeRcrPSORAM, config.SchemeNonORAM} {
 		dir := filepath.Join(t.TempDir(), "store")
-		if _, _, err := NewDurable(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5}, dir); err == nil {
-			t.Fatalf("scheme %v accepted by NewDurable", scheme)
+		if _, err := New(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: dir}); err == nil {
+			t.Fatalf("scheme %v accepted by New with a StoreDir", scheme)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/oram"
 	"repro/internal/storage/filestore"
@@ -188,8 +189,10 @@ func Check(t Target, ops []Op, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// CheckScheme builds a fresh target from p and runs Check over ops. A
-// StoreDir that already holds a store is an error (see NoStoreAt).
+// CheckScheme builds a fresh target from p, runs Check over ops and
+// closes the target: its images are freed and a durable store takes its
+// final persist barrier, whose failure is the error. A StoreDir that
+// already holds a store is an error (see NoStoreAt).
 func CheckScheme(p Params, ops []Op, opts Options) (*Report, error) {
 	if err := NoStoreAt(p.StoreDir); err != nil {
 		return nil, err
@@ -198,7 +201,13 @@ func CheckScheme(p Params, ops []Op, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Check(t, ops, opts)
+	rep, err := Check(t, ops, opts)
+	if c, ok := t.(io.Closer); ok {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return rep, err
 }
 
 // NoStoreAt returns an error naming dir when dir already holds a durable

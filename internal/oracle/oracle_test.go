@@ -283,3 +283,24 @@ func TestCheckSchemeRefusesAStore(t *testing.T) {
 		t.Fatalf("second run on %s = %v, %v; want an error naming the directory", dir, rep, err)
 	}
 }
+
+// TestCheckSchemeClosesItsTarget: CheckScheme builds its target and
+// closes it, so a check leaves no image region behind for the finalizer.
+// Other tests' dropped images may be freed meanwhile, which only lowers
+// the count.
+func TestCheckSchemeClosesItsTarget(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeRcrPSORAM} {
+		ops := GenOps(Workload{Name: "uniform"}, 64, config.Default().BlockBytes, 32, 1)
+		before := oram.LiveRegions()
+		rep, err := CheckScheme(Params{Scheme: scheme, NumBlocks: 64, Levels: 5, Seed: 1}, ops, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%v: %v", scheme, rep.Violations)
+		}
+		if grew := oram.LiveRegions() - before; grew > 0 {
+			t.Errorf("%v: CheckScheme left %d image regions open", scheme, grew)
+		}
+	}
+}

@@ -49,8 +49,8 @@ type Params struct {
 	// Cfg overrides the base configuration; nil means config.Default().
 	Cfg *config.Config
 	// StoreDir, when non-empty, backs the target with a durable on-disk
-	// store (create-or-recover via core.NewDurable). Flat Path ORAM
-	// schemes only.
+	// store (create-or-recover; see core.Options.StoreDir). Flat Path
+	// ORAM schemes only.
 	StoreDir string
 	// GroupCommitOps batches the durable persist barrier across this
 	// many accesses (core schemes with StoreDir only; <= 1 keeps the
@@ -91,43 +91,27 @@ func NewTarget(p Params) (Target, error) {
 }
 
 // NewController builds the core controller behind a Path ORAM family
-// target: in memory, or over a durable store at p.StoreDir
-// (create-or-recover via core.NewDurable).
+// target, in memory or over a durable store at p.StoreDir: p maps onto
+// one core.New call.
 func NewController(p Params) (*core.Controller, error) {
 	if p.NumBlocks == 0 {
 		return nil, fmt.Errorf("oracle: Params.NumBlocks is required")
-	}
-	if p.StoreDir != "" {
-		if err := core.StorageSupported(p.Scheme); err != nil {
-			return nil, fmt.Errorf("oracle: StoreDir: %w", err)
-		}
 	}
 	if !p.Scheme.Policy().ORAM {
 		return nil, fmt.Errorf("oracle: scheme %s has no ORAM controller", p.Scheme)
 	}
 	cfg := p.config()
 	cfg.Seed = p.Seed
-	// A recursive eviction batch spans the data path plus a posmap-ORAM
-	// path; grow the data WPQ so tall functional trees fit the batch.
-	if p.Scheme.Policy().Recursive {
-		if need := 2 * (p.Levels + 1) * cfg.Z; cfg.DataWPQEntries < need {
-			cfg.DataWPQEntries = need
-		}
-	}
 	// Targets are judged on values, leaves, durable state and
 	// counters, none of which depend on device timing: build the
 	// controller over the untimed memory model.
-	copts := core.Options{
+	return core.New(p.Scheme, cfg, core.Options{
 		NumBlocks:   p.NumBlocks,
 		Levels:      p.Levels,
 		GroupCommit: core.GroupCommit{MaxOps: p.GroupCommitOps},
 		Untimed:     true,
-	}
-	if p.StoreDir != "" {
-		ctl, _, err := core.NewDurable(p.Scheme, cfg, copts, p.StoreDir)
-		return ctl, err
-	}
-	return core.New(p.Scheme, cfg, copts)
+		StoreDir:    p.StoreDir,
+	})
 }
 
 // --- core (Path ORAM family) adapter ---
@@ -176,14 +160,14 @@ func (t *coreTarget) Close() error { return t.ctl.Close() }
 // benchmark's backend wrapper forwards it.
 func (t *coreTarget) Cycles() uint64 { return uint64(t.ctl.Now()) }
 
-// SaveDurable serializes the controller's durable NVM image — exactly
-// the state the §4 persistency protocol guarantees survives a power
-// loss. The serving layer's resharding path snapshots frozen
-// WPQ-persistent shards through it.
+// SaveDurable serializes the controller's durable NVM image. Nothing
+// in the program calls it; it stays because the benchmark's
+// stockBackend names it.
 func (t *coreTarget) SaveDurable(w io.Writer) error { return t.ctl.SaveDurable(w) }
 
-// SnapshotConfig returns the controller's effective configuration: the
-// cfg a core.LoadDurable of this target's snapshot requires.
+// SnapshotConfig returns the controller's effective configuration.
+// Nothing in the program calls it; it stays because the benchmark's
+// stockBackend names it.
 func (t *coreTarget) SnapshotConfig() config.Config { return t.ctl.Cfg }
 
 // Prefetch does nothing: benchmark/trace.go's stockBackend names it.

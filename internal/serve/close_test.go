@@ -10,8 +10,8 @@ import (
 )
 
 // TestRetiredShardsFreeTheirImages: a completed Reshard frees the image
-// region of every shard it retires and of the temporary controller each
-// PS-ORAM extraction loads its snapshot into, and Pool.Close frees the
+// region of every shard it retires (extraction reads the frozen shards
+// live and builds no controller of its own), and Pool.Close frees the
 // region of every shard it closes. Other tests' dropped images may be
 // freed meanwhile, which only lowers the count these checks bound.
 func TestRetiredShardsFreeTheirImages(t *testing.T) {

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/oram"
 	"repro/internal/storage/filestore"
 )
@@ -21,12 +19,9 @@ import (
 //     shard's queue guarantees no straggler enqueue from the previous
 //     table is still in flight.
 //  2. The frozen shard's blocks are extracted on its own worker
-//     goroutine (preserving the single-threaded backend contract). For
-//     WPQ-persistent schemes the extraction goes through the durable
-//     image — core.SaveDurable, then core.LoadDurable, then reads on
-//     the loaded controller — so what migrates is exactly the state §4
-//     guarantees survives a power loss, and the snapshot/restore path
-//     is exercised on every reshard. Other schemes extract live.
+//     goroutine (preserving the single-threaded backend contract), each
+//     read through the shard's own Peek: what migrates is every value
+//     the shard acknowledged, for every scheme.
 //  3. The blocks replay as ordinary writes into the new shard set,
 //     then the table swaps the stripe to NEW: reads route to the new
 //     set, and writes are mirrored back to the old shard so an abort
@@ -156,32 +151,19 @@ func (p *Pool) publish(epoch uint64, shards, next []*shard, state []stripeState)
 	})
 }
 
-// extractStripe reads every block a frozen shard owns, on the shard's
-// own worker goroutine. The returned slice is indexed by shard-local
-// address; nil entries are never-written (all-zero) blocks that need no
-// replay. WPQ-persistent backends are extracted through their durable
-// image (SaveDurable -> LoadDurable -> read), so migration carries
-// exactly the crash-surviving state.
+// extractStripe reads every block a frozen shard owns through the
+// shard's own Peek, on its worker goroutine. The returned slice is
+// indexed by shard-local address; nil entries are never-written
+// (all-zero) blocks that need no replay. Extraction reads the live
+// shard, never a durable snapshot: while a block's remap is pending
+// (its eviction not yet committed), the durable image still holds the
+// block's older value, and a snapshot would migrate that instead of the
+// acknowledged one (DESIGN.md §8).
 func (p *Pool) extractStripe(ctx context.Context, sh *shard, local uint64) ([][]byte, error) {
 	blocks := make([][]byte, local)
 	fn := func(b Backend) error {
-		// The snapshot detour is sound only where the durable image is
-		// complete; the other schemes extract live.
-		peek := b.Peek
-		if sn, ok := b.(snapshotter); ok && b.Scheme().Policy().ImageComplete() {
-			var buf bytes.Buffer
-			if err := sn.SaveDurable(&buf); err != nil {
-				return fmt.Errorf("snapshot: %w", err)
-			}
-			ctl, err := core.LoadDurable(&buf, sn.SnapshotConfig(), core.Options{Untimed: true})
-			if err != nil {
-				return fmt.Errorf("snapshot load: %w", err)
-			}
-			defer ctl.Close() // in memory: frees its images
-			peek = ctl.Peek
-		}
 		for i := uint64(0); i < local; i++ {
-			v, err := peek(oram.Addr(i))
+			v, err := b.Peek(oram.Addr(i))
 			if err != nil {
 				return err
 			}

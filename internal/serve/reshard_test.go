@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/crash"
 	"repro/internal/oracle"
 	"repro/internal/oram"
 	"repro/internal/storage/filestore"
@@ -621,6 +622,57 @@ func TestReshardArmCrashOldSetIndex(t *testing.T) {
 		}
 		if n := b.arms.Load(); n != want {
 			t.Errorf("backend %d (of 2 old, then 4 new) armed %d times, want %d", i, n, want)
+		}
+	}
+}
+
+// TestReshardKeepsPendingWrite: a live Reshard migrates every
+// acknowledged value, including a write whose remap is still pending.
+// The WPQs hold two entries, so the ordered eviction leaves remaps
+// pending across accesses; in a durable snapshot such a block still
+// holds its older value, so extraction must read the live shard.
+func TestReshardKeepsPendingWrite(t *testing.T) {
+	const blocks = 80
+	cfg := config.Default()
+	cfg.StashEntries = 150
+	cfg.TempPosMapSize = 16
+	cfg.DataWPQEntries, cfg.PosMapWPQEntries = 2, 2
+	cfg.OnChipPosMapBytes = 4 * 64 * 8
+	p := mustPool(t, Options{Shards: 1, NumBlocks: blocks, Scheme: config.SchemePSORAM,
+		Factory: func(_ int, local uint64) (Backend, error) {
+			tg, err := oracle.NewTarget(oracle.Params{Scheme: config.SchemePSORAM, NumBlocks: local, Levels: 5, Seed: 1, Cfg: &cfg})
+			if err != nil {
+				return nil, err
+			}
+			return tg.(Backend), nil
+		}})
+	ctx := context.Background()
+	want := make([][]byte, blocks)
+	for _, op := range (crash.Workload{NumBlocks: blocks, Accesses: 21, Seed: 30, WriteRatio: 0.7}).Ops(p.BlockBytes()) {
+		if !op.Write {
+			if _, err := p.Read(ctx, op.Addr); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := p.Write(ctx, op.Addr, op.Data); err != nil {
+			t.Fatal(err)
+		}
+		want[op.Addr] = op.Data
+	}
+	if err := p.Reshard(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	for a, w := range want {
+		if w == nil {
+			w = make([]byte, p.BlockBytes())
+		}
+		got, err := p.Read(ctx, uint64(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Errorf("addr %d reads %.8q after the reshard, want %.8q", a, got, w)
 		}
 	}
 }

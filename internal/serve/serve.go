@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -142,15 +141,6 @@ type grouped interface {
 	FlushCommits() error
 	CommitPending() bool
 	SetCommitObserver(fn func(ops int, persistNanos int64))
-}
-
-// snapshotter is the optional backend facet serializing the shard's
-// durable NVM image (core.SaveDurable through the oracle adapter) plus
-// the effective config a core.LoadDurable of that image needs; the
-// resharding path migrates WPQ-persistent shards through it.
-type snapshotter interface {
-	SaveDurable(w io.Writer) error
-	SnapshotConfig() config.Config
 }
 
 // Factory builds the backend for one shard. localBlocks is the number
@@ -472,21 +462,10 @@ func (p *Pool) buildBackend(s int, local uint64, dir string) (Backend, error) {
 	if p.opts.Factory != nil {
 		return p.opts.Factory(s, local)
 	}
-	// Derive the tree height here rather than leaving it to the
-	// controller: oracle.NewTarget sizes the recursive schemes' data WPQ
-	// from it.
-	levels := p.opts.Levels
-	if levels == 0 {
-		cfg := config.Default()
-		if p.opts.Cfg != nil {
-			cfg = *p.opts.Cfg
-		}
-		levels = cfg.TreeLevelsFor(local)
-	}
 	t, err := oracle.NewTarget(oracle.Params{
 		Scheme:           p.opts.Scheme,
 		NumBlocks:        local,
-		Levels:           levels,
+		Levels:           p.opts.Levels,
 		Seed:             rng.DeriveSeed(p.opts.Seed, 0x5e4e, uint64(s)),
 		Cfg:              p.opts.Cfg,
 		StoreDir:         dir,

@@ -106,12 +106,12 @@ func TestKill9Child(t *testing.T) {
 		}
 	}
 	opts := core.Options{NumBlocks: k9Blocks, Levels: k9Levels,
-		GroupCommit: core.GroupCommit{MaxOps: group}}
-	ctl, created, err := core.NewDurable(scheme, k9Cfg(seed), opts, dir)
+		GroupCommit: core.GroupCommit{MaxOps: group}, StoreDir: dir}
+	ctl, err := core.New(scheme, k9Cfg(seed), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created {
+	if ctl.Counters().Get("storage.opens") != 0 {
 		t.Fatal("child expects a fresh store directory")
 	}
 	// The strict check needs every block durably placed at creation;
@@ -245,7 +245,7 @@ poll:
 			tr.scheme, tr.seed, tr.killAfter, done, fmt.Sprintf(format, args...)))
 	}
 
-	st, err := filestore.Open(storeDir)
+	_, err := filestore.Open(storeDir)
 	if errors.Is(err, filestore.ErrNoStore) {
 		if done > 0 {
 			fail("store reports never-committed after %d completed accesses", done)
@@ -256,7 +256,7 @@ poll:
 		fail("reopen failed: %v", err)
 		return violations
 	}
-	ctl, err := core.Open(k9Cfg(tr.seed), st)
+	ctl, err := core.New(tr.scheme, k9Cfg(tr.seed), core.Options{StoreDir: storeDir})
 	if err != nil {
 		fail("recovery failed: %v", err)
 		return violations

@@ -99,19 +99,7 @@ func CommitTopology(root string, t Topology) error {
 	line := topologyBody(t)
 	line = fmt.Sprintf("%s crc=%08x\n", line, crc32.Checksum([]byte(line), castagnoli))
 	tmp := filepath.Join(root, topologyFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(line); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileSync(tmp, []byte(line)); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(root, topologyFile)); err != nil {

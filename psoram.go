@@ -167,14 +167,8 @@ func New(numBlocks uint64, opts ...StoreOption) (*Store, error) {
 	}
 	// A Store serves values; simulated time is Simulate's business, so the
 	// controller runs over the untimed memory model.
-	copts := core.Options{NumBlocks: numBlocks, Levels: sc.levels, GroupCommit: sc.group, Untimed: true}
-	var ctl *core.Controller
-	var err error
-	if sc.storeDir != "" {
-		ctl, _, err = core.NewDurable(sc.scheme, sc.cfg, copts, sc.storeDir)
-	} else {
-		ctl, err = core.New(sc.scheme, sc.cfg, copts)
-	}
+	ctl, err := core.New(sc.scheme, sc.cfg, core.Options{NumBlocks: numBlocks, Levels: sc.levels,
+		GroupCommit: sc.group, Untimed: true, StoreDir: sc.storeDir})
 	if err != nil {
 		return nil, err
 	}
@@ -341,12 +335,6 @@ func WithPoolLevels(levels int) PoolOption {
 // replicas.
 func WithPoolSeed(seed uint64) PoolOption {
 	return func(o *serve.Options) { o.Seed = seed }
-}
-
-// WithPoolConfig overrides the base configuration (NVM timing, WPQ
-// sizes, block size).
-func WithPoolConfig(cfg Config) PoolOption {
-	return func(o *serve.Options) { o.Cfg = &cfg }
 }
 
 // WithQueueDepth bounds each shard's request queue (default 64); a full

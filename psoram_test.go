@@ -336,3 +336,22 @@ func TestServeFacade(t *testing.T) {
 		t.Fatalf("post-close read: %v", err)
 	}
 }
+
+// TestRecursiveStoreSizesItsWPQ: a recursive eviction batch spans the
+// data path and a PosMap tree's path, 2(L+1)Z data WPQ entries, more
+// than the default 96 at L=12. The store must size its WPQ for that
+// batch itself rather than fail the first access that fills it.
+func TestRecursiveStoreSizesItsWPQ(t *testing.T) {
+	s, err := New(2048, WithScheme(RcrPSORAM), WithLevels(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data := make([]byte, s.BlockSize())
+	for i := 0; i < 2000; i++ {
+		data[0] = byte(i)
+		if err := s.Write(uint64(i)%2048, data); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+}
