@@ -115,8 +115,7 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 // LoadDurable reconstructs a controller from a durable snapshot. cfg
 // supplies the run-time parameters (NVM timing, WPQ sizes, stash size)
 // and runtime the execution-only options (memory model, group
-// commit); the geometry and contents come from the snapshot, and the
-// controller lives in memory (runtime.StoreDir is ignored). Loading
+// commit); the geometry and contents come from the snapshot. Loading
 // performs the §4.3 recovery: volatile state starts empty and the
 // on-chip map is the durable one.
 func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, error) {
@@ -172,7 +171,6 @@ func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, 
 	}
 	cfg.BlockBytes, cfg.Z = blockBytes, z
 	runtime.NumBlocks, runtime.Levels = numBlocks, levels
-	runtime.StoreDir = "" // a snapshot loads into memory
 	c, err := New(scheme, cfg, runtime)
 	if err != nil {
 		return nil, err

@@ -33,7 +33,6 @@ package filestore_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/oram"
 	"repro/internal/rng"
-	"repro/internal/storage/filestore"
 )
 
 const (
@@ -245,21 +243,20 @@ poll:
 			tr.scheme, tr.seed, tr.killAfter, done, fmt.Sprintf(format, args...)))
 	}
 
-	_, err := filestore.Open(storeDir)
-	if errors.Is(err, filestore.ErrNoStore) {
+	// One open of the raw post-SIGKILL directory: the controller checked
+	// below is the one that recovered it, garbage chunks and all.
+	ctl, err := core.New(tr.scheme, k9Cfg(tr.seed),
+		core.Options{NumBlocks: k9Blocks, Levels: k9Levels, StoreDir: storeDir})
+	if err != nil {
+		fail("recovery failed: %v", err)
+		return violations
+	}
+	defer ctl.Close()
+	if ctl.Counters().Get("storage.opens") == 0 {
 		if done > 0 {
 			fail("store reports never-committed after %d completed accesses", done)
 		}
 		return violations // killed before creation committed: nothing was promised
-	}
-	if err != nil {
-		fail("reopen failed: %v", err)
-		return violations
-	}
-	ctl, err := core.New(tr.scheme, k9Cfg(tr.seed), core.Options{StoreDir: storeDir})
-	if err != nil {
-		fail("recovery failed: %v", err)
-		return violations
 	}
 
 	recovered := make([][]byte, k9Blocks)
