@@ -6,18 +6,28 @@ import (
 	"testing"
 )
 
-// FuzzStoreOps drives the PS-ORAM store with arbitrary operation
-// sequences (reads, writes, crashes, recoveries) decoded from the fuzz
-// input and checks it against a reference map of acknowledged writes:
-// a crash between accesses loses none of them, so after every recovery
-// the store must equal that map exactly. The protocol must never
-// corrupt, whatever the interleaving.
+// FuzzStoreOps drives a store of every scheme that keeps acknowledged
+// writes across a power failure (durableSchemes; the first input byte
+// picks one) with arbitrary operation sequences (reads, writes, crashes,
+// recoveries) decoded from the rest of the input, and checks it against
+// a reference map of acknowledged writes: a crash between accesses
+// loses none of them, so after every recovery the store must equal that
+// map exactly. The protocol must never corrupt, whatever the
+// interleaving.
 func FuzzStoreOps(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5})
+	schemes := durableSchemes()
+	for i := range schemes {
+		f.Add([]byte{byte(i), 0, 1, 2, 3, 4, 5})
+		f.Add(append([]byte{byte(i)}, bytes.Repeat([]byte{7, 77, 177}, 20)...))
+	}
 	f.Add([]byte{10, 200, 10, 200, 255, 0, 0, 255})
-	f.Add(bytes.Repeat([]byte{7, 77, 177}, 20))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		scheme := schemes[int(ops[0])%len(schemes)]
+		ops = ops[1:]
 		if len(ops) > 120 {
 			ops = ops[:120]
 		}
@@ -25,7 +35,7 @@ func FuzzStoreOps(f *testing.F) {
 		cfg.StashEntries = 150
 		cfg.TempPosMapSize = 16
 		cfg.WriteBufferEntries = 16
-		s, err := New(64, WithScheme(PSORAM), WithConfig(cfg), WithRNGSeed(9))
+		s, err := New(64, WithScheme(scheme), WithConfig(cfg), WithRNGSeed(9))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,9 +84,9 @@ func (p Policy) WPQAtomic() bool { return p.Domain == DomainWPQ }
 // the eviction and is indistinguishable from a crash after step 5.
 func (p Policy) OffersStep(step int) bool { return p.Domain != DomainEADR || step != 5 }
 
-// Storable reports whether a durable file store and a snapshot cover
-// the scheme: the flat Path ORAM family. Neither format carries a
-// recursive hierarchy's PosMap trees.
+// Storable reports whether the durable file store covers the scheme, in
+// a directory or streamed as a snapshot: the flat Path ORAM family. Its
+// format carries no recursive hierarchy's PosMap trees.
 func (p Policy) Storable() bool { return p.ORAM && !p.Recursive }
 
 // schemes is the scheme matrix (DESIGN.md §3), indexed by Scheme in

@@ -272,7 +272,7 @@ func New(scheme config.Scheme, cfg config.Config, opts Options) (*Controller, er
 		st, err = filestore.Open(opts.StoreDir)
 		switch {
 		case err == nil:
-			if err := adoptGeometry(scheme, &cfg, &opts, st); err != nil {
+			if err := adoptGeometry(scheme, &cfg, &opts, st.Geometry(), "store at "+opts.StoreDir); err != nil {
 				return nil, err
 			}
 		case !errors.Is(err, filestore.ErrNoStore):
@@ -461,6 +461,19 @@ func (c *Controller) maybeCrash(step, sub int) bool {
 	}
 	c.powerFail()
 	return true
+}
+
+// PowerFail is a power failure between accesses: powerFail with no
+// access in flight. Recover before the next access.
+func (c *Controller) PowerFail() error {
+	if c.closed {
+		return errClosed
+	}
+	if c.crashed {
+		return errors.New("core: power failure before Recover")
+	}
+	c.powerFail()
+	return nil
 }
 
 // powerFail applies the physics of losing power at c.now: the volatile

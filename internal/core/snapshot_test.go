@@ -2,13 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/oram"
+	"repro/internal/storage/filestore"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -116,8 +122,8 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	for _, data := range [][]byte{
 		nil,
 		[]byte("nope"),
-		[]byte("PSOR"),
-		append([]byte("PSOR"), make([]byte, 20)...),
+		[]byte("PSFM"),
+		append([]byte("PSFM"), make([]byte, 36)...),
 	} {
 		if _, err := LoadDurable(bytes.NewReader(data), cfg, Options{}); err == nil {
 			t.Fatalf("garbage snapshot %q accepted", data)
@@ -130,6 +136,15 @@ func TestSnapshotRejectsRecursive(t *testing.T) {
 	var buf bytes.Buffer
 	if err := c.SaveDurable(&buf); err == nil {
 		t.Fatal("recursive snapshot should be rejected (format does not cover posmap trees)")
+	}
+	// A stream whose meta record names a recursive scheme, under a valid
+	// CRC, is refused on load too.
+	snap := writtenSnapshot(t, config.SchemePSORAM, 40, 4)
+	binary.LittleEndian.PutUint64(snap[8:], uint64(config.SchemeRcrPSORAM))
+	recrc(snap, 0, metaBytes)
+	if _, err := LoadDurable(bytes.NewReader(snap), testCfg(), Options{}); err == nil ||
+		err.Error() != StorageSupported(config.SchemeRcrPSORAM).Error() {
+		t.Fatalf("recursive stream: err = %v, want the StorageSupported refusal", err)
 	}
 }
 
@@ -234,19 +249,31 @@ func TestSnapshotRoundTripAllFlatSchemes(t *testing.T) {
 	}
 }
 
-// TestSnapshotTypedErrors: a short stream is ErrSnapshotTruncated, a
-// structurally damaged one is ErrSnapshotCorrupted — distinguishable
-// with errors.Is so recovery tooling can tell an interrupted copy from
-// real damage.
-func TestSnapshotTypedErrors(t *testing.T) {
+// metaBytes is the length of the stream's leading meta record; the
+// state chunk follows it: a 17-byte chunk header, the seal-version
+// cursor, the root length, one leaf per block, CRC.
+const metaBytes = 40
+
+// stateEnd is where the state chunk of a blocks-block stream ends.
+func stateEnd(blocks int) int { return metaBytes + 17 + 8 + 4*blocks + 4 }
+
+// recrc rewrites the CRC32-C that closes the record b[lo:hi].
+func recrc(b []byte, lo, hi int) {
+	binary.LittleEndian.PutUint32(b[hi-4:], crc32.Checksum(b[lo:hi-4], crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// writtenSnapshot saves a Z=4, 64-byte-block controller of the scheme
+// after every block has been written once.
+func writtenSnapshot(t testing.TB, scheme config.Scheme, blocks, levels int) []byte {
 	cfg := testCfg()
-	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: 40, Levels: 4})
+	cfg.Seed = 3
+	c, err := New(scheme, cfg, Options{NumBlocks: uint64(blocks), Levels: levels})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
-		a := oram.Addr(i % 40)
-		if _, err := c.Access(oram.OpWrite, a, blockVal(a, i, 64)); err != nil {
+	defer c.Close()
+	for a := oram.Addr(0); int(a) < blocks; a++ {
+		if _, err := c.Access(oram.OpWrite, a, blockVal(a, 1, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,67 +281,182 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	if err := c.SaveDurable(&buf); err != nil {
 		t.Fatal(err)
 	}
-	snap := buf.Bytes()
+	return buf.Bytes()
+}
+
+// TestSnapshotTypedErrors: a short stream fails with
+// io.ErrUnexpectedEOF, a damaged one with filestore.ErrCorrupted —
+// distinguishable with errors.Is so recovery tooling can tell an
+// interrupted copy from real damage. Every damaged field below carries
+// a valid CRC, so the field's own check is what refuses it.
+func TestSnapshotTypedErrors(t *testing.T) {
+	cfg := testCfg()
+	const blocks = 40
+	snap := writtenSnapshot(t, config.SchemePSORAM, blocks, 4)
 	if _, err := LoadDurable(bytes.NewReader(snap), cfg, Options{}); err != nil {
 		t.Fatalf("pristine snapshot failed to load: %v", err)
 	}
-
 	const (
-		hdrOff    = 4                // after magic
-		posmapOff = hdrOff + 7*8     // after header
-		slotsOff  = posmapOff + 40*4 // after 40 posmap entries
+		leavesAt   = metaBytes + 17 + 8
+		firstChunk = 17 + 8*4*(32+64) + 4 // eight buckets of four slots
 	)
+	end := stateEnd(blocks)
+
 	t.Run("truncated", func(t *testing.T) {
-		for _, cut := range []int{0, 2, hdrOff, hdrOff + 13, posmapOff + 5, slotsOff + 7, len(snap) - 1} {
-			if _, err := LoadDurable(bytes.NewReader(snap[:cut]), cfg, Options{}); !errors.Is(err, ErrSnapshotTruncated) {
-				t.Errorf("cut at %d: err = %v, want ErrSnapshotTruncated", cut, err)
+		for _, cut := range []int{0, 2, metaBytes - 1, metaBytes, leavesAt + 5, end, end + 7, len(snap) - 1} {
+			_, err := LoadDurable(bytes.NewReader(snap[:cut]), cfg, Options{})
+			if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, filestore.ErrCorrupted) {
+				t.Errorf("cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
 			}
 		}
 	})
 	t.Run("corrupted", func(t *testing.T) {
-		patch := func(off int, b []byte) []byte {
+		// patch copies the snapshot, overwrites b at off and re-seals the
+		// record [lo, hi) that holds it (none when lo == hi).
+		patch := func(off int, b []byte, lo, hi int) []byte {
 			cp := append([]byte(nil), snap...)
 			copy(cp[off:], b)
+			if lo < hi {
+				recrc(cp, lo, hi)
+			}
 			return cp
 		}
-		cases := map[string][]byte{
-			"bad-magic":         patch(0, []byte("ROSP")),
-			"bad-version":       patch(hdrOff, []byte{0xFF}),
-			"implausible-Z":     patch(hdrOff+3*8, []byte{0xEE, 0xEE}),
-			"huge-blockcount":   patch(hdrOff+5*8, []byte{0xFF, 0xFF, 0xFF}),
-			"leaf-out-of-range": patch(posmapOff, []byte{0xFF, 0xFF, 0xFF, 0xFF}),
+		cases := map[string]struct {
+			data []byte
+			why  string // the refusal names the damaged field
+		}{
+			"bad-magic":         {patch(0, []byte("ROSP"), 0, metaBytes), "bad meta record"},
+			"bad-version":       {patch(4, []byte{0xFF}, 0, metaBytes), "unsupported format version"},
+			"implausible-Z":     {patch(20, []byte{0xEE, 0xEE}, 0, metaBytes), "implausible geometry"},
+			"huge-blockcount":   {patch(28, []byte{0xFF, 0xFF, 0xFF}, 0, metaBytes), "do not fit"},
+			"leaf-out-of-range": {patch(leavesAt, []byte{0xFF, 0xFF, 0xFF, 0xFF}, metaBytes, end), "out of range"},
+			"root-length":       {patch(leavesAt-4, []byte{32}, metaBytes, end), "root length 32"},
+			"foreign-chunk":     {patch(end+5, []byte{7}, end, end+firstChunk), "foreign identity"},
+			"bad-checksum":      {patch(end+100, []byte{0x5A}, 0, 0), "fails its checksum"},
 		}
-		for name, data := range cases {
-			if _, err := LoadDurable(bytes.NewReader(data), cfg, Options{}); !errors.Is(err, ErrSnapshotCorrupted) {
-				t.Errorf("%s: err = %v, want ErrSnapshotCorrupted", name, err)
+		for name, tc := range cases {
+			_, err := LoadDurable(bytes.NewReader(tc.data), cfg, Options{})
+			if !errors.Is(err, filestore.ErrCorrupted) || errors.Is(err, io.ErrUnexpectedEOF) ||
+				!strings.Contains(err.Error(), tc.why) {
+				t.Errorf("%s: err = %v, want filestore.ErrCorrupted naming %q", name, err, tc.why)
 			}
 		}
 	})
 	t.Run("tamper-is-corrupted", func(t *testing.T) {
-		// The last four bytes are the reserved root length, always 0: a
-		// snapshot that carries a root is damaged, not an integrity one.
-		tampered := append([]byte(nil), snap...)
-		tampered[len(tampered)-4] = 32
-		tampered = append(tampered, make([]byte, 32)...)
-		if _, err := LoadDurable(bytes.NewReader(tampered), cfg, Options{}); !errors.Is(err, ErrSnapshotCorrupted) {
-			t.Errorf("non-zero root length: err = %v, want ErrSnapshotCorrupted", err)
+		// A state chunk that carries the retired 32-byte root behind its
+		// cursor, under a valid CRC, is damaged.
+		tampered := withRetiredRoot(snap, blocks)
+		if _, err := LoadDurable(bytes.NewReader(tampered), cfg, Options{}); !errors.Is(err, filestore.ErrCorrupted) {
+			t.Errorf("retired root: err = %v, want filestore.ErrCorrupted", err)
 		}
 	})
+}
 
+// withRetiredRoot rewrites a stream's state chunk to carry a 32-byte
+// root: root length 32, the root after it, and a recomputed CRC.
+func withRetiredRoot(snap []byte, blocks int) []byte {
+	const rootLenAt = metaBytes + 17 + 4
+	end := stateEnd(blocks)
+	out := append([]byte(nil), snap[:rootLenAt]...)
+	out = binary.LittleEndian.AppendUint32(out, 32)
+	out = append(out, make([]byte, 32)...)
+	out = append(out, snap[rootLenAt+4:end]...)
+	recrc(out, metaBytes, len(out))
+	return append(out, snap[end:]...)
+}
+
+// TestSnapshotBitFlipsRefused flips one bit at every 97th byte of a
+// PS-ORAM and of a Baseline snapshot: every record is under a CRC, so
+// LoadDurable refuses each flipped stream rather than loading it and
+// serving a wrong value.
+func TestSnapshotBitFlipsRefused(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeBaseline} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			snap := writtenSnapshot(t, scheme, 64, 5)
+			flips, loaded := 0, 0
+			for off := 0; off < len(snap); off += 97 {
+				flipped := append([]byte(nil), snap...)
+				flipped[off] ^= 1 << (off % 8)
+				flips++
+				if c, err := LoadDurable(bytes.NewReader(flipped), testCfg(), Options{Untimed: true}); err == nil {
+					loaded++
+					c.Close()
+				}
+			}
+			if loaded != 0 {
+				t.Fatalf("%d of %d one-bit flips loaded", loaded, flips)
+			}
+		})
+	}
+}
+
+// TestSnapshotCrossFormat pins "one format": a file-backed controller's
+// SaveDurable stream loaded with LoadDurable, and that controller's
+// closed directory reopened with New, read back the same values and
+// save byte-identical streams.
+func TestSnapshotCrossFormat(t *testing.T) {
+	for _, scheme := range flatSchemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			c := newDurableCtl(t, scheme, dir)
+			r := &lcg{s: uint64(31 + scheme)}
+			for i := 0; i < 150; i++ {
+				addr := oram.Addr(r.n(100))
+				if _, err := c.Access(oram.OpWrite, addr, blockVal(addr, i, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stream bytes.Buffer
+			if err := c.SaveDurable(&stream); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadDurable(bytes.NewReader(stream.Bytes()), testCfg(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			reopened, err := New(scheme, testCfg(), Options{StoreDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			for a := oram.Addr(0); a < 100; a++ {
+				got, errL := loaded.Peek(a)
+				want, errR := reopened.Peek(a)
+				if (errL == nil) != (errR == nil) || !bytes.Equal(got, want) {
+					t.Fatalf("addr %d: stream %.12q (%v), directory %.12q (%v)", a, got, errL, want, errR)
+				}
+			}
+			var a, b bytes.Buffer
+			if err := loaded.SaveDurable(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := reopened.SaveDurable(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatal("the stream's and the directory's controllers save different streams")
+			}
+		})
+	}
 }
 
 // FuzzLoadDurable feeds LoadDurable hostile snapshots. Each input
 // either fails to load with an error, or loads into a controller that
 // answers Peek on every address (a value of one block, or an error: a
 // Baseline snapshot may hold blocks its volatile PosMap lost) without a
-// panic. The loader reads the body before it builds anything, so the
-// heap it takes follows the bytes given, never a count in the header.
+// panic. The reader reads each record before it builds anything from
+// it, so the heap it takes follows the bytes given, never a count in a
+// record.
 func FuzzLoadDurable(f *testing.F) {
 	// Small seeds (two levels, Z=2, 16-byte blocks) keep each run and
 	// the minimization of what it finds short.
 	cfg := testCfg()
 	cfg.Z, cfg.BlockBytes = 2, 16
-	for _, scheme := range []config.Scheme{config.SchemeBaseline, config.SchemePSORAM} {
+	for _, scheme := range flatSchemes {
 		c, err := New(scheme, cfg, Options{NumBlocks: 6, Levels: 2, Untimed: true})
 		if err != nil {
 			f.Fatal(err)
@@ -332,10 +474,7 @@ func FuzzLoadDurable(f *testing.F) {
 		c.Close()
 		f.Add(buf.Bytes())
 		if scheme == config.SchemePSORAM {
-			// The retired Merkle root: a non-zero root length and a root.
-			root := append([]byte(nil), buf.Bytes()...)
-			root[len(root)-4] = 32
-			f.Add(append(root, make([]byte, 32)...))
+			f.Add(withRetiredRoot(buf.Bytes(), 6))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

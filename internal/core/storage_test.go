@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/oram"
+	"repro/internal/storage/filestore"
 )
 
 // flatSchemes is the durable-backend coverage set (StorageSupported).
@@ -216,5 +221,34 @@ func TestDurableRejectsUnsupportedSchemes(t *testing.T) {
 		if _, err := New(scheme, testCfg(), Options{NumBlocks: 100, Levels: 5, StoreDir: dir}); err == nil {
 			t.Fatalf("scheme %v accepted by New with a StoreDir", scheme)
 		}
+	}
+}
+
+// TestDurableLeafOutOfRangeRejected: the store keeps the durable PosMap
+// as written, and recovery checks every leaf against the tree, so a
+// state chunk holding an out-of-range leaf under a valid CRC is refused
+// as corruption, not served.
+func TestDurableLeafOutOfRangeRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := newDurableCtl(t, config.SchemePSORAM, dir).Close(); err != nil {
+		t.Fatal(err)
+	}
+	states, err := filepath.Glob(filepath.Join(dir, "chunks", "s-*"))
+	if err != nil || len(states) != 1 {
+		t.Fatalf("state chunks %v (%v), want one", states, err)
+	}
+	raw, err := os.ReadFile(states[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const leavesAt = 17 + 8 // chunk header, cursor, root length
+	binary.LittleEndian.PutUint32(raw[leavesAt+4*7:], 1<<20)
+	recrc(raw, 0, len(raw))
+	if err := os.WriteFile(states[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(config.SchemePSORAM, testCfg(), Options{StoreDir: dir})
+	if !errors.Is(err, filestore.ErrCorrupted) || !strings.Contains(err.Error(), "addr 7") {
+		t.Fatalf("New over an out-of-range leaf: %v, want filestore.ErrCorrupted naming addr 7", err)
 	}
 }

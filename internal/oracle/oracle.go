@@ -213,11 +213,14 @@ func CheckScheme(p Params, ops []Op, opts Options) (*Report, error) {
 // NoStoreAt returns an error naming dir when dir already holds a durable
 // store, committed or damaged: the reference a check diffs against
 // starts from zero, so recovering an earlier run's store would report
-// every value that run wrote as a violation. An empty dir names no store.
-// A store Open returns is dropped unclosed: it holds no file or goroutine,
-// and Close would persist into dir.
+// every value that run wrote as a violation. An empty dir names no store
+// and is not looked at; a real one is probed without being loaded or
+// changed (filestore.Probe).
 func NoStoreAt(dir string) error {
-	if _, err := filestore.Open(dir); dir != "" && !errors.Is(err, filestore.ErrNoStore) {
+	if dir == "" {
+		return nil
+	}
+	if _, _, err := filestore.Probe(dir); !errors.Is(err, filestore.ErrNoStore) {
 		return fmt.Errorf("oracle: %s already holds a store; a check starts from zero and needs a fresh directory", dir)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -281,6 +282,40 @@ func TestCheckSchemeRefusesAStore(t *testing.T) {
 	rep, err = CheckScheme(p, ops, Options{})
 	if err == nil || !strings.Contains(err.Error(), dir) {
 		t.Fatalf("second run on %s = %v, %v; want an error naming the directory", dir, rep, err)
+	}
+}
+
+// TestNoStoreAtLooksWithoutTouching: NoStoreAt probes a directory
+// without loading it, so the leftovers a load would delete (here a stray
+// chunk from an epoch past the commit) survive both a refusal and an
+// empty dir, which names no store and is not looked at even when the
+// working directory holds one.
+func TestNoStoreAtLooksWithoutTouching(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	p := Params{Scheme: config.SchemePSORAM, NumBlocks: 64, Levels: 5, Seed: 1, StoreDir: dir}
+	if _, err := CheckScheme(p, GenOps(Workload{Name: "uniform"}, 64, config.Default().BlockBytes, 8, 1), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "chunks", "d0-999")
+	if err := os.WriteFile(stray, []byte("uncommitted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := NoStoreAt(dir); err == nil {
+		t.Fatalf("NoStoreAt(%s) accepted a committed store", dir)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if err := NoStoreAt(""); err != nil {
+		t.Fatalf(`NoStoreAt(""): %v`, err)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("the stray chunk is gone: %v", err)
 	}
 }
 

@@ -283,7 +283,13 @@ func TestCorruptionTable(t *testing.T) {
 			if tc.damage != nil {
 				tc.damage(t, dir)
 			}
+			// Probe, Open's read-only first step, never contradicts it:
+			// what it refuses Open refuses alike.
+			_, _, perr := filestore.Probe(dir)
 			st, err := filestore.Open(dir)
+			if perr != nil && (err == nil || errors.Is(perr, filestore.ErrNoStore) != errors.Is(err, filestore.ErrNoStore)) {
+				t.Fatalf("Probe: %v, but Open: %v", perr, err)
+			}
 			if tc.wantErr != nil {
 				if err == nil {
 					t.Fatalf("Open succeeded over %s damage", tc.name)
@@ -373,6 +379,9 @@ func TestFreshDirIsNoStore(t *testing.T) {
 	})
 	if _, err := filestore.Open(dir); !errors.Is(err, filestore.ErrNoStore) {
 		t.Fatalf("Open(interrupted create): %v, want ErrNoStore", err)
+	}
+	if _, _, err := filestore.Probe(dir); !errors.Is(err, filestore.ErrNoStore) {
+		t.Fatalf("Probe(interrupted create): %v, want ErrNoStore", err)
 	}
 	// ...and Create is allowed to start over on top of it.
 	st2, err := filestore.Create(dir, corruptGeom)

@@ -101,19 +101,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // methods are single-threaded, like the controller
 // that owns it.
 type Store struct {
-	dir  string
-	geom oram.StoreGeometry
-	tree oram.Tree
-
-	slots  []oram.Slot // bucket*Z + z
-	leaves []uint32
-	verSeq uint32
+	Contents
+	dir string
 
 	epoch      uint64   // committed persist epoch (0 = nothing committed)
 	chunkEpoch []uint64 // on-disk epoch per data chunk (0 = none yet)
 	stateEpoch uint64
 
-	nChunks    int
 	dirty      []bool
 	dirtyList  []int
 	stateDirty bool
@@ -181,30 +175,18 @@ func (j *persistJob) grab() []byte {
 	return nil
 }
 
-func validGeometry(g oram.StoreGeometry) error {
-	if g.Levels < 1 || g.Levels > 30 || g.Z < 1 || g.Z > 64 ||
-		g.BlockBytes < 8 || g.BlockBytes > 1<<16 {
-		return fmt.Errorf("filestore: implausible geometry L=%d Z=%d block=%d", g.Levels, g.Z, g.BlockBytes)
-	}
-	t := oram.NewTree(g.Levels, g.Z)
-	if g.NumBlocks == 0 || g.NumBlocks > t.Slots() {
-		return fmt.Errorf("filestore: %d blocks do not fit a tree with %d slots", g.NumBlocks, t.Slots())
-	}
-	return nil
-}
-
 func newStore(dir string, g oram.StoreGeometry) *Store {
 	t := oram.NewTree(g.Levels, g.Z)
-	nSlots := int(t.Buckets()) * t.Z
-	nChunks := (int(t.Buckets()) + chunkBuckets - 1) / chunkBuckets
+	nChunks := chunkCount(t)
 	return &Store{
+		Contents: Contents{
+			geom:   g,
+			tree:   t,
+			slots:  make([]oram.Slot, t.Slots()),
+			leaves: make([]uint32, g.NumBlocks),
+		},
 		dir:        dir,
-		geom:       g,
-		tree:       t,
-		slots:      make([]oram.Slot, nSlots),
-		leaves:     make([]uint32, g.NumBlocks),
 		chunkEpoch: make([]uint64, nChunks),
-		nChunks:    nChunks,
 		dirty:      make([]bool, nChunks),
 		dirtyList:  make([]int, 0, nChunks),
 	}
@@ -220,13 +202,10 @@ func Create(dir string, g oram.StoreGeometry) (*Store, error) {
 	}
 	// Refuse to clobber a committed store — and refuse to silently wipe
 	// a corrupted one (the caller should see the damage, not lose it).
-	if _, err := readVersionFile(filepath.Join(dir, "version")); err == nil {
+	if _, _, err := Probe(dir); err == nil {
 		return nil, fmt.Errorf("filestore: committed store already exists at %s", dir)
-	} else if !errors.Is(err, errNoVersion) {
+	} else if !errors.Is(err, ErrNoStore) {
 		return nil, err
-	}
-	if maxChunkEpoch(filepath.Join(dir, "chunks")) > 1 {
-		return nil, fmt.Errorf("%w: committed chunks present but no valid version record", ErrCorrupted)
 	}
 	chunksDir := filepath.Join(dir, "chunks")
 	if err := os.MkdirAll(chunksDir, 0o755); err != nil {
@@ -263,20 +242,11 @@ func Create(dir string, g oram.StoreGeometry) (*Store, error) {
 	return newStore(dir, g), nil
 }
 
-// Geometry returns the stored shape.
-func (s *Store) Geometry() oram.StoreGeometry { return s.geom }
-
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Epoch returns the committed persist epoch (diagnostics and tests).
 func (s *Store) Epoch() uint64 { return s.epoch }
-
-// Slot returns the sealed slot at (bucket, z). It aliases the store's
-// cached copy, per the oram.Storage contract.
-func (s *Store) Slot(bucket uint64, z int) oram.Slot {
-	return s.slots[int(bucket)*s.tree.Z+z]
-}
 
 // SetSlot overwrites the sealed slot at (bucket, z) and marks its chunk
 // dirty for the next persist barrier.
@@ -289,9 +259,6 @@ func (s *Store) SetSlot(bucket uint64, z int, sl oram.Slot) {
 	}
 }
 
-// Leaf returns the durable position-map entry for a.
-func (s *Store) Leaf(a oram.Addr) oram.Leaf { return oram.Leaf(s.leaves[a]) }
-
 // SetLeaf overwrites the durable position-map entry for a.
 func (s *Store) SetLeaf(a oram.Addr, l oram.Leaf) {
 	if s.leaves[a] == uint32(l) {
@@ -300,9 +267,6 @@ func (s *Store) SetLeaf(a oram.Addr, l oram.Leaf) {
 	s.leaves[a] = uint32(l)
 	s.stateDirty = true
 }
-
-// VerSeq returns the stored seal-version cursor.
-func (s *Store) VerSeq() uint32 { return s.verSeq }
 
 // SetVerSeq overwrites the stored seal-version cursor.
 func (s *Store) SetVerSeq(v uint32) {
@@ -398,12 +362,12 @@ func (s *Store) PersistAsync(onDone func(error)) error {
 	job.onDone = onDone
 	sort.Ints(s.dirtyList)
 	for _, ci := range s.dirtyList {
-		buf := s.serializeDataChunk(job.grab(), ci, next)
+		buf := appendDataChunk(job.grab(), s, s.tree, ci, next)
 		job.files = append(job.files, jobFile{path: s.chunkPath(kindData, ci, next), data: buf})
 	}
 	wroteState := s.stateDirty
 	if wroteState {
-		buf := s.serializeStateChunk(job.grab(), next)
+		buf := appendStateChunk(job.grab(), s, s.geom.NumBlocks, next)
 		job.files = append(job.files, jobFile{path: s.chunkPath(kindState, 0, next), data: buf})
 	}
 	// The GC list uses the pre-advance chunk epochs.
@@ -521,66 +485,10 @@ func (j *persistJob) writeFiles() error {
 
 // chunkPath builds the chunk filename into the reusable name buffer.
 func (s *Store) chunkPath(kind byte, idx int, epoch uint64) string {
-	b := s.name[:0]
-	b = append(b, s.dir...)
+	b := append(s.name[:0], s.dir...)
 	b = append(b, "/chunks/"...)
-	if kind == kindData {
-		b = append(b, 'd')
-		b = strconv.AppendInt(b, int64(idx), 10)
-	} else {
-		b = append(b, 's')
-	}
-	b = append(b, '-')
-	b = strconv.AppendUint(b, epoch, 10)
-	s.name = b
-	return string(b)
-}
-
-// bucketRange returns chunk ci's bucket span [lo, hi).
-func (s *Store) bucketRange(ci int) (lo, hi int) {
-	lo = ci * chunkBuckets
-	hi = lo + chunkBuckets
-	if n := int(s.tree.Buckets()); hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-func (s *Store) chunkHeader(buf []byte, kind byte, idx int, epoch uint64) []byte {
-	buf = append(buf, chunkMagic...)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(idx))
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	return buf
-}
-
-// serializeDataChunk appends chunk ci's complete file image (header,
-// slots, CRC) to buf — the single source of the on-disk data chunk
-// format.
-func (s *Store) serializeDataChunk(buf []byte, ci int, epoch uint64) []byte {
-	buf = s.chunkHeader(buf, kindData, ci, epoch)
-	lo, hi := s.bucketRange(ci)
-	for b := lo; b < hi; b++ {
-		for z := 0; z < s.tree.Z; z++ {
-			sl := s.slots[b*s.tree.Z+z]
-			buf = binary.LittleEndian.AppendUint64(buf, sl.IV1)
-			buf = binary.LittleEndian.AppendUint64(buf, sl.IV2)
-			buf = append(buf, sl.SealedHeader...)
-			buf = append(buf, sl.SealedData...)
-		}
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-}
-
-// serializeStateChunk appends the state chunk's complete file image.
-func (s *Store) serializeStateChunk(buf []byte, epoch uint64) []byte {
-	buf = s.chunkHeader(buf, kindState, 0, epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, s.verSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved root length
-	for _, l := range s.leaves {
-		buf = binary.LittleEndian.AppendUint32(buf, l)
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	s.name = appendChunkName(b, kind, idx, epoch)
+	return string(s.name)
 }
 
 func writeFileSync(path string, content []byte) error {
@@ -623,16 +531,8 @@ func flipVersionAt(path string, epoch uint64) error {
 }
 
 func writeMeta(dir string, g oram.StoreGeometry) error {
-	buf := []byte(metaMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVer)
-	buf = binary.LittleEndian.AppendUint64(buf, g.Scheme)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.Levels))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.Z))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.BlockBytes))
-	buf = binary.LittleEndian.AppendUint64(buf, g.NumBlocks)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	tmp := filepath.Join(dir, "meta.tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeFileSync(tmp, appendMeta(nil, g)); err != nil {
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(dir, "meta"))

@@ -2,7 +2,6 @@ package filestore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -21,27 +20,11 @@ import (
 // committed state is damaged: recovery never silently substitutes stale
 // data for a committed chunk.
 func Open(dir string) (*Store, error) {
-	g, err := readMeta(filepath.Join(dir, "meta"))
+	g, committed, err := Probe(dir)
 	if err != nil {
 		return nil, err
 	}
 	s := newStore(dir, g)
-
-	committed, err := readVersionFile(filepath.Join(dir, "version"))
-	if err != nil {
-		if !errors.Is(err, errNoVersion) {
-			return nil, err
-		}
-		// No valid version record. Chunks from epoch 2 or later prove a
-		// commit happened (epoch e+1 files are only ever written after
-		// epoch e committed), so the record was destroyed — corruption.
-		// Epoch-1-only chunks are the leftovers of a Create killed before
-		// its first flip: nothing was ever durable, recreating is safe.
-		if maxChunkEpoch(filepath.Join(dir, "chunks")) > 1 {
-			return nil, fmt.Errorf("%w: committed chunks present but no valid version record", ErrCorrupted)
-		}
-		return nil, fmt.Errorf("%w: store at %s was never committed", ErrNoStore, dir)
-	}
 
 	chunksDir := filepath.Join(dir, "chunks")
 	ents, err := os.ReadDir(chunksDir)
@@ -50,58 +33,57 @@ func Open(dir string) (*Store, error) {
 	}
 	// Pick, per chunk, the newest epoch ≤ committed; collect everything
 	// else (strays from interrupted persists, superseded epochs not yet
-	// GCed) for deletion after a successful load.
+	// GCed) for deletion after a successful load. best holds the data
+	// chunks' epochs, then the state chunk's.
 	var garbage []string
-	stateBest := uint64(0)
-	best := s.chunkEpoch // zeroed; reused as the per-chunk best epoch
+	nChunks := len(s.chunkEpoch)
+	best := make([]uint64, nChunks+1)
 	for _, e := range ents {
 		name := e.Name()
 		kind, idx, epoch, ok := parseChunkName(name)
 		if !ok {
 			continue // foreign file; leave it alone
 		}
-		if epoch > committed {
-			garbage = append(garbage, filepath.Join(chunksDir, name))
-			continue
+		if kind == kindState {
+			idx = nChunks
 		}
 		switch {
-		case kind == kindData && idx < s.nChunks:
-			if epoch > best[idx] {
-				if best[idx] != 0 {
-					garbage = append(garbage, filepath.Join(chunksDir, s.dataChunkName(idx, best[idx])))
-				}
-				best[idx] = epoch
-			} else {
-				garbage = append(garbage, filepath.Join(chunksDir, name))
+		case epoch > committed || kind == kindData && idx >= nChunks:
+			garbage = append(garbage, filepath.Join(chunksDir, name))
+		case epoch > best[idx]:
+			if best[idx] != 0 {
+				garbage = append(garbage, filepath.Join(chunksDir, chunkName(kind, idx, best[idx])))
 			}
-		case kind == kindState:
-			if epoch > stateBest {
-				if stateBest != 0 {
-					garbage = append(garbage, filepath.Join(chunksDir, fmt.Sprintf("s-%d", stateBest)))
-				}
-				stateBest = epoch
-			} else {
-				garbage = append(garbage, filepath.Join(chunksDir, name))
-			}
+			best[idx] = epoch
 		default:
 			garbage = append(garbage, filepath.Join(chunksDir, name))
 		}
 	}
-	for ci := 0; ci < s.nChunks; ci++ {
+	copy(s.chunkEpoch, best)
+	s.stateEpoch = best[nChunks]
+	for ci := 0; ci < nChunks; ci++ {
 		if best[ci] == 0 {
 			return nil, fmt.Errorf("%w: data chunk %d has no file at or below committed epoch %d", ErrCorrupted, ci, committed)
 		}
-		if err := s.loadDataChunk(ci, best[ci]); err != nil {
+		raw, err := s.readChunk(kindData, ci, best[ci])
+		if err != nil {
+			return nil, err
+		}
+		lo, hi := chunkRange(s.tree, ci)
+		if err := parseDataChunk(raw, s.tree, g.BlockBytes, ci, best[ci], s.slots[lo*g.Z:hi*g.Z]); err != nil {
 			return nil, err
 		}
 	}
-	if stateBest == 0 {
+	if s.stateEpoch == 0 {
 		return nil, fmt.Errorf("%w: no state chunk at or below committed epoch %d", ErrCorrupted, committed)
 	}
-	if err := s.loadStateChunk(stateBest); err != nil {
+	raw, err := s.readChunk(kindState, 0, s.stateEpoch)
+	if err != nil {
 		return nil, err
 	}
-	s.stateEpoch = stateBest
+	if s.verSeq, err = parseStateChunk(raw, s.stateEpoch, s.leaves); err != nil {
+		return nil, err
+	}
 	s.epoch = committed
 	// Only after the full load succeeded: retire garbage (a failed load
 	// must leave the directory untouched for post-mortem inspection).
@@ -111,100 +93,56 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) dataChunkName(idx int, epoch uint64) string {
-	return fmt.Sprintf("d%d-%d", idx, epoch)
-}
-
-// readChunkFile reads and authenticates one chunk file, returning its
-// payload (after the header, before the CRC).
-func (s *Store) readChunkFile(kind byte, idx int, epoch uint64) ([]byte, error) {
+// readChunk reads chunk file (kind, idx, epoch) whole.
+func (s *Store) readChunk(kind byte, idx int, epoch uint64) ([]byte, error) {
 	path := s.chunkPath(kind, idx, epoch)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading %s: %v", ErrCorrupted, filepath.Base(path), err)
 	}
-	if len(raw) < chunkHdrSize+4 {
-		return nil, fmt.Errorf("%w: %s truncated (%d bytes)", ErrCorrupted, filepath.Base(path), len(raw))
-	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("%w: %s fails its checksum", ErrCorrupted, filepath.Base(path))
-	}
-	if string(body[:4]) != chunkMagic || body[4] != kind ||
-		binary.LittleEndian.Uint32(body[5:]) != uint32(idx) ||
-		binary.LittleEndian.Uint64(body[9:]) != epoch {
-		return nil, fmt.Errorf("%w: %s carries a foreign identity", ErrCorrupted, filepath.Base(path))
-	}
-	return body[chunkHdrSize:], nil
+	return raw, nil
 }
 
-func (s *Store) loadDataChunk(ci int, epoch uint64) error {
-	payload, err := s.readChunkFile(kindData, ci, epoch)
+// Probe is Open's first step, and writes nothing: the geometry from the
+// meta record and the committed epoch from the version record, without
+// loading or deleting a chunk. It fails as Open does: ErrNoStore when
+// nothing was ever committed, ErrCorrupted when a commit's records are
+// damaged.
+func Probe(dir string) (oram.StoreGeometry, uint64, error) {
+	committed, err := readVersionFile(filepath.Join(dir, "version"))
 	if err != nil {
-		return err
+		return oram.StoreGeometry{}, 0, err
 	}
-	lo, hi := s.bucketRange(ci)
-	slotSize := 16 + 16 + s.geom.BlockBytes
-	want := (hi - lo) * s.tree.Z * slotSize
-	if len(payload) != want {
-		return fmt.Errorf("%w: data chunk %d epoch %d: %d payload bytes, want %d", ErrCorrupted, ci, epoch, len(payload), want)
-	}
-	off := 0
-	for b := lo; b < hi; b++ {
-		for z := 0; z < s.tree.Z; z++ {
-			var sl oram.Slot
-			sl.IV1 = binary.LittleEndian.Uint64(payload[off:])
-			sl.IV2 = binary.LittleEndian.Uint64(payload[off+8:])
-			sl.SealedHeader = append([]byte(nil), payload[off+16:off+32]...)
-			sl.SealedData = append([]byte(nil), payload[off+32:off+32+s.geom.BlockBytes]...)
-			s.slots[b*s.tree.Z+z] = sl
-			off += slotSize
+	if committed == 0 {
+		// Chunks from epoch 2 or later prove a commit happened (epoch
+		// e+1 files are only ever written after epoch e committed), so
+		// the record was destroyed. Epoch-1-only chunks are the
+		// leftovers of a Create killed before its first flip: nothing
+		// was ever durable, recreating is safe.
+		if maxChunkEpoch(filepath.Join(dir, "chunks")) > 1 {
+			return oram.StoreGeometry{}, 0, fmt.Errorf("%w: committed chunks present but no valid version record", ErrCorrupted)
 		}
+		return oram.StoreGeometry{}, 0, fmt.Errorf("%w: store at %s was never committed", ErrNoStore, dir)
 	}
-	s.chunkEpoch[ci] = epoch
-	return nil
-}
-
-func (s *Store) loadStateChunk(epoch uint64) error {
-	payload, err := s.readChunkFile(kindState, 0, epoch)
+	// A commit happened, so the meta record Create wrote first is there.
+	raw, err := os.ReadFile(filepath.Join(dir, "meta"))
 	if err != nil {
-		return err
+		return oram.StoreGeometry{}, 0, fmt.Errorf("%w: reading meta: %v", ErrCorrupted, err)
 	}
-	if len(payload) < 8 {
-		return fmt.Errorf("%w: state chunk epoch %d truncated", ErrCorrupted, epoch)
-	}
-	s.verSeq = binary.LittleEndian.Uint32(payload)
-	if rootLen := binary.LittleEndian.Uint32(payload[4:]); rootLen != 0 {
-		return fmt.Errorf("%w: state chunk epoch %d: root length %d, want 0", ErrCorrupted, epoch, rootLen)
-	}
-	if want := 8 + 4*len(s.leaves); len(payload) != want {
-		return fmt.Errorf("%w: state chunk epoch %d: %d payload bytes, want %d", ErrCorrupted, epoch, len(payload), want)
-	}
-	leaves := s.tree.Leaves()
-	for i := range s.leaves {
-		l := binary.LittleEndian.Uint32(payload[8+4*i:])
-		if uint64(l) >= leaves {
-			return fmt.Errorf("%w: state chunk epoch %d: leaf %d out of range for addr %d", ErrCorrupted, epoch, l, i)
-		}
-		s.leaves[i] = l
-	}
-	return nil
+	g, err := parseMeta(raw)
+	return g, committed, err
 }
-
-// errNoVersion distinguishes "no valid version record" (maybe a fresh
-// store) from hard IO failures inside readVersionFile.
-var errNoVersion = errors.New("filestore: no valid version record")
 
 // readVersionFile returns the committed epoch: the highest epoch among
-// the (up to two) valid records. A torn record — mid-write when the
-// power died — fails its CRC and is ignored; the OTHER slot still holds
-// the previous commit, which is exactly the fallback the dual-slot
-// layout buys.
+// the (up to two) valid records, 0 if there is none. A torn record —
+// mid-write when the power died — fails its CRC and is ignored; the
+// OTHER slot still holds the previous commit, which is exactly the
+// fallback the dual-slot layout buys.
 func readVersionFile(path string) (uint64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, errNoVersion
+			return 0, nil
 		}
 		return 0, err
 	}
@@ -230,9 +168,6 @@ func readVersionFile(path string) (uint64, error) {
 			bestEpoch = epoch
 		}
 	}
-	if bestEpoch == 0 {
-		return 0, errNoVersion
-	}
 	return bestEpoch, nil
 }
 
@@ -250,35 +185,4 @@ func maxChunkEpoch(chunksDir string) uint64 {
 		}
 	}
 	return max
-}
-
-// readMeta loads and validates the immutable geometry record.
-func readMeta(path string) (oram.StoreGeometry, error) {
-	var g oram.StoreGeometry
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return g, fmt.Errorf("%w: no meta at %s", ErrNoStore, path)
-		}
-		return g, err
-	}
-	const metaSize = 4 + 4 + 8 + 4 + 4 + 4 + 8 + 4
-	if len(raw) != metaSize || string(raw[:4]) != metaMagic {
-		return g, fmt.Errorf("%w: bad meta record", ErrCorrupted)
-	}
-	if crc32.Checksum(raw[:metaSize-4], castagnoli) != binary.LittleEndian.Uint32(raw[metaSize-4:]) {
-		return g, fmt.Errorf("%w: meta fails its checksum", ErrCorrupted)
-	}
-	if v := binary.LittleEndian.Uint32(raw[4:]); v != formatVer {
-		return g, fmt.Errorf("%w: unsupported format version %d", ErrCorrupted, v)
-	}
-	g.Scheme = binary.LittleEndian.Uint64(raw[8:])
-	g.Levels = int(binary.LittleEndian.Uint32(raw[16:]))
-	g.Z = int(binary.LittleEndian.Uint32(raw[20:]))
-	g.BlockBytes = int(binary.LittleEndian.Uint32(raw[24:]))
-	g.NumBlocks = binary.LittleEndian.Uint64(raw[28:])
-	if err := validGeometry(g); err != nil {
-		return g, fmt.Errorf("%w: %v", ErrCorrupted, err)
-	}
-	return g, nil
 }

@@ -3,10 +3,12 @@ package psoram
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/trace"
 )
 
@@ -111,6 +113,62 @@ func TestStoreCrashRecover(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("lost durable value across crash: %q", got)
+	}
+}
+
+// durableSchemes are the schemes that keep every acknowledged write
+// across a power failure between accesses: a persistence domain, or a
+// stash and PosMap built from NVM.
+func durableSchemes() []Scheme {
+	var out []Scheme
+	for _, s := range Schemes() {
+		if p := s.Policy(); p.Persistent() || p.OnChip != config.MediumSRAM {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestCrashNowKeepsAcknowledgedWrites: CrashNow is a power failure
+// between accesses, so every scheme that promises durability reads back
+// every acknowledged write after it and Recover.
+func TestCrashNowKeepsAcknowledgedWrites(t *testing.T) {
+	for _, scheme := range durableSchemes() {
+		t.Run(scheme.String(), func(t *testing.T) {
+			s, err := New(64, WithScheme(scheme), WithRNGSeed(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want := make(map[uint64][]byte)
+			for a := uint64(0); a < 16; a++ {
+				want[a] = make([]byte, s.BlockSize())
+				copy(want[a], fmt.Sprintf("acked %d", a))
+				if err := s.Write(a, want[a]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := uint64(0); i < 40; i++ {
+				if _, err := s.Read(16 + i%48); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.CrashNow(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			for a := uint64(0); a < 16; a++ {
+				got, err := s.Read(a)
+				if err != nil {
+					t.Fatalf("addr %d after CrashNow and Recover: %v", a, err)
+				}
+				if !bytes.Equal(got, want[a]) {
+					t.Fatalf("addr %d = %.12q after CrashNow and Recover, acknowledged %.12q", a, got, want[a])
+				}
+			}
+		})
 	}
 }
 
