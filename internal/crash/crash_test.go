@@ -268,6 +268,53 @@ func TestFullNVMPrefixRecoveryCounts(t *testing.T) {
 	}
 }
 
+// TestRcrBaselineUnreachablePosMapBlockIsCorruption pins how recovery
+// treats a PosMap block it cannot reach: as corruption, which the
+// read-back surfaces, not as an error. Rcr-Baseline's Top-map updates are
+// volatile, so a crash in access 0 of the matrix's seed-11 stream (step
+// 4, the target's only copy in the lost stash) recovers the top PosMap
+// tree's old leaves. The block that access moved, holding the leaves of
+// addresses 16-31, is then unreachable: Recover counts the 16 entries it
+// could not re-derive and returns nil, and the one address the
+// read-back cannot find lies among them.
+func TestRcrBaselineUnreachablePosMapBlockIsCorruption(t *testing.T) {
+	r, w, _ := Matrix(50, 11)
+	ctl, err := core.New(config.SchemeRcrBaseline, r.Cfg, core.Options{NumBlocks: r.Blocks, Levels: r.Levels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	var unrecoverable int64
+	var affected []uint64
+	inspect := func(c *core.Controller) {
+		unrecoverable = c.Counters().Get("crash.unrecoverable_posmap_blocks")
+		k := uint64(c.Rec.EntriesPerBlock)
+		for a := uint64(0); a < c.ORAM.NumBlocks(); a++ {
+			if _, err := c.Rec.Levels[0].Peek(oram.Addr(a / k)); err != nil {
+				affected = append(affected, a)
+			}
+		}
+	}
+	trial, err := oracle.RunTrial(ctl, w.Ops(r.Cfg.BlockBytes), core.CrashPoint{Access: 0, Step: 4, Sub: -1}, inspect)
+	if err != nil {
+		t.Fatalf("recovery over an unreachable PosMap block failed: %v", err)
+	}
+	if !trial.Fired || len(ctl.Rec.Levels) != 1 {
+		t.Fatalf("%v over %d PosMap trees; want a fired point over one", trial, len(ctl.Rec.Levels))
+	}
+	if unrecoverable != 16 || len(affected) != 16 || affected[0] != 16 || affected[15] != 31 {
+		t.Fatalf("crash.unrecoverable_posmap_blocks = %d, unreachable entries %v; want the 16 of addresses 16-31", unrecoverable, affected)
+	}
+	if !slices.Equal(trial.Unreadable, []uint64{31}) || trial.Consistent() {
+		t.Fatalf("%v (unreadable %v); want address 31 unreadable and the point inconsistent", trial, trial.Unreadable)
+	}
+	for _, a := range trial.Unreadable {
+		if !slices.Contains(affected, a) {
+			t.Errorf("address %d unreadable, but its PosMap block was recovered", a)
+		}
+	}
+}
+
 // TestMatrixTrialCatchesSabotage is the mutation test through the
 // matrix's path (a timed controller from Matrix's config, the LCG op
 // stream): a recovered stash block whose payload the history never wrote
