@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/nvm"
 	"repro/internal/oram"
@@ -85,16 +84,9 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 	if err := c.checkSealVersions(); err != nil {
 		return Result{}, err
 	}
-	var (
-		res Result
-		err error
-	)
-	if c.policy.Recursive {
-		res, err = c.accessRecursive(op, addr, data)
-	} else {
-		res, err = c.accessFlat(op, addr, data)
-	}
+	res, err := c.access(op, addr, data)
 	if err != nil {
+		c.abandonBatch()
 		return res, err
 	}
 	// Durable backend: commit this access's mutations — with one persist
@@ -119,97 +111,67 @@ func (c *Controller) Access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 // when a seal-version cursor it may draw from — the data tree's, or a
 // recursive PosMap tree's — is about to wrap.
 func (c *Controller) checkSealVersions() error {
-	if err := c.ORAM.CheckSealVersions(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if c.Rec != nil {
-		for i, lvl := range c.Rec.Levels {
-			if err := lvl.CheckSealVersions(); err != nil {
-				return fmt.Errorf("core: PosMap tree %d: %w", i+1, err)
+	for r, t := range c.trees {
+		if err := t.CheckSealVersions(); err != nil {
+			if r > 0 {
+				err = fmt.Errorf("PosMap tree %d: %w", r, err)
 			}
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil
 }
 
-// accessFlat runs the 5-step protocol for the non-recursive schemes.
-func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
+// access runs steps 1-6 of the protocol (§4.2.1) for every scheme. The
+// two things a scheme varies are bound once, by newController from its
+// Policy: c.lookup, the position source step 2 reads and remaps a
+// block's leaf through, and c.evict, step 5's write-back.
+func (c *Controller) access(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
 	start := c.now
-	persistent := c.policy.WPQAtomic()
 
-	// Make room in the temporary PosMap before remapping a new address
-	// (the controller drains the oldest pending block with a background
-	// eviction access, §4.2.3 discussion).
-	if persistent {
-		if _, pending := c.Temp.Lookup(addr); !pending {
-			for c.Temp.Full() {
-				if err := c.drainOldestPending(); err != nil {
-					return Result{}, err
-				}
-			}
-		}
-	}
-
-	// -- Step 1: check stash (the path access proceeds either way; a hit
-	// only means the value is served from the stash copy).
-	c.epoch++
-
-	// -- Step 2: access PosMap, draw the new leaf, back up the label.
-	l := c.currentLeaf(addr)
+	// -- Step 2: draw the new leaf; the position source returns the
+	// current one, records the new one, and says when the data path's
+	// load may issue.
 	lNew := c.ORAM.RandomLeaf()
-	var remapSeq uint64
-	switch {
-	case persistent:
-		// PS-ORAM: the fresh label goes to the *temporary* PosMap; the
-		// durable PosMap is untouched until the block's eviction commits.
-		remapSeq = c.Temp.Set(addr, lNew)
-	case c.policy.OnChip != config.MediumSRAM:
-		// FullNVM: the on-chip PosMap is NVM — the update is durable the
-		// moment it is written (and that is exactly the atomicity bug:
-		// the paper's Case 1b).
-		c.ORAM.PosMap.Put(addr, lNew)
-		c.durable.Put(addr, lNew)
-		c.mirrorLeaf(addr, lNew)
-		c.timeOnChipNVM(nvm.Read) // lookup
-		c.timeOnChipNVM(nvm.Write)
-	default:
-		// Baseline / eADR: volatile working map.
-		c.ORAM.PosMap.Put(addr, lNew)
-		c.inflight.active = true
-		c.inflight.addr = addr
-		c.inflight.oldLeaf = l
+	l, earliest, err := c.lookup(addr, lNew)
+	if err != nil {
+		return Result{}, err
 	}
 	if c.maybeCrash(2, -1) {
 		return Result{}, ErrCrashed
 	}
+	if c.follow != nil {
+		c.follow(addr, lNew)
+	}
 
-	// -- Step 3: load path l, and serve the request from the stash.
-	blk, err := c.loadAndServe(op, addr, data, l, lNew, start)
-	if err != nil {
+	// -- Steps 1 and 3: load path l, and serve the request from the stash
+	// (a stash hit only means the value is served from the stash copy;
+	// the path access proceeds either way). The block takes its new leaf.
+	if err := c.loadDataPath(l, addr, earliest); err != nil {
 		return Result{}, err
 	}
+	blk := c.ORAM.Stash.Get(addr)
+	if blk == nil {
+		return Result{}, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", addr, l)
+	}
+	c.scratch.prev = append(c.scratch.prev[:0], blk.Data...)
+	if op == oram.OpWrite {
+		copy(blk.Data, data)
+		blk.Dirty = true
+	}
+	blk.Leaf = lNew
 
 	// -- Step 4: update stash and back up the data block. From here the
 	// stash copy carries the new leaf, so the remap is no longer
 	// cancellable (eADR's drain now preserves stash + map coherently).
 	c.inflight.active = false
-	if persistent {
-		blk.PendingRemap = true
-		blk.RemapSeq = remapSeq
-		bak := c.getStashBlock()
-		bak.Addr = addr
-		bak.Leaf = lNew
-		bak.Data = append(bak.Data, blk.Data...)
-		bak.Backup = true
-		bak.BackupLeaf = l
-		if blk.OriginEpoch == c.epoch {
-			// The backup replaces the target's just-consumed copy: give
-			// it the same slot so the ordered eviction stays cycle-free.
-			bak.OriginEpoch = c.epoch
-			bak.OriginBucket = blk.OriginBucket
-			bak.OriginSlot = blk.OriginSlot
-		}
-		c.ORAM.Stash.PutBackup(bak)
+	if c.policy.WPQAtomic() {
+		// The backup (§4.2.1; Rcr-PS-ORAM "backs up the accessed target
+		// data blocks every time") replaces the target's just-consumed
+		// copy. The pending mark exempts the target from the must-return
+		// set while giving it eviction priority.
+		blk.PendingRemap, blk.RemapSeq = true, c.scratch.remapSeq
+		c.putBackup(blk, durableCopy{leaf: l, bucket: blk.OriginBucket, slot: blk.OriginSlot}, blk.OriginEpoch == c.epoch)
 		*c.hBackups++
 	}
 	if c.maybeCrash(4, -1) {
@@ -217,12 +179,12 @@ func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result
 	}
 
 	// -- Step 5: evict path l.
-	evicted, dirty, err := c.evictTimed(l)
+	evicted, dirty, err := c.evict(l)
 	if err != nil {
 		return Result{}, err
 	}
-	if c.ORAM.Stash.Overflowed() {
-		return Result{}, fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, c.ORAM.Stash.Len(), c.ORAM.Stash.Capacity())
+	if err := stashOverflow(c.ORAM.Stash); err != nil {
+		return Result{}, err
 	}
 	if c.maybeCrash(6, -1) {
 		return Result{}, ErrCrashed
@@ -234,49 +196,102 @@ func (c *Controller) accessFlat(op oram.Op, addr oram.Addr, data []byte) (Result
 		PathLeaf:      l,
 		DirtyEntries:  dirty,
 		EvictedBlocks: evicted,
+		ChainBlocks:   c.scratch.chainBlocks,
 	}, nil
 }
 
-// loadAndServe is the data path's step 3 and the serving half of step 4:
-// load path l (no earlier than earliest), serve op on addr from the
-// stash — its previous value lands in c.scratch.prev — and give the
-// block its new leaf lNew.
-func (c *Controller) loadAndServe(op oram.Op, addr oram.Addr, data []byte, l, lNew oram.Leaf, earliest mem.Cycle) (*oram.StashBlock, error) {
+// putBackup adds a backup of live stash block b to the stash: b's value
+// under its new leaf, sealed under cp.leaf, the leaf the durable PosMap
+// still names, so that it is b's durable continuation until b's pending
+// remap merges. With inPlace the backup replaces the copy at cp's slot
+// of this access's path and takes that very slot (planIdentity), which
+// keeps the ordered eviction cycle-free.
+func (c *Controller) putBackup(b *oram.StashBlock, cp durableCopy, inPlace bool) {
+	bak := c.getStashBlock()
+	bak.Addr, bak.Leaf = b.Addr, b.Leaf
+	bak.Data = append(bak.Data, b.Data...)
+	bak.Backup, bak.BackupLeaf = true, cp.leaf
+	if inPlace {
+		bak.OriginEpoch, bak.OriginBucket, bak.OriginSlot = c.epoch, cp.bucket, cp.slot
+	}
+	c.ORAM.Stash.PutBackup(bak)
+}
+
+// stashOverflow is the error of a stash a write-back left over its
+// capacity, else nil.
+func stashOverflow(s *oram.Stash) error {
+	if s.Overflowed() {
+		return fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, s.Len(), s.Capacity())
+	}
+	return nil
+}
+
+// lookupTemp is PS-ORAM's position source (§4.1): the fresh leaf goes to
+// the temporary PosMap, and the durable PosMap is untouched until the
+// block's eviction commits. Before it remaps an address the map does not
+// hold yet, it makes room by draining the oldest pending block with a
+// background eviction access (§4.2.3 discussion).
+func (c *Controller) lookupTemp(addr oram.Addr, lNew oram.Leaf) (oram.Leaf, mem.Cycle, error) {
+	start := c.now
+	if _, pending := c.Temp.Lookup(addr); !pending {
+		for c.Temp.Full() {
+			if err := c.drainOldestPending(); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	l := c.currentLeaf(addr)
+	c.scratch.remapSeq = c.Temp.Set(addr, lNew)
+	return l, start, nil
+}
+
+// lookupWriteThrough is FullNVM's position source: the on-chip PosMap is
+// NVM, so the update is durable the moment it is written (and that is
+// exactly the atomicity bug: the paper's Case 1b).
+func (c *Controller) lookupWriteThrough(addr oram.Addr, lNew oram.Leaf) (oram.Leaf, mem.Cycle, error) {
+	start := c.now
+	l := c.ORAM.PosMap.Lookup(addr)
+	c.ORAM.PosMap.Put(addr, lNew)
+	c.durable.Put(addr, lNew)
+	c.mirrorLeaf(addr, lNew)
+	c.timeOnChipNVM(nvm.Read) // lookup
+	c.timeOnChipNVM(nvm.Write)
+	return l, start, nil
+}
+
+// lookupInFlight is the position source of Baseline and eADR-ORAM: a
+// volatile working map, whose remap stays cancellable until step 4
+// (eADR's power-fail drain undoes it).
+func (c *Controller) lookupInFlight(addr oram.Addr, lNew oram.Leaf) (oram.Leaf, mem.Cycle, error) {
+	l := c.ORAM.PosMap.Lookup(addr)
+	c.ORAM.PosMap.Put(addr, lNew)
+	c.inflight.active, c.inflight.addr, c.inflight.oldLeaf = true, addr, l
+	return l, c.now, nil
+}
+
+// loadDataPath is the data path's step 3, for an access and for PS-ORAM's
+// drain alike: load path l (no earlier than earliest) and charge its
+// decryption.
+func (c *Controller) loadDataPath(l oram.Leaf, target oram.Addr, earliest mem.Cycle) error {
 	c.stageMark()
-	loaded, loadDone, err := c.loadPathTimed(l, addr, earliest)
+	n, loadDone, err := c.loadPathTimed(l, target, earliest)
 	c.stageAdd(StageLoad)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c.markOrigin(loaded)
-	c.now = maxCycle(c.now, loadDone) + mem.Cycle(c.ORAM.Engine.DecryptLatency(len(loaded)))
-
-	blk := c.ORAM.Stash.Get(addr)
-	if blk == nil {
-		return nil, fmt.Errorf("core: block %d not found on path %d nor in stash (corrupt state)", addr, l)
-	}
-	c.scratch.prev = append(c.scratch.prev[:0], blk.Data...)
-	if op == oram.OpWrite {
-		copy(blk.Data, data)
-		blk.Dirty = true
-	}
-	blk.Leaf = lNew
-	return blk, nil
+	c.now = max(c.now, loadDone) + mem.Cycle(c.ORAM.Engine.DecryptLatency(n))
+	return nil
 }
 
-// markOrigin tags freshly loaded blocks with the current epoch so the
-// evictor knows which blocks MUST return to this path.
-func (c *Controller) markOrigin(loaded []*oram.StashBlock) {
-	for _, b := range loaded {
-		b.OriginEpoch = c.epoch
-	}
-}
-
-// loadPathTimed reads the path both functionally (into the stash) and on
-// the device model. target is the in-flight address whose header still
-// carries the pre-remap leaf (relevant to FullNVM, which remaps before
-// the load). Crash points fire after each bucket.
-func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.Cycle) ([]*oram.StashBlock, mem.Cycle, error) {
+// loadPathTimed reads the data path to l both functionally (into the
+// stash) and on the device model, as a new epoch: the blocks it brings in
+// are tagged with it, so the evictor knows which blocks MUST return to
+// this path. target is the in-flight address whose header still carries
+// the pre-remap leaf (relevant to FullNVM, which remaps before the load).
+// Crash points fire after each bucket. It returns the number of blocks
+// loaded and the cycle the path's reads complete.
+func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.Cycle) (int, mem.Cycle, error) {
+	c.epoch++
 	clear(c.endangered)
 	c.scratch.path = c.ORAM.Tree.PathInto(c.scratch.path[:0], l)
 	path := c.scratch.path
@@ -293,7 +308,7 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 		// Functional load of this bucket.
 		before := len(c.scratch.loaded)
 		if err := c.loadBucket(c.ORAM, bucket, l, target); err != nil {
-			return nil, 0, err
+			return 0, 0, err
 		}
 		if c.onchipNVM != nil {
 			// FullNVM: each fetched block is written into the NVM stash.
@@ -302,10 +317,13 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 			}
 		}
 		if c.maybeCrash(3, i) {
-			return nil, 0, ErrCrashed
+			return 0, 0, ErrCrashed
 		}
 	}
-	return c.scratch.loaded, done, nil
+	for _, b := range c.scratch.loaded {
+		b.OriginEpoch = c.epoch
+	}
+	return len(c.scratch.loaded), done, nil
 }
 
 // loadBucket is the functional half of loading one bucket of the path to
@@ -365,7 +383,7 @@ func (c *Controller) loadSlot(ctl *oram.Controller, bucket uint64, z int, l oram
 	// write a replacement backup.
 	if dataTree && existing != nil && existing.PendingRemap && c.policy.WPQAtomic() &&
 		c.durable.Lookup(addr) == leaf {
-		c.endangered[addr] = endangeredCopy{leaf: leaf, bucket: bucket, slot: z}
+		c.endangered[addr] = durableCopy{leaf: leaf, bucket: bucket, slot: z}
 	}
 	// The in-flight target's header still carries the pre-remap leaf.
 	current := l
@@ -429,11 +447,6 @@ func (c *Controller) timeOnChipNVM(op nvm.Op) {
 //     metadata can only become durable by evicting them);
 //  3. everything else, deepest first.
 func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
-	if !c.policy.WPQAtomic() {
-		// Non-persistent schemes have no crash-consistency obligations:
-		// plain greedy Path ORAM eviction.
-		return c.greedyOrder(c.ORAM, l)
-	}
 	must := append(c.scratch.must[:0], c.ORAM.Stash.Backups()...)
 	pending := c.scratch.pending[:0]
 	rest := c.scratch.rest[:0]
@@ -460,64 +473,11 @@ func (c *Controller) evictionOrder(l oram.Leaf) []*oram.StashBlock {
 
 // greedyOrder is plain Path ORAM's eviction order onto path l of tree
 // ctl: its live blocks, deepest first. It holds no backup or pending
-// remap: only evictionOrder's data trees do.
+// remap: only the persistent schemes' data trees do (evictionOrder).
 func (c *Controller) greedyOrder(ctl *oram.Controller, l oram.Leaf) []*oram.StashBlock {
 	c.scratch.order = ctl.Stash.AppendLive(c.scratch.order[:0])
 	c.sortByDepth(ctl.Tree, l, c.scratch.order)
 	return c.scratch.order
-}
-
-// evictTimed runs step 5 for the flat schemes, dispatching on the
-// persistence mode. Returns (#real blocks written, #posmap entries
-// persisted).
-func (c *Controller) evictTimed(l oram.Leaf) (int, int, error) {
-	// Replace endangered durable continuations: each gets a fresh backup
-	// sealed under its durable leaf, written back with this path (legal:
-	// the destroyed copy sat on this path at a level both paths share).
-	for addr, cp := range c.endangered {
-		sb := c.ORAM.Stash.Get(addr)
-		if sb == nil {
-			continue // evicted meanwhile; its entry merge will cover it
-		}
-		dup := false
-		for _, b := range c.ORAM.Stash.Backups() {
-			if b.Addr == addr && b.BackupLeaf == cp.leaf {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		bak := c.getStashBlock()
-		bak.Addr = addr
-		bak.Leaf = sb.Leaf
-		bak.Data = append(bak.Data, sb.Data...)
-		bak.Backup = true
-		bak.BackupLeaf = cp.leaf
-		// Replace the endangered copy in place.
-		bak.OriginEpoch = c.epoch
-		bak.OriginBucket = cp.bucket
-		bak.OriginSlot = cp.slot
-		c.ORAM.Stash.PutBackup(bak)
-		c.counters.Inc("psoram.rescue_backups")
-	}
-	clear(c.endangered)
-
-	c.stageMark()
-	smallWPQ := c.ORAM.Tree.PathBlocks() > c.Cfg.DataWPQEntries ||
-		(c.policy.PosMap == config.EntriesPath && c.ORAM.Tree.PathBlocks() > c.Cfg.PosMapWPQEntries)
-	// Ordered multi-batch mode: identity placement kills the displacement
-	// cycles that small WPQs cannot commit atomically.
-	if err := c.planEviction(l, c.policy.WPQAtomic() && smallWPQ); err != nil {
-		return 0, 0, err
-	}
-	c.stageAdd(StageEvict)
-
-	if c.policy.WPQAtomic() {
-		return c.evictPersistent(l)
-	}
-	return c.evictPosted(l)
 }
 
 // mustReturn reports whether live stash block b must go back to the path
@@ -528,10 +488,10 @@ func (c *Controller) mustReturn(b *oram.StashBlock) bool {
 	return b.OriginEpoch == c.epoch && c.epoch != 0 && !b.PendingRemap
 }
 
-// planEviction fills c.scratch.plan for the data path to l — by identity
-// placement (planIdentity) or in evictionOrder — and charges the path's
-// encryption. A persistent scheme fails when a backup or a must-return
-// block did not fit; the baselines tolerate lingering.
+// planEviction fills c.scratch.plan for the data path to l of a
+// persistent scheme — by identity placement (planIdentity) or in
+// evictionOrder — and charges the path's encryption. It fails when a
+// backup or a must-return block did not fit.
 func (c *Controller) planEviction(l oram.Leaf, identity bool) error {
 	var unplaced []*oram.StashBlock
 	if identity {
@@ -540,11 +500,9 @@ func (c *Controller) planEviction(l oram.Leaf, identity bool) error {
 		c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.evictionOrder(l), c.scratch.plan.rows, c.scratch.plan.used, c.scratch.unplaced)
 		unplaced = c.scratch.unplaced
 	}
-	if c.policy.WPQAtomic() {
-		for _, b := range unplaced {
-			if b.Backup || c.mustReturn(b) {
-				return fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)
-			}
+	for _, b := range unplaced {
+		if b.Backup || c.mustReturn(b) {
+			return fmt.Errorf("core: must-evict block %d did not fit path %d", b.Addr, l)
 		}
 	}
 	c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
@@ -624,11 +582,18 @@ func (c *Controller) planIdentity(l oram.Leaf) (unplaced []*oram.StashBlock) {
 	return unplaced
 }
 
-// evictPosted writes the data tree's plan through the volatile write
-// buffer (Baseline, FullNVM, eADR, Rcr-Baseline): fast, coalesced, and
-// lost on crash before completion.
+// evictPosted is the write-back of Baseline, FullNVM, eADR-ORAM and
+// Rcr-Baseline: plain greedy Path ORAM eviction (no crash-consistency
+// obligation: a block that does not fit lingers in the stash), written
+// through the volatile write buffer — fast, coalesced, and lost on crash
+// before completion.
 func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
-	real, err := c.writeBack(0, c.planSlots(0, l, true), nil)
+	c.stageMark()
+	plan := &c.scratch.plan
+	c.scratch.unplaced = c.ORAM.PlanEvictionInto(l, c.greedyOrder(c.ORAM, l), plan.rows, plan.used, c.scratch.unplaced)
+	c.now += mem.Cycle(c.ORAM.Engine.EncryptLatency(c.ORAM.Tree.PathBlocks()))
+	c.stageAdd(StageEvict)
+	real, err := c.writeBack(0, c.planSlots(0, l, true))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -641,18 +606,18 @@ func (c *Controller) evictPosted(l oram.Leaf) (int, int, error) {
 // returns the number of real blocks written; its only error is
 // ErrCrashed, from a posted data-tree write-back.
 //
-// Into an open batch (Rcr-PS-ORAM) every write is applied at once, so
-// later steps of the same access read the path as written, and logged
-// for an undo until the batch commits: a data-tree slot is a data WPQ
-// entry, a PosMap-tree slot a PosMap WPQ entry. Without a batch the
+// Into the access's open batch (Rcr-PS-ORAM) every write is applied at
+// once, so later steps of the same access read the path as written, and
+// logged for an undo until the batch commits: a data-tree slot is a data
+// WPQ entry, a PosMap-tree slot a PosMap WPQ entry. Without a batch the
 // writes are posted: on either tree they all issue at the current cycle
 // and the caller proceeds at the latest admission; a write the device
 // completes later is logged with its completion cycle. On the data tree
 // a crash point follows every slot: a power failure there loses what is
 // still buffered, and ErrCrashed is returned once the plan's blocks have
 // left the stash. A PosMap tree has no crash point.
-func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch) (real int, err error) {
-	ctl, _ := c.tree(region)
+func (c *Controller) writeBack(region int, slots []plannedSlot) (real int, err error) {
+	ctl, batch := c.trees[region], c.scratch.batch
 	img := ctl.Image
 	if batch == nil {
 		img.Release(0, uint64(c.now)) // what is complete by now is durable
@@ -673,7 +638,7 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 		case !crashed: // after a power failure the rest is never written
 			p, done := c.Mem.WriteBlockPosted(loc, c.now)
 			s.writeTo(img, done, c.now)
-			proceed = maxCycle(proceed, p)
+			proceed = max(proceed, p)
 			if region == 0 {
 				if c.onchipNVM != nil && s.block != nil {
 					c.timeOnChipNVM(nvm.Read) // read the block out of the NVM stash
@@ -682,12 +647,7 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 			}
 		}
 		if b := s.block; b != nil {
-			if b.Backup {
-				ctl.Stash.RemoveBackup(b)
-			} else {
-				ctl.Stash.Remove(b.Addr)
-			}
-			c.scratch.evicted = append(c.scratch.evicted, b)
+			c.retire(ctl, b)
 			real++
 		}
 	}
@@ -698,4 +658,17 @@ func (c *Controller) writeBack(region int, slots []plannedSlot, batch *mem.Batch
 		c.now = proceed
 	}
 	return real, nil
+}
+
+// retire moves block b, written back, out of the stash of tree ctl into
+// c.scratch.evicted, where it waits to recycle; a live block's pending
+// remap, if any, went with the write.
+func (c *Controller) retire(ctl *oram.Controller, b *oram.StashBlock) {
+	if b.Backup {
+		ctl.Stash.RemoveBackup(b)
+	} else {
+		ctl.Stash.Remove(b.Addr)
+		b.PendingRemap = false
+	}
+	c.scratch.evicted = append(c.scratch.evicted, b)
 }

@@ -5,10 +5,13 @@
 //
 // The same controller also runs the comparison protocols of §5.1
 // (Baseline, FullNVM, FullNVM(STT), Naïve-PS-ORAM, Rcr-Baseline,
-// Rcr-PS-ORAM, eADR-ORAM), selected by config.Scheme, so every evaluated
-// system shares one code path and differs only in its persistence rules.
-// It is the only Path ORAM access engine: the data tree and every
-// recursive PosMap tree are loaded by the same walk (loadSlot) and
+// Rcr-PS-ORAM, eADR-ORAM), so every evaluated system shares one access
+// procedure (access, steps 1-6) and differs only in two functions bound
+// at construction from the scheme's config.Policy: the position source
+// of step 2 (a flat map, or the recursive chain walk) and the write-back
+// of step 5 (posted, persistent, or Rcr-PS-ORAM's access-spanning
+// batch). It is the only Path ORAM access engine: the data tree and
+// every recursive PosMap tree are loaded by the same walk (loadSlot) and
 // written back by the same write-back (planSlots, writeBack);
 // internal/oram holds the trees' state and the placement rule.
 //
@@ -105,7 +108,7 @@ type Controller struct {
 	// this access would strand the block (its durable leaf would point
 	// at an overwritten slot). The slot location lets the replacement
 	// backup take the destroyed copy's exact slot.
-	endangered map[oram.Addr]endangeredCopy
+	endangered map[oram.Addr]durableCopy
 
 	// inflight tracks the uncommitted remap of the access in progress
 	// (between step 2 and step 4). eADR's power-fail drain cancels it:
@@ -144,18 +147,35 @@ type Controller struct {
 		// they recycle (an access that fails leaves them to the next).
 		evicted []*oram.StashBlock
 		ordered orderedScratch // evictOrdered's working sets
-		// Rcr-PS-ORAM's access-spanning batch: each tree's undo-log mark
-		// (index = region), and the Top-map update it stages.
-		marks   []int
-		topIdx  oram.Addr
-		topLeaf oram.Leaf
+		// remapSeq is the temporary PosMap's sequence number of the
+		// access's remap (lookupTemp), the target's eviction priority.
+		remapSeq uint64
+		// Rcr-PS-ORAM's access-spanning batch (nil when none is open):
+		// each tree's undo-log mark (index = region), the Top-map update
+		// it stages, and the target it force-evicts.
+		batch               *mem.Batch
+		marks               []int
+		topIdx, target      oram.Addr
+		topLeaf, targetLeaf oram.Leaf
 		// The recursive chain walk: per PosMap tree, the block on the
-		// chain, its next leaf, and the leaf of the path read.
+		// chain, its next leaf, and the leaf of the path read; and the
+		// PosMap blocks the walk read and wrote (Result.ChainBlocks).
 		chain struct {
 			idx         []oram.Addr
 			next, paths []oram.Leaf
 		}
+		chainBlocks int
 	}
+
+	// What a scheme varies in an access (see bindProtocol). lookup is
+	// step 2's position source: addr's current leaf, with lNew recorded
+	// as the next one, and the earliest cycle the data path's load may
+	// issue. follow, if set, runs once step 2's crash point is past.
+	// evict is step 5's write-back of the data path: the real blocks
+	// written and the PosMap entries persisted.
+	lookup func(addr oram.Addr, lNew oram.Leaf) (l oram.Leaf, earliest mem.Cycle, err error)
+	follow func(addr oram.Addr, lNew oram.Leaf)
+	evict  func(l oram.Leaf) (evicted, dirty int, err error)
 
 	// gathered folds what oram.Image.Gather read ahead of each load walk;
 	// it is kept only so that those loads are not discarded.
@@ -187,8 +207,8 @@ type Controller struct {
 	hBackups  *int64 // psoram.backups
 	hDirty    *int64 // psoram.dirty_entries
 	// freeBlocks holds spare stash blocks (Data retains its capacity):
-	// the single-batch eviction returns its evicted blocks here (see
-	// finishEvicted).
+	// every write-back returns its evicted blocks here (see
+	// recycleEvicted).
 	freeBlocks []*oram.StashBlock
 
 	// CrashAt, when non-nil, is consulted at every crash point; returning
@@ -209,10 +229,11 @@ type Controller struct {
 	// schemes to.
 	storage *filestore.Store
 
-	// levelPlans is the eviction-plan scratch of the recursive PosMap
-	// trees, c.Rec.Levels[i]'s at index i (the data tree's is
-	// scratch.plan).
-	levelPlans []planRows
+	// trees holds every tree the engine keeps in memory, by region: 0
+	// the data tree, i the i-th recursive PosMap tree; plans holds each
+	// one's eviction plan (the data tree's is scratch.plan).
+	trees []*oram.Controller
+	plans []*planRows
 }
 
 // Options tunes construction beyond the scheme and config.
@@ -343,8 +364,9 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		Temp:    oram.NewTempPosMap(cfg.TempPosMapSize),
 		storage: st,
 	}
-	c.endangered = make(map[oram.Addr]endangeredCopy)
+	c.endangered = make(map[oram.Addr]durableCopy)
 	c.scratch.plan = newPlanRows(oc.Tree)
+	c.trees, c.plans = []*oram.Controller{oc}, []*planRows{&c.scratch.plan}
 	c.scratch.real = make([]int32, len(c.scratch.plan.flat))
 	if t, ok := policy.OnChip.Timing(); ok && !opts.Untimed {
 		c.onchipNVM = nvm.NewDevice(t, 8, cfg.BlockBytes)
@@ -374,7 +396,8 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		c.Rec = rec
 		c.durableTop = rec.Top.Clone()
 		for _, lvl := range rec.Levels {
-			c.levelPlans = append(c.levelPlans, newPlanRows(lvl.Tree))
+			plan := newPlanRows(lvl.Tree)
+			c.trees, c.plans = append(c.trees, lvl), append(c.plans, &plan)
 		}
 		n := len(rec.Levels)
 		c.scratch.marks = make([]int, 1+n)
@@ -382,19 +405,44 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		c.scratch.chain.next, c.scratch.chain.paths = make([]oram.Leaf, n), make([]oram.Leaf, n)
 	}
 	// every lists the slots of the longest path of any tree.
-	longest := len(c.scratch.plan.flat)
-	for _, p := range c.levelPlans {
+	longest := 0
+	for _, p := range c.plans {
 		longest = max(longest, len(p.flat))
 	}
 	c.scratch.every = make([]int32, longest)
 	for i := range c.scratch.every {
 		c.scratch.every[i] = int32(i)
 	}
+	c.bindProtocol()
 	c.hAccesses = c.counters.Handle("oram.accesses")
 	c.hBackups = c.counters.Handle("psoram.backups")
 	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	c.group = opts.GroupCommit
 	return c, nil
+}
+
+// bindProtocol picks the scheme's position source and write-back from
+// its Policy, once: the flat map of PS-ORAM (lookupTemp), FullNVM
+// (lookupWriteThrough) or the rest (lookupInFlight), or the recursive
+// chain walk (walkChain, walkChainBatch), whose data-tree working map
+// follows the chain; and the posted, persistent or batch write-back
+// (evictPosted, evictPersistent, evictBatch).
+func (c *Controller) bindProtocol() {
+	p := c.policy
+	c.lookup, c.evict = c.lookupInFlight, c.evictPosted
+	switch {
+	case p.Recursive && p.WPQAtomic():
+		c.lookup, c.evict = c.walkChainBatch, c.evictBatch
+	case p.Recursive:
+		c.lookup = c.walkChain
+	case p.WPQAtomic():
+		c.lookup, c.evict = c.lookupTemp, c.evictPersistent
+	case p.OnChip != config.MediumSRAM:
+		c.lookup = c.lookupWriteThrough
+	}
+	if p.Recursive {
+		c.follow = c.ORAM.PosMap.Put
+	}
 }
 
 // Now returns the current simulated time in core cycles. Under
@@ -413,9 +461,9 @@ func (c *Controller) Counters() *stats.Counters { return &c.counters }
 // the recovery checker.
 func (c *Controller) DurablePosMap() *oram.PosMap { return c.durable }
 
-// endangeredCopy locates a durable continuation copy about to be
-// overwritten.
-type endangeredCopy struct {
+// durableCopy locates a block's durable continuation copy on the path
+// of the access in progress: its leaf and its slot.
+type durableCopy struct {
 	leaf   oram.Leaf
 	bucket uint64
 	slot   int
@@ -492,8 +540,8 @@ func (c *Controller) powerFail() {
 	} else {
 		c.Mem.Crash(c.now)
 	}
-	for r := 0; r <= len(c.levelPlans); r++ {
-		c.image(r).Rollback(0, lostAfter)
+	for _, t := range c.trees {
+		t.Image.Rollback(0, lostAfter)
 	}
 	switch {
 	case c.policy.OnChip != config.MediumSRAM:
@@ -514,13 +562,10 @@ func (c *Controller) powerFail() {
 		c.syncDurablePosMap()
 	default:
 		// SRAM structures vanish.
-		c.ORAM.Stash.Clear()
-		c.Temp.Clear()
-		if c.Rec != nil {
-			for _, lvl := range c.Rec.Levels {
-				lvl.Stash.Clear()
-			}
+		for _, t := range c.trees {
+			t.Stash.Clear()
 		}
+		c.Temp.Clear()
 	}
 }
 
@@ -554,9 +599,7 @@ func (c *Controller) Recover() error {
 	}
 	switch {
 	case c.Rec != nil:
-		if err := c.recoverRecursive(); err != nil {
-			return err
-		}
+		c.reloadChain()
 	case c.policy.OnChip != config.MediumSRAM:
 		// The on-chip map *is* durable; durable view follows it.
 		c.durable = c.ORAM.PosMap.Clone()

@@ -319,7 +319,6 @@ func (c *Controller) orderedFlush() error {
 	}
 	c.now = done
 	c.applyCommitted(o.pending)
-	c.finishEvicted(o.pending)
 	o.real += r
 	o.dirty += d
 	c.counters.Inc("psoram.ordered_batches")

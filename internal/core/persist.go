@@ -81,22 +81,6 @@ func newPlanRows(t oram.Tree) planRows {
 	return p
 }
 
-// tree returns the tree the engine keeps in memory region region — 0
-// the data tree, i the i-th recursive PosMap tree — and its eviction
-// plan.
-func (c *Controller) tree(region int) (*oram.Controller, *planRows) {
-	if region == 0 {
-		return c.ORAM, &c.scratch.plan
-	}
-	return c.Rec.Levels[region-1], &c.levelPlans[region-1]
-}
-
-// image is the image of the tree in region.
-func (c *Controller) image(region int) *oram.Image {
-	ctl, _ := c.tree(region)
-	return ctl.Image
-}
-
 // planSlots lays out the eviction of the plan of the tree in region
 // onto its path l (step 5-A): which block lands in which slot, under
 // which IVs and version.
@@ -115,7 +99,7 @@ func (c *Controller) image(region int) *oram.Image {
 // bucket. The returned slice is c.scratch.slots (valid until the next
 // planSlots call).
 func (c *Controller) planSlots(region int, l oram.Leaf, every bool) []plannedSlot {
-	ctl, plan := c.tree(region)
+	ctl, plan := c.trees[region], c.plans[region]
 	t := ctl.Tree
 	c.scratch.path = t.PathInto(c.scratch.path[:0], l)
 	flat := plan.flat
@@ -198,17 +182,28 @@ func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 	}
 }
 
-// evictPersistent implements PS-ORAM eviction (§4.2.2) of the data plan
-// onto path l: write the path, identify the dirty PosMap entries, push
-// both into the WPQs between the drainer's start/end signals, and flush.
-// Naïve-PS-ORAM differs only in flushing a PosMap entry for every slot on
-// the path instead of just the dirty ones.
+// evictPersistent is PS-ORAM's write-back (§4.2.2) of path l: plan the
+// path — by identity placement when the WPQs are smaller than a path —
+// write it, identify the dirty PosMap entries, push both into the WPQs
+// between the drainer's start/end signals, and flush. Naïve-PS-ORAM
+// differs only in flushing a PosMap entry for every slot on the path
+// instead of just the dirty ones.
 //
 // On success the controller's durable state advanced atomically; dirty
 // temporary-PosMap entries of evicted blocks are merged into the durable
 // PosMap and dropped from the temporary one.
 func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
+	c.rescueEndangered()
+	c.stageMark()
 	t := c.ORAM.Tree
+	// Ordered multi-batch mode: identity placement kills the displacement
+	// cycles that small WPQs cannot commit atomically.
+	smallWPQ := t.PathBlocks() > c.Cfg.DataWPQEntries ||
+		(c.policy.PosMap == config.EntriesPath && t.PathBlocks() > c.Cfg.PosMapWPQEntries)
+	if err := c.planEviction(l, smallWPQ); err != nil {
+		return 0, 0, err
+	}
+	c.stageAdd(StageEvict)
 	real, dirty := c.occupiedSlots()
 	// posmap lists the slots whose write puts an entry into the PosMap
 	// WPQ behind its data entry.
@@ -254,7 +249,6 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	c.applyCommitted(slots)
 	// The evicted stash blocks are dead (the overlay copied their
 	// payloads), so they recycle.
-	c.finishEvicted(slots)
 	c.recycleEvicted()
 	c.stageAdd(StageSeal)
 	*c.hDirty += int64(len(dirty))
@@ -312,39 +306,50 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 // recorded in the overlay, which copies the payload (AES runs only if
 // some reader later observes the slot) — and, for a block whose pending
 // remap the batch carried, the merge of that remap into the durable
-// PosMap.
+// PosMap; then the written block leaves the stash (retire).
 func (c *Controller) applyCommitted(slots []plannedSlot) {
 	for i := range slots {
 		s := &slots[i]
 		s.writeTo(c.ORAM.Image, c.now, c.now)
+		b := s.block
+		if b == nil {
+			continue
+		}
 		if s.merges() {
-			b := s.block
 			c.durable.Put(b.Addr, b.Leaf)
 			c.mirrorLeaf(b.Addr, b.Leaf)
 			c.ORAM.PosMap.Put(b.Addr, b.Leaf)
 			c.Temp.Delete(b.Addr)
 		}
+		c.retire(c.ORAM, b)
 	}
 }
 
-// finishEvicted removes committed blocks from the stash, keeping them in
-// c.scratch.evicted for the caller to recycle, and emits durability
-// events for every value the committed batch made reachable from the
-// durable PosMap (applyCommitted has merged every remap by now).
-func (c *Controller) finishEvicted(slots []plannedSlot) {
-	for i := range slots {
-		b := slots[i].block
-		if b == nil {
+// rescueEndangered replaces the endangered durable continuations the
+// load met (see Controller.endangered): each gets a fresh backup sealed
+// under its durable leaf in the destroyed copy's slot, written back with
+// this path (legal: that copy sat on this path at a level both paths
+// share).
+func (c *Controller) rescueEndangered() {
+	for addr, cp := range c.endangered {
+		sb := c.ORAM.Stash.Get(addr)
+		if sb == nil {
+			continue // evicted meanwhile; its entry merge will cover it
+		}
+		dup := false
+		for _, b := range c.ORAM.Stash.Backups() {
+			if b.Addr == addr && b.BackupLeaf == cp.leaf {
+				dup = true
+				break
+			}
+		}
+		if dup {
 			continue
 		}
-		if b.Backup {
-			c.ORAM.Stash.RemoveBackup(b)
-		} else {
-			c.ORAM.Stash.Remove(b.Addr)
-			b.PendingRemap = false
-		}
-		c.scratch.evicted = append(c.scratch.evicted, b)
+		c.putBackup(sb, cp, true)
+		c.counters.Inc("psoram.rescue_backups")
 	}
+	clear(c.endangered)
 }
 
 // drainOldestPending performs a background eviction access on the oldest
@@ -357,14 +362,10 @@ func (c *Controller) drainOldestPending() error {
 		return nil
 	}
 	l := c.currentLeaf(addr)
-	c.epoch++
-	loaded, loadDone, err := c.loadPathTimed(l, addr, c.now)
-	if err != nil {
+	if err := c.loadDataPath(l, addr, c.now); err != nil {
 		return err
 	}
-	c.markOrigin(loaded)
-	c.now = maxCycle(c.now, loadDone) + mem.Cycle(c.ORAM.Engine.DecryptLatency(len(loaded)))
-	if _, _, err := c.evictTimed(l); err != nil {
+	if _, _, err := c.evict(l); err != nil {
 		return err
 	}
 	if _, still := c.Temp.Lookup(addr); still {

@@ -7,147 +7,28 @@ import (
 	"repro/internal/oram"
 )
 
-// accessRecursive implements Rcr-Baseline and Rcr-PS-ORAM: the position
-// lookup walks the recursive PosMap (each level a real ORAM access whose
-// path is written back to NVM every time), then the data path access
-// proceeds as usual. Rcr-PS-ORAM additionally (a) wraps the entire
-// access — every posmap path, the data path, the backup block, and the
-// Top-map update — in one atomic WPQ batch, and (b) force-evicts the
-// accessed block at every level, so a crash anywhere either keeps the
-// whole access or discards it whole.
-func (c *Controller) accessRecursive(op oram.Op, addr oram.Addr, data []byte) (Result, error) {
-	start := c.now
-	var batch *mem.Batch // open for Rcr-PS-ORAM, nil for Rcr-Baseline
-	if c.policy.WPQAtomic() {
-		// The access's writes into the batch are logged in each tree's
-		// undo log from its mark on, and taken back if it never commits.
-		for r := range c.scratch.marks {
-			c.scratch.marks[r] = c.image(r).Mark()
-		}
-		batch = c.Mem.BeginBatch()
-		defer func() {
-			if batch != nil {
-				batch.Abandon()
-				for r, mark := range c.scratch.marks {
-					c.image(r).Rollback(mark, uint64(c.now))
-				}
-			}
-		}()
-	}
-
-	// Position chain: translate addr and install the fresh data leaf.
-	lNew := c.ORAM.RandomLeaf()
-	l, chainBlocks, err := c.walkChain(addr, lNew, batch)
-	if err != nil {
-		return Result{}, err
-	}
-	if c.maybeCrash(2, -1) {
-		return Result{}, ErrCrashed
-	}
-
-	// Keep the data controller's flat map coherent with the chain (it is
-	// the on-chip working view; the chain is the durable truth).
-	c.ORAM.PosMap.Put(addr, lNew)
-
-	// Data path access.
-	c.epoch++
-	blk, err := c.loadAndServe(op, addr, data, l, lNew, c.now)
-	if err != nil {
-		return Result{}, err
-	}
-	if batch != nil {
-		// Backup block (paper: Rcr-PS-ORAM "backs up the accessed target
-		// data blocks every time"), and force-evict the target so the
-		// durably recorded leaf always points at a resident copy. The
-		// PendingRemap mark exempts the target from the must-return set
-		// (its backup is its durable continuation) while giving it
-		// eviction priority.
-		blk.PendingRemap = true
-		bak := c.getStashBlock()
-		bak.Addr, bak.Leaf = addr, lNew
-		bak.Data = append(bak.Data, blk.Data...)
-		bak.Backup, bak.BackupLeaf = true, l
-		c.ORAM.Stash.PutBackup(bak)
-		*c.hBackups++
-	}
-	if c.maybeCrash(4, -1) {
-		return Result{}, ErrCrashed
-	}
-
-	// Evict the data path.
-	var evicted int
-	if batch == nil {
-		// Rcr-Baseline: posted writes, no atomicity, the flat baselines'
-		// eviction.
-		if evicted, _, err = c.evictTimed(l); err != nil {
-			return Result{}, err
-		}
-	} else {
-		if err := c.planEviction(l, false); err != nil {
-			return Result{}, err
-		}
-		slots := c.planSlots(0, l, true)
-		evicted, _ = c.writeBack(0, slots, batch) // batched: no crash point
-		// Force-evict the data target too.
-		if _, err := c.forceEvict(0, addr, lNew, batch); err != nil {
-			return Result{}, err
-		}
-		// Crash points while the WPQs fill, before the "end" signal:
-		// the access-spanning batch is discarded whole.
-		for i := range slots {
-			if c.maybeCrash(5, i) {
-				return Result{}, ErrCrashed
-			}
-		}
-		done, err := batch.Commit(c.now)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: recursive eviction batch: %w", err)
-		}
-		batch = nil
-		c.now = done
-		// Durable: the whole access committed — its writes stand and its
-		// Top-map update reaches durableTop.
-		for r, mark := range c.scratch.marks {
-			c.image(r).Release(mark, oram.NeverDone)
-		}
-		c.durableTop.Put(c.scratch.topIdx, c.scratch.topLeaf)
-		c.recycleEvicted()
-	}
-	if c.ORAM.Stash.Overflowed() {
-		return Result{}, fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, c.ORAM.Stash.Len(), c.ORAM.Stash.Capacity())
-	}
-	if c.maybeCrash(6, -1) {
-		return Result{}, ErrCrashed
-	}
-	return Result{
-		Value:         c.scratch.prev,
-		Start:         start,
-		End:           c.now,
-		PathLeaf:      l,
-		EvictedBlocks: evicted,
-		ChainBlocks:   chainBlocks,
-	}, nil
-}
-
-// walkChain resolves addr's current leaf through the recursive PosMap
-// and records lNew as its next one. It walks the PosMap trees top-down:
-// at each one it accesses the block holding the child's entry, reading
-// the child's current leaf and splicing in the child's next leaf — drawn
-// up front from the child tree's own RNG, since the parent records it
-// before the child's access runs. Rcr-PS-ORAM stages the walk's writes
-// and the Top-map update into batch and force-evicts every accessed
-// block. The chain's path reads are timed after the walk, so after its
-// writes, all from the access's start (DESIGN.md §5.1, "Chain timing in
-// the recursive schemes", says why). chainBlocks counts the PosMap
-// blocks read and written.
-func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch) (l oram.Leaf, chainBlocks int, err error) {
+// walkChain is the position source of the recursive schemes: it
+// resolves addr's current leaf through the recursive PosMap and records
+// lNew as its next one, and the data path's load waits for it. It walks
+// the PosMap trees top-down: at each one it accesses the block holding
+// the child's entry, reading the child's current leaf and splicing in the
+// child's next leaf — drawn up front from the child tree's own RNG, since
+// the parent records it before the child's access runs. The chain's path
+// reads are timed after the walk, so after its writes, all from the
+// access's start (DESIGN.md §5.1, "Chain timing in the recursive
+// schemes", says why). c.scratch.chainBlocks counts the PosMap blocks
+// read and written. The data tree's flat map is the on-chip working view
+// of the chain, the durable truth: it follows the chain once step 2 is
+// past (c.follow).
+func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf) (l oram.Leaf, earliest mem.Cycle, err error) {
 	rec := c.Rec
 	n := len(rec.Levels)
+	c.scratch.chainBlocks = 0
 	if n == 0 {
 		l = rec.Top.Lookup(addr)
 		rec.Top.Put(addr, lNew)
-		c.stageTopUpdate(addr, lNew, batch)
-		return l, 0, nil
+		c.stageTopUpdate(addr, lNew)
+		return l, c.now, nil
 	}
 	start := c.now
 	k := uint64(rec.EntriesPerBlock)
@@ -174,14 +55,14 @@ func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch)
 		if i == n-1 {
 			// The top tree's own leaf lives in the on-chip Top map (aliased
 			// to its flat PosMap).
-			c.stageTopUpdate(idx[i], next[i], batch)
+			c.stageTopUpdate(idx[i], next[i])
 		}
 		paths[i] = lvl.PosMap.Lookup(idx[i])
-		got, writes, err := c.accessLevel(i, idx[i], off, childNext, next[i], batch)
+		got, writes, err := c.accessLevel(i, idx[i], off, childNext, next[i])
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: PosMap tree %d: %w", i+1, err)
 		}
-		chainBlocks += writes + lvl.Tree.PathBlocks()
+		c.scratch.chainBlocks += writes + lvl.Tree.PathBlocks()
 		if i == 0 {
 			l = got
 		} else if want := rec.Levels[i-1].PosMap.Lookup(idx[i-1]); want != got {
@@ -194,23 +75,89 @@ func (c *Controller) walkChain(addr oram.Addr, lNew oram.Leaf, batch *mem.Batch)
 		var done mem.Cycle
 		c.scratch.path = rec.Levels[i].Tree.PathInto(c.scratch.path[:0], paths[i])
 		for _, bucket := range c.scratch.path {
-			done = maxCycle(done, c.Mem.ReadBucket(c.Mem.RegionTreeLocation(i+1, bucket, 0), start))
+			done = max(done, c.Mem.ReadBucket(c.Mem.RegionTreeLocation(i+1, bucket, 0), start))
 		}
-		c.now = maxCycle(c.now, done)
+		c.now = max(c.now, done)
 	}
-	return l, chainBlocks, nil
+	return l, c.now, nil
+}
+
+// walkChainBatch is Rcr-PS-ORAM's position source: the chain walk into
+// a batch that spans the entire access — every PosMap path, the data
+// path, the backup block and the Top-map update — with the accessed block
+// force-evicted at every level, so that a crash anywhere either keeps
+// the whole access or discards it whole. The access's writes into the
+// batch are logged in each tree's undo log from its mark on; evictBatch
+// commits the batch, and abandonBatch takes it back if the access fails
+// first.
+func (c *Controller) walkChainBatch(addr oram.Addr, lNew oram.Leaf) (oram.Leaf, mem.Cycle, error) {
+	for r := range c.scratch.marks {
+		c.scratch.marks[r] = c.trees[r].Image.Mark()
+	}
+	c.scratch.batch = c.Mem.BeginBatch()
+	c.scratch.target, c.scratch.targetLeaf = addr, lNew
+	return c.walkChain(addr, lNew)
+}
+
+// evictBatch is Rcr-PS-ORAM's write-back: the data path goes into the
+// access-spanning batch, and so does a force-eviction of the target, so
+// that the durably recorded leaf always points at a resident copy; then
+// the batch commits, and the access's Top-map update is durable.
+func (c *Controller) evictBatch(l oram.Leaf) (int, int, error) {
+	if err := c.planEviction(l, false); err != nil {
+		return 0, 0, err
+	}
+	slots := c.planSlots(0, l, true)
+	evicted, _ := c.writeBack(0, slots) // batched: no crash point
+	if _, err := c.forceEvict(0, c.scratch.target, c.scratch.targetLeaf); err != nil {
+		return 0, 0, err
+	}
+	// Crash points while the WPQs fill, before the "end" signal: the
+	// access-spanning batch is discarded whole.
+	for i := range slots {
+		if c.maybeCrash(5, i) {
+			return 0, 0, ErrCrashed
+		}
+	}
+	done, err := c.scratch.batch.Commit(c.now)
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: recursive eviction batch: %w", err)
+	}
+	c.scratch.batch = nil
+	c.now = done
+	// Durable: the whole access committed — its writes stand and its
+	// Top-map update reaches durableTop.
+	for r, mark := range c.scratch.marks {
+		c.trees[r].Image.Release(mark, oram.NeverDone)
+	}
+	c.durableTop.Put(c.scratch.topIdx, c.scratch.topLeaf)
+	c.recycleEvicted()
+	return evicted, 0, nil
+}
+
+// abandonBatch discards an access-spanning batch the access left open by
+// failing before its commit, and takes back every write logged into it.
+func (c *Controller) abandonBatch() {
+	if c.scratch.batch == nil {
+		return
+	}
+	c.scratch.batch.Abandon()
+	c.scratch.batch = nil
+	for r, mark := range c.scratch.marks {
+		c.trees[r].Image.Rollback(mark, uint64(c.now))
+	}
 }
 
 // stageTopUpdate persists an update of the on-chip Top map: Rcr-PS-ORAM
 // stages it into the access's batch so recovery can rebuild the chain
 // root (durableTop tracks the NVM copy); Rcr-Baseline's Top updates are
 // volatile. The chain walk stages one per access. The entry carries no
-// mutation: accessRecursive applies the update once the batch has
-// committed, which nothing can tell from applying it at the commit (the
-// argument of stageBatch).
-func (c *Controller) stageTopUpdate(idx oram.Addr, leaf oram.Leaf, batch *mem.Batch) {
-	if batch != nil {
-		batch.AddPosMap(c.Mem.PosMapLocation(uint64(idx)))
+// mutation: evictBatch applies the update once the batch has committed,
+// which nothing can tell from applying it at the commit (the argument of
+// stageBatch).
+func (c *Controller) stageTopUpdate(idx oram.Addr, leaf oram.Leaf) {
+	if c.scratch.batch != nil {
+		c.scratch.batch.AddPosMap(c.Mem.PosMapLocation(uint64(idx)))
 		c.scratch.topIdx, c.scratch.topLeaf = idx, leaf
 	}
 }
@@ -220,8 +167,8 @@ func (c *Controller) stageTopUpdate(idx oram.Addr, leaf oram.Leaf, batch *mem.Ba
 // entry at off for next (returning the entry it held), and write the
 // path back; Rcr-PS-ORAM then force-evicts the block. It returns the
 // entry and the number of slots written.
-func (c *Controller) accessLevel(i int, idx oram.Addr, off uint64, next, lNew oram.Leaf, batch *mem.Batch) (got oram.Leaf, writes int, err error) {
-	lvl, plan := c.tree(i + 1)
+func (c *Controller) accessLevel(i int, idx oram.Addr, off uint64, next, lNew oram.Leaf) (got oram.Leaf, writes int, err error) {
+	lvl := c.trees[i+1]
 	l := lvl.PosMap.Lookup(idx)
 	if err := c.loadLevelPath(lvl, l, idx); err != nil {
 		return 0, 0, err
@@ -236,17 +183,14 @@ func (c *Controller) accessLevel(i int, idx oram.Addr, off uint64, next, lNew or
 	blk.Dirty = true
 	blk.Leaf = lNew
 
-	c.scratch.unplaced = lvl.PlanEvictionInto(l, c.greedyOrder(lvl, l), plan.rows, plan.used, c.scratch.unplaced)
-	slots := c.planSlots(i+1, l, true)
-	c.writeBack(i+1, slots, batch) // a PosMap tree's write-back has no crash point
-	writes = len(slots)
-	if lvl.Stash.Overflowed() {
-		return 0, 0, fmt.Errorf("core: %w (%d > %d)", oram.ErrStashOverflow, lvl.Stash.Len(), lvl.Stash.Capacity())
+	writes = c.writePath(i+1, l, c.greedyOrder(lvl, l))
+	if err := stashOverflow(lvl.Stash); err != nil {
+		return 0, 0, err
 	}
-	if batch != nil {
+	if c.scratch.batch != nil {
 		// The parent durably recorded lNew: the block must not linger in
 		// the stash.
-		n, err := c.forceEvict(i+1, idx, lNew, batch)
+		n, err := c.forceEvict(i+1, idx, lNew)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -273,20 +217,19 @@ func (c *Controller) loadLevelPath(lvl *oram.Controller, l oram.Leaf, target ora
 // still resident, the path to leaf is loaded and evicted again into the
 // open batch. The block's leaf is that path's, so it places at worst at
 // the leaf. It returns the number of slots written.
-func (c *Controller) forceEvict(region int, addr oram.Addr, leaf oram.Leaf, batch *mem.Batch) (writes int, err error) {
-	ctl, plan := c.tree(region)
+func (c *Controller) forceEvict(region int, addr oram.Addr, leaf oram.Leaf) (writes int, err error) {
+	ctl := c.trees[region]
 	for try := 0; ctl.Stash.Get(addr) != nil; try++ {
 		if try >= 3 {
 			return writes, fmt.Errorf("core: block %d refuses to leave the stash after %d flushes", addr, try)
 		}
 		var order []*oram.StashBlock
 		if region == 0 {
-			c.epoch++
-			loaded, done, err := c.loadPathTimed(leaf, addr, c.now)
+			// Unlike an access's load, this one charges no decryption.
+			_, done, err := c.loadPathTimed(leaf, addr, c.now)
 			if err != nil {
 				return writes, err
 			}
-			c.markOrigin(loaded)
 			c.now = done
 			order = c.evictionOrder(leaf)
 		} else {
@@ -295,69 +238,54 @@ func (c *Controller) forceEvict(region int, addr oram.Addr, leaf oram.Leaf, batc
 			}
 			order = c.greedyOrder(ctl, leaf)
 		}
-		c.scratch.unplaced = ctl.PlanEvictionInto(leaf, order, plan.rows, plan.used, c.scratch.unplaced)
-		slots := c.planSlots(region, leaf, true)
-		c.writeBack(region, slots, batch) // batched: no crash point
-		writes += len(slots)
+		writes += c.writePath(region, leaf, order)
 		c.counters.Inc("psoram.rcr_flushes")
 	}
 	return writes, nil
 }
 
-func maxCycle(a, b mem.Cycle) mem.Cycle {
-	if a > b {
-		return a
-	}
-	return b
+// writePath places the blocks of order onto path l of the tree in region
+// and writes the path back, into the open batch or posted (a PosMap
+// tree's or a batched write-back has no crash point). It returns the
+// number of slots written.
+func (c *Controller) writePath(region int, l oram.Leaf, order []*oram.StashBlock) int {
+	ctl, plan := c.trees[region], c.plans[region]
+	c.scratch.unplaced = ctl.PlanEvictionInto(l, order, plan.rows, plan.used, c.scratch.unplaced)
+	slots := c.planSlots(region, l, true)
+	c.writeBack(region, slots)
+	return len(slots)
 }
 
-// recoverRecursive rebuilds the on-chip state of a recursive system from
-// NVM after a crash: the Top map is reloaded from its durable copy, and
-// every level's working PosMap (plus the data controller's working map)
-// is re-derived by walking the chain stored in the posmap-tree images —
-// exactly the information a restarted ORAM controller has.
+// reloadChain is the recursive source's half of recovery (§4.3): the
+// Top map is reloaded from its durable copy, and every PosMap tree's
+// working PosMap (plus the data tree's working map) is re-derived by
+// walking the chain stored in the PosMap trees' images — exactly the
+// information a restarted ORAM controller has.
 //
-// An unreachable posmap block is NOT an error here: it is corruption,
-// which the consistency checker will surface as unreadable addresses
-// (that is precisely what happens to Rcr-Baseline). The walk records
-// what it can and leaves the rest at the last coherent value.
-func (c *Controller) recoverRecursive() error {
+// A PosMap block it cannot reach is not an error: it is corruption,
+// which the read-back surfaces as unreadable addresses (that is
+// precisely what happens to Rcr-Baseline). The walk counts each entry it
+// cannot re-derive and leaves it at its last value.
+func (c *Controller) reloadChain() {
 	*c.Rec.Top = *c.durableTop.Clone()
-	k := uint64(c.Rec.EntriesPerBlock)
-	// Walk top-down: each level's leaves come packed in the level above.
-	for i := len(c.Rec.Levels) - 1; i >= 0; i-- {
-		lvl := c.Rec.Levels[i]
-		for idx := oram.Addr(0); uint64(idx) < lvl.NumBlocks(); idx++ {
-			var leaf oram.Leaf
-			if i == len(c.Rec.Levels)-1 {
-				leaf = c.Rec.Top.Lookup(idx)
-			} else {
-				parent := c.Rec.Levels[i+1]
-				pIdx := oram.Addr(uint64(idx) / k)
-				data, err := parent.Peek(pIdx)
-				if err != nil {
-					c.counters.Inc("crash.unrecoverable_posmap_blocks")
-					continue
-				}
-				leaf = oram.PackedLeaf(data, uint64(idx)%k)
+	k := oram.Addr(c.Rec.EntriesPerBlock)
+	// Walk top-down, region n to 0: each tree's leaves come packed in the
+	// tree above it, the top one's in the Top map (aliased to the data
+	// tree's map when the recursion is degenerate).
+	n := len(c.Rec.Levels)
+	for r := n; r >= 0; r-- {
+		ctl := c.trees[r]
+		for idx := oram.Addr(0); uint64(idx) < ctl.NumBlocks(); idx++ {
+			if r == n {
+				ctl.PosMap.Put(idx, c.Rec.Top.Lookup(idx))
+				continue
 			}
-			lvl.PosMap.Put(idx, leaf)
-		}
-	}
-	// Data map from level 1 (or Top when degenerate).
-	for addr := oram.Addr(0); uint64(addr) < c.ORAM.NumBlocks(); addr++ {
-		var leaf oram.Leaf
-		if len(c.Rec.Levels) == 0 {
-			leaf = c.Rec.Top.Lookup(addr)
-		} else {
-			data, err := c.Rec.Levels[0].Peek(oram.Addr(uint64(addr) / k))
+			data, err := c.Rec.Levels[r].Peek(idx / k)
 			if err != nil {
 				c.counters.Inc("crash.unrecoverable_posmap_blocks")
 				continue
 			}
-			leaf = oram.PackedLeaf(data, uint64(addr)%k)
+			ctl.PosMap.Put(idx, oram.PackedLeaf(data, uint64(idx%k)))
 		}
-		c.ORAM.PosMap.Put(addr, leaf)
 	}
-	return nil
 }

@@ -89,11 +89,8 @@ func (c *Controller) Close() error {
 
 // closeImages frees the data tree's image and every PosMap tree's.
 func (c *Controller) closeImages() {
-	c.ORAM.Image.Close()
-	if c.Rec != nil {
-		for _, lvl := range c.Rec.Levels {
-			lvl.Image.Close()
-		}
+	for _, t := range c.trees {
+		t.Image.Close()
 	}
 }
 

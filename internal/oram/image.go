@@ -268,9 +268,6 @@ func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordFor
 	return img, nil
 }
 
-// Storage returns the backing store.
-func (img *Image) Storage() Storage { return img.store }
-
 func (img *Image) slotIndex(bucket uint64, z int) uint64 {
 	return bucket*uint64(img.Tree.Z) + uint64(z)
 }
