@@ -399,7 +399,7 @@ func (c *Controller) loadSlot(ctl *oram.Controller, bucket uint64, z int, l oram
 	}
 	sb := existing
 	if sb != nil {
-		// On the data tree the resident copy wins: markOrigin stamps the
+		// On the data tree the resident copy wins: loadPathTimed stamps the
 		// epoch only after the whole path is loaded, so a copy already in
 		// the stash is either from an earlier access, and always fresher,
 		// or this block's own backup met earlier on this path, and

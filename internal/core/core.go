@@ -170,9 +170,12 @@ type Controller struct {
 	// What a scheme varies in an access (see bindProtocol). lookup is
 	// step 2's position source: addr's current leaf, with lNew recorded
 	// as the next one, and the earliest cycle the data path's load may
-	// issue. follow, if set, runs once step 2's crash point is past.
-	// evict is step 5's write-back of the data path: the real blocks
-	// written and the PosMap entries persisted.
+	// issue. follow, if set, records lNew once step 2's crash point is
+	// past: the recursive sources' data-tree working map, which a power
+	// failure at step 2 must find unchanged (reloadChain leaves an entry
+	// it cannot re-derive at its last value). evict is step 5's
+	// write-back of the data path: the real blocks written and the PosMap
+	// entries persisted.
 	lookup func(addr oram.Addr, lNew oram.Leaf) (l oram.Leaf, earliest mem.Cycle, err error)
 	follow func(addr oram.Addr, lNew oram.Leaf)
 	evict  func(l oram.Leaf) (evicted, dirty int, err error)
