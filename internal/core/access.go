@@ -292,7 +292,7 @@ func (c *Controller) loadDataPath(l oram.Leaf, target oram.Addr, earliest mem.Cy
 // loaded and the cycle the path's reads complete.
 func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.Cycle) (int, mem.Cycle, error) {
 	c.epoch++
-	clear(c.endangered)
+	c.endangered = c.endangered[:0]
 	c.scratch.path = c.ORAM.Tree.PathInto(c.scratch.path[:0], l)
 	path := c.scratch.path
 	// Start the path's cache misses before the walk below consumes them.
@@ -383,7 +383,7 @@ func (c *Controller) loadSlot(ctl *oram.Controller, bucket uint64, z int, l oram
 	// write a replacement backup.
 	if dataTree && existing != nil && existing.PendingRemap && c.policy.WPQAtomic() &&
 		c.durable.Lookup(addr) == leaf {
-		c.endangered[addr] = durableCopy{leaf: leaf, bucket: bucket, slot: z}
+		c.endanger(addr, durableCopy{leaf: leaf, bucket: bucket, slot: z})
 	}
 	// The in-flight target's header still carries the pre-remap leaf.
 	current := l

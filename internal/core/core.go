@@ -107,8 +107,10 @@ type Controller struct {
 	// eviction must re-emit a backup for each of them, or a crash after
 	// this access would strand the block (its durable leaf would point
 	// at an overwritten slot). The slot location lets the replacement
-	// backup take the destroyed copy's exact slot.
-	endangered map[oram.Addr]durableCopy
+	// backup take the destroyed copy's exact slot. The entries keep the
+	// load walk's order, one per address, so the rescue backups enter the
+	// stash in an order that replays.
+	endangered []endangeredCopy
 
 	// inflight tracks the uncommitted remap of the access in progress
 	// (between step 2 and step 4). eADR's power-fail drain cancels it:
@@ -367,7 +369,6 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		Temp:    oram.NewTempPosMap(cfg.TempPosMapSize),
 		storage: st,
 	}
-	c.endangered = make(map[oram.Addr]durableCopy)
 	c.scratch.plan = newPlanRows(oc.Tree)
 	c.trees, c.plans = []*oram.Controller{oc}, []*planRows{&c.scratch.plan}
 	c.scratch.real = make([]int32, len(c.scratch.plan.flat))
@@ -470,6 +471,26 @@ type durableCopy struct {
 	leaf   oram.Leaf
 	bucket uint64
 	slot   int
+}
+
+// endangeredCopy is the durable continuation of block addr that the
+// load walk met on the path it is about to overwrite.
+type endangeredCopy struct {
+	addr oram.Addr
+	durableCopy
+}
+
+// endanger records cp as the endangered continuation of addr: appended
+// in walk order, or, for an address met before, in place of the earlier
+// copy.
+func (c *Controller) endanger(addr oram.Addr, cp durableCopy) {
+	for i := range c.endangered {
+		if c.endangered[i].addr == addr {
+			c.endangered[i].durableCopy = cp
+			return
+		}
+	}
+	c.endangered = append(c.endangered, endangeredCopy{addr, cp})
 }
 
 // currentLeaf is the controller's live view of a block's leaf: the

@@ -188,6 +188,36 @@ func TestOrderedEvictionDeterministic(t *testing.T) {
 	}
 }
 
+// TestRescueOrderDeterministic: an access that rescues two or more
+// endangered continuations stashes their backups in the order its load
+// walk met them, so a stream replays exactly. With Z = 2 and four data
+// WPQ entries, the digest stream rescues several blocks at once; when the
+// rescues followed map order it ended in one of two state hashes.
+func TestRescueOrderDeterministic(t *testing.T) {
+	ops := digestStream(0xd16e57, digestOps)
+	var first string
+	for run := 0; run < 4; run++ {
+		c := digestVariant{name: "PS-ORAM/z2wpq4", scheme: config.SchemePSORAM, tune: func(c *config.Config) {
+			c.Z = 2
+			c.DataWPQEntries = 4
+		}}.build(t, false)
+		h := sha256.New()
+		for i, o := range ops {
+			hashAccess(h, i, o, c) // failed accesses are part of the hash
+		}
+		hashState(h, c)
+		if c.Counters().Get("psoram.rescue_backups") < 2 {
+			t.Fatalf("the stream rescued %d backups: this test has lost its subject", c.Counters().Get("psoram.rescue_backups"))
+		}
+		sum := hex.EncodeToString(h.Sum(nil))
+		if run == 0 {
+			first = sum
+		} else if sum != first {
+			t.Fatalf("run %d ends in state hash %s, run 0 in %s", run, sum, first)
+		}
+	}
+}
+
 // durableDigestOps is how many accesses the durable legs run before
 // hashing the store a second time.
 const durableDigestOps = 500

@@ -331,7 +331,8 @@ func (c *Controller) applyCommitted(slots []plannedSlot) {
 // this path (legal: that copy sat on this path at a level both paths
 // share).
 func (c *Controller) rescueEndangered() {
-	for addr, cp := range c.endangered {
+	for _, e := range c.endangered {
+		addr, cp := e.addr, e.durableCopy
 		sb := c.ORAM.Stash.Get(addr)
 		if sb == nil {
 			continue // evicted meanwhile; its entry merge will cover it
@@ -349,7 +350,7 @@ func (c *Controller) rescueEndangered() {
 		c.putBackup(sb, cp, true)
 		c.counters.Inc("psoram.rescue_backups")
 	}
-	clear(c.endangered)
+	c.endangered = c.endangered[:0]
 }
 
 // drainOldestPending performs a background eviction access on the oldest
