@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden loc clean
+.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden bless-digest loc clean
 
 all: check
 
@@ -167,6 +167,13 @@ experiments-check:
 # change. Justify the new numbers in the commit that re-blesses.
 bless-golden:
 	$(GO) test ./internal/sweep -run TestGoldenMetrics -update
+
+# bless-digest re-pins internal/core's protocol digests
+# (testdata/digest.json) after a deliberate behaviour change. A re-bless
+# goes in a commit of its own, which names the legs that moved and the
+# evidence that nothing else did.
+bless-digest:
+	$(GO) test ./internal/core -run TestProtocolDigest -update
 
 # loc prints the program's size: the line count of the non-test Go files
 # outside benchmark/, the figure a simplification reports before and
