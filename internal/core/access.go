@@ -59,7 +59,10 @@ type Result struct {
 	PathLeaf   oram.Leaf
 	// DirtyEntries is the number of PosMap entries persisted this access.
 	DirtyEntries int
-	// EvictedBlocks is the number of real blocks (incl. backups) written.
+	// EvictedBlocks is the number of real blocks, backups included, that
+	// the write-back placed on the path. A backup elided because its
+	// block merged in the same batch still counts: its slot's WPQ entry
+	// was written, holding a dummy.
 	EvictedBlocks int
 	// ChainBlocks is the recursive PosMap path work (Rcr-* schemes).
 	ChainBlocks int
@@ -205,7 +208,9 @@ func (c *Controller) access(op oram.Op, addr oram.Addr, data []byte) (Result, er
 // still names, so that it is b's durable continuation until b's pending
 // remap merges. With inPlace the backup replaces the copy at cp's slot
 // of this access's path and takes that very slot (planIdentity), which
-// keeps the ordered eviction cycle-free.
+// keeps the ordered eviction cycle-free. It reaches the image only while
+// it can be that continuation: a one-batch write-back that merges b's
+// remap drops it unwritten (elideDeadBackups).
 func (c *Controller) putBackup(b *oram.StashBlock, cp durableCopy, inPlace bool) {
 	bak := c.getStashBlock()
 	bak.Addr, bak.Leaf = b.Addr, b.Leaf

@@ -246,13 +246,55 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	for k, bucket := range c.scratch.path {
 		c.ORAM.Image.PutLazyDummies(bucket, c.scratch.ivBase+2*uint64(k*t.Z))
 	}
-	c.applyCommitted(slots)
+	c.applyCommitted(c.elideDeadBackups(slots, dirty))
 	// The evicted stash blocks are dead (the overlay copied their
 	// payloads), so they recycle.
 	c.recycleEvicted()
 	c.stageAdd(StageSeal)
 	*c.hDirty += int64(len(dirty))
 	return len(real), len(dirty), nil
+}
+
+// elideDeadBackups drops from the slots of a committed one-batch
+// write-back every backup of a block whose pending remap merges in that
+// same batch (one of dirty): the commit that would write the backup also
+// makes the live copy durable, so the backup could never be read. Its
+// slot keeps the dummy PutLazyDummies wrote, under the IVs and the
+// version already drawn for it, and the backup leaves the stash
+// unwritten. The staged WPQ entries are untouched: only the image's
+// content of those slots differs. It returns the slots left to apply,
+// compacted in place.
+func (c *Controller) elideDeadBackups(slots []plannedSlot, dirty []int32) []plannedSlot {
+	if len(dirty) == 0 {
+		return slots
+	}
+	plan := c.scratch.plan.flat
+	n := 0
+	for i := range slots {
+		if b := slots[i].block; b != nil && b.Backup && mergesIn(plan, dirty, b.Addr) {
+			c.retire(c.ORAM, b)
+			continue
+		}
+		if n != i {
+			slots[n] = slots[i]
+		}
+		n++
+	}
+	if elided := len(slots) - n; elided != 0 {
+		c.counters.Add("psoram.backups_elided", int64(elided))
+	}
+	return slots[:n]
+}
+
+// mergesIn reports whether one of the plan's dirty slots holds the live
+// copy of addr.
+func mergesIn(plan []*oram.StashBlock, dirty []int32, addr oram.Addr) bool {
+	for _, i := range dirty {
+		if plan[i].Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // posMapEntries is the PosMap WPQ demand of the write of s under the
