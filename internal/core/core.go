@@ -211,6 +211,9 @@ type Controller struct {
 	hAccesses *int64 // oram.accesses
 	hBackups  *int64 // psoram.backups
 	hDirty    *int64 // psoram.dirty_entries
+	// hElided is psoram.backups_elided, created at the first elision so
+	// that a scheme that never elides has no such counter.
+	hElided *int64
 	// freeBlocks holds spare stash blocks (Data retains its capacity):
 	// every write-back returns its evicted blocks here (see
 	// recycleEvicted).

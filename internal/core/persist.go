@@ -191,7 +191,8 @@ func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 //
 // On success the controller's durable state advanced atomically; dirty
 // temporary-PosMap entries of evicted blocks are merged into the durable
-// PosMap and dropped from the temporary one.
+// PosMap and dropped from the temporary one, and in one batch their
+// backups are not written (elideDeadBackups).
 func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	c.rescueEndangered()
 	c.stageMark()
@@ -281,7 +282,10 @@ func (c *Controller) elideDeadBackups(slots []plannedSlot, dirty []int32) []plan
 		n++
 	}
 	if elided := len(slots) - n; elided != 0 {
-		c.counters.Add("psoram.backups_elided", int64(elided))
+		if c.hElided == nil {
+			c.hElided = c.counters.Handle("psoram.backups_elided")
+		}
+		*c.hElided += int64(elided)
 	}
 	return slots[:n]
 }
