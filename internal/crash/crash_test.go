@@ -344,76 +344,85 @@ func TestMatrixTrialCatchesSabotage(t *testing.T) {
 	}
 }
 
-// elidedBackupAccess is access 22 of the matrix's seed-11 stream: a
-// write of address 7, which an earlier access wrote, whose step-4 backup
-// PS-ORAM elides because the block's remap merges in the access's one
-// write-back batch.
-const elidedBackupAccess = 22
-
-// TestElidedBackupCrashWindow crashes PS-ORAM in an access whose backup
-// is elided, at every step-5 sub-point (the batch is filling the WPQs)
-// and at step 6 (the batch has committed), recovers, and holds each
-// read-back to the prefix rule. Before the commit nothing of the access
-// exists; after it the block's merged live copy is its durable copy, so
-// the backup that was never written is never missed.
-func TestElidedBackupCrashWindow(t *testing.T) {
-	r, w, _ := Matrix(50, 11)
-	ops := w.Ops(r.Cfg.BlockBytes)
-	build := func() *core.Controller {
-		ctl, err := core.New(config.SchemePSORAM, r.Cfg, core.Options{NumBlocks: r.Blocks, Levels: r.Levels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctl
-	}
-	// The probe keeps the pin honest: the access elides a backup, and its
-	// batch offers a step-5 point per slot of the path.
-	probe := build()
-	defer probe.Close()
-	var elidedBefore, elidedAfter int64
-	subs := 0
-	probe.CrashAt = func(p core.CrashPoint) bool {
-		if p.Access == elidedBackupAccess {
-			switch p.Step {
-			case 4:
-				elidedBefore = probe.Counters().Get("psoram.backups_elided")
-			case 5:
-				subs++
-			case 6:
-				elidedAfter = probe.Counters().Get("psoram.backups_elided")
+// TestBackupCrashWindow crashes PS-ORAM in a pinned write, at every
+// step-5 sub-point (the batch is filling the WPQs) and at step 6 (the
+// batch has committed), recovers, and holds each read-back to the exact
+// prefix: the write is lost whole before the commit and durable whole
+// after it. Access 22 of the matrix's seed-11 stream rewrites address 7
+// and its backup is elided, because the block's remap merges in the
+// same batch: the merged live copy is then its durable copy, so the
+// backup that was never written is never missed. Access 9 of the seed-4
+// stream writes address 69, which stays pending, so its backup is
+// written and is the write's only durable copy.
+func TestBackupCrashWindow(t *testing.T) {
+	for _, pin := range []struct {
+		seed   uint64
+		access uint64
+		elided bool
+	}{{11, 22, true}, {4, 9, false}} {
+		r, w, _ := Matrix(50, pin.seed)
+		ops := w.Ops(r.Cfg.BlockBytes)
+		build := func() *core.Controller {
+			ctl, err := core.New(config.SchemePSORAM, r.Cfg, core.Options{NumBlocks: r.Blocks, Levels: r.Levels})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return ctl
 		}
-		return false
-	}
-	if _, err := oracle.Drive(probe, ops); err != nil {
-		t.Fatal(err)
-	}
-	if elidedAfter <= elidedBefore || !ops[elidedBackupAccess].Write {
-		t.Fatalf("access %d elides %d backups (write %v): the pin has lost its subject",
-			elidedBackupAccess, elidedAfter-elidedBefore, ops[elidedBackupAccess].Write)
-	}
-	if want := (r.Levels + 1) * r.Cfg.Z; subs != want {
-		t.Fatalf("access %d offers %d step-5 points, want one per path slot (%d)", elidedBackupAccess, subs, want)
-	}
-	points := []core.CrashPoint{{Access: elidedBackupAccess, Step: 6, Sub: -1}}
-	for sub := 0; sub < subs; sub++ {
-		points = append(points, core.CrashPoint{Access: elidedBackupAccess, Step: 5, Sub: sub})
-	}
-	for _, at := range points {
-		ctl := build()
-		trial, err := oracle.RunTrial(ctl, ops, at, nil)
-		ctl.Close()
+		// The probe keeps the pin honest: the access is a write that
+		// makes a backup and elides it or not, and its batch offers a
+		// step-5 point per slot of the path.
+		probe := build()
+		var backups, elided [2]int64
+		subs := 0
+		probe.CrashAt = func(p core.CrashPoint) bool {
+			if p.Access == pin.access {
+				k := -1
+				switch p.Step {
+				case 2:
+					k = 0
+				case 5:
+					subs++
+				case 6:
+					k = 1
+				}
+				if k >= 0 {
+					backups[k] = probe.Counters().Get("psoram.backups")
+					elided[k] = probe.Counters().Get("psoram.backups_elided")
+				}
+			}
+			return false
+		}
+		_, err := oracle.Drive(probe, ops)
+		probe.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Before the commit the write is lost whole; after it, it is
-		// durable whole.
-		want, not := elidedBackupAccess+1, elidedBackupAccess
-		if at.Step == 5 {
-			want, not = not, want
+		if !ops[pin.access].Write || backups[1] == backups[0] || (elided[1] > elided[0]) != pin.elided {
+			t.Fatalf("seed %d access %d: write %v, %d backups, %d elided; want a write whose backup is elided=%v: the pin has lost its subject",
+				pin.seed, pin.access, ops[pin.access].Write, backups[1]-backups[0], elided[1]-elided[0], pin.elided)
 		}
-		if !trial.Consistent() || !slices.Contains(trial.Matched, want) || slices.Contains(trial.Matched, not) {
-			t.Errorf("%v; want prefix %d, not %d", trial, want, not)
+		if want := (r.Levels + 1) * r.Cfg.Z; subs != want {
+			t.Fatalf("seed %d access %d offers %d step-5 points, want one per path slot (%d)", pin.seed, pin.access, subs, want)
+		}
+		points := []core.CrashPoint{{Access: pin.access, Step: 6, Sub: -1}}
+		for sub := 0; sub < subs; sub++ {
+			points = append(points, core.CrashPoint{Access: pin.access, Step: 5, Sub: sub})
+		}
+		for _, at := range points {
+			ctl := build()
+			trial, err := oracle.RunTrial(ctl, ops, at, nil)
+			ctl.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, not := int(pin.access)+1, int(pin.access)
+			if at.Step == 5 {
+				want, not = not, want
+			}
+			if !trial.Consistent() || !slices.Contains(trial.Matched, want) || slices.Contains(trial.Matched, not) {
+				t.Errorf("seed %d: %v; want prefix %d, not %d", pin.seed, trial, want, not)
+			}
 		}
 	}
 }
