@@ -191,8 +191,8 @@ func (c *Controller) stagePath(batch *mem.Batch, posmap []int32) {
 //
 // On success the controller's durable state advanced atomically; dirty
 // temporary-PosMap entries of evicted blocks are merged into the durable
-// PosMap and dropped from the temporary one, and in one batch their
-// backups are not written (elideDeadBackups).
+// PosMap and dropped from the temporary one; when one batch holds the
+// whole path, their backups are not written (elideDeadBackups).
 func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 	c.rescueEndangered()
 	c.stageMark()
@@ -266,9 +266,6 @@ func (c *Controller) evictPersistent(l oram.Leaf) (int, int, error) {
 // content of those slots differs. It returns the slots left to apply,
 // compacted in place.
 func (c *Controller) elideDeadBackups(slots []plannedSlot, dirty []int32) []plannedSlot {
-	if len(dirty) == 0 {
-		return slots
-	}
 	plan := c.scratch.plan.flat
 	n := 0
 	for i := range slots {
