@@ -139,7 +139,9 @@ profile: build
 # entry; an untimed batch stores no untagged entry), the image layout
 # the load walk relies on (one cache-line record per bucket) and the
 # gather ahead of it (reads only, allocates nothing), the image's
-# footprint (heap bytes per bucket, no cold page once written), a
+# footprint (heap bytes per bucket, no cold page once written), the form
+# of a loaded snapshot's image (nothing queued for a barrier, rewritten
+# buckets in record form, within the footprint budget), a
 # PS-ORAM tree's occupancy (little more real slots than live blocks:
 # backups dead on arrival are not written), the golden
 # determinism regression, and one pass of the sim, serve and store
@@ -149,7 +151,7 @@ profile: build
 perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestInitialPlacementsMatchPerSlot|TestRecordLayout|TestImageFootprint|TestImageFootprintAtBirth' -v
-	$(GO) test ./internal/core -run 'TestTreeHoldsLiveBlocksOnly' -v
+	$(GO) test ./internal/core -run 'TestTreeHoldsLiveBlocksOnly|TestLoadedImageForm' -v
 	$(GO) test ./internal/mem -run 'TestFunctionlessEntriesAreCountedNotStoredWhenUntimed|TestAddDataRunTimesLikeSingleEntries' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreBaselineSteadyStateAllocs|TestCoreRcrPSORAMSteadyStateAllocs|TestCoreRcrBaselineSteadyStateAllocs|TestCorePSORAMWPQ4SteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs|TestGatherChangesNothing' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v

@@ -67,3 +67,22 @@ func TestCloseFreesEveryImage(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedConstructionFreesImages: an Rcr-PS-ORAM whose on-chip PosMap
+// budget holds no entry passes Validate and is refused by
+// NewRecursiveMap, after the data tree's image is mapped. The refusal
+// must leave no image mapped.
+func TestFailedConstructionFreesImages(t *testing.T) {
+	cfg := testCfg()
+	cfg.OnChipPosMapBytes = 100
+	before := oram.LiveRegions()
+	if c, err := New(config.SchemeRcrPSORAM, cfg, Options{NumBlocks: 100, Levels: 5}); err == nil {
+		c.Close()
+		t.Fatal("an on-chip budget of no entry was accepted")
+	}
+	// Other tests' dropped images may be freed meanwhile, which only
+	// lowers the count.
+	if grew := oram.LiveRegions() - before; grew > 0 {
+		t.Fatalf("the failed construction left %d images mapped", grew)
+	}
+}

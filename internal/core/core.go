@@ -285,25 +285,19 @@ type GroupCommit struct {
 // one. cfg supplies Z, stash size, WPQ sizes, NVM timing, etc.; opts
 // scales the tree and, with StoreDir, backs it with a file store:
 // created and committed when the directory holds none, otherwise
-// recovered (§4.3) — geometry from the store, the on-chip position map
-// reloaded from its durable copy, the seal-version cursor restored, and
-// every volatile structure (stash, temporary PosMap) empty. New also
-// derives the tree height when opts.Levels is zero (at least 2), and
-// grows a recursive scheme's data WPQ to the 2(L+1)Z entries of its
-// eviction batch (the data path plus a PosMap tree's path).
+// recovered (recoverController). New also derives the tree height when
+// opts.Levels is zero (at least 2), and grows a recursive scheme's data
+// WPQ to the 2(L+1)Z entries of its eviction batch (the data path plus a
+// PosMap tree's path).
 func New(scheme config.Scheme, cfg config.Config, opts Options) (*Controller, error) {
-	var st *filestore.Store
 	if opts.StoreDir != "" {
 		if err := StorageSupported(scheme); err != nil {
 			return nil, err
 		}
-		var err error
-		st, err = filestore.Open(opts.StoreDir)
+		st, err := filestore.Open(opts.StoreDir)
 		switch {
 		case err == nil:
-			if err := adoptGeometry(scheme, &cfg, &opts, st.Geometry(), "store at "+opts.StoreDir); err != nil {
-				return nil, err
-			}
+			return recoverController(scheme, cfg, opts, st, &st.Contents)
 		case !errors.Is(err, filestore.ErrNoStore):
 			return nil, err
 		}
@@ -320,21 +314,19 @@ func New(scheme config.Scheme, cfg config.Config, opts Options) (*Controller, er
 	if scheme.Policy().Recursive {
 		cfg.DataWPQEntries = max(cfg.DataWPQEntries, 2*(opts.Levels+1)*cfg.Z)
 	}
-	switch {
-	case st != nil:
-		return recoverController(scheme, cfg, opts, st)
-	case opts.StoreDir != "":
+	if opts.StoreDir != "" {
 		return createController(scheme, cfg, opts)
 	}
-	return newController(scheme, cfg, opts, nil, false)
+	return newController(scheme, cfg, opts, nil, nil)
 }
 
 // newController is the shared construction path over a validated cfg
-// and a sized tree: attach=false seals a fresh initial image (into st
-// when non-nil); attach=true wraps st, an already-populated backend,
-// without writing anything — the recovery path, which owns restoring
-// the PosMap and version cursor afterwards.
-func newController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store, attach bool) (*Controller, error) {
+// and a sized tree. Given src, what NVM holds, it attaches the image to
+// it without writing anything, and the caller restores the PosMap and
+// version cursor; otherwise it seals a fresh initial image. st, if
+// non-nil, is the file store the image lives in. A failure frees every
+// image built.
+func newController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store, src *filestore.Contents) (*Controller, error) {
 	policy := scheme.Policy()
 	op := oram.Params{
 		Levels:       opts.Levels,
@@ -344,16 +336,14 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		NumBlocks:    opts.NumBlocks,
 		Seed:         cfg.Seed,
 	}
+	newORAM := oram.New
+	if src != nil {
+		newORAM, op.Storage = oram.NewAttached, src
+	}
 	if st != nil {
 		op.Storage = st
 	}
-	var oc *oram.Controller
-	var err error
-	if attach {
-		oc, err = oram.NewAttached(op)
-	} else {
-		oc, err = oram.New(op)
-	}
+	oc, err := newORAM(op)
 	if err != nil {
 		return nil, err
 	}
@@ -390,9 +380,15 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 			Seed:            cfg.Seed + 7,
 		})
 		if err != nil {
+			c.closeImages()
 			return nil, err
 		}
+		for _, lvl := range rec.Levels {
+			plan := newPlanRows(lvl.Tree)
+			c.trees, c.plans = append(c.trees, lvl), append(c.plans, &plan)
+		}
 		if err := rec.SyncLevel1(oc.PosMap); err != nil {
+			c.closeImages()
 			return nil, err
 		}
 		if len(rec.Levels) == 0 {
@@ -402,10 +398,6 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		}
 		c.Rec = rec
 		c.durableTop = rec.Top.Clone()
-		for _, lvl := range rec.Levels {
-			plan := newPlanRows(lvl.Tree)
-			c.trees, c.plans = append(c.trees, lvl), append(c.plans, &plan)
-		}
 		n := len(rec.Levels)
 		c.scratch.marks = make([]int, 1+n)
 		c.scratch.chain.idx = make([]oram.Addr, n)

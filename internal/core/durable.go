@@ -9,12 +9,16 @@ import (
 )
 
 // adoptGeometry checks durable state of geometry g, read from where,
-// against the request — its scheme must match, and so must the block
-// count and tree height where opts names them — and takes the rest of
-// the geometry from it: it is durable state, not the caller's to choose.
+// against the request — its scheme must match and be one the store
+// covers, and so must the block count and tree height where opts names
+// them — and takes the rest of the geometry from it: it is durable
+// state, not the caller's to choose.
 func adoptGeometry(scheme config.Scheme, cfg *config.Config, opts *Options, g oram.StoreGeometry, where string) error {
 	if got := config.Scheme(g.Scheme); got != scheme {
 		return fmt.Errorf("core: %s holds scheme %v, not %v", where, got, scheme)
+	}
+	if err := StorageSupported(scheme); err != nil {
+		return err
 	}
 	if opts.NumBlocks != 0 && opts.NumBlocks != g.NumBlocks {
 		return fmt.Errorf("core: %s holds %d blocks, not %d", where, g.NumBlocks, opts.NumBlocks)
@@ -45,47 +49,52 @@ func createController(scheme config.Scheme, cfg config.Config, opts Options) (*C
 	if err != nil {
 		return nil, err
 	}
-	c, err := newController(scheme, cfg, opts, st, false)
+	c, err := newController(scheme, cfg, opts, st, nil)
 	if err != nil {
 		return nil, err
 	}
 	c.syncDurablePosMap()
 	if err := c.persistDurable(); err != nil {
+		c.Close() // frees the image, stops the persist worker
 		return nil, err
 	}
 	return c, nil
 }
 
-// recoverController runs the §4.3 recovery over a committed store: it
-// wraps the stored image and restores the durable state it holds. The
-// controller takes ownership of st.
-func recoverController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store) (*Controller, error) {
-	c, err := newController(scheme, cfg, opts, st, true)
+// recoverController is the §4.3 recovery, the one path by which a
+// reopened file store and a loaded snapshot alike become a controller.
+// src is what NVM holds: the geometry comes from it, the image attaches
+// to its slots, and the on-chip position map, its durable copy and the
+// seal-version cursor reload from it, each leaf checked against the
+// tree; every volatile structure starts empty. st is the file store src
+// belongs to, which the controller takes ownership of, or nil for a
+// snapshot's contents.
+func recoverController(scheme config.Scheme, cfg config.Config, opts Options, st *filestore.Store, src *filestore.Contents) (*Controller, error) {
+	where, count := "the snapshot", "snapshot.loads"
+	if st != nil {
+		where, count = "store at "+st.Dir(), "storage.opens"
+	}
+	if err := adoptGeometry(scheme, &cfg, &opts, src.Geometry(), where); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	c, err := newController(scheme, cfg, opts, st, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.restoreDurable(&st.Contents); err != nil {
-		c.closeImages()
-		return nil, err
-	}
-	c.counters.Inc("storage.opens")
-	return c, nil
-}
-
-// restoreDurable is the reload half of §4.3 recovery, from a file store
-// or a snapshot: the on-chip position map and its durable copy from the
-// stored PosMap, each leaf checked against the tree, and the
-// seal-version cursor.
-func (c *Controller) restoreDurable(src *filestore.Contents) error {
 	leaves := c.ORAM.Tree.Leaves()
 	for a := oram.Addr(0); uint64(a) < c.ORAM.NumBlocks(); a++ {
 		l := src.Leaf(a)
 		if uint64(l) >= leaves {
-			return fmt.Errorf("%w: stored leaf %d out of range for addr %d", filestore.ErrCorrupted, l, a)
+			c.closeImages()
+			return nil, fmt.Errorf("%w: stored leaf %d out of range for addr %d", filestore.ErrCorrupted, l, a)
 		}
 		c.durable.Put(a, l)
 		c.ORAM.PosMap.Put(a, l)
 	}
 	c.ORAM.SetVerSeq(src.VerSeq())
-	return nil
+	c.counters.Inc(count)
+	return c, nil
 }

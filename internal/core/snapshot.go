@@ -41,39 +41,20 @@ func (c *Controller) SaveDurable(w io.Writer) error {
 	return nil
 }
 
-// LoadDurable reconstructs a controller from a durable snapshot. cfg
-// supplies the run-time parameters (NVM timing, WPQ sizes, stash size)
-// and runtime the execution-only options (memory model, group
-// commit); the geometry and contents come from the snapshot. Loading
-// performs the §4.3 recovery: volatile state starts empty and the
-// on-chip map is the durable one. A stream cut short fails with
+// LoadDurable reconstructs a controller from a durable snapshot: the
+// stream read into a filestore.Contents, then the §4.3 recovery a store
+// reopen runs (recoverController). The geometry and contents come from
+// the snapshot; cfg supplies the run-time parameters and runtime the
+// execution-only options. A snapshot loads into memory, so a
+// runtime.StoreDir is refused. A stream cut short fails with
 // io.ErrUnexpectedEOF, a damaged one with filestore.ErrCorrupted.
 func LoadDurable(r io.Reader, cfg config.Config, runtime Options) (*Controller, error) {
+	if runtime.StoreDir != "" {
+		return nil, fmt.Errorf("core: a snapshot loads into memory, not into the store directory %s", runtime.StoreDir)
+	}
 	src, err := filestore.ReadStream(r)
 	if err != nil {
 		return nil, err
 	}
-	scheme := config.Scheme(src.Geometry().Scheme)
-	if err := StorageSupported(scheme); err != nil {
-		return nil, err
-	}
-	if err := adoptGeometry(scheme, &cfg, &runtime, src.Geometry(), "the snapshot"); err != nil {
-		return nil, err
-	}
-	c, err := New(scheme, cfg, runtime)
-	if err != nil {
-		return nil, err
-	}
-	t := c.ORAM.Tree
-	for b := uint64(0); b < t.Buckets(); b++ {
-		for z := 0; z < t.Z; z++ {
-			c.ORAM.Image.PutSlot(b, z, src.Slot(b, z))
-		}
-	}
-	if err := c.restoreDurable(src); err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.counters.Inc("snapshot.loads")
-	return c, nil
+	return recoverController(config.Scheme(src.Geometry().Scheme), cfg, runtime, nil, src)
 }

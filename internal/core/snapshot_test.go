@@ -221,8 +221,7 @@ func TestSnapshotRoundTripAllFlatSchemes(t *testing.T) {
 			// remapped block may be unreachable after load — the data loss
 			// the paper's design eliminates; the persistent family must
 			// read everything back.
-			strict := scheme == config.SchemeFullNVM || scheme == config.SchemeFullNVMSTT ||
-				scheme == config.SchemeNaivePSORAM || scheme == config.SchemePSORAM
+			strict := keepsDurablePosMap(scheme)
 			for a := oram.Addr(0); a < blocks; a++ {
 				got, err := loaded.Peek(a)
 				if err != nil {
@@ -246,6 +245,86 @@ func TestSnapshotRoundTripAllFlatSchemes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// keepsDurablePosMap reports whether a flat scheme's durable state names
+// every block's current leaf, so that a recovered controller reads every
+// address: the persistent family does, while Baseline keeps its PosMap
+// in volatile DRAM and eADR-ORAM its current map in the unserialized
+// eADR domain.
+func keepsDurablePosMap(scheme config.Scheme) bool {
+	return scheme == config.SchemeFullNVM || scheme == config.SchemeFullNVMSTT ||
+		scheme == config.SchemeNaivePSORAM || scheme == config.SchemePSORAM
+}
+
+// TestLoadDurableRefusesStoreDir: a snapshot loads into memory. Asked to
+// load into a store directory, LoadDurable refuses and creates nothing
+// there: a store holding the loaded slots but not the loaded PosMap
+// would read wrong values once reopened.
+func TestLoadDurableRefusesStoreDir(t *testing.T) {
+	snap := writtenSnapshot(t, config.SchemePSORAM, 40, 4)
+	dir := filepath.Join(t.TempDir(), "store")
+	if c, err := LoadDurable(bytes.NewReader(snap), testCfg(), Options{StoreDir: dir}); err == nil {
+		c.Close()
+		t.Fatal("a snapshot loaded into a store directory")
+	}
+	if _, _, err := filestore.Probe(dir); !errors.Is(err, filestore.ErrNoStore) {
+		t.Fatalf("the refused load left a store at %s: %v", dir, err)
+	}
+}
+
+// TestLoadedImageForm guards the form of a loaded controller's image. Its
+// store is the stream's contents, which have no persist barrier, so the
+// image must queue nothing for one, must take the buckets it rewrites
+// back into record form, and must stay within TestImageFootprint's 160
+// bytes a bucket. An image in the durable store's per-slot form would
+// pass every functional test and grow without bound.
+func TestLoadedImageForm(t *testing.T) {
+	const levels, budget = 8, 160
+	cfg := testCfg()
+	blocks := uint64(2) << (levels - 1) // two blocks a leaf, as TestImageFootprint
+	c, err := New(config.SchemePSORAM, cfg, Options{NumBlocks: blocks, Levels: levels, Untimed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := &lcg{s: 5}
+	run := func(c *Controller, n int) {
+		for i := 0; i < n; i++ {
+			addr, op, v := oram.Addr(r.n(int(blocks))), oram.OpRead, []byte(nil)
+			if i%2 == 0 {
+				op, v = oram.OpWrite, blockVal(addr, i, cfg.BlockBytes)
+			}
+			if _, err := c.Access(op, addr, v); err != nil {
+				t.Fatalf("access %d: %v", i, err)
+			}
+		}
+	}
+	run(c, 2000)
+	var buf bytes.Buffer
+	if err := c.SaveDurable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDurable(&buf, cfg, Options{Untimed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	run(loaded, 5000)
+	img, tree := loaded.ORAM.Image, loaded.ORAM.Tree
+	if n := img.Queued(); n != 0 {
+		t.Fatalf("the loaded image queued %d deferred seals for a barrier nothing runs", n)
+	}
+	for bucket := uint64(0); bucket < tree.Buckets(); bucket++ {
+		if _, ok := img.RealSlots(bucket); !ok {
+			t.Fatalf("bucket %d is not in record form after 5000 accesses", bucket)
+		}
+	}
+	held := float64(img.Footprint()) / float64(tree.Buckets())
+	t.Logf("L=%d: the loaded image holds %.1f bytes a bucket", levels, held)
+	if held > budget {
+		t.Fatalf("the loaded image holds %.1f bytes a bucket, budget %d", held, budget)
 	}
 }
 
@@ -390,10 +469,13 @@ func TestSnapshotBitFlipsRefused(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrossFormat pins "one format": a file-backed controller's
-// SaveDurable stream loaded with LoadDurable, and that controller's
-// closed directory reopened with New, read back the same values and
-// save byte-identical streams.
+// TestSnapshotCrossFormat pins "one format" and "one recovery": a
+// file-backed controller's SaveDurable stream loaded with LoadDurable,
+// and that controller's closed directory reopened with New, read back
+// the same values and save byte-identical streams, also after the same
+// 50 writes on both: the two recovered controllers draw the same IVs,
+// leaves and versions. Baseline and eADR-ORAM keep no current durable
+// PosMap, so their reads after a recovery fail and they skip the writes.
 func TestSnapshotCrossFormat(t *testing.T) {
 	for _, scheme := range flatSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -428,6 +510,17 @@ func TestSnapshotCrossFormat(t *testing.T) {
 				want, errR := reopened.Peek(a)
 				if (errL == nil) != (errR == nil) || !bytes.Equal(got, want) {
 					t.Fatalf("addr %d: stream %.12q (%v), directory %.12q (%v)", a, got, errL, want, errR)
+				}
+			}
+			if keepsDurablePosMap(scheme) {
+				w := &lcg{s: 77}
+				for i := 0; i < 50; i++ {
+					addr := oram.Addr(w.n(100))
+					for _, c := range []*Controller{loaded, reopened} {
+						if _, err := c.Access(oram.OpWrite, addr, blockVal(addr, 500+i, 64)); err != nil {
+							t.Fatalf("write %d after recovery: %v", i, err)
+						}
+					}
 				}
 			}
 			var a, b bytes.Buffer

@@ -232,8 +232,8 @@ func TestImageInitBlocksOverflowReturnsUnplaced(t *testing.T) {
 	}
 }
 
-// wrappedStorage stands in for a durable backend: anything that is not
-// the in-memory default. It counts the slot writes that reach it.
+// wrappedStorage stands in for a durable backend: a Persistent store
+// whose barrier does nothing. It counts the slot writes that reach it.
 type wrappedStorage struct {
 	Storage
 	sets *int
@@ -254,12 +254,14 @@ func (w wrappedStorage) SetSlot(bucket uint64, z int, s Slot) {
 	w.Storage.SetSlot(bucket, z, s)
 }
 
+func (w wrappedStorage) Persist() error { return nil }
+
 // Deferred seals are queued for the persist-time barrier only when a
 // durable backend will run it: an in-memory image's pending list stays
 // empty however many slots are written lazily, while a durable one
 // queues each slot once and drains at MaterializePending — sealing each
 // queued slot once, whole-bucket writes included, because an image over
-// a store that is not process memory never takes the record form.
+// a Persistent store never takes the record form.
 func TestLazySealPendingOnlyForDurableBackends(t *testing.T) {
 	e := testEngine()
 	tree := NewTree(3, 2)

@@ -70,10 +70,10 @@ type Image struct {
 	coldUse    []int32 // per page: the slots that need their entry (record form only)
 	memo       []sealedBuf
 	// pending lists the slots with a queued deferred seal for the
-	// persist-time barrier (MaterializePending). Only a durable backend
+	// persist-time barrier (MaterializePending). Only a Persistent store
 	// runs that barrier, so slots are queued only when barrier is set:
-	// an in-memory image would add every slot's first write to the list
-	// and never drain it.
+	// any other image would add every slot's first write to the list and
+	// never drain it.
 	barrier bool
 	pending []uint64
 
@@ -181,10 +181,7 @@ func NewImage(t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64)
 // sealed when it is observed, or, on a durable backend, at the first
 // MaterializePending. The last IV drawn is the image's initBase.
 func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextIV func() uint64) (*Image, error) {
-	// The record form is for in-memory stores only: a durable barrier
-	// queues and seals slot by slot, so its image keeps per-slot entries.
-	_, inMemory := st.(*memStorage)
-	img, err := newImage(st, t, e, blockBytes, inMemory && t.Z <= maxRecordZ)
+	img, err := newImage(st, t, e, blockBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -216,29 +213,18 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 	return img, nil
 }
 
-// NewImageOn attaches an image to an already-populated storage backend
-// without writing anything — the recovery path: no slot has an overlay
-// entry, so every slot reads as whatever the store holds until it is
-// rewritten. An attached image keeps per-slot entries.
-//
-// Durable backends serialize the store's sealed bytes at their persist
-// barrier, so a durable caller must run MaterializePending before every
-// persist: that mirrors the overlay into the store, and a seal is
-// deferred only as far as the barrier, never past it.
-func NewImageOn(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) (*Image, error) {
-	return newImage(st, t, e, blockBytes, false)
-}
-
 // newImage lays the record table, the cell handles and the payload cells
 // out in one region, each table from a line: a slot owns at most one
 // cell, so the region holds a cell for every slot, plus the unused cell 0,
-// and only the cells the image hands out are ever touched.
-func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordForm bool) (*Image, error) {
+// and only the cells the image hands out are ever touched. An image on a
+// Persistent store queues for its barrier and keeps per-slot entries;
+// any other takes the record form where Z allows, and queues nothing.
+func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) (*Image, error) {
 	if t.Slots() >= math.MaxUint32 {
 		return nil, fmt.Errorf("oram: a tree of %d slots is beyond the 32-bit cell handles", t.Slots())
 	}
-	_, inMemory := st.(*memStorage)
-	img := &Image{Tree: t, store: st, blockB: blockBytes, engine: e, barrier: !inMemory, recordForm: recordForm}
+	_, barrier := st.(Persistent)
+	img := &Image{Tree: t, store: st, blockB: blockBytes, engine: e, barrier: barrier, recordForm: !barrier && t.Z <= maxRecordZ}
 	line := func(n uint64) uint64 { return (n + lineBytes - 1) / lineBytes * lineBytes }
 	img.recW = recHdr + 3*uint64(t.Z)
 	img.cellB = line(uint64(blockBytes))
@@ -256,7 +242,7 @@ func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, recordFor
 	img.next = 1 // a zero handle means no cell
 	pages := (t.Buckets() + coldPageBuckets - 1) >> coldPageShift
 	img.cold = make([][]coldSlot, pages)
-	if recordForm {
+	if img.recordForm {
 		img.coldUse = make([]int32, pages)
 		return img, nil
 	}
@@ -369,10 +355,10 @@ func (img *Image) Close() {
 	img.region = nil
 }
 
-// footprint is the bytes the image holds: the region's records and
+// Footprint is the bytes the image holds: the region's records and
 // handles, its cells up to the highest ever handed out, and the cold
-// pages.
-func (img *Image) footprint() uint64 {
+// pages (tests and diagnostics).
+func (img *Image) Footprint() uint64 {
 	n := uint64(4*len(img.recs)+4*len(img.cell)) + uint64(img.next)*img.cellB
 	for _, p := range img.cold {
 		n += uint64(len(p)) * uint64(unsafe.Sizeof(coldSlot{}))
@@ -548,6 +534,10 @@ func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
 	cs.iv1, cs.iv2 = iv1, iv2
 	img.enqueue(cs, idx)
 }
+
+// Queued is the number of deferred seals waiting for MaterializePending
+// (tests and diagnostics).
+func (img *Image) Queued() int { return len(img.pending) }
 
 func (img *Image) enqueue(cs *coldSlot, idx uint64) {
 	if img.barrier && cs.state&psQueued == 0 {

@@ -699,7 +699,7 @@ func TestImageFootprintAtBirth(t *testing.T) {
 	c := mustNew(t, p)
 	runtime.ReadMemStats(&after)
 	alloc, posMaps := after.TotalAlloc-before.TotalAlloc, 2*uint64(unsafe.Sizeof(Leaf(0)))*p.NumBlocks
-	held := float64(c.Image.footprint()) / float64(tree.Buckets())
+	held := float64(c.Image.Footprint()) / float64(tree.Buckets())
 	t.Logf("L=%d: New allocated %d bytes (two position maps: %d); the image holds %.1f bytes a bucket", levels, alloc, posMaps, held)
 	if n := coldPages(c.Image); n != 0 {
 		t.Fatalf("the image is born holding %d cold pages", n)
@@ -908,7 +908,7 @@ func TestImageFootprint(t *testing.T) {
 		t.Fatalf("after every address was accessed the image holds %d cold pages", n)
 	}
 
-	held := float64(img.footprint()) / float64(tree.Buckets())
+	held := float64(img.Footprint()) / float64(tree.Buckets())
 	t.Logf("L=%d: the image holds %.1f bytes a bucket", levels, held)
 	if held > budget {
 		t.Fatalf("the image holds %.1f bytes a bucket, budget %d", held, budget)

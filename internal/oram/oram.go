@@ -59,8 +59,8 @@ type Params struct {
 	Key          []byte // 16-byte AES key; nil selects a fixed test key
 	// Storage, when non-nil, backs the tree image instead of process
 	// memory. New builds the initial image on it (sealed into it at the
-	// first MaterializePending); NewAttached expects it to already hold
-	// a recovered image.
+	// first MaterializePending, on a Persistent store); NewAttached
+	// expects it to already hold a recovered image.
 	Storage Storage
 }
 
@@ -99,10 +99,11 @@ func New(p Params) (*Controller, error) {
 }
 
 // NewAttached builds a controller around p.Storage without sealing or
-// materializing anything: the storage already holds a recovered image.
-// The PosMap starts with the usual random initialization — the caller
-// (the §4.3 recovery path) owns overwriting every entry from the
-// durable copy, along with restoring the seal-version cursor.
+// materializing anything: the storage already holds a recovered image,
+// and every slot reads as the store holds it until it is rewritten. The
+// PosMap starts with the usual random initialization — the caller (the
+// §4.3 recovery path) owns overwriting every entry from the durable
+// copy, along with restoring the seal-version cursor.
 func NewAttached(p Params) (*Controller, error) {
 	if p.Storage == nil {
 		return nil, fmt.Errorf("oram: NewAttached requires Params.Storage")
@@ -139,8 +140,13 @@ func build(p Params, attach bool) (*Controller, error) {
 		st = newMemStorage(t)
 	}
 	if attach {
-		if c.Image, err = NewImageOn(st, t, eng, p.BlockBytes); err != nil {
+		if c.Image, err = newImage(st, t, eng, p.BlockBytes); err != nil {
 			return nil, err
+		}
+		// No bucket starts in record form: each holds its cold entries
+		// until a whole-bucket write.
+		for bucket := uint64(0); c.Image.recordForm && bucket < t.Buckets(); bucket++ {
+			c.Image.holdCold(bucket, t.Z)
 		}
 		return c, nil
 	}

@@ -45,7 +45,8 @@ type RecursiveParams struct {
 }
 
 // NewRecursiveMap builds the hierarchy for the given data ORAM size.
-func NewRecursiveMap(p RecursiveParams) (*RecursiveMap, error) {
+// A construction that fails leaves none of its PosMap trees mapped.
+func NewRecursiveMap(p RecursiveParams) (_ *RecursiveMap, err error) {
 	// Each level must shrink the map, or the loop below never ends.
 	if p.EntriesPerBlock < 2 {
 		return nil, fmt.Errorf("oram: EntriesPerBlock must be at least 2, got %d", p.EntriesPerBlock)
@@ -57,6 +58,11 @@ func NewRecursiveMap(p RecursiveParams) (*RecursiveMap, error) {
 		return nil, fmt.Errorf("oram: %d entries of 4 bytes exceed the %dB block", p.EntriesPerBlock, p.BlockBytes)
 	}
 	m := &RecursiveMap{DataTree: p.DataTree, EntriesPerBlock: p.EntriesPerBlock}
+	defer func() {
+		for i := 0; err != nil && i < len(m.Levels); i++ {
+			m.Levels[i].Image.Close()
+		}
+	}()
 
 	seed := p.Seed
 	n := p.DataBlocks

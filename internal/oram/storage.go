@@ -19,6 +19,11 @@ type Storage interface {
 	SetSlot(bucket uint64, z int, s Slot)
 }
 
+// Persistent is a store with a persist barrier (internal/storage/filestore):
+// an image on one queues its deferred seals, and the barrier's caller runs
+// MaterializePending first, so a seal is deferred only as far as the barrier.
+type Persistent interface{ Persist() error }
+
 // StoreGeometry identifies the shape (and scheme) of a stored image, so
 // a durable backend can be reopened without external metadata.
 type StoreGeometry struct {

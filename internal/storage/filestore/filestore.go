@@ -251,7 +251,7 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // SetSlot overwrites the sealed slot at (bucket, z) and marks its chunk
 // dirty for the next persist barrier.
 func (s *Store) SetSlot(bucket uint64, z int, sl oram.Slot) {
-	s.slots[int(bucket)*s.tree.Z+z] = sl
+	s.Contents.SetSlot(bucket, z, sl)
 	ci := int(bucket) / chunkBuckets
 	if !s.dirty[ci] {
 		s.dirty[ci] = true

@@ -1,6 +1,7 @@
 package filestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -47,6 +48,9 @@ func (c *Contents) Geometry() oram.StoreGeometry { return c.geom }
 
 // Slot returns the sealed slot at (bucket, z), aliased (oram.Storage).
 func (c *Contents) Slot(bucket uint64, z int) oram.Slot { return c.slots[int(bucket)*c.tree.Z+z] }
+
+// SetSlot overwrites the sealed slot at (bucket, z) (oram.Storage).
+func (c *Contents) SetSlot(bucket uint64, z int, s oram.Slot) { c.slots[int(bucket)*c.tree.Z+z] = s }
 
 // Leaf returns a's durable PosMap entry as stored, unchecked.
 func (c *Contents) Leaf(a oram.Addr) oram.Leaf { return oram.Leaf(c.leaves[a]) }
@@ -245,10 +249,10 @@ func WriteStream(w io.Writer, g oram.StoreGeometry, src Source) error {
 
 // ReadStream reads what WriteStream wrote. It reads each record whole
 // before it builds anything from it, so what it allocates follows the
-// bytes present, never a count a record claims. A stream that ends
-// early fails with io.ErrUnexpectedEOF, a damaged one with ErrCorrupted.
+// bytes present, never a count a record claims; the parsers copy out of
+// one read buffer. A stream that ends early fails with io.ErrUnexpectedEOF, a damaged one with ErrCorrupted.
 func ReadStream(r io.Reader) (*Contents, error) {
-	raw, err := readRecord(r, metaSize)
+	raw, err := readRecord(r, metaSize, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +261,7 @@ func ReadStream(r io.Reader) (*Contents, error) {
 		return nil, err
 	}
 	c := &Contents{geom: g, tree: oram.NewTree(g.Levels, g.Z)}
-	if raw, err = readRecord(r, stateChunkSize(g.NumBlocks)); err != nil {
+	if raw, err = readRecord(r, stateChunkSize(g.NumBlocks), raw); err != nil {
 		return nil, err
 	}
 	c.leaves = make([]uint32, g.NumBlocks)
@@ -265,7 +269,7 @@ func ReadStream(r io.Reader) (*Contents, error) {
 		return nil, err
 	}
 	for ci := 0; ci < chunkCount(c.tree); ci++ {
-		if raw, err = readRecord(r, dataChunkSize(c.tree, g.BlockBytes, ci)); err != nil {
+		if raw, err = readRecord(r, dataChunkSize(c.tree, g.BlockBytes, ci), raw); err != nil {
 			return nil, err
 		}
 		lo, hi := chunkRange(c.tree, ci)
@@ -278,15 +282,15 @@ func ReadStream(r io.Reader) (*Contents, error) {
 	return c, nil
 }
 
-// readRecord reads the next n bytes of a stream through a limit, so
-// that a short stream's buffer follows the bytes present, not n.
-func readRecord(r io.Reader, n int) ([]byte, error) {
-	raw, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err != nil {
+// readRecord reads the next n bytes of a stream into buf through a
+// limit, so that a short stream's buffer follows the bytes present, not n.
+func readRecord(r io.Reader, n int, buf []byte) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
+	if _, err := b.ReadFrom(io.LimitReader(r, int64(n))); err != nil {
 		return nil, err
 	}
-	if len(raw) < n {
-		return nil, fmt.Errorf("filestore: stream ends %d bytes into a %d-byte record: %w", len(raw), n, io.ErrUnexpectedEOF)
+	if b.Len() < n {
+		return nil, fmt.Errorf("filestore: stream ends %d bytes into a %d-byte record: %w", b.Len(), n, io.ErrUnexpectedEOF)
 	}
-	return raw, nil
+	return b.Bytes(), nil
 }
