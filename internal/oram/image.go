@@ -34,19 +34,20 @@ type Image struct {
 	// The overlay is laid out the way the controller fetches a bucket, as
 	// one burst, and holds bytes only for what its slots hold. recs holds
 	// one record per bucket (see the rec* constants): the bucket's state
-	// and every slot's header, one 64-byte cache line at Z = 4. cell
-	// names, per slot = bucket*Z+z, the payload cell of a slot that holds a
-	// real block, stale copies included (0 = none: a dummy's ciphertext is
-	// a function of key and IVs alone). The cells are BlockBytes rounded
-	// up to a cache line, cell h at h*cellB in cells, and handed out from a
-	// LIFO free list, then from a bump cursor (see ownCell). The three
-	// tables live in the image's region, one mapping outside the Go heap
-	// that Close frees (see newImage). cold holds, per slot, what a
-	// path write-back never needs: IVs that are not the bucket's implied
-	// pair, and the state bits. An image that keeps the record form holds
-	// cold entries only where a slot needs one, in pages of coldPageBuckets
-	// buckets allocated on first need and released once no slot of the
-	// page needs one (see holdCold); any other image keeps every page.
+	// and every slot's cell handle, half a 64-byte cache line at Z = 4. A
+	// slot that holds a real block, stale copies included, owns a cell
+	// (handle 0 = none: a dummy's ciphertext is a function of key and IVs
+	// alone, and it has no header). A cell is the slot's header (see
+	// cellHeader) followed by its payload, cell h at h*cellB in cells; the
+	// cells are handed out from a LIFO free list, then from a bump cursor
+	// (see fill). Both tables live in the image's region, one mapping
+	// outside the Go heap that Close frees (see newImage). cold holds, per
+	// slot, what a path write-back never needs: IVs that are not the
+	// bucket's implied pair, and the state bits. An image that keeps the
+	// record form holds cold entries only where a slot needs one, in pages
+	// of coldPageBuckets buckets allocated on first need and released once
+	// no slot of the page needs one (see holdCold); any other image keeps
+	// every page.
 	// memo holds the materialized ciphertext buffers, allocated on the
 	// first materialization: in-memory serving never materializes, and a
 	// durable barrier does so for every slot it persists.
@@ -57,13 +58,12 @@ type Image struct {
 	// recOn) instead of slot by slot in cold.
 	recordForm bool
 	engine     *cryptoeng.Engine
-	recW       uint64 // words per record: recHdr + 3Z
+	recW       uint64 // words per record: recHdr + Z
 	initBase   uint64 // the IV base of the initial placements (see impliedIVs)
 	region     *region
 	recs       []uint32
-	cell       []uint32
 	cells      []byte
-	cellB      uint64 // bytes per cell
+	cellB      uint64 // bytes per cell: the header, then BlockBytes
 	free       []uint32
 	next       uint32 // the lowest handle never handed out
 	cold       [][]coldSlot
@@ -93,7 +93,7 @@ type Image struct {
 type undoEntry struct {
 	idx, done uint64
 	iv1, iv2  uint64
-	hdr       [3]uint32 // addr, leaf, ver
+	hdr       cellHeader
 	// off locates the previous content the entry saved: a real block's
 	// payload in undoData, or the store's slot in undoStored.
 	off   uint32
@@ -104,25 +104,25 @@ type undoEntry struct {
 // when its caller says so: a write into a batch that has not committed.
 const NeverDone = math.MaxUint64
 
-// A bucket's record is recHdr+3Z 32-bit words, 16+12Z bytes, and the
+// A bucket's record is recHdr+Z 32-bit words, 16+4Z bytes, and the
 // records start on a cache line:
 //
 //	words 0-1  ivBase (low word first)
 //	word  2    real: bit z set = slot z holds a real block
 //	word  3    explicit: bit z set = real slot z's IVs are in cold; recOn
-//	recHdr+3z  slot z's header: addr, leaf, ver
+//	recHdr+z   slot z's cell handle (0 = none)
 //
-// The headers are the overlay's headers in either form. While recOn is
-// set the bucket is in record form, what a whole-bucket write
-// (PutLazyDummies, then PutLazyBlock per real slot) leaves behind: every
-// slot is live, a clear real bit is a dummy, every dummy and every real
-// slot without its explicit bit is sealed under its implied IVs
-// (ivBase+2z+1 and ivBase+2z+2, or for an initial placement the pair
-// its address implies; see impliedIVs), and only the explicit slots have
-// a cold entry, of which only the IVs are read. Anything else that touches a
-// slot of the bucket first expands it back into per-slot cold entries.
-// Without recOn, real, explicit and ivBase mean nothing and cold is
-// authoritative.
+// The handles, and the headers in the cells they name, are the overlay's
+// in either form. While recOn is set the bucket is in record form, what
+// a whole-bucket write (PutLazyDummies, then PutLazyBlock per real slot)
+// leaves behind: every slot is live, a clear real bit is a dummy, every
+// dummy and every real slot without its explicit bit is sealed under its
+// implied IVs (ivBase+2z+1 and ivBase+2z+2, or for an initial placement
+// the pair its address implies; see impliedIVs), and only the explicit
+// slots have a cold entry, of which only the IVs are read. Anything else
+// that touches a slot of the bucket first expands it back into per-slot
+// cold entries. Without recOn, real, explicit and ivBase mean nothing
+// and cold is authoritative.
 const (
 	recIVBase   = 0
 	recReal     = 2
@@ -133,6 +133,12 @@ const (
 	// bucket keep per-slot entries throughout.
 	maxRecordZ = 31
 )
+
+// cellHeader is the front of a cell, cellHdrB bytes: the header of the
+// real block whose payload follows it, padded to 16 bytes.
+type cellHeader struct{ addr, leaf, ver, _ uint32 }
+
+const cellHdrB = uint64(unsafe.Sizeof(cellHeader{}))
 
 // coldSlot is the part of a deferred seal that the record does not hold.
 // 24 bytes, no pointers.
@@ -213,10 +219,10 @@ func NewImageInto(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int, nextI
 	return img, nil
 }
 
-// newImage lays the record table, the cell handles and the payload cells
-// out in one region, each table from a line: a slot owns at most one
-// cell, so the region holds a cell for every slot, plus the unused cell 0,
-// and only the cells the image hands out are ever touched. An image on a
+// newImage lays the record table and the cells out in one region, each
+// table from a line: a slot owns at most one cell, so the region holds a
+// cell for every slot, plus the unused cell 0, and only the cells the
+// image hands out are ever touched. An image on a
 // Persistent store queues for its barrier and keeps per-slot entries;
 // any other takes the record form where Z allows, and queues nothing.
 func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) (*Image, error) {
@@ -225,19 +231,17 @@ func newImage(st Storage, t Tree, e *cryptoeng.Engine, blockBytes int) (*Image, 
 	}
 	_, barrier := st.(Persistent)
 	img := &Image{Tree: t, store: st, blockB: blockBytes, engine: e, barrier: barrier, recordForm: !barrier && t.Z <= maxRecordZ}
-	line := func(n uint64) uint64 { return (n + lineBytes - 1) / lineBytes * lineBytes }
-	img.recW = recHdr + 3*uint64(t.Z)
-	img.cellB = line(uint64(blockBytes))
+	img.recW = recHdr + uint64(t.Z)
+	// A cell keeps the next cell's header aligned like its own.
+	img.cellB = (cellHdrB + uint64(blockBytes) + cellHdrB - 1) / cellHdrB * cellHdrB
 	recB := 4 * t.Buckets() * img.recW
-	cellAt := line(recB)
-	cellsAt := cellAt + line(4*t.Slots())
+	cellsAt := (recB + lineBytes - 1) / lineBytes * lineBytes
 	var err error
 	if img.region, err = newRegion(cellsAt + (t.Slots()+1)*img.cellB); err != nil {
 		return nil, err
 	}
 	mem := img.region.mem
 	img.recs = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[0])), recB/4)
-	img.cell = unsafe.Slice((*uint32)(unsafe.Pointer(&mem[cellAt])), t.Slots())
 	img.cells = mem[cellsAt:]
 	img.next = 1 // a zero handle means no cell
 	pages := (t.Buckets() + coldPageBuckets - 1) >> coldPageShift
@@ -272,8 +276,8 @@ func (img *Image) record(bucket uint64) []uint32 {
 // ivBase+2z+2.
 func (img *Image) impliedIVs(r []uint32, z int) (iv1, iv2 uint64) {
 	base := (uint64(r[recIVBase]) | uint64(r[recIVBase+1])<<32) + 2*uint64(z)
-	if h := recHdr + 3*z; r[recReal]>>uint(z)&1 != 0 && r[h+2] == 0 {
-		base = img.initBase + 2*uint64(r[h])
+	if hd := img.header(r[recHdr+z]); r[recReal]>>uint(z)&1 != 0 && hd.ver == 0 {
+		base = img.initBase + 2*uint64(hd.addr)
 	}
 	return base + 1, base + 2
 }
@@ -308,36 +312,41 @@ func (img *Image) dropCold(bucket uint64, n int) {
 	}
 }
 
-// payload is slot idx's cell, which the slot must own, capped so that an
-// append through the view can never reach the neighbouring cell. The
-// view is into the image's region: it is valid while the image is open.
-func (img *Image) payload(idx uint64) []byte {
-	off := uint64(img.cell[idx]) * img.cellB
+// header is the front of cell h, a handed-out cell.
+func (img *Image) header(h uint32) *cellHeader {
+	return (*cellHeader)(unsafe.Pointer(&img.cells[uint64(h)*img.cellB]))
+}
+
+// payload is the rest of cell h, capped so that an append through the
+// view can never reach the neighbouring cell. The view is into the
+// image's region: it is valid while the image is open.
+func (img *Image) payload(h uint32) []byte {
+	off := uint64(h)*img.cellB + cellHdrB
 	end := off + uint64(img.blockB)
 	return img.cells[off:end:end]
 }
 
-// ownCell gives slot idx a cell unless it owns one already — the cell
-// handed back last, so a whole-bucket write stores into the cells its
-// PutLazyDummies just returned, else the lowest never handed out — and
-// returns the slot's payload view.
-func (img *Image) ownCell(idx uint64) []byte {
-	if img.cell[idx] == 0 {
+// fill stores hd and data in the cell of slot z of the bucket with record
+// r, giving the slot a cell unless it owns one already: the cell handed
+// back last, so a whole-bucket write stores into the cells its
+// PutLazyDummies just returned, else the lowest never handed out.
+func (img *Image) fill(r []uint32, z int, hd cellHeader, data []byte) {
+	h := &r[recHdr+z]
+	if *h == 0 {
 		if n := len(img.free) - 1; n >= 0 {
-			img.cell[idx], img.free = img.free[n], img.free[:n]
+			*h, img.free = img.free[n], img.free[:n]
 		} else {
-			img.cell[idx] = img.next
-			img.next++
+			*h, img.next = img.next, img.next+1
 		}
 	}
-	return img.payload(idx)
+	*img.header(*h) = hd
+	copy(img.payload(*h), data)
 }
 
-// dropCell hands slot idx's cell, if it owns one, back to the free list.
-func (img *Image) dropCell(idx uint64) {
-	if h := img.cell[idx]; h != 0 {
-		img.free = append(img.free, h)
-		img.cell[idx] = 0
+// dropCell hands slot z's cell, if it owns one, back to the free list.
+func (img *Image) dropCell(r []uint32, z int) {
+	if h := &r[recHdr+z]; *h != 0 {
+		img.free, *h = append(img.free, *h), 0
 	}
 }
 
@@ -349,17 +358,16 @@ func (img *Image) Close() {
 	if img.region == nil {
 		return
 	}
-	img.recs, img.cell, img.cells, img.free = nil, nil, nil, nil
+	img.recs, img.cells, img.free = nil, nil, nil
 	img.cold, img.coldUse, img.memo = nil, nil, nil
 	img.region.free()
 	img.region = nil
 }
 
-// Footprint is the bytes the image holds: the region's records and
-// handles, its cells up to the highest ever handed out, and the cold
-// pages (tests and diagnostics).
+// Footprint is the bytes the image holds: its records, its cells up to
+// the highest ever handed out, and its cold pages (tests, diagnostics).
 func (img *Image) Footprint() uint64 {
-	n := uint64(4*len(img.recs)+4*len(img.cell)) + uint64(img.next)*img.cellB
+	n := uint64(4*len(img.recs)) + uint64(img.next)*img.cellB
 	for _, p := range img.cold {
 		n += uint64(len(p)) * uint64(unsafe.Sizeof(coldSlot{}))
 	}
@@ -421,20 +429,21 @@ func (img *Image) RealSlots(bucket uint64) (mask uint32, ok bool) {
 
 // Gather reads, ahead of a load walk over path, the lines that walk is
 // about to read, so that their cache misses overlap instead of arriving
-// one after another: first every bucket's record and its slots' cell
-// handles, whose addresses follow from path alone, then for every real
-// slot of a record-form bucket its cell's first byte and pm's entry for
-// its address. It changes nothing and allocates nothing; the returned
-// value is a fold of what it read, for the caller to keep so the loads
-// are not discarded. It is a no-op, returning 0, on an image without the
-// record form.
+// one after another: first every bucket's record, whose address follows
+// from path alone, then for every real slot of a record-form bucket both
+// ends of its cell and pm's entry for the address its header holds (a
+// read that waits on that header alone, so it overlaps the other cells).
+// It changes nothing and allocates nothing; the returned value is a fold
+// of what it read, for the caller to keep so the loads are not
+// discarded. It is a no-op, returning 0, on an image without the record
+// form.
 func (img *Image) Gather(path []uint64, pm *PosMap) (fold uint64) {
 	if !img.recordForm {
 		return 0
 	}
-	w, z := img.recW, uint64(img.Tree.Z)
+	w := img.recW
 	for _, bucket := range path {
-		fold += uint64(img.recs[bucket*w+recExplicit]) + uint64(img.recs[bucket*w+w-1]) + uint64(img.cell[bucket*z])
+		fold += uint64(img.recs[bucket*w+recExplicit]) + uint64(img.recs[bucket*w+w-1])
 	}
 	for _, bucket := range path {
 		r := img.record(bucket)
@@ -442,9 +451,9 @@ func (img *Image) Gather(path []uint64, pm *PosMap) (fold uint64) {
 			continue
 		}
 		for m := r[recReal]; m != 0; m &= m - 1 {
-			s := uint64(bits.TrailingZeros32(m))
-			fold += uint64(img.payload(bucket*z + s)[0])
-			if addr := uint64(r[recHdr+3*s]); addr < uint64(len(pm.leaves)) {
+			h := r[recHdr+bits.TrailingZeros32(m)]
+			fold += uint64(img.cells[uint64(h+1)*img.cellB-1])
+			if addr := uint64(img.header(h).addr); addr < uint64(len(pm.leaves)) {
 				fold += uint64(pm.leaves[addr])
 			}
 		}
@@ -469,10 +478,10 @@ func (img *Image) PutLazyDummies(bucket uint64, ivBase uint64) {
 	}
 	// The highest slot's cell goes back first, so the lowest real slot
 	// written next takes back the lowest slot's.
-	for z := img.Tree.Z - 1; z >= 0; z-- {
-		img.dropCell(bucket*uint64(img.Tree.Z) + uint64(z))
-	}
 	r := img.record(bucket)
+	for z := img.Tree.Z - 1; z >= 0; z-- {
+		img.dropCell(r, z)
+	}
 	if r[recExplicit]&recOn != 0 {
 		img.dropCold(bucket, bits.OnesCount32(r[recExplicit]&^recOn))
 	} else {
@@ -495,11 +504,8 @@ func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	if b.Addr > math.MaxUint32 {
 		panic(fmt.Sprintf("oram: lazy seal of addr %d, beyond the record's 32 bits", b.Addr))
 	}
-	idx := img.slotIndex(bucket, z)
 	r := img.record(bucket)
-	h := recHdr + 3*z
-	r[h], r[h+1], r[h+2] = uint32(b.Addr), uint32(b.Leaf), b.Ver
-	copy(img.ownCell(idx), b.Data)
+	img.fill(r, z, cellHeader{addr: uint32(b.Addr), leaf: uint32(b.Leaf), ver: b.Ver}, b.Data)
 	if r[recExplicit]&recOn != 0 {
 		bit := uint32(1) << uint(z)
 		r[recReal] |= bit
@@ -521,18 +527,17 @@ func (img *Image) PutLazyBlock(bucket uint64, z int, iv1, iv2 uint64, b Block) {
 	cs := img.coldAt(bucket, z)
 	cs.state = cs.state&psQueued | psLive
 	cs.iv1, cs.iv2 = iv1, iv2
-	img.enqueue(cs, idx)
+	img.enqueue(cs, img.slotIndex(bucket, z))
 }
 
 // PutLazyDummy records a deferred dummy seal at (bucket, z).
 func (img *Image) PutLazyDummy(bucket uint64, z int, iv1, iv2 uint64) {
 	img.expand(bucket)
-	idx := img.slotIndex(bucket, z)
-	img.dropCell(idx)
+	img.dropCell(img.record(bucket), z)
 	cs := img.coldAt(bucket, z)
 	cs.state = cs.state&psQueued | psLive | psDummy
 	cs.iv1, cs.iv2 = iv1, iv2
-	img.enqueue(cs, idx)
+	img.enqueue(cs, img.slotIndex(bucket, z))
 }
 
 // Queued is the number of deferred seals waiting for MaterializePending
@@ -579,18 +584,17 @@ func (img *Image) PlainHeader(bucket uint64, z int) (addr Addr, leaf Leaf, ver u
 	if st&psDummy != 0 {
 		return DummyAddr, 0, 0, true, true
 	}
-	h := recHdr + 3*z
-	return Addr(r[h]), Leaf(r[h+1]), r[h+2], false, true
+	hd := img.header(r[recHdr+z])
+	return Addr(hd.addr), Leaf(hd.leaf), hd.ver, false, true
 }
 
 // PlainData returns the overlay's plaintext payload for a live real
 // entry (nil otherwise). The view is overlay-owned: read, then copy.
 func (img *Image) PlainData(bucket uint64, z int) []byte {
-	idx := img.slotIndex(bucket, z)
-	if img.cell[idx] == 0 { // only a live real entry owns a cell
-		return nil
+	if h := img.record(bucket)[recHdr+z]; h != 0 { // only a live real entry owns a cell
+		return img.payload(h)
 	}
-	return img.payload(idx)
+	return nil
 }
 
 // materialize runs slot (bucket, z)'s deferred seal into its memo
@@ -614,8 +618,8 @@ func (img *Image) materialize(bucket uint64, z int) Slot {
 		if cs.state&psDummy != 0 {
 			s = DummySlotIVs(img.engine, img.blockB, cs.iv1, cs.iv2, m.hdr, m.data)
 		} else {
-			r, h := img.record(bucket), recHdr+3*z
-			b := Block{Addr: Addr(r[h]), Leaf: Leaf(r[h+1]), Ver: r[h+2], Data: img.payload(idx)}
+			addr, leaf, ver, _, _ := img.PlainHeader(bucket, z)
+			b := Block{Addr: addr, Leaf: leaf, Ver: ver, Data: img.PlainData(bucket, z)}
 			s = SealBlockIVs(img.engine, b, cs.iv1, cs.iv2, m.hdr, m.data)
 		}
 		m.hdr, m.data = s.SealedHeader, s.SealedData
@@ -645,17 +649,16 @@ func (img *Image) Slot(bucket uint64, z int) Slot {
 // content was the store's gets that content back.
 func (img *Image) PutLazyUndoable(bucket uint64, z int, iv1, iv2 uint64, b Block, done uint64) {
 	img.expand(bucket)
-	idx := img.slotIndex(bucket, z)
-	r, h, cs := img.record(bucket), recHdr+3*z, img.coldAt(bucket, z)
-	e := undoEntry{idx: idx, done: done, iv1: cs.iv1, iv2: cs.iv2,
-		hdr: [3]uint32{r[h], r[h+1], r[h+2]}, state: cs.state & (psLive | psDummy)}
+	cs := img.coldAt(bucket, z)
+	e := undoEntry{idx: img.slotIndex(bucket, z), done: done, iv1: cs.iv1, iv2: cs.iv2, state: cs.state & (psLive | psDummy)}
 	switch {
 	case e.state&psLive == 0:
 		e.off = uint32(len(img.undoStored))
 		img.undoStored = append(img.undoStored, img.store.Slot(bucket, z))
 	case e.state&psDummy == 0:
-		e.off = uint32(len(img.undoData))
-		img.undoData = append(img.undoData, img.payload(idx)...)
+		h := img.record(bucket)[recHdr+z]
+		e.hdr, e.off = *img.header(h), uint32(len(img.undoData))
+		img.undoData = append(img.undoData, img.payload(h)...)
 	}
 	img.undo = append(img.undo, e)
 	if b.Dummy() {
@@ -681,19 +684,17 @@ func (img *Image) Rollback(mark int, cycle uint64) {
 		}
 		bucket, z := e.idx/zz, int(e.idx%zz)
 		img.expand(bucket) // a whole-bucket write may have come in between
-		cs := img.coldAt(bucket, z)
+		cs, r := img.coldAt(bucket, z), img.record(bucket)
 		if e.state&psLive == 0 {
 			cs.state &^= psLive | psSealed
-			img.dropCell(e.idx)
+			img.dropCell(r, z)
 			img.store.SetSlot(bucket, z, img.undoStored[e.off])
 			continue
 		}
-		r, h := img.record(bucket), recHdr+3*z
-		r[h], r[h+1], r[h+2] = e.hdr[0], e.hdr[1], e.hdr[2]
 		if e.state&psDummy == 0 {
-			copy(img.ownCell(e.idx), img.undoData[e.off:])
+			img.fill(r, z, e.hdr, img.undoData[e.off:])
 		} else {
-			img.dropCell(e.idx)
+			img.dropCell(r, z)
 		}
 		cs.iv1, cs.iv2 = e.iv1, e.iv2
 		cs.state = cs.state&psQueued | e.state
@@ -738,7 +739,7 @@ func (img *Image) PutSlot(bucket uint64, z int, s Slot) (old Slot) {
 	img.expand(bucket)
 	idx := img.slotIndex(bucket, z)
 	img.coldAt(bucket, z).state &^= psLive | psSealed
-	img.dropCell(idx)
+	img.dropCell(img.record(bucket), z)
 	if img.memo != nil {
 		img.memo[idx] = sealedBuf{}
 	}

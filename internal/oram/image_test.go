@@ -673,7 +673,7 @@ func TestInitialPlacementsMatchPerSlot(t *testing.T) {
 		r := whole.record(bucket)
 		for m := r[recReal]; m != 0; m &= m - 1 {
 			z := bits.TrailingZeros32(m)
-			addr := Addr(r[recHdr+3*z])
+			addr := Addr(whole.header(r[recHdr+z]).addr)
 			if explicit := r[recExplicit]>>uint(z)&1 != 0; explicit != (addr > unplaced[0]) {
 				t.Fatalf("block %d (first unplaced %d) in bucket %d slot %d: explicit %v", addr, unplaced[0], bucket, z, explicit)
 			}
@@ -686,12 +686,14 @@ func TestInitialPlacementsMatchPerSlot(t *testing.T) {
 // tree but the position map, and an image that keeps the record form is
 // born holding no page of cold entries — every initial placement is under
 // the IVs its address implies. At L=12 with two blocks a leaf, right after
-// New and before any access, the image holds at most 160 bytes a bucket,
-// and New's heap allocations are within two position maps plus 64 KiB
-// (at the parent of this test: 216 bytes a bucket, 96 cold pages and
-// 971 KiB, a block list and a fill table among them).
+// New and before any access, the image holds at most 123 bytes a bucket
+// (112 measured: a 32-byte record and an 80-byte cell a block; 144 while
+// the headers sat in a 64-byte record beside a handle table), and New's
+// heap allocations are within two position maps plus 64 KiB (at the
+// parent of this test: 216 bytes a bucket, 96 cold pages and 971 KiB, a
+// block list and a fill table among them).
 func TestImageFootprintAtBirth(t *testing.T) {
-	const levels, budget, slack = 12, 160, 64 << 10
+	const levels, budget, slack = 12, 123, 64 << 10
 	tree := NewTree(levels, 4)
 	p := Params{Levels: levels, Z: 4, BlockBytes: 64, StashEntries: 200, NumBlocks: 2 * tree.Leaves(), Seed: 7}
 	var before, after runtime.MemStats
@@ -713,10 +715,10 @@ func TestImageFootprintAtBirth(t *testing.T) {
 }
 
 // TestRecordLayout pins the layout the load walk relies on: a bucket's
-// record is 16+12Z bytes — one cache line at Z = 4 — and the records
-// start on a line; a slot's cell handle is 4 bytes and the handles start
-// on a line, so a Z = 4 bucket's share one; a payload cell is BlockBytes
-// rounded up to a line and starts on one. The cold per-slot entry is 24
+// record is 16+4Z bytes, its state and its slots' cell handles — half a
+// cache line at Z = 4 — and the records start on a line; a cell is a
+// slot's 16-byte header followed by its payload, BlockBytes rounded up to
+// 16 bytes, so a header never straddles a line. The cold per-slot entry is 24
 // bytes, in pages of coldPageBuckets buckets: an image in record form
 // is born holding none (one born slot by slot holds every page until
 // whole-bucket writes release them), any other image holds every page.
@@ -732,14 +734,14 @@ func TestRecordLayout(t *testing.T) {
 	for _, z := range []int{1, 2, 4, 8, maxRecordZ + 1} {
 		tree := NewTree(8, z)
 		img := NewImage(tree, testEngine(), 16, testIVs())
-		if got, want := 4*img.recW, uint64(16+12*z); got != want {
+		if got, want := 4*img.recW, uint64(16+4*z); got != want {
 			t.Fatalf("Z=%d: a record is %d bytes, want %d", z, got, want)
 		}
-		if !onLine(unsafe.Pointer(&img.recs[0])) || !onLine(unsafe.Pointer(&img.cell[0])) {
-			t.Fatalf("Z=%d: the records or the cell handles do not start on a %d-byte line", z, lineBytes)
+		if !onLine(unsafe.Pointer(&img.recs[0])) || !onLine(unsafe.Pointer(&img.cells[0])) {
+			t.Fatalf("Z=%d: the records or the cells do not start on a %d-byte line", z, lineBytes)
 		}
-		if uint64(len(img.recs)) != tree.Buckets()*img.recW || uint64(len(img.cell)) != tree.Slots() {
-			t.Fatalf("Z=%d: %d record words, %d cell handles for %d buckets", z, len(img.recs), len(img.cell), tree.Buckets())
+		if uint64(len(img.recs)) != tree.Buckets()*img.recW {
+			t.Fatalf("Z=%d: %d record words for %d buckets", z, len(img.recs), tree.Buckets())
 		}
 		if pages := (tree.Buckets() + coldPageBuckets - 1) / coldPageBuckets; uint64(len(img.cold)) != pages {
 			t.Fatalf("Z=%d: %d cold pages for %d buckets", z, len(img.cold), tree.Buckets())
@@ -751,13 +753,24 @@ func TestRecordLayout(t *testing.T) {
 		if coldPages(img) != want {
 			t.Fatalf("Z=%d (record form %v): born holding %d cold pages, want %d", z, img.recordForm, coldPages(img), want)
 		}
-		img.PutLazyBlock(3, 0, 1, 2, Block{Data: make([]byte, 16)})
-		if img.cellB != lineBytes || !onLine(unsafe.Pointer(&img.PlainData(3, 0)[0])) {
-			t.Fatalf("Z=%d: a 16-byte payload's cell is %d bytes, or not on a line", z, img.cellB)
+		img.PutLazyBlock(3, 0, 1, 2, Block{Addr: 5, Leaf: 6, Ver: 7, Data: make([]byte, 16)})
+		h := img.record(3)[recHdr]
+		if img.cellB != 32 || unsafe.Pointer(&img.PlainData(3, 0)[0]) != unsafe.Add(unsafe.Pointer(img.header(h)), 16) {
+			t.Fatalf("Z=%d: a 16-byte payload's cell is %d bytes, or its payload does not follow its 16-byte header", z, img.cellB)
+		}
+		if hd := *img.header(h); hd.addr != 5 || hd.leaf != 6 || hd.ver != 7 {
+			t.Fatalf("Z=%d: the cell's header reads %+v", z, hd)
 		}
 	}
-	if img := NewImage(NewTree(4, 4), testEngine(), 16, testIVs()); 4*img.recW != lineBytes {
-		t.Fatalf("at Z=4 a record is %d bytes, want one %d-byte line", 4*img.recW, lineBytes)
+	if got := unsafe.Sizeof(cellHeader{}); got != 16 {
+		t.Fatalf("a cell header is %d bytes, want 16", got)
+	}
+	if img := NewImage(NewTree(4, 4), testEngine(), 64, testIVs()); 8*img.recW != lineBytes || img.cellB != 80 {
+		t.Fatalf("at Z=4 a record is %d bytes, want half a %d-byte line; a 64-byte block's cell is %d bytes, want 80", 4*img.recW, lineBytes, img.cellB)
+	}
+	// A payload that is no multiple of 16 bytes pads its cell to one.
+	if img := NewImage(NewTree(4, 4), testEngine(), 65, testIVs()); img.cellB != 96 {
+		t.Fatalf("a 65-byte block's cell is %d bytes, want 96", img.cellB)
 	}
 	// Born slot by slot (the IVs skip), an image in record form expands
 	// every bucket; whole-bucket writes give the pages back.
@@ -855,16 +868,18 @@ func TestUndoSurvivesLazyRewrites(t *testing.T) {
 // PS-ORAM writes it — InitBlocks, then every address accessed once, each
 // access reading its path in place and writing it back whole
 // (PutLazyDummies, then PutLazyBlock per real slot under the path's
-// consecutive IVs) — holds a record and Z cell handles per bucket, a cell
-// per real slot, and no page of cold entries: InitBlocks' explicit IVs
-// are gone once every bucket it wrote has been rewritten. At two blocks a
-// leaf, the 25% real slots of a mem-deep shard, its footprint is at most
-// 160 bytes a bucket (440 when every slot had a payload and a cold entry
-// and every bucket a store row). Those bytes are in the image's region:
+// consecutive IVs) — holds a record of state and Z cell handles per
+// bucket, a cell of header and payload per real slot, and no page of cold
+// entries: InitBlocks' explicit IVs are gone once every bucket it wrote
+// has been rewritten. At two blocks a leaf, the 25% real slots of a
+// mem-deep shard, its footprint is at most 123 bytes a bucket (112
+// measured; 144 while the headers sat in the record beside a handle
+// table, 440 when every slot had a payload and a cold entry and every
+// bucket a store row). Those bytes are in the image's region:
 // where that is a mapping, closing the image frees at most 8 heap bytes a
 // bucket.
 func TestImageFootprint(t *testing.T) {
-	const levels, budget, heapBudget = 12, 160, 8
+	const levels, budget, heapBudget = 12, 123, 8
 	tree := NewTree(levels, 4)
 	c := mustNew(t, Params{Levels: levels, Z: 4, BlockBytes: 64, StashEntries: 200, NumBlocks: 2 * tree.Leaves(), Seed: 7})
 	img := c.Image

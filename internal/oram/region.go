@@ -6,11 +6,10 @@ import (
 )
 
 // region is an image's memory outside the Go heap: one mapping holding
-// the record table, the cell-handle table and the payload cells (see
-// newImage). It never holds a Go pointer, so the garbage collector has
-// nothing to scan in it and does not count it toward its goal. The
-// image frees it on Close; a region nobody closed is freed when the
-// collector finds it unreachable.
+// the record table and the cells (see newImage). It never holds a Go
+// pointer, so the garbage collector has nothing to scan in it and does
+// not count it toward its goal. The image frees it on Close; a region
+// nobody closed is freed when the collector finds it unreachable.
 type region struct{ mem []byte }
 
 // liveRegions counts the regions mapped and not yet freed.

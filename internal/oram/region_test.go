@@ -38,7 +38,7 @@ func TestCloseFreesTheRegion(t *testing.T) {
 	if freed := before - LiveRegions(); freed < 1 {
 		t.Fatalf("Close freed %d regions", freed)
 	}
-	if img.recs != nil || img.cell != nil || img.cells != nil {
+	if img.recs != nil || img.cells != nil {
 		t.Fatal("Close left a table pointing into the freed region")
 	}
 	defer func() {
