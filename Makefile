@@ -137,11 +137,14 @@ profile: build
 # recursive ones), the checks that the write-back's work follows the
 # occupied slots (a whole-bucket image write touches no cold per-slot
 # entry; an untimed batch stores no untagged entry), the image layout
-# the load walk relies on (one cache-line record per bucket) and the
+# the load walk relies on (a half-line record of state and cell handles
+# per bucket, each real slot's header at the front of its cell) and the
 # gather ahead of it (reads only, allocates nothing), the image's
 # footprint (heap bytes per bucket, no cold page once written), the form
 # of a loaded snapshot's image (nothing queued for a barrier, rewritten
-# buckets in record form, within the footprint budget), a
+# buckets in record form, within the footprint budget), what reading a
+# snapshot stream allocates (bytes bound to the stream's, objects to its
+# chunks), a
 # PS-ORAM tree's occupancy (little more real slots than live blocks:
 # backups dead on arrival are not written), the golden
 # determinism regression, and one pass of the sim, serve and store
@@ -152,6 +155,7 @@ perf-smoke:
 	$(GO) test ./internal/sim -run 'TestSteadyStateZeroAllocs|TestGoldenDeterminismRegression' -v
 	$(GO) test ./internal/oram -run 'TestStashSteadyStateAllocs|TestDenseBucketMatchesPerSlot|TestInitialPlacementsMatchPerSlot|TestRecordLayout|TestImageFootprint|TestImageFootprintAtBirth' -v
 	$(GO) test ./internal/core -run 'TestTreeHoldsLiveBlocksOnly|TestLoadedImageForm' -v
+	$(GO) test ./internal/storage/filestore -run 'TestReadStreamAllocation' -v
 	$(GO) test ./internal/mem -run 'TestFunctionlessEntriesAreCountedNotStoredWhenUntimed|TestAddDataRunTimesLikeSingleEntries' -v
 	$(GO) test ./internal/core -run 'TestCoreSteadyStateAllocs|TestCoreUntimedSteadyStateAllocs|TestCoreBaselineSteadyStateAllocs|TestCoreRcrPSORAMSteadyStateAllocs|TestCoreRcrBaselineSteadyStateAllocs|TestCorePSORAMWPQ4SteadyStateAllocs|TestCoreFileStoreSteadyStateAllocs|TestGatherChangesNothing' -short -v
 	$(GO) test ./internal/serve -run 'TestServeSteadyStateAllocs|TestServePipelinedSteadyStateAllocs|TestServeFileStoreSteadyStateAllocs|TestServeGroupCommitRoundAllocs' -short -v

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"strconv"
 
 	"repro/internal/oram"
@@ -181,20 +180,27 @@ func appendDataChunk(buf []byte, src Source, t oram.Tree, ci int, epoch uint64) 
 }
 
 // parseDataChunk checks raw as data chunk ci at epoch and copies its
-// slots, in index order, into slots.
+// slots, in index order, into slots: the chunk's sealed headers into one
+// fresh array and its sealed payloads into another, each slot's view
+// capped to its own bytes.
 func parseDataChunk(raw []byte, t oram.Tree, blockBytes, ci int, epoch uint64, slots []oram.Slot) error {
 	payload, err := checkChunk(raw, kindData, ci, epoch, dataChunkSize(t, blockBytes, ci))
 	if err != nil {
 		return err
 	}
-	size := 32 + blockBytes
+	const hb = oram.HeaderBytes
+	size := 16 + hb + blockBytes
+	hdrs, data := make([]byte, len(slots)*hb), make([]byte, len(slots)*blockBytes)
 	for i := range slots {
 		p := payload[i*size : (i+1)*size]
+		h, d := hdrs[i*hb:(i+1)*hb:(i+1)*hb], data[i*blockBytes:(i+1)*blockBytes:(i+1)*blockBytes]
+		copy(h, p[16:16+hb])
+		copy(d, p[16+hb:])
 		slots[i] = oram.Slot{
 			IV1:          binary.LittleEndian.Uint64(p),
 			IV2:          binary.LittleEndian.Uint64(p[8:]),
-			SealedHeader: append([]byte(nil), p[16:32]...),
-			SealedData:   append([]byte(nil), p[32:]...),
+			SealedHeader: h,
+			SealedData:   d,
 		}
 	}
 	return nil
@@ -249,8 +255,10 @@ func WriteStream(w io.Writer, g oram.StoreGeometry, src Source) error {
 
 // ReadStream reads what WriteStream wrote. It reads each record whole
 // before it builds anything from it, so what it allocates follows the
-// bytes present, never a count a record claims; the parsers copy out of
-// one read buffer. A stream that ends early fails with io.ErrUnexpectedEOF, a damaged one with ErrCorrupted.
+// bytes present, never a count a record claims: the slot table doubles
+// as chunks arrive, up to the geometry's slot count, and the parsers copy
+// out of one read buffer. A stream that ends early fails with
+// io.ErrUnexpectedEOF, a damaged one with ErrCorrupted.
 func ReadStream(r io.Reader) (*Contents, error) {
 	raw, err := readRecord(r, metaSize, nil)
 	if err != nil {
@@ -273,8 +281,13 @@ func ReadStream(r io.Reader) (*Contents, error) {
 			return nil, err
 		}
 		lo, hi := chunkRange(c.tree, ci)
-		n := len(c.slots)
-		c.slots = slices.Grow(c.slots, (hi-lo)*g.Z)[:n+(hi-lo)*g.Z]
+		n, m := len(c.slots), len(c.slots)+(hi-lo)*g.Z
+		if m > cap(c.slots) {
+			grown := make([]oram.Slot, n, min(max(2*cap(c.slots), m), int(c.tree.Slots())))
+			copy(grown, c.slots)
+			c.slots = grown
+		}
+		c.slots = c.slots[:m]
 		if err := parseDataChunk(raw, c.tree, g.BlockBytes, ci, streamEpoch, c.slots[n:]); err != nil {
 			return nil, err
 		}
