@@ -276,8 +276,8 @@ func (img *Image) record(bucket uint64) []uint32 {
 // ivBase+2z+2.
 func (img *Image) impliedIVs(r []uint32, z int) (iv1, iv2 uint64) {
 	base := (uint64(r[recIVBase]) | uint64(r[recIVBase+1])<<32) + 2*uint64(z)
-	if hd := img.header(r[recHdr+z]); r[recReal]>>uint(z)&1 != 0 && hd.ver == 0 {
-		base = img.initBase + 2*uint64(hd.addr)
+	if r[recReal]>>uint(z)&1 != 0 && img.header(r[recHdr+z]).ver == 0 {
+		base = img.initBase + 2*uint64(img.header(r[recHdr+z]).addr)
 	}
 	return base + 1, base + 2
 }
