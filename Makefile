@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden bless-digest loc clean
+.PHONY: all build vet fmt cross test race stress check cli-smoke sweep-smoke crash-matrix crash-check oracle-smoke fuzz-smoke profile perf-smoke experiments-check bless-golden bless-digest loc clean
 
 all: check
 
@@ -52,10 +52,10 @@ stress:
 
 # check is the pre-commit gate: build, vet, the gofmt gate, the Windows
 # and macOS builds, the full suite under the race detector, the crash
-# matrix over three seeds (it exits 2 if a persistent scheme corrupts),
-# the all-scheme differential oracle and crash torture (oracle-smoke; it
-# exits 1 on any violation), the byte-identity pin on the paper's tables
-# (experiments-check), and the two everything-armed CLI runs.
+# matrix over three seeds and the all-scheme differential oracle and
+# crash torture, each diffed against its recording (crash-check), the
+# byte-identity pin on the paper's tables (experiments-check), and the
+# two everything-armed CLI runs.
 # -short shrinks the sweep grid cells (see internal/sweep.testGrid), the
 # seam differential and the durable alloc guards' warm-ups, and takes the
 # CI slice of the kill -9 tortures (a few real SIGKILLs per scheme; the
@@ -63,8 +63,7 @@ stress:
 # pipelining, resharding and group-commit test runs whole.
 check: build vet fmt cross
 	$(GO) test -short -race ./...
-	$(GO) run ./cmd/psoram crash -seeds 3 -workers 2
-	$(MAKE) oracle-smoke
+	$(MAKE) crash-check
 	$(MAKE) experiments-check
 	$(MAKE) cli-smoke
 
@@ -96,6 +95,20 @@ sweep-smoke: build
 # (paper Table 5) through the parallel pool.
 crash-matrix: build
 	$(GO) run ./cmd/psoram crash -workers 4
+
+# crash-check reruns the crash matrix over three seeds and the
+# all-scheme oracle with its crash torture (what oracle-smoke runs), and
+# diffs each stdout against its recording: crash_output.txt and
+# oracle_crash_output.txt. Both runs are deterministic, so a moved row
+# is a behaviour change; regenerate the recording in the commit that
+# makes it, with the command below that writes it. A run's own exit code
+# fails the target as well: the matrix exits 2 when a persistent scheme
+# corrupts, the oracle 1 on any violation.
+crash-check:
+	@out="$$(mktemp)"; $(GO) run ./cmd/psoram crash -seeds 3 -workers 2 > "$$out"; rc=$$?; \
+		diff crash_output.txt "$$out" || rc=1; rm -f "$$out"; exit $$rc
+	@out="$$(mktemp)"; $(GO) run ./cmd/psoram oracle -crash > "$$out"; rc=$$?; \
+		diff oracle_crash_output.txt "$$out" || rc=1; rm -f "$$out"; exit $$rc
 
 # oracle-smoke runs the differential oracle and the crash-linearizability
 # torture harness over every scheme (see EXPERIMENTS.md, "Validating a
