@@ -84,6 +84,10 @@ func (p Policy) WPQAtomic() bool { return p.Domain == DomainWPQ }
 // the eviction and is indistinguishable from a crash after step 5.
 func (p Policy) OffersStep(step int) bool { return p.Domain != DomainEADR || step != 5 }
 
+// OnChipSurvives reports whether the stash and PosMap outlive a power
+// failure, built from NVM (FullNVM) or drained into it (eADR).
+func (p Policy) OnChipSurvives() bool { return p.OnChip != MediumSRAM || p.Domain == DomainEADR }
+
 // Storable reports whether the durable file store covers the scheme, in
 // a directory or streamed as a snapshot: the flat Path ORAM family. Its
 // format carries no recursive hierarchy's PosMap trees.

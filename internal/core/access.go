@@ -257,8 +257,7 @@ func (c *Controller) lookupWriteThrough(addr oram.Addr, lNew oram.Leaf) (oram.Le
 	start := c.now
 	l := c.ORAM.PosMap.Lookup(addr)
 	c.ORAM.PosMap.Put(addr, lNew)
-	c.durable.Put(addr, lNew)
-	c.mirrorLeaf(addr, lNew)
+	c.setDurable(addr, lNew)
 	c.timeOnChipNVM(nvm.Read) // lookup
 	c.timeOnChipNVM(nvm.Write)
 	return l, start, nil

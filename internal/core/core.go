@@ -13,7 +13,9 @@
 // batch). It is the only Path ORAM access engine: the data tree and
 // every recursive PosMap tree are loaded by the same walk (loadSlot) and
 // written back by the same write-back (planSlots, writeBack);
-// internal/oram holds the trees' state and the placement rule.
+// internal/oram holds the trees' state and the placement rule. One
+// recovery (§4.3) builds a controller from what NVM holds: a store reopen,
+// a snapshot load and a flat scheme's injected crash alike.
 //
 // Two coupled aspects are simulated together:
 //
@@ -413,20 +415,21 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, st *fi
 		c.scratch.every[i] = int32(i)
 	}
 	c.bindProtocol()
-	c.hAccesses = c.counters.Handle("oram.accesses")
-	c.hBackups = c.counters.Handle("psoram.backups")
-	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	c.group = opts.GroupCommit
 	return c, nil
 }
 
 // bindProtocol picks the scheme's position source and write-back from
-// its Policy, once: the flat map of PS-ORAM (lookupTemp), FullNVM
+// its Policy: the flat map of PS-ORAM (lookupTemp), FullNVM
 // (lookupWriteThrough) or the rest (lookupInFlight), or the recursive
 // chain walk (walkChain, walkChainBatch), whose data-tree working map
 // follows the chain; and the posted, persistent or batch write-back
-// (evictPosted, evictPersistent, evictBatch).
+// (evictPosted, evictPersistent, evictBatch). It also takes the handles
+// of the counters every access bumps.
 func (c *Controller) bindProtocol() {
+	c.hAccesses = c.counters.Handle("oram.accesses")
+	c.hBackups = c.counters.Handle("psoram.backups")
+	c.hDirty = c.counters.Handle("psoram.dirty_entries")
 	p := c.policy
 	c.lookup, c.evict = c.lookupInFlight, c.evictPosted
 	switch {
@@ -543,54 +546,45 @@ func (c *Controller) PowerFail() error {
 	return nil
 }
 
-// powerFail applies the physics of losing power at c.now: the volatile
-// write buffer and any uncommitted WPQ batch are lost (mem.Crash) — every
-// tree's image rolls back the logged writes that complete after c.now,
-// an uncommitted batch's among them — and the volatile on-chip
-// structures are cleared according to the scheme's persistence domain.
+// powerFail applies the physics of losing power at c.now to the NVM
+// model: the write buffer and any uncommitted WPQ batch are lost
+// (mem.Crash), and every tree's image rolls back the writes that complete
+// after c.now. Under eADR the buffers and the on-chip hierarchy drain
+// instead, following the protocol: a remap before its step-4 stash update
+// is undone, and the working PosMap reaches NVM as the durable one.
 func (c *Controller) powerFail() {
 	c.crashed = true
 	c.counters.Inc("crash.count")
 	lostAfter := uint64(c.now)
 	if c.policy.Domain == config.DomainEADR {
-		// eADR's persistence domain covers the buffers: drain, not drop.
 		c.Mem.DrainAll()
 		lostAfter = oram.NeverDone
+		if c.inflight.active {
+			c.ORAM.PosMap.Put(c.inflight.addr, c.inflight.oldLeaf)
+		}
+		for a := oram.Addr(0); uint64(a) < c.ORAM.NumBlocks(); a++ {
+			c.setDurable(a, c.ORAM.PosMap.Lookup(a))
+		}
 	} else {
 		c.Mem.Crash(c.now)
 	}
 	for _, t := range c.trees {
 		t.Image.Rollback(0, lostAfter)
 	}
-	switch {
-	case c.policy.OnChip != config.MediumSRAM:
-		// Stash and PosMap are themselves NVM: they survive. Nothing to
-		// clear — but nothing was atomic either.
-	case c.policy.Domain == config.DomainEADR:
-		// eADR flushes the entire on-chip hierarchy on power fail: the
-		// stash and working PosMap reach NVM (at enormous energy cost —
-		// Table 2). The drain follows the ORAM protocol, so an access
-		// interrupted before its step-4 stash update is cancelled: its
-		// remap is rolled back (the target still lives under the old
-		// leaf). Model: cancel the in-flight remap, then the working map
-		// becomes the durable map and the stash is preserved.
-		if c.inflight.active {
-			c.ORAM.PosMap.Put(c.inflight.addr, c.inflight.oldLeaf)
-		}
-		c.durable = c.ORAM.PosMap.Clone()
-		c.syncDurablePosMap()
-	default:
-		// SRAM structures vanish.
-		for _, t := range c.trees {
-			t.Stash.Clear()
-		}
-		c.Temp.Clear()
-	}
 }
 
-// Recover models the post-restart recovery procedure (§4.3): reload the
-// on-chip position map from its durable NVM copy and resume. It returns
-// an error if called without a preceding crash.
+// Recover models the post-restart recovery procedure (§4.3). A flat
+// scheme's controller is rebuilt by recoverController from the NVM model
+// the power failure left, as a reopen or a load would build it, and
+// replaces c. A file-backed model goes into the store's Contents without
+// a barrier (the directory may lag it by an access that crashed at step
+// 6, or by the open commit group); an in-memory one is copied out of the
+// image. Only what a power failure leaves comes across: the machine
+// (memory system, on-chip NVM device, clock, counters, access count,
+// epoch, crash hook, open commit group); the stash where the persistence
+// domain keeps it (Policy.OnChipSurvives); and, until ROADMAP item 29
+// makes them durable, the IV cursor and the leaf stream. A recursive
+// scheme recovers in place (reloadChain). Recover fails without a crash.
 //
 // Recovery cost is charged to the simulated clock and the
 // "recovery.nvm_reads" counter: PS-ORAM recovery is a single sequential
@@ -603,31 +597,40 @@ func (c *Controller) Recover() error {
 	if !c.crashed {
 		return errors.New("core: Recover called without a crash")
 	}
-	c.crashed = false
 	// Charge the PosMap reload: N entries packed PosMapEntryBytes each,
 	// read line by line from the trusted region.
-	entriesPerLine := uint64(c.Cfg.BlockBytes / c.Cfg.PosMapEntryBytes)
-	lines := (c.ORAM.NumBlocks() + entriesPerLine - 1) / entriesPerLine
-	for i := uint64(0); i < lines; i++ {
-		loc := c.Mem.PosMapLocation(i * entriesPerLine)
-		done := c.Mem.ReadBytes(loc, c.now, c.Cfg.BlockBytes)
-		if done > c.now {
-			c.now = done
-		}
+	perLine := uint64(c.Cfg.BlockBytes / c.Cfg.PosMapEntryBytes)
+	for a := uint64(0); a < c.ORAM.NumBlocks(); a += perLine {
+		c.now = max(c.now, c.Mem.ReadBytes(c.Mem.PosMapLocation(a), c.now, c.Cfg.BlockBytes))
 		c.counters.Inc("recovery.nvm_reads")
 	}
-	switch {
-	case c.Rec != nil:
+	if c.Rec != nil {
 		c.reloadChain()
-	case c.policy.OnChip != config.MediumSRAM:
-		// The on-chip map *is* durable; durable view follows it.
-		c.durable = c.ORAM.PosMap.Clone()
-	case c.policy.Domain == config.DomainEADR:
-		// Working state was flushed wholesale; nothing to reload.
-	default:
-		// Reload the working map from NVM.
-		*c.ORAM.PosMap = *c.durable.Clone()
+	} else {
+		var src *filestore.Contents
+		if c.storage != nil {
+			c.preparePersist()
+			src = &c.storage.Contents
+		} else {
+			src = filestore.NewContents(storeGeometry(c.Scheme, c.Cfg, c.ORAM.Tree.L, c.ORAM.NumBlocks()), durableView{c})
+		}
+		n, err := recoverController(c.Scheme, c.Cfg, Options{GroupCommit: c.group, Untimed: true}, c.storage, src) // c's Mem comes across
+		if err != nil {
+			return err
+		}
+		n.Mem, n.onchipNVM, n.now, n.stageNanos, n.counters = c.Mem, c.onchipNVM, c.now, c.stageNanos, c.counters
+		n.accessN, n.epoch, n.CrashAt = c.accessN, c.epoch, c.CrashAt
+		n.ticket, n.lastTicket, n.groupOps, n.onGroupCommit = c.ticket, c.lastTicket, c.groupOps, c.onGroupCommit
+		if c.policy.OnChipSurvives() {
+			n.ORAM.Stash = c.ORAM.Stash
+		}
+		n.ORAM.ResumeStreams(c.ORAM)
+		c.closeImages()
+		*c = *n
+		c.plans[0] = &c.scratch.plan // it pointed into n
+		c.bindProtocol()
 	}
+	c.crashed = false
 	c.counters.Inc("crash.recoveries")
 	return nil
 }
@@ -637,6 +640,9 @@ func (c *Controller) Recover() error {
 func (c *Controller) Peek(addr oram.Addr) ([]byte, error) {
 	if c.closed {
 		return nil, errClosed
+	}
+	if c.crashed {
+		return nil, errors.New("core: recover before reading")
 	}
 	return c.ORAM.PeekWith(addr, c.currentLeaf)
 }

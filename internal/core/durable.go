@@ -53,7 +53,9 @@ func createController(scheme config.Scheme, cfg config.Config, opts Options) (*C
 	if err != nil {
 		return nil, err
 	}
-	c.syncDurablePosMap()
+	for a := oram.Addr(0); uint64(a) < c.ORAM.NumBlocks(); a++ {
+		c.setDurable(a, c.durable.Lookup(a))
+	}
 	if err := c.persistDurable(); err != nil {
 		c.Close() // frees the image, stops the persist worker
 		return nil, err

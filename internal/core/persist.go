@@ -359,8 +359,7 @@ func (c *Controller) applyCommitted(slots []plannedSlot) {
 			continue
 		}
 		if s.merges() {
-			c.durable.Put(b.Addr, b.Leaf)
-			c.mirrorLeaf(b.Addr, b.Leaf)
+			c.setDurable(b.Addr, b.Leaf)
 			c.ORAM.PosMap.Put(b.Addr, b.Leaf)
 			c.Temp.Delete(b.Addr)
 		}

@@ -256,17 +256,21 @@ func (c *Controller) writePath(region int, l oram.Leaf, order []*oram.StashBlock
 	return len(slots)
 }
 
-// reloadChain is the recursive source's half of recovery (§4.3): the
-// Top map is reloaded from its durable copy, and every PosMap tree's
-// working PosMap (plus the data tree's working map) is re-derived by
-// walking the chain stored in the PosMap trees' images — exactly the
-// information a restarted ORAM controller has.
+// reloadChain is the recursive schemes' recovery (§4.3), in place until
+// a store's Contents holds the PosMap trees (ROADMAP item 4): the SRAM
+// stashes are lost, the Top map is reloaded from its durable copy, and
+// every PosMap tree's working PosMap (plus the data tree's working map)
+// is re-derived by walking the chain stored in the PosMap trees' images
+// — exactly the information a restarted ORAM controller has.
 //
 // A PosMap block it cannot reach is not an error: it is corruption,
 // which the read-back surfaces as unreadable addresses (that is
 // precisely what happens to Rcr-Baseline). The walk counts each entry it
 // cannot re-derive and leaves it at its last value.
 func (c *Controller) reloadChain() {
+	for _, t := range c.trees {
+		t.Stash.Reset()
+	}
 	*c.Rec.Top = *c.durableTop.Clone()
 	k := oram.Addr(c.Rec.EntriesPerBlock)
 	// Walk top-down, region n to 0: each tree's leaves come packed in the

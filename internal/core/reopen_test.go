@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/config"
@@ -152,5 +153,111 @@ func TestPowerFailIsReopen(t *testing.T) {
 				t.Errorf("%v: %d of %d points diverge, pinned %d", s, diverged, total, pinned)
 			}
 		})
+	}
+}
+
+// TestPeekRefusesCrashedController: between a power failure and Recover
+// the controller holds nothing a running system could read (its on-chip
+// state is gone), so Peek refuses, as Access and SaveDurable do; after
+// Recover it reads again.
+func TestPeekRefusesCrashedController(t *testing.T) {
+	c := newCtl(t, config.SchemePSORAM)
+	defer c.Close()
+	if _, err := c.Access(oram.OpWrite, 3, blockVal(3, 1, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PowerFail(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Peek(3); err == nil {
+		t.Fatalf("Peek on a crashed controller read %.12q", v)
+	}
+	if err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Peek(3); err != nil || !bytes.Equal(v, blockVal(3, 1, 64)) {
+		t.Fatalf("Peek after Recover: %.12q, %v", v, err)
+	}
+}
+
+// TestCrashDrawsNoIVTwice: a crash and its recovery leave the IV cursor
+// and the leaf stream where the crash found them. One PS-ORAM controller
+// crashes mid-access and recovers five times; after each recovery its
+// next IV is above every IV drawn before the crash, and its next leaves
+// are those a twin that never crashed draws at the same point of the
+// stream.
+func TestCrashDrawsNoIVTwice(t *testing.T) {
+	c, twin := newCtl(t, config.SchemePSORAM), newCtl(t, config.SchemePSORAM)
+	defer c.Close()
+	defer twin.Close()
+	r := &lcg{s: 5}
+	for cycle := 0; cycle < 5; cycle++ {
+		for i := 0; i < 20; i++ {
+			addr := oram.Addr(r.n(100))
+			data := blockVal(addr, cycle*20+i, 64)
+			for _, x := range []*Controller{c, twin} {
+				if _, err := x.Access(oram.OpWrite, addr, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// The crashing access draws its leaf, then dies at step 4; the twin
+		// draws the same leaf by hand.
+		c.CrashAt = func(p CrashPoint) bool { return p.Step == 4 }
+		if _, err := c.Access(oram.OpRead, oram.Addr(r.n(100)), nil); err != ErrCrashed {
+			t.Fatalf("cycle %d: want the injected crash, got %v", cycle, err)
+		}
+		c.CrashAt = nil
+		twin.ORAM.RandomLeaf()
+		last := c.ORAM.DrawIVs(0)
+		if err := c.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if next := c.ORAM.NextIV(); next <= last {
+			t.Fatalf("cycle %d: the first IV after recovery is %d, the cursor before the crash %d", cycle, next, last)
+		}
+		for k := 0; k < 8; k++ {
+			if got, want := c.ORAM.RandomLeaf(), twin.ORAM.RandomLeaf(); got != want {
+				t.Fatalf("cycle %d: leaf draw %d after recovery is %d, the uncrashed stream's %d", cycle, k, got, want)
+			}
+		}
+	}
+}
+
+// TestRecoveryFreesWhatItReplaces: a crash-and-recover loop maps no image
+// region it does not free, in memory and over a file store alike, and
+// Close leaves none behind.
+func TestRecoveryFreesWhatItReplaces(t *testing.T) {
+	for _, dir := range []string{"", "store"} {
+		before := oram.LiveRegions()
+		opts := Options{NumBlocks: 100, Levels: 5}
+		if dir != "" {
+			opts.StoreDir = filepath.Join(t.TempDir(), dir)
+		}
+		c, err := New(config.SchemePSORAM, testCfg(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := oram.LiveRegions()
+		for i := 0; i < 10; i++ {
+			if _, err := c.Access(oram.OpWrite, oram.Addr(i), blockVal(oram.Addr(i), i, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.PowerFail(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if grew := oram.LiveRegions() - open; grew > 0 {
+				t.Fatalf("store %q: recovery %d left %d more image regions open", dir, i, grew)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if grew := oram.LiveRegions() - before; grew > 0 {
+			t.Errorf("store %q: %d image regions open after Close", dir, grew)
+		}
 	}
 }

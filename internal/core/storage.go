@@ -102,21 +102,11 @@ func StorageSupported(scheme config.Scheme) error {
 	return fmt.Errorf("core: durable storage does not cover scheme %v (flat schemes only)", scheme)
 }
 
-// mirrorLeaf pushes one durable-PosMap mutation to the backend.
-func (c *Controller) mirrorLeaf(a oram.Addr, l oram.Leaf) {
+// setDurable writes a's durable-PosMap entry, mirrored into the backend.
+func (c *Controller) setDurable(a oram.Addr, l oram.Leaf) {
+	c.durable.Put(a, l)
 	if c.storage != nil {
 		c.storage.SetLeaf(a, l)
-	}
-}
-
-// syncDurablePosMap pushes the whole durable PosMap to the backend
-// (initial creation; eADR's flush-everything power fail).
-func (c *Controller) syncDurablePosMap() {
-	if c.storage == nil {
-		return
-	}
-	for a := oram.Addr(0); uint64(a) < c.ORAM.NumBlocks(); a++ {
-		c.storage.SetLeaf(a, c.durable.Lookup(a))
 	}
 }
 

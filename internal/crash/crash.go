@@ -3,7 +3,10 @@
 // scheme and each swept protocol point it builds a fresh timed
 // controller, drives a workload, injects a simulated power failure at
 // that exact point, recovers, and reads every address back — one
-// oracle.RunTrial per point. Check tortures one functional system at
+// oracle.RunTrial per point. A flat scheme recovers the way a store
+// reopen does (core.Recover rebuilds the controller from the NVM model),
+// so a trial judges what NVM held, never state a crash forgot to clear;
+// the recursive schemes still recover in place. Check tortures one functional system at
 // every declared step (`psoram oracle -crash`). Both hand their trial
 // list to runTrials, which runs it on sweep's worker pool.
 //

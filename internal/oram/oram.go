@@ -180,6 +180,10 @@ func (c *Controller) NextIV() uint64 {
 	return c.iv
 }
 
+// ResumeStreams continues from's IV cursor and leaf stream in c, which
+// replaces it: c draws no IV and no leaf that from drew.
+func (c *Controller) ResumeStreams(from *Controller) { c.iv, c.rng = from.iv, from.rng }
+
 // DrawIVs advances the IV counter by n and returns its value before the
 // advance: the i-th (0-based) of those n draws is base+i+1, what the
 // i-th of n NextIV calls would have returned.

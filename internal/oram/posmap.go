@@ -137,9 +137,6 @@ func (t *TempPosMap) Oldest() (Addr, bool) {
 	return t.idx.keys[best], true
 }
 
-// Clear empties the map (crash: it is volatile).
-func (t *TempPosMap) Clear() { t.Reset() }
-
 // Reset empties the map while keeping its backing storage for reuse,
 // so a steady-state clear/refill cycle does not allocate.
 func (t *TempPosMap) Reset() {

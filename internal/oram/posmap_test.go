@@ -129,13 +129,13 @@ func TestTempPosMapOldest(t *testing.T) {
 func TestTempPosMapClear(t *testing.T) {
 	tp := NewTempPosMap(4)
 	tp.Set(1, 1)
-	tp.Clear()
+	tp.Reset()
 	if tp.Len() != 0 {
-		t.Fatal("clear failed")
+		t.Fatal("reset failed")
 	}
 	tp.Set(2, 2) // usable afterwards
 	if tp.Len() != 1 {
-		t.Fatal("unusable after clear")
+		t.Fatal("unusable after reset")
 	}
 }
 

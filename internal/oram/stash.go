@@ -144,9 +144,6 @@ func (s *Stash) AppendLive(dst []*StashBlock) []*StashBlock { return append(dst,
 // Backups returns all backup blocks.
 func (s *Stash) Backups() []*StashBlock { return s.backups }
 
-// Clear empties the stash (crash: the volatile stash is lost).
-func (s *Stash) Clear() { s.Reset() }
-
 // Reset empties the stash while keeping the backing storage of the
 // table, the live slice and the backup slice for reuse, so a
 // steady-state clear/refill cycle does not allocate.

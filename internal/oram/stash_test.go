@@ -89,13 +89,13 @@ func TestStashClear(t *testing.T) {
 	s := NewStash(8)
 	s.Put(&StashBlock{Addr: 1})
 	s.PutBackup(&StashBlock{Addr: 1, Backup: true})
-	s.Clear()
+	s.Reset()
 	if s.Len() != 0 || s.Get(1) != nil || len(s.Backups()) != 0 {
-		t.Fatal("Clear left residue")
+		t.Fatal("Reset left residue")
 	}
 	s.Put(&StashBlock{Addr: 2}) // usable afterwards
 	if s.Len() != 1 {
-		t.Fatal("stash unusable after Clear")
+		t.Fatal("stash unusable after Reset")
 	}
 }
 

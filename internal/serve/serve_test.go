@@ -238,6 +238,12 @@ func TestCrashTorture(t *testing.T) {
 					kind, data = oram.OpWrite, op.Data
 				}
 				for attempt := 0; ; attempt++ {
+					// A front-end checks every request against the pool's
+					// shape while the shards crash and recover.
+					if p.BlockBytes() != bb || p.Scheme() != config.SchemePSORAM {
+						errc <- fmt.Errorf("client %d op %d: pool shape changed to %d-byte %v blocks", c, i, p.BlockBytes(), p.Scheme())
+						return
+					}
 					got, _, err := p.Access(ctx, kind, addr, data)
 					if errors.Is(err, ErrInterrupted) {
 						interrupted.Add(1)

@@ -42,6 +42,19 @@ type Contents struct {
 	verSeq uint32
 }
 
+// NewContents is the Contents of src, of geometry g. It keeps the slots
+// as src returns them, without copying their bytes.
+func NewContents(g oram.StoreGeometry, src Source) *Contents {
+	c := &Contents{geom: g, tree: oram.NewTree(g.Levels, g.Z), leaves: make([]uint32, g.NumBlocks), verSeq: src.VerSeq()}
+	for i := range c.tree.Slots() {
+		c.slots = append(c.slots, src.Slot(i/uint64(g.Z), int(i%uint64(g.Z))))
+	}
+	for a := range c.leaves {
+		c.leaves[a] = uint32(src.Leaf(oram.Addr(a)))
+	}
+	return c
+}
+
 // Geometry returns the stored shape.
 func (c *Contents) Geometry() oram.StoreGeometry { return c.geom }
 

@@ -131,44 +131,54 @@ func durableSchemes() []Scheme {
 
 // TestCrashNowKeepsAcknowledgedWrites: CrashNow is a power failure
 // between accesses, so every scheme that promises durability reads back
-// every acknowledged write after it and Recover.
+// every acknowledged write after it and Recover, in memory and, where
+// the file store covers the scheme, file-backed.
 func TestCrashNowKeepsAcknowledgedWrites(t *testing.T) {
 	for _, scheme := range durableSchemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
-			s, err := New(64, WithScheme(scheme), WithRNGSeed(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			want := make(map[uint64][]byte)
-			for a := uint64(0); a < 16; a++ {
-				want[a] = make([]byte, s.BlockSize())
-				copy(want[a], fmt.Sprintf("acked %d", a))
-				if err := s.Write(a, want[a]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := uint64(0); i < 40; i++ {
-				if _, err := s.Read(16 + i%48); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.CrashNow(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			for a := uint64(0); a < 16; a++ {
-				got, err := s.Read(a)
-				if err != nil {
-					t.Fatalf("addr %d after CrashNow and Recover: %v", a, err)
-				}
-				if !bytes.Equal(got, want[a]) {
-					t.Fatalf("addr %d = %.12q after CrashNow and Recover, acknowledged %.12q", a, got, want[a])
-				}
+			crashNowKeepsAcknowledgedWrites(t, scheme)
+			if scheme.Policy().Storable() {
+				t.Run("store", func(t *testing.T) {
+					crashNowKeepsAcknowledgedWrites(t, scheme, WithStorePath(filepath.Join(t.TempDir(), "store")))
+				})
 			}
 		})
+	}
+}
+
+func crashNowKeepsAcknowledgedWrites(t *testing.T, scheme Scheme, opts ...StoreOption) {
+	s, err := New(64, append([]StoreOption{WithScheme(scheme), WithRNGSeed(3)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := make(map[uint64][]byte)
+	for a := uint64(0); a < 16; a++ {
+		want[a] = make([]byte, s.BlockSize())
+		copy(want[a], fmt.Sprintf("acked %d", a))
+		if err := s.Write(a, want[a]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < 40; i++ {
+		if _, err := s.Read(16 + i%48); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CrashNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(0); a < 16; a++ {
+		got, err := s.Read(a)
+		if err != nil {
+			t.Fatalf("addr %d after CrashNow and Recover: %v", a, err)
+		}
+		if !bytes.Equal(got, want[a]) {
+			t.Fatalf("addr %d = %.12q after CrashNow and Recover, acknowledged %.12q", a, got, want[a])
+		}
 	}
 }
 
