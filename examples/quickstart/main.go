@@ -44,7 +44,7 @@ func main() {
 	}
 	fmt.Println("simulated power failure")
 
-	// Recovery reloads the on-chip position map from its durable copy.
+	// Recovery rebuilds the controller from what NVM holds (§4.3).
 	if err := store.Recover(); err != nil {
 		log.Fatal(err)
 	}

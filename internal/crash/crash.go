@@ -6,9 +6,10 @@
 // oracle.RunTrial per point. A flat scheme recovers the way a store
 // reopen does (core.Recover rebuilds the controller from the NVM model),
 // so a trial judges what NVM held, never state a crash forgot to clear;
-// the recursive schemes still recover in place. Check tortures one functional system at
-// every declared step (`psoram oracle -crash`). Both hand their trial
-// list to runTrials, which runs it on sweep's worker pool.
+// the recursive schemes still recover in place. Check tortures one
+// functional system at every declared step (`psoram oracle -crash`).
+// Both hand their trial list to runTrials, which runs it on sweep's
+// worker pool.
 //
 // A point counts as consistent iff the recovered store equals the
 // history's prefix i or i+1, where op i was in flight when power failed

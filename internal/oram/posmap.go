@@ -136,10 +136,3 @@ func (t *TempPosMap) Oldest() (Addr, bool) {
 	}
 	return t.idx.keys[best], true
 }
-
-// Reset empties the map while keeping its backing storage for reuse,
-// so a steady-state clear/refill cycle does not allocate.
-func (t *TempPosMap) Reset() {
-	t.idx.reset()
-	t.entries = t.entries[:0]
-}

@@ -126,19 +126,6 @@ func TestTempPosMapOldest(t *testing.T) {
 	}
 }
 
-func TestTempPosMapClear(t *testing.T) {
-	tp := NewTempPosMap(4)
-	tp.Set(1, 1)
-	tp.Reset()
-	if tp.Len() != 0 {
-		t.Fatal("reset failed")
-	}
-	tp.Set(2, 2) // usable afterwards
-	if tp.Len() != 1 {
-		t.Fatal("unusable after reset")
-	}
-}
-
 func TestTempPosMapNeverExceedsCapacityProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		tp := NewTempPosMap(8)

@@ -147,6 +147,7 @@ func TestCrashNowKeepsAcknowledgedWrites(t *testing.T) {
 }
 
 func crashNowKeepsAcknowledgedWrites(t *testing.T, scheme Scheme, opts ...StoreOption) {
+	t.Helper()
 	s, err := New(64, append([]StoreOption{WithScheme(scheme), WithRNGSeed(3)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
