@@ -87,8 +87,7 @@ func NewTarget(p Params) (Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &coreTarget{ctl: ctl, scheme: ctl.Scheme, numBlocks: ctl.ORAM.NumBlocks(),
-		blockBytes: ctl.Cfg.BlockBytes, leaves: ctl.ORAM.Tree.Leaves()}, nil
+	return &coreTarget{ctl: ctl}, nil
 }
 
 // NewController builds the core controller behind a Path ORAM family
@@ -117,21 +116,14 @@ func NewController(p Params) (*core.Controller, error) {
 
 // --- core (Path ORAM family) adapter ---
 
-// coreTarget keeps the controller's shape apart from the controller:
-// the serving layer reads it from other goroutines, while a Recover
-// rebuilds the controller in place.
 type coreTarget struct {
-	ctl        *core.Controller
-	scheme     config.Scheme
-	numBlocks  uint64
-	blockBytes int
-	leaves     uint64
+	ctl *core.Controller
 }
 
-func (t *coreTarget) Scheme() config.Scheme { return t.scheme }
-func (t *coreTarget) NumBlocks() uint64     { return t.numBlocks }
-func (t *coreTarget) BlockBytes() int       { return t.blockBytes }
-func (t *coreTarget) Leaves() uint64        { return t.leaves }
+func (t *coreTarget) Scheme() config.Scheme { return t.ctl.Scheme }
+func (t *coreTarget) NumBlocks() uint64     { return t.ctl.ORAM.NumBlocks() }
+func (t *coreTarget) BlockBytes() int       { return t.ctl.Cfg.BlockBytes }
+func (t *coreTarget) Leaves() uint64        { return t.ctl.ORAM.Tree.Leaves() }
 
 func (t *coreTarget) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, oram.Leaf, error) {
 	res, err := t.ctl.Access(op, addr, data)

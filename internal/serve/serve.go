@@ -402,6 +402,11 @@ type Pool struct {
 	// (next == nil).
 	reshardMu sync.Mutex
 	storeRoot string // durable pool root; "" for in-memory or Factory pools
+
+	// The shards' shape, read once: a backend belongs to its worker, whose
+	// Recover may rebuild it while a front-end asks for the shape.
+	blockBytes int
+	scheme     config.Scheme
 }
 
 // New builds and starts a pool. The returned Pool is serving; callers
@@ -451,6 +456,7 @@ func New(opts Options) (*Pool, error) {
 		shards[s] = p.newShard(s, b)
 	}
 	p.router.Store(&routeTable{epoch: epoch, shards: shards})
+	p.blockBytes, p.scheme = shards[0].backend.BlockBytes(), shards[0].backend.Scheme()
 	return p, nil
 }
 
@@ -1093,7 +1099,7 @@ func (p *Pool) NumBlocks() uint64 { return p.opts.NumBlocks }
 func (p *Pool) Closed() bool { return p.closed.Load() }
 
 // BlockBytes returns the block payload size in bytes.
-func (p *Pool) BlockBytes() int { return p.router.Load().shards[0].backend.BlockBytes() }
+func (p *Pool) BlockBytes() int { return p.blockBytes }
 
 // Shards returns the current serving shard count (the old set's, while
 // a reshard is migrating).
@@ -1108,7 +1114,7 @@ func (p *Pool) Epoch() uint64 { return p.router.Load().epoch }
 func (p *Pool) Resharding() bool { return p.router.Load().next != nil }
 
 // Scheme returns the persistence protocol the shards run.
-func (p *Pool) Scheme() config.Scheme { return p.router.Load().shards[0].backend.Scheme() }
+func (p *Pool) Scheme() config.Scheme { return p.scheme }
 
 // Close drains the pool: no new submits are accepted, every already
 // queued request is executed (crashed rounds recover via §4.3 on the
