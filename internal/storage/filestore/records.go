@@ -45,8 +45,9 @@ type Contents struct {
 // NewContents is the Contents of src, of geometry g. It keeps the slots
 // as src returns them, without copying their bytes.
 func NewContents(g oram.StoreGeometry, src Source) *Contents {
-	c := &Contents{geom: g, tree: oram.NewTree(g.Levels, g.Z), leaves: make([]uint32, g.NumBlocks), verSeq: src.VerSeq()}
-	for i := range c.tree.Slots() {
+	t := oram.NewTree(g.Levels, g.Z)
+	c := &Contents{geom: g, tree: t, slots: make([]oram.Slot, 0, t.Slots()), leaves: make([]uint32, g.NumBlocks), verSeq: src.VerSeq()}
+	for i := range t.Slots() {
 		c.slots = append(c.slots, src.Slot(i/uint64(g.Z), int(i%uint64(g.Z))))
 	}
 	for a := range c.leaves {
