@@ -582,8 +582,8 @@ func (c *Controller) powerFail() {
 // image. Only what a power failure leaves comes across: the machine
 // (memory system, on-chip NVM device, clock, counters, access count,
 // epoch, crash hook, open commit group); the stash where the persistence
-// domain keeps it (Policy.OnChipSurvives); and, until ROADMAP item 29
-// makes them durable, the IV cursor and the leaf stream. A recursive
+// domain keeps it (Policy.OnChipSurvives); and, until a store keeps
+// them, the IV cursor and the leaf stream. A recursive
 // scheme recovers in place (reloadChain). Recover fails without a crash.
 //
 // Recovery cost is charged to the simulated clock and the

@@ -257,7 +257,7 @@ func (c *Controller) writePath(region int, l oram.Leaf, order []*oram.StashBlock
 }
 
 // reloadChain is the recursive schemes' recovery (§4.3), in place until
-// a store's Contents holds the PosMap trees (ROADMAP item 4): the SRAM
+// a store's Contents holds their PosMap trees: the SRAM
 // stashes are lost, the Top map is reloaded from its durable copy, and
 // every PosMap tree's working PosMap (plus the data tree's working map)
 // is re-derived by walking the chain stored in the PosMap trees' images
